@@ -4,11 +4,18 @@ The paper leaves several quantities as deployment-time parameters; they are
 collected here with the paper's notation preserved where it exists:
 
 * ``omega`` -- the time-silence period ω: a process sends a null message in
-  a group if it has sent nothing there for ω time units (§4.1).
+  a group if it has sent nothing there for ω time units (§4.1) -- while it
+  owes the group something (see below).
 * ``suspicion_timeout`` -- Ω, the failure-suspector timeout: a member is
   suspected if nothing has been received from it for Ω (> ω) time units
   (§5.2).  "In practice, Ω should be tuned to a value that minimises the
-  possibility of unfounded suspicions."
+  possibility of unfounded suspicions."  Ω/2 doubles as the *idle
+  heartbeat* period: a member that owes its group nothing (nothing
+  unstable retained, no view change, formation, deferred send, unsequenced
+  unicast or membership agreement pending, nothing undelivered in any of
+  its process's groups and no member asking for a reply) stretches its
+  null deadline from ω to Ω/2, never below ω
+  (:mod:`repro.core.time_silence`).
 * ordering mode defaults (symmetric vs asymmetric, §4.1/§4.2),
 * optional ISIS-style send blocking during view installation (§3 notes
   Newtop *can* provide the closed form of virtual synchrony "at the
@@ -46,9 +53,13 @@ class NewtopConfig:
     """
 
     #: Time-silence period ω (§4.1): maximum silent interval per group
-    #: before a null message is sent.
+    #: before a null message is sent, while the member owes the group
+    #: something -- the null deadline is ``last_send + omega`` then, and
+    #: ``last_send + suspicion_timeout / 2`` while the group is idle.
     omega: float = 2.0
-    #: Failure-suspector timeout Ω (§5.2).  Must exceed ``omega``.
+    #: Failure-suspector timeout Ω (§5.2).  Must exceed ``omega``.  Half
+    #: of it (never less than ``omega``) is the idle heartbeat period: how
+    #: long a member that owes its group nothing may stay silent.
     suspicion_timeout: float = 10.0
     #: How often the suspector wakes up to check for silence.
     suspector_check_interval: float = 1.0

@@ -129,7 +129,13 @@ class GroupEndpoint:
             on_tick=self._on_suspector_tick,
         )
         self.gv = GroupViewProcess(self, own_id, group_id)
-        self.time_silence = TimeSilence(process.sim, config.omega, self._send_null)
+        self.time_silence = TimeSilence(
+            process.sim,
+            config.omega,
+            self._send_null,
+            owed=self.owes_group,
+            idle_period=config.suspicion_timeout / 2,
+        )
 
         self.departed = False
         self.pending_view_changes: List[PendingViewChange] = []
@@ -158,6 +164,10 @@ class GroupEndpoint:
         self.journeys = process.sim.journeys
         self.deferred_since: List[float] = []
         self._formation_wait: Optional[_FormationWait] = _FormationWait() if formation_wait else None
+        #: A member's null said its process is waiting on ``D_i``
+        #: (``awaits_reply``); our next send in the group -- CA2 has already
+        #: pushed the clock past that null's number -- is the answer.
+        self._reply_awaited = False
         #: Messages dropped because their sender was excluded or unknown.
         self.discarded_from_excluded = 0
 
@@ -186,6 +196,42 @@ class GroupEndpoint:
     def in_formation_wait(self) -> bool:
         """Whether the endpoint is still in §5.3's step-5 wait."""
         return self._formation_wait is not None
+
+    def owes_group(self) -> bool:
+        """Whether a null from us would do ordering, stability or membership
+        work right now, so the time-silence deadline is ω rather than the
+        idle heartbeat period (see :mod:`repro.core.time_silence`).
+
+        Unstable non-null traffic in the retention buffer is what peers'
+        ``RV``/``SV`` entries are waiting on; a view change, cut marker,
+        formation wait, deferred send or unsequenced unicast is waiting on
+        theirs; while the GV process holds a suspicion, gossip or a held
+        message the agreement needs everybody audible; an asymmetric
+        group's sequencer always owes, because its nulls are the group's
+        ``D_x`` (§4.2) and members read its freshness (under Ω/2) as the
+        evidence that a relayed member's silence means anything.
+
+        Idleness is a property of the processes, not of the group: a
+        multi-group process delivers under the minimum of all its ``D_x``
+        (safe1'), so a group with no traffic of its own still does
+        ordering work for a busy group it overlaps.  A process that holds
+        anything undelivered (:meth:`NewtopProcess.awaits_delivery`) owes
+        every one of its groups, its nulls say so (``awaits_reply``), and
+        a member that hears one owes its next send.
+        """
+        return bool(
+            self.stability.buffer.non_null_count()
+            or self._reply_awaited
+            or self.pending_view_changes
+            or self._pending_cut_points
+            or self._detections_awaiting_cut
+            or self._formation_wait is not None
+            or self.deferred_sends
+            or self.process.outstanding_unicasts(self.group_id)
+            or self.gv.busy()
+            or (self.mode == OrderingMode.ASYMMETRIC and self.engine.is_sequencer())
+            or self.process.awaits_delivery()
+        )
 
     # ------------------------------------------------------------------
     # Deliverability (consumed by the process-level delivery loop)
@@ -330,6 +376,7 @@ class GroupEndpoint:
                     member, message, channel="newtop", size_bytes=size, cause=cause
                 )
         self.time_silence.notify_sent()
+        self._reply_awaited = False
         self.on_data_message(message, local_origin=True)
 
     def send_to_member(
@@ -390,11 +437,20 @@ class GroupEndpoint:
                     )
                 return
             self.process.clock.observe(message.clock)
-        if not local_origin and message.sender == self.process.process_id:
+            if message.awaits_reply:
+                self._reply_awaited = True
+        if (
+            not local_origin
+            and message.sender == self.process.process_id
+            and (message.kind != KIND_NULL or self.owes_group())
+        ):
             # Our unicast request came back as a sequenced multicast: the
             # group just heard from us, so push the next liveness null out
             # by omega (see :meth:`send_to_member` for why the unicast
-            # itself does not count).
+            # itself does not count).  An idle heartbeat's round trip does
+            # not count: the heartbeat period is measured from issue to
+            # issue, or the relay delay would eat into the suspectors'
+            # margin on every beat.
             self.time_silence.notify_sent()
         # Liveness evidence for the suspector: both the logical sender and,
         # in asymmetric groups, the sequencer that relayed the message.
@@ -442,8 +498,7 @@ class GroupEndpoint:
         # Per-receipt follow-up; during a transport batch it is deferred to
         # the end of the batch (one pass per simulator event).
         if not self.process.in_receipt_batch:
-            self.process.attempt_delivery()
-            self.process.flush_deferred_sends()
+            self.process.settle()
 
     def on_sequencer_request(self, request: SequencerRequest) -> None:
         """Handle a unicast addressed to us as the group's sequencer."""
@@ -474,6 +529,8 @@ class GroupEndpoint:
             return
         self.suspector.heard_from(src, 0)
         self.gv.on_membership_message(src, message)
+        if not self.process.in_receipt_batch:
+            self.process.settle()
 
     def replay_pending(self, sender: str, items: List[object]) -> None:
         """Re-inject messages held while ``sender`` was under suspicion."""
@@ -582,8 +639,7 @@ class GroupEndpoint:
                 PendingViewChange(removed=removed, threshold=threshold)
             )
             self.pending_view_changes.sort(key=lambda change: change.threshold)
-        self.process.attempt_delivery()
-        self.process.flush_deferred_sends()
+        self.process.settle()
 
     def _view_change_threshold(
         self,
@@ -781,8 +837,7 @@ class GroupEndpoint:
             start_number=start_number_max,
             members=self.view.sorted_members(),
         )
-        self.process.attempt_delivery()
-        self.process.flush_deferred_sends()
+        self.process.settle()
 
     # ------------------------------------------------------------------
     # Suspector wiring
@@ -818,6 +873,7 @@ class GroupEndpoint:
                     self.suspector.clear_suspicion(suspicion.target)
                     return
         self.gv.on_suspector_notification(suspicion)
+        self.process.settle()
 
     def _on_suspector_tick(self) -> None:
         """Periodic heartbeat from the suspector's check loop: re-announce

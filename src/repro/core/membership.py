@@ -97,6 +97,10 @@ class GroupViewProcess:
         self.stats = MembershipStats()
         #: Rule (i): our own active suspicions.
         self._suspicions: Set[Suspicion] = set()
+        #: Targets of ``_suspicions`` (rule (i) admits one suspicion per
+        #: target), kept in step so :meth:`is_suspected` -- asked twice per
+        #: receipt -- is one set probe.
+        self._suspected_targets: Set[str] = set()
         #: Rule (ii): supporters per suspicion -- which remote GVs have sent
         #: us a suspect message for exactly this {Pk, ln}.
         self._gossip: Dict[Suspicion, Set[str]] = {}
@@ -118,7 +122,12 @@ class GroupViewProcess:
     # ------------------------------------------------------------------
     def is_suspected(self, process: str) -> bool:
         """Whether we currently hold an (unconfirmed) suspicion on ``process``."""
-        return any(suspicion.target == process for suspicion in self._suspicions)
+        return process in self._suspected_targets
+
+    def busy(self) -> bool:
+        """Whether the agreement has anything in flight: a suspicion of our
+        own, a peer's gossip, or a message held for a suspected sender."""
+        return bool(self._suspicions or self._gossip or self._pending)
 
     def is_excluded(self, process: str) -> bool:
         """Whether ``process`` has been confirmed failed/disconnected."""
@@ -126,7 +135,14 @@ class GroupViewProcess:
 
     def suspected_processes(self) -> Set[str]:
         """Targets of all current suspicions."""
-        return {suspicion.target for suspicion in self._suspicions}
+        return set(self._suspected_targets)
+
+    def _drop_suspicions(self, doomed) -> None:
+        """Remove every suspicion of ``doomed`` that we hold."""
+        for suspicion in doomed:
+            if suspicion in self._suspicions:
+                self._suspicions.remove(suspicion)
+                self._suspected_targets.discard(suspicion.target)
 
     def hold_pending(self, sender: str, payload: object) -> None:
         """Park a message from a suspected sender until the suspicion is
@@ -147,6 +163,7 @@ class GroupViewProcess:
         if self.is_suspected(target):
             return
         self._suspicions.add(suspicion)
+        self._suspected_targets.add(target)
         self.stats.suspicions_raised += 1
         self.endpoint.record_membership_event(
             trace_events.SUSPECT, target=target, last_number=suspicion.last_number
@@ -173,11 +190,13 @@ class GroupViewProcess:
         idempotent at receivers that already support the record.
         """
         now = self.endpoint.process.sim.now
-        stale = [
+        # Sorted: each announcement draws latency samples, so set order
+        # (a function of PYTHONHASHSEED) would leak into the run's timing.
+        stale = sorted(
             suspicion
             for suspicion in self._suspicions
             if now - self._announced.get(suspicion, now) >= interval
-        ]
+        )
         # Drop bookkeeping for suspicions resolved in the meantime.
         self._announced = {
             suspicion: when
@@ -319,7 +338,7 @@ class GroupViewProcess:
         self._gossip.pop(suspicion, None)
         if suspicion not in self._suspicions:
             return
-        self._suspicions.discard(suspicion)
+        self._drop_suspicions((suspicion,))
         self.stats.suspicions_refuted += 1
         self.endpoint.record_membership_event(
             trace_events.REFUTE,
@@ -403,7 +422,7 @@ class GroupViewProcess:
 
     def _confirm(self, detection: frozenset) -> None:
         """Steps (v)/(vi) tail + step (viii) hand-off."""
-        self._suspicions -= set(detection)
+        self._drop_suspicions(detection)
         self.detection_history.append(detection)
         self.stats.detections_confirmed += 1
         self.stats.confirm_messages_sent += 1
@@ -447,9 +466,9 @@ class GroupViewProcess:
     def on_view_installed(self) -> None:
         """Re-evaluate outstanding suspicions against the new view."""
         members = self.endpoint.view.members
-        self._suspicions = {
-            suspicion for suspicion in self._suspicions if suspicion.target in members
-        }
+        self._drop_suspicions(
+            [s for s in self._suspicions if s.target not in members]
+        )
         self._gossip = {
             suspicion: {origin for origin in supporters if origin in members}
             for suspicion, supporters in self._gossip.items()

@@ -123,6 +123,13 @@ class DataMessage:
     #: For asymmetric groups: the request id of the origin's unicast, echoed
     #: back so the origin can clear its Send-Blocking-Rule bookkeeping.
     origin_request: Optional[str] = None
+    #: For null messages only: the sender's process holds a message (or a
+    #: view installation) that ``D_i`` -- the minimum over all its groups,
+    #: this one included -- has not reached, so it needs every member to
+    #: send something numbered past this null: an idle member answers
+    #: within ω instead of at its next heartbeat
+    #: (:mod:`repro.core.time_silence`).  One bit of the kind tag.
+    awaits_reply: bool = False
 
     @property
     def is_null(self) -> bool:
@@ -177,7 +184,9 @@ class DataMessage:
         )
 
     @staticmethod
-    def null(sender: str, group: str, clock: int, ldn: int) -> "DataMessage":
+    def null(
+        sender: str, group: str, clock: int, ldn: int, awaits_reply: bool = False
+    ) -> "DataMessage":
         """Build a time-silence null message (§4.1)."""
         return DataMessage(
             msg_id=_next_message_id(sender),
@@ -187,6 +196,7 @@ class DataMessage:
             ldn=ldn,
             payload=None,
             kind=KIND_NULL,
+            awaits_reply=awaits_reply,
         )
 
     @staticmethod

@@ -221,8 +221,7 @@ class NewtopProcess:
             self.sim.now, trace_events.DEPART, self.process_id, group=group_id
         )
         endpoint.shutdown()
-        self.attempt_delivery()
-        self.flush_deferred_sends()
+        self.settle()
 
     def crash(self) -> None:
         """Crash-stop this process: all memberships cease immediately."""
@@ -289,8 +288,11 @@ class NewtopProcess:
         reason = self._send_block_reason(endpoint)
         if reason is not None or endpoint.deferred_sends:
             endpoint.defer_send(payload, reason or "queued_behind_deferred")
-            return None
-        return self._transmit(endpoint, payload)
+            message_id = None
+        else:
+            message_id = self._transmit(endpoint, payload)
+        self.settle()
+        return message_id
 
     def _transmit(
         self,
@@ -398,7 +400,7 @@ class NewtopProcess:
     def outstanding_unicasts(self, group_id: Optional[str] = None) -> int:
         """Number of unsequenced unicasts (introspection for tests)."""
         if group_id is not None:
-            return len(self._outstanding_unicasts.get(group_id, set()))
+            return len(self._outstanding_unicasts.get(group_id, ()))
         return sum(len(values) for values in self._outstanding_unicasts.values())
 
     # ------------------------------------------------------------------
@@ -431,8 +433,7 @@ class NewtopProcess:
                 self._on_transport_message(tmsg)
         finally:
             self._in_receipt_batch = False
-        self.attempt_delivery()
-        self.flush_deferred_sends()
+        self.settle()
 
     def _on_transport_message(self, tmsg: TransportMessage) -> None:
         if self.crashed:
@@ -486,6 +487,30 @@ class NewtopProcess:
             if group_bound < bound:
                 bound = group_bound
         return bound
+
+    def awaits_delivery(self) -> bool:
+        """Whether a received message or a confirmed view change is still
+        waiting for ``D_i`` to reach it."""
+        if self.delivery_queue.pending_count():
+            return True
+        for endpoint in self._endpoints.values():
+            if endpoint.pending_view_changes:
+                return True
+        return False
+
+    def settle(self) -> None:
+        """The follow-up to every event that touched this process (a
+        receipt or batch of receipts, an application send, a suspector
+        notification, a departure): deliver what became deliverable, send
+        what became unblocked, and let every group's time-silence timer
+        see whether the event left it owing a null within ω.  This is the
+        one place the timers are told; what *counts* as owed is
+        :meth:`GroupEndpoint.owes_group` alone."""
+        self.attempt_delivery()
+        self.flush_deferred_sends()
+        for endpoint in self._endpoints.values():
+            if endpoint.time_silence.idle_armed:
+                endpoint.time_silence.demand()
 
     def attempt_delivery(self) -> int:
         """Deliver everything that is deliverable, interleaving pending view

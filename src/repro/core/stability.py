@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.messages import DataMessage
+from repro.core.messages import KIND_NULL, DataMessage
 from repro.core.vectors import INFINITY as _INF, make_stability_vector
 
 
@@ -43,6 +43,11 @@ class RetentionBuffer:
         self._by_sender: Dict[str, Dict[int, DataMessage]] = {}
         self._discarded_stable = 0
         self._size = 0
+        #: How many retained messages are not nulls.  Unstable application,
+        #: start-group and view-cut traffic is what peers' ``RV``/``SV``
+        #: entries are waiting on, so "any left?" is the O(1) question the
+        #: demand-driven time-silence timer asks on every firing.
+        self._non_null = 0
         self._peak_size = 0
         #: Sound lower bound on the smallest retained clock: the stability
         #: garbage collector runs per received message, so the common case
@@ -62,10 +67,15 @@ class RetentionBuffer:
         the process whose silence/failure governs their recovery (§4.2).
         """
         per_sender = self._by_sender.setdefault(key or message.sender, {})
-        if message.clock not in per_sender:
+        replaced = per_sender.get(message.clock)
+        if replaced is None:
             self._size += 1
             if self._size > self._peak_size:
                 self._peak_size = self._size
+        elif replaced.kind != KIND_NULL:
+            self._non_null -= 1
+        if message.kind != KIND_NULL:
+            self._non_null += 1
         per_sender[message.clock] = message
         if message.clock < self._min_retained:
             self._min_retained = message.clock
@@ -84,7 +94,8 @@ class RetentionBuffer:
             per_sender = self._by_sender[sender]
             stable_clocks = [clock for clock in per_sender if clock <= stability_bound]
             for clock in stable_clocks:
-                del per_sender[clock]
+                if per_sender.pop(clock).kind != KIND_NULL:
+                    self._non_null -= 1
                 discarded += 1
             if per_sender:
                 sender_min = min(per_sender)
@@ -101,9 +112,12 @@ class RetentionBuffer:
         """Drop everything retained for ``sender`` (used when a failed
         process is removed from the view and its pending messages must be
         discarded, §5.2 step viii)."""
-        removed = len(self._by_sender.pop(sender, {}))
-        self._size -= removed
-        return removed
+        dropped = self._by_sender.pop(sender, {})
+        self._size -= len(dropped)
+        self._non_null -= sum(
+            1 for message in dropped.values() if message.kind != KIND_NULL
+        )
+        return len(dropped)
 
     def discard_sender_above(self, sender: str, threshold: int) -> int:
         """Drop ``sender``'s retained messages numbered above ``threshold``.
@@ -117,7 +131,8 @@ class RetentionBuffer:
             return 0
         doomed = [clock for clock in per_sender if clock > threshold]
         for clock in doomed:
-            del per_sender[clock]
+            if per_sender.pop(clock).kind != KIND_NULL:
+                self._non_null -= 1
         if not per_sender:
             del self._by_sender[sender]
         self._size -= len(doomed)
@@ -145,6 +160,10 @@ class RetentionBuffer:
     def size(self) -> int:
         """Number of messages currently retained."""
         return self._size
+
+    def non_null_count(self) -> int:
+        """Number of retained messages that are not nulls."""
+        return self._non_null
 
     @property
     def peak_size(self) -> int:

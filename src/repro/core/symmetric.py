@@ -56,6 +56,7 @@ class SymmetricOrdering(OrderingEngine):
                 group=self.endpoint.group_id,
                 clock=clock,
                 ldn=ldn,
+                awaits_reply=process.awaits_delivery(),
             )
         else:
             message = DataMessage.application(

@@ -29,6 +29,15 @@ Every cell runs in three equal *phases* of the client window:
     deliveries is stalled -- the all-ack baseline after a crash, never
     Newtop.
 
+One exception to "equal": a partition is held for at least
+:func:`~repro.net.partitions.partition_hold_time` (the model's healthy
+envelope -- a split that heals mid-agreement loses messages for good
+while the views stay whole, which the causal-prefix checker reports).
+When a third of ``duration`` is shorter than that, a partition cell's
+fault phase, and with it the cell's client window, is stretched; the
+row's ``phase_bounds`` state the times that ran and ``goodput`` is per
+unit of that window.
+
 The *availability* of a fault cell is the fraction of offered sends that
 were admitted during the fault phase -- the E16 contrast: a
 primary-partition policy refuses the minority's sends, Newtop admits on
@@ -49,6 +58,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.api import Session
 from repro.core.messages import reset_message_counter
 from repro.net.latency import get_latency_model
+from repro.net.partitions import partition_hold_time
 from repro.parallel import WorkUnit, run_units
 from repro.scenarios.spec import default_process_names
 from repro.workloads.client import LatencyReservoir, OpenLoopClient, aggregate_counters
@@ -81,7 +91,8 @@ class SweepSpec:
     group_size: int = 5
     #: Senders per group (first k members); 0 means every member sends.
     senders_per_group: int = 0
-    #: Client window; the three phases are equal thirds of it.
+    #: Client window; the three phases are equal thirds of it (a partition
+    #: cell's fault phase may be stretched, see the module docstring).
     duration: float = 24.0
     start: float = 1.0
     #: Settling time after the client window before checking.
@@ -251,6 +262,18 @@ def run_cell(
     for group_id, members in topology:
         session.group(group_id, members)
 
+    # Three phases: pre-fault, fault window, recovery.
+    third = spec.duration / 3.0
+    fault_length = third
+    if fault == "partition":
+        fault_length = max(
+            third, partition_hold_time(float(overrides["suspicion_timeout"]))
+        )
+    fault_time = spec.start + third
+    fault_end = fault_time + fault_length
+    window_end = fault_end + third
+    window = window_end - spec.start
+
     clients: List[OpenLoopClient] = []
     per_group_rate = load / max(1, len(topology))
     for index, (group_id, members) in enumerate(topology):
@@ -267,18 +290,12 @@ def run_cell(
             OpenLoopClient(
                 profile, senders, [group_id],
                 seed=spec.seed * 9973 + index,
-                start=spec.start, duration=spec.duration,
+                start=spec.start, duration=window,
                 name=f"{group_id}-client",
             )
         )
         client.start()
         clients.append(client)
-
-    # Three equal phases: pre-fault, fault window, recovery.
-    third = spec.duration / 3.0
-    fault_time = spec.start + third
-    fault_end = spec.start + 2 * third
-    window_end = spec.start + spec.duration
 
     session.sim.run(until=fault_time)
     at_fault = aggregate_counters(clients)
@@ -349,7 +366,7 @@ def run_cell(
             list(result.checks.violations[:3]) if result.checks is not None else []
         ),
         **totals,
-        "goodput": round(totals["delivered_unique"] / spec.duration, 4),
+        "goodput": round(totals["delivered_unique"] / window, 4),
         "delivery_ratio": (
             round(totals["delivered_unique"] / totals["admitted"], 4)
             if totals["admitted"] else None

@@ -143,10 +143,15 @@ class Network:
         # Per directed channel: the simulated time of the latest scheduled
         # delivery, used to preserve FIFO order.
         self._last_delivery_time: Dict[Tuple[str, str], float] = {}
-        # Open delivery batches: (dst, instant) -> accepted messages, each a
-        # (src, payload, size_bytes) triple in send order.  One simulator
-        # event is scheduled per key; it drains the whole list at once.
-        self._open_batches: Dict[Tuple[str, float], List[Tuple[str, object, int]]] = {}
+        # Open delivery batches: (dst, instant, is_duplicate) -> accepted
+        # messages, each a (src, payload, size_bytes) triple in send order.
+        # One simulator event is scheduled per key; it drains the whole
+        # list at once.
+        self._open_batches: Dict[
+            Tuple[str, float, bool], List[Tuple[str, object, int]]
+        ] = {}
+        # Event label per destination (formatted once, not per event).
+        self._deliver_labels: Dict[str, str] = {}
         metrics = sim.metrics
         if metrics is not None:
             # Polled only at sampler ticks / snapshots -- never on the send
@@ -317,7 +322,12 @@ class Network:
         ``advance_fifo=False`` (duplicate copies) clamps against the
         channel's last genuine delivery without moving it, so later real
         messages may land at or before the copy -- harmless, the copy is
-        suppressed by its stale sequence number at the endpoint.
+        suppressed by its stale sequence number at the endpoint.  Copies
+        are batched apart from genuine frames: a copy that opened a genuine
+        ``(dst, instant)`` batch would create that batch's simulator event
+        early and so reorder a genuine delivery against a same-instant
+        timer, and a fault that the endpoint suppresses must not be able to
+        change what the protocol sees.
         """
         channel = (src, dst)
         window = self.config.batch_window
@@ -337,17 +347,15 @@ class Network:
             delivery_time = max(raw_time, self._last_delivery_time.get(channel, -1.0))
         if advance_fifo:
             self._last_delivery_time[channel] = delivery_time
-        key = (dst, delivery_time)
+        key = (dst, delivery_time, not advance_fifo)
         batch = self._open_batches.get(key)
         if batch is None:
             self._open_batches[key] = batch = []
             self.stats.delivery_events += 1
-            self.sim.schedule_at(
-                delivery_time,
-                self._deliver_batch,
-                key,
-                label=f"deliver ->{dst}",
-            )
+            label = self._deliver_labels.get(dst)
+            if label is None:
+                label = self._deliver_labels[dst] = f"deliver ->{dst}"
+            self.sim.schedule_at(delivery_time, self._deliver_batch, key, label=label)
         batch.append((src, payload, size_bytes))
         return delivery_time
 
@@ -368,7 +376,7 @@ class Network:
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def _deliver_batch(self, key: Tuple[str, float]) -> None:
+    def _deliver_batch(self, key: Tuple[str, float, bool]) -> None:
         """Drain one (destination, instant) batch.
 
         Drop checks (crash, in-flight partition) are still per message --

@@ -14,11 +14,40 @@ the simulation substrate supports:
 
 Nodes not mentioned in any component form an implicit final component of
 their own, so tests only need to enumerate the interesting sides.
+
+Healthy envelope
+----------------
+The paper's transport is reliable between connected processes and has no
+retransmission, so what is sent across a partition is lost for good and
+only exclusion (§5.2) squares the loss with the delivery guarantees.  A
+partition that heals before the membership agreement has excluded the far
+side leaves the views whole with a gap in the stream -- a *model*
+violation (the causal-prefix checker reports it), not a protocol bug.
+Experiments that heal a partition therefore hold it for at least
+:func:`partition_hold_time`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+#: Settling allowance on top of the suspicion windows: suspector check
+#: intervals plus the suspect/confirm rounds of the agreement itself.
+HEAL_SLACK = 6.0
+
+
+def partition_hold_time(suspicion_timeout: float) -> float:
+    """Shortest time a partition (or a one-way lossy window) must last for
+    the membership agreement to have excluded the far side before links
+    return: ``2Ω + HEAL_SLACK``.
+
+    One Ω of silence raises the first suspicions; a same-side peer that
+    holds one more message of the target refutes the lower ``{Pk, ln}``
+    (rule iii) and the refuted suspector starts a fresh window before
+    re-suspecting at the agreed ``ln`` -- a second Ω; the slack covers the
+    agreement.
+    """
+    return 2.0 * suspicion_timeout + HEAL_SLACK
 
 
 class PartitionManager:

@@ -25,9 +25,10 @@ so the generator must stay inside the envelope where a correct stack is
 empirically against the unmutated stack):
 
 * A partition heals only after the suspicion machinery has fully resolved
-  it (``HEAL_SLACK`` past the suspicion timeout), or never.  Healing
-  mid-agreement loses in-flight cross-partition messages while views
-  never change -- a *model* violation, not a protocol bug.
+  it (:func:`repro.net.partitions.partition_hold_time` after the split),
+  or never.  Healing mid-agreement loses in-flight cross-partition
+  messages while views never change -- a *model* violation, not a
+  protocol bug.
 * Default latency swaps are bounded-tail (constant / uniform / lognormal
   with small sigma) and scaled so the suspicion timeout keeps healthy
   slack; the unbounded exponential tail would produce false suspicion of
@@ -45,6 +46,8 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.net.partitions import partition_hold_time
+from repro.scenarios.engine import SCENARIO_PROTOCOL_DEFAULTS
 from repro.scenarios.spec import ScenarioSpec, from_config
 
 #: Relative likelihood of each event kind the generator draws.  ``drop``
@@ -61,9 +64,9 @@ DEFAULT_EVENT_WEIGHTS: Mapping[str, float] = {
     "drop": 0.5,
 }
 
-#: Extra settling time past the scenario suspicion timeout (6.0) before a
-#: partition may heal -- see the healthy-envelope notes above.
-HEAL_SLACK = 6.0
+#: How long a generated partition or drop window lasts at least (the
+#: healthy envelope at the scenario engine's suspicion timeout).
+_HOLD = partition_hold_time(float(SCENARIO_PROTOCOL_DEFAULTS["suspicion_timeout"]))
 
 #: Bounded-tail latency swap menu: (model, option ranges).  Exponential is
 #: deliberately absent (unbounded tail => false suspicion of live
@@ -320,7 +323,7 @@ def _events(
             # Healthy envelope: heal only after the suspicion machinery has
             # fully resolved the split (or never).
             if rng.random() < 0.6:
-                heal_at = time + 6.0 + HEAL_SLACK + rng.uniform(0.0, 4.0)
+                heal_at = time + _HOLD + rng.uniform(0.0, 4.0)
                 events.append({"time": round(heal_at, 2), "kind": "heal"})
         elif kind == "drop":
             if len(alive) < 2:
@@ -328,7 +331,7 @@ def _events(
             src, dst = rng.sample(alive, 2)
             events.append(
                 {"time": time, "kind": "drop", "src": [src], "dst": [dst],
-                 "duration": round(6.0 + HEAL_SLACK + rng.uniform(0.0, 4.0), 2)}
+                 "duration": round(_HOLD + rng.uniform(0.0, 4.0), 2)}
             )
         elif kind == "form_group":
             if len(alive) < 2:

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.experiments import SweepSpec, run_cell, run_sweep
+from repro.net.partitions import partition_hold_time
 
 
 def tiny_spec(**overrides):
@@ -103,6 +104,47 @@ def test_partition_cell_availability_contrast():
     # admits on both sides of the split (E16 under open-loop load).
     assert primary["availability"] < 1.0
     assert newtop["availability"] > primary["availability"]
+
+
+@pytest.mark.parametrize("omega", [1.5, 2.0, 2.4, 2.5, 3.0])
+def test_partition_cell_passes_whatever_the_time_silence_period(omega):
+    """Regression: the partition cell used to heal exactly Omega after the
+    split -- mid-agreement -- so whether the messages lost across it left
+    a causal gap in still-whole views depended on where the null timers
+    stood (omega 2.0, 2.4 and 2.5 failed causal-prefix, 1.5 and 3.0
+    passed by timing luck).  The fault phase of a partition cell now lasts
+    at least ``partition_hold_time(Omega)``, the model's healthy envelope,
+    and the phases that ran are the phases the row reports."""
+    spec = tiny_spec(
+        stacks=("newtop",), loads=(1.0,), faults=("partition",),
+        protocol={"omega": omega},
+    )
+    row = run_cell(spec, "newtop", "poisson", 1.0, "partition")
+    assert row["passed"], row["violations"]
+    assert row["stalled_groups"] == 0
+    # duration 18 -> thirds of 6; Omega 6 -> the split is held for 18.
+    assert partition_hold_time(6.0) == 18.0
+    assert row["phase_bounds"] == {
+        "pre": (1.0, 7.0),
+        "fault": (7.0, 25.0),
+        "recovery": (25.0, 31.0),
+        "drain": (31.0, 55.0),
+    }
+    # The heal is the fault/recovery boundary: load offered after it is
+    # admitted and delivered inside the window, not left to the drain.
+    assert row["phases"]["recovery"]["delivered_unique"] > 0
+
+
+def test_partition_cell_keeps_equal_thirds_when_they_are_long_enough():
+    spec = tiny_spec(
+        stacks=("newtop",), loads=(0.5,), faults=("partition", "crash"),
+        duration=60.0,
+    )
+    partition = run_cell(spec, "newtop", "poisson", 0.5, "partition")
+    crash = run_cell(spec, "newtop", "poisson", 0.5, "crash")
+    assert partition["passed"] and crash["passed"]
+    assert partition["phase_bounds"] == crash["phase_bounds"]
+    assert partition["phase_bounds"]["fault"] == (21.0, 41.0)
 
 
 def test_cell_lookup_raises_on_missing():

@@ -10,9 +10,14 @@ from repro.analysis.checkers import (
     check_total_order,
     check_view_sequences,
 )
+from types import SimpleNamespace
+
 from harness import NewtopCluster
 
 from repro.core import NewtopConfig, OrderingMode
+from repro.core.membership import GroupViewProcess
+from repro.core.messages import RefuteMessage, Suspicion
+from repro.core.views import MembershipView
 from repro.net.failures import FailureSchedule
 from repro.net.trace import CONFIRM, REFUTE, SUSPECT, VIEW_INSTALL
 
@@ -22,6 +27,62 @@ FAST = dict(omega=1.5, suspicion_timeout=6.0, suspector_check_interval=0.5)
 def _cluster(names, seed=1, **overrides):
     config = NewtopConfig(**FAST).replace(**overrides)
     return NewtopCluster(names, config=config, seed=seed)
+
+
+# ----------------------------------------------------------------------
+# GV bookkeeping (no network: a stub endpoint records what is multicast)
+# ----------------------------------------------------------------------
+class _StubEndpoint:
+    def __init__(self, members):
+        self.view = MembershipView.initial("g", members)
+        self.process = SimpleNamespace(sim=SimpleNamespace(now=0.0))
+        self.suspector = SimpleNamespace(clear_suspicion=lambda member: None)
+        self.journeys = None
+        self.sent = []
+
+    def mcast_membership(self, message, cause=None):
+        self.sent.append(message)
+
+    def record_membership_event(self, kind, **details):
+        pass
+
+
+def test_suspected_targets_track_the_suspicion_set():
+    endpoint = _StubEndpoint(["P1", "P2", "P3", "P4", "P5"])
+    gv = GroupViewProcess(endpoint, "P1", "g")
+    assert not gv.busy()
+    for target in ("P4", "P2", "P3"):
+        gv.on_suspector_notification(Suspicion(target, 0))
+    gv.on_suspector_notification(Suspicion("P2", 7))  # one suspicion per target
+    assert gv.suspected_processes() == {"P2", "P3", "P4"}
+    assert gv.busy() and gv.is_suspected("P3") and not gv.is_suspected("P5")
+    # Rule (iv): a refutation drops the suspicion and its target.
+    gv.on_membership_message(
+        "P5", RefuteMessage(origin="P5", group="g", suspicion=Suspicion("P3", 0))
+    )
+    assert gv.suspected_processes() == {"P2", "P4"}
+    # A refutation of a record we do not hold (other ln) drops nothing.
+    gv.on_membership_message(
+        "P5", RefuteMessage(origin="P5", group="g", suspicion=Suspicion("P2", 3))
+    )
+    assert gv.is_suspected("P2")
+    # A view that no longer contains a target drops its suspicion.
+    endpoint.view = endpoint.view.exclude({"P4"})
+    gv.on_view_installed()
+    assert gv.suspected_processes() == {"P2"} and not gv.is_suspected("P4")
+
+
+def test_regossip_announces_in_a_hash_seed_independent_order():
+    endpoint = _StubEndpoint(["P1", "P2", "P3", "P4", "P5"])
+    gv = GroupViewProcess(endpoint, "P1", "g")
+    for target in ("P4", "P2", "P3"):
+        gv.on_suspector_notification(Suspicion(target, 0))
+    del endpoint.sent[:]
+    endpoint.process.sim.now = 10.0
+    gv.regossip_unresolved(6.0)
+    # Every announcement draws latency samples from the shared RNG, so the
+    # order must not be the suspicion set's (string-hash) iteration order.
+    assert [message.suspicion.target for message in endpoint.sent] == ["P2", "P3", "P4"]
 
 
 # ----------------------------------------------------------------------
@@ -42,6 +103,31 @@ def test_crashed_member_is_agreed_out_of_the_view():
     assert trace.events(kind=SUSPECT)
     assert trace.events(kind=CONFIRM)
     assert check_view_sequences(trace, "g", survivors).passed
+
+
+def test_idle_group_excludes_a_crashed_member_no_later_than_fixed_omega():
+    """Stretching an idle member's null deadline to Omega/2 must not delay
+    crash detection: the suspector times out Omega after the *last* null,
+    and a heartbeat cadence only makes that last null older.  Crash phases
+    cover one whole heartbeat period; the bounds are the parent commit's
+    (fixed-omega timer) numbers for this exact scenario."""
+    survivors = ("P1", "P2", "P3")
+    delays = []
+    for crash_at in (20.0, 20.5, 21.0, 21.5, 22.0, 22.5, 23.0):
+        cluster = _cluster(["P1", "P2", "P3", "P4"], seed=1)
+        cluster.create_group("g")
+        cluster.run(crash_at)
+        assert not cluster["P1"].endpoint("g").owes_group()
+        cluster.crash("P4")
+        assert cluster.run_until(
+            lambda: all(
+                "P4" not in cluster[name].view("g").members for name in survivors
+            ),
+            timeout=30.0,
+        )
+        delays.append(cluster.sim.now - crash_at)
+    assert max(delays) <= 8.9
+    assert sum(delays) / len(delays) <= 8.3
 
 
 def test_delivery_continues_after_member_crash():

@@ -290,6 +290,11 @@ def test_session_observe_metrics_block():
     assert counters["trace.deliver"] == result.deliveries
     assert counters["sim.events_fired"] > 0
     assert counters["transport.sent.data"] > 0
+    # Time-silence splits its nulls by the deadline that sent them: omega
+    # while something was owed (the burst), Omega/2 heartbeats after.
+    owed, idle = counters["time_silence.nulls_owed"], counters["time_silence.nulls_idle"]
+    assert owed > 0 and idle > 0
+    assert owed + idle == counters["trace.null_send"]
     assert "sim.heap_live" in obs["metrics"]["gauges"]
     samples = obs["samples"]
     assert samples["times"], "sampler took no samples"
@@ -337,6 +342,7 @@ def test_render_obs_mentions_every_section():
     assert "top hotspots" in text
     assert "delivery_batch" in text
     assert "ordering_wait" in text
+    assert "time_silence.nulls_owed" in text and "time_silence.nulls_idle" in text
 
 
 def test_render_document_walks_nested_obs_blocks():

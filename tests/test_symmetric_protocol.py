@@ -7,6 +7,8 @@ from repro.analysis.checkers import check_total_order
 from harness import NewtopCluster
 
 from repro.core import NewtopConfig, OrderingMode
+from repro.core.endpoint import PendingViewChange
+from repro.core.messages import DataMessage, Suspicion
 from repro.net.latency import ExponentialLatency, UniformLatency
 from repro.net.trace import NULL_SEND
 
@@ -124,6 +126,190 @@ def test_delivery_latency_bounded_by_time_silence_period():
     cluster.run(40)
     latencies = cluster.trace().delivery_latencies("g1")
     assert latencies and max(latencies) < 10.0
+
+
+def test_delivery_latency_bound_holds_after_long_idleness():
+    # The same bound after >= 3 * Omega of idleness, when every member has
+    # stretched its null deadline to the Omega/2 heartbeat: the multicast
+    # makes its receivers owed, which pulls their next null in to omega.
+    cluster = _cluster(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=5.0)
+    cluster.create_group("g1")
+    cluster.run(16)
+    idle = [cluster[name].endpoint("g1") for name in ("P1", "P2", "P3")]
+    assert not any(endpoint.owes_group() for endpoint in idle)
+    cluster["P1"].multicast("g1", "probe")
+    assert idle[0].owes_group()
+    cluster.run(40)
+    latencies = cluster.trace().delivery_latencies("g1")
+    assert len(latencies) == 3 and max(latencies) < 10.0
+    # ... and once the probe is stable everywhere the group idles again.
+    assert not any(endpoint.owes_group() for endpoint in idle)
+
+
+def test_idle_group_sends_heartbeats_at_half_the_suspicion_timeout():
+    cluster = _cluster(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=6.0)
+    cluster.create_group("g1")
+    cluster.run(31.5)
+    nulls = [
+        event.time for event in cluster.trace().events(kind=NULL_SEND, process="P2")
+    ]
+    # First null at omega, then one per Omega/2 = 3.0: 1, 4, 7, ..., 31.
+    assert nulls == pytest.approx([1.0 + 3.0 * beat for beat in range(11)])
+    assert not cluster.trace().events(kind="suspect")
+
+
+def test_flow_control_window_of_one_drains_after_idleness():
+    # A window of 1 admits the next send only when the previous one is
+    # stable, and stability rides on the other members' nulls: an unstable
+    # message in the retention buffer must keep everybody at the omega
+    # cadence, or each send would wait out an idle heartbeat.
+    cluster = _cluster(["P1", "P2", "P3"], seed=9, flow_control_window=1)
+    cluster.create_group("g1")
+    cluster.run(25)
+    started = cluster.sim.now
+    for index in range(6):
+        cluster["P1"].multicast("g1", f"m{index}")
+    assert len(cluster["P1"].endpoint("g1").deferred_sends) == 5
+    assert cluster.run_until(
+        lambda: all(len(p.delivered_payloads("g1")) == 6 for p in cluster),
+        timeout=40.0,
+    )
+    # The parent commit (fixed-omega timer) took 27.9 here.
+    assert cluster.sim.now - started <= 28.0
+    assert not cluster["P1"].endpoint("g1").deferred_sends
+    for process in cluster:
+        assert process.delivered_payloads("g1") == [f"m{i}" for i in range(6)]
+
+
+def _overlapping_pair(g2_offset=0.0, seed=1, **config_overrides):
+    """g1 = {P1, P2, P3} and g2 = {P3, P4, P5}: only P3 is in both.  g2 is
+    created ``g2_offset`` after g1, which on fixed-omega timers decides how
+    its nulls are phased against g1's."""
+    cluster = _cluster(
+        ["P1", "P2", "P3", "P4", "P5"], seed=seed,
+        omega=2.0, suspicion_timeout=10.0, **config_overrides,
+    )
+    cluster.create_group("g1", ["P1", "P2", "P3"])
+    cluster.run(g2_offset)
+    cluster.create_group("g2", ["P3", "P4", "P5"])
+    cluster.run(30.0 - g2_offset)
+    return cluster
+
+
+@pytest.mark.parametrize("g2_offset", [0.0, 1.0])
+def test_idle_overlapping_group_does_not_slow_a_busy_group(g2_offset):
+    """safe1': P3 delivers g1's traffic under min(D_g1, D_g2), so g2 --
+    idle as far as P4 and P5 can tell -- does ordering work for g1.  P3's
+    nulls in g2 say so (``awaits_reply``) while P3 holds anything
+    undelivered, and P4 and P5 answer within omega.
+
+    Pinned against the fixed-omega timers of the parent commit, which over
+    these 3 x 120 multicasts delivered with mean 1.51-1.88, p90 2.14-3.16
+    and max 3.02-4.33 depending on ``g2_offset`` (0-1.5); demand-driven
+    timers phase themselves and land inside that envelope (the bounds
+    below are ones the parent meets at both offsets).  Letting g2 stretch
+    to Omega/2 regardless of P3 gave mean 3.4, p90 8.1 and max 10.5 --
+    past Omega."""
+    latencies = []
+    for seed in (1, 2, 3):
+        cluster = _overlapping_pair(g2_offset, seed=seed)
+        for index in range(120):
+            cluster[("P1", "P2")[index % 2]].multicast("g1", f"m{index}")
+            cluster.run(0.7)
+        cluster.run(40.0)
+        run = cluster.trace().delivery_latencies("g1")
+        assert len(run) == 360
+        latencies.extend(run)
+    latencies.sort()
+    assert sum(latencies) / len(latencies) < 1.75
+    assert latencies[int(0.9 * len(latencies))] < 2.75
+    assert latencies[-1] < 4.5
+
+
+def test_overlapped_idle_group_answers_at_omega_then_idles_again():
+    cluster = _overlapping_pair()
+    p3, p4 = cluster["P3"], cluster["P4"]
+    assert not p3.endpoint("g2").owes_group()
+    assert not p4.endpoint("g2").owes_group()
+    cluster["P1"].multicast("g1", "probe")
+    assert cluster.run_until(lambda: p3.awaits_delivery(), timeout=5.0)
+    received = cluster.sim.now
+    # The probe belongs to g1, but it waits on g2's D_x as well.
+    assert p3.endpoint("g2").owes_group()
+    assert not p4.endpoint("g2").owes_group()
+    # P3 has been silent in g2 for longer than omega: its null goes out at
+    # once, flagged; P4 owes the answer until it has sent it.
+    cluster.run(1e-6)
+    asked = [
+        event for event in cluster.trace().events(kind=NULL_SEND, process="P3")
+        if event.group == "g2" and event.time >= received
+    ]
+    assert [event.time for event in asked] == [received]
+    assert cluster.run_until(lambda: p4.endpoint("g2").owes_group(), timeout=5.0)
+    assert cluster.run_until(
+        lambda: not p4.endpoint("g2").owes_group(), timeout=2.0 + 1e-6
+    )
+    assert cluster.run_until(lambda: not p3.awaits_delivery(), timeout=10.0)
+    assert cluster.sim.now - received < 2 * 2.0
+    # Once g1 is quiet again g2 is back on the heartbeat: in 4 * Omega/2
+    # each of its members sends 4 nulls (it would be 10 at omega).
+    cluster.run(20.0)
+    start = cluster.sim.now
+    cluster.run(20.0)
+    for name in ("P3", "P4", "P5"):
+        beats = [
+            event for event in cluster.trace().events(kind=NULL_SEND, process=name)
+            if event.group == "g2" and event.time > start
+        ]
+        assert len(beats) == 4, (name, [event.time for event in beats])
+    assert not cluster.trace().events(kind="suspect")
+
+
+_OWED_CONDITIONS = {
+    "unstable_traffic_retained": lambda endpoint: endpoint.stability.buffer.retain(
+        DataMessage.application("P2", "g1", 10**6, 0, "payload")
+    ),
+    "reply_awaited": lambda endpoint: setattr(endpoint, "_reply_awaited", True),
+    "view_change_pending": lambda endpoint: endpoint.pending_view_changes.append(
+        PendingViewChange(removed=frozenset({"P9"}), threshold=10**6)
+    ),
+    "cut_marker_held": lambda endpoint: endpoint._pending_cut_points.update(
+        {frozenset({"P9"}): 10**6}
+    ),
+    "detection_awaiting_cut": lambda endpoint: endpoint._detections_awaiting_cut.append(
+        (frozenset({"P9"}), 1)
+    ),
+    "send_deferred": lambda endpoint: endpoint.deferred_sends.append("payload"),
+    "unicast_outstanding": lambda endpoint: endpoint.process.note_unicast_outstanding(
+        "g1", "request-1"
+    ),
+    "suspicion_held": lambda endpoint: endpoint.gv.on_suspector_notification(
+        Suspicion("P2", 0)
+    ),
+    "message_undelivered": lambda endpoint: endpoint.process.delivery_queue.enqueue(
+        DataMessage.application("P2", "g1", 10**6, 0, "payload")
+    ),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(_OWED_CONDITIONS))
+def test_every_owed_condition_reaches_the_timer_through_settle(condition):
+    """``owes_group()`` is the only statement of what is owed and
+    ``NewtopProcess.settle()`` -- the follow-up to every receipt, send and
+    suspector notification -- the only place the timers are told: however
+    an endpoint comes to owe, the next settle pulls its heartbeat in."""
+    cluster = _cluster(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=6.0)
+    cluster.create_group("g1")
+    cluster.run(20.0)
+    endpoint = cluster["P1"].endpoint("g1")
+    assert not endpoint.owes_group() and endpoint.time_silence.idle_armed
+    _OWED_CONDITIONS[condition](endpoint)
+    assert endpoint.owes_group()
+    cluster["P1"].settle()
+    assert not endpoint.time_silence.idle_armed
+    nulls = cluster.trace().events(kind=NULL_SEND, process="P1")
+    cluster.run(1.0 + 1e-6)
+    assert len(cluster.trace().events(kind=NULL_SEND, process="P1")) > len(nulls)
 
 
 def test_message_history_and_view_index_recorded():

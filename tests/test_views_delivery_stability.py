@@ -177,6 +177,55 @@ def test_retention_buffer_discard_sender_above():
     assert buffer.latest_clock_from("P1") == 5
 
 
+def _null(sender, group, clock):
+    return DataMessage.null(sender=sender, group=group, clock=clock, ldn=0)
+
+
+def test_retention_buffer_non_null_counter_stays_exact():
+    """The O(1) "anything but nulls retained?" counter the demand-driven
+    time-silence timer reads must survive every way a message leaves."""
+    buffer = RetentionBuffer("g")
+
+    def recount():
+        return sum(
+            1
+            for sender in ("P1", "P2", "P3")
+            for message in buffer.messages_from(sender)
+            if not message.is_null
+        )
+
+    assert buffer.non_null_count() == 0
+    buffer.retain(_null("P1", "g", 1))
+    assert buffer.non_null_count() == 0
+    for clock in (2, 4, 6):
+        buffer.retain(_message("P1", "g", clock))
+        buffer.retain(_message("P2", "g", clock + 1))
+    buffer.retain(_message("P3", "g", 8))
+    buffer.retain(_null("P3", "g", 9))
+    assert buffer.non_null_count() == recount() == 7
+    # retain() overwrite: same slot, every kind transition.
+    buffer.retain(_message("P1", "g", 2))  # data over data
+    assert buffer.non_null_count() == recount() == 7
+    buffer.retain(_null("P1", "g", 2))  # null over data
+    assert buffer.non_null_count() == recount() == 6
+    buffer.retain(_message("P1", "g", 1))  # data over null
+    assert buffer.non_null_count() == recount() == 7
+    buffer.retain(_null("P3", "g", 9))  # null over null
+    assert buffer.non_null_count() == recount() == 7
+    # discard_stable drops P1#1 (data), P1#2 (null), P2#3 (data).
+    assert buffer.discard_stable(3) == 3
+    assert buffer.non_null_count() == recount() == 5
+    # discard_sender_above drops P2#7 only.
+    assert buffer.discard_sender_above("P2", 5) == 1
+    assert buffer.non_null_count() == recount() == 4
+    # discard_sender drops P3#8 (data) and P3#9 (null).
+    assert buffer.discard_sender("P3") == 2
+    assert buffer.non_null_count() == recount() == 3
+    assert buffer.discard_sender("P9") == 0
+    buffer.discard_stable(100)
+    assert buffer.size() == 0 and buffer.non_null_count() == 0
+
+
 def test_stability_tracker_gc_follows_ldn():
     tracker = StabilityTracker("g", ["P1", "P2"])
     tracker.on_message(DataMessage.application("P1", "g", 1, 0, "a"))
@@ -276,6 +325,117 @@ def test_time_silence_stop_cancels_timer():
     sim.run(until=10.0)
     assert nulls == []
     assert not silence.active
+
+
+def _demand_driven_timer(sim, owed, omega=2.0, idle_period=5.0):
+    """A timer wired like an endpoint's: the null resets the silence."""
+    nulls = []
+
+    def send_null():
+        nulls.append(sim.now)
+        silence.notify_sent()
+
+    silence = TimeSilence(
+        sim, omega, send_null, owed=lambda: owed[0], idle_period=idle_period
+    )
+    silence.start()
+    return silence, nulls
+
+
+def test_time_silence_first_null_at_omega_then_idle_heartbeat():
+    sim = Simulator()
+    _, nulls = _demand_driven_timer(sim, owed=[False])
+    sim.run(until=18.0)
+    # Never owed: the first null is still unconditional at omega, after
+    # that the deadline is last_send + idle_period.
+    assert nulls == pytest.approx([2.0, 7.0, 12.0, 17.0])
+
+
+def test_time_silence_owed_keeps_the_omega_cadence():
+    sim = Simulator()
+    _, nulls = _demand_driven_timer(sim, owed=[True])
+    sim.run(until=9.0)
+    assert nulls == pytest.approx([2.0, 4.0, 6.0, 8.0])
+
+
+def test_time_silence_demand_pulls_an_idle_deadline_in():
+    sim = Simulator()
+    owed = [False]
+    silence, nulls = _demand_driven_timer(sim, owed)
+
+    def become_owed():
+        owed[0] = True
+        silence.demand()
+
+    # Heartbeat at 7.0 arms the next for 12.0.  Owed at 8.0, less than
+    # omega after the last send: due at last_send + omega = 9.0.
+    sim.schedule_at(8.0, become_owed)
+    sim.run(until=10.0)
+    assert nulls == pytest.approx([2.0, 7.0, 9.0])
+    # Idle again; the next heartbeat would be 9.0 + 5.0 = 14.0.  Owed at
+    # 13.5, more than omega after the last send: due now.
+    owed[0] = False
+    sim.run(until=13.0)
+    sim.schedule_at(13.5, become_owed)
+    sim.run(until=13.9)
+    assert nulls == pytest.approx([2.0, 7.0, 9.0, 13.5])
+    # While owed the cadence is omega and demand() has nothing to pull in.
+    silence.demand()
+    sim.run(until=16.0)
+    assert nulls == pytest.approx([2.0, 7.0, 9.0, 13.5, 15.5])
+
+
+def test_time_silence_demand_ignored_while_not_owed():
+    sim = Simulator()
+    silence, nulls = _demand_driven_timer(sim, owed=[False])
+    sim.schedule_at(8.0, silence.demand)
+    sim.run(until=12.5)
+    assert nulls == pytest.approx([2.0, 7.0, 12.0])
+
+
+def test_time_silence_unowed_firing_rearms_for_the_remainder():
+    sim = Simulator()
+    owed = [True]
+    _, nulls = _demand_driven_timer(sim, owed)
+    # Owed through the null at 4.0, which arms the timer for 6.0; by then
+    # the debt is settled, so the firing at 6.0 sends nothing and re-arms
+    # for the rest of the idle period: 4.0 + 5.0.
+    sim.schedule_at(4.5, lambda: owed.__setitem__(0, False))
+    sim.run(until=13.0)
+    assert nulls == pytest.approx([2.0, 4.0, 9.0])
+
+
+def test_time_silence_activity_pushes_the_idle_deadline_out():
+    sim = Simulator()
+    silence, nulls = _demand_driven_timer(sim, owed=[False])
+    sim.schedule_at(10.0, silence.notify_sent)
+    sim.run(until=16.0)
+    # 12.0 was due from the heartbeat at 7.0; the send at 10.0 moves it.
+    assert nulls == pytest.approx([2.0, 7.0, 15.0])
+
+
+def test_time_silence_without_predicate_is_the_fixed_omega_timer():
+    sim = Simulator()
+    nulls = []
+
+    def send_null():
+        nulls.append(sim.now)
+        silence.notify_sent()
+
+    silence = TimeSilence(sim, omega=2.0, send_null=send_null)
+    silence.start()
+    sim.schedule_at(5.0, silence.demand)
+    sim.run(until=9.0)
+    assert silence.idle_period == 2.0
+    assert nulls == pytest.approx([2.0, 4.0, 6.0, 8.0])
+
+
+def test_time_silence_idle_period_never_below_omega():
+    silence = TimeSilence(
+        Simulator(), omega=2.0, send_null=lambda: None, owed=lambda: False,
+        idle_period=0.5,
+    )
+    assert silence.idle_period == 2.0
 
 
 def test_time_silence_requires_positive_omega():
