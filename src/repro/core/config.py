@@ -4,8 +4,8 @@ The paper leaves several quantities as deployment-time parameters; they are
 collected here with the paper's notation preserved where it exists:
 
 * ``omega`` -- the time-silence period ω: a process sends a null message in
-  a group if it has sent nothing there for ω time units (§4.1) -- while it
-  owes the group something (see below).
+  a group if it has sent nothing *numbered* there for ω time units (§4.1)
+  -- while it owes the group something (see below).
 * ``suspicion_timeout`` -- Ω, the failure-suspector timeout: a member is
   suspected if nothing has been received from it for Ω (> ω) time units
   (§5.2).  "In practice, Ω should be tuned to a value that minimises the
@@ -14,8 +14,12 @@ collected here with the paper's notation preserved where it exists:
   unstable retained, no view change, formation, deferred send, unsequenced
   unicast or membership agreement pending, nothing undelivered in any of
   its process's groups and no member asking for a reply) stretches its
-  null deadline from ω to Ω/2, never below ω
-  (:mod:`repro.core.time_silence`).
+  deadline from ω to Ω/2, never below ω, and in a symmetric group what it
+  sends then is not a null but a numberless beacon to its K = 3 ring
+  successors (:mod:`repro.core.time_silence`).  Those K members are the
+  ones that time it out while the group is idle; everybody else concurs
+  when asked, so a crash in an idle group is agreed one gossip hop later
+  than Ω alone would give (:mod:`repro.core.suspector`).
 * ordering mode defaults (symmetric vs asymmetric, §4.1/§4.2),
 * optional ISIS-style send blocking during view installation (§3 notes
   Newtop *can* provide the closed form of virtual synchrony "at the
@@ -52,14 +56,25 @@ class NewtopConfig:
     (mean one-way delay around 1 time unit).
     """
 
-    #: Time-silence period ω (§4.1): maximum silent interval per group
-    #: before a null message is sent, while the member owes the group
-    #: something -- the null deadline is ``last_send + omega`` then, and
-    #: ``last_send + suspicion_timeout / 2`` while the group is idle.
+    #: Time-silence period ω (§4.1): maximum interval per group without a
+    #: *numbered* send before a null message is multicast, while the
+    #: member owes the group something -- the null deadline is ``last
+    #: numbered send + omega`` then.  An idle heartbeat does not restart
+    #: this clock, so a member that becomes owed more than ``omega`` after
+    #: its last numbered send answers at once (and an answer given less
+    #: than ``omega`` after a heartbeat continues that heartbeat's period:
+    #: the next null is due ``omega`` after the heartbeat).  Also sets the
+    #: grace ``min(suspicion_timeout, 2 * omega + suspector_check_interval)``
+    #: a member gets when a ring-watched suspector starts watching it.
     omega: float = 2.0
     #: Failure-suspector timeout Ω (§5.2).  Must exceed ``omega``.  Half
     #: of it (never less than ``omega``) is the idle heartbeat period: how
-    #: long a member that owes its group nothing may stay silent.
+    #: long a member that owes its group nothing may stay silent towards
+    #: its K = 3 ring successors (symmetric groups: a numberless beacon)
+    #: or the group (asymmetric groups: a null through the sequencer).  In
+    #: a symmetric group larger than K + 1 only those K members time a
+    #: silent member out after Ω; the rest concur on receipt of their
+    #: suspicion, which costs one gossip hop of detection latency.
     suspicion_timeout: float = 10.0
     #: How often the suspector wakes up to check for silence.
     suspector_check_interval: float = 1.0

@@ -29,6 +29,7 @@ from repro.core.config import NewtopConfig, OrderingMode
 from repro.core.flow_control import FlowController
 from repro.core.membership import GroupViewProcess
 from repro.core.messages import (
+    Beacon,
     ConfirmMessage,
     DataMessage,
     KIND_DATA,
@@ -40,7 +41,7 @@ from repro.core.messages import (
     Suspicion,
 )
 from repro.core.stability import StabilityTracker
-from repro.core.suspector import FailureSuspector
+from repro.core.suspector import FailureSuspector, ring_successors
 from repro.core.symmetric import SymmetricOrdering
 from repro.core.time_silence import TimeSilence
 from repro.core.vectors import INFINITY
@@ -99,7 +100,8 @@ class GroupEndpoint:
         self.signature_view: Optional[SignatureView] = (
             SignatureView.initial(group_id, members) if config.use_signature_views else None
         )
-        if mode == OrderingMode.ASYMMETRIC:
+        asymmetric = mode == OrderingMode.ASYMMETRIC
+        if asymmetric:
             self.engine = AsymmetricOrdering(self)
         else:
             # ATOMIC_ONLY reuses the symmetric engine's bookkeeping; the
@@ -127,6 +129,12 @@ class GroupEndpoint:
             check_interval=config.suspector_check_interval,
             notify=self._on_suspector_notification,
             on_tick=self._on_suspector_tick,
+            # An asymmetric member is heard through the sequencer's relay
+            # and its idle nulls stay numbered: everybody watches everybody.
+            needs_everybody=None if asymmetric else self._needs_everybody,
+            # Our flagged null within ω, the answer within ω of that, found
+            # at the next check.
+            grace=2 * config.omega + config.suspector_check_interval,
         )
         self.gv = GroupViewProcess(self, own_id, group_id)
         self.time_silence = TimeSilence(
@@ -135,6 +143,7 @@ class GroupEndpoint:
             self._send_null,
             owed=self.owes_group,
             idle_period=config.suspicion_timeout / 2,
+            send_beacon=None if asymmetric else self._send_beacon,
         )
 
         self.departed = False
@@ -340,6 +349,10 @@ class GroupEndpoint:
             self.broadcast_data(message, cause="null_time_silence")
         else:
             self.engine.send(None, KIND_NULL)
+        self._record_null_send()
+
+    def _record_null_send(self) -> None:
+        """Every time-silence firing -- null or beacon -- is one trace event."""
         self.process.recorder.record(
             self.process.sim.now,
             trace_events.NULL_SEND,
@@ -347,6 +360,32 @@ class GroupEndpoint:
             group=self.group_id,
             clock=self.process.clock.value,
         )
+
+    def _send_beacon(self) -> None:
+        """Time-silence callback of an idle symmetric group: tell our ring
+        successors -- the members that time us out while the group is idle
+        (:mod:`repro.core.suspector`) -- that we are alive.  No number: the
+        clock does not tick and nothing loops back, because nobody's
+        ``D_x`` is waiting on us."""
+        if not self.active:
+            return
+        process = self.process
+        own_id = process.process_id
+        beacon = Beacon(origin=own_id, group=self.group_id)
+        size = beacon.wire_size_bytes()
+        for member in ring_successors(self.view.sorted_members(), own_id):
+            process.transport_endpoint.send(
+                member, beacon, channel="newtop", size_bytes=size,
+                cause="null_time_silence",
+            )
+        self._record_null_send()
+
+    def _needs_everybody(self) -> bool:
+        """Whether the suspector must watch the whole view rather than our
+        ring predecessors: while the agreement is busy or our process holds
+        anything undelivered, our own traffic keeps every hearer at the ω
+        all-pairs cadence, and we cannot finish without each of them."""
+        return self.gv.busy() or self.process.awaits_delivery()
 
     def defer_send(self, payload: object, reason: str) -> None:
         """Queue an application payload blocked by ``reason``."""
@@ -522,6 +561,13 @@ class GroupEndpoint:
             return
         self.suspector.heard_from(request.origin, request.origin_clock)
         self.engine.on_sequencer_request(request)
+
+    def on_beacon(self, beacon: Beacon) -> None:
+        """A ring predecessor's idle heartbeat: liveness evidence for the
+        suspector and nothing else (no number, so no clock, vector or
+        retention work, and nothing that could have become deliverable)."""
+        if self.active:
+            self.suspector.heard_from(beacon.origin, 0)
 
     def on_membership_message(self, src: str, message: object) -> None:
         """Handle a suspect/refute/confirm message from ``src``'s GV."""

@@ -189,6 +189,10 @@ class GroupViewProcess:
         re-announcement makes the gossip converge once links heal; it is
         idempotent at receivers that already support the record.
         """
+        if not self._suspicions and not self._announced:
+            # Every suspector tick of every endpoint lands here, and on all
+            # but a few of them there is nothing suspected.
+            return
         now = self.endpoint.process.sim.now
         # Sorted: each announcement draws latency samples, so set order
         # (a function of PYTHONHASHSEED) would leak into the run's timing.
@@ -303,6 +307,9 @@ class GroupViewProcess:
         held_clock = self.endpoint.membership_clock_of(suspicion.target)
         if held_clock > suspicion.last_number:
             self._send_refute(suspicion)
+        # Ring-watched groups: most members do not time the target out
+        # themselves; they concur if they have heard nothing from it for Ω.
+        self.endpoint.suspector.concur(suspicion.target)
         self._try_confirm()
 
     def _send_refute(self, suspicion: Suspicion) -> None:

@@ -13,6 +13,8 @@ Message families
 ----------------
 * :class:`DataMessage` -- application multicasts, null (time-silence)
   messages and the special ``start-group`` message of §5.3.
+* :class:`Beacon` -- the numberless idle heartbeat of a symmetric group,
+  sent to the sender's ring successors only.
 * :class:`SequencerRequest` -- the unicast a non-sequencer member sends to
   the group's sequencer in the asymmetric protocol (§4.2).
 * :class:`SuspectMessage`, :class:`RefuteMessage`, :class:`ConfirmMessage`
@@ -249,6 +251,28 @@ class DataMessage:
 
 
 @dataclass(frozen=True)
+class Beacon:
+    """The idle heartbeat of a symmetric group: "I am alive", nothing more.
+
+    A null message does two jobs (§4.1 advances ``D_x``, §5.2 feeds the
+    suspector); a member that owes its group nothing only has the second
+    left, and the suspector needs no number for it.  So a beacon carries
+    no ``m.c`` and no ``m.ldn``: sending one does not tick the Lamport
+    clock, receiving one touches no vector, and every member's record of
+    the sender's last *numbered* message -- the ``ln`` of a suspicion
+    ``{Pk, ln}`` -- stays the same whether or not it is on the sender's
+    ring (:mod:`repro.core.suspector`).
+    """
+
+    origin: str
+    group: str
+
+    def wire_size_bytes(self) -> int:
+        """Total estimated bytes on the wire."""
+        return 2 * SCALAR_BYTES + TAG_BYTES
+
+
+@dataclass(frozen=True)
 class SequencerRequest:
     """Unicast from a member to the group's sequencer (asymmetric, §4.2).
 
@@ -407,6 +431,7 @@ class FormGroupVote:
 #: Union of every message type the transport may carry for Newtop.
 ProtocolMessage = (
     DataMessage,
+    Beacon,
     SequencerRequest,
     SuspectMessage,
     RefuteMessage,

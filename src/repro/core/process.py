@@ -55,6 +55,7 @@ from repro.core.errors import (
 )
 from repro.core.group_formation import FormationCoordinator, FormationHandle, VotePolicy
 from repro.core.messages import (
+    Beacon,
     ConfirmMessage,
     DataMessage,
     FormGroupInvite,
@@ -452,6 +453,10 @@ class NewtopProcess:
                     # Proof the vote was unanimous even if some yes votes
                     # never reached us; activation replays the buffer.
                     self.formation.on_activation_evidence(payload.group)
+        elif isinstance(payload, Beacon):
+            endpoint = self._endpoints.get(payload.group)
+            if endpoint is not None:
+                endpoint.on_beacon(payload)
         elif isinstance(payload, SequencerRequest):
             endpoint = self._endpoints.get(payload.group)
             if endpoint is not None:

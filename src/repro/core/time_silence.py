@@ -28,9 +28,10 @@ anything (the owner's ``owed`` predicate):
 
 * owed -- the next null is due at ``last_send + ω``, exactly the paper's
   rule;
-* not owed -- the group is idle and the null is a heartbeat, due at
-  ``last_send + idle_period`` (the endpoint passes Ω/2, so one lost or
-  late heartbeat still leaves the suspector a full half-timeout).
+* not owed -- the group is idle and all that is left of the null is a
+  heartbeat, due ``idle_period`` after the last send or heartbeat (the
+  endpoint passes Ω/2, so one lost or late heartbeat still leaves the
+  suspector a full half-timeout).
 
 The predicate is evaluated when the timer fires; the owner calls
 :meth:`demand` after every event that may have made it owed (one place:
@@ -40,6 +41,40 @@ has been idle for longer than ω answers the first message of a burst at
 once instead of one ω later.  The first null is always due at ω, so group
 start-up is the paper's.  Without a predicate the timer is the fixed-ω
 mechanism of §4.1.
+
+The idle heartbeat is not a null
+--------------------------------
+A heartbeat advances nobody's ``D_x`` -- nobody is waiting -- so in a
+symmetric group it need not be a numbered multicast to the whole view.
+The owner may pass ``send_beacon``: an un-owed firing then calls it
+instead of ``send_null``, and the endpoint sends a numberless
+:class:`~repro.core.messages.Beacon` to its K ring successors, the only
+members that time it out while the group is idle
+(:mod:`repro.core.suspector`).  Owed nulls stay numbered and all-pairs,
+so every phase in which a null does ordering, stability or membership
+work is the paper's.  Two clocks follow from the two jobs: a numbered send
+restarts both, a beacon restarts the idle period **only**.  The owed
+deadline stays ``last numbered send + ω``, so a member that beaconed a
+moment ago still answers a flagged null at once -- nobody's ``D_x`` moved
+on its beacon.  (Measured: letting a beacon restart the ω clock took the
+worst delivery latency of a busy group overlapping an idle one from 4.0 to
+5.4 at ω = 2.)
+
+One refinement keeps the member's ω grid where a numbered heartbeat would
+have put it: a null sent *less than ω after a beacon* is the number that
+heartbeat did not carry, handed over because somebody turned out to need
+it, and it continues the heartbeat's period instead of starting its own --
+the next deadlines are ``beacon + ω`` (owed) and ``beacon + idle_period``
+(not owed).  So a beacon changes what a heartbeat carries and never when
+the member's later nulls fall: they are never later than with numbered
+heartbeats, and in the window after an answer one may come up to ω
+earlier.  (Found by measurement: without it a demand arriving 0.38 after a
+heartbeat moved that member's grid by 0.38 for the whole of a
+flow-controlled burst, see ``test_flow_control_window_of_one_drains_after_idleness``;
+in aggregate the rule is neutral -- drain time over 300 seeds 26.4 -> 26.5,
+``churn_idle`` sends +0.5 % -- it pins the phase, it does not buy time.)
+Without ``send_beacon`` (asymmetric groups, whose nulls travel through the
+sequencer and are its ``D_x``) the heartbeat is a null.
 
 Idle is a property of processes, not of a group
 -----------------------------------------------
@@ -79,6 +114,10 @@ class TimeSilence:
         ``None`` means always (the fixed-ω timer).
     idle_period:
         The silence threshold while ``owed()`` is false; never below ω.
+    send_beacon:
+        Callback for an un-owed firing (the idle heartbeat); a beacon is
+        not a numbered send and leaves the ω clock alone.  ``None`` means
+        the heartbeat is a null like any other.
     """
 
     def __init__(
@@ -88,6 +127,7 @@ class TimeSilence:
         send_null: Callable[[], None],
         owed: Optional[Callable[[], bool]] = None,
         idle_period: Optional[float] = None,
+        send_beacon: Optional[Callable[[], None]] = None,
     ) -> None:
         if omega <= 0:
             raise ValueError(f"omega must be positive (got {omega})")
@@ -95,8 +135,13 @@ class TimeSilence:
         self.omega = omega
         self.idle_period = omega if idle_period is None else max(omega, idle_period)
         self._send_null = send_null
+        self._send_beacon = send_beacon
         self._owed = owed
+        #: The ω clock: when the owner last sent anything *numbered* (or
+        #: the beacon whose period that send continued).
         self._last_send_time: float = sim.now
+        #: The idle clock also restarts on a beacon.
+        self._last_beacon_time: float = sim.now
         self._active = False
         self._timer: Optional[EventHandle] = None
         #: Whether the pending timer was dated by the idle period, i.e.
@@ -119,7 +164,7 @@ class TimeSilence:
         if self._active:
             return
         self._active = True
-        self._last_send_time = self.sim.now
+        self._last_send_time = self._last_beacon_time = self.sim.now
         self._schedule_check(self.omega)
 
     def stop(self) -> None:
@@ -178,21 +223,43 @@ class TimeSilence:
         # the send path must not re-date a timer that has already fired.
         self.idle_armed = False
         owed = self._is_owed()
-        period = self.omega if owed else self.idle_period
-        silent_for = self.sim.now - self._last_send_time
+        if owed:
+            period = self.omega
+            silent_for = self.sim.now - self._last_send_time
+        else:
+            period = self.idle_period
+            silent_for = self.sim.now - max(
+                self._last_send_time, self._last_beacon_time
+            )
         if silent_for + self._EPSILON >= period:
             self.nulls_sent += 1
             if self._c_owed is not None:
                 (self._c_owed if owed else self._c_idle).value += 1
-            self._send_null()
-            # A multicast null went through the normal send path and has
-            # already called notify_sent(); one relayed through a sequencer
-            # has not been heard yet, but the deadlines count from its
-            # issue.  The send path may also have changed what is owed.
-            self._last_send_time = self.sim.now
-            owed = self._is_owed()
+            if owed or self._send_beacon is None:
+                self._send_null()
+                # A multicast null went through the normal send path and
+                # has already called notify_sent(); one relayed through a
+                # sequencer has not been heard yet, but the deadlines count
+                # from its issue.  The send path may also have changed what
+                # is owed.
+                self._last_send_time = self.sim.now
+                if (
+                    self._send_beacon is not None
+                    and self.sim.now - self._last_beacon_time + self._EPSILON
+                    < self.omega
+                ):
+                    # The number the last heartbeat did not carry, sent
+                    # because somebody turned out to need it: it continues
+                    # the heartbeat's period, it does not start its own.
+                    self._last_send_time = self._last_beacon_time
+                owed = self._is_owed()
+            else:
+                self._send_beacon()
+                self._last_beacon_time = self.sim.now
+            # Zero unless the null continued a heartbeat's period.
+            elapsed = self.sim.now - max(self._last_send_time, self._last_beacon_time)
             self._schedule_check(
-                self.omega if owed else self.idle_period, idle=not owed
+                (self.omega if owed else self.idle_period) - elapsed, idle=not owed
             )
         else:
             # Something was sent in the meantime, or the owner stopped

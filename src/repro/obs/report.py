@@ -84,6 +84,15 @@ def _render_metrics(metrics: Mapping[str, Any]) -> List[str]:
     if counters:
         lines.append("  counters")
         lines.extend(_table([(name, _fmt(value)) for name, value in counters.items()], "    "))
+        beacons = counters.get("transport.sent.Beacon")
+        heartbeats = counters.get("time_silence.nulls_idle")
+        if beacons and heartbeats:
+            # Expected about K (repro.core.suspector.RING_FANOUT); lower
+            # when some idle heartbeats were an asymmetric group's nulls.
+            lines.append(
+                f"  idle beacons per heartbeat: {_fmt(beacons / heartbeats)} "
+                f"({_fmt(beacons)} Beacon sends / {_fmt(heartbeats)} nulls_idle)"
+            )
     gauges = metrics.get("gauges") or {}
     if gauges:
         lines.append("  gauges (at snapshot)")

@@ -361,6 +361,41 @@ def test_render_document_walks_nested_obs_blocks():
     assert "no obs blocks" in bare
 
 
+def test_ring_watch_counters_and_beacons_per_heartbeat():
+    session = Session("newtop", seed=5, analysis="online", observe=True)
+    names = [f"P{index:02d}" for index in range(1, 13)]
+    session.spawn(names)
+    session.group("g")
+    session.run(40.3)
+    session.crash("P07")
+    session.run(40.0)
+    result = session.result()
+    assert result.passed
+    counters = result.obs["metrics"]["counters"]
+    # A beacon is a transport payload of its own, filed under the cause it
+    # took over from the idle null, and a traced NULL_SEND like one.
+    assert counters["transport.sent.Beacon"] > 0
+    by_cause = {
+        name: value for name, value in counters.items()
+        if name.startswith("transport.sends_by_cause.")
+    }
+    assert sum(by_cause.values()) == counters["transport.sends"]
+    assert (
+        counters["transport.sent.Beacon"] + counters["transport.sent.null"]
+        == by_cause["transport.sends_by_cause.null_time_silence"]
+    )
+    idle = counters["time_silence.nulls_idle"]
+    assert counters["time_silence.nulls_owed"] + idle == counters["trace.null_send"]
+    assert counters["transport.sent.Beacon"] == 3 * idle
+    # P07's three monitors timed it out; the other eight were asked.
+    assert counters["suspector.suspicions"] == 11
+    assert counters["suspector.concurrences"] == 8
+    # Every survivor watched everybody once, while the agreement ran.
+    assert counters["suspector.watch_all_entries"] == 11
+    text = render_document({"benchmark": "unit", "obs": result.obs})
+    assert "idle beacons per heartbeat: 3 " in text
+
+
 def test_report_cli_renders_file(tmp_path, capsys):
     from repro.obs.__main__ import main
 

@@ -1,0 +1,449 @@
+"""Ring-watched idle groups: the idle heartbeat of a symmetric group is a
+numberless beacon to K ring successors, and the suspector times out only
+the members it watches (``repro.core.suspector``).
+
+Every scenario runs a 12-member group at the default tuning (omega 2,
+Omega 10, check interval 1) unless it says otherwise; link delays are
+uniform in [0.5, 1.5], so one gossip hop is at most 1.5.
+"""
+
+import pytest
+
+from harness import NewtopCluster
+
+from repro.analysis import check_all
+from repro.core import NewtopConfig
+from repro.core.messages import (
+    Beacon,
+    ConfirmMessage,
+    RefuteMessage,
+    SuspectMessage,
+)
+from repro.core.suspector import RING_FANOUT, FailureSuspector, ring_successors
+from repro.core.time_silence import TimeSilence
+from repro.net.simulator import Simulator
+from repro.net.trace import CONFIRM, NULL_SEND, REFUTE, SUSPECT, VIEW_INSTALL
+
+OMEGA, BIG_OMEGA, CHECK, HOP = 2.0, 10.0, 1.0, 1.5
+NAMES = [f"P{index:02d}" for index in range(1, 13)]
+
+
+def _idle_group(names=NAMES, seed=1, idle_for=40.3):
+    config = NewtopConfig(
+        omega=OMEGA, suspicion_timeout=BIG_OMEGA, suspector_check_interval=CHECK
+    )
+    cluster = NewtopCluster(list(names), config=config, seed=seed)
+    cluster.create_group("g")
+    cluster.run(idle_for)
+    return cluster
+
+
+def _cut_link(cluster, a, b):
+    cluster.network.add_filter(lambda src, dst, payload: {src, dst} != {a, b})
+
+
+def _events_since(cluster, kind, start):
+    return [event for event in cluster.trace().events(kind=kind) if event.time >= start]
+
+
+def _exclusion_times(cluster, dead, crashed_at):
+    """(survivor, dead member) -> how long after the crash the survivor
+    installed a view without it."""
+    times = {}
+    for event in cluster.trace().events(kind=VIEW_INSTALL):
+        if event.time > crashed_at and event.process not in dead:
+            for member in dead:
+                if member not in event.detail("members"):
+                    times.setdefault((event.process, member), event.time - crashed_at)
+    return times
+
+
+# ----------------------------------------------------------------------
+# The ring, the two clocks, the watched set (no network)
+# ----------------------------------------------------------------------
+def test_ring_successors_wrap_and_shrink_with_the_group():
+    assert RING_FANOUT == 3
+    assert ring_successors(NAMES, "P01") == ("P02", "P03", "P04")
+    assert ring_successors(NAMES, "P11") == ("P12", "P01", "P02")
+    # Predecessors are the successors on the reversed ring.
+    assert ring_successors(NAMES[::-1], "P02") == ("P01", "P12", "P11")
+    # K = min(3, n - 1): small groups are all-pairs.
+    assert ring_successors(["A", "B", "C", "D"], "C") == ("D", "A", "B")
+    assert ring_successors(["A", "B", "C"], "C") == ("A", "B")
+    assert ring_successors(["A", "B"], "A") == ("B",)
+    assert ring_successors(["A"], "A") == ()
+
+
+def _beaconing_timer(sim, owed):
+    sent = []
+
+    def send_null():
+        sent.append(("null", sim.now))
+        silence.notify_sent()
+
+    silence = TimeSilence(
+        sim, 2.0, send_null, owed=lambda: owed[0], idle_period=5.0,
+        send_beacon=lambda: sent.append(("beacon", sim.now)),
+    )
+    silence.start()
+    return silence, sent
+
+
+def test_unowed_firings_beacon_and_the_first_null_stays_numbered():
+    sim = Simulator()
+    silence, sent = _beaconing_timer(sim, owed=[False])
+    sim.run(until=18.0)
+    assert sent == [("null", 2.0), ("beacon", 7.0), ("beacon", 12.0), ("beacon", 17.0)]
+    assert silence.nulls_sent == 4
+
+
+def test_a_beacon_restarts_the_idle_period_but_not_the_omega_clock():
+    sim = Simulator()
+    owed = [False]
+    silence, sent = _beaconing_timer(sim, owed)
+
+    def become_owed():
+        owed[0] = True
+        silence.demand()
+
+    # Beacon at 7.0; owed at 7.5.  The last *numbered* send was at 2.0, more
+    # than omega ago, so the null is due now -- not at 7.0 + omega.
+    sim.schedule_at(7.5, become_owed)
+    sim.run(until=8.0)
+    assert sent == [("null", 2.0), ("beacon", 7.0), ("null", 7.5)]
+    # That null is the number the 7.0 heartbeat did not carry: it continues
+    # the heartbeat's period rather than starting its own, so the member's
+    # omega grid (9, 11, ...) and its next heartbeat stand where they would
+    # have with a numbered heartbeat.
+    sim.schedule_at(11.5, lambda: owed.__setitem__(0, False))
+    sim.run(until=17.0)
+    assert sent[3:] == [("null", 9.0), ("null", 11.0), ("beacon", 16.0)]
+
+
+def test_a_null_more_than_omega_after_the_beacon_starts_its_own_period():
+    sim = Simulator()
+    owed = [False]
+    silence, sent = _beaconing_timer(sim, owed)
+
+    def become_owed():
+        owed[0] = True
+        silence.demand()
+
+    sim.schedule_at(9.5, become_owed)
+    sim.schedule_at(10.0, lambda: owed.__setitem__(0, False))
+    sim.run(until=15.0)
+    assert sent[1:] == [("beacon", 7.0), ("null", 9.5), ("beacon", 14.5)]
+
+
+def _ring_suspector(sim, needs_everybody, notifications, own="P05"):
+    suspector = FailureSuspector(
+        sim, own, NAMES, suspicion_timeout=BIG_OMEGA, check_interval=CHECK,
+        notify=notifications.append,
+        needs_everybody=lambda: needs_everybody[0], grace=2 * OMEGA + CHECK,
+    )
+    suspector.start()
+    return suspector
+
+
+def test_idle_suspector_times_out_only_its_ring_predecessors():
+    sim = Simulator()
+    notifications = []
+    _ring_suspector(sim, [False], notifications)
+    sim.run(until=30.0)
+    # Nobody is heard from at all, yet only P02-P04 (whose beacons are
+    # addressed to P05) are timed out, at the first check past Omega.
+    assert [s.target for s in notifications] == ["P02", "P03", "P04"]
+
+
+def test_watching_everybody_starts_with_a_grace_not_a_verdict():
+    sim = Simulator()
+    notifications = []
+    needs_everybody = [False]
+    suspector = _ring_suspector(sim, needs_everybody, notifications)
+    for beat in range(1, 40):
+        for member in ("P02", "P03", "P04"):
+            sim.schedule_at(float(beat), suspector.heard_from, member, 0)
+    sim.run(until=30.0)
+    assert notifications == []
+    # The other eight have been silent for 3 * Omega.  Needing everybody
+    # from 30.5 on, the check at 31 starts watching them and gives them
+    # min(Omega, 2 * omega + check) = 5: P12 answers in time, the rest are
+    # suspected at 36, not at 31.
+    sim.schedule_at(30.5, needs_everybody.__setitem__, 0, True)
+    sim.schedule_at(34.0, suspector.heard_from, "P12", 9)
+    sim.run(until=35.5)
+    assert notifications == []
+    sim.run(until=36.5)
+    assert sorted(s.target for s in notifications) == [
+        "P01", "P06", "P07", "P08", "P09", "P10", "P11",
+    ]
+
+
+def test_concur_judges_true_silence_and_only_when_asked():
+    sim = Simulator()
+    notifications = []
+    suspector = _ring_suspector(sim, [False], notifications)
+    sim.schedule_at(15.0, suspector.heard_from, "P09", 4)
+    sim.run(until=20.5)
+    notifications.clear()
+    # P08 and P09 are not on P05's ring: nothing times them out.  Asked
+    # about them, P05 concurs on P08 (silent since 0) with the ln it holds,
+    # and not on P09 (heard 5.5 ago).
+    suspector.concur("P08")
+    suspector.concur("P09")
+    assert [(s.target, s.last_number) for s in notifications] == [("P08", 0)]
+    # A refuted suspicion refreshes ``heard``, not ``activity``: asked again
+    # the silence is still true, so the answer is still yes.
+    suspector.clear_suspicion("P08")
+    suspector.concur("P08")
+    assert [s.target for s in notifications] == ["P08", "P08"]
+
+
+def test_losing_a_predecessor_moves_the_ring_on():
+    sim = Simulator()
+    notifications = []
+    suspector = _ring_suspector(sim, [False], notifications)
+    suspector.remove_member("P03")
+    sim.run(until=30.0)
+    assert sorted(s.target for s in notifications) == ["P01", "P02", "P04"]
+
+
+# ----------------------------------------------------------------------
+# (a) What an idle group puts on the wire
+# ----------------------------------------------------------------------
+def test_idle_heartbeat_reaches_three_ring_successors_and_carries_no_clock():
+    cluster = _idle_group(idle_for=10.5)
+    wire = []
+    cluster.network.add_filter(
+        lambda src, dst, payload: wire.append((src, dst, payload.payload)) or True
+    )
+    clocks = {name: cluster[name].clock.value for name in NAMES}
+    vectors = {
+        name: cluster[name].endpoint("g").engine.receive_vector.as_dict()
+        for name in NAMES
+    }
+    start = cluster.sim.now
+    cluster.run(3 * BIG_OMEGA)
+    # Nothing but beacons, each to exactly the sender's three successors.
+    assert wire and all(isinstance(payload, Beacon) for _, _, payload in wire)
+    beats = len(_events_since(cluster, NULL_SEND, start))
+    assert beats == 12 * 6 and len(wire) == RING_FANOUT * beats
+    for name in NAMES:
+        assert {dst for src, dst, _ in wire if src == name} == set(
+            ring_successors(NAMES, name)
+        )
+    # No number: no Lamport clock ticked, no receive vector moved.
+    for name in NAMES:
+        assert cluster[name].clock.value == clocks[name]
+        engine = cluster[name].endpoint("g").engine
+        assert engine.receive_vector.as_dict() == vectors[name]
+    # First null at omega (numbered, all-pairs), then one beat per Omega/2.
+    times = [e.time for e in cluster.trace().events(kind=NULL_SEND, process="P07")]
+    assert times == pytest.approx([OMEGA + BIG_OMEGA / 2 * beat for beat in range(8)])
+    assert not cluster.trace().events(kind=SUSPECT)
+
+
+# ----------------------------------------------------------------------
+# (b) K = n - 1: small groups detect exactly as before
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "size, first_suspicion, all_excluded", [(2, 8.70, 8.70), (3, 8.70, 10.08)]
+)
+def test_small_groups_keep_their_detection_times(size, first_suspicion, all_excluded):
+    # Pinned on the parent commit (all-pairs numbered heartbeats), seed 1.
+    names = NAMES[:size]
+    cluster = _idle_group(names)
+    crashed_at = cluster.sim.now
+    cluster.crash(names[size // 2])
+    cluster.run(3 * BIG_OMEGA)
+    suspicions = _events_since(cluster, SUSPECT, crashed_at)
+    assert len(suspicions) == size - 1
+    assert min(e.time for e in suspicions) - crashed_at == pytest.approx(
+        first_suspicion, abs=0.01
+    )
+    excluded = _exclusion_times(cluster, [names[size // 2]], crashed_at)
+    assert len(excluded) == size - 1
+    assert max(excluded.values()) == pytest.approx(all_excluded, abs=0.01)
+
+
+# ----------------------------------------------------------------------
+# (c) One crash in an idle group
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_idle_crash_costs_one_gossip_hop_and_everybody_agrees_on_ln(seed):
+    cluster = _idle_group(seed=seed)
+    crashed_at = cluster.sim.now
+    cluster.crash("P07")
+    cluster.run(3 * BIG_OMEGA)
+    excluded = _exclusion_times(cluster, ["P07"], crashed_at)
+    assert len(excluded) == 11
+    # The parent (every member times P07 out by itself) had all eleven
+    # views installed 10.19-10.20 after the crash on these seeds.
+    assert max(excluded.values()) <= 10.20 + HOP + CHECK
+    suspicions = _events_since(cluster, SUSPECT, crashed_at)
+    assert len(suspicions) == 11
+    # Three monitors found out by timeout; the other eight concurred, all
+    # on the monitors' {P07, ln}: beacons carry no number to disagree on.
+    assert {e.detail("last_number") for e in suspicions} == {1}
+    assert not _events_since(cluster, REFUTE, crashed_at)
+    watchers = {"P08", "P09", "P10"}
+    first_by_timeout = min(e.time for e in suspicions if e.process in watchers)
+    assert all(
+        e.time > first_by_timeout for e in suspicions if e.process not in watchers
+    )
+    assert check_all(cluster.trace()).passed
+
+
+# ----------------------------------------------------------------------
+# (d) One monitor's link fails: a false suspicion dies, nobody is excluded
+# ----------------------------------------------------------------------
+def _membership_sends_per_timeout(cluster, periods):
+    """Run ``periods`` x Omega and count the suspect/refute/confirm
+    transport sends of each Omega-long window."""
+    sent_at = []
+    cluster.network.add_filter(
+        lambda src, dst, message: isinstance(
+            message.payload, (SuspectMessage, RefuteMessage, ConfirmMessage)
+        ) and sent_at.append(cluster.sim.now) or True
+    )
+    start = cluster.sim.now
+    cluster.run(periods * BIG_OMEGA)
+    windows = [0] * periods
+    for time in sent_at:
+        windows[min(int((time - start) / BIG_OMEGA), periods - 1)] += 1
+    return windows
+
+
+def test_false_suspicion_by_one_monitor_is_refuted_and_nobody_is_excluded():
+    cluster = _idle_group()
+    start = cluster.sim.now
+    _cut_link(cluster, "P05", "P06")  # P06 is one of P05's three monitors
+    windows = _membership_sends_per_timeout(cluster, 2)
+    suspicions = _events_since(cluster, SUSPECT, start)
+    assert suspicions[0].process == "P06"
+    assert {e.detail("target") for e in suspicions} == {"P05"}
+    # The two monitors that still hear P05's beacons never agree, so the
+    # suspicion cannot confirm; P05 learns of it from the concurrences and
+    # refutes it, and every suspecter accepts.
+    assert not {"P07", "P08"} & {e.process for e in suspicions}
+    refutes = _events_since(cluster, REFUTE, start)
+    assert "P05" in {e.process for e in refutes}
+    accepted = {e.process for e in refutes if e.detail("accepted")}
+    assert accepted == {e.process for e in suspicions}
+    assert not _events_since(cluster, CONFIRM, start)
+    for name in NAMES:
+        assert cluster[name].view("g").sorted_members() == tuple(NAMES)
+        assert not cluster[name].endpoint("g").gv.busy()
+    # The link stays cut, so the cycle repeats every Omega: P06 suspects,
+    # the eight non-neighbours concur (one multicast each), P05 refutes.
+    # It must not grow: the parent's cycle (P06 suspects, ten members
+    # refute) cost 264 membership sends per Omega in steady state; this
+    # one peaks at 308 and averages 191-194 (6 Omega, seeds 1-3).
+    windows += _membership_sends_per_timeout(cluster, 4)
+    assert max(windows) <= 30 * (len(NAMES) - 1)
+    assert sum(windows) / len(windows) <= 264
+    assert not _events_since(cluster, CONFIRM, start)
+    for name in NAMES:
+        assert cluster[name].view("g").sorted_members() == tuple(NAMES)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_member_cut_from_all_its_monitors_and_nobody_else_is_excluded(seed):
+    """The price of K monitors, pinned: liveness evidence about a member is
+    its K successors wide.  P05 loses its links to P06-P08 and to nobody
+    else; all three monitors time it out, the eight non-neighbours -- who
+    hear nothing from an idle P05 either way -- concur before P05's own
+    refutation arrives, and the group excludes it.  With all-pairs
+    heartbeats everybody else kept refuting instead: nobody was excluded
+    and the group spent 660-690 membership sends per Omega on it for as
+    long as the links stayed cut.  Not reachable by a crash or a clean
+    partition."""
+    cluster = _idle_group(seed=seed)
+    cut_at = cluster.sim.now
+    for monitor in ("P06", "P07", "P08"):
+        _cut_link(cluster, "P05", monitor)
+    windows = _membership_sends_per_timeout(cluster, 4)
+    rest = [name for name in NAMES if name != "P05"]
+    excluded = _exclusion_times(cluster, ["P05"], cut_at)
+    assert set(excluded) == {(name, "P05") for name in rest}
+    assert max(excluded.values()) <= BIG_OMEGA + CHECK + HOP
+    for name in rest:
+        assert cluster[name].view("g").sorted_members() == tuple(rest)
+        assert not cluster[name].endpoint("g").owes_group()
+    # P05 reciprocates (step vii) and ends up alone; then it is over.
+    assert cluster["P05"].view("g").sorted_members() == ("P05",)
+    assert windows[2:] == [0, 0]
+
+
+# ----------------------------------------------------------------------
+# (e) Waking up: flipping to watch-all suspects nobody
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_waking_from_long_idleness_raises_no_suspicion(seed):
+    cluster = _idle_group(seed=seed, idle_for=3 * BIG_OMEGA + 7.3)
+    sent_at = cluster.sim.now
+    message_id = cluster["P03"].multicast("g", "wake")
+    assert cluster.run_until_delivered(message_id, timeout=10.0)
+    # Every receiver answers at once: the parent took 3.2 here.
+    assert cluster.sim.now - sent_at < 3.2
+    cluster.run(4 * BIG_OMEGA)
+    assert not cluster.trace().events(kind=SUSPECT)
+    assert not any(cluster[name].endpoint("g").owes_group() for name in NAMES)
+
+
+# ----------------------------------------------------------------------
+# (f) A dead link nobody's ring runs over: found when traffic needs it
+# ----------------------------------------------------------------------
+def test_link_cut_between_non_neighbours_does_not_wedge_the_group():
+    cluster = _idle_group()
+    _cut_link(cluster, "P02", "P08")
+    cut_at = cluster.sim.now
+    cluster.run(3 * BIG_OMEGA)
+    # Idle, neither sends the other anything: there is nothing to miss.
+    assert not _events_since(cluster, SUSPECT, cut_at)
+    sent_at = cluster.sim.now
+    message_id = cluster["P05"].multicast("g", "resume")
+    # P02 and P08 now wait on each other's nulls, so each watches everybody
+    # and times the other out after the grace; the members that hear both
+    # refute with the missing messages piggybacked (rule iii), exactly as
+    # they did on the parent.
+    assert cluster.run_until_delivered(message_id, timeout=2 * BIG_OMEGA)
+    assert cluster.sim.now - sent_at < BIG_OMEGA
+    suspicions = _events_since(cluster, SUSPECT, sent_at)
+    assert {(e.process, e.detail("target")) for e in suspicions} == {
+        ("P02", "P08"), ("P08", "P02"),
+    }
+    cluster.run(3 * BIG_OMEGA)
+    assert not _events_since(cluster, CONFIRM, cut_at)
+    for name in NAMES:
+        assert cluster[name].delivered_payloads("g") == ["resume"]
+        assert cluster[name].view("g").sorted_members() == tuple(NAMES)
+    assert check_all(cluster.trace()).passed
+
+
+# ----------------------------------------------------------------------
+# The wedge: a member and all K of its successors crash together
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_member_and_all_its_ring_successors_crashing_together(seed):
+    """Nobody's ring covers P05 once P06-P08 are gone, but the suspicions
+    of P06-P08 cannot confirm without P05's support.  A suspector that
+    watched everybody only while its process awaited a delivery left the
+    group at omega all-pairs for good; it must also watch everybody while
+    the agreement is busy."""
+    cluster = _idle_group(seed=seed)
+    dead = ["P05", "P06", "P07", "P08"]
+    crashed_at = cluster.sim.now
+    for name in dead:
+        cluster.crash(name)
+    cluster.run(3 * BIG_OMEGA)
+    survivors = [name for name in NAMES if name not in dead]
+    excluded = _exclusion_times(cluster, dead, crashed_at)
+    assert set(excluded) == {(s, d) for s in survivors for d in dead}
+    assert max(excluded.values()) <= 3 * BIG_OMEGA
+    for name in survivors:
+        assert cluster[name].view("g").sorted_members() == tuple(survivors)
+        assert not cluster[name].endpoint("g").owes_group()
+    message_id = cluster["P01"].multicast("g", "after")
+    assert cluster.run_until_delivered(message_id, processes=survivors, timeout=10.0)
+    assert check_all(cluster.trace()).passed
