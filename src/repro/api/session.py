@@ -101,7 +101,6 @@ class Session:
         checks: Optional[Iterable[str]] = None,
         analysis: str = "offline",
         view_agreement_sets: Optional[Dict[str, Iterable[str]]] = None,
-        timer_wheel: bool = True,
         observe: object = None,
     ) -> None:
         if analysis not in ("offline", "online"):
@@ -119,7 +118,6 @@ class Session:
         obs = self.observation
         self.sim = Simulator(
             seed=seed,
-            use_timer_wheel=timer_wheel,
             metrics=obs.registry if obs is not None else None,
             profiler=obs.profiler if obs is not None else None,
             journeys=obs.journeys if obs is not None else None,

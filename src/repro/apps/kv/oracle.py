@@ -78,6 +78,8 @@ class KVOracle(TraceSink):
     # ------------------------------------------------------------------
     # Sink interface
     # ------------------------------------------------------------------
+    KINDS = frozenset({KV_APPLY, KV_READ})
+
     def on_event(self, event: TraceEvent) -> None:
         if event.kind == KV_APPLY:
             self._on_apply(event)

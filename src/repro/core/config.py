@@ -76,7 +76,14 @@ class NewtopConfig:
     #: silent member out after Ω; the rest concur on receipt of their
     #: suspicion, which costs one gossip hop of detection latency.
     suspicion_timeout: float = 10.0
-    #: How often the suspector wakes up to check for silence.
+    #: The suspector's detection grid: silence is judged at the points
+    #: ``start + k * suspector_check_interval``, so a member silent for Ω
+    #: is suspected at the first grid point at or after its deadline.  A
+    #: granularity, not a polling cost: only the grid points at which a
+    #: tick could find something are scheduled -- every one while the
+    #: endpoint is restless (agreement busy, or anything undelivered),
+    #: otherwise only the watched members' deadlines
+    #: (:mod:`repro.core.suspector`).
     suspector_check_interval: float = 1.0
     #: Default ordering mode for newly created groups.
     default_mode: OrderingMode = OrderingMode.SYMMETRIC

@@ -129,9 +129,10 @@ class GroupEndpoint:
             check_interval=config.suspector_check_interval,
             notify=self._on_suspector_notification,
             on_tick=self._on_suspector_tick,
+            needs_everybody=self._needs_everybody,
             # An asymmetric member is heard through the sequencer's relay
             # and its idle nulls stay numbered: everybody watches everybody.
-            needs_everybody=None if asymmetric else self._needs_everybody,
+            ring_watched=not asymmetric,
             # Our flagged null within ω, the answer within ω of that, found
             # at the next check.
             grace=2 * config.omega + config.suspector_check_interval,
@@ -381,10 +382,12 @@ class GroupEndpoint:
         self._record_null_send()
 
     def _needs_everybody(self) -> bool:
-        """Whether the suspector must watch the whole view rather than our
-        ring predecessors: while the agreement is busy or our process holds
-        anything undelivered, our own traffic keeps every hearer at the ω
-        all-pairs cadence, and we cannot finish without each of them."""
+        """Whether we are restless: while the agreement is busy or our
+        process holds anything undelivered, our own traffic keeps every
+        hearer at the ω all-pairs cadence, and we cannot finish without
+        each of them.  The suspector then ticks at every grid point and,
+        in a ring-watched group, watches the whole view rather than our
+        ring predecessors."""
         return self.gv.busy() or self.process.awaits_delivery()
 
     def defer_send(self, payload: object, reason: str) -> None:
@@ -922,9 +925,10 @@ class GroupEndpoint:
         self.process.settle()
 
     def _on_suspector_tick(self) -> None:
-        """Periodic heartbeat from the suspector's check loop: re-announce
-        suspicions that have sat unresolved for a full timeout, so gossip
-        lost to a transient partition converges after the heal."""
+        """End of a suspector tick: re-announce suspicions that have sat
+        unresolved for a full timeout, so gossip lost to a transient
+        partition converges after the heal.  (A suspicion makes the
+        agreement busy, so every grid point ticks while one is held.)"""
         if not self.active:
             return
         self.gv.regossip_unresolved(self.suspector.suspicion_timeout)

@@ -507,15 +507,23 @@ class NewtopProcess:
         """The follow-up to every event that touched this process (a
         receipt or batch of receipts, an application send, a suspector
         notification, a departure): deliver what became deliverable, send
-        what became unblocked, and let every group's time-silence timer
-        see whether the event left it owing a null within ω.  This is the
-        one place the timers are told; what *counts* as owed is
-        :meth:`GroupEndpoint.owes_group` alone."""
+        what became unblocked, and let every group's timers see what the
+        event left behind: the time-silence timer whether it now owes a
+        null within ω, the suspector whether it now has something to poll
+        for.  This is the one place the timers are told; what *counts* as
+        owed is :meth:`GroupEndpoint.owes_group` alone."""
         self.attempt_delivery()
         self.flush_deferred_sends()
+        awaiting: Optional[bool] = None
         for endpoint in self._endpoints.values():
             if endpoint.time_silence.idle_armed:
                 endpoint.time_silence.demand()
+            if endpoint.suspector.dozing:
+                # The restless predicate (GroupEndpoint._needs_everybody),
+                # with its process-wide half asked once for all groups.
+                if awaiting is None:
+                    awaiting = self.awaits_delivery()
+                endpoint.suspector.poke(awaiting or endpoint.gv.busy())
 
     def attempt_delivery(self) -> int:
         """Deliver everything that is deliverable, interleaving pending view

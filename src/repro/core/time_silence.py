@@ -203,9 +203,7 @@ class TimeSilence:
         if not self._active:
             return
         self.idle_armed = idle
-        self._timer = self.sim.schedule(
-            delay, self._on_timer, label="time-silence", wheel=True
-        )
+        self._timer = self.sim.schedule(delay, self._on_timer, label="time-silence")
 
     #: Tolerance applied when comparing the silent interval against the
     #: period, so floating-point rounding of simulated timestamps cannot

@@ -9,36 +9,22 @@ the protocol never reads it for correctness decisions (only timers such as
 the time-silence period ``omega`` and the suspicion timeout ``Omega`` are
 expressed in it, exactly as the paper's timeouts are).
 
-The kernel is intentionally small but built for throughput:
+One rule: *events fire in ``(time, sequence)`` order, from one heap.*
 
-* :class:`Simulator` owns the virtual clock, the pending-event stores and a
-  seeded :class:`random.Random` instance.
-* :meth:`Simulator.schedule` registers a callback after a delay and returns
-  an :class:`EventHandle` that can be cancelled.  Sparse one-shot events
-  (message deliveries, scenario events) live on a binary heap; cancellation
-  there is lazy (the heap entry is only marked dead), but the heap is
-  *compacted* whenever the dead fraction crosses
-  :attr:`Simulator.compaction_threshold`.
-* High-churn periodic timers -- the protocol's per-(process, group)
-  suspector probes and time-silence nulls, thousands of them per tick at
-  10k-process scale -- opt into the :class:`_TimerWheel` with
-  ``schedule(..., wheel=True)``: a slot-bucketed store where insertion is
-  an O(1) append, cancellation is an O(1) mark (the record leaves memory
-  when its slot's instant passes -- no tombstone ever reaches the heap, so
-  timer churn can no longer trigger heap compactions at all), and slots
-  are sorted only when their time arrives.  Heap and wheel merge by the
-  global ``(time, sequence)`` key at execution, so the firing order is
-  *byte-identical* to an all-heap run -- pinned by equivalence tests, and
-  switchable off entirely with ``Simulator(use_timer_wheel=False)``.
-* Dead event records are recycled through a bounded free list; at high
-  event rates this keeps allocation pressure flat.  A per-record
-  *generation* counter makes recycled records safe: a stale
-  :class:`EventHandle` whose event already fired (or was compacted away)
-  can never cancel the record's next occupant.
-* :meth:`Simulator.run` / :meth:`Simulator.run_until` drive the simulation.
-
-Everything above the kernel (network, transport, protocol processes) is
-built from these primitives.
+* :class:`Simulator` owns the virtual clock, a single :mod:`heapq` of
+  ``(time, sequence, event)`` tuples and a seeded :class:`random.Random`.
+  The sequence number is unique, so tuples compare in C and never reach
+  the event; events of one instant fire in the order they were scheduled.
+* :meth:`Simulator.schedule` returns the event record itself as the
+  :class:`EventHandle`: ``time``, ``label``, ``cancelled`` and
+  :meth:`EventHandle.cancel`.  A handle whose event has fired is inert.
+* Cancellation is lazy -- the record drops its callback and arguments at
+  once and stays in the heap until its turn comes -- and the heap is
+  *compacted* whenever cancelled entries exceed
+  :attr:`Simulator.compaction_threshold` of it, so timer churn (every
+  protocol timer is re-dated far more often than it fires) cannot grow it.
+* :meth:`Simulator.run` / :meth:`Simulator.run_until` drive the simulation,
+  one pop per event.
 """
 
 from __future__ import annotations
@@ -46,305 +32,95 @@ from __future__ import annotations
 import heapq
 import random
 from time import perf_counter
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 
 class SimulatorError(RuntimeError):
     """Raised when the simulation kernel is used incorrectly."""
 
 
-class _ScheduledEvent:
-    """Internal heap entry.
-
-    Ordered by ``(time, sequence)`` so that events scheduled for the same
-    instant fire in the order they were scheduled (stable, deterministic).
-    Plain ``__slots__`` class (not a dataclass): these records are the
-    hottest allocation in the whole simulator and are recycled via the
-    kernel's free list, with ``generation`` guarding stale handles.
-    """
-
-    __slots__ = (
-        "time", "sequence", "callback", "args", "cancelled", "label",
-        "generation", "in_wheel",
-    )
-
-    def __init__(self) -> None:
-        self.time = 0.0
-        self.sequence = 0
-        self.callback: Optional[Callable[..., None]] = None
-        self.args: tuple = ()
-        self.cancelled = False
-        self.label = ""
-        self.generation = 0
-        #: Whether the record currently lives in the timer wheel rather
-        #: than the heap (drives the O(1) cancellation path).
-        self.in_wheel = False
-
-    def __lt__(self, other: "_ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
-
-
 class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`, usable to cancel.
+    """One scheduled event, returned by :meth:`Simulator.schedule`.
 
-    The handle pins down the exact (event record, generation) pair it was
-    created for; once the event has fired -- and its record possibly been
-    recycled for a later event -- the handle becomes inert.
+    ``time`` is when the event fires (or would have), ``label`` the
+    scheduling label, ``cancelled`` whether :meth:`cancel` stopped it.
     """
 
-    __slots__ = ("_sim", "_event", "_generation", "_time", "_label", "_cancelled")
+    __slots__ = ("time", "label", "cancelled", "_callback", "_args", "_sim")
 
-    def __init__(self, sim: "Simulator", event: _ScheduledEvent) -> None:
+    def __init__(self, sim: "Simulator", time: float, callback, args: tuple, label: str) -> None:
+        self.time = time
+        self.label = label
+        self.cancelled = False
+        #: ``None`` once the event has fired or been cancelled.
+        self._callback: Optional[Callable[..., None]] = callback
+        self._args = args
         self._sim = sim
-        self._event = event
-        self._generation = event.generation
-        self._time = event.time
-        self._label = event.label
-        self._cancelled = False
-
-    @property
-    def time(self) -> float:
-        """Simulated time at which the event will (or would) fire."""
-        return self._time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called on this handle."""
-        return self._cancelled
-
-    @property
-    def label(self) -> str:
-        """Optional human-readable label given at scheduling time."""
-        return self._label
 
     def cancel(self) -> None:
-        """Prevent the event from firing (idempotent).
+        """Prevent the event from firing (idempotent; inert once fired).
 
-        Cancelling drops the callback and argument references immediately:
-        a cancelled long-dated timer must not keep its closure (and
-        whatever object graph it captures) alive until the original fire
-        time rolls around.
+        Drops the callback and argument references immediately: a cancelled
+        long-dated timer must not keep its closure (and whatever object
+        graph it captures) alive until the original fire time rolls around.
         """
-        if self._cancelled:
+        if self._callback is None:
             return
-        self._cancelled = True
-        self._sim._cancel_event(self._event, self._generation)
+        self.cancelled = True
+        self._callback = None
+        self._args = ()
+        self._sim._on_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "cancelled" if self.cancelled else "pending" if self._callback else "fired"
         return f"EventHandle(time={self.time!r}, label={self.label!r}, {state})"
-
-
-class _TimerWheel:
-    """Slot-bucketed event store for high-churn periodic timers.
-
-    Events are filed under their absolute slot index ``floor(time / width)``
-    in plain per-slot lists: insertion appends (O(1)), cancellation marks
-    the record dead (O(1) -- the slot is dropped wholesale when its instant
-    passes, so cancelled records never accumulate the way lazy heap
-    tombstones do).  A small heap of *slot indices* (one entry per open
-    slot, never per event) finds the next non-empty slot; a slot's events
-    are sorted by the global ``(time, sequence)`` key only when the wheel
-    reaches it, which preserves exactly the order an all-heap simulator
-    would fire them in.
-
-    The wheel is "hierarchical" in the lazy sense: far-future slots stay
-    unsorted dict entries at full width regardless of horizon, so there is
-    no cascade step and no horizon limit -- the cost of ordering an event
-    is paid once, in the slot-local sort amortised over the slot's
-    occupants.
-    """
-
-    __slots__ = (
-        "slot_width", "_slots", "_slot_heap", "_current", "_current_pos",
-        "_current_index", "count", "live", "_recycle",
-    )
-
-    def __init__(self, slot_width: float, recycle: Callable[["_ScheduledEvent"], None]) -> None:
-        if slot_width <= 0:
-            raise SimulatorError("wheel slot width must be positive")
-        self.slot_width = slot_width
-        self._slots: dict[int, List[_ScheduledEvent]] = {}
-        self._slot_heap: List[int] = []
-        #: Sorted events of the slot currently being served.
-        self._current: List[_ScheduledEvent] = []
-        self._current_pos = 0
-        #: Index of the slot currently being served (inserts at or before
-        #: it must go to the main heap -- the sorted run is never reopened).
-        self._current_index: Optional[int] = None
-        self.count = 0
-        self.live = 0
-        self._recycle = recycle
-
-    def slot_for(self, time: float) -> int:
-        """Absolute slot index an event at ``time`` files under."""
-        return int(time / self.slot_width)
-
-    def accepts(self, slot_index: int) -> bool:
-        """Whether an event in ``slot_index`` may still enter the wheel.
-
-        Once a slot has been sorted and is being served, late arrivals for
-        it (zero-delay reschedules inside the same slot) fall back to the
-        heap; the merged pop order keeps them exactly placed.
-        """
-        return self._current_index is None or slot_index > self._current_index
-
-    def insert(self, event: _ScheduledEvent, slot_index: int) -> None:
-        bucket = self._slots.get(slot_index)
-        if bucket is None:
-            self._slots[slot_index] = bucket = []
-            heapq.heappush(self._slot_heap, slot_index)
-        bucket.append(event)
-        event.in_wheel = True
-        self.count += 1
-        self.live += 1
-
-    def on_cancelled(self) -> None:
-        """Bookkeeping for an O(1) in-wheel cancellation."""
-        self.live -= 1
-
-    def peek(self) -> Optional[_ScheduledEvent]:
-        """The next live wheel event, advancing slots as needed."""
-        while True:
-            current = self._current
-            position = self._current_pos
-            while position < len(current):
-                event = current[position]
-                if event.cancelled:
-                    position += 1
-                    self.count -= 1
-                    self._recycle(event)
-                    continue
-                self._current_pos = position
-                return event
-            self._current_pos = position
-            if not self._slot_heap:
-                if current:
-                    self._current = []
-                    self._current_pos = 0
-                return None
-            index = heapq.heappop(self._slot_heap)
-            bucket = self._slots.pop(index)
-            self._current_index = index
-            live = []
-            for event in bucket:
-                if event.cancelled:
-                    self.count -= 1
-                    self._recycle(event)
-                else:
-                    live.append(event)
-            live.sort()
-            self._current = live
-            self._current_pos = 0
-
-    def pop(self) -> _ScheduledEvent:
-        """Remove and return the event :meth:`peek` just found."""
-        event = self._current[self._current_pos]
-        self._current_pos += 1
-        self.count -= 1
-        self.live -= 1
-        return event
 
 
 class Simulator:
     """Deterministic discrete-event simulator.
 
-    Parameters
-    ----------
-    seed:
-        Seed for the simulator-owned random number generator.  All
-        randomness in a simulation (latency sampling, workload generation)
-        should be drawn from :attr:`rng` so runs are reproducible.
-    use_timer_wheel:
-        When ``False``, ``schedule(..., wheel=True)`` requests silently fall
-        back to the heap.  Execution order is identical either way (the
-        equivalence tests run both); the switch only exists to prove that.
-    wheel_slot_width:
-        Bucket granularity of the timer wheel, in simulated time units.
-        Periodic protocol timers (suspector checks at 0.5-1.0, time-silence
-        at omega ~1.5-2.0) land a handful of slots ahead, keeping per-slot
-        sorts small.
-    metrics:
-        Optional :class:`repro.obs.metrics.MetricsRegistry` (duck-typed --
-        the kernel never imports :mod:`repro.obs`).  When given, the kernel
-        counts events scheduled / fired / cancelled and registers polled
-        occupancy gauges for the heap and the wheel.  When ``None`` (the
-        default) the hot paths pay one ``is None`` check per event.
-    profiler:
-        Optional :class:`repro.obs.profiler.HotPathProfiler`.  When given,
-        :meth:`step` wall-clocks every callback and files it under the
-        category derived from its scheduling label.
-    journeys:
-        Optional :class:`repro.obs.journey.JourneyTracker` (duck-typed, like
-        ``metrics``).  The kernel itself never calls it; it rides here so
-        the network/transport/protocol layers can read ``sim.journeys`` at
-        their own construction time.
+    ``seed`` seeds the simulator-owned :attr:`rng`; all randomness in a
+    simulation (latency sampling, workload generation) should be drawn from
+    it so runs are reproducible.  The three observation hooks are
+    duck-typed (the kernel never imports :mod:`repro.obs`) and cost one
+    ``is None`` check per event when absent: ``metrics`` (a
+    ``MetricsRegistry``) counts events scheduled / fired / cancelled and
+    polls the heap's occupancy; ``profiler`` (a ``HotPathProfiler``)
+    wall-clocks every callback under the category of its scheduling label;
+    ``journeys`` (a ``JourneyTracker``) is never called here -- like the
+    other two it rides the object every layer already holds, so network,
+    transport and protocol read ``sim.journeys`` at their own construction.
     """
 
     #: Compact the heap once more than this fraction of it is cancelled
     #: entries (and the heap is at least ``_MIN_COMPACTION_SIZE`` long).
     compaction_threshold: float = 0.5
     _MIN_COMPACTION_SIZE = 64
-    _FREE_LIST_LIMIT = 4096
-    #: Relative tolerance for clamping epsilon-negative delays: absolute
-    #: scheduling (``schedule_at``) computes ``t - now``, and float rounding
-    #: can turn an intended zero into e.g. ``-1e-16`` mid-run.  Kept within
-    #: a few thousand ulps of double precision so genuinely past-scheduled
-    #: events (real timer-arithmetic bugs) still raise instead of being
-    #: silently clamped.
-    _NEGATIVE_DELAY_EPSILON = 1e-12
+    #: Relative tolerance for clamping epsilon-past times (a caller's time
+    #: arithmetic can land ``1e-16`` before ``now``): a few thousand ulps,
+    #: so that real timer-arithmetic bugs still raise.
+    _PAST_EPSILON = 1e-12
 
-    def __init__(
-        self,
-        seed: int = 0,
-        use_timer_wheel: bool = True,
-        wheel_slot_width: float = 0.5,
-        metrics=None,
-        profiler=None,
-        journeys=None,
-    ) -> None:
+    def __init__(self, seed: int = 0, metrics=None, profiler=None, journeys=None) -> None:
         self._now: float = 0.0
-        self._heap: list[_ScheduledEvent] = []
+        self._heap: list = []
         self._next_sequence = 0
         self._events_processed = 0
         self._running = False
         self._cancelled_in_heap = 0
-        self._free: list[_ScheduledEvent] = []
         self.compactions = 0
         self.rng = random.Random(seed)
         self.seed = seed
-        self._wheel: Optional[_TimerWheel] = (
-            _TimerWheel(wheel_slot_width, self._recycle) if use_timer_wheel else None
-        )
-        #: Observation hooks (see the class docstring); downstream layers
-        #: (network, transport, protocol) read ``sim.metrics`` at their own
-        #: construction time, so the registry rides the object everything
-        #: already holds.
         self.metrics = metrics
         self.profiler = profiler
         self.journeys = journeys
+        self._c_scheduled = self._c_fired = self._c_cancelled = None
         if metrics is not None:
             self._c_scheduled = metrics.counter("sim.events_scheduled")
             self._c_fired = metrics.counter("sim.events_fired")
             self._c_cancelled = metrics.counter("sim.events_cancelled")
-            metrics.gauge("sim.heap_pending", lambda: len(self._heap))
-            metrics.gauge(
-                "sim.heap_live", lambda: len(self._heap) - self._cancelled_in_heap
-            )
-            metrics.gauge(
-                "sim.wheel_pending",
-                lambda: self._wheel.count if self._wheel is not None else 0,
-            )
-            metrics.gauge(
-                "sim.wheel_live",
-                lambda: self._wheel.live if self._wheel is not None else 0,
-            )
-        else:
-            self._c_scheduled = None
-            self._c_fired = None
-            self._c_cancelled = None
+            metrics.gauge("sim.heap_pending", lambda: self.pending_events)
+            metrics.gauge("sim.heap_live", lambda: self.live_pending_events)
 
     # ------------------------------------------------------------------
     # Clock
@@ -362,123 +138,96 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events currently queued (including cancelled ones)."""
-        wheel = self._wheel
-        return len(self._heap) + (wheel.count if wheel is not None else 0)
+        return len(self._heap)
 
     @property
     def live_pending_events(self) -> int:
         """Number of queued events that have not been cancelled."""
-        live = len(self._heap) - self._cancelled_in_heap
-        wheel = self._wheel
-        return live + (wheel.live if wheel is not None else 0)
+        return len(self._heap) - self._cancelled_in_heap
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
-        wheel: bool = False,
+        self, delay: float, callback: Callable[..., None], *args: Any, label: str = ""
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` time units from now.
 
         ``delay`` must be non-negative; a zero delay schedules the callback
         for the current instant but *after* the currently executing event
         completes (run-to-completion semantics, like an event loop).
-        Epsilon-negative delays produced by float rounding of absolute
-        times are clamped to zero rather than rejected.
-
-        ``wheel=True`` marks the event as a high-churn periodic timer that
-        should live in the timer wheel (O(1) cancellation, no heap
-        tombstones).  It is purely a placement hint: firing order is the
-        global ``(time, sequence)`` order regardless of store.
+        Epsilon-negative delays produced by float rounding are clamped to
+        zero rather than rejected.
         """
-        if delay < 0:
-            if delay >= -self._NEGATIVE_DELAY_EPSILON * max(1.0, abs(self._now)):
-                delay = 0.0
-            else:
-                raise SimulatorError(
-                    f"cannot schedule an event in the past (delay={delay})"
-                )
-        if self._c_scheduled is not None:
-            self._c_scheduled.value += 1
-        event = self._new_event()
-        event.time = self._now + delay
-        event.sequence = self._next_sequence
-        self._next_sequence += 1
-        event.callback = callback
-        event.args = args
-        event.label = label
-        timer_wheel = self._wheel
-        if wheel and timer_wheel is not None:
-            slot_index = timer_wheel.slot_for(event.time)
-            if timer_wheel.accepts(slot_index):
-                timer_wheel.insert(event, slot_index)
-                return EventHandle(self, event)
-        heapq.heappush(self._heap, event)
-        return EventHandle(self, event)
+        return self._push(
+            self._now + delay if delay >= 0 else self._clamp(self._now + delay),
+            callback, args, label,
+        )
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
+        self, time: float, callback: Callable[..., None], *args: Any, label: str = ""
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` at an absolute simulated time."""
-        return self.schedule(time - self._now, callback, *args, label=label)
+        """Schedule ``callback(*args)`` at exactly the simulated ``time``."""
+        return self._push(
+            time if time >= self._now else self._clamp(time), callback, args, label
+        )
 
     def call_soon(self, callback: Callable[..., None], *args: Any, label: str = "") -> EventHandle:
         """Schedule ``callback(*args)`` at the current instant."""
-        return self.schedule(0.0, callback, *args, label=label)
+        return self._push(self._now, callback, args, label)
+
+    def _clamp(self, time: float) -> float:
+        """``now`` for a time that is past by rounding only; raises otherwise."""
+        now = self._now
+        if now - time > self._PAST_EPSILON * max(1.0, abs(now)):
+            raise SimulatorError(
+                f"cannot schedule an event in the past (delay={time - now})"
+            )
+        return now
+
+    def _push(self, time: float, callback, args: tuple, label: str) -> EventHandle:
+        if self._c_scheduled is not None:
+            self._c_scheduled.value += 1
+        event = EventHandle(self, time, callback, args, label)
+        heapq.heappush(self._heap, (time, self._next_sequence, event))
+        self._next_sequence += 1
+        return event
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event.
+    def step(self, until: Optional[float] = None) -> bool:
+        """Execute the next pending event (not later than ``until``).
 
-        Returns ``True`` if an event was executed, ``False`` if the queue
-        was empty (only cancelled events or nothing at all).
-
-        The heap and the timer wheel are merged here by the global
-        ``(time, sequence)`` key, so the firing order is independent of
-        which store an event was placed in.
+        Returns ``True`` if an event was executed, ``False`` if nothing
+        live is queued at or before ``until``.
         """
-        heap_event = self._peek_heap()
-        timer_wheel = self._wheel
-        wheel_event = timer_wheel.peek() if timer_wheel is not None else None
-        if heap_event is None and wheel_event is None:
-            return False
-        if wheel_event is None or (heap_event is not None and heap_event < wheel_event):
-            event = heapq.heappop(self._heap)
-        else:
-            event = timer_wheel.pop()
-        if event.time < self._now:
-            raise SimulatorError("event queue corrupted: time went backwards")
-        callback = event.callback
-        args = event.args
-        self._now = event.time
-        self._events_processed += 1
-        if self._c_fired is not None:
-            self._c_fired.value += 1
-        profiler = self.profiler
-        if profiler is not None:
-            # The label must be captured before recycling clears it.
-            label = event.label
-            self._recycle(event)
-            start = perf_counter()
-            callback(*args)
-            profiler.record_event(label, perf_counter() - start)
+        heap = self._heap
+        while heap:
+            if until is not None and heap[0][0] > until:
+                return False
+            time, _, event = heapq.heappop(heap)
+            callback = event._callback
+            if callback is None:
+                self._cancelled_in_heap -= 1
+                continue
+            args = event._args
+            # Fired: the handle is inert from here on and holds nothing.
+            event._callback = None
+            event._args = ()
+            self._now = time
+            self._events_processed += 1
+            if self._c_fired is not None:
+                self._c_fired.value += 1
+            profiler = self.profiler
+            if profiler is None:
+                callback(*args)
+            else:
+                start = perf_counter()
+                callback(*args)
+                profiler.record_event(event.label, perf_counter() - start)
             return True
-        # Recycle before invoking: the callback frequently schedules new
-        # events, which can then reuse this record immediately.
-        self._recycle(event)
-        callback(*args)
-        return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached or
@@ -493,21 +242,14 @@ class Simulator:
             raise SimulatorError("Simulator.run is not re-entrant")
         self._running = True
         executed = 0
+        step = self.step
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
+            while max_events is None or executed < max_events:
+                if not step(until):
+                    if until is not None and self._now < until:
+                        self._now = until
                     return
-                # Peek at the next non-cancelled event (heap or wheel).
-                next_event = self._peek()
-                if next_event is None:
-                    break
-                if until is not None and next_event.time > until:
-                    break
-                if not self.step():
-                    break
                 executed += 1
-            if until is not None and self._now < until:
-                self._now = until
         finally:
             self._running = False
 
@@ -524,94 +266,31 @@ class Simulator:
         """
         deadline = self._now + timeout
         executed = 0
-        if predicate():
-            return True
-        while executed < max_events:
-            next_event = self._peek()
-            if next_event is None or next_event.time > deadline:
-                break
-            self.step()
+        while not predicate():
+            if executed >= max_events or not self.step(deadline):
+                return False
             executed += 1
-            if predicate():
-                return True
-        return predicate()
-
-    def _peek(self) -> Optional[_ScheduledEvent]:
-        """Return the next non-cancelled event without executing it."""
-        heap_event = self._peek_heap()
-        timer_wheel = self._wheel
-        wheel_event = timer_wheel.peek() if timer_wheel is not None else None
-        if heap_event is None:
-            return wheel_event
-        if wheel_event is None:
-            return heap_event
-        return heap_event if heap_event < wheel_event else wheel_event
-
-    def _peek_heap(self) -> Optional[_ScheduledEvent]:
-        """Next live heap event, discarding cancelled entries at the top."""
-        while self._heap and self._heap[0].cancelled:
-            self._cancelled_in_heap -= 1
-            self._recycle(heapq.heappop(self._heap))
-        return self._heap[0] if self._heap else None
+        return True
 
     # ------------------------------------------------------------------
-    # Event-record lifecycle (free list + lazy-deletion compaction)
+    # Lazy deletion
     # ------------------------------------------------------------------
-    def _new_event(self) -> _ScheduledEvent:
-        if self._free:
-            return self._free.pop()
-        return _ScheduledEvent()
-
-    def _recycle(self, event: _ScheduledEvent) -> None:
-        """Retire an event record that left the heap.
-
-        Bumping the generation invalidates every outstanding handle; clearing
-        the callback/args drops whatever the closure kept alive.
-        """
-        event.generation += 1
-        event.callback = None
-        event.args = ()
-        event.label = ""
-        event.cancelled = False
-        event.in_wheel = False
-        if len(self._free) < self._FREE_LIST_LIMIT:
-            self._free.append(event)
-
-    def _cancel_event(self, event: _ScheduledEvent, generation: int) -> None:
-        """Cancel the queued occurrence a handle refers to (if still queued)."""
-        if event.generation != generation or event.cancelled:
-            return
-        event.cancelled = True
+    def _on_cancelled(self) -> None:
+        """A queued event was cancelled: count it, compact when cancelled
+        entries outnumber the threshold share of the heap."""
         if self._c_cancelled is not None:
             self._c_cancelled.value += 1
-        # Release the references right away; the record itself stays in its
-        # store until its turn comes (heap: lazy deletion with compaction;
-        # wheel: dropped when its slot's instant passes -- O(1), no
-        # compaction pressure).
-        event.callback = None
-        event.args = ()
-        if event.in_wheel:
-            self._wheel.on_cancelled()
-            return
         self._cancelled_in_heap += 1
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        heap_size = len(self._heap)
-        if heap_size < self._MIN_COMPACTION_SIZE:
-            return
-        if self._cancelled_in_heap <= heap_size * self.compaction_threshold:
-            return
-        live = []
-        for event in self._heap:
-            if event.cancelled:
-                self._recycle(event)
-            else:
-                live.append(event)
-        heapq.heapify(live)
-        self._heap = live
-        self._cancelled_in_heap = 0
-        self.compactions += 1
+        heap = self._heap
+        if (
+            len(heap) >= self._MIN_COMPACTION_SIZE
+            and self._cancelled_in_heap > len(heap) * self.compaction_threshold
+        ):
+            # In place: run() and step() hold the list across callbacks.
+            heap[:] = [entry for entry in heap if entry[2]._callback is not None]
+            heapq.heapify(heap)
+            self._cancelled_in_heap = 0
+            self.compactions += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

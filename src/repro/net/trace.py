@@ -17,10 +17,11 @@ accidentally weakened by the implementation they are checking.
 Sink API
 --------
 The recorder is an observer hub: every recorded event is pushed, in record
-order, to any number of :class:`TraceSink` objects.  A sink implements two
-methods::
+order, to the :class:`TraceSink` objects subscribed to its kind.  A sink
+implements two methods and may name the kinds it consumes::
 
     class TraceSink:
+        KINDS = None                                        # None: every kind
         def on_event(self, event: TraceEvent) -> None: ...  # one event
         def close(self) -> None: ...                        # end of run
 
@@ -48,9 +49,11 @@ trace is never materialized, which is what lets the scenario engine verify
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any, Dict, FrozenSet, IO, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+    Union,
+)
 
 from repro.stats import LatencyReservoir
 
@@ -98,9 +101,9 @@ EVENT_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded event.
+class TraceEvent(NamedTuple):
+    """One recorded event (immutable; a tuple, because one is built for
+    every send, receipt and delivery of a run).
 
     Attributes
     ----------
@@ -152,6 +155,10 @@ class TraceSink:
     producer is done (end of a scenario run, recorder shutdown).  Sinks must
     not mutate the events they receive.
     """
+
+    #: Event kinds the sink consumes (class or instance attribute, read
+    #: when the sink is registered); ``None`` subscribes it to every kind.
+    KINDS: Optional[FrozenSet[str]] = None
 
     def on_event(self, event: TraceEvent) -> None:
         raise NotImplementedError
@@ -359,6 +366,7 @@ class TraceRecorder:
             )
         self._memory: Optional[MemorySink] = MemorySink() if keep_events else None
         self._sinks: List[TraceSink] = list(sinks or ())
+        self._reroute()
         self._seq = 0
         self._on_sink_error = on_sink_error
         #: One entry per detached sink: sink type, error string, event seq.
@@ -370,14 +378,28 @@ class TraceRecorder:
         #: section.
         self.profiler = None
 
+    def _reroute(self) -> None:
+        """Rebuild the per-kind fan-out from the registered sinks: kind ->
+        the sinks subscribed to it, in registration order."""
+        self._routes: Dict[str, Tuple[TraceSink, ...]] = {
+            kind: tuple(
+                sink
+                for sink in self._sinks
+                if getattr(sink, "KINDS", None) is None or kind in sink.KINDS
+            )
+            for kind in EVENT_KINDS
+        }
+
     def add_sink(self, sink: TraceSink) -> TraceSink:
         """Register a sink; returns it for chaining."""
         self._sinks.append(sink)
+        self._reroute()
         return sink
 
     def remove_sink(self, sink: TraceSink) -> None:
         """Unregister a previously added sink."""
         self._sinks.remove(sink)
+        self._reroute()
 
     def record(
         self,
@@ -390,19 +412,15 @@ class TraceRecorder:
         clock: Optional[int] = None,
         **details: Any,
     ) -> TraceEvent:
-        """Record one event, fan it out to every sink, and return it."""
-        if kind not in EVENT_KINDS:
+        """Record one event, fan it out to the sinks subscribed to its
+        kind, and return it."""
+        sinks = self._routes.get(kind)
+        if sinks is None:
             raise ValueError(f"unknown trace event kind {kind!r}")
         event = TraceEvent(
-            time=time,
-            kind=kind,
-            process=process,
-            group=group,
-            message_id=message_id,
-            sender=sender,
-            clock=clock,
-            details=tuple(sorted(details.items())),
-            seq=self._seq,
+            time, kind, process, group, message_id, sender, clock,
+            tuple(sorted(details.items())) if details else (),
+            self._seq,
         )
         self._seq += 1
         if self._memory is not None:
@@ -410,7 +428,7 @@ class TraceRecorder:
         profiler = self.profiler
         start = perf_counter() if profiler is not None else 0.0
         failed: Optional[List[TraceSink]] = None
-        for sink in self._sinks:
+        for sink in sinks:
             try:
                 sink.on_event(event)
             except Exception as exc:
@@ -432,6 +450,7 @@ class TraceRecorder:
             for sink in failed:
                 self._sinks.remove(sink)
                 self.detached_sinks.append(sink)
+            self._reroute()
         if profiler is not None:
             profiler.record("sink_fanout", perf_counter() - start)
         return event

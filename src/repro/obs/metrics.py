@@ -12,7 +12,7 @@ Two gauge flavours exist because the instrumented quantities come in two
 shapes:
 
 * :class:`PolledGauge` wraps a zero-argument callable (``len(heap)``,
-  wheel occupancy, in-flight batch depth) that is only evaluated when a
+  in-flight batch depth) that is only evaluated when a
   snapshot or sampler tick asks for it -- zero hot-path cost.
 * :class:`PushGauge` is maintained by the instrumented code itself via
   ``adjust(+1/-1)`` at state transitions (a sender becoming blocked /

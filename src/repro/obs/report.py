@@ -94,6 +94,17 @@ def _render_metrics(metrics: Mapping[str, Any]) -> List[str]:
                 f"({_fmt(beacons)} Beacon sends / {_fmt(heartbeats)} nulls_idle)"
             )
     gauges = metrics.get("gauges") or {}
+    wakes = counters.get("suspector.probes")
+    omegas = gauges.get("suspector.endpoint_omegas")
+    if wakes and omegas:
+        # A polling suspector reads Ω / check_interval here; a demand-driven
+        # one about 2 while idle (see repro.core.suspector).
+        lines.append(
+            f"  suspector wakes per endpoint per Ω: {_fmt(wakes / omegas)} "
+            f"({_fmt(wakes)} wakes, of them "
+            f"{_fmt(counters.get('suspector.pokes', 0))} pulled in by a poke, "
+            f"over {_fmt(omegas)} endpoint-Ω)"
+        )
     if gauges:
         lines.append("  gauges (at snapshot)")
         rows = []

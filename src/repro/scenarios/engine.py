@@ -196,10 +196,6 @@ class ScenarioEngine:
         self._agreement_sets = self.expected_agreement_sets()
         overrides = dict(SCENARIO_PROTOCOL_DEFAULTS)
         overrides.update(spec.protocol)
-        # "timer_wheel" is a simulator knob, not a protocol parameter; it
-        # rides in the protocol dict so scenario configs (and the
-        # equivalence tests) can toggle it declaratively.
-        timer_wheel = bool(overrides.pop("timer_wheel", True))
         # A spec-declared latency model ("latency": {"model": ...}) applies
         # when the caller did not pass one explicitly -- an explicit
         # ``latency_model`` argument (e.g. a sweep cell) wins, so a batch
@@ -219,7 +215,6 @@ class ScenarioEngine:
             sinks=sinks,
             analysis=analysis,
             view_agreement_sets=self._agreement_sets,
-            timer_wheel=timer_wheel,
             observe=observe,
         )
         self.stack = self.session.stack

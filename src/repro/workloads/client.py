@@ -151,8 +151,10 @@ class OpenLoopClient(TraceSink):
     # ------------------------------------------------------------------
     # Trace-sink side: watch for our own deliveries
     # ------------------------------------------------------------------
+    KINDS = frozenset({DELIVER})
+
     def on_event(self, event: TraceEvent) -> None:
-        if event.kind != DELIVER or event.message_id not in self._send_times:
+        if event.message_id not in self._send_times:
             return
         self.delivered_events += 1
         self._delivered_ids.add(event.message_id)

@@ -212,6 +212,31 @@ def test_detach_policy_isolates_raising_sink_and_records_error():
     assert len(recorder.sink_errors) == 1
 
 
+def test_sinks_receive_only_the_kinds_they_declare():
+    class _Deliveries(_CountingSink):
+        KINDS = frozenset({DELIVER})
+
+    everything, deliveries, late = _CountingSink(), _Deliveries(), _Deliveries()
+    recorder = TraceRecorder(sinks=[everything, deliveries])
+    recorder.record(1.0, SEND, "p1", group="g", message_id="m1", sender="p1")
+    recorder.record(2.0, DELIVER, "p2", group="g", message_id="m1", sender="p1")
+    # No declaration (duck-typed sinks included) means every kind.
+    assert (everything.seen, deliveries.seen) == (2, 1)
+    # The routes follow the sink list: add, remove, detach.
+    recorder.add_sink(late)
+    recorder.remove_sink(deliveries)
+    recorder.record(3.0, DELIVER, "p3", group="g", message_id="m1", sender="p1")
+    assert (everything.seen, deliveries.seen, late.seen) == (3, 1, 1)
+    boom = _BoomSink(explode_at=0)
+    recorder.add_sink(boom)
+    recorder.record(4.0, DELIVER, "p1", group="g", message_id="m1", sender="p1")
+    recorder.record(5.0, DELIVER, "p1", group="g", message_id="m1", sender="p1")
+    assert recorder.detached_sinks == [boom] and len(recorder.sink_errors) == 1
+    assert (everything.seen, late.seen) == (5, 3)
+    with pytest.raises(ValueError, match="unknown trace event kind"):
+        recorder.record(6.0, "no_such_kind", "p1")
+
+
 def test_raise_policy_propagates_sink_exceptions():
     boom = _BoomSink(explode_at=0)
     recorder = TraceRecorder(sinks=[boom], on_sink_error="raise")

@@ -1,18 +1,18 @@
-"""Equivalence pins for the hot-path refactor (timer wheel / slab / batching).
+"""Equivalence pins for the hot-path refactor (slab state / batching).
 
-The 10k-scale hot path replaced three reference implementations:
+The 10k-scale hot path replaced two reference implementations that are
+still kept behind toggles:
 
-* the global event heap with a slotted timer wheel for high-churn periodic
-  timers (``Simulator(use_timer_wheel=...)``, ``schedule(..., wheel=True)``),
 * per-member dict vector-clock state with slab-backed arrays
   (``NewtopConfig.use_slab_state``), and
 * per-message receipt processing with per-instant delivery batches
   (``NewtopConfig.batch_receipts``).
 
-All three must be *behaviour-preserving*: for a seeded churn run, every
-toggle combination has to produce byte-identical results -- same event
-count, same deliveries, same messages, same verdicts, same metrics.  These
-tests pin that, plus the O(1)-cancellation contract the wheel exists for.
+Both must be *behaviour-preserving*: for a seeded churn run, every toggle
+combination has to produce byte-identical results -- same event count,
+same deliveries, same messages, same verdicts, same metrics.  (The event
+kernel has no twin: its firing order is pinned by the golden run in
+``tests/test_simulator.py``.)
 """
 
 import math
@@ -29,7 +29,6 @@ from repro.core.vectors import (
     SlabMemberVector,
     StabilityVector,
 )
-from repro.net.simulator import Simulator
 from repro.scenarios import churn_scenario, run_scenario
 
 # ---------------------------------------------------------------------------
@@ -52,9 +51,7 @@ def _churn_config(**protocol):
 
 
 def _fingerprint(result):
-    """Everything observable about a run except where events were *stored*
-    (heap-vs-wheel placement legitimately changes pending-count peaks and
-    compaction counts, never behaviour)."""
+    """Everything observable about a run."""
     return {
         "events_processed": result.events_processed,
         "deliveries": result.deliveries,
@@ -77,99 +74,17 @@ def _fingerprint(result):
 @pytest.mark.parametrize(
     "protocol",
     [
-        dict(timer_wheel=False),
         dict(use_slab_state=False),
         dict(batch_receipts=False),
-        dict(timer_wheel=False, use_slab_state=False, batch_receipts=False),
+        dict(use_slab_state=False, batch_receipts=False),
     ],
-    ids=["heap-scheduler", "dict-vectors", "per-message-receipts", "all-reference"],
+    ids=["dict-vectors", "per-message-receipts", "all-reference"],
 )
 def test_churn_run_identical_across_hot_path_toggles(protocol):
     fast = run_scenario(_churn_config(), analysis="online")
     reference = run_scenario(_churn_config(**protocol), analysis="online")
     assert fast.passed and reference.passed
     assert _fingerprint(fast) == _fingerprint(reference)
-
-
-# ---------------------------------------------------------------------------
-# Timer wheel: firing order and O(1) cancellation
-# ---------------------------------------------------------------------------
-
-def _record_firing_order(sim, schedule):
-    fired = []
-    for delay, tag, wheel in schedule:
-        sim.schedule(delay, fired.append, (tag, round(sim.now + delay, 9)), wheel=wheel)
-    sim.run()
-    return fired
-
-
-def test_wheel_and_heap_fire_in_identical_order():
-    rng = random.Random(42)
-    schedule = [
-        (rng.uniform(0.0, 20.0), index, rng.random() < 0.5) for index in range(400)
-    ]
-    with_wheel = _record_firing_order(Simulator(use_timer_wheel=True), schedule)
-    heap_only = _record_firing_order(Simulator(use_timer_wheel=False), schedule)
-    assert len(with_wheel) == len(schedule)
-    assert with_wheel == heap_only
-
-
-def test_wheel_interleaves_with_heap_by_global_time_and_sequence():
-    sim = Simulator(use_timer_wheel=True)
-    fired = []
-    # Same instant, alternating stores: sequence order must win.
-    for index in range(10):
-        sim.schedule(5.0, fired.append, index, wheel=(index % 2 == 0))
-    sim.run()
-    assert fired == list(range(10))
-
-
-def test_wheel_rejects_current_slot_inserts_without_losing_events():
-    sim = Simulator(use_timer_wheel=True, wheel_slot_width=1.0)
-    fired = []
-
-    def reschedule():
-        fired.append(sim.now)
-        if len(fired) < 5:
-            # Zero-ish delay lands in the slot being served: the wheel must
-            # decline it (falls back to the heap) and it still fires now.
-            sim.schedule(0.0, reschedule, wheel=True)
-
-    sim.schedule(0.5, reschedule, wheel=True)
-    sim.run()
-    assert fired == [0.5] * 5
-
-
-def test_cancelled_wheel_timer_never_fires_and_costs_no_compaction():
-    sim = Simulator(use_timer_wheel=True)
-    fired = []
-    handles = [
-        sim.schedule(1.0 + 0.01 * index, fired.append, index, wheel=True)
-        for index in range(500)
-    ]
-    assert sim.live_pending_events == 500
-    for handle in handles[::2]:
-        handle.cancel()
-    # O(1) cancel: the live count drops immediately, nothing is rebuilt.
-    assert sim.live_pending_events == 250
-    assert sim.compactions == 0
-    sim.run()
-    assert fired == list(range(1, 500, 2))
-    assert sim.compactions == 0
-    assert sim.pending_events == 0
-
-
-def test_wheel_cancel_is_idempotent_and_counts_stay_consistent():
-    sim = Simulator(use_timer_wheel=True)
-    handle = sim.schedule(2.0, lambda: pytest.fail("cancelled timer fired"), wheel=True)
-    other = sim.schedule(3.0, lambda: None, wheel=True)
-    handle.cancel()
-    handle.cancel()
-    assert handle.cancelled
-    assert sim.live_pending_events == 1
-    sim.run()
-    assert not other.cancelled
-    assert sim.pending_events == 0
 
 
 # ---------------------------------------------------------------------------

@@ -392,8 +392,21 @@ def test_ring_watch_counters_and_beacons_per_heartbeat():
     assert counters["suspector.concurrences"] == 8
     # Every survivor watched everybody once, while the agreement ran.
     assert counters["suspector.watch_all_entries"] == 11
+    # The eight that were asked had been asleep until a deadline: their
+    # tick was pulled in by a poke.  Wakes are real ticks -- polling would
+    # have made 12 x 40.3 + 11 x 40 = 923 of them.
+    assert counters["suspector.pokes"] == 8
+    assert counters["suspector.probes"] < 200
+    gauges = result.obs["metrics"]["gauges"]
+    assert gauges["suspector.endpoint_omegas"] == pytest.approx(
+        (12 * 40.3 + 11 * 40.0) / 10.0
+    )
+    assert sorted(name for name in gauges if name.startswith("sim.")) == [
+        "sim.heap_live", "sim.heap_pending",
+    ]
     text = render_document({"benchmark": "unit", "obs": result.obs})
     assert "idle beacons per heartbeat: 3 " in text
+    assert "suspector wakes per endpoint per Ω: 1." in text
 
 
 def test_report_cli_renders_file(tmp_path, capsys):

@@ -8,7 +8,6 @@ engine's ``analysis="online"`` mode, and the satellite fixes (first-send
 latency samples, happened-before memoization, per-kind event indexes).
 """
 
-import dataclasses
 import io
 import json
 
@@ -215,8 +214,8 @@ def churn_run():
 
 def _swap_events(events, first, second):
     swapped = {
-        first.seq: dataclasses.replace(first, time=second.time, seq=second.seq),
-        second.seq: dataclasses.replace(second, time=first.time, seq=first.seq),
+        first.seq: first._replace(time=second.time, seq=second.seq),
+        second.seq: second._replace(time=first.time, seq=first.seq),
     }
     return [swapped.get(event.seq, event) for event in events]
 
@@ -315,8 +314,7 @@ def test_delivery_from_excluded_sender_caught_by_both(churn_run):
             break
     assert target is not None
     last = events[-1]
-    forged = dataclasses.replace(
-        last,
+    forged = last._replace(
         time=last.time + 1.0,
         seq=last.seq + 1,
         kind=DELIVER,

@@ -166,10 +166,12 @@ def test_watching_everybody_starts_with_a_grace_not_a_verdict():
     sim.run(until=30.0)
     assert notifications == []
     # The other eight have been silent for 3 * Omega.  Needing everybody
-    # from 30.5 on, the check at 31 starts watching them and gives them
+    # from 30.5 on (the owner pokes: the next tick was dated 40), the check
+    # at 31 starts watching them and gives them
     # min(Omega, 2 * omega + check) = 5: P12 answers in time, the rest are
     # suspected at 36, not at 31.
     sim.schedule_at(30.5, needs_everybody.__setitem__, 0, True)
+    sim.schedule_at(30.5, suspector.poke)
     sim.schedule_at(34.0, suspector.heard_from, "P12", 9)
     sim.run(until=35.5)
     assert notifications == []

@@ -1,5 +1,9 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import hashlib
+import json
+import os
+
 import pytest
 
 from repro.net.simulator import Simulator, SimulatorError
@@ -40,6 +44,30 @@ def test_same_time_events_fire_in_scheduling_order():
     assert fired == ["first", "second", "third"]
 
 
+def test_same_instant_order_holds_across_every_way_of_scheduling():
+    """One heap, one ``(time, sequence)`` key: 300 events of one instant,
+    scheduled relatively, absolutely and from inside that instant, with a
+    cancelled one between each pair, fire in scheduling order."""
+    sim = Simulator()
+    fired = []
+
+    def inside(index):
+        fired.append(index)
+        if index < 100:
+            sim.call_soon(fired.append, 200 + index)
+
+    for index in range(100):
+        sim.schedule(2.0, inside, index)
+        sim.schedule(2.0, fired.append, "cancelled").cancel()
+        sim.schedule_at(2.0, inside, 100 + index)
+    sim.run()
+    assert fired == (
+        [index + offset for index in range(100) for offset in (0, 100)]
+        + list(range(200, 300))
+    )
+    assert sim.now == 2.0 and sim.pending_events == 0
+
+
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulatorError):
@@ -67,6 +95,17 @@ def test_run_until_time_bound():
     assert sim.now == 5.0
     sim.run()
     assert fired == ["a", "b"]
+
+
+def test_run_until_executes_events_at_exactly_until():
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(5.0, fired.append, "at")
+    sim.schedule_at(5.0, lambda: sim.call_soon(fired.append, "chained at"))
+    sim.schedule_at(5.000001, fired.append, "after")
+    sim.run(until=5.0)
+    assert fired == ["at", "chained at"]
+    assert sim.now == 5.0 and sim.live_pending_events == 1
 
 
 def test_run_max_events():
@@ -212,18 +251,55 @@ def test_cancel_releases_callback_references():
     sim.run()
 
 
-def test_stale_handle_cannot_cancel_recycled_event():
-    """After an event fires, its handle must be inert even though the
-    underlying record may be recycled for a newer event."""
+def test_cancel_after_the_event_fired_is_inert():
+    """The handle is the event record; once fired it holds nothing, and a
+    late cancel() neither marks it cancelled nor moves a counter."""
     sim = Simulator()
     fired = []
     first = sim.schedule(1.0, fired.append, "first")
     sim.run()
     assert fired == ["first"]
-    sim.schedule(1.0, fired.append, "second")  # likely reuses the record
-    first.cancel()  # stale: must not cancel "second"
+    sim.schedule(1.0, fired.append, "second")
+    first.cancel()
+    assert not first.cancelled
+    assert (sim.pending_events, sim.live_pending_events) == (1, 1)
     sim.run()
     assert fired == ["first", "second"]
+    assert sim.compactions == 0
+
+
+def test_cancel_is_idempotent_and_counts_stay_consistent():
+    sim = Simulator()
+    handle = sim.schedule(2.0, lambda: pytest.fail("cancelled timer fired"))
+    other = sim.schedule(3.0, lambda: None)
+    handle.cancel()
+    handle.cancel()
+    assert handle.cancelled and handle.time == 2.0
+    assert (sim.pending_events, sim.live_pending_events) == (2, 1)
+    sim.run()
+    assert not other.cancelled
+    assert (sim.pending_events, sim.live_pending_events) == (0, 0)
+
+
+def test_rescheduling_a_long_dated_timer_keeps_the_heap_bounded():
+    """What every protocol timer does: cancel the pending deadline, date a
+    new one.  10,000 rounds against 50 standing events must compact, not
+    grow."""
+    sim = Simulator()
+    for index in range(50):
+        sim.schedule(5000.0 + index, lambda: None)
+    fired = []
+    handle = sim.schedule(1000.0, fired.append, 0)
+    peak = 0
+    for round_ in range(1, 10_001):
+        handle.cancel()
+        handle = sim.schedule(1000.0 + round_, fired.append, round_)
+        peak = max(peak, sim.pending_events)
+    assert sim.compactions > 0
+    assert sim.live_pending_events == 51
+    assert peak <= 2 * 51 + 64
+    sim.run(until=20_000.0)
+    assert fired == [10_000] and sim.events_processed == 51
 
 
 def test_heap_compaction_keeps_cancelled_fraction_bounded():
@@ -237,3 +313,82 @@ def test_heap_compaction_keeps_cancelled_fraction_bounded():
     assert sim.pending_events <= 300
     sim.run()
     assert sim.events_processed == 100
+
+
+# ---------------------------------------------------------------------------
+# Golden firing order: the kernel has no twin, this run pins it instead
+# ---------------------------------------------------------------------------
+
+GOLDEN_FIRING_ORDER = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "golden", "firing_order_churn40.json"
+)
+
+
+class _RecordingSimulator(Simulator):
+    """Notes ``(time, sequence, label)`` of every event as it fires."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fired = []
+
+    def _push(self, time, callback, args, label):
+        sequence = self._next_sequence
+
+        def fire(*fire_args):
+            self.fired.append((time, sequence, label))
+            callback(*fire_args)
+
+        return super()._push(time, fire, args, label)
+
+
+def _churn40_firing_order(monkeypatch):
+    from repro.api import session as session_module
+    from repro.scenarios import churn_scenario, run_scenario
+
+    created = []
+
+    def recording(*args, **kwargs):
+        created.append(_RecordingSimulator(*args, **kwargs))
+        return created[-1]
+
+    monkeypatch.setattr(session_module, "Simulator", recording)
+    result = run_scenario(
+        churn_scenario(
+            n_processes=40, n_groups=4, group_size=8, crashes=2, leaves=2,
+            formations=1, messages_per_sender=2, seed=11,
+        ),
+        analysis="online",
+    )
+    assert result.passed
+    (sim,) = created
+    assert len(sim.fired) == result.events_processed
+    digest = hashlib.sha256()
+    for time, sequence, label in sim.fired:
+        digest.update(f"{time!r} {sequence} {label}\n".encode())
+    return {
+        "events": len(sim.fired),
+        "sha256": digest.hexdigest(),
+        "head": [list(entry) for entry in sim.fired[:12]],
+        "tail": [list(entry) for entry in sim.fired[-4:]],
+    }
+
+
+def test_golden_firing_order_of_a_seeded_churn_run(monkeypatch):
+    """Every event of one seeded 40-process churn run, in firing order, as
+    ``(time, scheduling sequence, label)``: a kernel edit that reorders,
+    drops or re-dates anything changes the digest.  A *protocol* change that
+    schedules differently changes it too -- then, and only then, regenerate
+    with ``PYTHONPATH=src python tests/test_simulator.py``."""
+    with open(GOLDEN_FIRING_ORDER, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert _churn40_firing_order(monkeypatch) == golden
+
+
+if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as patch:
+        fresh = _churn40_firing_order(patch)
+    os.makedirs(os.path.dirname(GOLDEN_FIRING_ORDER), exist_ok=True)
+    with open(GOLDEN_FIRING_ORDER, "w", encoding="utf-8") as handle:
+        json.dump(fresh, handle, indent=1)
+        handle.write("\n")
+    print(f"wrote {GOLDEN_FIRING_ORDER}: {fresh['events']} events, {fresh['sha256']}")
