@@ -7,9 +7,9 @@ the happened-before relation.  That is fine at paper scale but is the
 ceiling that kept the churn benchmark at 100 processes.  This module checks
 the same predicates *incrementally*, consuming :class:`~repro.net.trace.TraceEvent`
 objects as they are recorded (each checker is a
-:class:`~repro.net.trace.TraceSink`), with amortized O(1)-O(k) work per
-event where k is bounded by group size -- never by the process count or the
-run length:
+:class:`~repro.net.trace.TraceSink`).  Work per event never depends on the
+process count or the run length; what it does depend on is stated per
+checker:
 
 * :class:`OnlineTotalOrder` (MD4/MD4') -- a shared global-position arbiter
   assigns each message a position at its first delivery anywhere; every
@@ -17,15 +17,18 @@ run length:
   (conflict detection), O(deliverers-of-message) per delivery instead of
   O(P^2) sequence comparisons at the end.
 * :class:`OnlineCausalOrder` (MD5/MD5' and causal delivery consistency) --
-  vector-clock summaries: each send is stamped with the sender's causal
-  context, so a message's causal past is exactly the per-sender prefixes
-  below its vector.  A per-(process, sender) frontier advances over those
-  prefixes once -- amortized O(1) work per causal predecessor instead of a
-  transitive closure over all message pairs -- on top of one pass over the
-  message's vector per delivery.
+  delta-stamped vector clocks: each send is stamped with the entries of
+  the sender's causal context that moved since its previous send, so a
+  message's causal past is the per-sender prefixes below the vector its
+  sender's delta chain adds up to.  A delivery folds only the deltas the
+  process has not yet folded from that sender, and a per-process frontier
+  visits each causal predecessor once: O(entries moved since the sender's
+  last message folded here) per delivery -- the whole chain, i.e. the
+  full vector, on the first delivery from a sender -- plus amortized O(1)
+  per predecessor, instead of a transitive closure over all message pairs.
 * :class:`OnlineSenderInView` (MD1) -- the live view timeline: the current
-  view per (process, group) is updated on each install and each delivery is
-  an O(1) membership test.
+  view per process and group is updated on each install and each delivery
+  is an O(1) membership test.
 * :class:`OnlineVirtualSynchrony` (MD3/VC3) -- per-(process, group,
   view_index) delivery-set fingerprints (order-independent hash + count);
   processes that installed the same consecutive views must have equal
@@ -36,7 +39,8 @@ run length:
   post-hoc checker.
 
 :class:`OnlineCheckSuite` bundles all five behind one sink, dispatching
-each event kind only to the checkers that consume it.  Attach it to a
+each event kind only to the checkers that consume it and keeping the one
+view timeline the first three share.  Attach it to a
 :class:`~repro.net.trace.TraceRecorder` (optionally with
 ``keep_events=False`` so the full trace is never materialized) and call
 :meth:`~OnlineCheckSuite.result` at the end of the run; the verdict mirrors
@@ -53,7 +57,7 @@ own clause).  The equivalence and mutation-sensitivity tests in
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.checkers import CheckResult
 from repro.net.trace import (
@@ -65,6 +69,38 @@ from repro.net.trace import (
     TraceSink,
     VIEW_INSTALL,
 )
+
+
+class _ViewTimeline:
+    """Live-view bookkeeping, one row per process: the current members of
+    each of its groups and the groups it has departed.
+
+    An :class:`OnlineCheckSuite` keeps one and feeds it once per install or
+    departure for the checkers that scope their checks by view; a checker
+    constructed on its own owns (and feeds) one.
+    """
+
+    KINDS = frozenset({VIEW_INSTALL, DEPART})
+
+    def __init__(self) -> None:
+        #: process -> group -> current members
+        self.views: Dict[str, Dict[str, FrozenSet[str]]] = {}
+        #: process -> groups it has departed
+        self.departed: Dict[str, Set[str]] = {}
+        #: The kinds the checkers that adopted this timeline read it for;
+        #: whoever shares it out subscribes to them and feeds it.
+        self.wanted: Set[str] = set()
+
+    def on_event(self, event: TraceEvent) -> None:
+        if event.group is None:
+            return
+        if event.kind == VIEW_INSTALL:
+            row = self.views.get(event.process)
+            if row is None:
+                row = self.views[event.process] = {}
+            row[event.group] = frozenset(event.detail("members", ()))
+        elif event.kind == DEPART:
+            self.departed.setdefault(event.process, set()).add(event.group)
 
 
 class OnlineChecker(TraceSink):
@@ -84,6 +120,16 @@ class OnlineChecker(TraceSink):
         self.violations: List[str] = []
         self.events_seen = 0
 
+    def _adopt(self, timeline: Optional[_ViewTimeline]) -> _ViewTimeline:
+        """The view timeline a view-scoped checker reads: the given one,
+        which its owner feeds -- so the checker stops consuming the
+        timeline's kinds -- or, given none, one of its own."""
+        if timeline is None:
+            return _ViewTimeline()
+        timeline.wanted |= self.KINDS & _ViewTimeline.KINDS
+        self.KINDS = self.KINDS - _ViewTimeline.KINDS
+        return timeline
+
     def result(self) -> CheckResult:
         """The verdict over everything seen so far."""
         return CheckResult(self.name, not self.violations, list(self.violations))
@@ -94,11 +140,11 @@ class OnlineTotalOrder(OnlineChecker):
 
     A shared arbiter assigns every message a global position the first time
     any process delivers it, defining the reference total order.  Conflict
-    detection uses per-pair watermarks: ``watermark[(p, q)]`` holds the
+    detection uses per-pair watermarks: ``watermark[p][q]`` holds the
     highest position *in q's local sequence* of any message both p and q
     have delivered (with the message id as witness).  When p delivers m
     that q delivered at local position j, a violation exists iff
-    ``watermark[(p, q)] > j`` -- i.e. p previously delivered some m' that q
+    ``watermark[p][q] > j`` -- i.e. p previously delivered some m' that q
     delivered *after* m, so p orders m' before m while q orders m before
     m'.  Each delivery costs O(#processes that already delivered the same
     message) -- bounded by group size -- and the common case (delivery in
@@ -120,9 +166,9 @@ class OnlineTotalOrder(OnlineChecker):
     name = "total_order"
     KINDS = frozenset({DELIVER, VIEW_INSTALL})
 
-    def __init__(self) -> None:
+    def __init__(self, timeline: Optional[_ViewTimeline] = None) -> None:
         super().__init__()
-        self._timeline = _ViewTimeline()
+        self._timeline = self._adopt(timeline)
         #: The arbiter's output: message id -> global position in the
         #: reference delivery order (first-delivery rank).  Every process's
         #: delivery sequence must embed into this order on its common
@@ -136,9 +182,9 @@ class OnlineTotalOrder(OnlineChecker):
         ] = {}
         #: process -> number of deliveries so far (its local position counter)
         self._local_count: Dict[str, int] = {}
-        #: (p, q) -> (max local position in q of a message delivered by both,
-        #:            witness message id)
-        self._watermark: Dict[Tuple[str, str], Tuple[int, str]] = {}
+        #: p -> q -> (max local position in q of a message delivered by
+        #: both, witness message id); p's row exists from its first delivery
+        self._watermark: Dict[str, Dict[str, Tuple[int, str]]] = {}
 
     def on_event(self, event: TraceEvent) -> None:
         if event.kind == VIEW_INSTALL:
@@ -150,9 +196,13 @@ class OnlineTotalOrder(OnlineChecker):
         process, message = event.process, event.message_id
         local_pos = self._local_count.get(process, 0)
         self._local_count[process] = local_pos + 1
+        marks = self._watermark.get(process)
+        if marks is None:
+            marks = self._watermark[process] = {}
         view: Optional[FrozenSet[str]] = None
-        if event.group is not None:
-            view = self._timeline.current.get((process, event.group))
+        views = self._timeline.views.get(process)
+        if views is not None and event.group is not None:
+            view = views.get(event.group)
         deliverers = self._deliverers.get(message)
         if deliverers is None:
             # First delivery anywhere: the arbiter assigns the global slot.
@@ -160,6 +210,7 @@ class OnlineTotalOrder(OnlineChecker):
             self._next_position += 1
             self._deliverers[message] = {process: (local_pos, view)}
             return
+        watermark, here = self._watermark, (local_pos, message)
         for other, (other_pos, other_view) in deliverers.items():
             # Mutual-view scoping: this common message binds the pair only
             # if each side still saw the other in its view at delivery.
@@ -167,7 +218,7 @@ class OnlineTotalOrder(OnlineChecker):
                 continue
             if other_view is not None and process not in other_view:
                 continue
-            mark = self._watermark.get((process, other))
+            mark = marks.get(other)
             if mark is not None and mark[0] > other_pos:
                 self.violations.append(
                     f"total order violated between {process} and {other}: "
@@ -178,28 +229,12 @@ class OnlineTotalOrder(OnlineChecker):
                     f"{self.arbiter_position.get(mark[1])})"
                 )
             # Update both directions' watermarks with this common message.
+            # The reverse one always moves: local_pos is the highest
+            # position this process has handed out.
             if mark is None or other_pos > mark[0]:
-                self._watermark[(process, other)] = (other_pos, message)
-            reverse = self._watermark.get((other, process))
-            if reverse is None or local_pos > reverse[0]:
-                self._watermark[(other, process)] = (local_pos, message)
+                marks[other] = (other_pos, message)
+            watermark[other][process] = here
         deliverers[process] = (local_pos, view)
-
-
-class _ViewTimeline:
-    """Shared live-view bookkeeping: current members per (process, group)."""
-
-    def __init__(self) -> None:
-        self.current: Dict[Tuple[str, str], FrozenSet[str]] = {}
-        self.departed: Set[Tuple[str, str]] = set()
-
-    def on_event(self, event: TraceEvent) -> None:
-        if event.kind == VIEW_INSTALL and event.group is not None:
-            self.current[(event.process, event.group)] = frozenset(
-                event.detail("members", ())
-            )
-        elif event.kind == DEPART and event.group is not None:
-            self.departed.add((event.process, event.group))
 
 
 class OnlineSenderInView(OnlineChecker):
@@ -210,18 +245,19 @@ class OnlineSenderInView(OnlineChecker):
     name = "sender_in_view"
     KINDS = frozenset({DELIVER, VIEW_INSTALL})
 
-    def __init__(self) -> None:
+    def __init__(self, timeline: Optional[_ViewTimeline] = None) -> None:
         super().__init__()
-        self._timeline = _ViewTimeline()
+        self._timeline = self._adopt(timeline)
 
     def on_event(self, event: TraceEvent) -> None:
         self.events_seen += 1
         if event.kind == VIEW_INSTALL:
             self._timeline.on_event(event)
             return
-        if event.group is None:
+        views = self._timeline.views.get(event.process)
+        if views is None or event.group is None:
             return
-        members = self._timeline.current.get((event.process, event.group))
+        members = views.get(event.group)
         # No view installed yet: same exemption as the post-hoc checker
         # (deliveries before the first install are not constrained).
         if members is not None and event.sender not in members:
@@ -232,32 +268,77 @@ class OnlineSenderInView(OnlineChecker):
             )
 
 
+class _CausalRow:
+    """One process's state in :class:`OnlineCausalOrder`, as a sender and
+    as a receiver."""
+
+    __slots__ = ("sends", "deltas", "delivered", "frontier", "folded", "moved")
+
+    def __init__(self) -> None:
+        #: its registered sends in order, (message id, group); the n-th
+        #: send sits at index n - 1, and its delta at ``deltas[n - 1]``
+        self.sends: List[Tuple[str, Optional[str]]] = []
+        self.deltas: List[Dict[str, int]] = []
+        #: message ids delivered here
+        self.delivered: Set[str] = set()
+        #: sender -> length of its send prefix verified here; for every
+        #: sender but the process itself, also the process's causal context
+        self.frontier: Dict[str, int] = {}
+        #: sender -> how many of its sends' deltas were folded in here
+        self.folded: Dict[str, int] = {}
+        #: context entries raised since the process's previous send: the
+        #: delta its next send is stamped with
+        self.moved: Dict[str, int] = {}
+
+
 class OnlineCausalOrder(OnlineChecker):
-    """MD5/MD5' and causal delivery consistency, via vector clocks.
+    """MD5/MD5' and causal delivery consistency, via delta-stamped vector
+    clocks.
 
-    Every send is stamped with the sender's causal context (a sparse vector
-    of per-sender send counts): sender s's n-th message m has
-    ``vector[s] == n`` and ``vector[x] == k`` for every other sender x with
-    k messages in m's causal past.  Because a sender's own messages are
-    totally ordered by its send sequence, m's causal past is *exactly* the
-    union of per-sender prefixes below its vector -- no transitive closure
-    needed.
+    A message's causal context is a sparse vector of per-sender send
+    counts: sender s's n-th message m has ``vector[s] == n`` and
+    ``vector[x] == k`` for every other sender x with k messages in m's
+    causal past.  Because a sender's own messages are totally ordered by
+    its send sequence, m's causal past is *exactly* the union of
+    per-sender prefixes below its vector -- no transitive closure needed.
 
-    On delivery of m at p, a per-(p, sender) frontier advances over each
-    newly covered prefix index once: each predecessor must already be
-    delivered at p, or be exempt because p currently has no view of the
-    predecessor's group, has departed it, or has excluded the predecessor's
-    sender from it (MD5''s own clause; views only shrink, so the exemption
-    is permanent -- a later delivery of such a message is an MD1 violation
-    and is reported there).  The frontier makes the predecessor *checks*
-    one visit per (process, causal-predecessor) pair, but finding which
-    frontiers a delivery moves is a scan of the message's whole vector --
-    every sender in its causal past, moved or not -- so a delivery costs
-    O(senders in the vector), not O(1).  On the ledger's ``stream_busy``
-    that is 29.6 entries per delivery of which 7.9 changed since the
-    sender's previous message, and the suite is 0.41 s of a 2.74 s unit
-    when replayed in isolation; stamping sends with only the changed
-    entries is ROADMAP's next sized item, not built.
+    The vector is never copied.  Each sender keeps the list of its sends,
+    and a send is stamped with a *delta*: only the entries of the sender's
+    context that were raised since its previous send (its own entry is
+    the send's position in that list and is not stored), so the n-th
+    message's vector is what the deltas of sends 1..n add up to.  A
+    re-send under an old id (asymmetric failover) registers nothing and
+    resets nothing: the message's causal past is fixed by its first send.
+
+    On delivery at p of s's n-th message the checker folds the deltas of
+    s's sends after the last one already folded at p, up to n (a per-(p,
+    s) index).  The first delivery from a sender therefore folds the whole
+    chain -- the full vector, which is what a process that joined by §5.3
+    formation needs -- and a message whose sender's previous message went
+    to a group p is not in still has that message's delta folded with its
+    own.  Nothing is skipped by this: an entry absent from the deltas
+    folded now was folded, at its present value or a higher one, with an
+    earlier message of s, when p's frontier passed it.
+
+    Every folded entry that raises p's per-sender frontier advances it
+    over each newly covered prefix index once: each predecessor must
+    already be delivered at p, or be exempt because p currently has no
+    view of the predecessor's group, has departed it, or has excluded the
+    predecessor's sender from it (MD5''s own clause; views only shrink, so
+    the exemption is permanent -- a later delivery of such a message is an
+    MD1 violation and is reported there).  Entries raised at p go into the
+    delta of p's own next send.
+
+    Cost per delivery: O(entries moved since the sender's last message
+    folded here) to find the frontiers that move, plus one visit per
+    (process, causal predecessor) pair over the run.  That is not bounded
+    by group size -- it is whatever the sender learned in between, and a
+    chain is walked once per receiving process, so a member that hears
+    from a sender rarely pays for everything in between when it does.  On
+    the ledger's ``stream_busy`` (seed 0) it is 10.4 delta entries per
+    delivery, and the sender's own, where the full vector holds 30.2
+    (:meth:`delta_entries_folded`; ``benchmarks/bench_observation_path.py``
+    gates it).  Memory is O(delta entries), not O(sends x senders).
 
     The advance-once frontier relies on exemptions being permanent.  The
     "no view yet" exemption is safe even with dynamic group formation
@@ -274,84 +355,100 @@ class OnlineCausalOrder(OnlineChecker):
     name = "causal_prefix"
     KINDS = frozenset({SEND, DELIVER, VIEW_INSTALL, DEPART})
 
-    def __init__(self) -> None:
+    def __init__(self, timeline: Optional[_ViewTimeline] = None) -> None:
         super().__init__()
-        self._timeline = _ViewTimeline()
-        #: sender -> number of sends so far
-        self._send_count: Dict[str, int] = {}
-        #: (sender, index) -> (message id, group)
-        self._sent_at: Dict[Tuple[str, int], Tuple[str, Optional[str]]] = {}
-        #: message id -> its vector summary
-        self._vector: Dict[str, Dict[str, int]] = {}
-        #: process -> causal context vector
-        self._context: Dict[str, Dict[str, int]] = {}
-        #: process -> delivered message ids
-        self._delivered: Dict[str, Set[str]] = {}
-        #: (process, sender) -> verified prefix length
-        self._frontier: Dict[Tuple[str, str], int] = {}
+        self._timeline = self._adopt(timeline)
+        #: message id -> (sender, n): it is that sender's n-th send
+        self._sent: Dict[str, Tuple[str, int]] = {}
+        self._rows: Dict[str, _CausalRow] = {}
 
     def on_event(self, event: TraceEvent) -> None:
         self.events_seen += 1
-        if event.kind in (VIEW_INSTALL, DEPART):
-            self._timeline.on_event(event)
+        if event.kind != DELIVER:
+            # Twelve deliveries to a send on a busy group: the delivery
+            # path is this method itself, the rest is handed on.
+            if event.kind == SEND:
+                self._on_send(event)
+            else:
+                self._timeline.on_event(event)
             return
-        if event.message_id is None:
+        process, message = event.process, event.message_id
+        if message is None:
             return
-        if event.kind == SEND:
-            self._on_send(event)
-        else:
-            self._on_deliver(event)
+        rows = self._rows
+        row = rows.get(process)
+        if row is None:
+            row = rows[process] = _CausalRow()
+        delivered = row.delivered
+        delivered.add(message)
+        sent = self._sent.get(message)
+        if sent is None:
+            return  # Delivery without a recorded send: nothing to infer.
+        sender, position = sent
+        folded = row.folded.get(sender, 0)
+        if folded >= position:
+            return  # Folded with a later message of the sender's already.
+        row.folded[sender] = position
+        frontier, moved = row.frontier, row.moved
+        views = self._timeline.views.get(process)
+        departed = self._timeline.departed.get(process, ())
+        deltas = rows[sender].deltas[folded:position]
+        deltas.append({sender: position})
+        for delta in deltas:
+            for origin, count in delta.items():
+                verified = frontier.get(origin, 0)
+                if verified >= count:
+                    continue
+                frontier[origin] = moved[origin] = count
+                sends = rows[origin].sends
+                for index in range(verified, count):
+                    predecessor, predecessor_group = sends[index]
+                    if predecessor in delivered:
+                        continue
+                    if predecessor_group is not None:
+                        # Exempt: no view of the group, departed from it,
+                        # or the predecessor's sender excluded from it.
+                        if views is None or predecessor_group in departed:
+                            continue
+                        members = views.get(predecessor_group)
+                        if members is None or origin not in members:
+                            continue
+                    self.violations.append(
+                        f"{process} delivered {message} without causally "
+                        f"preceding {predecessor} whose sender {origin} is "
+                        f"still in its view of {predecessor_group}"
+                    )
 
     def _on_send(self, event: TraceEvent) -> None:
-        sender = event.process
-        index = self._send_count.get(sender, 0) + 1
-        self._send_count[sender] = index
-        context = self._context.setdefault(sender, {})
-        context[sender] = index
-        if event.message_id in self._vector:
-            # Re-send under the original id (asymmetric failover): the
-            # message's causal past is fixed by its first send.
+        if event.message_id is None or event.message_id in self._sent:
+            # Nothing to register; in particular not a re-send under the
+            # original id (asymmetric failover): the message's causal past
+            # is fixed by its first send.
             return
-        self._vector[event.message_id] = dict(context)
-        self._sent_at[(sender, index)] = (event.message_id, event.group)
+        sender = event.process
+        row = self._rows.get(sender)
+        if row is None:
+            row = self._rows[sender] = _CausalRow()
+        delta = row.moved
+        row.moved = {}
+        # The sender's own entry is the send's position: never stored.
+        delta.pop(sender, None)
+        row.sends.append((event.message_id, event.group))
+        row.deltas.append(delta)
+        self._sent[event.message_id] = (sender, len(row.sends))
 
-    def _exempt(self, process: str, group: Optional[str], sender: str) -> bool:
-        if group is None:
-            return False
-        if (process, group) in self._timeline.departed:
-            return True
-        members = self._timeline.current.get((process, group))
-        return members is None or sender not in members
-
-    def _on_deliver(self, event: TraceEvent) -> None:
-        process, message = event.process, event.message_id
-        delivered = self._delivered.setdefault(process, set())
-        delivered.add(message)
-        vector = self._vector.get(message)
-        if vector is None:
-            return  # Delivery without a recorded send: nothing to infer.
-        context = self._context.setdefault(process, {})
-        for sender, count in vector.items():
-            if context.get(sender, 0) < count:
-                context[sender] = count
-            frontier = self._frontier.get((process, sender), 0)
-            if frontier >= count:
-                continue
-            for index in range(frontier + 1, count + 1):
-                sent = self._sent_at.get((sender, index))
-                if sent is None:
-                    continue
-                predecessor, predecessor_group = sent
-                if predecessor in delivered:
-                    continue
-                if self._exempt(process, predecessor_group, sender):
-                    continue
-                self.violations.append(
-                    f"{process} delivered {message} without causally "
-                    f"preceding {predecessor} whose sender {sender} is "
-                    f"still in its view of {predecessor_group}"
-                )
-            self._frontier[(process, sender)] = count
+    def delta_entries_folded(self) -> int:
+        """The work done so far, in delta entries folded at receivers (one
+        frontier comparison each; every delivery that folds anything also
+        compares its sender's own entry).  Counted from the fold indexes
+        when asked, not on the delivery path."""
+        rows = self._rows
+        return sum(
+            len(delta)
+            for row in rows.values()
+            for sender, folded in row.folded.items()
+            for delta in rows[sender].deltas[:folded]
+        )
 
 
 class OnlineVirtualSynchrony(OnlineChecker):
@@ -406,10 +503,13 @@ class OnlineVirtualSynchrony(OnlineChecker):
         view_index = event.detail("view_index")
         if view_index is None or event.message_id is None:
             return
+        view_index = int(view_index)
         digest = hash(event.message_id)
-        buckets = self._fingerprints.setdefault(key, {})
-        xor, total, count = buckets.get(int(view_index), (0, 0, 0))
-        buckets[int(view_index)] = (xor ^ digest, total + digest, count + 1)
+        buckets = self._fingerprints.get(key)
+        if buckets is None:
+            buckets = self._fingerprints[key] = {}
+        xor, total, count = buckets.get(view_index, (0, 0, 0))
+        buckets[view_index] = (xor ^ digest, total + digest, count + 1)
 
     def _in_scope(self, process: str, group: str) -> bool:
         """Mirror check_all's scoping: listed groups compare only their
@@ -522,14 +622,15 @@ class OnlineViewAgreement(OnlineChecker):
         return CheckResult(self.name, not violations, violations)
 
 
-#: Checker-name -> factory; the names are what protocol stacks declare as
-#: the checks their guarantees claim (``ProtocolStack.checks``).
+#: Checker-name -> factory over (view agreement sets, shared view
+#: timeline); the names are what protocol stacks declare as the checks
+#: their guarantees claim (``ProtocolStack.checks``).
 CHECKER_FACTORIES = {
-    "total_order": lambda sets: OnlineTotalOrder(),
-    "sender_in_view": lambda sets: OnlineSenderInView(),
-    "causal_prefix": lambda sets: OnlineCausalOrder(),
-    "view_sequences": lambda sets: OnlineViewAgreement(sets),
-    "same_view_delivery_sets": lambda sets: OnlineVirtualSynchrony(sets),
+    "total_order": lambda sets, timeline: OnlineTotalOrder(timeline),
+    "sender_in_view": lambda sets, timeline: OnlineSenderInView(timeline),
+    "causal_prefix": lambda sets, timeline: OnlineCausalOrder(timeline),
+    "view_sequences": lambda sets, timeline: OnlineViewAgreement(sets),
+    "same_view_delivery_sets": lambda sets, timeline: OnlineVirtualSynchrony(sets),
 }
 
 #: Every checker, in dispatch order -- the default (Newtop) selection.
@@ -573,8 +674,11 @@ class OnlineCheckSuite(TraceSink):
             raise ValueError(
                 f"unknown check names {unknown}; expected a subset of {ALL_CHECKS}"
             )
+        # One view timeline for the whole suite, fed here once per install
+        # or departure, ahead of the checkers that read it.
+        timeline = _ViewTimeline()
         built = {
-            name: CHECKER_FACTORIES[name](view_agreement_sets)
+            name: CHECKER_FACTORIES[name](view_agreement_sets, timeline)
             for name in self.check_names
         }
         # Named attributes for the historical (full-suite) spelling.
@@ -588,18 +692,20 @@ class OnlineCheckSuite(TraceSink):
         )
         if not self.checkers:
             raise ValueError("an OnlineCheckSuite needs at least one check")
-        self._dispatch: Dict[str, List[OnlineChecker]] = {}
+        self._dispatch: Dict[str, List[Callable[[TraceEvent], None]]] = {
+            kind: [timeline.on_event] for kind in sorted(timeline.wanted)
+        }
         for checker in self.checkers:
             for kind in checker.KINDS:
-                self._dispatch.setdefault(kind, []).append(checker)
+                self._dispatch.setdefault(kind, []).append(checker.on_event)
         #: What a recorder need send us: the union of the checkers' kinds.
         self.KINDS = frozenset(self._dispatch)
         self.events_seen = 0
 
     def on_event(self, event: TraceEvent) -> None:
         self.events_seen += 1
-        for checker in self._dispatch.get(event.kind, ()):
-            checker.on_event(event)
+        for on_event in self._dispatch.get(event.kind, ()):
+            on_event(event)
 
     def result(self) -> CheckResult:
         """Merge every checker's verdict (AND of passes)."""

@@ -50,6 +50,7 @@ from repro.net.simulator import Simulator
 from repro.net.trace import EventTrace, MetricsSink, TraceRecorder, TraceSink
 from repro.net.transport import Transport
 from repro.obs import Observation
+from repro.workloads.client import DeliveryRouter
 
 
 @dataclass
@@ -153,7 +154,7 @@ class Session:
             self.recorder = TraceRecorder(sinks=extra_sinks)
         if obs is not None:
             self.recorder.profiler = obs.profiler
-            obs.bind(self.sim)
+            obs.bind(self.sim, self.recorder)
         self.stack.attach(
             StackContext(
                 sim=self.sim,
@@ -164,6 +165,7 @@ class Session:
             ),
             protocol=config,
         )
+        self._client_router: Optional[DeliveryRouter] = None
         self._closed = False
         self._result: Optional[SessionResult] = None
 
@@ -197,12 +199,15 @@ class Session:
         :class:`~repro.workloads.client.OpenLoopClient`).
 
         The client is bound to this session -- giving it the simulator for
-        scheduling arrivals and the stack for membership guards -- and
-        registers itself on the trace recorder so it can watch its own
-        deliveries in either analysis mode.  Returns the client; call its
+        scheduling arrivals and the stack for membership guards -- and to
+        the session's delivery router, the one ``DELIVER`` sink all its
+        clients share: each delivery goes to the client that issued the
+        message id, in either analysis mode.  Returns the client; call its
         ``start()`` to begin offering load.
         """
-        client.bind(self)
+        if self._client_router is None:
+            self._client_router = self.recorder.add_sink(DeliveryRouter(self.recorder))
+        client.bind(self, self._client_router)
         return client
 
     # ------------------------------------------------------------------
@@ -316,7 +321,9 @@ class Session:
             trace_events_stored=self.recorder.stored_events,
             protocol_bytes=self.stack.protocol_bytes(),
             metrics=(
-                self.metrics_sink.snapshot() if self.metrics_sink is not None else None
+                self.metrics_sink.snapshot(self.recorder.kind_counts())
+                if self.metrics_sink is not None
+                else None
             ),
             obs=(
                 self.observation.snapshot() if self.observation is not None else None

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.errors import DeliveryOrderViolation
@@ -53,16 +52,6 @@ from repro.core.messages import DataMessage
 def delivery_sort_key(message: DataMessage) -> Tuple[int, str, str, str]:
     """The fixed pre-determined order imposed on equal-numbered messages."""
     return (message.clock, message.sender, message.group, message.msg_id)
-
-
-@dataclass(frozen=True)
-class Delivery:
-    """One message popped from the queue in delivery order."""
-
-    message: DataMessage
-    #: Whether the message should be handed to the application (False for
-    #: null and start-group messages, which are protocol-internal).
-    to_application: bool
 
 
 class DeliveryQueue:
@@ -160,24 +149,28 @@ class DeliveryQueue:
         (the hot one) is an O(1) amortised heap peek.
         """
         if group is None:
-            head = self._peek()
-            return head is not None and head[0][0] <= bound
+            return self._peek(bound) is not None
         return any(
             message.clock <= bound
             for message in self._pending.values()
             if message.group == group
         )
 
-    def _peek(self) -> Optional[Tuple[Tuple[int, str, str, str], str]]:
-        """Smallest live heap entry, pruning stale ones."""
+    def _peek(self, bound: float) -> Optional[Tuple[Tuple[int, str, str, str], str]]:
+        """Smallest live heap entry numbered ``<= bound``, pruning the stale
+        ones met on the way.  A head beyond the bound ends the search
+        unexamined: live or stale, nothing smaller is left."""
         heap = self._heap
         while heap:
-            key, msg_id = heap[0]
+            head = heap[0]
+            key, msg_id = head
+            if key[0] > bound:
+                return None
             message = self._pending.get(msg_id)
             if message is None or delivery_sort_key(message) != key:
                 heapq.heappop(heap)  # stale: delivered, discarded, or re-enqueued
                 continue
-            return heap[0]
+            return head
         return None
 
     def was_delivered(self, msg_id: str) -> bool:
@@ -192,7 +185,7 @@ class DeliveryQueue:
     # ------------------------------------------------------------------
     # Pop deliverable messages
     # ------------------------------------------------------------------
-    def pop_deliverable(self, bound: float) -> List[Delivery]:
+    def pop_deliverable(self, bound: float) -> List[DataMessage]:
         """Remove and return every pending message numbered ``<= bound``,
         in delivery order (safe2), in O(k log n) for k deliveries.
 
@@ -203,10 +196,10 @@ class DeliveryQueue:
         costs one comparison per delivery and turns silent misordering into
         an immediate failure.
         """
-        deliveries: List[Delivery] = []
+        messages: List[DataMessage] = []
         while True:
-            head = self._peek()
-            if head is None or head[0][0] > bound:
+            head = self._peek(bound)
+            if head is None:
                 break
             key, msg_id = head
             # Check the safe2 invariant *before* popping, so a violation
@@ -224,10 +217,8 @@ class DeliveryQueue:
             self._prune_origin(message.group, message.sender)
             if message.sequenced_by is not None and message.sequenced_by != message.sender:
                 self._prune_origin(message.group, message.sequenced_by)
-            deliveries.append(
-                Delivery(message=message, to_application=message.is_application)
-            )
-        return deliveries
+            messages.append(message)
+        return messages
 
     def _prune_origin(self, group: str, member: str) -> None:
         """Drop no-longer-pending ids from the head of one origin deque.

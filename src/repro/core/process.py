@@ -542,8 +542,8 @@ class NewtopProcess:
                     if threshold < effective:
                         effective = threshold
                 if effective > 0:
-                    for delivery in self.delivery_queue.pop_deliverable(effective):
-                        self._handle_delivery(delivery.message)
+                    for message in self.delivery_queue.pop_deliverable(effective):
+                        self._handle_delivery(message)
                         delivered += 1
                         progress = True
                 for endpoint in self._endpoints.values():

@@ -25,6 +25,17 @@ implements two methods and may name the kinds it consumes::
         def on_event(self, event: TraceEvent) -> None: ...  # one event
         def close(self) -> None: ...                        # end of run
 
+Count-only kinds: a streaming recorder (``keep_events=False``) keeps the
+exact per-kind tally itself (:meth:`TraceRecorder.kind_counts`), and
+:meth:`TraceRecorder.record` of a kind *no* registered sink subscribes to
+advances ``seq`` and that tally, builds no :class:`TraceEvent` and returns
+``None``.  So a sink should declare the kinds whose fields it reads and
+take counts from the recorder; the sequence numbers the sinks do see are
+the ones a stored trace of the same run carries.  Subscriptions follow the
+sink list: a kind materializes from the event after an all-kinds sink is
+added, and is counted only again once that sink is removed or detached.  A
+recorder that stores its trace materializes every event, as ever.
+
 Provided sinks:
 
 * :class:`MemorySink` -- keeps the full event list and materializes an
@@ -33,8 +44,9 @@ Provided sinks:
 * :class:`JsonlSink` -- writes one JSON object per event to a file
   (truncating any existing content), for offline tooling and cross-run
   diffing;
-* :class:`MetricsSink` -- a rolling aggregator (event/kind counts, per-group
-  delivery counts, streaming latency stats) that never stores events;
+* :class:`MetricsSink` -- a rolling aggregator (per-group delivery counts,
+  streaming latency stats; subscribed to ``SEND`` and ``DELIVER`` only) that
+  never stores events;
 * :class:`NullSink` -- discards everything (useful to measure recording
   overhead in isolation);
 * :class:`repro.analysis.online.OnlineCheckSuite` -- streaming property
@@ -245,8 +257,8 @@ class JsonlSink(TraceSink):
 class MetricsSink(TraceSink):
     """Rolling aggregator: never stores events, only summaries.
 
-    Tracks event counts by kind, per-group application delivery counts, and
-    streaming delivery-latency statistics: exact count/mean/min/max (with a
+    Tracks per-group application delivery counts and streaming
+    delivery-latency statistics: exact count/mean/min/max (with a
     Welford variance term) plus a bounded deterministic
     :class:`~repro.stats.LatencyReservoir` for percentiles.  The reservoir
     is what a sharded batch merges -- carrying it (rather than the moment
@@ -257,10 +269,17 @@ class MetricsSink(TraceSink):
     message ids + reservoir capacity): the send-time table is what pairs
     deliveries with sends and cannot be evicted (a multicast delivers many
     times), but it never grows with deliveries, nulls or run length.
+
+    It subscribes to the two kinds whose fields it reads, so on a streaming
+    recorder every other kind stays count-only.  ``events_total`` and
+    ``by_kind`` tally what the sink was *given* (everything, when fed by
+    hand); a run's totals over every kind are the recorder's, and
+    :meth:`snapshot` takes them as ``kind_counts``.
     """
 
+    KINDS = frozenset({SEND, DELIVER})
+
     def __init__(self) -> None:
-        self.events_total = 0
         self.by_kind: Dict[str, int] = {}
         self.deliveries_by_group: Dict[str, int] = {}
         self._first_send_time: Dict[str, float] = {}
@@ -268,7 +287,6 @@ class MetricsSink(TraceSink):
         self._latency_m2 = 0.0
 
     def on_event(self, event: TraceEvent) -> None:
-        self.events_total += 1
         self.by_kind[event.kind] = self.by_kind.get(event.kind, 0) + 1
         if event.kind == SEND and event.message_id is not None:
             self._first_send_time.setdefault(event.message_id, event.time)
@@ -283,6 +301,11 @@ class MetricsSink(TraceSink):
                 delta = sample - self.latency.mean
                 self.latency.add(sample)
                 self._latency_m2 += delta * (sample - self.latency.mean)
+
+    @property
+    def events_total(self) -> int:
+        """How many events the sink was given."""
+        return sum(self.by_kind.values())
 
     @property
     def latency_count(self) -> int:
@@ -307,8 +330,12 @@ class MetricsSink(TraceSink):
             return 0.0
         return self._latency_m2 / self.latency.count
 
-    def snapshot(self) -> Dict[str, Any]:
+    def snapshot(self, kind_counts: Optional[Dict[str, int]] = None) -> Dict[str, Any]:
         """A JSON-shaped summary of everything aggregated so far.
+
+        ``kind_counts`` is the recorder's tally over every kind
+        (:meth:`TraceRecorder.kind_counts`); without it ``events_total``
+        and ``by_kind`` cover only what this sink was given.
 
         The ``latency`` block carries the reservoir's p50/p95/p99 alongside
         the exact moments, so consumers (benchmark tables, BENCH JSONs)
@@ -319,9 +346,10 @@ class MetricsSink(TraceSink):
         percentiles = (
             self.latency.summary(percentiles=(50, 95, 99)) if has_latency else {}
         )
+        by_kind = dict(self.by_kind if kind_counts is None else kind_counts)
         return {
-            "events_total": self.events_total,
-            "by_kind": dict(self.by_kind),
+            "events_total": sum(by_kind.values()),
+            "by_kind": by_kind,
             "deliveries_by_group": dict(self.deliveries_by_group),
             "latency": {
                 "count": self.latency_count,
@@ -343,7 +371,10 @@ class TraceRecorder:
     the full execution trace (the historical behaviour).  With
     ``keep_events=False`` no event is retained: everything is pushed to the
     registered sinks only, and :meth:`trace` raises -- this is the
-    streaming/online mode used for runs too large to materialize.
+    streaming/online mode used for runs too large to materialize.  A
+    streaming recorder also keeps the exact per-kind tally
+    (:meth:`kind_counts`), and an event of a kind no sink subscribes to is
+    counted and numbered but never built.
 
     Fan-out is *isolated* by default (``on_sink_error="detach"``): a sink
     raising from :meth:`TraceSink.on_event` is detached from the recorder
@@ -368,6 +399,11 @@ class TraceRecorder:
         self._sinks: List[TraceSink] = list(sinks or ())
         self._reroute()
         self._seq = 0
+        #: kind -> events recorded, in first-seen order.  Kept per event by
+        #: a streaming recorder; a storing one counts its stored events
+        #: when asked (:meth:`kind_counts`), up to ``_tallied``.
+        self._tally: Dict[str, int] = {}
+        self._tallied = 0
         self._on_sink_error = on_sink_error
         #: One entry per detached sink: sink type, error string, event seq.
         self.sink_errors: List[Dict[str, Any]] = []
@@ -411,20 +447,28 @@ class TraceRecorder:
         sender: Optional[str] = None,
         clock: Optional[int] = None,
         **details: Any,
-    ) -> TraceEvent:
+    ) -> Optional[TraceEvent]:
         """Record one event, fan it out to the sinks subscribed to its
-        kind, and return it."""
+        kind, and return it -- or, on a streaming recorder with no sink
+        subscribed to the kind, count it and return ``None``."""
         sinks = self._routes.get(kind)
         if sinks is None:
             raise ValueError(f"unknown trace event kind {kind!r}")
+        memory = self._memory
+        if memory is None:
+            tally = self._tally
+            tally[kind] = tally.get(kind, 0) + 1
+            if not sinks:
+                self._seq += 1
+                return None
         event = TraceEvent(
             time, kind, process, group, message_id, sender, clock,
             tuple(sorted(details.items())) if details else (),
             self._seq,
         )
         self._seq += 1
-        if self._memory is not None:
-            self._memory.on_event(event)
+        if memory is not None:
+            memory.on_event(event)
         profiler = self.profiler
         start = perf_counter() if profiler is not None else 0.0
         failed: Optional[List[TraceSink]] = None
@@ -432,16 +476,7 @@ class TraceRecorder:
             try:
                 sink.on_event(event)
             except Exception as exc:
-                if self._on_sink_error == "raise":
-                    raise
-                self.sink_errors.append(
-                    {
-                        "sink": type(sink).__name__,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "at_seq": event.seq,
-                        "at_time": event.time,
-                    }
-                )
+                self.sink_failed(sink, exc, event)
                 if failed is None:
                     failed = []
                 failed.append(sink)
@@ -449,11 +484,40 @@ class TraceRecorder:
             # Detach outside the loop; the remaining sinks saw the event.
             for sink in failed:
                 self._sinks.remove(sink)
-                self.detached_sinks.append(sink)
             self._reroute()
         if profiler is not None:
             profiler.record("sink_fanout", perf_counter() - start)
         return event
+
+    def sink_failed(self, sink: object, exc: Exception, event: TraceEvent) -> None:
+        """Apply the ``on_sink_error`` policy to an observer that raised on
+        ``event``: re-raise, or log it in :attr:`sink_errors` and
+        :attr:`detached_sinks`.  The caller stops feeding it -- the
+        recorder its own sinks, a sink that fans out further (the
+        workload's delivery router) the observer behind it."""
+        if self._on_sink_error == "raise":
+            raise exc
+        self.sink_errors.append(
+            {
+                "sink": type(sink).__name__,
+                "error": f"{type(exc).__name__}: {exc}",
+                "at_seq": event.seq,
+                "at_time": event.time,
+            }
+        )
+        self.detached_sinks.append(sink)
+
+    def kind_counts(self) -> Dict[str, int]:
+        """Events recorded so far per kind, count-only ones included."""
+        if self._memory is not None:
+            # Catch up on what was stored since the last call: a storing
+            # recorder pays nothing per event for a tally few runs read.
+            tally = self._tally
+            events = self._memory.events
+            for event in events[self._tallied:]:
+                tally[event.kind] = tally.get(event.kind, 0) + 1
+            self._tallied = len(events)
+        return dict(self._tally)
 
     @property
     def events_recorded(self) -> int:

@@ -54,7 +54,7 @@ from repro.obs.metrics import (
 from repro.obs.journey import JourneyTracker
 from repro.obs.profiler import HotPathProfiler
 from repro.obs.report import render_document, render_obs
-from repro.obs.sampler import SimTimeSampler, TraceCounterSink
+from repro.obs.sampler import SimTimeSampler
 from repro.obs.spans import SpanBreakdownSink
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "PushGauge",
     "Histogram",
     "SimTimeSampler",
-    "TraceCounterSink",
     "HotPathProfiler",
     "JourneyTracker",
     "SpanBreakdownSink",
@@ -101,8 +100,8 @@ class Observation:
         journey_force_ids=None,
         top_n: int = 10,
     ) -> None:
-        # The registry always exists: the sampler and the trace counters
-        # feed from it, and instrumented layers only check one attribute.
+        # The registry always exists: the sampler reads it, and
+        # instrumented layers only check one attribute.
         self.registry = MetricsRegistry()
         self.metrics_enabled = metrics
         self.sampler: Optional[SimTimeSampler] = (
@@ -123,7 +122,6 @@ class Observation:
             if journeys
             else None
         )
-        self._trace_counters = TraceCounterSink(self.registry)
         self.top_n = top_n
         self._sim = None
 
@@ -156,14 +154,14 @@ class Observation:
     # ------------------------------------------------------------------
     def trace_sinks(self) -> List[TraceSink]:
         """The sinks to register on the run's :class:`TraceRecorder`."""
-        sinks: List[TraceSink] = [self._trace_counters]
-        if self.spans is not None:
-            sinks.append(self.spans)
-        return sinks
+        return [self.spans] if self.spans is not None else []
 
-    def bind(self, sim) -> None:
-        """Attach the sampler to the run's simulator (idempotent)."""
+    def bind(self, sim, recorder) -> None:
+        """Attach the sampler to the run's simulator and publish the
+        recorder's per-kind tally as the ``trace.<kind>`` counters (what
+        feeds the sampler's null-vs-app traffic series)."""
         self._sim = sim
+        self.registry.counter_source("trace.", recorder.kind_counts)
         if self.sampler is not None:
             self.sampler.attach(sim)
 

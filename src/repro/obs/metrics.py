@@ -21,7 +21,7 @@ shapes:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 __all__ = [
     "Counter",
@@ -174,6 +174,7 @@ class MetricsRegistry:
         self._push: Dict[str, PushGauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._rosters: Dict[str, GaugeRoster] = {}
+        self._counter_sources: Dict[str, Callable[[], Mapping[str, int]]] = {}
 
     # -- registration --------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -208,6 +209,13 @@ class MetricsRegistry:
             self.gauge(name, roster.read)
         return roster
 
+    def counter_source(self, prefix: str, fn: Callable[[], Mapping[str, int]]) -> None:
+        """Publish counts their owner already keeps as the counters
+        ``prefix + key``, read from ``fn()`` whenever the registry is --
+        the trace recorder's per-kind tally is ``trace.<kind>`` this way,
+        at no cost per event."""
+        self._counter_sources[prefix] = fn
+
     # -- reading -------------------------------------------------------
     def family(self, prefix: str) -> Dict[str, int]:
         """Counters under ``prefix``, keyed by the suffix after it.
@@ -217,8 +225,8 @@ class MetricsRegistry:
         tests assert the family sums to the ``transport.sends`` total.
         """
         return {
-            name[len(prefix):]: counter.value
-            for name, counter in sorted(self._counters.items())
+            name[len(prefix):]: value
+            for name, value in sorted(self.read_counters().items())
             if name.startswith(prefix)
         }
 
@@ -232,12 +240,16 @@ class MetricsRegistry:
         return values
 
     def read_counters(self) -> Dict[str, int]:
-        return {name: counter.value for name, counter in self._counters.items()}
+        values = {name: counter.value for name, counter in self._counters.items()}
+        for prefix, fn in self._counter_sources.items():
+            for key, value in fn().items():
+                values[prefix + key] = value
+        return values
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-able snapshot of every instrument."""
         return {
-            "counters": {name: c.value for name, c in sorted(self._counters.items())},
+            "counters": dict(sorted(self.read_counters().items())),
             "gauges": {
                 **{name: g.read() for name, g in sorted(self._polled.items())},
                 **{name: g.snapshot() for name, g in sorted(self._push.items())},

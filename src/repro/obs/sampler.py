@@ -19,35 +19,11 @@ rescheduling; :meth:`SimTimeSampler.ensure_running` (called by
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.net.trace import TraceEvent, TraceSink
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["SimTimeSampler", "TraceCounterSink"]
-
-
-class TraceCounterSink(TraceSink):
-    """Mirrors trace-event kinds into registry counters (``trace.<kind>``).
-
-    This is what feeds the sampler's null-vs-app traffic series: the
-    :class:`~repro.net.trace.MetricsSink` aggregates totals for the final
-    report, but the sampler needs *registry* counters so per-interval deltas
-    fall out of the columnar snapshot.  One dict lookup + int increment per
-    event; only installed when observation is enabled.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-        self._counters: Dict[str, Any] = {}
-
-    def on_event(self, event: TraceEvent) -> None:
-        counter = self._counters.get(event.kind)
-        if counter is None:
-            counter = self._counters[event.kind] = self._registry.counter(
-                "trace." + event.kind
-            )
-        counter.value += 1
+__all__ = ["SimTimeSampler"]
 
 
 class SimTimeSampler:

@@ -16,12 +16,14 @@ primary-partition halting a minority member).  Arrivals whose drawn sender
 is crashed or no longer a group member are counted as *skipped* and issue
 nothing, which keeps ``offered >= admitted`` exact.
 
-It is also a :class:`~repro.net.trace.TraceSink`: registered on the
-session's recorder (via :meth:`repro.api.Session.attach_client`), it
-watches the delivery stream for its own admitted message ids and maintains
-streaming latency statistics -- exact count/mean/min/max plus percentiles
-over a bounded deterministic reservoir -- without retaining any trace
-event.
+It also watches its own deliveries: a session's clients share one
+:class:`DeliveryRouter` on the recorder (installed by
+:meth:`repro.api.Session.attach_client`), which hands each ``DELIVER``
+event to the client that issued the message id -- one dict lookup per
+delivery however many clients are attached.  From those the client
+maintains streaming latency statistics -- exact count/mean/min/max plus
+percentiles over a bounded deterministic reservoir -- without retaining
+any trace event.
 
 Determinism: all arrival gaps and selection draws come from one private
 ``random.Random(seed)``, independent of protocol state, so the same client
@@ -46,7 +48,45 @@ from repro.stats import (  # noqa: F401  (historical import site, re-exported)
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
 
-class OpenLoopClient(TraceSink):
+class DeliveryRouter(TraceSink):
+    """A session's one ``DELIVER`` sink for its traffic clients: message id
+    -> the client that issued it.
+
+    A client that raises from ``on_event`` is treated as the recorder
+    treats a raising sink (:meth:`~repro.net.trace.TraceRecorder.sink_failed`):
+    logged in ``sink_errors`` and cut off alone, while the other clients
+    keep every delivery.
+    """
+
+    KINDS = frozenset({DELIVER})
+
+    def __init__(self, recorder) -> None:
+        self._recorder = recorder
+        self._owners: Dict[str, "OpenLoopClient"] = {}
+        self._cut_off: List["OpenLoopClient"] = []
+
+    def claim(self, message_id: str, client: "OpenLoopClient") -> None:
+        """Route ``message_id``'s deliveries to ``client`` from now on."""
+        if client not in self._cut_off:
+            self._owners[message_id] = client
+
+    def on_event(self, event: TraceEvent) -> None:
+        client = self._owners.get(event.message_id)
+        if client is None:
+            return
+        try:
+            client.on_event(event)
+        except Exception as exc:
+            self._recorder.sink_failed(client, exc, event)
+            self._cut_off.append(client)
+            self._owners = {
+                message_id: owner
+                for message_id, owner in self._owners.items()
+                if owner is not client
+            }
+
+
+class OpenLoopClient:
     """Rate-driven traffic source bound to one :class:`~repro.api.Session`."""
 
     def __init__(
@@ -75,13 +115,14 @@ class OpenLoopClient(TraceSink):
         self._rng = random.Random(seed)
         self._gaps = self.profile.arrivals.gaps(self._rng)
         self._session = None
+        self._router: Optional[DeliveryRouter] = None
         self._sequence = 0
         # Offered-load accounting.
         self.offered = 0
         self.admitted = 0
         self.blocked = 0
         self.skipped = 0
-        # Delivery accounting (fed by the trace stream).
+        # Delivery accounting (fed by the session's delivery router).
         self.delivered_events = 0
         self._send_times: Dict[str, float] = {}
         self._delivered_ids: set = set()
@@ -96,15 +137,16 @@ class OpenLoopClient(TraceSink):
     # ------------------------------------------------------------------
     # Session wiring
     # ------------------------------------------------------------------
-    def bind(self, session) -> "OpenLoopClient":
-        """Bind to a session and register on its trace recorder.
+    def bind(self, session, router: DeliveryRouter) -> "OpenLoopClient":
+        """Bind to a session and to the router that will hand this client
+        the deliveries of the message ids it claims.
 
         Called by :meth:`repro.api.Session.attach_client`.
         """
         if self._session is not None:
             raise RuntimeError(f"client {self.name!r} is already bound to a session")
         self._session = session
-        session.recorder.add_sink(self)
+        self._router = router
         return self
 
     def start(self) -> None:
@@ -136,6 +178,7 @@ class OpenLoopClient(TraceSink):
             if message_id is not None:
                 self.admitted += 1
                 self._send_times[message_id] = now
+                self._router.claim(message_id, self)
             else:
                 self.blocked += 1
         if next_time <= self.start_time + self.duration:
@@ -149,16 +192,15 @@ class OpenLoopClient(TraceSink):
         return header + "." * (self.profile.payload_bytes - len(header))
 
     # ------------------------------------------------------------------
-    # Trace-sink side: watch for our own deliveries
+    # Our own deliveries, one call each (from the delivery router)
     # ------------------------------------------------------------------
-    KINDS = frozenset({DELIVER})
-
     def on_event(self, event: TraceEvent) -> None:
-        if event.message_id not in self._send_times:
+        sent_at = self._send_times.get(event.message_id)
+        if sent_at is None:
             return
         self.delivered_events += 1
         self._delivered_ids.add(event.message_id)
-        self.latency.add(event.time - self._send_times[event.message_id])
+        self.latency.add(event.time - sent_at)
 
     # ------------------------------------------------------------------
     # Results

@@ -268,6 +268,113 @@ def test_session_fails_when_a_sink_was_detached():
 
 
 # ----------------------------------------------------------------------
+# Count-only kinds (streaming recorders) and the per-kind tally
+# ----------------------------------------------------------------------
+class _Captured(_CountingSink):
+    """Keeps the events of the kinds it declares."""
+
+    KINDS = frozenset({SEND, DELIVER, VIEW_INSTALL})
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def on_event(self, event):
+        super().on_event(event)
+        self.events.append(event)
+
+
+def _seeded_session(analysis, sinks):
+    from repro.api import Session
+    from repro.core.messages import reset_message_counter
+
+    reset_message_counter()  # message ids are numbered process-wide
+    session = Session("newtop", seed=6, analysis=analysis, sinks=sinks)
+    session.spawn(["P1", "P2", "P3", "P4"])
+    session.group("g1", ["P1", "P2", "P3"])
+    session.group("g2", ["P2", "P3", "P4"])
+    for round_ in range(3):
+        session.multicast("P1", "g1", f"a{round_}")
+        session.multicast("P4", "g2", f"b{round_}")
+        session.run(1.0)
+    session.crash("P4")
+    session.run(40)
+    return session
+
+
+def test_online_and_offline_runs_count_and_number_events_alike():
+    """One seed, both analysis modes: equal per-kind tally and total, and
+    the events the streaming run does build carry the sequence numbers
+    the stored trace gives them -- count-only events still take a seq."""
+    captured = _Captured()
+    online = _seeded_session("online", [captured])
+    offline = _seeded_session("offline", None)
+    streamed, stored = online.result(), offline.result()
+    assert streamed.passed and stored.passed
+    assert streamed.trace_events_stored == 0
+    by_kind = streamed.metrics["by_kind"]
+    assert by_kind == offline.recorder.kind_counts()
+    assert by_kind["receive"] > 0 and by_kind["null_send"] > 0
+    assert streamed.metrics["events_total"] == sum(by_kind.values())
+    assert streamed.trace_events == stored.trace_events == sum(by_kind.values())
+    assert len(captured.events) < streamed.trace_events
+    assert captured.events == [
+        event for event in offline.trace() if event.kind in _Captured.KINDS
+    ]
+
+
+def test_count_only_kinds_follow_the_sink_list():
+    deliveries = _Captured()
+    recorder = TraceRecorder(sinks=[deliveries], keep_events=False)
+    assert recorder.record(1.0, RECEIVE, "p1", group="g", message_id="m1") is None
+    built = recorder.record(2.0, DELIVER, "p1", group="g", message_id="m1")
+    assert built is not None and built.seq == 1
+    # An all-kinds sink makes every kind materialize from the next event...
+    boom = recorder.add_sink(_BoomSink(explode_at=1))
+    built = recorder.record(3.0, RECEIVE, "p2", group="g", message_id="m1")
+    assert built is not None and (built.kind, built.seq) == (RECEIVE, 2)
+    assert boom.seen == 1
+    # ...until it is gone: it raises on this one, which it still was sent.
+    assert recorder.record(4.0, RECEIVE, "p3", group="g", message_id="m1").seq == 3
+    assert recorder.detached_sinks == [boom]
+    assert recorder.record(5.0, RECEIVE, "p4", group="g", message_id="m1") is None
+    assert recorder.record(6.0, DELIVER, "p2", group="g", message_id="m1").seq == 5
+    assert recorder.kind_counts() == {RECEIVE: 4, DELIVER: 2}
+    assert recorder.events_recorded == 6 and recorder.stored_events == 0
+    assert [event.seq for event in deliveries.events] == [1, 5]
+    with pytest.raises(ValueError, match="unknown trace event kind"):
+        recorder.record(7.0, "no_such_kind", "p1")
+
+
+def test_storing_recorder_builds_every_event_and_tallies_on_demand():
+    recorder = TraceRecorder()
+    assert recorder.record(1.0, RECEIVE, "p1", message_id="m1").seq == 0
+    assert recorder.kind_counts() == {RECEIVE: 1}
+    recorder.record(2.0, RECEIVE, "p2", message_id="m1")
+    recorder.record(3.0, DELIVER, "p2", message_id="m1")
+    assert recorder.kind_counts() == {RECEIVE: 2, DELIVER: 1}
+    assert recorder.kind_counts() == {RECEIVE: 2, DELIVER: 1}
+    assert recorder.stored_events == 3
+
+
+def test_metrics_sink_fed_by_hand_tallies_what_it_is_given():
+    from repro.net.trace import MetricsSink, TraceEvent
+
+    sink = MetricsSink()
+    sink.on_event(TraceEvent(1.0, SEND, "p1", "g", "m1", "p1"))
+    sink.on_event(TraceEvent(1.5, RECEIVE, "p2", "g", "m1", "p1"))
+    sink.on_event(TraceEvent(2.0, DELIVER, "p2", "g", "m1", "p1"))
+    assert sink.by_kind == {SEND: 1, RECEIVE: 1, DELIVER: 1}
+    snapshot = sink.snapshot()
+    assert snapshot["events_total"] == 3 and snapshot["latency"]["count"] == 1
+    # Behind a recorder it is sent only what it reads; the totals are the
+    # recorder's.
+    recorder = TraceRecorder(sinks=[MetricsSink()], keep_events=False)
+    assert recorder.record(1.5, RECEIVE, "p2", group="g", message_id="m1") is None
+    assert sink.snapshot(recorder.kind_counts())["by_kind"] == {RECEIVE: 1}
+
+
+# ----------------------------------------------------------------------
 # JsonlSink round-trips
 # ----------------------------------------------------------------------
 def test_jsonl_sink_round_trips_rich_details(tmp_path):

@@ -16,14 +16,13 @@ import pytest
 
 from repro.api import Session
 from repro.net.simulator import Simulator
-from repro.net.trace import DELIVER, RECEIVE, SEND, TraceEvent
+from repro.net.trace import DELIVER, RECEIVE, SEND, TraceEvent, TraceRecorder
 from repro.obs import (
     HotPathProfiler,
     MetricsRegistry,
     Observation,
     SimTimeSampler,
     SpanBreakdownSink,
-    TraceCounterSink,
     render_document,
     render_obs,
 )
@@ -129,17 +128,20 @@ def test_sampler_rejects_nonpositive_interval():
 
 
 def test_trace_counter_sink_and_messages_per_delivery():
+    """``trace.<kind>`` is the recorder's own tally, polled: no sink is
+    registered, so every kind here is count-only and no event is built."""
     registry = MetricsRegistry()
-    sink = TraceCounterSink(registry)
+    recorder = TraceRecorder(keep_events=False)
+    registry.counter_source("trace.", recorder.kind_counts)
     sampler = SimTimeSampler(registry, interval=10.0)
     sim = Simulator(seed=0)
     sampler.attach(sim)
 
     def emit(kind, mid):
-        sink.on_event(
-            TraceEvent(time=sim.now, kind=kind, process="p1", group="g",
-                       message_id=mid, sender="p1", clock=1, details=(), seq=0)
+        built = recorder.record(
+            sim.now, kind, "p1", group="g", message_id=mid, sender="p1", clock=1
         )
+        assert built is None
 
     # Interval 1: 6 sends (2 app + 4 null) and 2 deliveries -> 3.0.
     sim.schedule_at(1.0, lambda: [emit(SEND, "m1"), emit(SEND, "m2")])
@@ -151,6 +153,8 @@ def test_trace_counter_sink_and_messages_per_delivery():
     sim.run()
     assert registry.read_counters()["trace.send"] == 2
     assert registry.read_counters()["trace.null_send"] == 6
+    assert registry.snapshot()["counters"]["trace.deliver"] == 2
+    assert registry.family("trace.") == {"deliver": 2, "null_send": 6, "send": 2}
     assert sampler.messages_per_delivery_series() == [3.0, None]
 
 

@@ -431,3 +431,282 @@ def test_view_agreement_falls_back_when_group_unlisted(churn_run):
     online = replay_online(mutated, {})
     assert not online.passed
     assert any("view sequences differ" in v for v in online.violations)
+
+
+# ---------------------------------------------------------------------------
+# Delta-stamped causal checking: differential against a full-vector scan
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.analysis.online import OnlineCausalOrder  # noqa: E402
+from repro.api import Session  # noqa: E402
+from repro.core.config import OrderingMode  # noqa: E402
+from repro.net.trace import DEPART, EventTrace, TraceEvent  # noqa: E402
+
+FAST = dict(omega=1.5, suspicion_timeout=6.0, suspector_check_interval=0.5)
+
+
+def full_vector_causal_violations(events):
+    """The reference the delta rule must match: every send copies its
+    sender's whole context, every delivery scans the whole vector."""
+    sends, vector, sent_at, context, done, frontier = {}, {}, {}, {}, {}, {}
+    views, departed, found = {}, set(), set()
+    for e in sorted(events, key=lambda e: (e.time, e.seq)):
+        if e.kind == VIEW_INSTALL:
+            views[e.process, e.group] = frozenset(e.detail("members", ()))
+        elif e.kind == DEPART:
+            departed.add((e.process, e.group))
+        elif e.kind == SEND and e.message_id is not None:
+            sends[e.process] = index = sends.get(e.process, 0) + 1
+            context.setdefault(e.process, {})[e.process] = index
+            if e.message_id not in vector:  # a re-send keeps its first vector
+                vector[e.message_id] = dict(context[e.process])
+                sent_at[e.process, index] = (e.message_id, e.group)
+        elif e.kind == DELIVER and e.message_id is not None:
+            done.setdefault(e.process, set()).add(e.message_id)
+            for sender, count in vector.get(e.message_id, {}).items():
+                mine = context.setdefault(e.process, {})
+                mine[sender] = max(mine.get(sender, 0), count)
+                for index in range(frontier.get((e.process, sender), 0) + 1, count + 1):
+                    earlier, group = sent_at.get((sender, index), (None, None))
+                    view = views.get((e.process, group))
+                    if (
+                        earlier is None or earlier in done[e.process]
+                        or (group is not None and (
+                            (e.process, group) in departed or view is None
+                            or sender not in view))
+                    ):
+                        continue
+                    found.add(
+                        f"{e.process} delivered {e.message_id} without causally "
+                        f"preceding {earlier} whose sender {sender} is "
+                        f"still in its view of {group}"
+                    )
+                frontier[e.process, sender] = max(
+                    frontier.get((e.process, sender), 0), count
+                )
+    return found
+
+
+def delta_causal_violations(events):
+    checker = OnlineCausalOrder()
+    for event in sorted(events, key=lambda e: (e.time, e.seq)):
+        if event.kind in checker.KINDS:
+            checker.on_event(event)
+    return checker.violations
+
+
+def _symmetric_execution():
+    """Overlapping groups, a §5.3 formation over members of both, a crash."""
+    session = Session("newtop", config=FAST, seed=11)
+    session.spawn([f"P{index}" for index in range(1, 7)])
+    session.group("g1", ["P1", "P2", "P3", "P4"])
+    session.group("g2", ["P3", "P4", "P5", "P6"])
+    for round_ in range(3):
+        session.multicast("P1", "g1", f"a{round_}")
+        session.multicast("P5", "g2", f"b{round_}")
+        session.run(0.7)
+        session.multicast("P3", "g1", f"c{round_}")
+        session.multicast("P4", "g2", f"d{round_}")
+        session.run(0.7)
+    session.form_group("g3", ["P1", "P2", "P5"])
+    session.run(12)
+    session.multicast("P5", "g3", "f0")
+    session.multicast("P2", "g1", "e0")
+    session.run(1.0)
+    session.crash("P6")
+    session.multicast("P1", "g3", "f1")
+    session.multicast("P3", "g2", "g0")
+    session.run(1.0)
+    session.multicast("P2", "g3", "f2")
+    session.run(60)
+    assert session.result().passed
+    return list(session.trace())
+
+
+def _asymmetric_execution():
+    """An asymmetric group whose sequencer crashes with a request
+    outstanding (failover re-send under the original id), overlapping a
+    symmetric group; a hand-made second SEND of the re-sent id is added,
+    the way older traces recorded the retry."""
+    session = Session("newtop", config=FAST, seed=4, observe={"sampler": False})
+    session.spawn(["A", "B", "C", "D"])
+    session.group("asym", ["A", "B", "C"], mode=OrderingMode.ASYMMETRIC)
+    session.group("sym", ["B", "C", "D"])
+    for round_ in range(2):
+        session.multicast("B", "asym", f"b{round_}")
+        session.multicast("D", "sym", f"d{round_}")
+        session.run(0.8)
+        session.multicast("C", "asym", f"c{round_}")
+        session.multicast("C", "sym", f"e{round_}")
+        session.run(0.8)
+    pending_id = session.multicast("C", "asym", "pending")
+    session.crash("A")
+    session.multicast("B", "sym", "x0")
+    session.run(30)
+    session.multicast("B", "asym", "after")
+    session.multicast("D", "sym", "y0")
+    session.run(60)
+    result = session.result()
+    assert result.passed
+    causes = result.obs["metrics"]["counters"]
+    assert causes["transport.sends_by_cause.failover_resend"] >= 1
+    events = list(session.trace())
+    pending = next(e for e in events if e.kind == SEND and e.message_id == pending_id)
+    install = next(
+        e for e in events
+        if e.kind == VIEW_INSTALL and e.process == "C" and e.time > pending.time
+    )
+    resend = pending._replace(time=install.time, seq=install.seq)
+    return [
+        e._replace(seq=e.seq + 1) if (e.time, e.seq) > (resend.time, resend.seq)
+        else e
+        for e in events
+    ] + [resend._replace(seq=resend.seq + 1)]
+
+
+@pytest.fixture(scope="module")
+def seeded_executions():
+    return [_symmetric_execution(), _asymmetric_execution()]
+
+
+def test_delta_checker_matches_full_vector_scan_on_clean_runs(seeded_executions):
+    for events in seeded_executions:
+        assert check_all(EventTrace(events)).passed
+        assert replay_online(events).passed
+        assert full_vector_causal_violations(events) == set()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_delta_checker_differential_under_delivery_mutations(seeded_executions, data):
+    """Random deletions and swaps of DELIVER events: the online suite and
+    offline ``check_all`` agree on the verdict, and the delta-stamped
+    causal checker reports the violation set of a full-vector scan."""
+    events = list(data.draw(st.sampled_from(seeded_executions)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        deliveries = [i for i, e in enumerate(events) if e.kind == DELIVER]
+        if data.draw(st.booleans()):
+            del events[data.draw(st.sampled_from(deliveries))]
+        else:
+            i = data.draw(st.sampled_from(deliveries))
+            j = data.draw(st.sampled_from(deliveries))
+            a, b = events[i], events[j]
+            events[i] = a._replace(time=b.time, seq=b.seq)
+            events[j] = b._replace(time=a.time, seq=a.seq)
+    offline = check_all(EventTrace(events))
+    online = replay_online(events)
+    assert offline.passed == online.passed, (offline.violations[:2], online.violations[:2])
+    found = delta_causal_violations(events)
+    assert len(found) == len(set(found))
+    assert set(found) == full_vector_causal_violations(events)
+
+
+# Hand-built streams for the cases a naive delta (scan the delivered
+# message's own delta and nothing else) would get wrong.
+
+
+def _stream(*steps):
+    """``("install", process, group, members)``, ``("send", process, group,
+    id)`` and ``("deliver", process, group, id, sender)`` steps, one time
+    unit apart."""
+    events = []
+    for seq, (kind, process, group, *rest) in enumerate(steps):
+        if kind == "install":
+            events.append(TraceEvent(
+                float(seq), VIEW_INSTALL, process, group,
+                details=(("members", tuple(rest[0])),), seq=seq,
+            ))
+        elif kind == "send":
+            events.append(TraceEvent(
+                float(seq), SEND, process, group, rest[0], process, seq=seq
+            ))
+        else:
+            events.append(TraceEvent(
+                float(seq), DELIVER, process, group, rest[0], rest[1], seq=seq
+            ))
+    return events
+
+
+def _installs(group, members):
+    return [("install", member, group, members) for member in members]
+
+
+def test_missing_predecessor_in_an_entry_that_did_not_move():
+    """S's vector entry for X moved before s1 and not between s1 and s2;
+    P delivers s2 having seen neither s1 nor X's x1.  s2's own delta is
+    empty -- the missing x1 sits in s1's."""
+    events = _stream(
+        *_installs("g", ["P", "S", "X"]),
+        ("send", "X", "g", "x1"),
+        ("deliver", "S", "g", "x1", "X"),
+        ("send", "S", "g", "s1"),
+        ("send", "S", "g", "s2"),
+        ("deliver", "P", "g", "s2", "S"),
+    )
+    found = delta_causal_violations(events)
+    assert set(found) == full_vector_causal_violations(events)
+    assert sorted(v.split("preceding ")[1].split()[0] for v in found) == ["s1", "x1"]
+    assert not replay_online(events).passed
+    assert not check_all(EventTrace(events)).passed
+
+
+def test_delta_of_a_message_to_a_foreign_group_is_still_folded():
+    """S's previous message s1 went to h, which P is not in: P never
+    delivers it and is exempt from it, but what S had learned by then
+    (X's x1, in g) is in the past of s2 all the same."""
+    events = _stream(
+        *_installs("g", ["P", "S", "X"]),
+        *_installs("h", ["Q", "S", "X"]),
+        ("send", "X", "g", "x1"),
+        ("deliver", "S", "g", "x1", "X"),
+        ("send", "S", "h", "s1"),
+        ("send", "S", "g", "s2"),
+        ("deliver", "P", "g", "s2", "S"),
+    )
+    found = delta_causal_violations(events)
+    assert set(found) == full_vector_causal_violations(events)
+    assert len(found) == 1 and "preceding x1 " in found[0]
+    assert not replay_online(events).passed
+    assert not check_all(EventTrace(events)).passed
+
+
+def test_first_delivery_after_joining_by_formation_checks_the_whole_vector():
+    """P joins S and X in a formed group f long after g = {S, X, Y} got
+    busy.  Its first delivery from S folds S's whole chain: everything S
+    ever learned in g (exempt, P has no view of g) and X's u1 in f (not
+    exempt, and missing)."""
+    steps = [*_installs("g", ["S", "X", "Y"])]
+    for round_ in range(4):
+        for sender in ("X", "Y", "S"):
+            message = f"{sender.lower()}{round_}"
+            steps.append(("send", sender, "g", message))
+            steps.extend(
+                ("deliver", member, "g", message, sender) for member in ("S", "X", "Y")
+            )
+    steps += [
+        *_installs("f", ["P", "S", "X"]),
+        ("send", "X", "f", "u1"),
+        ("deliver", "S", "f", "u1", "X"),
+        ("deliver", "X", "f", "u1", "X"),
+        ("send", "S", "f", "t1"),
+        ("deliver", "P", "f", "t1", "S"),
+    ]
+    events = _stream(*steps)
+    checker = OnlineCausalOrder()
+    for event in events:
+        checker.on_event(event)
+    assert set(checker.violations) == full_vector_causal_violations(events)
+    assert len(checker.violations) == 1 and "preceding u1 " in checker.violations[0]
+    # P's verified prefixes are t1's full vector: all of g's history too.
+    assert checker._rows["P"].frontier == {"S": 5, "X": 5, "Y": 4}
+    # A second message from S folds only what moved at S since t1: nothing
+    # (S's own entry is implied by the send's position).
+    folded = checker.delta_entries_folded()
+    assert folded >= 3
+    for event in _stream(("send", "S", "f", "t2"), ("deliver", "P", "f", "t2", "S")):
+        checker.on_event(event._replace(time=event.time + 100, seq=event.seq + 100))
+    assert checker._rows["P"].frontier["S"] == 6
+    assert checker.delta_entries_folded() == folded

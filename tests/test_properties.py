@@ -90,9 +90,9 @@ def test_delivery_queue_pops_in_nondecreasing_clock_order(messages, bounds):
         queue.enqueue(DataMessage.application(sender, "g", clock, 0, None))
     delivered_clocks = []
     for bound in sorted(bounds):
-        for delivery in queue.pop_deliverable(bound):
-            delivered_clocks.append(delivery.message.clock)
-            assert delivery.message.clock <= bound
+        for d in queue.pop_deliverable(bound):
+            delivered_clocks.append(d.clock)
+            assert d.clock <= bound
     assert delivered_clocks == sorted(delivered_clocks)
 
 

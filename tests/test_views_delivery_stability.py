@@ -92,7 +92,7 @@ def test_delivery_queue_orders_by_clock_then_sender():
     tie = _message("P1", "g", 5)
     for message in (late, early, tie):
         queue.enqueue(message)
-    delivered = [d.message for d in queue.pop_deliverable(bound=10)]
+    delivered = queue.pop_deliverable(bound=10)
     assert [m.clock for m in delivered] == [3, 5, 5]
     assert delivered[1].sender == "P1"  # tie broken by sender id
     assert queue.delivered_count == 3
@@ -103,7 +103,7 @@ def test_delivery_queue_respects_bound():
     queue.enqueue(_message("P1", "g", 3))
     queue.enqueue(_message("P1", "g", 8))
     first = queue.pop_deliverable(bound=5)
-    assert [d.message.clock for d in first] == [3]
+    assert [d.clock for d in first] == [3]
     assert queue.pending_count() == 1
     assert queue.has_pending_at_or_below(8)
     assert not queue.has_pending_at_or_below(5)

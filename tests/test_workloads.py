@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.api import Session
+from repro.core.messages import reset_message_counter
 from repro.scenarios import ScenarioConfigError, from_config, run_scenario
 from repro.workloads import (
     ARRIVAL_KINDS,
@@ -216,6 +217,85 @@ def test_client_requires_bind_before_start():
     client = OpenLoopClient(get_profile("poisson"), ["P1"], ["g"])
     with pytest.raises(RuntimeError):
         client.start()
+
+
+# ----------------------------------------------------------------------
+# Delivery routing: one owner per delivery, however many clients
+# ----------------------------------------------------------------------
+def _two_clients(second_cls=OpenLoopClient, late=False, analysis="online"):
+    """Two clients on overlapping groups; ``late`` attaches the second one
+    six simulated seconds into the first one's traffic."""
+    reset_message_counter()
+    session = Session("newtop", config=FAST, analysis=analysis, seed=3)
+    session.spawn(["P1", "P2", "P3", "P4"])
+    session.group("g1", ["P1", "P2", "P3"])
+    session.group("g2", ["P2", "P3", "P4"])
+    first = session.attach_client(
+        OpenLoopClient(get_profile("poisson", rate=2.0), ["P1", "P2"], ["g1"],
+                       seed=21, duration=12.0, name="first")
+    )
+    first.start()
+    if late:
+        session.run(6.0)
+    second = session.attach_client(
+        second_cls(get_profile("poisson", rate=2.0), ["P3", "P4"], ["g2"],
+                   seed=22, start=6.0 if late else 1.0, duration=12.0, name="second")
+    )
+    second.start()
+    session.run(54.0 if late else 60.0)
+    return session.result(), first, second
+
+
+@pytest.mark.parametrize("analysis", ["online", "offline"])
+def test_each_client_sees_only_its_own_deliveries(analysis):
+    """The counts are the ones every client filtering every delivery
+    gave (pinned from the parent commit), now with one call each."""
+    calls = []
+
+    class Counting(OpenLoopClient):
+        def on_event(self, event):
+            calls.append(self.name)
+            super().on_event(event)
+
+    result, first, second = _two_clients(second_cls=Counting, analysis=analysis)
+    assert result.passed
+    assert (first.delivered_events, first.latency.count) == (84, 84)
+    assert (second.delivered_events, second.latency.count) == (63, 63)
+    assert first.latency.mean == pytest.approx(1.687887, abs=1e-6)
+    assert second.latency.mean == pytest.approx(2.233409, abs=1e-6)
+    assert first.delivered_unique == first.admitted == 28
+    assert second.delivered_unique == second.admitted == 21
+    # Every delivery of the run went to exactly one client, once.
+    assert first.delivered_events + second.delivered_events == result.deliveries
+    assert calls == ["second"] * 63
+    assert result.trace_events_stored == (0 if analysis == "online" else result.trace_events)
+
+
+def test_client_attached_after_traffic_started():
+    result, first, second = _two_clients(late=True)
+    assert result.passed
+    assert (first.delivered_events, first.latency.count) == (84, 84)
+    assert (second.delivered_events, second.latency.count) == (63, 63)
+    assert first.latency.mean == pytest.approx(2.065173, abs=1e-6)
+    assert second.latency.mean == pytest.approx(2.597126, abs=1e-6)
+
+
+def test_raising_client_is_cut_off_alone():
+    class Exploding(OpenLoopClient):
+        def on_event(self, event):
+            if self.delivered_events == 5:
+                raise RuntimeError("client exploded")
+            super().on_event(event)
+
+    result, first, second = _two_clients(second_cls=Exploding)
+    # The other client lost nothing; the protocol checks still hold, but a
+    # cut-off observer fails the run, as a detached sink does.
+    assert (first.delivered_events, first.latency.count) == (84, 84)
+    assert first.latency.mean == pytest.approx(1.687887, abs=1e-6)
+    assert second.delivered_events == 5 and second.admitted == 21
+    assert result.checks.passed and not result.passed
+    assert [error["sink"] for error in result.sink_errors] == ["Exploding"]
+    assert "client exploded" in result.sink_errors[0]["error"]
 
 
 # ----------------------------------------------------------------------
