@@ -22,6 +22,11 @@ Properties:
 * **Versioned** -- :meth:`HashRing.with_shard` / :meth:`HashRing.without_shard`
   return a *new* ring with ``version + 1``; rings are value objects and
   never mutate, so "is this client stale?" is one integer comparison.
+* **Routed once** -- because a ring never mutates, it computes the owner
+  of a key once and remembers it (a lookup runs several times per client
+  operation, and again at every replica for every fenced delivery), and
+  :meth:`HashRing.from_description` hands back the one ring a description
+  names instead of validating and sorting a new one per call.
 
 Note the ring maps keys to *shard ids*, not to protocol groups: a shard's
 current group (which changes generation when its replica set is moved) is
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -60,6 +65,12 @@ def _ring_points(shards: Tuple[str, ...], vnodes: int) -> Tuple[Tuple[int, ...],
     return tuple(p for p, _ in points), tuple(s for _, s in points)
 
 
+#: Remembered owners per ring before the memo starts over: a bound for
+#: callers with an unbounded key space (the workloads here route a few
+#: thousand keys).
+_LOOKUP_MEMO_LIMIT = 1 << 16
+
+
 @dataclass(frozen=True)
 class HashRing:
     """One immutable version of the key -> shard mapping."""
@@ -76,6 +87,14 @@ class HashRing:
     #: migrated.  Splits apply in order, so lineages nest (a child may be
     #: split again, or the same parent split repeatedly).
     splits: Tuple[Tuple[str, str], ...] = ()
+    # Derived routing state, filled in by ``__post_init__`` (equality and
+    # hashing stay on the four fields above): the roots, each split's
+    # parent with its two-shard sub-ring, and the owners worked out so far.
+    _roots: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _split_rings: Tuple[Tuple[str, Tuple[str, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _owner_of: Dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.version < 1:
@@ -100,25 +119,42 @@ class HashRing:
         # semantic (lineages nest) and is preserved as given.
         object.__setattr__(self, "shards", tuple(sorted(self.shards)))
         object.__setattr__(self, "splits", splits)
+        object.__setattr__(
+            self, "_roots", tuple(s for s in self.shards if s not in children)
+        )
+        object.__setattr__(
+            self,
+            "_split_rings",
+            tuple((parent, tuple(sorted((parent, child)))) for parent, child in splits),
+        )
+        object.__setattr__(self, "_owner_of", {})
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     def lookup(self, key: str) -> str:
         """The shard id owning ``key`` under this ring version."""
-        children = {child for _, child in self.splits}
-        roots = tuple(s for s in self.shards if s not in children)
-        owner = self._arc_owner(roots, key)
-        # Descend the split lineage: each split subdivides only its
-        # parent's arcs, deciding parent-vs-child on a two-shard sub-ring.
-        for parent, child in self.splits:
-            if owner == parent:
-                owner = self._arc_owner(tuple(sorted((parent, child))), key)
+        memo = self._owner_of
+        owner = memo.get(key)
+        if owner is None:
+            if len(memo) >= _LOOKUP_MEMO_LIMIT:
+                memo.clear()
+            owner = memo[key] = self._route(key)
         return owner
 
-    def _arc_owner(self, shards: Tuple[str, ...], key: str) -> str:
+    def _route(self, key: str) -> str:
+        key_hash = stable_hash(key)
+        owner = self._arc_owner(self._roots, key_hash)
+        # Descend the split lineage: each split subdivides only its
+        # parent's arcs, deciding parent-vs-child on a two-shard sub-ring.
+        for parent, sub_ring in self._split_rings:
+            if owner == parent:
+                owner = self._arc_owner(sub_ring, key_hash)
+        return owner
+
+    def _arc_owner(self, shards: Tuple[str, ...], key_hash: int) -> str:
         hashes, owners = _ring_points(shards, self.vnodes)
-        index = bisect.bisect_left(hashes, stable_hash(key))
+        index = bisect.bisect_left(hashes, key_hash)
         if index == len(hashes):  # wrap around the circle
             index = 0
         return owners[index]
@@ -187,10 +223,11 @@ class HashRing:
 
     @staticmethod
     def from_description(description: Dict[str, object]) -> "HashRing":
-        """Rebuild a ring from :meth:`describe` output.  Used by the pure
-        command-apply path so every replica reconstructs the *identical*
-        ring named by a fence command."""
-        return HashRing(
+        """The ring :meth:`describe` output names.  Used by the pure
+        command-apply path so every replica routes by the *identical* ring
+        named by a fence command -- the same object, too: a fenced delivery
+        asks for it again at every replica."""
+        return _ring_of(
             int(description["version"]),
             tuple(description["shards"]),  # type: ignore[arg-type]
             int(description.get("vnodes", 64)),
@@ -199,3 +236,15 @@ class HashRing:
                 for parent, child in description.get("splits", ())  # type: ignore[union-attr]
             ),
         )
+
+
+@lru_cache(maxsize=64)
+def _ring_of(
+    version: int,
+    shards: Tuple[str, ...],
+    vnodes: int,
+    splits: Tuple[Tuple[str, str], ...],
+) -> HashRing:
+    """One ring per description (rings are immutable values; a run names a
+    handful of them)."""
+    return HashRing(version, shards, vnodes, splits)

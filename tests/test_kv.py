@@ -129,6 +129,28 @@ def test_ring_describe_round_trips_and_validates():
         HashRing(1, ("a", "a"))
 
 
+def test_ring_remembers_routes_and_a_description_names_one_ring(monkeypatch):
+    ring = HashRing(2, ("a", "b", "c", "d"), vnodes=16, splits=(("a", "c"), ("c", "d")))
+    keys = [f"k{i}" for i in range(300)]
+    routed = [ring._route(key) for key in keys]
+    assert {"a", "b", "c", "d"} == set(routed)
+    assert [ring.lookup(key) for key in keys] == routed  # fills the memo
+    assert [ring.lookup(key) for key in keys] == routed  # answers from it
+    # Equal rings route alike whatever either has been asked before.
+    assert [HashRing.from_description(ring.describe()).lookup(k) for k in keys] == routed
+    # The memo is not part of the value ...
+    fresh = HashRing(2, ("d", "c", "b", "a"), vnodes=16, splits=(("a", "c"), ("c", "d")))
+    assert fresh == ring and hash(fresh) == hash(ring)
+    # ... a description names one ring object, however often it is asked ...
+    assert HashRing.from_description(ring.describe()) is HashRing.from_description(
+        fresh.describe()
+    )
+    # ... and a memo that reaches its bound starts over without a wrong answer.
+    monkeypatch.setattr("repro.apps.kv.ring._LOOKUP_MEMO_LIMIT", 7)
+    assert [fresh.lookup(key) for key in keys] == routed
+    assert len(fresh._owner_of) <= 7
+
+
 # ----------------------------------------------------------------------
 # Command algebra
 # ----------------------------------------------------------------------
