@@ -30,12 +30,15 @@ from common import benchmark_arg_parser, write_bench_json
 
 from repro.scenarios import churn_scenario, run_scenario
 
-#: The gate's workload: the E18 churn shape -- 100 processes across 10
-#: overlapping groups -- which runs a few wall-clock seconds per round,
-#: long enough for a 10% ratio to be meaningful on CI hardware.
+#: The gate's workload: the E18 churn shape grown to 600 processes across
+#: 60 overlapping groups, so that one unobserved round is a little over a
+#: second on a two-core box (1.26 s; 70k messages, 18k trace events) --
+#: long enough for a 10% ratio to be meaningful.  The shape is re-sized
+#: whenever the protocol gets cheaper: at 100 processes a round had shrunk
+#: to 0.17 s of 3,258 trace events and the gate measured the box.
 SMOKE_SCALE = dict(
-    n_processes=100,
-    n_groups=10,
+    n_processes=600,
+    n_groups=60,
     group_size=12,
     crashes=3,
     leaves=3,

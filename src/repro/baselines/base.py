@@ -106,8 +106,12 @@ class BaselineProcess:
         )
 
     def _broadcast(self, payload: object, overhead_bytes: int, payload_bytes: int = 0) -> None:
-        for member in self._other_members():
-            self._send(member, payload, overhead_bytes, payload_bytes)
+        others = self._other_members()
+        self.protocol_bytes_sent += overhead_bytes * len(others)
+        self.payload_bytes_sent += payload_bytes * len(others)
+        self.endpoint.multicast(
+            others, payload, channel=self.channel, size_bytes=overhead_bytes + payload_bytes
+        )
 
     def _record_send(self, msg_id: str) -> None:
         """Record the application-level send.

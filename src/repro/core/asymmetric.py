@@ -230,12 +230,14 @@ class AsymmetricOrdering(OrderingEngine):
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def on_data(self, message: DataMessage) -> None:
+    def on_data(self, message: DataMessage) -> bool:
         """Advance ``D_x`` and clear Send-Blocking-Rule bookkeeping.
 
         Only *sequenced* messages advance ``D_x``: during a sequencer
         failover members may multicast liveness nulls directly (see the
-        endpoint), and those must not move the deliverable bound.
+        endpoint), and those must not move the deliverable bound.  Every
+        sequenced receipt raises ``D_x``, so the engine makes no promise
+        about the others either: it always answers "may have moved".
         """
         if message.sequenced_by is not None and message.clock > self.last_sequenced:
             self.last_sequenced = message.clock
@@ -252,6 +254,7 @@ class AsymmetricOrdering(OrderingEngine):
             # ``NewtopProcess._handle_delivery``), the point past which the
             # message can no longer lose its place in the total order.
             self._unsequenced.pop(message.origin_request, None)
+        return True
 
     # ------------------------------------------------------------------
     # Deliverability

@@ -35,6 +35,7 @@ from repro.core.messages import (
     KIND_DATA,
     KIND_NULL,
     KIND_START_GROUP,
+    KIND_VIEW_CUT,
     RefuteMessage,
     SequencerRequest,
     SuspectMessage,
@@ -96,7 +97,7 @@ class GroupEndpoint:
         self.config = config
         own_id = process.process_id
 
-        self.view = MembershipView.initial(group_id, members)
+        self._adopt_view(MembershipView.initial(group_id, members))
         self.signature_view: Optional[SignatureView] = (
             SignatureView.initial(group_id, members) if config.use_signature_views else None
         )
@@ -186,6 +187,21 @@ class GroupEndpoint:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def _adopt_view(self, view: MembershipView) -> None:
+        """Make ``view`` the current view, with the fan-out lists derived
+        from it: every other member in sorted order (a multicast's
+        destinations, in the order the latency draws are made) and our ring
+        successors (an idle beacon's)."""
+        self.view = view
+        own_id = self.process.process_id
+        ordered = view.sorted_members()
+        self._peers: Tuple[str, ...] = tuple(
+            member for member in ordered if member != own_id
+        )
+        self._ring_successors: Tuple[str, ...] = (
+            ring_successors(ordered, own_id) if own_id in view.members else ()
+        )
+
     def start(self) -> None:
         """Activate the time-silence mechanism and the failure suspector."""
         self.time_silence.start()
@@ -232,15 +248,25 @@ class GroupEndpoint:
         return bool(
             self.stability.buffer.non_null_count()
             or self._reply_awaited
-            or self.pending_view_changes
-            or self._pending_cut_points
-            or self._detections_awaiting_cut
+            or self.holds_unsettled_work()
             or self._formation_wait is not None
-            or self.deferred_sends
             or self.process.outstanding_unicasts(self.group_id)
             or self.gv.busy()
             or (self.mode == OrderingMode.ASYMMETRIC and self.engine.is_sequencer())
             or self.process.awaits_delivery()
+        )
+
+    def holds_unsettled_work(self) -> bool:
+        """Whether this group holds something only a later
+        :meth:`NewtopProcess.settle` can finish: a deferred send, a
+        confirmed view change awaiting its threshold, a cut point or a
+        parked detection.  While any group of a process does, no receipt
+        of that process is taken to be inert."""
+        return bool(
+            self.deferred_sends
+            or self.pending_view_changes
+            or self._pending_cut_points
+            or self._detections_awaiting_cut
         )
 
     # ------------------------------------------------------------------
@@ -371,14 +397,11 @@ class GroupEndpoint:
         if not self.active:
             return
         process = self.process
-        own_id = process.process_id
-        beacon = Beacon(origin=own_id, group=self.group_id)
-        size = beacon.wire_size_bytes()
-        for member in ring_successors(self.view.sorted_members(), own_id):
-            process.transport_endpoint.send(
-                member, beacon, channel="newtop", size_bytes=size,
-                cause="null_time_silence",
-            )
+        beacon = Beacon(origin=process.process_id, group=self.group_id)
+        process.transport_endpoint.multicast(
+            self._ring_successors, beacon, "newtop", beacon.wire_size_bytes(),
+            "null_time_silence",
+        )
         self._record_null_send()
 
     def _needs_everybody(self) -> bool:
@@ -411,12 +434,9 @@ class GroupEndpoint:
         """Transmit ``message`` to every other view member and loop it back
         to ourselves (a process delivers its own messages by executing the
         protocol)."""
-        size = message.wire_size_bytes()
-        for member in self.view.sorted_members():
-            if member != self.process.process_id:
-                self.process.transport_endpoint.send(
-                    member, message, channel="newtop", size_bytes=size, cause=cause
-                )
+        self.process.transport_endpoint.multicast(
+            self._peers, message, "newtop", message.wire_size_bytes(), cause
+        )
         self.time_silence.notify_sent()
         self._reply_awaited = False
         self.on_data_message(message, local_origin=True)
@@ -443,48 +463,75 @@ class GroupEndpoint:
         """The GV process's ``mcast`` primitive: transmit to every view
         member's GV process (delivered in sent order by the transport)."""
         size = message.wire_size_bytes() if hasattr(message, "wire_size_bytes") else 0
-        for member in self.view.sorted_members():
-            if member != self.process.process_id:
-                self.process.transport_endpoint.send(
-                    member, message, channel="newtop", size_bytes=size, cause=cause
-                )
+        self.process.transport_endpoint.multicast(
+            self._peers, message, "newtop", size, cause
+        )
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def on_data_message(self, message: DataMessage, local_origin: bool = False) -> None:
+    def on_data_message(self, message: DataMessage, local_origin: bool = False) -> bool:
         """Handle a group (data/null/start-group) message.
 
         ``local_origin`` marks the loop-back of our own multicast; it skips
         the membership filtering and the CA2 clock update (CA1 already ran).
+
+        Returns whether the receipt may have moved something
+        :meth:`NewtopProcess.settle` reads.  False -- the receipt was
+        *inert* -- is a promise, made only for a null, or an application
+        message joining a non-empty delivery queue above the bound the last
+        delivery pass ran under, that left ``D_x`` where it was; see
+        ``settle`` for the whole rule and why it is enough.  The transport
+        batch that carried only such receipts ends without a settle;
+        outside a batch the return value is not used and the receipt
+        settles as it always did.
         """
-        if not self.active:
-            return
+        process = self.process
+        if self.departed or process.crashed:
+            return True
+        kind = message.kind
+        # Decided before the early exits, so that each of them settles.
+        inert = (
+            not local_origin
+            and self.mode is OrderingMode.SYMMETRIC
+            and message.sequenced_by is None
+            and not message.awaits_reply
+            and self._formation_wait is None
+            and not self.gv.busy()
+            and (
+                kind == KIND_NULL
+                or (
+                    kind == KIND_DATA
+                    and process.delivery_queue.pending_count() > 0
+                    and message.clock > process.last_pass_bound
+                )
+            )
+        )
         filter_key = message.sequenced_by or message.sender
         if not local_origin:
             if self.gv.is_excluded(filter_key) or filter_key not in self.view.members:
                 self.discarded_from_excluded += 1
                 if self.journeys is not None:
                     self.journeys.discarded(
-                        message.msg_id, self.process.sim.now,
-                        self.process.process_id, "excluded_sender",
+                        message.msg_id, process.sim.now,
+                        process.process_id, "excluded_sender",
                     )
-                return
+                return True
             if self.gv.is_suspected(filter_key):
                 self.gv.hold_pending(filter_key, message)
                 if self.journeys is not None:
                     self.journeys.held(
-                        message.msg_id, self.process.sim.now,
-                        self.process.process_id, "suspected:" + filter_key,
+                        message.msg_id, process.sim.now,
+                        process.process_id, "suspected:" + filter_key,
                     )
-                return
-            self.process.clock.observe(message.clock)
+                return True
+            process.clock.observe(message.clock)
             if message.awaits_reply:
                 self._reply_awaited = True
         if (
             not local_origin
-            and message.sender == self.process.process_id
-            and (message.kind != KIND_NULL or self.owes_group())
+            and message.sender == process.process_id
+            and (kind != KIND_NULL or self.owes_group())
         ):
             # Our unicast request came back as a sequenced multicast: the
             # group just heard from us, so push the next liveness null out
@@ -504,28 +551,30 @@ class GroupEndpoint:
         if message.sequenced_by is not None:
             self.stability.record_global_ldn(message.ldn)
         self._after_stability_advance()
-        # Ordering state (RV / last-sequenced number).
-        self.engine.on_data(message)
+        # Ordering state (RV / last-sequenced number).  A receipt that may
+        # have moved ``D_x`` is never inert.
+        if self.engine.on_data(message):
+            inert = False
         # Rule (iii) hook: a fresh message may refute gossip suspicions.
         if not local_origin:
             self.gv.on_data_from(filter_key, message.clock)
             if message.sender != filter_key:
                 self.gv.on_data_from(message.sender, message.clock)
         # Formation wait (§5.3 step 5).
-        if message.is_start_group and message.start_number is not None:
+        if kind == KIND_START_GROUP and message.start_number is not None:
             self._on_start_group(message.sender, message.start_number)
         # Asymmetric end-of-view marker: the sequencer placed the pending
         # view change into its stream at this message's number.
-        if message.is_view_cut:
+        elif kind == KIND_VIEW_CUT:
             self._on_view_cut(message)
         # Only application messages enter the delivery queue; null and
         # start-group messages have done their job already.
-        if message.is_application:
+        elif kind == KIND_DATA:
             if not local_origin:
-                self.process.recorder.record(
-                    self.process.sim.now,
+                process.recorder.record(
+                    process.sim.now,
                     trace_events.RECEIVE,
-                    self.process.process_id,
+                    process.process_id,
                     group=self.group_id,
                     message_id=message.msg_id,
                     sender=message.sender,
@@ -534,13 +583,15 @@ class GroupEndpoint:
             if self.mode == OrderingMode.ATOMIC_ONLY:
                 # Atomic-only groups bypass the logical-clock gating
                 # entirely (Fig. 3): deliver as soon as the message arrives.
-                self.process.deliver_immediately(self, message)
+                process.deliver_immediately(self, message)
             else:
-                self.process.delivery_queue.enqueue(message)
+                process.delivery_queue.enqueue(message)
         # Per-receipt follow-up; during a transport batch it is deferred to
-        # the end of the batch (one pass per simulator event).
-        if not self.process.in_receipt_batch:
-            self.process.settle()
+        # the end of the batch (one pass per simulator event, and none if
+        # every receipt of the batch was inert).
+        if not process.in_receipt_batch:
+            process.settle()
+        return not inert
 
     def on_sequencer_request(self, request: SequencerRequest) -> None:
         """Handle a unicast addressed to us as the group's sequencer."""
@@ -800,7 +851,7 @@ class GroupEndpoint:
         actually_removed = change.removed & self.view.members
         if not actually_removed:
             return
-        self.view = self.view.exclude(actually_removed)
+        self._adopt_view(self.view.exclude(actually_removed))
         if self.signature_view is not None:
             self.signature_view = self.signature_view.exclude(actually_removed)
         for member in actually_removed:
@@ -942,8 +993,9 @@ class GroupEndpoint:
     # Stability / flow-control follow-ups
     # ------------------------------------------------------------------
     def _after_stability_advance(self) -> None:
-        bound = self.stability.stability_bound()
-        self.flow.note_stability(bound)
+        flow = self.flow
+        if flow.window is not None:
+            flow.note_stability(self.stability.stability_bound())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

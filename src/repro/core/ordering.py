@@ -56,9 +56,11 @@ class OrderingEngine(ABC):
     # Receive path
     # ------------------------------------------------------------------
     @abstractmethod
-    def on_data(self, message: DataMessage) -> None:
+    def on_data(self, message: DataMessage) -> bool:
         """Fold a received (or self-delivered) group message into the
-        engine's deliverability state."""
+        engine's deliverability state.  Returns whether ``D_x,i`` may have
+        moved; False is a promise that it did not (see
+        :meth:`repro.core.process.NewtopProcess.settle`)."""
 
     def on_sequencer_request(self, request: SequencerRequest) -> None:
         """Handle a unicast addressed to this process as sequencer.

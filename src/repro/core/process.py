@@ -144,7 +144,16 @@ class NewtopProcess:
         self.crashed = False
         self._delivering = False
         self._flushing = False
-        self._in_receipt_batch = False
+        #: Whether a transport batch is being drained right now.  While
+        #: true, the per-receipt settle in
+        #: :meth:`GroupEndpoint.on_data_message` is suppressed; the batch
+        #: settles once at its end instead (or not at all, see
+        #: :meth:`settle`).
+        self.in_receipt_batch = False
+        #: The bound the last delivery pass ran under: nothing queued is
+        #: numbered at or below it (infinite until a pass has run, so that
+        #: no receipt is taken to be above it).
+        self.last_pass_bound: float = INFINITY
 
     # ------------------------------------------------------------------
     # Group membership (public API)
@@ -407,38 +416,46 @@ class NewtopProcess:
     # ------------------------------------------------------------------
     # Transport ingress
     # ------------------------------------------------------------------
-    @property
-    def in_receipt_batch(self) -> bool:
-        """Whether a transport batch is being drained right now.
-
-        While true, the per-receipt delivery pass in
-        :meth:`GroupEndpoint.on_data_message` is suppressed; one pass runs
-        at the end of the batch instead.
-        """
-        return self._in_receipt_batch
-
     def _on_transport_batch(self, messages: List[TransportMessage]) -> None:
-        """Drain every receipt that arrived at this instant, then run a
-        single delivery pass and deferred-send flush for the whole batch.
+        """Drain every receipt that arrived at this instant, then settle
+        once for the whole batch -- unless every receipt in it was *inert*
+        (:meth:`settle` states the rule), in which case there is nothing
+        for a settle to find and the batch just ends.
 
         The delivery *sequence* is unchanged: safe2 pops messages from the
         sorted queue under a monotone bound, so delivering after the last
         receipt of an instant yields the same stream as delivering after
-        each one (pinned by the batching equivalence test).
+        each one, and a pass skipped after an inert batch would have
+        delivered nothing (both pinned by the batching equivalence test,
+        whose ``batch_receipts=False`` arm settles after every message).
         """
-        self._in_receipt_batch = True
+        moved = False
+        self.in_receipt_batch = True
         try:
             for tmsg in messages:
                 if self.crashed:
                     return
-                self._on_transport_message(tmsg)
+                if self._on_transport_message(tmsg):
+                    moved = True
         finally:
-            self._in_receipt_batch = False
-        self.settle()
+            self.in_receipt_batch = False
+        # Inert receipts change nothing the groups hold, so asking after
+        # them is asking before them: with work in hand that only a settle
+        # finishes, the batch settles like any other.
+        if moved or self._holds_unsettled_work():
+            self.settle()
 
-    def _on_transport_message(self, tmsg: TransportMessage) -> None:
+    def _holds_unsettled_work(self) -> bool:
+        for endpoint in self._endpoints.values():
+            if endpoint.holds_unsettled_work():
+                return True
+        return False
+
+    def _on_transport_message(self, tmsg: TransportMessage) -> bool:
+        """Dispatch one receipt; returns whether it may have moved
+        something :meth:`settle` reads (False: it was inert)."""
         if self.crashed:
-            return
+            return True
         if self.journeys is not None:
             # Exact transit timing: the envelope carries its send instant.
             self.journeys.transport_received(tmsg, self.sim.now, self.process_id)
@@ -446,8 +463,8 @@ class NewtopProcess:
         if isinstance(payload, DataMessage):
             endpoint = self._endpoints.get(payload.group)
             if endpoint is not None:
-                endpoint.on_data_message(payload)
-            elif self.formation.attempt(payload.group) is not None:
+                return endpoint.on_data_message(payload)
+            if self.formation.attempt(payload.group) is not None:
                 self._pre_activation_buffer.setdefault(payload.group, []).append(payload)
                 if payload.is_start_group:
                     # Proof the vote was unanimous even if some yes votes
@@ -457,6 +474,9 @@ class NewtopProcess:
             endpoint = self._endpoints.get(payload.group)
             if endpoint is not None:
                 endpoint.on_beacon(payload)
+            # Liveness evidence and nothing else: a suspector's deadline
+            # only moves out, and nothing else was touched.
+            return False
         elif isinstance(payload, SequencerRequest):
             endpoint = self._endpoints.get(payload.group)
             if endpoint is not None:
@@ -471,6 +491,7 @@ class NewtopProcess:
             self.formation.on_vote(payload)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected protocol payload: {payload!r}")
+        return True
 
     def send_control(
         self, member: str, payload: object, cause: str = "formation"
@@ -511,7 +532,75 @@ class NewtopProcess:
         event left behind: the time-silence timer whether it now owes a
         null within ω, the suspector whether it now has something to poll
         for.  This is the one place the timers are told; what *counts* as
-        owed is :meth:`GroupEndpoint.owes_group` alone."""
+        owed is :meth:`GroupEndpoint.owes_group` alone.
+
+        **What a settle reads.**  Five things, and nothing else: (1) each
+        group's ``D_x`` and view-change thresholds; (2) the delivery queue;
+        (3) the deferred sends and what blocks them (blocking rules,
+        formation wait, view-change blocking, the flow-control window);
+        (4) ``owes_group()`` of every heartbeat-dated time-silence timer;
+        (5) the restless predicate -- ``awaits_delivery() or gv.busy()`` --
+        of every dozing suspector.  A settle that follows an event which
+        moved none of them finds nothing: it delivers nothing, records
+        nothing and re-dates no timer.
+
+        **Which receipts are inert.**  §4.1's safe1 is the whole reason a
+        receipt matters to delivery: ``D_x,i = min(RV_x,i)`` and a newly
+        received message is numbered above it, so nothing becomes
+        deliverable unless the receipt raised the last entry standing at
+        the minimum.  A transport batch (:meth:`_on_transport_batch`) is
+        therefore followed by a settle unless every message in it provably
+        moved none of the five in the direction a settle acts on:
+
+        * a :class:`~repro.core.messages.Beacon` -- no number, so no clock,
+          vector, retention or queue work; a suspector's deadline only
+          moves out; or
+        * a group message in a *symmetric* group that is not sequenced, not
+          flagged ``awaits_reply`` (the flag makes the receiver owe), not a
+          start-group or view-cut message, received outside a formation
+          wait while the endpoint's GV process is not ``busy()`` (so it
+          refutes no gossip and is held for no suspicion), and that is
+
+          - a null, or
+          - an application message joining a **non-empty** delivery queue
+            (the process already ``awaits_delivery()``, so every group
+            already owes and every suspector is already restless: the new
+            unstable message raises neither) numbered above the bound the
+            last delivery pass ran under (so it is not deliverable itself),
+
+          and did not raise ``min(RV)`` (the slab vector knows: that is
+          exactly when it flags a rescan; the dict reference cannot tell
+          and always says it may have);
+
+        and only while no group of the process holds a deferred send, a
+        pending view change, a cut point or a parked detection
+        (:meth:`GroupEndpoint.holds_unsettled_work`) -- the work only a
+        later settle finishes.  Membership, formation and sequencer-request
+        messages, every early exit of the receive path (excluded or
+        suspected sender, pre-activation buffer), asymmetric and
+        atomic-only groups, and every settle outside a batch (sends,
+        suspector notifications, step viii, departures) settle as they
+        always did.  This is a little stricter than it has to be -- a null
+        that raises ``D_x`` over an empty queue releases nothing either --
+        and buys a plain invariant: every change of any ``D_x`` is followed
+        by a settle, so ``last_pass_bound`` is never stale while anything is
+        queued.
+
+        **Why falling edges need no settle.**  An inert receipt can still
+        *lower* what (4) and (5) read -- its ``ldn`` makes retained traffic
+        stable, so ``owes_group()`` may turn false.  Nothing has to be told:
+        ``TimeSilence.demand()`` only ever pulls a timer *in*, and a timer
+        that fires re-evaluates its predicate itself; a poke can also send
+        a pulled-in tick back to its deadline, but restlessness falls only
+        through a delivery, a view installation or a membership message,
+        all of which settle.
+
+        ``batch_receipts=False`` settles after every message, inert or
+        not, and is the ungated reference
+        ``tests/test_hot_path_equivalence.py`` compares against;
+        ``tests/test_settle_demand.py`` runs a settle after every batch
+        the rule let go and asserts that it found nothing.
+        """
         self.attempt_delivery()
         self.flush_deferred_sends()
         awaiting: Optional[bool] = None
@@ -541,6 +630,7 @@ class NewtopProcess:
                     threshold = endpoint.next_view_change_threshold()
                     if threshold < effective:
                         effective = threshold
+                self.last_pass_bound = effective
                 if effective > 0:
                     for message in self.delivery_queue.pop_deliverable(effective):
                         self._handle_delivery(message)

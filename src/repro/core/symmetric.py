@@ -84,10 +84,16 @@ class SymmetricOrdering(OrderingEngine):
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def on_data(self, message: DataMessage) -> None:
-        """Record the receipt in ``RV`` (monotone per sender)."""
-        if message.sender in self.receive_vector:
-            self.receive_vector.record_receipt(message.sender, message.clock)
+    def on_data(self, message: DataMessage) -> bool:
+        """Record the receipt in ``RV`` (monotone per sender).  ``D_x,i``
+        can only have moved if the receipt raised the last entry standing
+        at the minimum (safe1), and the vector knows when that is."""
+        vector = self.receive_vector
+        try:
+            vector.record_receipt(message.sender, message.clock)
+        except KeyError:
+            pass  # no longer in the view: nothing of its constrains ``D``
+        return vector.minimum_in_doubt()
 
     # ------------------------------------------------------------------
     # Deliverability

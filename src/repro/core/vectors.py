@@ -232,6 +232,14 @@ class SlabMemberVector:
             self._rescan()
         return self._min_value
 
+    def minimum_in_doubt(self) -> bool:
+        """Whether :meth:`minimum` may read something other than it read
+        last time: an entry standing at the minimum was raised or removed
+        since, and it was the last one there (exactly when a rescan is
+        flagged).  False is a promise -- entries only grow, so no update
+        since the last read moved the minimum."""
+        return self._min_dirty
+
     def finite_minimum(self) -> float:
         """Minimum over the *finite* entries, with an all-infinite fallback.
 
@@ -327,6 +335,11 @@ class DictMemberVector:
     def minimum(self) -> float:
         """Minimum entry; see :meth:`SlabMemberVector.minimum`."""
         return min(self._entries.values()) if self._entries else INFINITY
+
+    def minimum_in_doubt(self) -> bool:
+        """Always: the reference keeps no cached minimum, so it cannot
+        tell; see :meth:`SlabMemberVector.minimum_in_doubt`."""
+        return True
 
     def finite_minimum(self) -> float:
         """Clamped finite minimum; see :meth:`SlabMemberVector.finite_minimum`."""

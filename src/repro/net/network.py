@@ -20,13 +20,30 @@ In addition the network supports *message filters*: predicates that may
 drop individual messages.  Filters are how the fault injector models a
 sender crashing part-way through a multicast (Example 1) without the
 protocol code needing any special hooks.
+
+One call per fan-out
+--------------------
+:meth:`Network.multicast` is the one send implementation and
+:meth:`Network.send` its one-destination case.  Everything that does not
+depend on the destination -- the sender's crash flag, the clock, the sent
+counters, whether a partition, a filter or a fault model is in force at
+all -- is settled once per call; a destination pays for its own crash
+flag, one latency sample, the FIFO clamp and the batch insert, plus the
+partition lookup, the filters and the fault draws only while there is a
+partition, a filter or a model.  Destinations are taken **in the caller's
+order**, never sorted: the latency (and fault) draws are made in that
+order, so n sends and one multicast over the same destinations are the
+same run -- same RNG state, same event times and sequence numbers, same
+stats (``tests/test_network_and_transport.py`` compares them).  On the way
+in, one simulator event drains one ``(destination, instant)`` batch and
+hands the list on as it stands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.faults import LinkFaultModel
 from repro.net.latency import LatencyModel, UniformLatency
@@ -40,9 +57,11 @@ MessageFilter = Callable[[str, str, object], bool]
 #: Delivery callback registered per node: ``callback(src, payload)``.
 DeliverCallback = Callable[[str, object], None]
 
-#: Optional batch delivery callback per node: ``callback([(src, payload), ...])``
-#: invoked once per delivery instant instead of once per message.
-DeliverBatchCallback = Callable[[List[Tuple[str, object]]], None]
+#: Optional batch delivery callback per node, invoked once per delivery
+#: instant instead of once per message with the network's own batch:
+#: ``callback([(src, payload, size_bytes), ...])`` in send order.  The list
+#: is the callee's to read, not to keep or change.
+DeliverBatchCallback = Callable[[List[Tuple[str, object, int]]], None]
 
 
 @dataclass
@@ -236,76 +255,119 @@ class Network:
     # Sending
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, payload: object, size_bytes: int = 0) -> bool:
-        """Send ``payload`` from ``src`` to ``dst``.
+        """Send ``payload`` from ``src`` to ``dst``: the one-destination
+        :meth:`multicast`.
 
         Returns ``True`` if the message was accepted for (eventual)
         delivery, ``False`` if it was dropped immediately (crashed sender or
-        receiver, partition, or filter).  Note that acceptance does not
-        guarantee delivery: an in-flight message can still be lost to a
-        partition installed before its delivery time.
+        receiver, partition, filter or link fault).  Note that acceptance
+        does not guarantee delivery: an in-flight message can still be lost
+        to a partition installed before its delivery time.
         """
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += size_bytes
+        return self.multicast(src, (dst,), payload, size_bytes) == 1
+
+    def multicast(
+        self,
+        src: str,
+        dsts: Sequence[str],
+        payload: object,
+        size_bytes: int = 0,
+        frames: Optional[Sequence[object]] = None,
+    ) -> int:
+        """Send from ``src`` to every destination in ``dsts``, in the
+        caller's order, and return the number of sends accepted.
+
+        This is the one send implementation.  What does not depend on the
+        destination -- the sender's crash flag, the clock, the sent
+        counters, which of the optional checks are in force -- is done once
+        per call; each destination pays only for its own crash flag, the
+        partition lookup while a partition is installed, the filters if
+        any, the fault draws if a model is attached, one latency sample,
+        the FIFO clamp and the batch insert.  Destinations are *not*
+        sorted: the latency samples are drawn in destination order, so the
+        order is part of what a seed means.
+
+        ``frames`` is what travels to each destination when that is not
+        ``payload`` itself (the transport's per-destination envelopes),
+        parallel to ``dsts``.
+        """
+        count = len(dsts)
+        stats = self.stats
+        stats.messages_sent += count
+        stats.bytes_sent += size_bytes * count
+        if frames is None:
+            frames = (payload,) * count
         journeys = self._journeys
-        if src in self._crashed:
-            self.stats.messages_dropped_crash += 1
+        crashed = self._crashed
+        if src in crashed:
+            stats.messages_dropped_crash += count
             if journeys is not None:
-                self._journey_drop(payload, "sender_crashed")
-            return False
-        if dst in self._crashed:
-            self.stats.messages_dropped_crash += 1
-            if journeys is not None:
-                self._journey_drop(payload, "receiver_crashed")
-            return False
-        if not self.partitions.can_communicate(src, dst):
-            self.stats.messages_dropped_partition += 1
-            if journeys is not None:
-                self._journey_drop(payload, "partition")
-            return False
-        for message_filter in self._filters:
-            if not message_filter(src, dst, payload):
-                self.stats.messages_dropped_filter += 1
-                if journeys is not None:
-                    self._journey_drop(payload, "filter")
-                return False
-
-        # Link faults.  Decision order (drop, reorder, duplicate) is fixed
-        # so runs are deterministic from the fault seed; each draw happens
-        # only when its rate is non-zero, keeping zero-rate models free.
-        fault_hold = 0.0
-        duplicate_delay: Optional[float] = None
+                for frame in frames:
+                    self._journey_drop(frame, "sender_crashed")
+            return 0
+        partitions = self.partitions if self.partitions.partitioned else None
+        filters = self._filters
         model = self._fault_model
-        if model is not None:
-            rates = model.rates_for(src, dst)
-            rng = self._fault_rng
-            if rates.drop > 0.0 and rng.random() < rates.drop:
-                self.stats.messages_dropped_fault += 1
+        sample = self.config.latency_model.sample
+        rng = self.sim.rng
+        now = self.sim.now
+        schedule = self._schedule_delivery
+        accepted = 0
+        for dst, frame in zip(dsts, frames):
+            if dst in crashed:
+                stats.messages_dropped_crash += 1
                 if journeys is not None:
-                    self._journey_drop(payload, "link_fault")
-                return False
-            if rates.reorder > 0.0 and rng.random() < rates.reorder:
-                fault_hold = rng.uniform(*model.reorder_delay)
-                self.stats.messages_reordered += 1
-            if rates.duplicate > 0.0 and rng.random() < rates.duplicate:
-                duplicate_delay = rng.uniform(*model.duplicate_delay)
-                self.stats.messages_duplicated += 1
-
-        delay = self.config.latency_model.sample(self.sim.rng, src, dst)
-        raw_time = self.sim.now + delay + fault_hold
-        delivered_at = self._schedule_delivery(src, dst, payload, size_bytes, raw_time)
-        if duplicate_delay is not None:
-            # The copy travels after the original and never advances the
-            # channel's FIFO clamp: genuine traffic is not displaced, and
-            # the transport endpoint recognises the stale sequence number.
-            self._schedule_delivery(
-                src,
-                dst,
-                payload,
-                size_bytes,
-                delivered_at + duplicate_delay,
-                advance_fifo=False,
+                    self._journey_drop(frame, "receiver_crashed")
+                continue
+            if partitions is not None and not partitions.can_communicate(src, dst):
+                stats.messages_dropped_partition += 1
+                if journeys is not None:
+                    self._journey_drop(frame, "partition")
+                continue
+            if filters and not all(
+                message_filter(src, dst, frame) for message_filter in filters
+            ):
+                stats.messages_dropped_filter += 1
+                if journeys is not None:
+                    self._journey_drop(frame, "filter")
+                continue
+            # Link faults.  Decision order (drop, reorder, duplicate) is
+            # fixed so runs are deterministic from the fault seed; each draw
+            # happens only when its rate is non-zero, keeping zero-rate
+            # models free.
+            fault_hold = 0.0
+            duplicate_delay: Optional[float] = None
+            if model is not None:
+                rates = model.rates_for(src, dst)
+                fault_rng = self._fault_rng
+                if rates.drop > 0.0 and fault_rng.random() < rates.drop:
+                    stats.messages_dropped_fault += 1
+                    if journeys is not None:
+                        self._journey_drop(frame, "link_fault")
+                    continue
+                if rates.reorder > 0.0 and fault_rng.random() < rates.reorder:
+                    fault_hold = fault_rng.uniform(*model.reorder_delay)
+                    stats.messages_reordered += 1
+                if rates.duplicate > 0.0 and fault_rng.random() < rates.duplicate:
+                    duplicate_delay = fault_rng.uniform(*model.duplicate_delay)
+                    stats.messages_duplicated += 1
+            delivered_at = schedule(
+                src, dst, frame, size_bytes, now + sample(rng, src, dst) + fault_hold
             )
-        return True
+            if duplicate_delay is not None:
+                # The copy travels after the original and never advances the
+                # channel's FIFO clamp: genuine traffic is not displaced, and
+                # the transport endpoint recognises the stale sequence number.
+                schedule(
+                    src,
+                    dst,
+                    frame,
+                    size_bytes,
+                    delivered_at + duplicate_delay,
+                    advance_fifo=False,
+                )
+            accepted += 1
+        return accepted
 
     def _schedule_delivery(
         self,
@@ -330,23 +392,26 @@ class Network:
         change what the protocol sees.
         """
         channel = (src, dst)
-        window = self.config.batch_window
+        last_delivery_time = self._last_delivery_time
+        delivery_time = last_delivery_time.get(channel, -1.0)
+        config = self.config
+        window = config.batch_window
         if window > 0.0:
             # Equal delivery times on one channel are fine under batching
             # (the batch preserves send order), so no epsilon spacing --
             # otherwise every message in a burst would slip a full window.
-            earliest = self._last_delivery_time.get(channel, -1.0)
-            delivery_time = max(raw_time, earliest)
+            if raw_time > delivery_time:
+                delivery_time = raw_time
             # Quantise *up* so the message is never early; monotone in the
             # raw delivery time, so per-channel FIFO order is preserved.
             delivery_time = math.ceil(delivery_time / window) * window
-        elif advance_fifo:
-            earliest = self._last_delivery_time.get(channel, -1.0) + self.config.fifo_epsilon
-            delivery_time = max(raw_time, earliest)
         else:
-            delivery_time = max(raw_time, self._last_delivery_time.get(channel, -1.0))
+            if advance_fifo:
+                delivery_time += config.fifo_epsilon
+            if raw_time > delivery_time:
+                delivery_time = raw_time
         if advance_fifo:
-            self._last_delivery_time[channel] = delivery_time
+            last_delivery_time[channel] = delivery_time
         key = (dst, delivery_time, not advance_fifo)
         batch = self._open_batches.get(key)
         if batch is None:
@@ -359,64 +424,57 @@ class Network:
         batch.append((src, payload, size_bytes))
         return delivery_time
 
-    def multicast(
-        self, src: str, dsts: Iterable[str], payload: object, size_bytes: int = 0
-    ) -> int:
-        """Send ``payload`` from ``src`` to every destination in ``dsts``.
-
-        Destinations are contacted in sorted order (deterministic).  Returns
-        the number of sends accepted.
-        """
-        accepted = 0
-        for dst in sorted(set(dsts)):
-            if self.send(src, dst, payload, size_bytes=size_bytes):
-                accepted += 1
-        return accepted
-
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
     def _deliver_batch(self, key: Tuple[str, float, bool]) -> None:
         """Drain one (destination, instant) batch.
 
-        Drop checks (crash, in-flight partition) are still per message --
-        a partition installed mid-flight must lose exactly the messages
-        that crossed it -- but the scheduling overhead is paid once per
-        batch instead of once per message.
+        The batch is handed on as it stands -- ``(src, payload, size)``
+        triples in send order -- and a filtered copy is made only while a
+        partition is installed: a partition installed mid-flight must lose
+        exactly the messages that crossed it, so that check stays per
+        message, but the scheduling overhead is paid once per batch.
         """
         dst = key[0]
         messages = self._open_batches.pop(key, None)
         if not messages:
             return
+        stats = self.stats
         journeys = self._journeys
         if dst in self._crashed:
-            self.stats.messages_dropped_crash += len(messages)
+            stats.messages_dropped_crash += len(messages)
             if journeys is not None:
                 for _, payload, _ in messages:
                     self._journey_drop(payload, "receiver_crashed")
             return
-        drop_in_flight = self.config.drop_in_flight_on_partition
-        surviving: List[Tuple[str, object, int]] = []
-        for src, payload, size_bytes in messages:
-            if drop_in_flight and not self.partitions.can_communicate(src, dst):
-                self.stats.messages_dropped_partition += 1
+        partitions = self.partitions
+        if partitions.partitioned and self.config.drop_in_flight_on_partition:
+            surviving: List[Tuple[str, object, int]] = []
+            for message in messages:
+                if partitions.can_communicate(message[0], dst):
+                    surviving.append(message)
+                    continue
+                stats.messages_dropped_partition += 1
                 if journeys is not None:
-                    self._journey_drop(payload, "partition_in_flight")
-                continue
-            surviving.append((src, payload, size_bytes))
-        if not surviving:
-            return
-        callback = self._deliver_callbacks.get(dst)
+                    self._journey_drop(message[1], "partition_in_flight")
+            if not surviving:
+                return
+            messages = surviving
         batch_callback = self._batch_callbacks.get(dst)
+        callback = self._deliver_callbacks.get(dst)
         if callback is None and batch_callback is None:
-            self.stats.messages_dropped_crash += len(surviving)
+            stats.messages_dropped_crash += len(messages)
             return
-        self.stats.messages_delivered += len(surviving)
-        self.stats.bytes_delivered += sum(size for _, _, size in surviving)
+        stats.messages_delivered += len(messages)
+        delivered_bytes = 0
+        for message in messages:
+            delivered_bytes += message[2]
+        stats.bytes_delivered += delivered_bytes
         if batch_callback is not None:
-            batch_callback([(src, payload) for src, payload, _ in surviving])
+            batch_callback(messages)
         else:
-            for src, payload, _ in surviving:
+            for src, payload, _ in messages:
                 callback(src, payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

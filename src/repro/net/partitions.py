@@ -63,6 +63,9 @@ class PartitionManager:
         self._nodes: Set[str] = set(nodes or ())
         # node -> component index; None means "no partition installed".
         self._component_of: Optional[Dict[str, int]] = None
+        # Component of a node the installed layout does not list (one
+        # registered after the install); fixed by :meth:`partition`.
+        self._leftover = 0
         self._history: List[Tuple[float, str]] = []
 
     # ------------------------------------------------------------------
@@ -71,8 +74,9 @@ class PartitionManager:
     def register(self, node: str) -> None:
         """Make the partition manager aware of ``node``.
 
-        Nodes registered after a partition is installed join component 0
-        implicitly (they are considered connected to the first component).
+        A node registered after a partition is installed joins the
+        layout's last component -- the implicit leftover one when the
+        install had unlisted nodes to put there.
         """
         self._nodes.add(node)
 
@@ -108,6 +112,7 @@ class PartitionManager:
         for node in self._nodes:
             component_of.setdefault(node, leftover_index)
         self._component_of = component_of
+        self._leftover = max(component_of.values(), default=0)
         self._history.append((at_time, self.describe()))
 
     def isolate(self, node: str, at_time: float = 0.0) -> None:
@@ -127,10 +132,11 @@ class PartitionManager:
         """Whether a message from ``a`` can currently reach ``b``."""
         if a == b:
             return True
-        if self._component_of is None:
+        component_of = self._component_of
+        if component_of is None:
             return True
-        leftover = max(self._component_of.values(), default=0)
-        return self._component_of.get(a, leftover) == self._component_of.get(b, leftover)
+        leftover = self._leftover
+        return component_of.get(a, leftover) == component_of.get(b, leftover)
 
     def component_of(self, node: str) -> Optional[int]:
         """Index of the component containing ``node`` (None when healed)."""

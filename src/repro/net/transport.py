@@ -16,13 +16,30 @@ wraps the raw :class:`~repro.net.network.Network` with:
 This mirrors the paper's architecture (Fig. 3) where the membership
 service's ``mcast`` primitive and the data multicasts both sit on the same
 transport but are logically distinct streams.
+
+One call per fan-out
+--------------------
+:meth:`Endpoint.multicast` is the one send implementation and
+:meth:`Endpoint.send` its one-destination case.  A fan-out to n
+destinations makes one trip through the endpoint and one through
+:meth:`repro.net.network.Network.multicast`: the crash flag, the clock,
+the stats and the kind and cause counters are done once, by count, and a
+destination costs its sequence number and its envelope.  Destinations are
+contacted **in the caller's order** -- the network draws one latency
+sample per destination as it goes, so the order is part of what a seed
+means (a sorted fan-out permutes the draws of, say, a beacon to its ring
+successors, and with them every trace that follows).
+
+Inward the same: the network hands over its own batch of same-instant
+arrivals, the endpoint checks and counts each message, and all of them go
+to the protocol's batch handler as one list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.net.network import Network
 
@@ -82,6 +99,9 @@ class TransportMessage:
         Simulated time at which the message was handed to the network.
     """
 
+    # One envelope per destination of every multicast: no instance dict.
+    __slots__ = ("src", "dst", "channel", "payload", "seqno", "size_bytes", "sent_at")
+
     src: str
     dst: str
     channel: str
@@ -125,8 +145,8 @@ class Endpoint:
         self._default_handler: Optional[Handler] = None
         # FIFO bookkeeping: next expected seqno per (src, channel).
         self._next_expected: Dict[tuple, int] = {}
-        # Outgoing seqnos per (dst, channel).
-        self._next_outgoing: Dict[tuple, int] = {}
+        # Outgoing seqnos: channel -> dst -> last number used.
+        self._next_outgoing: Dict[str, Dict[str, int]] = {}
         self._crashed = False
 
     # ------------------------------------------------------------------
@@ -140,12 +160,11 @@ class Endpoint:
         """Register a handler invoked once per delivery *instant* with every
         message that arrived on ``channel`` at that instant, in send order.
 
-        A batch handler supersedes the per-message handler for batched
-        arrivals (the per-message handler still serves the single-message
-        delivery path).  FIFO checking and the per-message stats are
-        performed before the batch handler runs.  Protocols use this to pay
-        per-receipt follow-up work (delivery attempts, deferred-send
-        flushes) once per instant instead of once per message.
+        A batch handler supersedes the channel's per-message handler.
+        FIFO checking and the per-message stats are performed before the
+        batch handler runs.  Protocols use this to pay per-receipt
+        follow-up work (delivery attempts, deferred-send flushes) once per
+        instant instead of once per message.
         """
         self._batch_handlers[channel] = handler
 
@@ -164,7 +183,26 @@ class Endpoint:
         size_bytes: int = 0,
         cause: Optional[str] = None,
     ) -> bool:
-        """Unicast ``payload`` to ``dst`` on ``channel``.
+        """Unicast ``payload`` to ``dst`` on ``channel``: the
+        one-destination :meth:`multicast`."""
+        return self.multicast((dst,), payload, channel, size_bytes, cause) == 1
+
+    def multicast(
+        self,
+        dsts: Sequence[str],
+        payload: object,
+        channel: str = "data",
+        size_bytes: int = 0,
+        cause: Optional[str] = None,
+    ) -> int:
+        """Send ``payload`` on ``channel`` to every destination (possibly
+        including self), in the caller's order; returns the number of sends
+        the network accepted.
+
+        One call per fan-out: the crash flag, the clock, the stats and the
+        kind and cause counters are done once, by count; a destination costs
+        its sequence number and its envelope, and the envelopes go to the
+        network in one :meth:`~repro.net.network.Network.multicast`.
 
         ``cause`` names the root cause that made this send happen
         (``app_multicast``, ``null_time_silence``, ``suspicion_gossip``,
@@ -175,64 +213,48 @@ class Endpoint:
         no cause fall back to a derivation from the payload itself.
         """
         if self._crashed:
-            return False
-        key = (dst, channel)
-        seqno = self._next_outgoing.get(key, 0) + 1
-        self._next_outgoing[key] = seqno
-        message = TransportMessage(
-            src=self.node_id,
-            dst=dst,
-            channel=channel,
-            payload=payload,
-            seqno=seqno,
-            size_bytes=size_bytes,
-            sent_at=self.transport.network.sim.now,
-        )
-        self.stats.sent += 1
-        self.stats.bytes_sent += size_bytes
-        self.stats.per_channel_sent[channel] = self.stats.per_channel_sent.get(channel, 0) + 1
-        kind_counters = self.transport._sent_kind_counters
+            return 0
+        transport = self.transport
+        network = transport.network
+        node_id = self.node_id
+        now = network.sim.now
+        outgoing = self._next_outgoing.setdefault(channel, {})
+        frames = []
+        for dst in dsts:
+            outgoing[dst] = seqno = outgoing.get(dst, 0) + 1
+            frames.append(
+                TransportMessage(node_id, dst, channel, payload, seqno, size_bytes, now)
+            )
+        count = len(frames)
+        if not count:
+            return 0
+        stats = self.stats
+        stats.sent += count
+        stats.bytes_sent += size_bytes * count
+        stats.per_channel_sent[channel] = stats.per_channel_sent.get(channel, 0) + count
+        kind_counters = transport._sent_kind_counters
         if kind_counters is not None:
             kind = getattr(payload, "kind", None) or type(payload).__name__
             counter = kind_counters.get(kind)
             if counter is None:
-                counter = kind_counters[kind] = self.transport._metrics.counter(
+                counter = kind_counters[kind] = transport._metrics.counter(
                     "transport.sent." + kind
                 )
-            counter.value += 1
+            counter.value += count
             # Cause attribution: bumped in the same branch as the total, so
             # sum(transport.sends_by_cause.*) == transport.sends holds by
             # construction.
-            self.transport._c_sends.value += 1
+            transport._c_sends.value += count
             if cause is None:
                 cause = _derive_cause(kind, payload)
-            cause_counters = self.transport._cause_counters
+            cause_counters = transport._cause_counters
             cause_counter = cause_counters.get(cause)
             if cause_counter is None:
-                cause_counter = cause_counters[cause] = self.transport._metrics.counter(
+                cause_counter = cause_counters[cause] = transport._metrics.counter(
                     "transport.sends_by_cause." + cause
                 )
-            cause_counter.value += 1
-        return self.transport.network.send(self.node_id, dst, message, size_bytes=size_bytes)
-
-    def multicast(
-        self,
-        dsts: Iterable[str],
-        payload: object,
-        channel: str = "data",
-        size_bytes: int = 0,
-        cause: Optional[str] = None,
-    ) -> int:
-        """Unicast ``payload`` to every destination (including possibly self).
-
-        Destinations are contacted in sorted order so simulations are
-        deterministic.  Returns the number of accepted sends.
-        """
-        accepted = 0
-        for dst in sorted(set(dsts)):
-            if self.send(dst, payload, channel=channel, size_bytes=size_bytes, cause=cause):
-                accepted += 1
-        return accepted
+            cause_counter.value += count
+        return network.multicast(node_id, dsts, payload, size_bytes, frames=frames)
 
     # ------------------------------------------------------------------
     # Crash handling
@@ -251,92 +273,87 @@ class Endpoint:
     # Delivery (called by Transport)
     # ------------------------------------------------------------------
     def _on_network_delivery_batch(self, items: List[tuple]) -> None:
-        """Process every message that arrived at one simulated instant.
+        """Process every message that arrived at one simulated instant:
+        the network's own batch of ``(src, envelope, size)`` triples.
 
         The network hands same-instant arrivals over in a single call (one
-        scheduled event per destination per instant); FIFO checking and the
-        stats remain per message.  Channels with a registered batch handler
-        receive all their same-instant messages in one call *after* the
-        per-message channels dispatched (in practice all protocol traffic
-        shares one channel, so a batch is single-channel).
+        scheduled event per destination per instant); the FIFO check, the
+        duplicate suppression and the stats remain per message.  A channel
+        with a registered batch handler receives all its same-instant
+        messages in one call *after* the per-message channels dispatched.
+        All protocol traffic of a node shares one channel, so the validated
+        messages of a batch go to that channel's handler as one list; only
+        a batch that really mixes batch-handled channels is split, in order
+        of first arrival.
         """
         batch_hist = self.transport._batch_hist
         if batch_hist is not None:
             batch_hist.record(len(items))
-        grouped: Optional[Dict[str, List[TransportMessage]]] = None
-        for src, raw in items:
+        stats = self.stats
+        next_expected = self._next_expected
+        per_channel_received = stats.per_channel_received
+        batch_handlers = self._batch_handlers
+        batched: List[TransportMessage] = []
+        mixed = False
+        for src, message, _ in items:
             if self._crashed:
                 return
-            message = self._ingest(src, raw)
-            if message is None:
-                continue
-            batch_handler = self._batch_handlers.get(message.channel)
-            if batch_handler is None:
-                handler = self._handlers.get(message.channel, self._default_handler)
+            if not isinstance(message, TransportMessage):  # pragma: no cover - substrate misuse
+                raise TypeError(f"unexpected payload on the wire: {message!r}")
+            channel = message.channel
+            key = (src, channel)
+            seqno = message.seqno
+            expected = next_expected.get(key, 1)
+            if seqno < expected:
+                if self.transport.network.link_fault_model is not None:
+                    # A duplicated frame: the fault model re-delivers copies
+                    # of frames the channel has already moved past.  A
+                    # sequenced transport absorbs those silently -- suppress
+                    # and count.
+                    stats.duplicates_suppressed += 1
+                    continue
+                raise FifoViolationError(
+                    f"{self.node_id}: duplicate/out-of-order message from {src} "
+                    f"on {channel}: seqno {seqno} < expected {expected}"
+                )
+            # Gaps are legal: they correspond to messages lost to crashes or
+            # partitions (the network never re-orders within a channel, so a
+            # larger-than-expected seqno means the intermediate ones are
+            # gone for good, which is exactly the paper's loss model).
+            next_expected[key] = seqno + 1
+            stats.received += 1
+            stats.bytes_received += message.size_bytes
+            per_channel_received[channel] = per_channel_received.get(channel, 0) + 1
+            if channel in batch_handlers:
+                if batched and channel != batched[0].channel:
+                    mixed = True
+                batched.append(message)
+            else:
+                handler = self._handlers.get(channel, self._default_handler)
                 if handler is not None:
                     handler(message)
-                continue
-            if grouped is None:
-                grouped = {}
-            grouped.setdefault(message.channel, []).append(message)
-        if grouped is None:
+        if not batched:
             return
         profiler = self.transport._profiler
-        if profiler is None:
-            for channel, messages in grouped.items():
-                if self._crashed:
-                    return
-                self._batch_handlers[channel](messages)
-            return
         # Timed as a *nested* section: this wall time is a subset of the
         # enclosing delivery callback's category, not additive with it.
-        start = perf_counter()
-        for channel, messages in grouped.items():
-            if self._crashed:
-                break
-            self._batch_handlers[channel](messages)
-        profiler.record("protocol_receive", perf_counter() - start)
+        start = perf_counter() if profiler is not None else 0.0
+        if mixed:
+            grouped: Dict[str, List[TransportMessage]] = {}
+            for message in batched:
+                grouped.setdefault(message.channel, []).append(message)
+            for channel, messages in grouped.items():
+                if self._crashed:
+                    break
+                batch_handlers[channel](messages)
+        elif not self._crashed:
+            batch_handlers[batched[0].channel](batched)
+        if profiler is not None:
+            profiler.record("protocol_receive", perf_counter() - start)
 
     def _on_network_delivery(self, src: str, raw: object) -> None:
-        message = self._ingest(src, raw)
-        if message is None:
-            return
-        handler = self._handlers.get(message.channel, self._default_handler)
-        if handler is not None:
-            handler(message)
-
-    def _ingest(self, src: str, raw: object) -> Optional[TransportMessage]:
-        """FIFO-check and account one arrival; returns the validated message
-        (or ``None`` when the endpoint has crashed)."""
-        if self._crashed:
-            return None
-        if not isinstance(raw, TransportMessage):  # pragma: no cover - substrate misuse
-            raise TypeError(f"unexpected payload on the wire: {raw!r}")
-        message = raw
-        key = (src, message.channel)
-        expected = self._next_expected.get(key, 1)
-        if message.seqno < expected:
-            if self.transport.network.link_fault_model is not None:
-                # A duplicated frame: the fault model re-delivers copies of
-                # frames the channel has already moved past.  A sequenced
-                # transport absorbs those silently -- suppress and count.
-                self.stats.duplicates_suppressed += 1
-                return None
-            raise FifoViolationError(
-                f"{self.node_id}: duplicate/out-of-order message from {src} "
-                f"on {message.channel}: seqno {message.seqno} < expected {expected}"
-            )
-        # Gaps are legal: they correspond to messages lost to crashes or
-        # partitions (the network never re-orders within a channel, so a
-        # larger-than-expected seqno means the intermediate ones are gone
-        # for good, which is exactly the paper's loss model).
-        self._next_expected[key] = message.seqno + 1
-        self.stats.received += 1
-        self.stats.bytes_received += message.size_bytes
-        self.stats.per_channel_received[message.channel] = (
-            self.stats.per_channel_received.get(message.channel, 0) + 1
-        )
-        return message
+        """One arrival outside a batch: a batch of one."""
+        self._on_network_delivery_batch([(src, raw, 0)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self._crashed else "up"

@@ -12,6 +12,10 @@ from repro.net.latency import (
     LogNormalLatency,
     UniformLatency,
 )
+from dataclasses import asdict
+
+from repro.net.failures import FailureSchedule, FaultInjector
+from repro.net.faults import LinkFaultModel
 from repro.net.network import Network, NetworkConfig
 from repro.net.partitions import PartitionManager
 from repro.net.simulator import Simulator
@@ -108,6 +112,29 @@ def test_partition_rejects_duplicate_membership():
     manager = PartitionManager(["a", "b"])
     with pytest.raises(ValueError):
         manager.partition([["a"], ["a", "b"]])
+
+
+def test_node_registered_after_the_install_joins_the_leftover_component():
+    """The leftover index is fixed when the layout is installed, not looked
+    up per query: a node the layout never heard of still lands in the
+    layout's last component."""
+    manager = PartitionManager(["a", "b", "c"])
+    manager.partition([["a"]])  # b and c are the implicit leftover component
+    manager.register("late")
+    assert manager.can_communicate("late", "b") and manager.can_communicate("c", "late")
+    assert not manager.can_communicate("late", "a")
+    assert manager.describe() == "{a} | {b,c}"  # unchanged by the late arrival
+    # Every known node listed: the last listed component takes late arrivals.
+    manager.partition([["a"], ["b", "c", "late"]])
+    manager.register("later")
+    assert manager.can_communicate("later", "b")
+    assert not manager.can_communicate("later", "a")
+    manager.isolate("b")
+    manager.register("latest")
+    assert manager.can_communicate("latest", "a")
+    assert not manager.can_communicate("latest", "b")
+    manager.heal()
+    assert manager.can_communicate("latest", "b")
 
 
 def test_self_communication_always_possible():
@@ -283,3 +310,176 @@ def test_transport_endpoint_reused_for_same_node():
     assert first is second
     assert transport.get("a") is first
     assert transport.get("missing") is None
+
+
+# ----------------------------------------------------------------------
+# One multicast is n sends
+# ----------------------------------------------------------------------
+NODES = ["n0", "n1", "n2", "n3", "n4", "n5"]
+#: Not sorted: destinations are contacted in the caller's order.
+FANOUT = ["n3", "n1", "n5", "n2", "n4"]
+
+
+class _World:
+    """A seeded six-node transport that remembers every delivery."""
+
+    def __init__(self, **network_config):
+        self.sim = Simulator(seed=17)
+        network_config.setdefault("latency_model", UniformLatency(0.2, 3.0))
+        self.network = Network(self.sim, NetworkConfig(**network_config))
+        self.transport = Transport(self.network)
+        self.endpoints = {name: self.transport.endpoint(name) for name in NODES}
+        self.received = []
+        for name, endpoint in self.endpoints.items():
+            endpoint.register_handler(
+                "data",
+                lambda message, name=name: self.received.append(
+                    (self.sim.now, name, message.src, message.seqno, message.payload)
+                ),
+            )
+        self.accepted = []
+
+    def fan_out(self, sender, payload, as_multicast):
+        endpoint = self.endpoints[sender]
+        dsts = [name for name in FANOUT if name != sender]
+        if as_multicast:
+            self.accepted.append(endpoint.multicast(dsts, payload, "data", 24, "test"))
+        else:
+            self.accepted.append(
+                sum(endpoint.send(dst, payload, "data", 24, "test") for dst in dsts)
+            )
+
+    def facts(self):
+        return {
+            "accepted": self.accepted,
+            "network": self.network.stats.snapshot(),
+            "transport": {name: asdict(e.stats) for name, e in self.endpoints.items()},
+            "rng": self.sim.rng.getstate(),
+            "scheduled": sorted((time, sequence) for time, sequence, _ in self.sim._heap),
+            "received": self.received,
+        }
+
+
+def _crash_receiver(world):
+    world.endpoints["n2"].crash()
+
+
+def _partition(world):
+    world.network.partitions.partition([["n0", "n1", "n2"], ["n3", "n4"]])
+
+
+def _partition_in_flight(world):
+    world.sim.schedule(0.6, world.network.partitions.partition, [["n0", "n3"], ["n1"]])
+
+
+def _crash_during_multicast(world):
+    FaultInjector(world.sim, world.network).install(
+        FailureSchedule().crash_during_multicast(0.5, "n0", ["n3", "n5"])
+    )
+
+
+def _lost(kind):
+    return lambda stats: stats["messages_dropped_" + kind] > 0
+
+
+def _faulted(stats):
+    return (
+        stats["messages_dropped_fault"]
+        and stats["messages_reordered"]
+        and stats["messages_duplicated"]
+    )
+
+
+#: name -> (network config, disturbance, proof on the final network stats
+#: that the disturbance bit).
+_FAN_OUT_WORLDS = {
+    "clean": (
+        dict(),
+        None,
+        lambda stats: stats["messages_delivered"] == stats["messages_sent"],
+    ),
+    "crashed-receiver": (dict(), _crash_receiver, _lost("crash")),
+    "partition": (dict(), _partition, _lost("partition")),
+    "partition-in-flight": (dict(), _partition_in_flight, _lost("partition")),
+    "crash-during-multicast": (dict(), _crash_during_multicast, _lost("filter")),
+    "link-faults": (
+        dict(link_faults=LinkFaultModel(drop=0.2, reorder=0.3, duplicate=0.3, seed=5)),
+        None,
+        _faulted,
+    ),
+    "batch-window": (
+        dict(batch_window=0.25),
+        None,
+        lambda stats: stats["delivery_events"] < stats["messages_delivered"],
+    ),
+    "batch-window-link-faults": (
+        dict(
+            batch_window=0.25,
+            link_faults=LinkFaultModel(drop=0.1, reorder=0.3, duplicate=0.3, seed=9),
+        ),
+        None,
+        _faulted,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAN_OUT_WORLDS))
+def test_one_multicast_equals_n_sends_in_the_same_order(name):
+    """Same accept counts, same stats, same sequence numbers, same RNG
+    draws and the same ``(time, sequence)`` for every scheduled delivery:
+    a run cannot tell a fan-out from its sends."""
+    config, disturb, bit = _FAN_OUT_WORLDS[name]
+    worlds = [_World(**config), _World(**config)]
+    for world, as_multicast in zip(worlds, (True, False)):
+        if disturb is not None:
+            disturb(world)
+        # Sends are simulator events, so that a fault scheduled for the same
+        # instant (installed first) acts between two of them.
+        for step, sender in enumerate(["n0", "n1", "n0", "n4", "n0", "n3"]):
+            for payload in (f"m{step}", f"m{step}'"):  # a burst: FIFO clamp
+                world.sim.schedule_at(
+                    0.5 * (step + 1), world.fan_out, sender, payload, as_multicast
+                )
+        world.sim.run(until=3.0)
+    one, many = (world.facts() for world in worlds)
+    assert one == many
+    assert one["scheduled"] and sum(one["accepted"])
+    for world in worlds:
+        world.sim.run()
+    one, many = (world.facts() for world in worlds)
+    assert one == many
+    assert one["received"] and bit(one["network"]), one["network"]
+
+
+def test_a_crashed_sender_accepts_nothing_and_counts_every_destination():
+    sim = Simulator(seed=1)
+    network = Network(sim, NetworkConfig())
+    for node in NODES:
+        network.attach(node, lambda src, payload: None)
+    network.crash("n0")
+    assert network.multicast("n0", FANOUT, "x", size_bytes=10) == 0
+    assert not network.send("n0", "n1", "x", size_bytes=10)
+    assert network.stats.messages_sent == len(FANOUT) + 1
+    assert network.stats.bytes_sent == 10 * (len(FANOUT) + 1)
+    assert network.stats.messages_dropped_crash == len(FANOUT) + 1
+    assert sim.pending_events == 0
+    # A crashed *endpoint* never reaches the network at all.
+    transport = Transport(Network(Simulator(seed=1), NetworkConfig()))
+    endpoint = transport.endpoint("n0")
+    endpoint.crash()
+    assert endpoint.multicast(FANOUT, "x") == 0 and not endpoint.send("n1", "x")
+    assert endpoint.stats.sent == 0 and transport.network.stats.messages_sent == 0
+
+
+def test_multicast_keeps_the_callers_order_and_an_empty_fan_out_costs_nothing():
+    sim = Simulator(seed=3)
+    network = Network(sim, NetworkConfig(latency_model=UniformLatency(0.1, 0.2)))
+    transport = Transport(network)
+    sender = transport.endpoint("n0")
+    seen = []
+    network.add_filter(lambda src, dst, payload: seen.append(dst) or True)
+    assert sender.multicast(FANOUT, "x", "data") == len(FANOUT)
+    assert seen == FANOUT
+    assert sender.multicast((), "x", "data") == 0
+    assert sender.stats.sent == len(FANOUT)
+    assert sender.stats.per_channel_sent == {"data": len(FANOUT)}
