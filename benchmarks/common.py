@@ -23,10 +23,7 @@ from repro.api import ProtocolStack, Session, SessionResult
 from repro.core import OrderingMode
 from repro.experiments import SweepReport
 from repro.net.trace import EventTrace, TraceEvent, TraceSink
-
-#: Configuration used by most benchmarks: fast time-silence and suspicion so
-#: membership events resolve within short simulated runs.
-FAST_CONFIG = dict(omega=1.5, suspicion_timeout=6.0, suspector_check_interval=0.5)
+from repro.scenarios import SCENARIO_PROTOCOL_DEFAULTS
 
 
 @dataclass
@@ -66,7 +63,7 @@ def run_session(
     wiring, and :func:`assert_session_correct` reads the verdict from
     whichever analysis mode the benchmark selected.
     """
-    overrides = dict(FAST_CONFIG)
+    overrides = dict(SCENARIO_PROTOCOL_DEFAULTS)
     if mode_overrides:
         overrides.update(mode_overrides)
     session = Session(

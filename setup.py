@@ -1,9 +1,9 @@
-"""Setuptools shim.
+"""Project metadata for ``pip install -e .``.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that ``pip install -e .`` works in fully offline environments whose
-setuptools/pip combination cannot build PEP 660 editable wheels (no ``wheel``
-package available).
+This file is the only packaging metadata the repository has (there is no
+``pyproject.toml``); a plain ``setup.py`` also installs in fully offline
+environments whose setuptools/pip combination cannot build PEP 660 editable
+wheels (no ``wheel`` package available).
 """
 
 from setuptools import find_packages, setup

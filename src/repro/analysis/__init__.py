@@ -1,4 +1,4 @@
-"""Analysis tooling: property checkers, metrics, overhead and workloads.
+"""Analysis tooling: property checkers, metrics and overhead models.
 
 * :mod:`repro.analysis.checkers` -- verify the paper's delivery and view
   guarantees (MD1-MD5', VC1-VC3) over recorded event traces (post-hoc).
@@ -10,9 +10,6 @@
 * :mod:`repro.analysis.overhead` -- per-message protocol overhead models
   for Newtop and the §6 comparison protocols (ISIS vector clocks, Psync
   context graphs, piggybacking).
-* :mod:`repro.analysis.workloads` -- legacy closed-loop schedule
-  generators, now thin wrappers over the open-loop :mod:`repro.workloads`
-  profiles (deprecated; new code should use that package directly).
 """
 
 from repro.analysis.checkers import (
@@ -43,11 +40,9 @@ from repro.analysis.overhead import (
     piggyback_overhead_bytes,
     psync_overhead_bytes,
 )
-from repro.analysis.workloads import UniformWorkload, BurstyWorkload, WorkloadRunner
 
 __all__ = [
     "ALL_CHECKS",
-    "BurstyWorkload",
     "CheckResult",
     "GroupScopedCheckSuite",
     "LatencySummary",
@@ -59,8 +54,6 @@ __all__ = [
     "OnlineTotalOrder",
     "OnlineViewAgreement",
     "OnlineVirtualSynchrony",
-    "UniformWorkload",
-    "WorkloadRunner",
     "check_all",
     "check_events",
     "check_causal_prefix",

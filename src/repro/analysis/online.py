@@ -681,12 +681,9 @@ class OnlineCheckSuite(TraceSink):
             name: CHECKER_FACTORIES[name](view_agreement_sets, timeline)
             for name in self.check_names
         }
-        # Named attributes for the historical (full-suite) spelling.
+        # The two checkers callers read counters from, by name.
         self.total_order = built.get("total_order")
-        self.sender_in_view = built.get("sender_in_view")
         self.causal_order = built.get("causal_prefix")
-        self.view_agreement = built.get("view_sequences")
-        self.virtual_synchrony = built.get("same_view_delivery_sets")
         self.checkers: Tuple[OnlineChecker, ...] = tuple(
             built[name] for name in self.check_names
         )

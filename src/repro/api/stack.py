@@ -36,7 +36,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.checkers import CheckResult
-from repro.analysis.online import ALL_CHECKS, GroupScopedCheckSuite, OnlineCheckSuite
+from repro.analysis.online import (
+    ALL_CHECKS,
+    GroupScopedCheckSuite,
+    OnlineCheckSuite,
+    check_events,
+)
 from repro.net.failures import FaultInjector
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -222,13 +227,12 @@ class ProtocolStack:
     ) -> CheckResult:
         """Post-hoc verdict over a materialized trace.
 
-        The default replays the trace through :meth:`make_check_suite`;
-        stacks with dedicated post-hoc checkers (Newtop) override this.
+        The default replays the trace through the streaming suite, scoped
+        as :meth:`make_check_suite` scopes it; stacks with dedicated
+        post-hoc checkers (Newtop) override this.
         """
-        suite = self.make_check_suite(view_agreement_sets, checks=checks)
-        for event in trace:
-            suite.on_event(event)
-        return suite.result()
+        names = tuple(checks) if checks is not None else self.checks
+        return check_events(trace, view_agreement_sets, names, self.check_scope)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -159,10 +159,6 @@ class HashRing:
             index = 0
         return owners[index]
 
-    def owners(self, keys: Iterable[str]) -> Dict[str, str]:
-        """Batch :meth:`lookup` (rebalance planning)."""
-        return {key: self.lookup(key) for key in keys}
-
     # ------------------------------------------------------------------
     # Evolution (always a new ring, version + 1)
     # ------------------------------------------------------------------

@@ -338,14 +338,6 @@ class ShardedKV:
         self._ring = ring
         return ring
 
-    def shard_of(self, key: str, ring: Optional[HashRing] = None) -> Shard:
-        """The shard serving ``key`` under ``ring`` (default: current)."""
-        return self.shards[(ring or self.ring).lookup(key)]
-
-    def shard_members(self, shard_id: str) -> List[str]:
-        """Current replica processes of a shard (its latest generation)."""
-        return list(self.shards[shard_id].members)
-
     def alive_members(self, shard_id: str) -> List[str]:
         return self.shards[shard_id].alive_members()
 

@@ -26,10 +26,6 @@ from repro.apps.kv.commands import apply_kv_command
 from repro.apps.replicated_state_machine import ReplicatedStateMachine
 from repro.core.process import NewtopProcess
 
-#: Backwards-compatible alias: the transition function now lives in
-#: :mod:`repro.apps.kv.commands` and is shared with the sharded store.
-_apply_store_command = apply_kv_command
-
 
 class ReplicatedStore:
     """One replica of the key-value store."""
@@ -38,7 +34,7 @@ class ReplicatedStore:
         self.process = process
         self.group_id = group_id
         self.rsm = ReplicatedStateMachine(
-            process, group_id, initial_state={}, apply_function=_apply_store_command
+            process, group_id, initial_state={}, apply_function=apply_kv_command
         )
 
     # ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.core.errors import (
     ConfigurationError,
     DeliveryOrderViolation,
     DepartedGroupError,
-    FlowControlError,
     GroupFormationError,
     InvalidViewError,
     NewtopError,
@@ -47,7 +46,6 @@ __all__ = [
     "DeliveryOrderViolation",
     "DeliveryQueue",
     "DepartedGroupError",
-    "FlowControlError",
     "FormationHandle",
     "FormationStatus",
     "GroupFormationError",

@@ -27,22 +27,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import (
+    CAUSE_BY_KIND,
     DataMessage,
     KIND_NULL,
-    KIND_START_GROUP,
     KIND_VIEW_CUT,
     SequencerRequest,
 )
 from repro.core.ordering import OrderingEngine
-
-
-def _cause_for_kind(kind: str) -> str:
-    """Root cause of a send, derived from the message kind."""
-    if kind == KIND_START_GROUP:
-        return "formation"
-    if kind == KIND_NULL:
-        return "null_time_silence"
-    return "app_multicast"
 
 
 class AsymmetricOrdering(OrderingEngine):
@@ -91,7 +82,7 @@ class AsymmetricOrdering(OrderingEngine):
         pointless network round-trip to self.
         """
         process = self.endpoint.process
-        cause = _cause_for_kind(kind)
+        cause = CAUSE_BY_KIND[kind]
         if self.is_sequencer():
             message = self._sequence_and_multicast(
                 origin=process.process_id,
@@ -141,7 +132,7 @@ class AsymmetricOrdering(OrderingEngine):
             payload=request.payload,
             kind=request.kind,
             origin_request=request.request_id,
-            cause=_cause_for_kind(request.kind),
+            cause=CAUSE_BY_KIND[request.kind],
         )
 
     def _sequence_and_multicast(
@@ -172,7 +163,7 @@ class AsymmetricOrdering(OrderingEngine):
                 # the request id as msg_id, continuing the same journey.)
                 journeys.created(
                     message.msg_id,
-                    cause or _cause_for_kind(kind),
+                    cause or CAUSE_BY_KIND[kind],
                     origin,
                     self.endpoint.group_id,
                     process.sim.now,
@@ -355,10 +346,6 @@ class AsymmetricOrdering(OrderingEngine):
             self.endpoint.send_to_member(
                 self.sequencer(), request, cause="failover_resend"
             )
-
-    def unsequenced_requests(self) -> List[str]:
-        """Request ids awaiting sequencing (introspection for tests)."""
-        return sorted(self._unsequenced)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

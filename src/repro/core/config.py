@@ -1,7 +1,8 @@
 """Configuration for Newtop processes.
 
 The paper leaves several quantities as deployment-time parameters; they are
-collected here with the paper's notation preserved where it exists:
+collected here with the paper's notation preserved where it exists (the
+ordering mode is chosen per group at creation, §4.3, so it is not here):
 
 * ``omega`` -- the time-silence period ω: a process sends a null message in
   a group if it has sent nothing *numbered* there for ω time units (§4.1)
@@ -20,7 +21,6 @@ collected here with the paper's notation preserved where it exists:
   ones that time it out while the group is idle; everybody else concurs
   when asked, so a crash in an idle group is agreed one gossip hop later
   than Ω alone would give (:mod:`repro.core.suspector`).
-* ordering mode defaults (symmetric vs asymmetric, §4.1/§4.2),
 * optional ISIS-style send blocking during view installation (§3 notes
   Newtop *can* provide the closed form of virtual synchrony "at the
   necessary expense of performance"),
@@ -31,7 +31,7 @@ collected here with the paper's notation preserved where it exists:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import ConfigurationError
 
@@ -85,23 +85,17 @@ class NewtopConfig:
     #: otherwise only the watched members' deadlines
     #: (:mod:`repro.core.suspector`).
     suspector_check_interval: float = 1.0
-    #: Default ordering mode for newly created groups.
-    default_mode: OrderingMode = OrderingMode.SYMMETRIC
     #: If True, application sends are blocked while a view installation is
     #: pending, yielding ISIS-style closed virtual synchrony (r' == r).
     #: Newtop's default (False) allows sends to proceed, giving r' >= r.
     block_sends_during_view_change: bool = False
     #: Flow-control window: maximum number of own messages per group that
-    #: may be unstable at once; further sends are queued.  ``None`` disables
-    #: flow control.
+    #: may be unstable at once; further sends wait in the endpoint's
+    #: deferred sends.  ``None`` disables flow control.
     flow_control_window: int | None = None
     #: Use signature views ({process-id, exclusion-count} tuples, §6) so
     #: that concurrent views of different subgroups never intersect.
     use_signature_views: bool = False
-    #: Maximum number of messages retained per group for retransmission
-    #: before stability forces a garbage collection error.  ``None`` means
-    #: unbounded retention (safe, but benchmarks can bound it).
-    retention_limit: int | None = None
     #: Timeout used by the group-formation coordinator while collecting
     #: votes (§5.3 step 3).
     formation_timeout: float = 30.0
@@ -117,9 +111,6 @@ class NewtopConfig:
     #: hot-path batching knob: the delivery sequence is unchanged (pinned
     #: by equivalence tests).
     batch_receipts: bool = True
-    #: Approximate payload-independent byte cost of headers added by the
-    #: transport; used only for overhead accounting.
-    transport_header_bytes: int = 20
     #: Sequence an end-of-view ``view_cut`` marker when an asymmetric group
     #: excludes a non-sequencer member, so every survivor cuts the delivery
     #: stream at the same sequencer number.  Disabling it reverts to the
@@ -143,8 +134,6 @@ class NewtopConfig:
             raise ConfigurationError("suspector_check_interval must be positive")
         if self.flow_control_window is not None and self.flow_control_window < 1:
             raise ConfigurationError("flow_control_window must be >= 1 or None")
-        if self.retention_limit is not None and self.retention_limit < 1:
-            raise ConfigurationError("retention_limit must be >= 1 or None")
         if self.formation_timeout <= 0:
             raise ConfigurationError("formation_timeout must be positive")
         return self

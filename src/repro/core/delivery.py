@@ -131,16 +131,6 @@ class DeliveryQueue:
         """Number of messages waiting to become deliverable."""
         return len(self._pending)
 
-    def pending_messages(self, group: Optional[str] = None) -> List[DataMessage]:
-        """Pending messages (optionally restricted to one group), sorted in
-        the delivery order they would eventually be delivered in."""
-        messages = [
-            message
-            for message in self._pending.values()
-            if group is None or message.group == group
-        ]
-        return sorted(messages, key=delivery_sort_key)
-
     def has_pending_at_or_below(self, bound: float, group: Optional[str] = None) -> bool:
         """Whether any pending message is numbered ``<= bound``.
 
@@ -176,11 +166,6 @@ class DeliveryQueue:
     def was_delivered(self, msg_id: str) -> bool:
         """Whether a message with this id has already been delivered."""
         return msg_id in self._delivered_ids
-
-    @property
-    def last_delivered_clock(self) -> Optional[int]:
-        """Number of the most recently delivered message (None initially)."""
-        return self._last_delivered_key[0] if self._last_delivered_key else None
 
     # ------------------------------------------------------------------
     # Pop deliverable messages

@@ -112,16 +112,9 @@ class GroupEndpoint:
         self.stability = StabilityTracker(
             group_id,
             members,
-            retention_limit=config.retention_limit,
             use_slab=config.use_slab_state,
         )
-        metrics = process.sim.metrics
-        self.flow = FlowController(
-            config.flow_control_window,
-            blocked_gauge=(
-                metrics.push_gauge("flow.blocked_senders") if metrics is not None else None
-            ),
-        )
+        self.flow = FlowController(config.flow_control_window)
         self.suspector = FailureSuspector(
             sim=process.sim,
             own_id=own_id,
@@ -168,6 +161,12 @@ class GroupEndpoint:
         #: Application payloads deferred by the blocking rules / formation
         #: wait / flow control, in submission order.
         self.deferred_sends: List[object] = []
+        metrics = process.sim.metrics
+        if metrics is not None:
+            # Senders with a send waiting, polled at sampler ticks only.
+            metrics.sum_gauge("flow.blocked_senders").add(
+                lambda: 1 if self.deferred_sends else 0
+            )
         #: Journey tracing (``sim.journeys`` is None unless the run asked
         #: for it); ``deferred_since`` parallels ``deferred_sends`` with the
         #: simulated time each payload was deferred, maintained only while
@@ -179,8 +178,6 @@ class GroupEndpoint:
         #: (``awaits_reply``); our next send in the group -- CA2 has already
         #: pushed the clock past that null's number -- is the answer.
         self._reply_awaited = False
-        #: Messages dropped because their sender was excluded or unknown.
-        self.discarded_from_excluded = 0
 
         self._record_view_installed()
 
@@ -510,7 +507,6 @@ class GroupEndpoint:
         filter_key = message.sequenced_by or message.sender
         if not local_origin:
             if self.gv.is_excluded(filter_key) or filter_key not in self.view.members:
-                self.discarded_from_excluded += 1
                 if self.journeys is not None:
                     self.journeys.discarded(
                         message.msg_id, process.sim.now,
@@ -598,7 +594,6 @@ class GroupEndpoint:
         if not self.active:
             return
         if self.gv.is_excluded(request.origin) or request.origin not in self.view.members:
-            self.discarded_from_excluded += 1
             if self.journeys is not None:
                 self.journeys.discarded(
                     request.request_id, self.process.sim.now,
@@ -721,7 +716,6 @@ class GroupEndpoint:
             discarded = self.process.delivery_queue.discard_from_sender(
                 self.group_id, target, above_clock=above
             )
-            self.discarded_from_excluded += len(discarded)
             if self.journeys is not None:
                 for discarded_message in discarded:
                     self.journeys.discarded(
@@ -783,10 +777,9 @@ class GroupEndpoint:
                 # come; their old-view stream now truncates at the failover
                 # cut, so re-discard what the per-target bound kept above it.
                 for target in awaiting:
-                    discarded = self.process.delivery_queue.discard_from_sender(
+                    self.process.delivery_queue.discard_from_sender(
                         self.group_id, target, above_clock=cut
                     )
-                    self.discarded_from_excluded += len(discarded)
                     self.stability.buffer.discard_sender_above(target, cut)
                 self.pending_view_changes.append(
                     PendingViewChange(removed=awaiting, threshold=cut)

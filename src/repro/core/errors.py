@@ -62,10 +62,6 @@ class GroupFormationError(NewtopError):
     """Group formation failed (vetoed, timed out, or misconfigured)."""
 
 
-class FlowControlError(NewtopError):
-    """A sender exceeded its flow-control budget with queueing disabled."""
-
-
 class DeliveryOrderViolation(NewtopError):
     """Internal safety check failed: a delivery would break safe2.
 

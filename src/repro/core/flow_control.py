@@ -10,7 +10,9 @@ what is reproduced here:
 * a sender may have at most ``window`` of its *own* messages per group that
   are not yet known to be stable (i.e. not yet known to have reached every
   member of the view);
-* further application sends are queued locally and released, in order, as
+* further application sends wait in ``GroupEndpoint.deferred_sends`` (the
+  one list the blocking rules and the formation wait defer into too) and
+  ``NewtopProcess.flush_deferred_sends`` releases them, in order, as
   stability advances (the stability bound is driven by the ``m.ldn``
   piggyback of §5.1, so no extra messages are needed);
 * null messages and membership traffic are never subject to flow control --
@@ -24,30 +26,18 @@ which is the no-overflow guarantee the paper claims.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Optional, Tuple
-
-from repro.core.errors import FlowControlError
+from typing import Optional
 
 
 class FlowController:
-    """Window-based flow control for one (process, group) pair."""
+    """The stability window of one (process, group) pair; it only counts."""
 
-    def __init__(self, window: Optional[int], blocked_gauge=None) -> None:
+    def __init__(self, window: Optional[int]) -> None:
         if window is not None and window < 1:
             raise ValueError("flow-control window must be >= 1 or None")
         self.window = window
         #: Clocks of own messages sent but not yet known stable.
         self._outstanding: set[int] = set()
-        #: Application payloads waiting for window space.
-        self._queued: Deque[object] = deque()
-        self.total_queued = 0
-        self.max_queue_length = 0
-        #: Optional :class:`repro.obs.metrics.PushGauge` shared by every
-        #: controller of a run; adjusted only at empty<->nonempty queue
-        #: transitions, so it counts *senders currently blocked* (and
-        #: remembers the peak) with zero per-message cost.
-        self._blocked_gauge = blocked_gauge
 
     # ------------------------------------------------------------------
     # Send-side interface
@@ -63,14 +53,6 @@ class FlowController:
             return True
         return len(self._outstanding) < int(self.window)
 
-    def queue(self, payload: object) -> None:
-        """Park an application payload until window space is available."""
-        self._queued.append(payload)
-        self.total_queued += 1
-        self.max_queue_length = max(self.max_queue_length, len(self._queued))
-        if len(self._queued) == 1 and self._blocked_gauge is not None:
-            self._blocked_gauge.adjust(1)
-
     def note_sent(self, clock: int) -> None:
         """Record that an own application message numbered ``clock`` left."""
         if self.enabled:
@@ -79,29 +61,10 @@ class FlowController:
     # ------------------------------------------------------------------
     # Stability feedback
     # ------------------------------------------------------------------
-    def note_stability(self, stability_bound: float) -> int:
-        """Update the window from a new stability bound.
-
-        Returns the number of queued payloads that may now be released (the
-        caller pops them with :meth:`next_released`).
-        """
-        if not self.enabled:
-            return 0
-        self._outstanding = {clock for clock in self._outstanding if clock > stability_bound}
-        releasable = 0
-        available = int(self.window) - len(self._outstanding)
-        if available > 0:
-            releasable = min(available, len(self._queued))
-        return releasable
-
-    def next_released(self) -> object:
-        """Pop the oldest queued payload (caller checked releasability)."""
-        if not self._queued:
-            raise FlowControlError("no queued payload to release")
-        payload = self._queued.popleft()
-        if not self._queued and self._blocked_gauge is not None:
-            self._blocked_gauge.adjust(-1)
-        return payload
+    def note_stability(self, stability_bound: float) -> None:
+        """Stop counting own messages at or below a new stability bound."""
+        if self.enabled:
+            self._outstanding = {c for c in self._outstanding if c > stability_bound}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -111,13 +74,5 @@ class FlowController:
         """Own messages currently counted against the window."""
         return len(self._outstanding)
 
-    @property
-    def queued_count(self) -> int:
-        """Application payloads currently parked."""
-        return len(self._queued)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FlowController(window={self.window}, outstanding={len(self._outstanding)}, "
-            f"queued={len(self._queued)})"
-        )
+        return f"FlowController(window={self.window}, outstanding={len(self._outstanding)})"

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.config import OrderingMode
 from repro.core.errors import GroupFormationError
@@ -282,7 +282,3 @@ class FormationCoordinator:
     def attempt(self, group_id: str) -> Optional[FormationHandle]:
         """The formation attempt for ``group_id``, if any."""
         return self._attempts.get(group_id)
-
-    def attempts(self) -> List[FormationHandle]:
-        """All formation attempts seen by this process."""
-        return list(self._attempts.values())

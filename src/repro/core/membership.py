@@ -61,15 +61,9 @@ from repro.net import trace as trace_events
 class MembershipStats:
     """Counters kept by one GV process (used by benchmarks and tests)."""
 
-    suspicions_raised: int = 0
-    suspicions_refuted: int = 0
-    detections_confirmed: int = 0
     suspect_messages_sent: int = 0
     refute_messages_sent: int = 0
     confirm_messages_sent: int = 0
-    messages_recovered: int = 0
-    pending_held: int = 0
-    pending_discarded: int = 0
 
 
 class GroupViewProcess:
@@ -148,7 +142,6 @@ class GroupViewProcess:
         """Park a message from a suspected sender until the suspicion is
         resolved one way or the other."""
         self._pending.setdefault(sender, []).append(payload)
-        self.stats.pending_held += 1
 
     # ------------------------------------------------------------------
     # Rule (i): local suspicion from the failure suspector
@@ -164,7 +157,6 @@ class GroupViewProcess:
             return
         self._suspicions.add(suspicion)
         self._suspected_targets.add(target)
-        self.stats.suspicions_raised += 1
         self.endpoint.record_membership_event(
             trace_events.SUSPECT, target=target, last_number=suspicion.last_number
         )
@@ -346,7 +338,6 @@ class GroupViewProcess:
         if suspicion not in self._suspicions:
             return
         self._drop_suspicions((suspicion,))
-        self.stats.suspicions_refuted += 1
         self.endpoint.record_membership_event(
             trace_events.REFUTE,
             target=suspicion.target,
@@ -357,7 +348,6 @@ class GroupViewProcess:
         # again from a clean slate (it will re-suspect at the higher ln if
         # the target really is gone).
         if message.recovered:
-            self.stats.messages_recovered += len(message.recovered)
             self.endpoint.recover_messages(list(message.recovered))
         self.endpoint.suspector.clear_suspicion(suspicion.target)
         # Forward the refutation so other suspecting processes learn of it.
@@ -431,7 +421,6 @@ class GroupViewProcess:
         """Steps (v)/(vi) tail + step (viii) hand-off."""
         self._drop_suspicions(detection)
         self.detection_history.append(detection)
-        self.stats.detections_confirmed += 1
         self.stats.confirm_messages_sent += 1
         targets = sorted(suspicion.target for suspicion in detection)
         self.endpoint.record_membership_event(
@@ -449,7 +438,6 @@ class GroupViewProcess:
             self._excluded.add(target)
             self.endpoint.suspector.remove_member(target)
             discarded = self._pending.pop(target, [])
-            self.stats.pending_discarded += len(discarded)
             if journeys is not None:
                 now = self.endpoint.process.sim.now
                 for payload in discarded:

@@ -75,6 +75,14 @@ KIND_START_GROUP = "start_group"
 #: when it executes a failure detection: the marker's ``m.c`` is the exact
 #: stream position at which the surviving members cut over to the new view.
 KIND_VIEW_CUT = "view_cut"
+#: The root cause a send of each kind is counted under
+#: (``transport.sends_by_cause.*`` and the journeys' ``cause``).
+CAUSE_BY_KIND = {
+    KIND_DATA: "app_multicast",
+    KIND_NULL: "null_time_silence",
+    KIND_START_GROUP: "formation",
+    KIND_VIEW_CUT: "view_cut",
+}
 
 _message_counter = itertools.count(1)
 
@@ -142,11 +150,6 @@ class DataMessage:
     def is_start_group(self) -> bool:
         """True for the special first message of a newly formed group."""
         return self.kind == KIND_START_GROUP
-
-    @property
-    def is_view_cut(self) -> bool:
-        """True for the asymmetric end-of-view marker (protocol-internal)."""
-        return self.kind == KIND_VIEW_CUT
 
     @property
     def is_application(self) -> bool:
@@ -426,16 +429,3 @@ class FormGroupVote:
     def wire_size_bytes(self) -> int:
         """Total estimated bytes on the wire."""
         return (2 + len(self.members)) * SCALAR_BYTES + 2 * TAG_BYTES
-
-
-#: Union of every message type the transport may carry for Newtop.
-ProtocolMessage = (
-    DataMessage,
-    Beacon,
-    SequencerRequest,
-    SuspectMessage,
-    RefuteMessage,
-    ConfirmMessage,
-    FormGroupInvite,
-    FormGroupVote,
-)

@@ -179,7 +179,7 @@ class NewtopProcess:
             self,
             group_id,
             tuple(sorted(set(members))),
-            mode or self.config.default_mode,
+            mode or OrderingMode.SYMMETRIC,
         )
         self._endpoints[group_id] = endpoint
         endpoint.start()
@@ -196,7 +196,7 @@ class NewtopProcess:
         if group_id in self._endpoints:
             raise AlreadyMemberError(self.process_id, group_id)
         return self.formation.initiate(
-            group_id, tuple(sorted(set(members))), mode or self.config.default_mode
+            group_id, tuple(sorted(set(members))), mode or OrderingMode.SYMMETRIC
         )
 
     def activate_formed_group(

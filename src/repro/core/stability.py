@@ -36,9 +36,8 @@ class RetentionBuffer:
     in the group.
     """
 
-    def __init__(self, group: str, retention_limit: Optional[int] = None) -> None:
+    def __init__(self, group: str) -> None:
         self.group = group
-        self.retention_limit = retention_limit
         # sender -> {clock -> message}
         self._by_sender: Dict[str, Dict[int, DataMessage]] = {}
         self._discarded_stable = 0
@@ -175,10 +174,6 @@ class RetentionBuffer:
         """How many messages have been garbage-collected as stable."""
         return self._discarded_stable
 
-    def over_limit(self) -> bool:
-        """Whether the configured retention limit is currently exceeded."""
-        return self.retention_limit is not None and self._size > self.retention_limit
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RetentionBuffer(group={self.group!r}, size={self.size()})"
 
@@ -199,12 +194,11 @@ class StabilityTracker:
         self,
         group: str,
         members: Iterable[str],
-        retention_limit: Optional[int] = None,
         use_slab: bool = True,
     ) -> None:
         self.group = group
         self.vector = make_stability_vector(members, use_slab=use_slab)
-        self.buffer = RetentionBuffer(group, retention_limit=retention_limit)
+        self.buffer = RetentionBuffer(group)
 
     def on_message(self, message: DataMessage, key: Optional[str] = None) -> int:
         """Process a sent-or-received message; returns messages discarded.

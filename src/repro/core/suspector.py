@@ -227,7 +227,6 @@ class FailureSuspector:
         #: Where a dozing suspector's tick belongs while the owner is
         #: quiet: a grid point no earlier than the pending tick.
         self._deadline: Optional[float] = None
-        self.suspicions_raised = 0
         metrics = sim.metrics
         if metrics is not None:
             self._c_probes = metrics.counter("suspector.probes")
@@ -531,7 +530,6 @@ class FailureSuspector:
         if self._suspected[slot]:
             return
         self._suspected[slot] = True
-        self.suspicions_raised += 1
         if self._c_suspicions is not None:
             self._c_suspicions.value += 1
         self._notify(Suspicion(target=member, last_number=self._clock[slot]))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.messages import DataMessage, KIND_NULL, KIND_START_GROUP
+from repro.core.messages import CAUSE_BY_KIND, DataMessage, KIND_NULL, KIND_START_GROUP
 from repro.core.ordering import OrderingEngine
 from repro.core.vectors import make_receive_vector
 
@@ -66,12 +66,7 @@ class SymmetricOrdering(OrderingEngine):
                 ldn=ldn,
                 payload=payload,
             )
-        if kind == KIND_START_GROUP:
-            cause = "formation"
-        elif kind == KIND_NULL:
-            cause = "null_time_silence"
-        else:
-            cause = "app_multicast"
+        cause = CAUSE_BY_KIND[kind]
         journeys = self.endpoint.journeys
         if journeys is not None:
             journeys.created(

@@ -22,7 +22,7 @@ Two representations are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.core.errors import InvalidViewError
 
@@ -77,24 +77,6 @@ class MembershipView:
             cached = tuple(sorted(self.members))
             object.__setattr__(self, "_sorted_members", cached)
         return cached
-
-    def member_index(self) -> Dict[str, int]:
-        """Dense ``pid -> index`` mapping over :meth:`sorted_members`.
-
-        The view owns the canonical index space for slab/array-backed
-        per-member state (receive/stability slabs, suspector slots): every
-        member of the same view maps to the same dense index at every
-        process.  Cached on the immutable view; do not mutate the result.
-        """
-        cached = self.__dict__.get("_member_index")
-        if cached is None:
-            cached = {pid: slot for slot, pid in enumerate(self.sorted_members())}
-            object.__setattr__(self, "_member_index", cached)
-        return cached
-
-    def index_of(self, member: str) -> int:
-        """Dense index of ``member`` in this view (KeyError if absent)."""
-        return self.member_index()[member]
 
     # ------------------------------------------------------------------
     # View evolution

@@ -28,7 +28,6 @@ per-group stall detection -- the raw material of benchmark E21
 
 from repro.experiments.sweep import (
     FAULT_PATTERNS,
-    SWEEP_PROTOCOL_DEFAULTS,
     SweepReport,
     SweepSpec,
     run_cell,
@@ -37,7 +36,6 @@ from repro.experiments.sweep import (
 
 __all__ = [
     "FAULT_PATTERNS",
-    "SWEEP_PROTOCOL_DEFAULTS",
     "SweepReport",
     "SweepSpec",
     "run_cell",

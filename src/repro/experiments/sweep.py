@@ -60,17 +60,10 @@ from repro.core.messages import reset_message_counter
 from repro.net.latency import get_latency_model
 from repro.net.partitions import partition_hold_time
 from repro.parallel import WorkUnit, run_units
+from repro.scenarios.engine import SCENARIO_PROTOCOL_DEFAULTS
 from repro.scenarios.spec import default_process_names
 from repro.workloads.client import LatencyReservoir, OpenLoopClient, aggregate_counters
 from repro.workloads.profiles import get_profile
-
-#: Protocol defaults: fast time-silence and suspicion, as in the scenario
-#: engine, so membership events resolve within one sweep phase.
-SWEEP_PROTOCOL_DEFAULTS: Mapping[str, object] = {
-    "omega": 1.5,
-    "suspicion_timeout": 6.0,
-    "suspector_check_interval": 0.5,
-}
 
 #: Fault patterns a sweep cell understands.
 FAULT_PATTERNS = ("none", "crash", "partition")
@@ -99,7 +92,8 @@ class SweepSpec:
     drain: float = 30.0
     seed: int = 7
     payload_bytes: int = 64
-    #: Overrides merged over :data:`SWEEP_PROTOCOL_DEFAULTS` (e.g.
+    #: Overrides merged over the scenario engine's
+    #: :data:`~repro.scenarios.engine.SCENARIO_PROTOCOL_DEFAULTS` (e.g.
     #: ``{"flow_control_window": 4}`` to exercise backpressure).
     protocol: Mapping[str, object] = field(default_factory=dict)
     #: Extra options forwarded to :func:`repro.workloads.get_profile`.
@@ -243,7 +237,7 @@ def run_cell(
     reset_message_counter()
     topology = spec.topology()
     agreement_sets = _agreement_sets(spec, topology, fault)
-    overrides = dict(SWEEP_PROTOCOL_DEFAULTS)
+    overrides = dict(SCENARIO_PROTOCOL_DEFAULTS)
     overrides.update(spec.protocol)
     session = Session(
         stack,

@@ -126,7 +126,6 @@ class FaultInjector:
     def __init__(self, sim: Simulator, network: Network) -> None:
         self.sim = sim
         self.network = network
-        self.applied: List[str] = []
 
     def install(self, schedule: FailureSchedule) -> None:
         """Schedule every action in ``schedule`` on the simulator."""
@@ -141,17 +140,14 @@ class FaultInjector:
     def crash_now(self, node: str) -> None:
         """Crash ``node`` immediately."""
         self.network.crash(node)
-        self.applied.append(f"crash({node})@{self.sim.now:.3f}")
 
     def partition_now(self, components: Sequence[Iterable[str]]) -> None:
         """Install a partition immediately."""
         self.network.partitions.partition(components, at_time=self.sim.now)
-        self.applied.append(f"partition@{self.sim.now:.3f}")
 
     def heal_now(self) -> None:
         """Heal all partitions immediately."""
         self.network.partitions.heal(at_time=self.sim.now)
-        self.applied.append(f"heal@{self.sim.now:.3f}")
 
     # ------------------------------------------------------------------
     # Internal dispatch
@@ -165,11 +161,12 @@ class FaultInjector:
             self.partition_now(action.components or [])
         elif action.kind == "isolate":
             self.network.partitions.isolate(action.node, at_time=self.sim.now)
-            self.applied.append(f"isolate({action.node})@{self.sim.now:.3f}")
         elif action.kind == "heal":
             self.heal_now()
         elif action.kind == "drop_between":
-            self._apply_drop_between(action)
+            self.drop_between_now(
+                action.src_nodes or set(), action.dst_nodes or set(), action.duration or 0.0
+            )
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown fault action {action.kind!r}")
 
@@ -183,33 +180,21 @@ class FaultInjector:
             return dst in allowed or dst == node
 
         self.network.add_filter(partial_filter)
-        self.applied.append(
-            f"crash_during_multicast({node}, allowed={sorted(allowed)})@{self.sim.now:.3f}"
-        )
         # Let anything the node sends *right now* (same simulated instant)
         # reach the allowed subset, then crash it for good.
         self.sim.schedule(
-            0.0, self._finish_partial_crash, node, label=f"fault:finish-crash({node})"
+            0.0, self.crash_now, node, label=f"fault:finish-crash({node})"
         )
 
-    def _finish_partial_crash(self, node: str) -> None:
-        self.network.crash(node)
-        self.applied.append(f"crash({node})@{self.sim.now:.3f}")
-
-    def _apply_drop_between(self, action: _Action) -> None:
-        src_nodes = action.src_nodes or set()
-        dst_nodes = action.dst_nodes or set()
+    def drop_between_now(
+        self, src_nodes: Set[str], dst_nodes: Set[str], duration: float,
+        label: str = "fault:drop-window-end",
+    ) -> None:
+        """Drop everything from ``src_nodes`` to ``dst_nodes`` for
+        ``duration`` from now (a directed, unannounced outage)."""
 
         def drop_filter(src: str, dst: str, payload: object) -> bool:
             return not (src in src_nodes and dst in dst_nodes)
 
         self.network.add_filter(drop_filter)
-        self.applied.append(
-            f"drop_between({sorted(src_nodes)}->{sorted(dst_nodes)})@{self.sim.now:.3f}"
-        )
-        self.sim.schedule(
-            action.duration or 0.0,
-            self.network.remove_filter,
-            drop_filter,
-            label="fault:drop-window-end",
-        )
+        self.sim.schedule(duration, self.network.remove_filter, drop_filter, label=label)

@@ -63,6 +63,10 @@ DeliverCallback = Callable[[str, object], None]
 #: is the callee's to read, not to keep or change.
 DeliverBatchCallback = Callable[[List[Tuple[str, object, int]]], None]
 
+#: Minimal spacing enforced between consecutive deliveries on one channel,
+#: used to preserve FIFO order under random latencies.
+FIFO_EPSILON = 1e-9
+
 
 @dataclass
 class NetworkConfig:
@@ -70,14 +74,6 @@ class NetworkConfig:
 
     #: Model used to sample the one-way delay of every message.
     latency_model: LatencyModel = field(default_factory=UniformLatency)
-    #: Whether a message already in flight is lost if a partition separates
-    #: sender and receiver before it would be delivered.  The paper's
-    #: scenarios (a partition occurring "while m1 is being multicast")
-    #: require this to be True.
-    drop_in_flight_on_partition: bool = True
-    #: Minimal spacing enforced between consecutive deliveries on one
-    #: channel, used to preserve FIFO order under random latencies.
-    fifo_epsilon: float = 1e-9
     #: When positive, delivery times are quantised *up* to the next multiple
     #: of this window so deliveries coalesce into per-destination batch
     #: events.  Zero (the default) batches only deliveries that already
@@ -233,11 +229,6 @@ class Network:
     def is_crashed(self, node_id: str) -> bool:
         """Whether ``node_id`` has crashed."""
         return node_id in self._crashed
-
-    @property
-    def crashed_nodes(self) -> set[str]:
-        """Set of crashed node ids."""
-        return set(self._crashed)
 
     # ------------------------------------------------------------------
     # Filters (used by fault injection)
@@ -407,7 +398,7 @@ class Network:
             delivery_time = math.ceil(delivery_time / window) * window
         else:
             if advance_fifo:
-                delivery_time += config.fifo_epsilon
+                delivery_time += FIFO_EPSILON
             if raw_time > delivery_time:
                 delivery_time = raw_time
         if advance_fifo:
@@ -449,7 +440,9 @@ class Network:
                     self._journey_drop(payload, "receiver_crashed")
             return
         partitions = self.partitions
-        if partitions.partitioned and self.config.drop_in_flight_on_partition:
+        if partitions.partitioned:
+            # A message in flight when a partition separates its ends is
+            # lost (a partition "while m1 is being multicast" is the paper's).
             surviving: List[Tuple[str, object, int]] = []
             for message in messages:
                 if partitions.can_communicate(message[0], dst):

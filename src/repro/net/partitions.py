@@ -138,12 +138,6 @@ class PartitionManager:
         leftover = self._leftover
         return component_of.get(a, leftover) == component_of.get(b, leftover)
 
-    def component_of(self, node: str) -> Optional[int]:
-        """Index of the component containing ``node`` (None when healed)."""
-        if self._component_of is None:
-            return None
-        return self._component_of.get(node)
-
     def components(self) -> List[Set[str]]:
         """Current components as a list of node-id sets.
 

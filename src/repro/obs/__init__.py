@@ -3,9 +3,9 @@
 One :class:`Observation` object bundles the four instruments:
 
 * a :class:`~repro.obs.metrics.MetricsRegistry` of counters / gauges /
-  histograms the simulator, transport, network, suspector and flow
-  controller report into (they pay a single ``is None`` check when
-  observation is off);
+  histograms the simulator, transport, network, suspector and endpoints
+  report into (they pay a single ``is None`` check when observation is
+  off);
 * a :class:`~repro.obs.sampler.SimTimeSampler` snapshotting the registry
   every few simulated time units into a columnar time series
   (null-vs-app traffic per interval, messages-per-delivery curves);
@@ -49,7 +49,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     PolledGauge,
-    PushGauge,
 )
 from repro.obs.journey import JourneyTracker
 from repro.obs.profiler import HotPathProfiler
@@ -62,7 +61,6 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "PolledGauge",
-    "PushGauge",
     "Histogram",
     "SimTimeSampler",
     "HotPathProfiler",
@@ -79,7 +77,7 @@ class Observation:
     ``observe=True`` enables the cheap instruments (registry + sampler);
     ``observe="full"`` adds the wall-clock profiler and the span sink;
     a mapping passes keyword arguments straight through (e.g.
-    ``observe={"profiler": True, "sample_interval": 2.0}``); an existing
+    ``observe={"profiler": True, "sampler": False}``); an existing
     :class:`Observation` is used as-is (callers may pre-build one to read
     instruments mid-run).
     """
@@ -87,42 +85,28 @@ class Observation:
     def __init__(
         self,
         *,
-        metrics: bool = True,
         sampler: bool = True,
         profiler: bool = False,
         spans: bool = False,
         journeys: bool = False,
-        sample_interval: float = 5.0,
-        spans_max_tracked: int = 100_000,
         journey_sample_rate: int = 64,
-        journey_seed: int = 0,
-        journey_max_tracked: int = 512,
         journey_force_ids=None,
-        top_n: int = 10,
     ) -> None:
         # The registry always exists: the sampler reads it, and
         # instrumented layers only check one attribute.
         self.registry = MetricsRegistry()
-        self.metrics_enabled = metrics
-        self.sampler: Optional[SimTimeSampler] = (
-            SimTimeSampler(self.registry, interval=sample_interval) if sampler else None
-        )
+        self.sampler: Optional[SimTimeSampler] = SimTimeSampler(self.registry) if sampler else None
         self.profiler: Optional[HotPathProfiler] = HotPathProfiler() if profiler else None
-        self.spans: Optional[SpanBreakdownSink] = (
-            SpanBreakdownSink(max_tracked=spans_max_tracked) if spans else None
-        )
+        self.spans: Optional[SpanBreakdownSink] = SpanBreakdownSink() if spans else None
         self.journeys: Optional[JourneyTracker] = (
             JourneyTracker(
                 self.registry,
                 sample_rate=journey_sample_rate,
-                seed=journey_seed,
-                max_tracked=journey_max_tracked,
                 force_ids=journey_force_ids,
             )
             if journeys
             else None
         )
-        self.top_n = top_n
         self._sim = None
 
     # ------------------------------------------------------------------
@@ -189,9 +173,9 @@ class Observation:
         if self.sampler is not None:
             block["samples"] = self.sampler.snapshot()
         if self.profiler is not None:
-            block["profile"] = self.profiler.snapshot(self.top_n)
+            block["profile"] = self.profiler.snapshot()
         if self.spans is not None:
             block["spans"] = self.spans.snapshot()
         if self.journeys is not None:
-            block["journeys"] = self.journeys.snapshot(self.top_n)
+            block["journeys"] = self.journeys.snapshot()
         return block

@@ -1,22 +1,18 @@
 """Low-overhead metrics registry: counters, gauges and histograms.
 
 The registry is the passive half of :mod:`repro.obs` -- instrumented code
-holds direct references to :class:`Counter` / :class:`PushGauge` /
-:class:`Histogram` objects and bumps plain attributes, so a hot path pays
+holds direct references to :class:`Counter` / :class:`Histogram` objects
+and bumps plain attributes, so a hot path pays
 one attribute increment per event when metrics are enabled and a single
 ``is None`` check when they are not.  Nothing here ever touches the
 simulator's RNG or schedules events, so enabling metrics cannot perturb
 seed-determinism.
 
-Two gauge flavours exist because the instrumented quantities come in two
-shapes:
-
-* :class:`PolledGauge` wraps a zero-argument callable (``len(heap)``,
-  in-flight batch depth) that is only evaluated when a
-  snapshot or sampler tick asks for it -- zero hot-path cost.
-* :class:`PushGauge` is maintained by the instrumented code itself via
-  ``adjust(+1/-1)`` at state transitions (a sender becoming blocked /
-  unblocked) and remembers its peak.
+Gauges are polled, never pushed: a :class:`PolledGauge` wraps a
+zero-argument callable (``len(heap)``, in-flight batch depth) that is only
+evaluated when a snapshot or sampler tick asks for it -- zero hot-path
+cost -- and a :class:`GaugeRoster` sums one such callable per entity
+(queue depth per process, a waiting send per endpoint) into one gauge.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from typing import Callable, Dict, List, Mapping, Optional
 __all__ = [
     "Counter",
     "PolledGauge",
-    "PushGauge",
     "Histogram",
     "GaugeRoster",
     "MetricsRegistry",
@@ -60,32 +55,6 @@ class PolledGauge:
 
     def snapshot(self) -> float:
         return self._fn()
-
-
-class PushGauge:
-    """A gauge maintained by the instrumented code at state transitions.
-
-    Tracks the current value and the peak ever seen (the interesting
-    number for e.g. "how many senders were blocked at once").
-    """
-
-    __slots__ = ("name", "value", "peak")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-        self.peak = 0
-
-    def adjust(self, delta: int) -> None:
-        self.value += delta
-        if self.value > self.peak:
-            self.peak = self.value
-
-    def read(self) -> float:
-        return self.value
-
-    def snapshot(self) -> Dict[str, float]:
-        return {"value": self.value, "peak": self.peak}
 
 
 class Histogram:
@@ -171,7 +140,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._polled: Dict[str, PolledGauge] = {}
-        self._push: Dict[str, PushGauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._rosters: Dict[str, GaugeRoster] = {}
         self._counter_sources: Dict[str, Callable[[], Mapping[str, int]]] = {}
@@ -187,12 +155,6 @@ class MetricsRegistry:
         instrument = self._polled.get(name)
         if instrument is None:
             instrument = self._polled[name] = PolledGauge(name, fn)
-        return instrument
-
-    def push_gauge(self, name: str) -> PushGauge:
-        instrument = self._push.get(name)
-        if instrument is None:
-            instrument = self._push[name] = PushGauge(name)
         return instrument
 
     def histogram(self, name: str, bounds: Optional[List[int]] = None) -> Histogram:
@@ -232,12 +194,7 @@ class MetricsRegistry:
 
     def read_gauges(self) -> Dict[str, float]:
         """Current value of every gauge (polled evaluated now)."""
-        values: Dict[str, float] = {}
-        for name, gauge in self._polled.items():
-            values[name] = gauge.read()
-        for name, gauge in self._push.items():
-            values[name] = gauge.read()
-        return values
+        return {name: gauge.read() for name, gauge in self._polled.items()}
 
     def read_counters(self) -> Dict[str, int]:
         values = {name: counter.value for name, counter in self._counters.items()}
@@ -250,9 +207,6 @@ class MetricsRegistry:
         """One JSON-able snapshot of every instrument."""
         return {
             "counters": dict(sorted(self.read_counters().items())),
-            "gauges": {
-                **{name: g.read() for name, g in sorted(self._polled.items())},
-                **{name: g.snapshot() for name, g in sorted(self._push.items())},
-            },
+            "gauges": {name: g.read() for name, g in sorted(self._polled.items())},
             "histograms": {name: h.snapshot() for name, h in sorted(self._histograms.items())},
         }

@@ -42,6 +42,8 @@ _PERCENTILES = (50, 95, 99)
 class SpanBreakdownSink(TraceSink):
     """Streams trace events into per-stage latency reservoirs."""
 
+    KINDS = frozenset({SEND, RECEIVE, DELIVER})
+
     def __init__(self, max_tracked: int = 100_000) -> None:
         self.max_tracked = max_tracked
         self.dropped_messages = 0

@@ -54,7 +54,6 @@ from repro.scenarios.spec import (
     SCENARIO_SCHEMA_VERSION,
     GroupSpec,
     InvalidScenarioSpec,
-    ScenarioConfigError,
     ScenarioEvent,
     ScenarioSpec,
     WorkloadSpec,
@@ -83,7 +82,6 @@ __all__ = [
     "ring_overlap_groups",
     "GroupSpec",
     "InvalidScenarioSpec",
-    "ScenarioConfigError",
     "ScenarioEvent",
     "ScenarioSpec",
     "WorkloadSpec",

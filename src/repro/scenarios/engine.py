@@ -233,21 +233,6 @@ class ScenarioEngine:
         self._partition_components: List[Set[str]] = []
         self._isolated: Set[str] = set()
 
-    @property
-    def cluster(self) -> Session:
-        """The running session (kept under the historical attribute name)."""
-        return self.session
-
-    @property
-    def suite(self):
-        """The streaming check suite (online mode only)."""
-        return self.session.suite
-
-    @property
-    def metrics_sink(self):
-        """The rolling metrics sink (online mode only)."""
-        return self.session.metrics_sink
-
     # ------------------------------------------------------------------
     # Capability mapping
     # ------------------------------------------------------------------
@@ -445,17 +430,8 @@ class ScenarioEngine:
             if len(members) >= 2:
                 session.form_group(event.group, members)
         elif event.kind == "drop":
-            src_nodes, dst_nodes = set(event.src), set(event.dst)
-
-            def drop_filter(src: str, dst: str, payload: object) -> bool:
-                return not (src in src_nodes and dst in dst_nodes)
-
-            session.network.add_filter(drop_filter)
-            session.sim.schedule(
-                event.duration,
-                session.network.remove_filter,
-                drop_filter,
-                label="scenario:drop-end",
+            session.injector.drop_between_now(
+                set(event.src), set(event.dst), event.duration, label="scenario:drop-end"
             )
         else:  # pragma: no cover - spec parsing rejects unknown kinds
             raise ValueError(f"unknown scenario event kind {event.kind!r}")

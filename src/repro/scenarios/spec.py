@@ -82,9 +82,6 @@ class InvalidScenarioSpec(ValueError):
     load-phase windows, or an unsupported schema version."""
 
 
-#: Historical name, kept as an alias so existing callers and tests work.
-ScenarioConfigError = InvalidScenarioSpec
-
 #: Version stamp of the config-dict schema.  Bump when the shape changes
 #: incompatibly; :func:`from_config` rejects versions it does not know so a
 #: minimized-repro artifact is never silently misread.

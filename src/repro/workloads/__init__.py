@@ -52,11 +52,9 @@ from repro.workloads.client import (
 )
 from repro.workloads.profiles import (
     PROFILE_FACTORIES,
-    ScheduledSend,
     WorkloadProfile,
     available_profiles,
     get_profile,
-    materialize,
 )
 from repro.workloads.selection import (
     SELECTION_KINDS,
@@ -79,7 +77,6 @@ __all__ = [
     "PoissonArrivals",
     "RampArrivals",
     "SELECTION_KINDS",
-    "ScheduledSend",
     "SelectionPolicy",
     "UniformSelection",
     "WorkloadProfile",
@@ -88,5 +85,4 @@ __all__ = [
     "aggregate_counters",
     "available_profiles",
     "get_profile",
-    "materialize",
 ]

@@ -1,7 +1,6 @@
 """The open-loop traffic client: a reactive application inside sim time.
 
-Unlike the legacy closed-loop generators (which pre-materialize a send
-schedule), an :class:`OpenLoopClient` lives *inside* the simulation: each
+An :class:`OpenLoopClient` lives *inside* the simulation: each
 arrival is one scheduled simulator event that draws the next
 ``(sender, group)`` from its profile's selection policy, attempts the
 multicast through the session's stack, and schedules the next arrival from
@@ -227,11 +226,6 @@ class OpenLoopClient:
     @property
     def latency_max(self) -> float:
         return self.latency.max
-
-    @property
-    def latency_samples(self) -> List[float]:
-        """The bounded latency reservoir (for cross-client merging)."""
-        return self.latency.samples
 
     def counters(self) -> Dict[str, int]:
         """The monotone counters, for phase-delta accounting."""

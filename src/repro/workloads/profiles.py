@@ -24,16 +24,13 @@ Named profiles (see :data:`PROFILE_FACTORIES`):
     Poisson arrivals with hot-group skew across the group list.
 
 :func:`get_profile` resolves a name plus overrides (``rate``,
-``payload_bytes`` and kind-specific options) into a fresh profile;
-:func:`materialize` turns a profile into a fixed, sorted send schedule for
-closed-loop callers (the legacy :mod:`repro.analysis.workloads` wrappers).
+``payload_bytes`` and kind-specific options) into a fresh profile.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Union
 
 from repro.workloads.arrivals import (
     ArrivalProcess,
@@ -167,47 +164,3 @@ def get_profile(
         raise ValueError(
             f"profile {name!r} does not accept options {sorted(options)}"
         ) from None
-
-
-@dataclass
-class ScheduledSend:
-    """One materialized application multicast (closed-loop compatibility)."""
-
-    time: float
-    process: str
-    group: str
-    payload: object
-
-
-def materialize(
-    profile: WorkloadProfile,
-    senders: Sequence[str],
-    groups: Sequence[str],
-    *,
-    start: float = 1.0,
-    duration: float = 20.0,
-    seed: int = 0,
-    payload_factory: Optional[Callable[[str, str, int], object]] = None,
-) -> List[ScheduledSend]:
-    """Unroll a profile into a fixed, time-sorted send schedule.
-
-    This is the bridge for closed-loop callers (the legacy
-    :mod:`repro.analysis.workloads` generators): the same arrival and
-    selection draws the open-loop client would make, pre-computed into a
-    list.  Deterministic given ``seed``.
-    """
-    rng = random.Random(seed)
-    gaps = profile.arrivals.gaps(rng)
-    schedule: List[ScheduledSend] = []
-    time = start + next(gaps)
-    sequence = 0
-    while time < start + duration:
-        sender, group = profile.selection.choose(rng, senders, groups)
-        if payload_factory is not None:
-            payload = payload_factory(sender, group, sequence)
-        else:
-            payload = f"{sender}/{group}/{sequence}"
-        schedule.append(ScheduledSend(time=time, process=sender, group=group, payload=payload))
-        sequence += 1
-        time += next(gaps)
-    return schedule

@@ -1,5 +1,4 @@
-"""Tests for the analysis layer: checkers, metrics, overhead models and
-workload generators."""
+"""Tests for the analysis layer: checkers, metrics and overhead models."""
 
 import pytest
 
@@ -23,7 +22,6 @@ from repro.analysis.overhead import (
     piggyback_overhead_bytes,
     psync_overhead_bytes,
 )
-from repro.analysis.workloads import BurstyWorkload, UniformWorkload, WorkloadRunner
 from harness import NewtopCluster
 
 from repro.core import NewtopConfig
@@ -170,50 +168,3 @@ def test_psync_and_piggyback_overheads():
     assert psync_overhead_bytes(20) > psync_overhead_bytes(4)
     assert psync_overhead_bytes(4, average_predecessors=1.0) < psync_overhead_bytes(4)
     assert piggyback_overhead_bytes(5, unstable_messages=10) > piggyback_overhead_bytes(5, 1)
-
-
-# ----------------------------------------------------------------------
-# Workloads
-# ----------------------------------------------------------------------
-def test_uniform_workload_is_deterministic_and_sorted():
-    workload = UniformWorkload(senders=["P1", "P2"], groups=["g"], rate=0.5, duration=20, seed=3)
-    first = workload.sends()
-    second = UniformWorkload(senders=["P1", "P2"], groups=["g"], rate=0.5, duration=20, seed=3).sends()
-    assert [ (s.time, s.process) for s in first ] == [ (s.time, s.process) for s in second ]
-    assert all(first[i].time <= first[i + 1].time for i in range(len(first) - 1))
-    assert {send.process for send in first} == {"P1", "P2"}
-
-
-def test_bursty_workload_produces_bursts():
-    workload = BurstyWorkload(senders=["P1"], groups=["g"], burst_size=4, burst_interval=10, duration=30, seed=1)
-    sends = workload.sends()
-    assert len(sends) >= 8
-
-
-def test_workload_runner_delivers_everything():
-    config = NewtopConfig(omega=2.0, suspicion_timeout=10.0)
-    cluster = NewtopCluster(["P1", "P2", "P3"], config=config, seed=5)
-    cluster.create_group("g")
-    workload = UniformWorkload(senders=["P1", "P2"], groups=["g"], rate=0.3, duration=30, seed=2)
-    with pytest.warns(DeprecationWarning):
-        runner = WorkloadRunner(cluster, workload)
-    runner.run(drain_time=60)
-    assert runner.scheduled_count > 0
-    assert runner.delivered_everywhere("g")
-
-
-def test_workload_runner_is_a_deprecation_shim():
-    """The legacy module must not import the deprecated cluster shims; its
-    runner warns and points at the repro.workloads replacement."""
-    import repro.analysis.workloads as legacy
-
-    assert "NewtopCluster" not in vars(legacy)
-    cluster = NewtopCluster(
-        ["P1", "P2"], config=NewtopConfig(omega=2.0, suspicion_timeout=10.0), seed=1
-    )
-    cluster.create_group("g")
-    with pytest.warns(DeprecationWarning, match="OpenLoopClient"):
-        WorkloadRunner(
-            cluster,
-            UniformWorkload(senders=["P1"], groups=["g"], rate=0.2, duration=10, seed=1),
-        )

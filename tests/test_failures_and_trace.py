@@ -344,6 +344,14 @@ def test_count_only_kinds_follow_the_sink_list():
     assert [event.seq for event in deliveries.events] == [1, 5]
     with pytest.raises(ValueError, match="unknown trace event kind"):
         recorder.record(7.0, "no_such_kind", "p1")
+    # observe="full" adds the span sink, which reads send / receive /
+    # deliver: null_send, suspect and the rest stay count-only.
+    from repro.api import Session
+
+    routes = Session("newtop", analysis="online", observe="full").recorder._routes
+    assert {kind for kind, sinks in routes.items() if sinks} == {
+        SEND, RECEIVE, DELIVER, VIEW_INSTALL, "crash", "depart"
+    }
 
 
 def test_storing_recorder_builds_every_event_and_tallies_on_demand():

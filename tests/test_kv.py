@@ -25,7 +25,7 @@ from repro.apps.kv import (
     moved_keys,
     stable_hash,
 )
-from repro.apps.replicated_store import _apply_store_command
+from repro.apps.replicated_store import ReplicatedStore
 from repro.core.config import OrderingMode
 from repro.net.trace import TraceEvent
 
@@ -206,7 +206,11 @@ def test_command_info_parses_origin_strictly_by_arity():
 def test_replicated_store_is_single_shard_special_case():
     # Satellite (a): one KV implementation -- the standalone store's
     # command interpreter *is* the sharded one's.
-    assert _apply_store_command is apply_kv_command
+    session = Session("newtop", seed=1)
+    session.spawn(["P1", "P2"])
+    session.group("kv")
+    store = ReplicatedStore(session["P1"], "kv")
+    assert store.rsm.replica.apply_function is apply_kv_command
 
 
 # ----------------------------------------------------------------------

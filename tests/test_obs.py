@@ -50,19 +50,6 @@ def test_registry_instruments_are_idempotent_by_name():
     assert registry.read_gauges()["a.depth"] == 7
 
 
-def test_push_gauge_tracks_value_and_peak():
-    registry = MetricsRegistry()
-    gauge = registry.push_gauge("blocked")
-    gauge.adjust(+1)
-    gauge.adjust(+1)
-    gauge.adjust(-1)
-    gauge.adjust(+1)
-    assert gauge.value == 2
-    assert gauge.peak == 2
-    snapshot = registry.snapshot()
-    assert snapshot["gauges"]["blocked"] == {"value": 2, "peak": 2}
-
-
 def test_histogram_buckets_mean_and_overflow():
     registry = MetricsRegistry()
     hist = registry.histogram("batch", bounds=[1, 2, 4])
@@ -304,6 +291,25 @@ def test_session_observe_metrics_block():
     assert samples["times"], "sampler took no samples"
     assert len(samples["counters"]["trace.deliver"]) == len(samples["times"])
     assert any(v is not None for v in samples["messages_per_delivery"])
+
+
+def test_blocked_senders_gauge_follows_the_deferred_sends():
+    """A window of one defers five of six sends in the endpoint's own list;
+    the gauge reads that list, so it is 1 while they wait and 0 once they
+    have drained (it read 0 throughout while it watched a second queue
+    nothing filled)."""
+    session = Session("newtop", config={"flow_control_window": 1}, seed=3, observe=True)
+    session.spawn(["P1", "P2", "P3"])
+    session.group("g")
+    for index in range(6):
+        session.multicast("P1", "g", f"m{index}")
+    assert len(session["P1"].endpoint("g").deferred_sends) == 5
+    session.run(120.0)
+    result = session.result()
+    assert result.passed and result.deliveries == 18
+    column = result.obs["samples"]["gauges"]["flow.blocked_senders"]
+    assert max(column) == 1 and column[-1] == 0
+    assert result.obs["metrics"]["gauges"]["flow.blocked_senders"] == 0
 
 
 def test_session_observe_full_block():

@@ -45,7 +45,7 @@ def run_offline(config):
     """Run a scenario offline; return (engine, result, event list)."""
     engine = ScenarioEngine(from_config(config))
     result = engine.run()
-    return engine, result, list(engine.cluster.trace())
+    return engine, result, list(engine.session.trace())
 
 
 def replay_online(events, agreement_sets=None):
@@ -191,7 +191,7 @@ def test_happened_before_pairs_memoized():
 def test_online_and_offline_checkers_agree(config):
     engine, result, events = run_offline(config)
     agreement = engine.expected_agreement_sets()
-    offline = check_all(engine.cluster.trace(), view_agreement_sets=agreement)
+    offline = check_all(engine.session.trace(), view_agreement_sets=agreement)
     online = replay_online(events, agreement)
     assert offline.passed and online.passed, (
         offline.violations[:3],
@@ -349,9 +349,9 @@ def test_engine_online_mode_passes_without_materializing():
     assert result.analysis == "online"
     assert result.trace_events > 0
     assert result.trace_events_stored == 0
-    assert engine.cluster.recorder.stored_events == 0
+    assert engine.session.recorder.stored_events == 0
     with pytest.raises(RuntimeError):
-        engine.cluster.trace()
+        engine.session.trace()
     # The rolling metrics sink saw every delivery the processes report.
     assert result.metrics["by_kind"]["deliver"] == result.deliveries
     assert result.metrics["latency"]["count"] > 0

@@ -15,7 +15,7 @@ import pytest
 from repro.net.simulator import Simulator
 from repro.net.trace import NULL_SEND, SEND
 from repro.scenarios import (
-    ScenarioConfigError,
+    InvalidScenarioSpec,
     ScenarioEngine,
     cascading_partitions_scenario,
     churn_scenario,
@@ -101,7 +101,7 @@ def test_from_config_infers_processes_from_groups():
     ],
 )
 def test_from_config_rejects_malformed_specs(config):
-    with pytest.raises(ScenarioConfigError):
+    with pytest.raises(InvalidScenarioSpec):
         from_config(config)
 
 
@@ -144,7 +144,7 @@ def test_churn_scenario_passes_checkers_and_installs_views():
     for group, members in result.agreement_sets.items():
         assert crashed not in members
         for member in members:
-            view = engine.cluster.processes[member].view(group)
+            view = engine.session.processes[member].view(group)
             assert crashed not in view.members
 
 
@@ -165,7 +165,7 @@ def test_dynamic_group_formation_under_churn():
         members = result.agreement_sets[group_id]
         assert len(members) >= 2
         for member in members:
-            process = engine.cluster.processes[member]
+            process = engine.session.processes[member]
             assert process.is_member(group_id)
             # The formed group carried application traffic.
             assert any(
@@ -253,7 +253,7 @@ def test_scenario_run_triggers_no_heap_growth_from_cancellations():
     config = mixed_modes_scenario(n_processes=6)
     engine = ScenarioEngine(from_config(config))
     result = engine.run()
-    sim = engine.cluster.sim
+    sim = engine.session.sim
     assert result.passed
     assert sim.pending_events - sim.live_pending_events <= max(64, sim.pending_events)
 

@@ -8,7 +8,6 @@ from repro.core.delivery import DeliveryQueue, delivery_sort_key
 from repro.core.errors import (
     ConfigurationError,
     DeliveryOrderViolation,
-    FlowControlError,
     InvalidViewError,
 )
 from repro.core.flow_control import FlowController
@@ -272,18 +271,9 @@ def test_flow_control_window_blocks_and_releases():
     flow.note_sent(1)
     flow.note_sent(2)
     assert not flow.can_send()
-    flow.queue("payload-3")
-    assert flow.queued_count == 1
-    released = flow.note_stability(2)
-    assert released == 1
-    assert flow.next_released() == "payload-3"
+    flow.note_stability(1)
+    assert flow.outstanding_count == 1
     assert flow.can_send()
-
-
-def test_flow_control_release_without_queue_raises():
-    flow = FlowController(1)
-    with pytest.raises(FlowControlError):
-        flow.next_released()
 
 
 def test_flow_control_invalid_window():

@@ -15,14 +15,13 @@ import pytest
 
 from repro.api import Session
 from repro.core.messages import reset_message_counter
-from repro.scenarios import ScenarioConfigError, from_config, run_scenario
+from repro.scenarios import InvalidScenarioSpec, from_config, run_scenario
 from repro.workloads import (
     ARRIVAL_KINDS,
     OpenLoopClient,
     SELECTION_KINDS,
     available_profiles,
     get_profile,
-    materialize,
 )
 
 FAST = dict(omega=1.5, suspicion_timeout=6.0, suspector_check_interval=0.5)
@@ -137,17 +136,6 @@ def test_profile_registry_resolves_and_rejects():
         get_profile("nope")
     with pytest.raises(ValueError):
         get_profile("poisson", rate=1.0, burst_size=4)  # option of another kind
-
-
-def test_materialize_is_deterministic_and_sorted():
-    profile = get_profile("poisson", rate=2.0)
-    first = materialize(profile, ["A", "B"], ["g"], duration=30, seed=9)
-    second = materialize(profile, ["A", "B"], ["g"], duration=30, seed=9)
-    assert [(s.time, s.process, s.group) for s in first] == [
-        (s.time, s.process, s.group) for s in second
-    ]
-    assert all(a.time <= b.time for a, b in zip(first, first[1:]))
-    assert first != materialize(profile, ["A", "B"], ["g"], duration=30, seed=10)
 
 
 # ----------------------------------------------------------------------
@@ -328,9 +316,9 @@ def test_scenario_workload_profile_validation():
     base = {
         "groups": [{"id": "g", "members": ["A", "B"]}],
     }
-    with pytest.raises(ScenarioConfigError):
+    with pytest.raises(InvalidScenarioSpec):
         from_config({**base, "workload": {"profile": "not-a-profile"}})
-    with pytest.raises(ScenarioConfigError):
+    with pytest.raises(InvalidScenarioSpec):
         from_config({**base, "workload": {"profile": "poisson", "rate": 0}})
     spec = from_config({**base, "workload": {"profile": "poisson", "duration": 25.0}})
     # The horizon must cover the open-loop window, not the closed-loop rounds.
