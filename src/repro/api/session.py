@@ -117,22 +117,8 @@ class Session:
         # (pinned by the hot-path equivalence tests).
         self.observation: Optional[Observation] = Observation.coerce(observe)
         obs = self.observation
-        self.sim = Simulator(
-            seed=seed,
-            metrics=obs.registry if obs is not None else None,
-            profiler=obs.profiler if obs is not None else None,
-            journeys=obs.journeys if obs is not None else None,
-        )
-        network_config = NetworkConfig()
-        if latency_model is not None:
-            network_config.latency_model = latency_model
-        network_config.batch_window = batch_window
-        # ``link_faults`` accepts a LinkFaultModel or its JSON-shaped dict
-        # (the form scenario specs carry); ``None`` disables link faults.
-        network_config.link_faults = get_link_faults(link_faults)
-        self.network = Network(self.sim, network_config)
-        self.transport = Transport(self.network)
-        self.injector = FaultInjector(self.sim, self.network)
+        # The recorder comes first: the layers built below read its
+        # lifecycle dispatch (``None`` unless a sink subscribes) once.
         self.suite = None
         self.metrics_sink: Optional[MetricsSink] = None
         extra_sinks = list(sinks or ())
@@ -152,6 +138,23 @@ class Session:
             )
         else:
             self.recorder = TraceRecorder(sinks=extra_sinks)
+        self.sim = Simulator(
+            seed=seed,
+            metrics=obs.registry if obs is not None else None,
+            profiler=obs.profiler if obs is not None else None,
+        )
+        network_config = NetworkConfig()
+        if latency_model is not None:
+            network_config.latency_model = latency_model
+        network_config.batch_window = batch_window
+        # ``link_faults`` accepts a LinkFaultModel or its JSON-shaped dict
+        # (the form scenario specs carry); ``None`` disables link faults.
+        network_config.link_faults = get_link_faults(link_faults)
+        self.network = Network(
+            self.sim, network_config, lifecycle=self.recorder.lifecycle
+        )
+        self.transport = Transport(self.network)
+        self.injector = FaultInjector(self.sim, self.network)
         if obs is not None:
             self.recorder.profiler = obs.profiler
             obs.bind(self.sim, self.recorder)

@@ -106,15 +106,6 @@ class AsymmetricOrdering(OrderingEngine):
             # no application causality), so they are not tracked.
             self._unsequenced[request.request_id] = (payload, kind)
             process.note_unicast_outstanding(self.endpoint.group_id, request.request_id)
-        journeys = self.endpoint.journeys
-        if journeys is not None:
-            journeys.created(
-                request.request_id, cause, process.process_id,
-                self.endpoint.group_id, process.sim.now,
-            )
-            journeys.sent_to_sequencer(
-                request.request_id, process.sim.now, self.sequencer()
-            )
         self.endpoint.send_to_member(self.sequencer(), request, cause=cause)
         return request.request_id
 
@@ -155,20 +146,6 @@ class AsymmetricOrdering(OrderingEngine):
             sequencer=process.process_id,
             origin_request=origin_request,
         )
-        journeys = self.endpoint.journeys
-        if journeys is not None:
-            if origin_request is None:
-                # A sequencer-local send: no unicast leg, so the journey
-                # starts here.  (Sequenced copies of member requests reuse
-                # the request id as msg_id, continuing the same journey.)
-                journeys.created(
-                    message.msg_id,
-                    cause or CAUSE_BY_KIND[kind],
-                    origin,
-                    self.endpoint.group_id,
-                    process.sim.now,
-                )
-            journeys.sequenced(message.msg_id, process.sim.now, process.process_id)
         self.endpoint.broadcast_data(message, cause=cause)
         return message
 
@@ -200,13 +177,6 @@ class AsymmetricOrdering(OrderingEngine):
             sequencer=process.process_id,
             origin_request=None,
         )
-        journeys = self.endpoint.journeys
-        if journeys is not None:
-            journeys.created(
-                message.msg_id, "view_cut", process.process_id,
-                self.endpoint.group_id, process.sim.now,
-            )
-            journeys.sequenced(message.msg_id, process.sim.now, process.process_id)
         self.endpoint.broadcast_data(message, cause="view_cut")
         return clock
 
@@ -328,7 +298,6 @@ class AsymmetricOrdering(OrderingEngine):
         # identity from the origin's send to every delivery (receivers that
         # saw a pre-crash copy dedup instead of delivering twice), and the
         # Send-Blocking-Rule bookkeeping simply stays outstanding.
-        journeys = self.endpoint.journeys
         for request_id, (payload, kind) in self._unsequenced_in_send_order():
             request = SequencerRequest(
                 request_id=request_id,
@@ -339,10 +308,6 @@ class AsymmetricOrdering(OrderingEngine):
                 kind=kind,
                 origin_ldn=self.ldn(),
             )
-            if journeys is not None:
-                journeys.sent_to_sequencer(
-                    request_id, process.sim.now, self.sequencer()
-                )
             self.endpoint.send_to_member(
                 self.sequencer(), request, cause="failover_resend"
             )

@@ -22,7 +22,7 @@ global order (safe2) -- that is how Newtop gets cross-group total order
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.asymmetric import AsymmetricOrdering
 from repro.core.config import NewtopConfig, OrderingMode
@@ -167,12 +167,9 @@ class GroupEndpoint:
             metrics.sum_gauge("flow.blocked_senders").add(
                 lambda: 1 if self.deferred_sends else 0
             )
-        #: Journey tracing (``sim.journeys`` is None unless the run asked
-        #: for it); ``deferred_since`` parallels ``deferred_sends`` with the
-        #: simulated time each payload was deferred, maintained only while
-        #: tracing is on.
-        self.journeys = process.sim.journeys
-        self.deferred_since: List[float] = []
+        #: The recorder's lifecycle dispatch (``None``: nobody follows
+        #: messages; see :mod:`repro.net.trace`).
+        self._lifecycle = process.recorder.lifecycle
         self._formation_wait: Optional[_FormationWait] = _FormationWait() if formation_wait else None
         #: A member's null said its process is waiting on ``D_i``
         #: (``awaits_reply``); our next send in the group -- CA2 has already
@@ -320,11 +317,6 @@ class GroupEndpoint:
             clock=clock,
             ldn=0,
         )
-        if self.journeys is not None:
-            self.journeys.created(
-                message.msg_id, "formation", process.process_id, self.group_id,
-                process.sim.now,
-            )
         self.broadcast_data(message, cause="formation")
 
     def _send_null(self) -> None:
@@ -365,11 +357,6 @@ class GroupEndpoint:
                 clock=clock,
                 ldn=self.engine.ldn(),
             )
-            if self.journeys is not None:
-                self.journeys.created(
-                    message.msg_id, "null_time_silence", self.process.process_id,
-                    self.group_id, self.process.sim.now,
-                )
             self.broadcast_data(message, cause="null_time_silence")
         else:
             self.engine.send(None, KIND_NULL)
@@ -413,8 +400,6 @@ class GroupEndpoint:
     def defer_send(self, payload: object, reason: str) -> None:
         """Queue an application payload blocked by ``reason``."""
         self.deferred_sends.append(payload)
-        if self.journeys is not None:
-            self.deferred_since.append(self.process.sim.now)
         self.process.recorder.record(
             self.process.sim.now,
             trace_events.BLOCKED_SEND,
@@ -431,6 +416,8 @@ class GroupEndpoint:
         """Transmit ``message`` to every other view member and loop it back
         to ourselves (a process delivers its own messages by executing the
         protocol)."""
+        if self._lifecycle is not None:
+            self._report(trace_events.TRANSMITTED, message, cause)
         self.process.transport_endpoint.multicast(
             self._peers, message, "newtop", message.wire_size_bytes(), cause
         )
@@ -451,10 +438,41 @@ class GroupEndpoint:
         The timer resets when our request comes back sequenced, the moment
         the group actually heard us (:meth:`on_data_message`).
         """
+        if self._lifecycle is not None:
+            self._report(trace_events.TRANSMITTED, payload, cause, member)
         size = payload.wire_size_bytes() if hasattr(payload, "wire_size_bytes") else 0
         self.process.transport_endpoint.send(
             member, payload, channel="newtop", size_bytes=size, cause=cause
         )
+
+    def _report(self, kind: str, subject: object, detail=None, peer=None) -> None:
+        """Tell the recorder's lifecycle subscribers what just happened to
+        ``subject`` here (callers check ``_lifecycle`` first)."""
+        process = self.process
+        self._lifecycle(kind, process.sim.now, process.process_id, subject, detail, peer)
+
+    def _filtered(self, sender: str, item: object) -> bool:
+        """§5.2's filter on what ``sender`` (for a sequenced message, its
+        sequencer) sent us: an excluded process's traffic is discarded,
+        a suspected one's is held until the suspicion resolves (rule ii).
+        True when ``item`` goes no further now."""
+        if self.gv.is_excluded(sender) or sender not in self.view.members:
+            self.note_discarded((item,), "excluded_sender")
+            return True
+        if self.gv.is_suspected(sender):
+            self.gv.hold_pending(sender, item)
+            if self._lifecycle is not None:
+                self._report(trace_events.HELD, item, "suspected:" + sender)
+            return True
+        return False
+
+    def note_discarded(self, items: Iterable[object], reason: str) -> None:
+        """Messages of an excluded (or about to be excluded) sender were
+        dropped unprocessed: the receive filter, step (viii), and the GV's
+        hold queue at confirmation."""
+        if self._lifecycle is not None:
+            for item in items:
+                self._report(trace_events.DISCARDED, item, reason)
 
     def mcast_membership(self, message: object, cause: Optional[str] = None) -> None:
         """The GV process's ``mcast`` primitive: transmit to every view
@@ -506,20 +524,7 @@ class GroupEndpoint:
         )
         filter_key = message.sequenced_by or message.sender
         if not local_origin:
-            if self.gv.is_excluded(filter_key) or filter_key not in self.view.members:
-                if self.journeys is not None:
-                    self.journeys.discarded(
-                        message.msg_id, process.sim.now,
-                        process.process_id, "excluded_sender",
-                    )
-                return True
-            if self.gv.is_suspected(filter_key):
-                self.gv.hold_pending(filter_key, message)
-                if self.journeys is not None:
-                    self.journeys.held(
-                        message.msg_id, process.sim.now,
-                        process.process_id, "suspected:" + filter_key,
-                    )
+            if self._filtered(filter_key, message):
                 return True
             process.clock.observe(message.clock)
             if message.awaits_reply:
@@ -593,20 +598,7 @@ class GroupEndpoint:
         """Handle a unicast addressed to us as the group's sequencer."""
         if not self.active:
             return
-        if self.gv.is_excluded(request.origin) or request.origin not in self.view.members:
-            if self.journeys is not None:
-                self.journeys.discarded(
-                    request.request_id, self.process.sim.now,
-                    self.process.process_id, "excluded_sender",
-                )
-            return
-        if self.gv.is_suspected(request.origin):
-            self.gv.hold_pending(request.origin, request)
-            if self.journeys is not None:
-                self.journeys.held(
-                    request.request_id, self.process.sim.now,
-                    self.process.process_id, "suspected:" + request.origin,
-                )
+        if self._filtered(request.origin, request):
             return
         self.suspector.heard_from(request.origin, request.origin_clock)
         self.engine.on_sequencer_request(request)
@@ -629,12 +621,9 @@ class GroupEndpoint:
 
     def replay_pending(self, sender: str, items: List[object]) -> None:
         """Re-inject messages held while ``sender`` was under suspicion."""
-        journeys = self.journeys
         for item in items:
-            if journeys is not None:
-                journeys.released_payload(
-                    item, self.process.sim.now, self.process.process_id
-                )
+            if self._lifecycle is not None:
+                self._report(trace_events.RELEASED, item)
             if isinstance(item, DataMessage):
                 self.on_data_message(item)
             elif isinstance(item, SequencerRequest):
@@ -716,12 +705,7 @@ class GroupEndpoint:
             discarded = self.process.delivery_queue.discard_from_sender(
                 self.group_id, target, above_clock=above
             )
-            if self.journeys is not None:
-                for discarded_message in discarded:
-                    self.journeys.discarded(
-                        discarded_message.msg_id, self.process.sim.now,
-                        own_id, "step_viii",
-                    )
+            self.note_discarded(discarded, "step_viii")
             own_discards = [m for m in discarded if m.sender == own_id]
             if own_discards:
                 self.engine.on_own_messages_discarded(own_discards)

@@ -432,18 +432,13 @@ class GroupViewProcess:
             ConfirmMessage(origin=self.own_id, group=self.group_id, detection=detection),
             cause="confirm_refute",
         )
-        journeys = self.endpoint.journeys
         for suspicion in detection:
             target = suspicion.target
             self._excluded.add(target)
             self.endpoint.suspector.remove_member(target)
-            discarded = self._pending.pop(target, [])
-            if journeys is not None:
-                now = self.endpoint.process.sim.now
-                for payload in discarded:
-                    journeys.discarded_payload(
-                        payload, now, self.own_id, "confirmed_suspect"
-                    )
+            self.endpoint.note_discarded(
+                self._pending.pop(target, ()), "confirmed_suspect"
+            )
         # Drop gossip that refers to now-excluded processes.
         self._gossip = {
             suspicion: supporters

@@ -120,9 +120,9 @@ class NewtopProcess:
             metrics.sum_gauge("process.delivery_queue_depth").add(
                 self.delivery_queue.pending_count
             )
-        #: Journey tracing (``sim.journeys`` is None unless the run asked
-        #: for it); hooks below pay one ``is None`` check when off.
-        self.journeys = sim.journeys
+        #: The recorder's lifecycle dispatch (``None``: nobody follows
+        #: messages), read once; a site pays one ``is None`` check.
+        self._lifecycle = self.recorder.lifecycle
         self.formation = FormationCoordinator(
             self,
             sim,
@@ -304,17 +304,8 @@ class NewtopProcess:
         self.settle()
         return message_id
 
-    def _transmit(
-        self,
-        endpoint: GroupEndpoint,
-        payload: object,
-        blocked_for: Optional[float] = None,
-    ) -> str:
+    def _transmit(self, endpoint: GroupEndpoint, payload: object) -> str:
         message_id = endpoint.send_application(payload)
-        if self.journeys is not None and blocked_for is not None:
-            self.journeys.blocked_send(
-                message_id, self.sim.now, self.process_id, blocked_for
-            )
         self.recorder.record(
             self.sim.now,
             trace_events.SEND,
@@ -365,20 +356,13 @@ class NewtopProcess:
                     if self._send_block_reason(endpoint) is not None:
                         break
                     payload = endpoint.deferred_sends.pop(0)
-                    # ``deferred_since`` is only populated when journey
-                    # tracing is on (it parallels ``deferred_sends``).
-                    blocked_for = (
-                        self.sim.now - endpoint.deferred_since.pop(0)
-                        if endpoint.deferred_since
-                        else None
-                    )
                     self.recorder.record(
                         self.sim.now,
                         trace_events.UNBLOCKED_SEND,
                         self.process_id,
                         group=endpoint.group_id,
                     )
-                    self._transmit(endpoint, payload, blocked_for=blocked_for)
+                    self._transmit(endpoint, payload)
                     flushed += 1
         finally:
             self._flushing = False
@@ -456,9 +440,11 @@ class NewtopProcess:
         something :meth:`settle` reads (False: it was inert)."""
         if self.crashed:
             return True
-        if self.journeys is not None:
-            # Exact transit timing: the envelope carries its send instant.
-            self.journeys.transport_received(tmsg, self.sim.now, self.process_id)
+        if self._lifecycle is not None:
+            # The envelope itself: it carries its send instant.
+            self._lifecycle(
+                trace_events.WIRE_RECEIVED, self.sim.now, self.process_id, tmsg
+            )
         payload = tmsg.payload
         if isinstance(payload, DataMessage):
             endpoint = self._endpoints.get(payload.group)
@@ -679,8 +665,6 @@ class NewtopProcess:
             clock=message.clock,
             view_index=view_index,
         )
-        if self.journeys is not None:
-            self.journeys.delivered(message.msg_id, self.sim.now, self.process_id)
         for callback in self._delivery_callbacks:
             callback(message.group, message.sender, message.payload, message.msg_id)
 

@@ -67,12 +67,6 @@ class SymmetricOrdering(OrderingEngine):
                 payload=payload,
             )
         cause = CAUSE_BY_KIND[kind]
-        journeys = self.endpoint.journeys
-        if journeys is not None:
-            journeys.created(
-                message.msg_id, cause, process.process_id,
-                self.endpoint.group_id, process.sim.now,
-            )
         self.endpoint.broadcast_data(message, cause=cause)
         return message.msg_id
 

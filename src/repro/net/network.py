@@ -49,6 +49,7 @@ from repro.net.faults import LinkFaultModel
 from repro.net.latency import LatencyModel, UniformLatency
 from repro.net.partitions import PartitionManager
 from repro.net.simulator import Simulator
+from repro.net.trace import WIRE_DROPPED
 
 #: A filter receives ``(src, dst, payload)`` and returns ``True`` to let the
 #: message through, ``False`` to drop it.
@@ -140,7 +141,12 @@ class NetworkStats:
 class Network:
     """Point-to-point message fabric between named nodes."""
 
-    def __init__(self, sim: Simulator, config: Optional[NetworkConfig] = None) -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        config: Optional[NetworkConfig] = None,
+        lifecycle: Optional[Callable[..., None]] = None,
+    ) -> None:
         self.sim = sim
         self.config = config or NetworkConfig()
         self.partitions = PartitionManager()
@@ -176,12 +182,19 @@ class Network:
                 "net.in_flight_messages",
                 lambda: sum(len(batch) for batch in self._open_batches.values()),
             )
-        # Journey tracing (``sim.journeys`` is None unless the run asked for
-        # it): drop paths report why a tracked message left the wire.
-        self._journeys = sim.journeys
+        # The run's :attr:`TraceRecorder.lifecycle` (``None``: nobody asked).
+        self._lifecycle = lifecycle
 
-    def _journey_drop(self, payload: object, reason: str) -> None:
-        self._journeys.wire_dropped(payload, self.sim.now, reason)
+    def _drop(self, counter: str, frames: Sequence[object], reason: str) -> None:
+        """Every way a message is lost: count it under ``counter`` and say
+        why to whoever follows messages."""
+        stats = self.stats
+        setattr(stats, counter, getattr(stats, counter) + len(frames))
+        lifecycle = self._lifecycle
+        if lifecycle is not None:
+            now = self.sim.now
+            for frame in frames:
+                lifecycle(WIRE_DROPPED, now, None, frame, reason)
 
     # ------------------------------------------------------------------
     # Node management
@@ -288,13 +301,9 @@ class Network:
         stats.bytes_sent += size_bytes * count
         if frames is None:
             frames = (payload,) * count
-        journeys = self._journeys
         crashed = self._crashed
         if src in crashed:
-            stats.messages_dropped_crash += count
-            if journeys is not None:
-                for frame in frames:
-                    self._journey_drop(frame, "sender_crashed")
+            self._drop("messages_dropped_crash", frames, "sender_crashed")
             return 0
         partitions = self.partitions if self.partitions.partitioned else None
         filters = self._filters
@@ -303,24 +312,19 @@ class Network:
         rng = self.sim.rng
         now = self.sim.now
         schedule = self._schedule_delivery
+        drop = self._drop
         accepted = 0
         for dst, frame in zip(dsts, frames):
             if dst in crashed:
-                stats.messages_dropped_crash += 1
-                if journeys is not None:
-                    self._journey_drop(frame, "receiver_crashed")
+                drop("messages_dropped_crash", (frame,), "receiver_crashed")
                 continue
             if partitions is not None and not partitions.can_communicate(src, dst):
-                stats.messages_dropped_partition += 1
-                if journeys is not None:
-                    self._journey_drop(frame, "partition")
+                drop("messages_dropped_partition", (frame,), "partition")
                 continue
             if filters and not all(
                 message_filter(src, dst, frame) for message_filter in filters
             ):
-                stats.messages_dropped_filter += 1
-                if journeys is not None:
-                    self._journey_drop(frame, "filter")
+                drop("messages_dropped_filter", (frame,), "filter")
                 continue
             # Link faults.  Decision order (drop, reorder, duplicate) is
             # fixed so runs are deterministic from the fault seed; each draw
@@ -332,9 +336,7 @@ class Network:
                 rates = model.rates_for(src, dst)
                 fault_rng = self._fault_rng
                 if rates.drop > 0.0 and fault_rng.random() < rates.drop:
-                    stats.messages_dropped_fault += 1
-                    if journeys is not None:
-                        self._journey_drop(frame, "link_fault")
+                    drop("messages_dropped_fault", (frame,), "link_fault")
                     continue
                 if rates.reorder > 0.0 and fault_rng.random() < rates.reorder:
                     fault_hold = fault_rng.uniform(*model.reorder_delay)
@@ -432,12 +434,9 @@ class Network:
         if not messages:
             return
         stats = self.stats
-        journeys = self._journeys
         if dst in self._crashed:
-            stats.messages_dropped_crash += len(messages)
-            if journeys is not None:
-                for _, payload, _ in messages:
-                    self._journey_drop(payload, "receiver_crashed")
+            frames = [message[1] for message in messages]
+            self._drop("messages_dropped_crash", frames, "receiver_crashed")
             return
         partitions = self.partitions
         if partitions.partitioned:
@@ -448,16 +447,17 @@ class Network:
                 if partitions.can_communicate(message[0], dst):
                     surviving.append(message)
                     continue
-                stats.messages_dropped_partition += 1
-                if journeys is not None:
-                    self._journey_drop(message[1], "partition_in_flight")
+                self._drop(
+                    "messages_dropped_partition", (message[1],), "partition_in_flight"
+                )
             if not surviving:
                 return
             messages = surviving
         batch_callback = self._batch_callbacks.get(dst)
         callback = self._deliver_callbacks.get(dst)
         if callback is None and batch_callback is None:
-            stats.messages_dropped_crash += len(messages)
+            frames = [message[1] for message in messages]
+            self._drop("messages_dropped_crash", frames, "receiver_detached")
             return
         stats.messages_delivered += len(messages)
         delivered_bytes = 0

@@ -81,15 +81,16 @@ class Simulator:
 
     ``seed`` seeds the simulator-owned :attr:`rng`; all randomness in a
     simulation (latency sampling, workload generation) should be drawn from
-    it so runs are reproducible.  The three observation hooks are
+    it so runs are reproducible.  The two observation hooks are
     duck-typed (the kernel never imports :mod:`repro.obs`) and cost one
     ``is None`` check per event when absent: ``metrics`` (a
     ``MetricsRegistry``) counts events scheduled / fired / cancelled and
     polls the heap's occupancy; ``profiler`` (a ``HotPathProfiler``)
-    wall-clocks every callback under the category of its scheduling label;
-    ``journeys`` (a ``JourneyTracker``) is never called here -- like the
-    other two it rides the object every layer already holds, so network,
-    transport and protocol read ``sim.journeys`` at their own construction.
+    wall-clocks every callback under the category of its scheduling label.
+    They ride the object every layer already holds, so network, transport
+    and protocol read them off the simulator at their own construction;
+    what happens to a *message* is reported to the trace recorder instead
+    (:mod:`repro.net.trace`).
     """
 
     #: Compact the heap once more than this fraction of it is cancelled
@@ -101,7 +102,7 @@ class Simulator:
     #: so that real timer-arithmetic bugs still raise.
     _PAST_EPSILON = 1e-12
 
-    def __init__(self, seed: int = 0, metrics=None, profiler=None, journeys=None) -> None:
+    def __init__(self, seed: int = 0, metrics=None, profiler=None) -> None:
         self._now: float = 0.0
         self._heap: list = []
         self._next_sequence = 0
@@ -113,7 +114,6 @@ class Simulator:
         self.seed = seed
         self.metrics = metrics
         self.profiler = profiler
-        self.journeys = journeys
         self._c_scheduled = self._c_fired = self._c_cancelled = None
         if metrics is not None:
             self._c_scheduled = metrics.counter("sim.events_scheduled")

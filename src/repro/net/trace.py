@@ -56,6 +56,20 @@ Passing ``keep_events=False`` to :class:`TraceRecorder` drops the default
 memory sink: events are only streamed to the registered sinks and the full
 trace is never materialized, which is what lets the scenario engine verify
 1000-process runs online (``analysis="online"``).
+
+Lifecycle kinds
+---------------
+The recorder is also the one seam for the steps of a message's life that
+are *not* in the event stream (:data:`LIFECYCLE_KINDS`).  They are never
+numbered, tallied, stored or written; :attr:`TraceRecorder.lifecycle`
+hands one to :meth:`TraceSink.on_lifecycle` of the sinks whose ``KINDS``
+*names* its kind (an all-kinds sink hears none), with the protocol object
+it happened to -- message, request or transport envelope -- so nothing
+below :mod:`repro.obs` digs an id out of a payload.  The attribute is
+``None`` while no registered sink names a lifecycle kind, and a layer
+reads it once, when it is built: an unobserved run pays one ``is None``
+check per report site, and a sink that wants lifecycle steps is passed to
+the recorder's constructor.
 """
 
 from __future__ import annotations
@@ -110,6 +124,18 @@ EVENT_KINDS = frozenset(
         KV_APPLY,
         KV_READ,
     }
+)
+
+#: Lifecycle kinds (see the module docstring): reported through
+#: :attr:`TraceRecorder.lifecycle`, never through ``record``.
+TRANSMITTED = "transmitted"      # handed to the transport; detail: the cause
+WIRE_RECEIVED = "wire_received"  # a transport envelope reached its process
+HELD = "held"                    # parked while its sender stands suspected
+RELEASED = "released"            # ... and fed back in after the refutation
+DISCARDED = "discarded"          # an excluded sender's; detail: the reason
+WIRE_DROPPED = "wire_dropped"    # lost by the network; detail: the reason
+LIFECYCLE_KINDS = frozenset(
+    {TRANSMITTED, WIRE_RECEIVED, HELD, RELEASED, DISCARDED, WIRE_DROPPED}
 )
 
 
@@ -173,6 +199,15 @@ class TraceSink:
     KINDS: Optional[FrozenSet[str]] = None
 
     def on_event(self, event: TraceEvent) -> None:
+        raise NotImplementedError
+
+    def on_lifecycle(
+        self, kind: str, time: float, process: Optional[str], subject: object,
+        detail: Optional[str] = None, peer: Optional[str] = None,
+    ) -> None:
+        """One lifecycle step of ``subject`` -- the message, request or
+        envelope itself -- at ``process`` (``peer``: a unicast's destination);
+        called only on a sink whose ``KINDS`` names a lifecycle kind."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -374,7 +409,8 @@ class TraceRecorder:
     streaming/online mode used for runs too large to materialize.  A
     streaming recorder also keeps the exact per-kind tally
     (:meth:`kind_counts`), and an event of a kind no sink subscribes to is
-    counted and numbered but never built.
+    counted and numbered but never built.  :attr:`lifecycle` is the second
+    input, for the steps that are not events (see the module docstring).
 
     Fan-out is *isolated* by default (``on_sink_error="detach"``): a sink
     raising from :meth:`TraceSink.on_event` is detached from the recorder
@@ -416,7 +452,8 @@ class TraceRecorder:
 
     def _reroute(self) -> None:
         """Rebuild the per-kind fan-out from the registered sinks: kind ->
-        the sinks subscribed to it, in registration order."""
+        the sinks subscribed to it, in registration order.  A lifecycle
+        kind goes only to the sinks that name it."""
         self._routes: Dict[str, Tuple[TraceSink, ...]] = {
             kind: tuple(
                 sink
@@ -425,6 +462,25 @@ class TraceRecorder:
             )
             for kind in EVENT_KINDS
         }
+        self._lifecycle_routes: Dict[str, Tuple[TraceSink, ...]] = {
+            kind: tuple(
+                sink for sink in self._sinks if kind in (getattr(sink, "KINDS", None) or ())
+            )
+            for kind in LIFECYCLE_KINDS
+        }
+        #: The lifecycle dispatch, or ``None`` while nobody subscribes.
+        self.lifecycle = self._lifecycle if any(self._lifecycle_routes.values()) else None
+
+    def _lifecycle(self, kind, time, process, subject, detail=None, peer=None) -> None:
+        """Hand one lifecycle step (:meth:`TraceSink.on_lifecycle`'s
+        arguments) to the sinks that name its kind."""
+        for sink in self._lifecycle_routes[kind]:
+            try:
+                sink.on_lifecycle(kind, time, process, subject, detail, peer)
+            except Exception as exc:
+                self.sink_failed(sink, exc, TraceEvent(time, kind, process, seq=self._seq))
+                self._sinks.remove(sink)
+                self._reroute()
 
     def add_sink(self, sink: TraceSink) -> TraceSink:
         """Register a sink; returns it for chaining."""
@@ -741,9 +797,11 @@ class EventTrace:
                 if not additions.issubset(closed[key]):
                     closed[key] |= additions
                     changed = True
+        # Sorted: the checkers report violations in pair order, and a set's
+        # order is the interpreter's string hash seed.
         pairs = []
         for earlier, laters in closed.items():
-            for later in laters:
+            for later in sorted(laters):
                 pairs.append((earlier, later))
         self._hb_cache[group] = pairs
         return pairs

@@ -1,17 +1,22 @@
 """``repro.obs`` -- observability for every layer of the reproduction.
 
-One :class:`Observation` object bundles the four instruments:
+One :class:`Observation` object bundles the five instruments.  Three are
+handles the layers are built with (one ``is None`` check each when off):
 
 * a :class:`~repro.obs.metrics.MetricsRegistry` of counters / gauges /
   histograms the simulator, transport, network, suspector and endpoints
-  report into (they pay a single ``is None`` check when observation is
-  off);
+  report into;
 * a :class:`~repro.obs.sampler.SimTimeSampler` snapshotting the registry
   every few simulated time units into a columnar time series
   (null-vs-app traffic per interval, messages-per-delivery curves);
 * a :class:`~repro.obs.profiler.HotPathProfiler` attributing wall clock
   to callback categories (timer fire, delivery batch, protocol receive,
   sink fan-out);
+
+and two are sinks of the run's :class:`~repro.net.trace.TraceRecorder`,
+the one seam ``repro.core`` and ``repro.net`` report a message's life to
+(neither imports this package):
+
 * a :class:`~repro.obs.spans.SpanBreakdownSink` computing per-message
   lifecycle breakdowns (transit / ordering wait / latency / spread) as
   exact reservoirs;
@@ -19,7 +24,8 @@ One :class:`Observation` object bundles the four instruments:
   1-in-N subset of message ids and recording each one's full lifecycle
   (created -> sent -> received -> held -> sequenced -> delivered |
   discarded) with per-(cause, wait-state) latency reservoirs, alongside
-  the transport's ``transport.sends_by_cause.*`` root-cause counters.
+  the transport's ``transport.sends_by_cause.*`` root-cause counters; the
+  only subscriber of the recorder's lifecycle kinds.
 
 Usage::
 
@@ -137,8 +143,10 @@ class Observation:
     # Wiring
     # ------------------------------------------------------------------
     def trace_sinks(self) -> List[TraceSink]:
-        """The sinks to register on the run's :class:`TraceRecorder`."""
-        return [self.spans] if self.spans is not None else []
+        """The sinks to build the run's :class:`TraceRecorder` with (the
+        journey tracker hears lifecycle kinds, which are routed to the
+        sinks a recorder has when the layers under it are built)."""
+        return [sink for sink in (self.spans, self.journeys) if sink is not None]
 
     def bind(self, sim, recorder) -> None:
         """Attach the sampler to the run's simulator and publish the

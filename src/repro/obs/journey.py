@@ -3,15 +3,23 @@
 A *journey* is one message's lifecycle, recorded as timestamped state
 transitions::
 
-    created -> [blocked_send] -> [sent_to_sequencer -> sequenced]
+    created -> [sent_to_sequencer -> sequenced] -> [unblocked]
             -> received (per destination) -> [held[reason] -> released]
-            -> delivered | discarded[reason] | wire_dropped
+            -> delivered | discarded[reason] | wire_dropped[reason]
+
+The tracker is a :class:`~repro.net.trace.TraceSink` and nothing else:
+the protocol and the substrate report to the trace recorder, and what a
+journey is made of is derived here from the ``send``, ``deliver``,
+``blocked_send`` and ``unblocked_send`` events and the six lifecycle
+kinds (:data:`repro.net.trace.LIFECYCLE_KINDS`), which arrive with the
+message, request or transport envelope itself.
 
 Sampling is deterministic and seeded: a message is tracked iff
 ``(crc32(msg_id) ^ mix(seed)) % sample_rate == 0``, so the *same* message
 ids are sampled across runs with the same seed and no simulation RNG is
 ever drawn -- tracing stays behaviour-free (the trace stream is pinned
-byte-identical in ``tests/test_hot_path_equivalence.py``).  ``force_ids``
+byte-identical in ``tests/test_hot_path_equivalence.py``, every journey of
+eight seeded runs in ``tests/golden/journey_digests.json``).  ``force_ids``
 pins specific messages regardless of sampling; the fuzz shrinker uses it
 to embed the journeys of messages implicated in a violation into its
 repro artifacts.
@@ -30,8 +38,13 @@ counters that exactly partition ``transport.sends``.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
+from repro.net.trace import (
+    BLOCKED_SEND, DELIVER, DISCARDED, HELD, LIFECYCLE_KINDS, RELEASED, SEND,
+    TRANSMITTED, UNBLOCKED_SEND, WIRE_DROPPED, WIRE_RECEIVED, TraceEvent, TraceSink,
+)
 from repro.stats import LatencyReservoir
 
 __all__ = ["JourneyTracker", "WAIT_STATES", "payload_msg_id"]
@@ -109,13 +122,13 @@ class _Journey:
         }
 
 
-class JourneyTracker:
-    """Deterministically-sampled per-message lifecycle tracker.
-
-    Attached as ``sim.journeys``; every protocol hook pays one ``is None``
-    check when tracing is off and one dict lookup for untracked messages
-    when it is on.  The tracker never touches the simulation RNG.
+class JourneyTracker(TraceSink):
+    """Deterministically-sampled per-message lifecycle tracker: a sink of
+    the run's :class:`~repro.net.trace.TraceRecorder`.  An untracked
+    message costs one dict lookup per step; no simulation RNG is touched.
     """
+
+    KINDS = frozenset({SEND, DELIVER, BLOCKED_SEND, UNBLOCKED_SEND}) | LIFECYCLE_KINDS
 
     def __init__(
         self,
@@ -133,6 +146,10 @@ class JourneyTracker:
         self._seed_mix = zlib.crc32(repr(seed).encode("utf-8"))
         self._journeys: Dict[str, _Journey] = {}
         self._reservoirs: Dict[Tuple[str, str], LatencyReservoir] = {}
+        #: (process, group) -> when each still-deferred send was blocked,
+        #: oldest first; and how long the one just unblocked had waited.
+        self._blocked_at: Dict[Tuple[str, str], Deque[float]] = {}
+        self._blocked_for: Dict[Tuple[str, str], float] = {}
         self._c_tracked = registry.counter("journeys.tracked")
         self._c_skipped = registry.counter("journeys.skipped")
         self._c_overflow = registry.counter("journeys.overflow")
@@ -147,11 +164,6 @@ class JourneyTracker:
         digest = zlib.crc32(msg_id.encode("utf-8")) ^ self._seed_mix
         return digest % self.sample_rate == 0
 
-    def _get(self, msg_id: Optional[str]) -> Optional[_Journey]:
-        if msg_id is None:
-            return None
-        return self._journeys.get(msg_id)
-
     def _sample(self, journey: _Journey, stage: str, value: float) -> None:
         key = (journey.cause, stage)
         reservoir = self._reservoirs.get(key)
@@ -160,11 +172,8 @@ class JourneyTracker:
             reservoir = self._reservoirs[key] = LatencyReservoir(seed=seed)
         reservoir.add(value)
 
-    # ------------------------------------------------------------------
-    # Lifecycle hooks (called from the protocol layers)
-    # ------------------------------------------------------------------
-    def created(self, msg_id, cause, sender, group, now) -> None:
-        """A message with a stable id came into existence at its origin."""
+    def _start(self, msg_id, cause, sender, group, now) -> None:
+        """A message with a stable id was transmitted for the first time."""
         if msg_id in self._journeys:
             return
         if not self.wants(msg_id):
@@ -179,71 +188,34 @@ class JourneyTracker:
         self._journeys[msg_id] = journey
         self._c_tracked.value += 1
 
-    def blocked_send(self, msg_id, now, process, blocked_for) -> None:
-        """The message just left the deferred-send queue after ``blocked_for``
-        simulated seconds behind the send-blocking rule."""
-        journey = self._get(msg_id)
-        if journey is None:
+    # ------------------------------------------------------------------
+    # The two inputs: numbered events and lifecycle steps
+    # ------------------------------------------------------------------
+    def on_event(self, event: TraceEvent) -> None:
+        kind = event.kind
+        if kind == DELIVER:
+            journey = self._journeys.get(event.message_id)
+            if journey is not None:
+                self._delivered(journey, event.time, event.process)
             return
-        self._sample(journey, "blocked_send", blocked_for)
-        journey.record("unblocked", now, process, blocked_for)
+        # Blocked time: deferred sends leave a group's queue in the order
+        # they joined it, and the ``send`` after an ``unblocked_send``
+        # names the message that left.
+        key = (event.process, event.group)
+        if kind == BLOCKED_SEND:
+            self._blocked_at.setdefault(key, deque()).append(event.time)
+        elif kind == UNBLOCKED_SEND:
+            blocked_at = self._blocked_at.get(key)
+            if blocked_at:
+                self._blocked_for[key] = event.time - blocked_at.popleft()
+        else:
+            blocked_for = self._blocked_for.pop(key, None)
+            journey = self._journeys.get(event.message_id)
+            if blocked_for is not None and journey is not None:
+                self._sample(journey, "blocked_send", blocked_for)
+                journey.record("unblocked", event.time, event.process, blocked_for)
 
-    def sent_to_sequencer(self, msg_id, now, sequencer) -> None:
-        journey = self._get(msg_id)
-        if journey is None:
-            return
-        journey.sequencer_wait_from = now
-        journey.record("sent_to_sequencer", now, journey.sender, sequencer)
-
-    def sequenced(self, msg_id, now, sequencer) -> None:
-        journey = self._get(msg_id)
-        if journey is None:
-            return
-        if journey.sequencer_wait_from is not None:
-            self._sample(journey, "sequencer_queue", now - journey.sequencer_wait_from)
-            journey.sequencer_wait_from = None
-        journey.record("sequenced", now, sequencer)
-
-    def received(self, msg_id, now, process, sent_at) -> None:
-        """First wire receipt of the message at ``process``."""
-        journey = self._get(msg_id)
-        if journey is None or process in journey.receive_at:
-            return
-        journey.receive_at[process] = now
-        self._sample(journey, "transit", now - sent_at)
-        journey.record("received", now, process)
-
-    def transport_received(self, wire_message, now, process) -> None:
-        """Receipt hook taking the transport envelope (extracts the id)."""
-        payload = getattr(wire_message, "payload", None)
-        msg_id = payload_msg_id(payload) if payload is not None else None
-        if msg_id is not None:
-            self.received(msg_id, now, process, wire_message.sent_at)
-
-    def held(self, msg_id, now, process, reason) -> None:
-        journey = self._get(msg_id)
-        if journey is None:
-            return
-        journey.hold_since[process] = now
-        journey.record("held", now, process, reason)
-
-    def released(self, msg_id, now, process) -> None:
-        journey = self._get(msg_id)
-        if journey is None:
-            return
-        since = journey.hold_since.pop(process, None)
-        if since is None:
-            return
-        self._sample(journey, "suspicion_hold", now - since)
-        journey.record("released", now, process)
-
-    def released_payload(self, payload, now, process) -> None:
-        self.released(payload_msg_id(payload), now, process)
-
-    def delivered(self, msg_id, now, process) -> None:
-        journey = self._get(msg_id)
-        if journey is None:
-            return
+    def _delivered(self, journey: _Journey, now: float, process: str) -> None:
         base = journey.receive_at.get(process, journey.created_at)
         self._sample(journey, "causal_hold", now - base)
         latency = now - journey.created_at
@@ -253,23 +225,60 @@ class JourneyTracker:
             journey.max_latency = latency
         journey.record("delivered", now, process)
 
-    def discarded(self, msg_id, now, process, reason) -> None:
-        journey = self._get(msg_id)
+    def on_lifecycle(self, kind, time, process, subject, detail=None, peer=None) -> None:
+        if kind == TRANSMITTED:
+            self._transmitted(subject, time, detail, peer)
+            return
+        # From the wire it is the transport envelope, above it the message.
+        on_wire = kind == WIRE_RECEIVED or kind == WIRE_DROPPED
+        message = getattr(subject, "payload", None) if on_wire else subject
+        journey = self._journeys.get(payload_msg_id(message))
         if journey is None:
             return
-        journey.record("discarded", now, process, reason)
+        if kind == WIRE_RECEIVED:
+            if process not in journey.receive_at:  # the first receipt counts
+                journey.receive_at[process] = time
+                self._sample(journey, "transit", time - subject.sent_at)
+                journey.record("received", time, process)
+        elif kind == HELD:
+            journey.hold_since[process] = time
+            journey.record("held", time, process, detail)
+        elif kind == RELEASED:
+            since = journey.hold_since.pop(process, None)
+            if since is not None:
+                self._sample(journey, "suspicion_hold", time - since)
+                journey.record("released", time, process)
+        elif kind == DISCARDED:
+            journey.record("discarded", time, process, detail)
+        else:  # WIRE_DROPPED: the envelope knows where it was going
+            journey.record("wire_dropped", time, getattr(subject, "dst", None), detail)
 
-    def discarded_payload(self, payload, now, process, reason) -> None:
-        self.discarded(payload_msg_id(payload), now, process, reason)
-
-    def wire_dropped(self, wire_message, now, reason) -> None:
-        """The network dropped the envelope (crash/partition/filter/fault)."""
-        payload = getattr(wire_message, "payload", None)
-        msg_id = payload_msg_id(payload) if payload is not None else None
-        journey = self._get(msg_id)
-        if journey is None:
+    def _transmitted(self, message, now, cause, sequencer) -> None:
+        """A journey starts at the first transmission of its id: a request
+        unicast to a sequencer, an unsequenced multicast, or a sequenced
+        multicast that had no unicast leg (its sequencer is its origin).
+        The sequenced copy of a member's request and a ``failover_resend``
+        continue the journey the request started."""
+        msg_id = payload_msg_id(message)
+        if msg_id is None:
             return
-        journey.record("wire_dropped", now, getattr(wire_message, "dst", None), reason)
+        if sequencer is not None:  # a request on its way to the sequencer
+            if cause != "failover_resend":
+                self._start(msg_id, cause, message.origin, message.group, now)
+            journey = self._journeys.get(msg_id)
+            if journey is not None:
+                journey.sequencer_wait_from = now
+                journey.record("sent_to_sequencer", now, journey.sender, sequencer)
+            return
+        sequenced_by = message.sequenced_by
+        if sequenced_by is None or message.origin_request is None:
+            self._start(msg_id, cause, message.sender, message.group, now)
+        journey = self._journeys.get(msg_id)
+        if journey is not None and sequenced_by is not None:
+            if journey.sequencer_wait_from is not None:
+                self._sample(journey, "sequencer_queue", now - journey.sequencer_wait_from)
+                journey.sequencer_wait_from = None
+            journey.record("sequenced", now, sequenced_by)
 
     # ------------------------------------------------------------------
     # Reading

@@ -7,12 +7,18 @@ from repro.net.latency import ConstantLatency
 from repro.net.network import Network, NetworkConfig
 from repro.net.simulator import Simulator
 from repro.net.trace import (
-    JsonlSink,
+    BLOCKED_SEND,
     DELIVER,
+    DISCARDED,
     EventTrace,
+    HELD,
+    JsonlSink,
+    MemorySink,
     RECEIVE,
     SEND,
     TraceRecorder,
+    TraceSink,
+    UNBLOCKED_SEND,
     VIEW_INSTALL,
 )
 
@@ -344,14 +350,66 @@ def test_count_only_kinds_follow_the_sink_list():
     assert [event.seq for event in deliveries.events] == [1, 5]
     with pytest.raises(ValueError, match="unknown trace event kind"):
         recorder.record(7.0, "no_such_kind", "p1")
-    # observe="full" adds the span sink, which reads send / receive /
-    # deliver: null_send, suspect and the rest stay count-only.
+    # The checkers and the metrics sink read five kinds, the span sink adds
+    # receive, and blocked_send / unblocked_send have a subscriber only when
+    # journeys are followed: null_send, suspect and the rest stay count-only.
     from repro.api import Session
 
-    routes = Session("newtop", analysis="online", observe="full").recorder._routes
-    assert {kind for kind, sinks in routes.items() if sinks} == {
-        SEND, RECEIVE, DELIVER, VIEW_INSTALL, "crash", "depart"
-    }
+    def built_kinds(observe):
+        routes = Session("newtop", analysis="online", observe=observe).recorder._routes
+        return {kind for kind, sinks in routes.items() if sinks}
+
+    checked = {SEND, DELIVER, VIEW_INSTALL, "crash", "depart"}
+    blocking = {BLOCKED_SEND, UNBLOCKED_SEND}
+    assert built_kinds(True) == checked
+    assert built_kinds({"spans": True}) == checked | {RECEIVE}
+    assert built_kinds("journeys") == checked | blocking
+    assert built_kinds("full") == checked | blocking | {RECEIVE}
+
+
+def test_lifecycle_kinds_reach_only_the_sinks_that_name_them():
+    class _Follower(TraceSink):
+        KINDS = frozenset({DELIVER, HELD})
+
+        def __init__(self):
+            self.heard = []
+
+        def on_event(self, event):
+            self.heard.append(event.kind)
+
+        def on_lifecycle(self, kind, time, process, subject, detail=None, peer=None):
+            if subject == "boom":
+                raise RuntimeError("follower bug")
+            self.heard.append((kind, time, process, subject, detail, peer))
+
+    everything = MemorySink()  # KINDS = None: every *numbered* kind, no lifecycle
+    assert TraceRecorder(sinks=[everything]).lifecycle is None
+    follower = _Follower()
+    recorder = TraceRecorder(sinks=[everything, follower], keep_events=False)
+    lifecycle = recorder.lifecycle
+    assert lifecycle is not None
+    lifecycle(HELD, 1.0, "p1", "m1", "suspected:p2")
+    lifecycle(DISCARDED, 1.5, "p1", "m1", "step_viii")  # nobody names it
+    recorder.record(2.0, DELIVER, "p1", message_id="m1")
+    assert follower.heard == [(HELD, 1.0, "p1", "m1", "suspected:p2", None), DELIVER]
+    # Never numbered, tallied, stored or shown to an all-kinds sink ...
+    assert recorder.events_recorded == 1 and recorder.kind_counts() == {DELIVER: 1}
+    assert [event.kind for event in everything.events] == [DELIVER]
+    # ... and not a kind ``record`` takes.
+    with pytest.raises(ValueError, match="unknown trace event kind"):
+        recorder.record(3.0, HELD, "p1")
+    # A sink that raises from it is detached like any other; the handle
+    # the layers hold goes quiet, and the attribute goes back to None.
+    lifecycle(HELD, 4.0, "p1", "boom")
+    assert recorder.detached_sinks == [follower]
+    assert recorder.sink_errors[0]["sink"] == "_Follower"
+    assert recorder.sink_errors[0]["at_time"] == 4.0
+    lifecycle(HELD, 5.0, "p1", "m2")
+    recorder.record(6.0, DELIVER, "p1", message_id="m2")
+    assert len(follower.heard) == 2 and recorder.lifecycle is None
+    strict = TraceRecorder(sinks=[_Follower()], on_sink_error="raise")
+    with pytest.raises(RuntimeError, match="follower bug"):
+        strict.lifecycle(HELD, 1.0, "p1", "boom")
 
 
 def test_storing_recorder_builds_every_event_and_tallies_on_demand():
@@ -425,3 +483,46 @@ def test_jsonl_sink_leaves_borrowed_files_open():
     payload = json.loads(buffer.getvalue().strip())
     assert payload["kind"] == SEND and payload["message_id"] == "m1"
     buffer.write("still writable\n")
+
+
+_LOSSY_LINK_RUN = """
+import json
+from repro.api import Session
+from repro.scenarios import SCENARIO_PROTOCOL_DEFAULTS as FAST
+
+names = ["P1", "P2", "P3", "P4", "P5"]
+session = Session("newtop", config=FAST, seed=1)
+session.spawn(names)
+session.group("g", names)
+session.run(1.0)
+session.injector.drop_between_now({"P1"}, {"P2"}, 2.5)
+for index in range(4):
+    for sender in names:
+        session.multicast(sender, "g", f"m{index}/{sender}")
+    session.run(1.0)
+session.run(20.0)
+print(json.dumps(session.result().checks.violations))
+"""
+
+
+def test_offline_violation_order_does_not_depend_on_the_hash_seed():
+    """P2 never gets what P1 sent it for 2.5 time units and delivers what
+    the others sent after it: thirteen causal-prefix violations, found by
+    walking ``happened_before_pairs`` -- whose order was a set's."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    def violations(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        done = subprocess.run(
+            [sys.executable, "-c", _LOSSY_LINK_RUN],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return json.loads(done.stdout)
+
+    first, second = violations("1"), violations("2")
+    assert len(first) == 13 and all("causally" in line for line in first)
+    assert first == second

@@ -1,4 +1,4 @@
-"""Golden trace digests: the full offline event stream of three seeded runs.
+"""Golden digests: the event stream and the journeys of seeded runs.
 
 Each digest is the sha256 (and the event count) of the run's stored trace as
 :class:`repro.net.trace.JsonlSink` writes it -- ``seq``, ``time``, ``kind``,
@@ -7,8 +7,18 @@ of every event, in recording order.  A refactor that moves nothing leaves
 all three where they are; a *protocol* change that sends, numbers, times or
 delivers anything differently moves them -- then, and only then, regenerate
 with ``PYTHONPATH=src python tests/test_golden_traces.py`` and say so.
+
+``journey_digests.json`` does the same for what :mod:`repro.obs.journey`
+makes of a run: the sha256 of the whole ``journeys`` block plus every
+tracked journey's transition list, at sample rate 1 and 1-in-64, offline
+and online, for the three runs above and five more that between them
+produce every transition and every reason the tracker knows (the test
+below says which).  It was generated at the commit *before* journeys moved
+onto the trace recorder's seam (PR 21), so it pins that the move changed no
+journey; the same command regenerates it.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -27,9 +37,9 @@ from repro.scenarios import (
     from_config,
 )
 
-GOLDEN_TRACE_DIGESTS = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "golden", "trace_digests.json"
-)
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDEN_TRACE_DIGESTS = os.path.join(GOLDEN, "trace_digests.json")
+GOLDEN_JOURNEY_DIGESTS = os.path.join(GOLDEN, "journey_digests.json")
 
 
 class _Hashing:
@@ -54,7 +64,7 @@ def _digest(session):
     return {"events": sink.events_written, "sha256": target.sha256.hexdigest()}
 
 
-def _churn60():
+def _churn60(**options):
     """The 60-process churn run ``test_hot_path_equivalence.py`` twins."""
     engine = ScenarioEngine(
         from_config(
@@ -62,16 +72,17 @@ def _churn60():
                 n_processes=60, n_groups=6, group_size=8, crashes=2, leaves=2,
                 formations=1, messages_per_sender=2, seed=11,
             )
-        )
+        ),
+        **options,
     )
     assert engine.run().passed
     return engine.session
 
 
-def _kv_failover():
+def _kv_failover(**options):
     """Three asymmetric shards; the sequencer of one crashes between writes."""
     layout = {f"s{s}": [f"s{s}r{r}" for r in range(3)] for s in range(3)}
-    session = Session("newtop", config=FAST, seed=5)
+    session = Session("newtop", config=FAST, seed=5, **options)
     session.spawn([pid for members in layout.values() for pid in members])
     store = ShardedKV(session, mode=OrderingMode.ASYMMETRIC)
     store.bootstrap(layout)
@@ -99,11 +110,11 @@ def _kv_failover():
     return session
 
 
-def _formation_crash():
+def _formation_crash(**options):
     """§5.3 formation of a five-member group; one invitee crashes while
     the votes are in flight, the rest carry traffic in what forms."""
     members = ["P1", "P2", "P3", "P4", "P5"]
-    session = Session("newtop", config=FAST, seed=8)
+    session = Session("newtop", config=FAST, seed=8, **options)
     session.spawn(members)
     session.group("old", ["P1", "P2", "P3"])
     session.form_group("new", members)
@@ -136,10 +147,194 @@ def test_golden_trace_digest(name):
     assert _fresh(name) == golden[name]
 
 
+# ----------------------------------------------------------------------
+# Journeys: five more runs, for the transitions the three above never make
+# ----------------------------------------------------------------------
+OMEGA_BIG = FAST["suspicion_timeout"]
+
+
+def _load(session, groups, rounds, gap, tag):
+    """``rounds`` rounds of one multicast per current member per group."""
+    for index in range(rounds):
+        for group, members in groups.items():
+            for sender in members:
+                if session[sender].is_member(group):
+                    session.multicast(sender, group, f"{tag}{index}/{sender}")
+        session.run(gap)
+
+
+def _flow_window(**options):
+    """``flow_control_window=1`` in a symmetric and an asymmetric group:
+    sends queue behind the window and are ``unblocked`` later."""
+    config = dict(FAST, flow_control_window=1)
+    session = Session("newtop", config=config, seed=3, **options)
+    session.spawn(["P1", "P2", "P3", "P4"])
+    session.group("sym", ["P1", "P2", "P3"])
+    session.group("asym", ["P2", "P3", "P4"], mode=OrderingMode.ASYMMETRIC)
+    groups = {"sym": ["P1", "P2", "P3"], "asym": ["P2", "P3", "P4"]}
+    _load(session, groups, 4, 0.5, "w")
+    session.run(40.0)
+    return session
+
+
+def _partition(**options):
+    """Six processes split three and three under load: drops at send
+    (``partition``) and on arrival (``partition_in_flight``), then each
+    side's step (viii) discards what it holds of the other's."""
+    names = [f"P{index}" for index in range(1, 7)]
+    session = Session("newtop", config=FAST, seed=4, **options)
+    session.spawn(names)
+    session.group("g", names)
+    session.group("h", names[1:5], mode=OrderingMode.ASYMMETRIC)
+    groups = {"g": names, "h": names[1:5]}
+    session.run(1.0)
+    _load(session, groups, 4, 0.2, "pre")
+    session.partition([names[:3], names[3:]])
+    _load(session, groups, 6, 0.5, "split")
+    session.run(40.0)
+    _load(session, groups, 2, 0.5, "post")
+    session.run(20.0)
+    return session
+
+
+def _flapping_link(**options):
+    """One directed link lost for Ω + k/4, twelve times, under load: the
+    far end suspects, the others refute, and what arrived in between was
+    ``held`` and is ``released`` (and, at rate 1, the tracker overflows)."""
+    names = ["P1", "P2", "P3", "P4", "P5"]
+    session = Session("newtop", config=FAST, seed=6, **options)
+    session.spawn(names)
+    session.group("g", names)
+    session.run(1.0)
+    for flap in range(12):
+        outage = OMEGA_BIG + flap * 0.25
+        session.injector.drop_between_now({"P1"}, {"P2"}, outage)
+        _load(session, {"g": names}, int(outage / 0.5) + 6, 0.5, f"f{flap}-")
+    session.run(30.0)
+    return session
+
+
+def _mute_then_resume(**options):
+    """One member's outbound traffic is lost until just after the others
+    excluded it and just before it excludes them: what it sends in between
+    is discarded as an ``excluded_sender``'s."""
+    names = ["P1", "P2", "P3", "P4", "P5"]
+    session = Session("newtop", config=FAST, seed=7, **options)
+    session.spawn(names)
+    session.group("g", names)
+    session.run(1.0)
+    _load(session, {"g": names}, 2, 0.5, "a")
+    session.injector.drop_between_now({"P3"}, set(names) - {"P3"}, 8.8)
+    _load(session, {"g": names}, 30, 1.0, "m")
+    session.run(30.0)
+    return session
+
+
+def _brief_mute(**options):
+    """Three overlapping four-member groups; the member two of them share
+    falls silent for a little over Ω and then speaks while suspected:
+    ``held``, and discarded at confirmation (``confirmed_suspect``)."""
+    names = [f"P{index}" for index in range(1, 10)]
+    groups = {"g1": names[0:4], "g2": names[3:7], "g3": names[5:9]}
+    session = Session("newtop", config=FAST, seed=8, **options)
+    session.spawn(names)
+    for group, members in groups.items():
+        session.group(group, members)
+    session.run(1.0)
+    _load(session, groups, 2, 0.5, "a")
+    session.injector.drop_between_now({"P4"}, set(names) - {"P4"}, OMEGA_BIG + 0.6)
+    _load(session, groups, 24, 0.5, "b")
+    session.run(30.0)
+    return session
+
+
+JOURNEY_RUNS = dict(
+    RUNS,
+    flow_control_window_one=_flow_window,
+    partition_three_three=_partition,
+    flapping_link=_flapping_link,
+    mute_then_resume=_mute_then_resume,
+    brief_mute_three_groups=_brief_mute,
+)
+JOURNEY_VARIANTS = [
+    (analysis, rate) for analysis in ("offline", "online") for rate in (1, 64)
+]
+#: What the eight runs produce between them at rate 1: every state, and
+#: every reason a hold, a discard or a wire drop can carry except the two
+#: no session-level fault makes (a crashed sender's own sends, which the
+#: crashed process never attempts, and a link-fault model's drops, which
+#: ``tests/test_link_faults.py`` covers).
+EVERY_TRANSITION = {
+    "created", "unblocked", "sent_to_sequencer", "sequenced", "received",
+    "held", "released", "delivered",
+    "discarded:excluded_sender", "discarded:step_viii",
+    "discarded:confirmed_suspect",
+    "wire_dropped:receiver_crashed", "wire_dropped:partition",
+    "wire_dropped:partition_in_flight", "wire_dropped:filter",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_journeys(name, analysis, rate):
+    """Digest of the run's journeys, and the transitions seen in them."""
+    reset_message_counter()
+    session = JOURNEY_RUNS[name](
+        analysis=analysis,
+        observe={"journeys": True, "journey_sample_rate": rate},
+    )
+    assert not session.recorder.sink_errors
+    tracker = session.observation.journeys
+    journeys = [journey.as_dict() for journey in tracker._journeys.values()]
+    document = {"block": tracker.snapshot(), "journeys": journeys}
+    seen = set()
+    for journey in journeys:
+        for state, _time, _process, detail in journey["transitions"]:
+            reasoned = state in ("discarded", "wire_dropped")
+            seen.add(f"{state}:{detail}" if reasoned else state)
+    digest = {
+        "journeys": len(journeys),
+        "overflow": document["block"]["overflow"],
+        "sha256": hashlib.sha256(
+            json.dumps(document, sort_keys=True).encode("utf-8")
+        ).hexdigest(),
+    }
+    return digest, frozenset(seen)
+
+
+@pytest.mark.parametrize("name", sorted(JOURNEY_RUNS))
+@pytest.mark.parametrize("analysis,rate", JOURNEY_VARIANTS)
+def test_golden_journey_digest(name, analysis, rate):
+    with open(GOLDEN_JOURNEY_DIGESTS, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert _fresh_journeys(name, analysis, rate)[0] == golden[name][f"{analysis}/{rate}"]
+
+
+def test_golden_journey_runs_make_every_transition():
+    seen = set()
+    for name in JOURNEY_RUNS:
+        seen |= _fresh_journeys(name, "offline", 1)[1]
+    assert seen == EVERY_TRANSITION
+
+
+def _write(path, document):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=1)
+        handle.write("\n")
+
+
 if __name__ == "__main__":
     fresh = {name: _fresh(name) for name in sorted(RUNS)}
-    with open(GOLDEN_TRACE_DIGESTS, "w", encoding="utf-8") as handle:
-        json.dump(fresh, handle, indent=1)
-        handle.write("\n")
+    _write(GOLDEN_TRACE_DIGESTS, fresh)
     for name, entry in fresh.items():
         print(f"{name}: {entry['events']} events, {entry['sha256']}")
+    fresh = {
+        name: {
+            f"{analysis}/{rate}": _fresh_journeys(name, analysis, rate)[0]
+            for analysis, rate in JOURNEY_VARIANTS
+        }
+        for name in sorted(JOURNEY_RUNS)
+    }
+    _write(GOLDEN_JOURNEY_DIGESTS, fresh)
+    for name, variants in fresh.items():
+        for variant, entry in variants.items():
+            print(f"{name} {variant}: {entry['journeys']} journeys, {entry['sha256']}")

@@ -18,6 +18,22 @@ import sys
 import pytest
 
 from repro.api import Session
+from repro.core.messages import DataMessage, SequencerRequest
+from repro.net.trace import (
+    BLOCKED_SEND,
+    DELIVER,
+    DISCARDED,
+    HELD,
+    RELEASED,
+    SEND,
+    TRANSMITTED,
+    UNBLOCKED_SEND,
+    WIRE_DROPPED,
+    WIRE_RECEIVED,
+    TraceEvent,
+    TraceRecorder,
+)
+from repro.net.transport import TransportMessage
 from repro.obs import Observation
 from repro.obs.journey import (
     MAX_TRANSITIONS,
@@ -63,13 +79,28 @@ def test_sampling_decision_is_deterministic_per_seed():
     assert sampled != {msg_id for msg_id in ids if other.wants(msg_id)}
 
 
+def _multicast(msg_id, sender="P1", clock=1, **fields):
+    """An application message as a symmetric group's member multicasts it."""
+    return DataMessage(msg_id, sender, "g", clock, 0, payload="x", **fields)
+
+
+def _transmit(tracker, message, now=0.0, cause="app_multicast", peer=None):
+    """What ``broadcast_data`` / ``send_to_member`` report (with ``peer``)."""
+    origin = getattr(message, "origin", None) or message.sequenced_by or message.sender
+    tracker.on_lifecycle(TRANSMITTED, now, origin, message, cause, peer)
+
+
+def _envelope(message, src, dst, sent_at):
+    return TransportMessage(src, dst, "newtop", message, 1, 0, sent_at)
+
+
 def test_force_ids_are_tracked_regardless_of_sampling():
     tracker = JourneyTracker(
         MetricsRegistry(), sample_rate=1 << 32, force_ids=["P1#7"]
     )
     assert tracker.wants("P1#7")
-    tracker.created("P1#7", "app_multicast", "P1", "g", 0.0)
-    tracker.created("P2#9", "app_multicast", "P2", "g", 0.0)
+    _transmit(tracker, _multicast("P1#7"))
+    _transmit(tracker, _multicast("P2#9", sender="P2"))
     assert tracker.journey("P1#7") is not None
     assert tracker.journey("P2#9") is None
     snapshot = tracker.snapshot()
@@ -108,42 +139,106 @@ def test_journey_sampling_deterministic_across_identical_runs():
 # Lifecycle recording
 # ----------------------------------------------------------------------
 def test_tracker_records_full_lifecycle_and_wait_states():
+    """Fed what the recorder would feed it: the numbered events through
+    ``on_event``, the lifecycle steps (with the protocol objects
+    themselves) through ``on_lifecycle``.  P1's send waits in the deferred
+    queue, goes to the sequencer P0, comes back sequenced, and reaches P2
+    while P2 suspects P0."""
     tracker = JourneyTracker(MetricsRegistry(), sample_rate=1)
-    tracker.created("P1#0", "app_multicast", "P1", "g", 0.0)
-    tracker.sent_to_sequencer("P1#0", 0.0, "P1")
-    tracker.sequenced("P1#0", 0.5, "P1")
-    tracker.received("P1#0", 1.0, "P2", 0.5)
-    tracker.held("P1#0", 1.0, "P2", "suspected_sender")
-    tracker.released("P1#0", 1.5, "P2")
-    tracker.delivered("P1#0", 2.0, "P2")
+    recorder = TraceRecorder(sinks=[tracker], keep_events=False)
+    lifecycle = recorder.lifecycle
+    request = SequencerRequest("P1#0", "P1", "g", 1, payload="x")
+    recorder.record(0.0, BLOCKED_SEND, "P1", group="g", reason="flow_control")
+    recorder.record(0.25, UNBLOCKED_SEND, "P1", group="g")
+    lifecycle(TRANSMITTED, 0.25, "P1", request, "app_multicast", "P0")
+    recorder.record(0.25, SEND, "P1", group="g", message_id="P1#0", sender="P1")
+    sequenced = _multicast(
+        "P1#0", clock=2, sequenced_by="P0", origin_request="P1#0"
+    )
+    lifecycle(TRANSMITTED, 0.75, "P0", sequenced, "app_multicast")
+    envelope = _envelope(sequenced, "P0", "P2", sent_at=0.75)
+    lifecycle(WIRE_RECEIVED, 1.25, "P2", envelope)
+    lifecycle(WIRE_RECEIVED, 1.3, "P2", envelope)  # a duplicate frame: ignored
+    lifecycle(HELD, 1.25, "P2", sequenced, "suspected:P0")
+    lifecycle(RELEASED, 1.75, "P2", sequenced)
+    lifecycle(RELEASED, 1.8, "P2", sequenced)  # nothing held: ignored
+    recorder.record(2.25, DELIVER, "P2", group="g", message_id="P1#0", sender="P1")
+    lifecycle(DISCARDED, 2.5, "P3", sequenced, "excluded_sender")
+    lifecycle(WIRE_DROPPED, 2.5, None, _envelope(sequenced, "P0", "P4", 0.75), "partition")
+    # Other messages' steps, and steps of things without an id, are ignored.
+    lifecycle(HELD, 2.5, "P2", _multicast("P9#9"), "suspected:P9")
+    lifecycle(WIRE_DROPPED, 2.5, None, "a raw frame", "filter")
+    assert not recorder.sink_errors
     journey = tracker.journey("P1#0")
-    assert journey["cause"] == "app_multicast"
+    assert journey["cause"] == "app_multicast" and journey["sender"] == "P1"
     assert journey["deliveries"] == 1
     assert journey["latency"] == pytest.approx(2.0)
-    assert [t[0] for t in journey["transitions"]] == [
-        "created", "sent_to_sequencer", "sequenced", "received",
-        "held", "released", "delivered",
+    assert [tuple(t) for t in journey["transitions"]] == [
+        ("created", 0.25, "P1", "app_multicast"),
+        ("sent_to_sequencer", 0.25, "P1", "P0"),
+        ("unblocked", 0.25, "P1", 0.25),
+        ("sequenced", 0.75, "P0", None),
+        ("received", 1.25, "P2", None),
+        ("held", 1.25, "P2", "suspected:P0"),
+        ("released", 1.75, "P2", None),
+        ("delivered", 2.25, "P2", None),
+        ("discarded", 2.5, "P3", "excluded_sender"),
+        ("wire_dropped", 2.5, "P4", "partition"),
     ]
     stages = tracker.snapshot()["wait_states"]["app_multicast"]
+    assert stages["blocked_send"]["max"] == pytest.approx(0.25)
     assert stages["sequencer_queue"]["max"] == pytest.approx(0.5)
     assert stages["transit"]["max"] == pytest.approx(0.5)
     assert stages["suspicion_hold"]["max"] == pytest.approx(0.5)
     assert stages["causal_hold"]["max"] == pytest.approx(1.0)
     assert stages["latency"]["max"] == pytest.approx(2.0)
-    assert set(stages) <= set(WAIT_STATES)
+    assert set(stages) == set(WAIT_STATES)
+
+
+def test_journey_starts_at_the_first_transmission_of_an_id():
+    tracker = JourneyTracker(MetricsRegistry(), sample_rate=1)
+    # A sequencer's own send has no unicast leg: created and sequenced at once.
+    _transmit(tracker, _multicast("P0#1", sender="P0", sequenced_by="P0"), now=1.0)
+    assert [t[0] for t in tracker.journey("P0#1")["transitions"]] == [
+        "created", "sequenced",
+    ]
+    # A failover resend continues a journey, it never starts one: neither
+    # the re-unicast request nor the new sequencer's own copy of its request.
+    request = SequencerRequest("P1#2", "P1", "g", 1, payload="x")
+    _transmit(tracker, request, now=2.0, cause="failover_resend", peer="P2")
+    resequenced = _multicast("P1#3", sequenced_by="P1", origin_request="P1#3")
+    _transmit(tracker, resequenced, now=2.0, cause="failover_resend")
+    assert tracker.journey("P1#2") is None and tracker.journey("P1#3") is None
+    assert tracker.snapshot()["skipped"] == 0
+    _transmit(tracker, request, now=3.0, peer="P0")
+    _transmit(tracker, request, now=9.0, cause="failover_resend", peer="P2")
+    assert [t[:2] + t[3:] for t in tracker.journey("P1#2")["transitions"]] == [
+        ["created", 3.0, "app_multicast"],
+        ["sent_to_sequencer", 3.0, "P0"],
+        ["sent_to_sequencer", 9.0, "P2"],
+    ]
+    # Blocked time is matched first in, first out, per process and group.
+    tracker.on_event(TraceEvent(4.0, BLOCKED_SEND, "P1", "g"))
+    tracker.on_event(TraceEvent(5.0, BLOCKED_SEND, "P1", "g"))
+    tracker.on_event(TraceEvent(5.5, BLOCKED_SEND, "P1", "h"))
+    tracker.on_event(TraceEvent(6.0, UNBLOCKED_SEND, "P1", "g"))
+    tracker.on_event(TraceEvent(6.0, SEND, "P1", "g", "P1#2", "P1"))
+    tracker.on_event(TraceEvent(7.0, UNBLOCKED_SEND, "P7", "g"))  # never blocked
+    tracker.on_event(TraceEvent(7.0, SEND, "P1", "g", "P1#2", "P1"))  # not deferred
+    assert [t[3] for t in tracker.journey("P1#2")["transitions"][3:]] == [2.0]
 
 
 def test_tracker_bounds_memory_via_overflow_and_truncation():
     tracker = JourneyTracker(MetricsRegistry(), sample_rate=1, max_tracked=1)
-    tracker.created("P1#0", "app_multicast", "P1", "g", 0.0)
-    tracker.created("P1#1", "app_multicast", "P1", "g", 0.0)
-    tracker.created("P1#2", "app_multicast", "P1", "g", 0.0)
+    first = _multicast("P1#0")
+    for message in (first, _multicast("P1#1"), _multicast("P1#2"), first):
+        _transmit(tracker, message)
     snapshot = tracker.snapshot()
     assert snapshot["tracked"] == 1
     assert snapshot["overflow"] == 2
     # Per-journey transitions are capped at MAX_TRANSITIONS.
     for index in range(MAX_TRANSITIONS + 10):
-        tracker.held("P1#0", float(index), f"p{index}", "suspected_sender")
+        tracker.on_lifecycle(HELD, float(index), f"p{index}", first, "suspected:P1")
     journey = tracker.journey("P1#0")
     assert len(journey["transitions"]) == MAX_TRANSITIONS
     assert journey["truncated_transitions"] == 11
@@ -168,13 +263,50 @@ def test_unobserved_run_has_no_journey_tracker_anywhere():
     session = Session("newtop", seed=5)
     session.spawn(["P1", "P2"])
     session.group("g")
-    assert session.sim.journeys is None
+    # Nobody names a lifecycle kind, so the recorder hands out no dispatch
+    # and every layer that read it at construction holds None.
+    assert session.recorder.lifecycle is None
+    assert session.network._lifecycle is None
     for process in session.stack.processes.values():
-        assert process.journeys is None
+        assert process._lifecycle is None
+        assert process.endpoint("g")._lifecycle is None
     session.run(5.0)
     assert session.result().obs is None
-    # The metrics-only tier pays the same is-None branch for journeys.
+    # The metrics-only tier pays the same is-None branch for journeys...
     assert Observation.coerce(True).journeys is None
+    assert Session("newtop", observe=True).recorder.lifecycle is None
+    # ...and a run that follows journeys has every layer on the one seam.
+    followed = Session("newtop", seed=5, observe="journeys")
+    followed.spawn(["P1", "P2"])
+    followed.group("g")
+    assert followed.observation.journeys in followed.recorder._sinks
+    handles = [followed.network._lifecycle] + [
+        handle
+        for process in followed.stack.processes.values()
+        for handle in (process._lifecycle, process.endpoint("g")._lifecycle)
+    ]
+    assert all(handle == followed.recorder.lifecycle for handle in handles)
+
+
+def test_frame_for_a_detached_node_is_reported_like_every_other_drop():
+    """The eighth drop path: the destination left the network
+    (``Network.detach``) while the frame was in flight.  Counted like the
+    other seven, and a ``wire_dropped`` with a reason of its own."""
+    session = Session(
+        "newtop", seed=5, observe={"journeys": True, "journey_sample_rate": 1}
+    )
+    session.spawn(["P1", "P2", "P3"])
+    session.group("g")
+    session.run(1.0)
+    msg_id = session.multicast("P1", "g", "x")
+    dropped_before = session.network.stats.messages_dropped_crash
+    session.network.detach("P3")
+    session.run(5.0)
+    assert session.network.stats.messages_dropped_crash > dropped_before
+    transitions = session.observation.journeys.journey(msg_id)["transitions"]
+    at_p3 = [t for t in transitions if t[2] == "P3"]
+    assert [(t[0], t[3]) for t in at_p3] == [("wire_dropped", "receiver_detached")]
+    assert [t[0] for t in transitions if t[2] == "P2"] == ["received", "delivered"]
 
 
 def test_cause_counters_partition_transport_sends_at_smoke_scale():

@@ -37,7 +37,6 @@ class _StubEndpoint:
         self.view = MembershipView.initial("g", members)
         self.process = SimpleNamespace(sim=SimpleNamespace(now=0.0))
         self.suspector = SimpleNamespace(clear_suspicion=lambda member: None)
-        self.journeys = None
         self.sent = []
 
     def mcast_membership(self, message, cause=None):

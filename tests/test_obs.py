@@ -334,7 +334,9 @@ def test_unobserved_session_has_no_obs_and_no_instruments():
     session = Session("newtop", seed=5)
     assert session.observation is None
     assert session.sim.metrics is None and session.sim.profiler is None
-    assert session.sim.journeys is None
+    # No journey tracker either: the recorder has no lifecycle subscriber
+    # (and no sink beyond its own trace store), so it hands out no dispatch.
+    assert session.recorder.lifecycle is None and session.recorder._sinks == []
     session.spawn(["P1", "P2"])
     session.group("g")
     session.run(5.0)

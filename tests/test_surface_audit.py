@@ -1,10 +1,16 @@
-"""Every option has two values in use.
+"""Every option has two values in use, and one seam carries observation.
 
 Each field of ``NewtopConfig`` and ``NetworkConfig`` and each keyword of
 ``Observation`` must be read somewhere under ``src/repro`` off the line that
 defines it, and be given a value other than its default somewhere under
 ``src``, ``benchmarks``, ``examples`` or ``tests``.  An option nothing sets
 is a constant; one nothing reads is nothing at all.
+
+The protocol and the substrate report to the trace recorder and know nobody
+behind it: no module under ``repro.core`` or ``repro.net`` imports
+``repro.obs`` or names a ``journeys`` handle, and every lifecycle kind of
+:mod:`repro.net.trace` is both reported from somewhere under ``src`` and
+named by some sink's ``KINDS``.
 """
 
 import ast
@@ -13,7 +19,10 @@ import inspect
 import pathlib
 import re
 
+import repro.analysis.online  # noqa: F401  (its sinks join the roll call)
+import repro.workloads  # noqa: F401
 from repro.core.config import NewtopConfig
+from repro.net import trace as trace_module
 from repro.net.network import NetworkConfig
 from repro.obs import Observation
 
@@ -90,3 +99,67 @@ def test_every_option_is_read_and_has_two_values_in_use():
         for owner, name, default in options
         if not _is_set(name, default, owner == "Observation")
     ] == []
+
+
+def _layer_trees():
+    for path, text in SOURCES.items():
+        parts = path.relative_to(ROOT).parts
+        if parts[:2] == ("src", "repro") and parts[2] in ("core", "net"):
+            yield "/".join(parts[2:]), ast.parse(text)
+
+
+def test_protocol_and_substrate_know_no_observer():
+    offenders = set()
+    for module, tree in _layer_trees():
+        for node in ast.walk(tree):
+            imported = []
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            names = (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "arg", None),
+            )
+            if any(name.startswith("repro.obs") for name in imported) or "journeys" in names:
+                offenders.add(module)
+    assert sorted(offenders) == []
+
+
+def _sink_classes(base=trace_module.TraceSink):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _sink_classes(cls)
+
+
+def test_every_lifecycle_kind_is_reported_and_heard():
+    constants = {
+        name: value
+        for name, value in vars(trace_module).items()
+        if name.isupper() and value in trace_module.LIFECYCLE_KINDS
+    }
+    assert set(constants.values()) == trace_module.LIFECYCLE_KINDS
+    # Reported: the kind's constant is an argument of a call outside trace.py.
+    reported = set()
+    for path, text in SOURCES.items():
+        parts = path.relative_to(ROOT).parts
+        if parts[0] != "src" or parts[-2:] == ("net", "trace.py"):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                for argument in node.args:
+                    name = getattr(argument, "attr", getattr(argument, "id", None))
+                    reported.add(constants.get(name))
+    assert trace_module.LIFECYCLE_KINDS - reported == set()  # no dead kind
+    # Heard: a sink names it -- and a sink that names one takes them.
+    followers = [
+        cls for cls in _sink_classes()
+        if cls.__module__.startswith("repro.")
+        and not trace_module.LIFECYCLE_KINDS.isdisjoint(cls.KINDS or ())
+    ]
+    heard = set().union(*(cls.KINDS for cls in followers))
+    assert trace_module.LIFECYCLE_KINDS - heard == set()
+    assert [
+        cls.__name__ for cls in followers
+        if cls.on_lifecycle is trace_module.TraceSink.on_lifecycle
+    ] == []  # no deaf subscriber
