@@ -75,7 +75,8 @@ class MetricsReport:
     application_sends: int
     #: Application deliveries (across all processes).
     application_deliveries: int
-    #: Null messages sent by the time-silence mechanism.
+    #: Numbered null messages sent by the time-silence mechanism (in the
+    #: report's group, when it names one).
     null_messages: int
     #: Deferred (blocked) sends and how long they waited.
     blocked_sends: int
@@ -83,6 +84,11 @@ class MetricsReport:
     network: Dict[str, int] = field(default_factory=dict)
     #: Simulated duration covered by the report.
     duration: float = 0.0
+    #: Idle heartbeat wakes that sent beacons.  A fact about processes, not
+    #: about a group -- one wake beacons for every idle symmetric group of
+    #: its process (``null_send`` events without a group) -- so a group
+    #: filter does not narrow it.
+    heartbeat_wakes: int = 0
 
     @property
     def null_ratio(self) -> float:
@@ -108,6 +114,7 @@ class MetricsReport:
             "application_deliveries": float(self.application_deliveries),
             "null_messages": float(self.null_messages),
             "null_ratio": self.null_ratio,
+            "heartbeat_wakes": float(self.heartbeat_wakes),
             "blocked_sends": float(self.blocked_sends),
             "throughput": self.throughput,
             "network_messages_sent": float(self.network.get("messages_sent", 0)),
@@ -124,7 +131,13 @@ def build_report(
     """Derive a :class:`MetricsReport` from a trace and network counters."""
     sends = trace.events(kind=SEND, group=group)
     deliveries = trace.events(kind=DELIVER, group=group)
-    nulls = trace.events(kind=NULL_SEND, group=group)
+    # A null belongs to its group, a heartbeat wake (no group) to a process.
+    null_sends = trace.events(kind=NULL_SEND)
+    wakes = [event for event in null_sends if event.group is None]
+    nulls = [
+        event for event in null_sends
+        if event.group is not None and group in (None, event.group)
+    ]
     blocked = trace.events(kind=BLOCKED_SEND, group=group)
     return MetricsReport(
         delivery_latency=summarize_latencies(trace.delivery_latencies(group)),
@@ -134,6 +147,7 @@ def build_report(
         blocked_sends=len(blocked),
         network=network_stats.snapshot() if network_stats is not None else {},
         duration=duration,
+        heartbeat_wakes=len(wakes),
     )
 
 

@@ -17,10 +17,12 @@ ordering mode is chosen per group at creation, §4.3, so it is not here):
   its process's groups and no member asking for a reply) stretches its
   deadline from ω to Ω/2, never below ω, and in a symmetric group what it
   sends then is not a null but a numberless beacon to its K = 3 ring
-  successors (:mod:`repro.core.time_silence`).  Those K members are the
-  ones that time it out while the group is idle; everybody else concurs
-  when asked, so a crash in an idle group is agreed one gossip hop later
-  than Ω alone would give (:mod:`repro.core.suspector`).
+  successors -- one per neighbour per Ω/2 whatever number of idle groups
+  the two share, naming them (:mod:`repro.core.time_silence`).  Those K
+  members are the ones that time it out while the group is idle;
+  everybody else concurs when asked, so a crash in an idle group is
+  agreed one gossip hop later than Ω alone would give
+  (:mod:`repro.core.suspector`).
 * optional ISIS-style send blocking during view installation (§3 notes
   Newtop *can* provide the closed form of virtual synchrony "at the
   necessary expense of performance"),
@@ -120,6 +122,13 @@ class NewtopConfig:
     #: fuzz mutation harness (tests prove the fuzzer re-finds the violation);
     #: never disable it in real runs.
     use_view_cut_marker: bool = True
+
+    @property
+    def heartbeat_period(self) -> float:
+        """How long a member that owes nothing may stay silent: Ω/2, never
+        below ω (one lost or late heartbeat still leaves the suspector half
+        a timeout)."""
+        return max(self.omega, self.suspicion_timeout / 2)
 
     def validate(self) -> "NewtopConfig":
         """Raise :class:`ConfigurationError` if the parameters are inconsistent."""

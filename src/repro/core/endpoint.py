@@ -125,8 +125,10 @@ class GroupEndpoint:
             on_tick=self._on_suspector_tick,
             needs_everybody=self._needs_everybody,
             # An asymmetric member is heard through the sequencer's relay
-            # and its idle nulls stay numbered: everybody watches everybody.
+            # and its idle nulls stay numbered: everybody watches everybody,
+            # on a timer of its own.
             ring_watched=not asymmetric,
+            next_wake=None if asymmetric else process.heartbeat.next_wake,
             # Our flagged null within ω, the answer within ω of that, found
             # at the next check.
             grace=2 * config.omega + config.suspector_check_interval,
@@ -137,8 +139,9 @@ class GroupEndpoint:
             config.omega,
             self._send_null,
             owed=self.owes_group,
-            idle_period=config.suspicion_timeout / 2,
-            send_beacon=None if asymmetric else self._send_beacon,
+            idle_period=config.heartbeat_period,
+            # A symmetric group's idle heartbeat is the process's business.
+            cover=None if asymmetric else self._go_dormant,
         )
 
         self.departed = False
@@ -192,7 +195,7 @@ class GroupEndpoint:
         self._peers: Tuple[str, ...] = tuple(
             member for member in ordered if member != own_id
         )
-        self._ring_successors: Tuple[str, ...] = (
+        self.ring_successors: Tuple[str, ...] = (
             ring_successors(ordered, own_id) if own_id in view.members else ()
         )
 
@@ -360,33 +363,14 @@ class GroupEndpoint:
             self.broadcast_data(message, cause="null_time_silence")
         else:
             self.engine.send(None, KIND_NULL)
-        self._record_null_send()
+        self.process.record_null_send(self.group_id)
 
-    def _record_null_send(self) -> None:
-        """Every time-silence firing -- null or beacon -- is one trace event."""
-        self.process.recorder.record(
-            self.process.sim.now,
-            trace_events.NULL_SEND,
-            self.process.process_id,
-            group=self.group_id,
-            clock=self.process.clock.value,
-        )
-
-    def _send_beacon(self) -> None:
-        """Time-silence callback of an idle symmetric group: tell our ring
-        successors -- the members that time us out while the group is idle
-        (:mod:`repro.core.suspector`) -- that we are alive.  No number: the
-        clock does not tick and nothing loops back, because nobody's
-        ``D_x`` is waiting on us."""
-        if not self.active:
-            return
-        process = self.process
-        beacon = Beacon(origin=process.process_id, group=self.group_id)
-        process.transport_endpoint.multicast(
-            self._ring_successors, beacon, "newtop", beacon.wire_size_bytes(),
-            "null_time_silence",
-        )
-        self._record_null_send()
+    def _go_dormant(self) -> None:
+        """Time-silence callback of a symmetric group that owes nothing:
+        from here on the process heartbeat tells our ring successors -- the
+        members that time us out while the group is idle
+        (:mod:`repro.core.suspector`) -- that we are alive."""
+        self.process.heartbeat.cover(self)
 
     def _needs_everybody(self) -> bool:
         """Whether we are restless: while the agreement is busy or our
@@ -604,9 +588,10 @@ class GroupEndpoint:
         self.engine.on_sequencer_request(request)
 
     def on_beacon(self, beacon: Beacon) -> None:
-        """A ring predecessor's idle heartbeat: liveness evidence for the
-        suspector and nothing else (no number, so no clock, vector or
-        retention work, and nothing that could have become deliverable)."""
+        """A ring predecessor's idle heartbeat that names this group:
+        liveness evidence for the suspector and nothing else (no number, so
+        no clock, vector or retention work, and nothing that could have
+        become deliverable)."""
         if self.active:
             self.suspector.heard_from(beacon.origin, 0)
 
@@ -829,6 +814,9 @@ class GroupEndpoint:
         if not actually_removed:
             return
         self._adopt_view(self.view.exclude(actually_removed))
+        if self.time_silence.idle_armed and self.mode != OrderingMode.ASYMMETRIC:
+            # The ring moved on to successors nobody has vouched to yet.
+            self.process.heartbeat.cover(self)
         if self.signature_view is not None:
             self.signature_view = self.signature_view.exclude(actually_removed)
         for member in actually_removed:

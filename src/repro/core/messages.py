@@ -13,8 +13,9 @@ Message families
 ----------------
 * :class:`DataMessage` -- application multicasts, null (time-silence)
   messages and the special ``start-group`` message of §5.3.
-* :class:`Beacon` -- the numberless idle heartbeat of a symmetric group,
-  sent to the sender's ring successors only.
+* :class:`Beacon` -- the numberless idle heartbeat of a process pair, sent
+  to the sender's ring successors only and naming the symmetric groups it
+  vouches for.
 * :class:`SequencerRequest` -- the unicast a non-sequencer member sends to
   the group's sequencer in the asymmetric protocol (§4.2).
 * :class:`SuspectMessage`, :class:`RefuteMessage`, :class:`ConfirmMessage`
@@ -255,7 +256,8 @@ class DataMessage:
 
 @dataclass(frozen=True)
 class Beacon:
-    """The idle heartbeat of a symmetric group: "I am alive", nothing more.
+    """The idle heartbeat of a process pair: "I am alive in these groups",
+    nothing more.
 
     A null message does two jobs (§4.1 advances ``D_x``, §5.2 feeds the
     suspector); a member that owes its group nothing only has the second
@@ -265,14 +267,21 @@ class Beacon:
     the sender's last *numbered* message -- the ``ln`` of a suspicion
     ``{Pk, ln}`` -- stays the same whether or not it is on the sender's
     ring (:mod:`repro.core.suspector`).
+
+    ``groups`` names what the beacon vouches for: every symmetric group in
+    which the origin is active and whose view holds both ends.  The
+    receiver credits exactly those groups' suspectors -- a departure is
+    silence in one group, so liveness evidence has to say which groups it
+    is evidence for (:mod:`repro.core.time_silence`).
     """
 
     origin: str
-    group: str
+    groups: Tuple[str, ...]
 
     def wire_size_bytes(self) -> int:
-        """Total estimated bytes on the wire."""
-        return 2 * SCALAR_BYTES + TAG_BYTES
+        """Total estimated bytes on the wire: the origin, the tag and one
+        identifier per group named."""
+        return (1 + len(self.groups)) * SCALAR_BYTES + TAG_BYTES
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from repro.core.errors import (
     ProcessCrashedError,
 )
 from repro.core.group_formation import FormationCoordinator, FormationHandle, VotePolicy
+from repro.core.time_silence import Heartbeat
 from repro.core.messages import (
     Beacon,
     ConfirmMessage,
@@ -130,6 +131,15 @@ class NewtopProcess:
             formation_timeout=self.config.formation_timeout,
         )
         self._endpoints: Dict[str, GroupEndpoint] = {}
+        #: The idle heartbeat of all our symmetric groups: one timer, one
+        #: beacon per ring neighbour per Ω/2 (never below ω).
+        self.heartbeat = Heartbeat(
+            sim,
+            self.config.heartbeat_period,
+            self._beaconing_endpoints,
+            self._send_beacons,
+            self.record_null_send,
+        )
         self._delivery_callbacks: List[DeliveryCallback] = []
         if delivery_callback is not None:
             self._delivery_callbacks.append(delivery_callback)
@@ -241,6 +251,7 @@ class NewtopProcess:
         self.recorder.record(self.sim.now, trace_events.CRASH, self.process_id)
         for endpoint in self._endpoints.values():
             endpoint.shutdown()
+        self.heartbeat.stop()
         self.transport_endpoint.crash()
 
     # ------------------------------------------------------------------
@@ -457,9 +468,10 @@ class NewtopProcess:
                     # never reached us; activation replays the buffer.
                     self.formation.on_activation_evidence(payload.group)
         elif isinstance(payload, Beacon):
-            endpoint = self._endpoints.get(payload.group)
-            if endpoint is not None:
-                endpoint.on_beacon(payload)
+            for group_id in payload.groups:
+                endpoint = self._endpoints.get(group_id)
+                if endpoint is not None:
+                    endpoint.on_beacon(payload)
             # Liveness evidence and nothing else: a suspector's deadline
             # only moves out, and nothing else was touched.
             return False
@@ -478,6 +490,40 @@ class NewtopProcess:
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected protocol payload: {payload!r}")
         return True
+
+    # ------------------------------------------------------------------
+    # The idle heartbeat (callbacks of :class:`Heartbeat`)
+    # ------------------------------------------------------------------
+    def _beaconing_endpoints(self) -> List[GroupEndpoint]:
+        """The groups a beacon of ours can vouch for: the symmetric ones
+        we are active in (a departure is silence in that group)."""
+        return [
+            endpoint
+            for endpoint in self._endpoints.values()
+            if not endpoint.departed and endpoint.mode != OrderingMode.ASYMMETRIC
+        ]
+
+    def _send_beacons(self, neighbours: Sequence[str], groups: Tuple[str, ...]) -> None:
+        """Tell ``neighbours`` we are alive in ``groups``.  No number: the
+        clock does not tick and nothing loops back, because nobody's
+        ``D_x`` is waiting on us."""
+        beacon = Beacon(origin=self.process_id, groups=groups)
+        self.transport_endpoint.multicast(
+            neighbours, beacon, "newtop", beacon.wire_size_bytes(),
+            "null_time_silence",
+        )
+
+    def record_null_send(self, group_id: Optional[str] = None) -> None:
+        """Every time-silence firing is one trace event: a group's null, or
+        (``group=None``) a heartbeat wake that sent beacons -- a fact about
+        the process, whatever number of groups the beacons named."""
+        self.recorder.record(
+            self.sim.now,
+            trace_events.NULL_SEND,
+            self.process_id,
+            group=group_id,
+            clock=self.clock.value,
+        )
 
     def send_control(
         self, member: str, payload: object, cause: str = "formation"
@@ -524,9 +570,11 @@ class NewtopProcess:
         group's ``D_x`` and view-change thresholds; (2) the delivery queue;
         (3) the deferred sends and what blocks them (blocking rules,
         formation wait, view-change blocking, the flow-control window);
-        (4) ``owes_group()`` of every heartbeat-dated time-silence timer;
-        (5) the restless predicate -- ``awaits_delivery() or gv.busy()`` --
-        of every dozing suspector.  A settle that follows an event which
+        (4) ``owes_group()`` of every dormant or heartbeat-dated
+        time-silence timer; (5) the restless predicate --
+        ``awaits_delivery() or gv.busy()`` -- of every dozing suspector
+        (whose tick may be the process heartbeat's next wake rather than a
+        timer of its own).  A settle that follows an event which
         moved none of them finds nothing: it delivers nothing, records
         nothing and re-dates no timer.
 
@@ -539,8 +587,8 @@ class NewtopProcess:
         moved none of the five in the direction a settle acts on:
 
         * a :class:`~repro.core.messages.Beacon` -- no number, so no clock,
-          vector, retention or queue work; a suspector's deadline only
-          moves out; or
+          vector, retention or queue work; the deadlines of the suspectors
+          it names only move out; or
         * a group message in a *symmetric* group that is not sequenced, not
           flagged ``awaits_reply`` (the flag makes the receiver owe), not a
           start-group or view-cut message, received outside a formation

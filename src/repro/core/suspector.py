@@ -8,28 +8,24 @@ that monitors the liveliness of every other member of the current view:
     then it suspects the crash of Pj and notifies GV_i of its suspicion."
 
 A notification has the form ``{Pk, ln}`` where ``ln`` is the number of the
-last message received from ``Pk``.  In an asynchronous system suspicions
-can be wrong -- that is the whole point of the refutation half of the
-membership algorithm -- so the suspector is deliberately simple: a timeout
-per member, judged on a grid of check points, plus a *forced* suspicion
-entry point used by membership step (vii) (reciprocating a confirmed
-detection that includes us).
+last message received from ``Pk``.  Suspicions can be wrong -- the
+refutation half of the membership algorithm is for that -- so the suspector
+is simple: a timeout per member, judged on a grid of check points, plus a
+*forced* suspicion for membership step (vii).
 
 Ring-watched idle groups
 ------------------------
 "Observes that no message has been received" presumes every member sends
-to every member, which an idle symmetric group no longer does: a member
-that owes its group nothing sends a numberless
-:class:`~repro.core.messages.Beacon` to its ``K = min(RING_FANOUT, n - 1)``
-successors in the sorted view and nothing to anybody else
-(:mod:`repro.core.time_silence`).  The rule that keeps the timeout honest:
-
-    *A member may time out only members its own traffic has obliged to
-    answer, and must watch everybody whenever it needs everybody.*
-
+to every member, which an idle symmetric group no longer does: a process
+that owes a group nothing sends a numberless
+:class:`~repro.core.messages.Beacon` naming the group to its
+``K = min(RING_FANOUT, n - 1)`` successors in the sorted view and nothing
+to anybody else (:mod:`repro.core.time_silence`).  The rule that keeps the
+timeout honest: *a member may time out only members its own traffic has
+obliged to answer, and must watch everybody whenever it needs everybody.*
 Given a ``needs_everybody`` predicate the suspector records ``heard`` and
-``activity`` for every member as before but *initiates* a timeout only for
-the members it **watches**:
+``activity`` for every member but *initiates* a timeout only for the
+members it **watches**:
 
 * its K ring predecessors, always -- their beacons are addressed to it;
 * everybody, while the owner needs everybody: the endpoint passes
@@ -39,71 +35,52 @@ the members it **watches**:
   watched may not have been sending to us at all, so it gets a grace of
   ``min(Ω, 2ω + check_interval)`` -- our flagged null within ω, its answer
   within ω of that, found at the next check -- before its silence counts;
-* the target of a peer's suspicion (:meth:`concur`, called on receipt of a
+* the target of a peer's suspicion (:meth:`concur`, on receipt of a
   ``SuspectMessage``), judged on *true* silence: a member that has heard
-  nothing at all from ``Pk`` for Ω concurs at once.  That is §5.2's literal
-  condition, evaluated when asked rather than polled.  Beacons carry no
-  number, so the ``ln`` a non-neighbour concurs with is the ``ln`` the
-  monitors hold and rule (iii) does not start refuting concurrences.
+  nothing at all from ``Pk`` for Ω concurs at once.  Beacons carry no
+  number, so a non-neighbour concurs with the ``ln`` the monitors hold and
+  rule (iii) does not start refuting concurrences.
 
-Watching everybody while the agreement is busy is what makes the ring safe
-against adjacent failures: if ``Pk`` and all K of its successors crash
-together nobody is left whose ring covers ``Pk``, yet the suspicions of
-the successors cannot confirm without ``Pk``'s support; the survivors are
-busy, so they watch ``Pk`` too and time it out after the grace.
-
-The cost is detection latency, not traffic: only K members notice a crash
-by themselves, everybody else concurs one gossip hop later (ledger
-``churn_idle``: ``view_change_sim`` 7.5 -> 8.375, ``latency_p99_sim`` 3.5
--> 3.75).  Groups of up to ``RING_FANOUT + 1`` members have ``K = n - 1``:
-everybody is on everybody's ring and detection times are unchanged.
-Liveness evidence is K members wide, too: one monitor's false suspicion
-(a single bad link) cannot confirm, because the other monitors still hear
-the member and the member refutes it; a member cut off from *all* K of its
-successors, and from nobody else, is excluded -- with all-pairs heartbeats
-everybody else would have kept refuting.
-With ``ring_watched=False`` (asymmetric groups, where a member is heard
-through the sequencer's relay and idle nulls stay numbered) every member
-is watched all the time.
+Watching everybody while the agreement is busy makes the ring safe against
+adjacent failures: if ``Pk`` and all K of its successors crash together
+nobody's ring covers ``Pk``, but the survivors are busy with the
+successors' suspicions, so they watch ``Pk`` too.  The cost is detection
+latency, not traffic: only K members notice a crash by themselves, the rest
+concur one gossip hop later.  Liveness evidence is K members wide, too: one
+bad link cannot confirm a suspicion, a member cut off from all K successors
+and nobody else is excluded.  ``ring_watched=False`` (asymmetric groups:
+heard through the sequencer's relay, idle nulls numbered) watches everybody.
 
 A tick that can find nothing is not scheduled
 ---------------------------------------------
-§5.2 states suspicion as a deadline, and the suspector keeps it as one.
-Ticks fall on one grid -- ``start + k * check_interval`` -- and a tick does
-three things: time out a watched member whose ``heard`` is Ω old, notice
-the owner starting to need everybody (watch-all entry and its grace), and
-give the owner its ``on_tick`` (re-gossip of unresolved suspicions).  The
-last two can only happen while the owner is *restless* (``needs_everybody()``
-is true: the agreement is busy or something is undelivered), so:
+Ticks fall on one grid, ``start + k * check_interval``.  A tick times out a
+watched member whose ``heard`` is Ω old, notices the owner starting to need
+everybody (watch-all entry and its grace) and gives the owner its
+``on_tick`` (re-gossip of unresolved suspicions); the last two can only
+happen while the owner is *restless* (``needs_everybody()``).  So while
+restless the suspector ticks at every grid point, and otherwise it *dozes*:
+its only business is the first grid point at or after ``min(heard) + Ω``
+over the watched, unsuspected members.  The owner calls :meth:`poke` after
+every event that may have made it restless (one place:
+:meth:`repro.core.process.NewtopProcess.settle`), which pulls the tick in
+to the next grid point; a pulled-in tick that lost its reason goes back to
+the deadline.  ``check_interval`` is the *detection grid* -- how finely a
+deadline is rounded up -- not a polling cost.
 
-* while restless the suspector ticks at every grid point;
-* otherwise the next tick is the first grid point at or after
-  ``min(heard) + Ω`` over the watched, unsuspected members -- and with
-  nobody to watch there is no timer at all.
+A dozing suspector whose process runs a heartbeat (``next_wake``) does not
+even keep the deadline tick: a healthy predecessor's beacons move the
+deadline on by Ω/2 twice per Ω, so it would come for nothing twice per Ω
+per group.  The heartbeat's wake calls :meth:`review` instead, which redoes
+the deadline and arms a tick only for a watched member that reaches Ω
+*before the next wake*, at the grid point it always fell on
+(``churn_idle``: 4,965 -> 1,779 ticks, suspicions 132 -> 132).
 
-The owner calls :meth:`FailureSuspector.poke` after every event that may
-have made it restless (one place:
-:meth:`repro.core.process.NewtopProcess.settle`), which pulls a
-deadline-dated tick in to the next grid point; a pulled-in tick that no
-longer has a reason (the owner went quiet again before it fired) goes back
-to the deadline, so what a tick sees never depends on how many times the
-owner was asked.  ``check_interval`` is therefore the *detection grid* --
-how finely a deadline is rounded up -- and not a polling cost: an idle
-member wakes about twice per Ω (its predecessors' beacons move the
-deadline on by Ω/2 each time).  Without a predicate the owner is taken to
-be restless always and every grid point ticks.
-
-Grid points are the floats ``origin + k * check_interval`` and are compared
-as such, never through a tolerance: "the next grid point" is the first of
+Grid points are the floats ``origin + k * check_interval``, compared as
+such and never through a tolerance: "the next grid point" is the first of
 them after ``now`` -- or the pending tick's own time when that tick is due
-this very instant -- however few ulps ``now`` is short of one.  A deadline
-is such a point later than the moment it was computed at, so it is never
-earlier than the next grid point while its tick (pulled in or not) is
-pending, and sending a tick back to it never dates into the past.
-(Re-dating the tick to a fresh deadline at every poke instead would need no
-memory, and was measured: the beacons of an idle group then cancel and
-re-schedule a timer each, which costs more than the two wakes per Ω it
-saves -- ``churn_idle`` -8 %, ``fuzz_serial`` -5 % in ``ops_per_s``.)
+this very instant.  A deadline is such a point later than the moment it
+was computed at and is redone at every review, so sending a tick back to
+it never dates into the past.
 """
 
 from __future__ import annotations
@@ -113,9 +90,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from repro.core.messages import Suspicion
 from repro.net.simulator import EventHandle, Simulator
-
-#: Callback signature: the suspector notifies its GV with a Suspicion.
-NotifyCallback = Callable[[Suspicion], None]
 
 #: K: how many ring successors an idle member's beacon goes to, and so how
 #: many ring predecessors each member watches while idle.  Three monitors
@@ -140,19 +114,18 @@ class FailureSuspector:
     """Timeout-based failure suspector for one (process, group) pair.
 
     Member state lives in parallel slab arrays (last-heard time, last
-    clock, suspected flag) keyed by a dense per-member slot index rather
-    than one dict entry per field per member, so a check walks flat
-    lists.  Departed members leave a tombstoned slot
-    (``_monitored[slot] = False``); slots are never reused, matching
-    crash-stop semantics.
+    clock, suspected flag) indexed by a dense per-member slot, so a check
+    walks flat lists.  Departed members leave a tombstoned slot
+    (``_monitored[slot] = False``); slots are never reused (crash-stop).
 
     ``needs_everybody`` says whether the owner is restless -- it decides
     which grid points tick, and the owner must :meth:`poke` when it may
     have turned true -- and, unless ``ring_watched`` is false, whether the
     whole view is watched rather than the ring predecessors; ``grace`` is
     how long a member that just became watched is given before its silence
-    counts.  See the module docstring.  Without the predicate every member
-    is watched and every grid point ticks.
+    counts; ``next_wake()`` is when the owner's process heartbeat will next
+    call :meth:`review`.  See the module docstring.  Without the predicate
+    every member is watched and every grid point ticks.
     """
 
     def __init__(
@@ -162,11 +135,12 @@ class FailureSuspector:
         members: Iterable[str],
         suspicion_timeout: float,
         check_interval: float,
-        notify: NotifyCallback,
+        notify: Callable[[Suspicion], None],
         on_tick: Optional[Callable[[], None]] = None,
         needs_everybody: Optional[Callable[[], bool]] = None,
         grace: float = 0.0,
         ring_watched: bool = True,
+        next_wake: Optional[Callable[[], Optional[float]]] = None,
     ) -> None:
         if suspicion_timeout <= 0 or check_interval <= 0:
             raise ValueError("suspicion_timeout and check_interval must be positive")
@@ -175,40 +149,29 @@ class FailureSuspector:
         self.suspicion_timeout = suspicion_timeout
         self.check_interval = check_interval
         self._notify = notify
-        #: Invoked at the end of every tick (the endpoint uses it to
-        #: re-gossip long-unresolved suspicions, which exist only while it
-        #: is restless -- and then every grid point ticks).
+        #: Invoked at the end of every tick (the endpoint re-gossips
+        #: long-unresolved suspicions, which exist only while it is restless).
         self._on_tick = on_tick
         # Slab state: pid -> slot, plus parallel arrays indexed by slot.
-        self._slot: Dict[str, int] = {}
-        self._pids: List[str] = []
-        self._heard: List[float] = []
+        self._pids: List[str] = [
+            member for member in dict.fromkeys(members) if member != own_id
+        ]
+        self._slot: Dict[str, int] = {pid: slot for slot, pid in enumerate(self._pids)}
+        self._all_slots = range(len(self._pids))
+        self._heard: List[float] = [sim.now] * len(self._pids)
         #: Time of the last *actual* message from the member.  Unlike
         #: ``_heard`` it is never refreshed by :meth:`clear_suspicion`, so
         #: it answers "how long has this member truly been silent" across
         #: deferred/refuted suspicions.
-        self._activity: List[float] = []
-        self._clock: List[int] = []
-        self._suspected: List[bool] = []
-        self._monitored: List[bool] = []
-        now = sim.now
-        for member in members:
-            if member == own_id or member in self._slot:
-                continue
-            self._slot[member] = len(self._pids)
-            self._pids.append(member)
-            self._heard.append(now)
-            self._activity.append(now)
-            self._clock.append(0)
-            self._suspected.append(False)
-            self._monitored.append(True)
-        self._all_slots = range(len(self._pids))
+        self._activity: List[float] = list(self._heard)
+        self._clock: List[int] = [0] * len(self._pids)
+        self._suspected: List[bool] = [False] * len(self._pids)
+        self._monitored: List[bool] = [True] * len(self._pids)
         self._needs_everybody = needs_everybody
         self._ring_watched = needs_everybody is not None and ring_watched
-        #: Ring-watched groups: slots of our ring predecessors (ascending,
-        #: so a tick notifies in member order either way), whether the last
-        #: check watched everybody, and how long a member that just became
-        #: watched is given before its silence counts.
+        #: Ring-watched groups: slots of our ring predecessors (ascending:
+        #: a tick notifies in member order), whether the last check watched
+        #: everybody, and the grace of a member that just became watched.
         self._ring_slots: List[int] = []
         self._watching_all = False
         self._grace = min(suspicion_timeout, grace)
@@ -216,18 +179,20 @@ class FailureSuspector:
             self._rebuild_ring()
         self._active = False
         #: Ticks fall on ``_origin + k * check_interval``.
-        self._origin = self._stopped_at = sim.now
+        self._origin = sim.now
         self._timer: Optional[EventHandle] = None
         #: Whether the next tick was dated without a tick having seen the
         #: owner restless -- by a deadline, or pulled in by a :meth:`poke`
-        #: (``_pulled``) -- so that the owner's state decides where it
-        #: belongs and :meth:`poke` has something to do.
+        #: (``_pulled``) -- so that :meth:`poke` has something to do.
         self.dozing = False
         self._pulled = False
         #: Where a dozing suspector's tick belongs while the owner is
         #: quiet: a grid point no earlier than the pending tick.
         self._deadline: Optional[float] = None
+        self._next_wake = next_wake
         metrics = sim.metrics
+        self._c_probes = self._c_pokes = self._c_suspicions = None
+        self._c_forced = self._c_concurrences = self._c_watch_all = None
         if metrics is not None:
             self._c_probes = metrics.counter("suspector.probes")
             self._c_pokes = metrics.counter("suspector.pokes")
@@ -235,18 +200,7 @@ class FailureSuspector:
             self._c_forced = metrics.counter("suspector.forced_suspicions")
             self._c_concurrences = metrics.counter("suspector.concurrences")
             self._c_watch_all = metrics.counter("suspector.watch_all_entries")
-            metrics.sum_gauge("suspector.endpoint_omegas").add(self._omegas_run)
-        else:
-            self._c_probes = None
-            self._c_pokes = None
-            self._c_suspicions = None
-            self._c_forced = None
-            self._c_concurrences = None
-            self._c_watch_all = None
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def start(self) -> None:
         """Start monitoring; the tick grid starts here."""
         if self._active:
@@ -255,32 +209,20 @@ class FailureSuspector:
         self._origin = now = self.sim.now
         for slot, monitored in enumerate(self._monitored):
             if monitored:
-                self._heard[slot] = now
-                self._activity[slot] = now
+                self._heard[slot] = self._activity[slot] = now
         self._arm(seen=True)
 
     def stop(self) -> None:
         """Stop monitoring (crash, departure, teardown)."""
-        if self._active:
-            self._stopped_at = self.sim.now
         self._active = False
         self.dozing = self._pulled = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _omegas_run(self) -> float:
-        """How many Ω this suspector has run for: summed over endpoints,
-        the denominator of the report's "wakes per endpoint per Ω"."""
-        until = self.sim.now if self._active else self._stopped_at
-        return (until - self._origin) / self.suspicion_timeout
+        self._date(None)
 
     def poke(self, restless: Optional[bool] = None) -> None:
         """The owner may have turned restless, or quiet again: pull a
         deadline-dated tick in to the next grid point, or send a pulled-in
-        tick that lost its reason back to where it was.  ``restless`` is
-        what the predicate would say, for an owner that has just
-        evaluated it.  Cheap to call while nothing changed; a no-op unless
+        tick that lost its reason back.  ``restless`` is what the predicate
+        would say, for an owner that has just evaluated it.  A no-op unless
         :attr:`dozing`."""
         if not self.dozing:
             return
@@ -293,27 +235,25 @@ class FailureSuspector:
             self._date(self._next_grid_point())
         elif self._pulled and not restless:
             self._pulled = False
-            self._date(self._deadline)
+            self._rest()
 
-    @property
-    def active(self) -> bool:
-        """Whether the suspector is currently running."""
-        return self._active
+    def review(self) -> None:
+        """The owner's process heartbeat woke: run the deadline test a tick
+        of our own would have come for, and keep a tick only for a watched
+        member that reaches Ω before the heartbeat's next wake."""
+        if self.dozing:
+            self._deadline = self._deadline_point()
+            if not self._pulled:
+                self._rest()
 
-    # ------------------------------------------------------------------
-    # Inputs from the endpoint
-    # ------------------------------------------------------------------
     def heard_from(self, member: str, clock: int) -> None:
-        """Record activity from ``member`` carrying message number ``clock``.
-
-        Any group traffic counts (data, null, membership), matching the
-        paper's "no multicast message has been received from Pj".
-        """
+        """Record activity from ``member`` carrying message number ``clock``;
+        any group traffic counts (data, null, membership, a beacon that
+        names the group): "no multicast message has been received"."""
         slot = self._slot.get(member)
-        if slot is None or member == self.own_id or not self._monitored[slot]:
+        if slot is None or not self._monitored[slot]:
             return
-        self._heard[slot] = self.sim.now
-        self._activity[slot] = self.sim.now
+        self._heard[slot] = self._activity[slot] = self.sim.now
         if clock > self._clock[slot]:
             self._clock[slot] = clock
 
@@ -347,10 +287,10 @@ class FailureSuspector:
         group, suspect it too if we have heard nothing at all from it for
         the full timeout (true silence -- a refuted or deferred suspicion
         refreshes ``heard``, not ``activity``)."""
-        if not self._ring_watched or not self._active:
+        slot = self._monitored_slot(member)
+        if slot is None or self._suspected[slot]:
             return
-        slot = self._slot.get(member)
-        if slot is None or not self._monitored[slot] or self._suspected[slot]:
+        if not self._ring_watched or not self._active:
             return
         if self.sim.now - self._activity[slot] >= self.suspicion_timeout:
             if self._c_concurrences is not None:
@@ -359,8 +299,8 @@ class FailureSuspector:
 
     def force_suspect(self, member: str) -> None:
         """Membership step (vii): unconditionally suspect ``member`` now."""
-        slot = self._slot.get(member)
-        if slot is None or member == self.own_id or not self._monitored[slot]:
+        slot = self._monitored_slot(member)
+        if slot is None:
             return
         if self._c_forced is not None and not self._suspected[slot]:
             self._c_forced.value += 1
@@ -368,38 +308,30 @@ class FailureSuspector:
 
     def monitored_members(self) -> Set[str]:
         """Members currently being monitored."""
-        return {
-            pid for pid, slot in self._slot.items() if self._monitored[slot]
-        }
+        return {pid for pid, slot in self._slot.items() if self._monitored[slot]}
+
+    def _monitored_slot(self, member: str) -> Optional[int]:
+        slot = self._slot.get(member)
+        return slot if slot is not None and self._monitored[slot] else None
 
     def last_clock(self, member: str) -> int:
         """Number of the last message seen from ``member`` (0 if none)."""
-        slot = self._slot.get(member)
-        if slot is None or not self._monitored[slot]:
-            return 0
-        return self._clock[slot]
+        slot = self._monitored_slot(member)
+        return 0 if slot is None else self._clock[slot]
 
     def last_heard(self, member: str) -> Optional[float]:
-        """Simulated time at which ``member`` was last heard from, or
-        ``None`` if the member is not monitored."""
-        slot = self._slot.get(member)
-        if slot is None or not self._monitored[slot]:
-            return None
-        return self._heard[slot]
+        """When ``member`` was last heard from (``None``: not monitored)."""
+        slot = self._monitored_slot(member)
+        return None if slot is None else self._heard[slot]
 
     def last_activity(self, member: str) -> Optional[float]:
         """Time of the last *actual* message from ``member`` (``None`` when
         not monitored).  Unlike :meth:`last_heard` this is not refreshed by
         :meth:`clear_suspicion`, so it measures true silence across
         deferred or refuted suspicions."""
-        slot = self._slot.get(member)
-        if slot is None or not self._monitored[slot]:
-            return None
-        return self._activity[slot]
+        slot = self._monitored_slot(member)
+        return None if slot is None else self._activity[slot]
 
-    # ------------------------------------------------------------------
-    # Internal machinery
-    # ------------------------------------------------------------------
     def _next_grid_point(self) -> float:
         """The first grid point a tick can still take: the first after
         now, or this very instant's while its tick is pending (dating a
@@ -466,7 +398,20 @@ class FailureSuspector:
         self.dozing = not restless or not seen
         if self.dozing:
             self._deadline = self._deadline_point()
-        self._date(self._next_grid_point() if restless else self._deadline)
+        if restless:
+            self._date(self._next_grid_point())
+        else:
+            self._rest()
+
+    def _rest(self) -> None:
+        """Date a quiet suspector's tick at its deadline -- or nowhere, if
+        the process heartbeat wakes first: its wake reviews the deadline."""
+        deadline = self._deadline
+        if deadline is not None and self._next_wake is not None:
+            wake = self._next_wake()
+            if wake is not None and wake < deadline:
+                deadline = None
+        self._date(deadline)
 
     def _rebuild_ring(self) -> None:
         """Recompute our ring predecessors over the members still
@@ -513,9 +458,7 @@ class FailureSuspector:
                 if self._c_watch_all is not None:
                     self._c_watch_all.value += 1
                 self._grant_grace(slots)
-        # Flat scan over the slabs; slot order equals the original member
-        # order, so multi-suspicion ticks notify in the same sequence the
-        # dict-backed implementation did.
+        # Slot order is member order: multi-suspicion ticks notify in it.
         for slot in slots:
             if not self._monitored[slot] or self._suspected[slot]:
                 continue
@@ -533,13 +476,3 @@ class FailureSuspector:
         if self._c_suspicions is not None:
             self._c_suspicions.value += 1
         self._notify(Suspicion(target=member, last_number=self._clock[slot]))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        monitored = sorted(self.monitored_members())
-        suspected = sorted(
-            pid for pid, slot in self._slot.items() if self._suspected[slot]
-        )
-        return (
-            f"FailureSuspector(own={self.own_id!r}, monitored={monitored}, "
-            f"suspected={suspected})"
-        )

@@ -1,9 +1,9 @@
-"""The time-silence mechanism (§4.1).
+"""The time-silence mechanism (§4.1), and the idle heartbeat that took over
+its second job.
 
 Delivery in the symmetric protocol is gated on ``D_x,i`` -- the minimum
 message number received from every view member -- so a member that has
-nothing to say would stall everybody else's deliveries.  The paper's
-remedy:
+nothing to say would stall everybody else's deliveries.  The paper's remedy:
 
     "Newtop provides each process with a simple mechanism, called the
     time-silence, that enables a process to remain lively by sending null
@@ -12,112 +12,87 @@ remedy:
     send a null message, if no (null or non-null) message was sent by Pi in
     the past interval of a fixed length, say, omega."
 
-The mechanism operates *independently per group* (a process chatty in one
-group may still be silent in another), and in the asymmetric protocol only
-the sequencer needs to run it (§4.2).  Beyond liveness of delivery, the
-paper notes the mechanism is also what makes crash detection possible at
-all, so it keeps running even when only atomic delivery is required (§5).
+The paper leans on the same nulls for crash detection (§5): two jobs on two
+clocks.  Keeping ``D_x`` (and §5.1 stability) moving needs a null within ω,
+but only while somebody is waiting on this member: a fact about a *group*,
+kept by :class:`TimeSilence`, one per (process, group).  The §5.2 suspector
+only needs to hear *something* inside Ω > ω: a fact about a *process pair*,
+kept by :class:`Heartbeat`, one per process.
 
-Two deadlines, one timer
-------------------------
-Those are two jobs on two clocks.  Keeping ``D_x`` (and §5.1 stability)
-moving needs a null within ω, but only while somebody is waiting on this
-member; the §5.2 suspector only needs to hear *something* inside Ω > ω.
-So the silence a member may keep depends on whether it **owes** the group
-anything (the owner's ``owed`` predicate):
+Owed nulls: per group, at ω
+---------------------------
+What silence a member may keep depends on whether it **owes** the group
+anything (the owner's ``owed`` predicate, evaluated when the timer fires).
+Owed, the next null is due at ``last numbered send + ω``: the paper's rule,
+numbered and all-pairs, so every phase in which a null does ordering,
+stability or membership work is the paper's.  Not owed,
+all that is left of the null is a heartbeat: an asymmetric group's (whose
+nulls travel through the sequencer and are its ``D_x``) stays a null, due
+``idle_period`` after the last send; a symmetric group passes ``cover``
+instead, its timer goes *dormant* and the process heartbeat vouches for it.
+The owner calls :meth:`TimeSilence.demand` after every event that may have
+made it owed (one place: :meth:`repro.core.process.NewtopProcess.settle`),
+which dates a dormant or heartbeat-dated timer to ``max(now, last_send +
+ω)``: a member idle for longer than ω answers the first message of a burst
+at once.  The first null is always due at ω, so group start-up is the
+paper's; without a predicate the timer is the fixed-ω mechanism of §4.1.
 
-* owed -- the next null is due at ``last_send + ω``, exactly the paper's
-  rule;
-* not owed -- the group is idle and all that is left of the null is a
-  heartbeat, due ``idle_period`` after the last send or heartbeat (the
-  endpoint passes Ω/2, so one lost or late heartbeat still leaves the
-  suspector a full half-timeout).
-
-The predicate is evaluated when the timer fires; the owner calls
-:meth:`demand` after every event that may have made it owed (one place:
-:meth:`repro.core.process.NewtopProcess.settle`), which pulls a
-heartbeat-dated timer in to ``max(now, last_send + ω)`` -- a member that
-has been idle for longer than ω answers the first message of a burst at
-once instead of one ω later.  The first null is always due at ω, so group
-start-up is the paper's.  Without a predicate the timer is the fixed-ω
-mechanism of §4.1.
-
-The idle heartbeat is not a null
---------------------------------
-A heartbeat advances nobody's ``D_x`` -- nobody is waiting -- so in a
-symmetric group it need not be a numbered multicast to the whole view.
-The owner may pass ``send_beacon``: an un-owed firing then calls it
-instead of ``send_null``, and the endpoint sends a numberless
-:class:`~repro.core.messages.Beacon` to its K ring successors, the only
+The idle heartbeat: per process pair, at Ω/2, naming its groups
+---------------------------------------------------------------
+A heartbeat advances nobody's ``D_x``, so it is a numberless
+:class:`~repro.core.messages.Beacon` to the sender's K ring successors, the
 members that time it out while the group is idle
-(:mod:`repro.core.suspector`).  Owed nulls stay numbered and all-pairs,
-so every phase in which a null does ordering, stability or membership
-work is the paper's.  Two clocks follow from the two jobs: a numbered send
-restarts both, a beacon restarts the idle period **only**.  The owed
-deadline stays ``last numbered send + ω``, so a member that beaconed a
-moment ago still answers a flagged null at once -- nobody's ``D_x`` moved
-on its beacon.  (Measured: letting a beacon restart the ω clock took the
-worst delivery latency of a busy group overlapping an idle one from 4.0 to
-5.4 at ω = 2.)
+(:mod:`repro.core.suspector`) -- one per *neighbour*, not one per neighbour
+per group: a beacon to ``q`` that is due for any dormant group names every
+symmetric group whose view holds both ends, and ``q`` credits exactly those
+groups' suspectors.  It has to name them.  A departure *is* silence in one
+group (``NewtopProcess.leave_group``), so "any receipt from ``q`` is
+evidence for every group shared with ``q``" keeps a member that left ``g``
+alive in ``g`` through ``h``: measured, that stalled fuzz corpus 7 specs 12
+and 50 and took ``fuzz_serial`` from 9.169 to 9.838 messages per delivery.
+A beacon to ``q`` for ``g`` is due one period after the last beacon to
+``q`` that named ``g`` or the last numbered send in ``g``, whichever is
+later (``fuzz_serial`` seed 0: 77,637 -> 73,841 messages, 9.169 -> 8.721 per
+delivery, every spec's deliveries unchanged).
 
-One refinement keeps the member's ω grid where a numbered heartbeat would
-have put it: a null sent *less than ω after a beacon* is the number that
-heartbeat did not carry, handed over because somebody turned out to need
-it, and it continues the heartbeat's period instead of starting its own --
-the next deadlines are ``beacon + ω`` (owed) and ``beacon + idle_period``
-(not owed).  So a beacon changes what a heartbeat carries and never when
-the member's later nulls fall: they are never later than with numbered
-heartbeats, and in the window after an answer one may come up to ω
-earlier.  (Found by measurement: without it a demand arriving 0.38 after a
-heartbeat moved that member's grid by 0.38 for the whole of a
-flow-controlled burst, see ``test_flow_control_window_of_one_drains_after_idleness``;
-in aggregate the rule is neutral -- drain time over 300 seeds 26.4 -> 26.5,
-``churn_idle`` sends +0.5 % -- it pins the phase, it does not buy time.)
-Without ``send_beacon`` (asymmetric groups, whose nulls travel through the
-sequencer and are its ``D_x``) the heartbeat is a null.
+A numbered send restarts both clocks, a beacon the idle period **only**: a
+member that beaconed a moment ago still answers a flagged null at once.  A
+null sent less than ω after the last beacon that named its (dormant) group
+is the number that beacon did not carry and continues the beacon's period,
+which keeps a member's ω grid where a numbered heartbeat would have put it
+(``test_flow_control_window_of_one_drains_after_idleness`` is one draw of
+that grid; in aggregate the rule is neutral).
 
-Idle is a property of processes, not of a group
------------------------------------------------
-A process delivers under ``D_i = min_x D_x`` over *all* its groups
-(safe1'), so a group with no traffic of its own still does ordering work
-for a busy group it shares a member with, and only that member can tell.
-It does: while its process holds an undelivered message or an uninstalled
-view it owes every one of its groups, and the nulls it sends then carry
-``awaits_reply``; a member that hears the flag owes the group its next
-send (CA2 has already pushed its clock past the flagged null's number).
-The overlapped group runs at ω for as long as the shared member is
-waiting and falls back to the heartbeat when it is not.
+The heartbeat is one timer, dated at the earliest due beacon of the dormant
+groups and only ever pulled in between firings.  Its wake also runs the
+deadline test of the process's ring-watched suspectors
+(:meth:`~repro.core.suspector.FailureSuspector.review`), which keep no tick
+of their own while every watched deadline lies beyond the next wake: a
+healthy idle process wakes once per Ω/2 however many groups it is in (five
+processes in four overlapping groups: 240 -> 40 liveness timers per 4 Ω).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.net.simulator import EventHandle, Simulator
+
+#: Tolerance when comparing a silent interval against its period: float
+#: rounding must not leave a timer re-arming itself with a vanishing delay.
+_EPSILON = 1e-9
 
 
 class TimeSilence:
     """Per-(process, group) null-message timer.
 
-    Parameters
-    ----------
-    sim:
-        The simulation kernel (provides time and timers).
-    omega:
-        The silence threshold ω while the owner owes the group something.
-    send_null:
-        Callback invoked when the process has been silent in the group for
-        the period in force; expected to multicast a null message (which
-        resets the timer via :meth:`notify_sent`).
-    owed:
-        Predicate: does the owner owe the group a null within ω right now?
-        ``None`` means always (the fixed-ω timer).
-    idle_period:
-        The silence threshold while ``owed()`` is false; never below ω.
-    send_beacon:
-        Callback for an un-owed firing (the idle heartbeat); a beacon is
-        not a numbered send and leaves the ω clock alone.  ``None`` means
-        the heartbeat is a null like any other.
+    ``send_null`` is called when the process has been silent in the group
+    for the period in force -- ``omega`` while ``owed()`` (``None``: always,
+    the fixed-ω timer), else ``idle_period`` (never below ω) -- and is
+    expected to multicast a null, which resets the timer via
+    :meth:`notify_sent`.  With ``cover`` the owner's process heartbeat
+    vouches for the group while nothing is owed: an un-owed firing arms no
+    timer and calls ``cover()`` instead.
     """
 
     def __init__(
@@ -127,7 +102,7 @@ class TimeSilence:
         send_null: Callable[[], None],
         owed: Optional[Callable[[], bool]] = None,
         idle_period: Optional[float] = None,
-        send_beacon: Optional[Callable[[], None]] = None,
+        cover: Optional[Callable[[], None]] = None,
     ) -> None:
         if omega <= 0:
             raise ValueError(f"omega must be positive (got {omega})")
@@ -135,41 +110,35 @@ class TimeSilence:
         self.omega = omega
         self.idle_period = omega if idle_period is None else max(omega, idle_period)
         self._send_null = send_null
-        self._send_beacon = send_beacon
+        self._cover = cover
         self._owed = owed
         #: The ω clock: when the owner last sent anything *numbered* (or
         #: the beacon whose period that send continued).
-        self._last_send_time: float = sim.now
-        #: The idle clock also restarts on a beacon.
-        self._last_beacon_time: float = sim.now
+        self.last_send_time: float = sim.now
+        #: When the process heartbeat last named this group while it was
+        #: dormant (written by :class:`Heartbeat`).
+        self.vouched_at: float = sim.now
         self._active = False
         self._timer: Optional[EventHandle] = None
-        #: Whether the pending timer was dated by the idle period, i.e.
-        #: whether :meth:`demand` has anything to pull in.
+        #: Whether the timer is dormant or was dated by the idle period,
+        #: i.e. whether :meth:`demand` has anything to pull in.
         self.idle_armed = False
         self.nulls_sent = 0
-        metrics = sim.metrics
-        if metrics is not None:
-            self._c_owed = metrics.counter("time_silence.nulls_owed")
-            self._c_idle = metrics.counter("time_silence.nulls_idle")
-        else:
-            self._c_owed = None
-            self._c_idle = None
+        self._c_owed = self._c_idle = None
+        if sim.metrics is not None:
+            self._c_owed = sim.metrics.counter("time_silence.nulls_owed")
+            self._c_idle = sim.metrics.counter("time_silence.nulls_idle")
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin monitoring; the first null can fire ω from now."""
         if self._active:
             return
         self._active = True
-        self._last_send_time = self._last_beacon_time = self.sim.now
+        self.last_send_time = self.vouched_at = self.sim.now
         self._schedule_check(self.omega)
 
     def stop(self) -> None:
-        """Stop monitoring (process crashed, departed the group, or the
-        group endpoint is being torn down)."""
+        """Stop monitoring (crash, departure, teardown)."""
         self._active = False
         self.idle_armed = False
         if self._timer is not None:
@@ -181,35 +150,32 @@ class TimeSilence:
         """Whether the mechanism is currently running."""
         return self._active
 
-    # ------------------------------------------------------------------
-    # Events
-    # ------------------------------------------------------------------
     def notify_sent(self) -> None:
-        """Record that the process just sent a message (null or not) in the
-        group; pushes the next null out by the period in force."""
-        self._last_send_time = self.sim.now
+        """The process just sent a numbered message (null or not) in the
+        group: the next null is due a period from now."""
+        self.last_send_time = self.sim.now
 
     def demand(self) -> None:
         """Something happened that may have made the owner owed: if the
-        pending timer is a heartbeat, re-date it to the ω deadline."""
+        timer is dormant or heartbeat-dated, date it to the ω deadline."""
         if not self.idle_armed or not self._owed():
             return
-        self._timer.cancel()
+        if self._timer is not None:
+            self._timer.cancel()
         self._schedule_check(
-            max(0.0, self._last_send_time + self.omega - self.sim.now)
+            max(0.0, self.last_send_time + self.omega - self.sim.now)
         )
 
     def _schedule_check(self, delay: float, idle: bool = False) -> None:
         if not self._active:
             return
         self.idle_armed = idle
-        self._timer = self.sim.schedule(delay, self._on_timer, label="time-silence")
-
-    #: Tolerance applied when comparing the silent interval against the
-    #: period, so floating-point rounding of simulated timestamps cannot
-    #: leave the timer re-arming itself with a vanishingly small delay
-    #: forever.
-    _EPSILON = 1e-9
+        if idle and self._cover is not None:
+            # Dormant: the process heartbeat beacons for this group.
+            self._timer = None
+            self._cover()
+        else:
+            self._timer = self.sim.schedule(delay, self._on_timer, label="time-silence")
 
     def _is_owed(self) -> bool:
         return self.nulls_sent == 0 or self._owed is None or self._owed()
@@ -221,56 +187,157 @@ class TimeSilence:
         # the send path must not re-date a timer that has already fired.
         self.idle_armed = False
         owed = self._is_owed()
-        if owed:
-            period = self.omega
-            silent_for = self.sim.now - self._last_send_time
-        else:
-            period = self.idle_period
-            silent_for = self.sim.now - max(
-                self._last_send_time, self._last_beacon_time
-            )
-        if silent_for + self._EPSILON >= period:
-            self.nulls_sent += 1
-            if self._c_owed is not None:
-                (self._c_owed if owed else self._c_idle).value += 1
-            if owed or self._send_beacon is None:
-                self._send_null()
-                # A multicast null went through the normal send path and
-                # has already called notify_sent(); one relayed through a
-                # sequencer has not been heard yet, but the deadlines count
-                # from its issue.  The send path may also have changed what
-                # is owed.
-                self._last_send_time = self.sim.now
-                if (
-                    self._send_beacon is not None
-                    and self.sim.now - self._last_beacon_time + self._EPSILON
-                    < self.omega
-                ):
-                    # The number the last heartbeat did not carry, sent
-                    # because somebody turned out to need it: it continues
-                    # the heartbeat's period, it does not start its own.
-                    self._last_send_time = self._last_beacon_time
-                owed = self._is_owed()
-            else:
-                self._send_beacon()
-                self._last_beacon_time = self.sim.now
-            # Zero unless the null continued a heartbeat's period.
-            elapsed = self.sim.now - max(self._last_send_time, self._last_beacon_time)
+        period = self.omega if owed else self.idle_period
+        silent_for = self.sim.now - self.last_send_time
+        if silent_for + _EPSILON < period or (self._cover is not None and not owed):
+            # Something was sent in the meantime, or the owner stopped being
+            # owed: wake when the silence would reach the period (never
+            # sooner than the tolerance, so the timer makes real progress).
             self._schedule_check(
-                (self.omega if owed else self.idle_period) - elapsed, idle=not owed
+                max(period - silent_for, _EPSILON * 10), idle=not owed
             )
-        else:
-            # Something was sent in the meantime, or the owner stopped
-            # being owed before the idle period ran out; wake up when the
-            # current silence would reach the period (never sooner than the
-            # tolerance, so the timer always makes real progress).
-            self._schedule_check(
-                max(period - silent_for, self._EPSILON * 10), idle=not owed
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "active" if self._active else "stopped"
-        return (
-            f"TimeSilence(omega={self.omega}, idle_period={self.idle_period}, "
-            f"nulls_sent={self.nulls_sent}, {state})"
+            return
+        self.nulls_sent += 1
+        if self._c_owed is not None:
+            (self._c_owed if owed else self._c_idle).value += 1
+        self._send_null()
+        # A multicast null went through the normal send path and has
+        # already called notify_sent(); one relayed through a sequencer has
+        # not been heard yet, but the deadlines count from its issue.  The
+        # send path may also have changed what is owed.
+        self.last_send_time = self.sim.now
+        if (
+            self._cover is not None
+            and self.sim.now - self.vouched_at + _EPSILON < self.omega
+        ):
+            # The number the last beacon did not carry, sent because
+            # somebody turned out to need it: it continues the beacon's
+            # period, it does not start its own.
+            self.last_send_time = self.vouched_at
+        owed = self._is_owed()
+        # Zero unless the null continued a beacon's period.
+        elapsed = self.sim.now - self.last_send_time
+        self._schedule_check(
+            (self.omega if owed else self.idle_period) - elapsed, idle=not owed
         )
+
+
+class Heartbeat:
+    """One process's idle heartbeat: one timer, one beacon per ring
+    neighbour per ``period``, naming the groups it vouches for.
+
+    ``endpoints()`` yields the owner's active symmetric group endpoints (of
+    each: ``group_id``, ``view.members``, ``ring_successors``,
+    ``time_silence``, ``suspector``); ``send(neighbours, groups)`` puts one
+    beacon naming ``groups`` on the wire to each neighbour; ``record()`` is
+    told once per wake that sent any (the process-level ``null_send``).
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        period: float,
+        endpoints: Callable[[], Sequence],
+        send: Callable[[Sequence[str], Tuple[str, ...]], None],
+        record: Callable[[], None],
+    ) -> None:
+        self.sim = sim
+        self.period = period
+        self._endpoints = endpoints
+        self._send = send
+        self._record = record
+        #: (neighbour, group) -> when a beacon to it last named the group.
+        self._vouched: Dict[Tuple[str, str], float] = {}
+        self._timer: Optional[EventHandle] = None
+        self._wake_at: Optional[float] = None
+        self._started_at = sim.now
+        self._stopped_at: Optional[float] = None
+        self._c_wakes = self._c_idle = None
+        if sim.metrics is not None:
+            self._c_wakes = sim.metrics.counter("heartbeat.wakes")
+            self._c_idle = sim.metrics.counter("time_silence.nulls_idle")
+            sim.metrics.sum_gauge("heartbeat.process_periods").add(self._periods_run)
+
+    def _periods_run(self) -> float:
+        """Periods run so far: summed over processes, the denominator of
+        the report's "liveness wakes per process per heartbeat period"."""
+        until = self.sim.now if self._stopped_at is None else self._stopped_at
+        return (until - self._started_at) / self.period
+
+    def stop(self) -> None:
+        """The owner crashed."""
+        self._stopped_at = self.sim.now
+        self._date(None)
+
+    def next_wake(self) -> Optional[float]:
+        """When the next wake is due (``None``: none is)."""
+        return self._wake_at
+
+    def cover(self, endpoint) -> None:
+        """``endpoint``'s group went dormant, or its ring moved: wake no
+        later than its first due beacon."""
+        due = self._first_due((endpoint,))
+        if due is not None and (self._wake_at is None or due < self._wake_at):
+            self._wake_at = max(due, self.sim.now)
+            self._date(self._wake_at)
+
+    def _date(self, when: Optional[float]) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = (
+            None if when is None
+            else self.sim.schedule_at(when, self._on_wake, label="heartbeat")
+        )
+
+    def _first_due(self, endpoints: Iterable) -> Optional[float]:
+        vouched = self._vouched.get
+        first = None
+        for endpoint in endpoints:
+            group, sent = endpoint.group_id, endpoint.time_silence.last_send_time
+            for neighbour in endpoint.ring_successors:
+                stamp = max(sent, vouched((neighbour, group), sent))
+                if first is None or stamp < first:
+                    first = stamp
+        return None if first is None else first + self.period
+
+    def _on_wake(self) -> None:
+        self._timer = None
+        if self._c_wakes is not None:
+            self._c_wakes.value += 1
+        now = self.sim.now
+        horizon = now + _EPSILON - self.period
+        vouched = self._vouched
+        endpoints = self._endpoints()
+        dormant = [e for e in endpoints if e.time_silence.idle_armed]
+        # One beacon to each neighbour some dormant group owes one, in ring
+        # order, naming every group it can vouch for; neighbours that share
+        # the same groups share one multicast.
+        fanout: Dict[Tuple[str, ...], list] = {}
+        for endpoint in dormant:
+            group, sent = endpoint.group_id, endpoint.time_silence.last_send_time
+            if sent > horizon:
+                continue
+            for neighbour in endpoint.ring_successors:
+                if vouched.get((neighbour, group), sent) > horizon:
+                    continue  # not due, or just named on another group's account
+                shared = endpoints if len(endpoints) == 1 else [
+                    e for e in endpoints if neighbour in e.view.members
+                ]
+                for other in shared:
+                    vouched[(neighbour, other.group_id)] = now
+                    if other.time_silence.idle_armed:
+                        other.time_silence.vouched_at = now
+                fanout.setdefault(tuple([e.group_id for e in shared]), []).append(neighbour)
+        for groups, neighbours in fanout.items():
+            self._send(neighbours, groups)
+        if fanout:
+            if self._c_idle is not None:
+                self._c_idle.value += 1
+            self._record()
+        # The suspectors first: a tick they keep for the instant of the
+        # next wake fires ahead of it, and what it finds decides whether
+        # its group is still dormant then.
+        self._wake_at = self._first_due(dormant)
+        for endpoint in endpoints:
+            endpoint.suspector.review()
+        self._date(self._wake_at)

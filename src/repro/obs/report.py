@@ -87,23 +87,31 @@ def _render_metrics(metrics: Mapping[str, Any]) -> List[str]:
         beacons = counters.get("transport.sent.Beacon")
         heartbeats = counters.get("time_silence.nulls_idle")
         if beacons and heartbeats:
-            # Expected about K (repro.core.suspector.RING_FANOUT); lower
-            # when some idle heartbeats were an asymmetric group's nulls.
+            # A process heartbeat's wake sends one beacon per due ring
+            # neighbour, whatever number of groups it names: about K
+            # (repro.core.suspector.RING_FANOUT) for a process whose groups
+            # share their rings; lower when some of the nulls_idle were an
+            # asymmetric group's numbered idle nulls.
             lines.append(
-                f"  idle beacons per heartbeat: {_fmt(beacons / heartbeats)} "
+                f"  idle beacons per process heartbeat: {_fmt(beacons / heartbeats)} "
                 f"({_fmt(beacons)} Beacon sends / {_fmt(heartbeats)} nulls_idle)"
             )
     gauges = metrics.get("gauges") or {}
-    wakes = counters.get("suspector.probes")
-    omegas = gauges.get("suspector.endpoint_omegas")
-    if wakes and omegas:
-        # A polling suspector reads Ω / check_interval here; a demand-driven
-        # one about 2 while idle (see repro.core.suspector).
+    heartbeat_wakes = counters.get("heartbeat.wakes", 0)
+    ticks = counters.get("suspector.probes", 0)
+    periods = gauges.get("heartbeat.process_periods")
+    if (heartbeat_wakes or ticks) and periods:
+        # An idle process reads 1 however many symmetric groups it is in:
+        # its heartbeat wake beacons for all of them and runs their
+        # suspectors' deadline tests; a suspector ticks on its own only
+        # while restless, ahead of a deadline the next wake would miss, or
+        # in an asymmetric group (see repro.core.time_silence).
         lines.append(
-            f"  suspector wakes per endpoint per Ω: {_fmt(wakes / omegas)} "
-            f"({_fmt(wakes)} wakes, of them "
-            f"{_fmt(counters.get('suspector.pokes', 0))} pulled in by a poke, "
-            f"over {_fmt(omegas)} endpoint-Ω)"
+            f"  liveness wakes per process per heartbeat period (Ω/2): "
+            f"{_fmt((heartbeat_wakes + ticks) / periods)} "
+            f"({_fmt(heartbeat_wakes)} heartbeat wakes + {_fmt(ticks)} suspector "
+            f"ticks, of them {_fmt(counters.get('suspector.pokes', 0))} pulled in "
+            f"by a poke, over {_fmt(periods)} process-periods)"
         )
     if gauges:
         lines.append("  gauges (at snapshot)")

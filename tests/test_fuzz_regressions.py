@@ -40,6 +40,15 @@ fuzz campaign, shrunk, diagnosed and fixed:
   treating a received ``start-group`` message as proof of a unanimous
   vote.
 
+* ``(7, 12)`` and ``(7, 50)`` under the ledger's ``fuzz_serial`` tuning --
+  *a departure is silence in one group*: not violations but the two specs
+  a scratch prototype stalled (deliveries 81 -> 61 at 836 -> 1,337
+  messages; 596 -> 899 messages) by crediting every transport receipt
+  from ``q`` to every group shared with ``q``: a member that had left
+  ``g`` kept being heard in ``g`` through ``h`` and was never excluded.
+  Liveness evidence names its groups (a beacon's ``groups``); the pair is
+  pinned at the deliveries and message counts of the commit before.
+
 The full generated corpus entries regenerate deterministically from
 ``(corpus_seed, index)`` under the default tuning, and the shrunk minimal
 repros are pinned verbatim -- both must stay clean.
@@ -48,7 +57,7 @@ repros are pinned verbatim -- both must stay clean.
 import pytest
 
 from repro.scenarios import run_scenario
-from repro.scenarios.fuzz import run_fuzz_unit
+from repro.scenarios.fuzz import DEFAULT_EVENT_WEIGHTS, GeneratorTuning, run_fuzz_unit
 
 #: ``(corpus_seed, index)`` of every fuzzer-found violation, regenerated in
 #: full.  The default-tuning corpus is part of the regression surface: if
@@ -69,6 +78,31 @@ FUZZER_FOUND = [
 def test_fuzzer_found_corpus_entries_stay_clean(corpus_seed, index):
     row = run_fuzz_unit(corpus_seed, index)
     assert row["status"] != "violation", row["violations"]
+
+
+#: The ledger's ``fuzz_serial`` tuning (``benchmarks/ledger/cases.py``).
+LEDGER_TUNING = GeneratorTuning(
+    event_weights=dict(DEFAULT_EVENT_WEIGHTS, drop=0.0),
+    asymmetric_probability=0.0,
+    open_loop_probability=0.0,
+    load_phase_probability=0.0,
+).to_config()
+
+
+@pytest.mark.parametrize(
+    "index, deliveries, messages_sent",
+    [
+        pytest.param(12, 81, 836, id="leave-one-of-three-overlapping-groups"),
+        pytest.param(50, 59, 596, id="leave-one-of-two-overlapping-groups"),
+    ],
+)
+def test_a_departure_is_silence_in_its_own_group(index, deliveries, messages_sent):
+    # Pinned on the commit before beacons named their groups: everything
+    # still delivered, in no more messages.
+    row = run_fuzz_unit(7, index, tuning=LEDGER_TUNING)
+    assert row["status"] == "pass", row["violations"]
+    assert row["deliveries"] == deliveries
+    assert row["messages_sent"] <= messages_sent
 
 
 #: The shrunk minimal repros, pinned verbatim as the shrinker emitted them.

@@ -16,12 +16,33 @@ produce every transition and every reason the tracker knows (the test
 below says which).  It was generated at the commit *before* journeys moved
 onto the trace recorder's seam (PR 21), so it pins that the move changed no
 journey; the same command regenerates it.
+
+A change that is meant to move *liveness traffic only* (idle heartbeats,
+suspector timers) regenerates with ``--against PARENT/src``: the command
+then first compares the runs' *protocol skeletons* -- per process, its
+``send`` / ``deliver`` / ``suspect`` / ``view_install`` events in order,
+without their times and without the process-wide counter in message ids,
+the two things every later latency draw moves once one transmission is gone
+from the simulator's one random stream -- under both source trees, and
+refuses to write if they differ.  Regeneration notes:
+
+* PR 22 (one beacon per process pair): ``churn60``,
+  ``formation_crash_during_vote`` and ``brief_mute_three_groups`` moved;
+  the five runs without overlapping symmetric groups stayed byte-identical.
+  Skeletons equal against PR 21; per kind only the ``null_send`` counts
+  differ (866 -> 849, 227 -> 211: a heartbeat wake is one event per
+  process, not one per group) and the network carries 4,494 -> 4,436 and
+  691 -> 549 messages, all of the difference ``Beacon``s; ``suspect`` and
+  ``view_install`` times move by at most 0.75 (shifted latency draws), and
+  one process of ``churn60`` receives two messages in the other order.
 """
 
 import functools
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -316,6 +337,40 @@ def test_golden_journey_runs_make_every_transition():
     assert seen == EVERY_TRANSITION
 
 
+#: What the protocol decided, as opposed to when the network got it there.
+SKELETON_KINDS = ("send", "deliver", "suspect", "view_install")
+
+
+def _skeletons():
+    """name -> process -> its ``SKELETON_KINDS`` events in order, without
+    times and without the process-wide counter in message ids."""
+    skeletons = {}
+    for name in sorted(RUNS):
+        reset_message_counter()
+        session = RUNS[name]()
+        per_process = skeletons[name] = {}
+        for event in session.trace():
+            if event.kind in SKELETON_KINDS:
+                per_process.setdefault(event.process, []).append([
+                    event.kind, event.group, (event.message_id or "").split("#")[0],
+                    event.sender, event.clock, repr(event.details),
+                ])
+    return skeletons
+
+
+def _skeletons_differ_from(parent_src):
+    """Names of the runs whose skeleton under ``parent_src`` is not ours."""
+    env = dict(os.environ, PYTHONPATH=parent_src)
+    parent = json.loads(
+        subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--skeletons"],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+    )
+    ours = json.loads(json.dumps(_skeletons()))
+    return [name for name in sorted(RUNS) if ours[name] != parent[name]]
+
+
 def _write(path, document):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=1)
@@ -323,6 +378,14 @@ def _write(path, document):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--skeletons"]:
+        print(json.dumps(_skeletons()))
+        sys.exit(0)
+    if sys.argv[1:2] == ["--against"]:
+        moved = _skeletons_differ_from(sys.argv[2])
+        if moved:
+            sys.exit(f"protocol skeletons differ from {sys.argv[2]}: {moved}")
+        print(f"protocol skeletons equal to {sys.argv[2]}")
     fresh = {name: _fresh(name) for name in sorted(RUNS)}
     _write(GOLDEN_TRACE_DIGESTS, fresh)
     for name, entry in fresh.items():

@@ -409,16 +409,19 @@ def test_ring_watch_counters_and_beacons_per_heartbeat():
     # have made 12 x 40.3 + 11 x 40 = 923 of them.
     assert counters["suspector.pokes"] == 8
     assert counters["suspector.probes"] < 200
+    # One heartbeat wake per process per Omega / 2 does the beaconing and
+    # the idle suspectors' deadline tests.
     gauges = result.obs["metrics"]["gauges"]
-    assert gauges["suspector.endpoint_omegas"] == pytest.approx(
-        (12 * 40.3 + 11 * 40.0) / 10.0
+    assert gauges["heartbeat.process_periods"] == pytest.approx(
+        (12 * 40.3 + 11 * 40.0) / 5.0
     )
+    assert counters["heartbeat.wakes"] <= gauges["heartbeat.process_periods"]
     assert sorted(name for name in gauges if name.startswith("sim.")) == [
         "sim.heap_live", "sim.heap_pending",
     ]
     text = render_document({"benchmark": "unit", "obs": result.obs})
-    assert "idle beacons per heartbeat: 3 " in text
-    assert "suspector wakes per endpoint per Ω: 1." in text
+    assert "idle beacons per process heartbeat: 3 " in text
+    assert "liveness wakes per process per heartbeat period (Ω/2): 1." in text
 
 
 def test_report_cli_renders_file(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Ring-watched idle groups: the idle heartbeat of a symmetric group is a
-numberless beacon to K ring successors, and the suspector times out only
-the members it watches (``repro.core.suspector``).
+numberless beacon to K ring successors -- one per process pair, naming the
+groups it vouches for (``repro.core.time_silence``) -- and the suspector
+times out only the members it watches (``repro.core.suspector``).
 
 Every scenario runs a 12-member group at the default tuning (omega 2,
 Omega 10, check interval 1) unless it says otherwise; link delays are
 uniform in [0.5, 1.5], so one gossip hop is at most 1.5.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,10 +20,12 @@ from repro.core.messages import (
     Beacon,
     ConfirmMessage,
     RefuteMessage,
+    SCALAR_BYTES,
     SuspectMessage,
 )
 from repro.core.suspector import RING_FANOUT, FailureSuspector, ring_successors
-from repro.core.time_silence import TimeSilence
+from repro.core.time_silence import Heartbeat, TimeSilence
+from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.trace import CONFIRM, NULL_SEND, REFUTE, SUSPECT, VIEW_INSTALL
 
@@ -75,6 +80,9 @@ def test_ring_successors_wrap_and_shrink_with_the_group():
 
 
 def _beaconing_timer(sim, owed):
+    """One symmetric group's timer wired to a process heartbeat, as an
+    endpoint wires them: un-owed, the timer goes dormant and the heartbeat
+    beacons the group's one ring successor."""
     sent = []
 
     def send_null():
@@ -83,7 +91,17 @@ def _beaconing_timer(sim, owed):
 
     silence = TimeSilence(
         sim, 2.0, send_null, owed=lambda: owed[0], idle_period=5.0,
-        send_beacon=lambda: sent.append(("beacon", sim.now)),
+        cover=lambda: heartbeat.cover(group),
+    )
+    group = SimpleNamespace(
+        group_id="g", time_silence=silence, ring_successors=("P2",),
+        view=SimpleNamespace(members={"P1", "P2"}),
+        suspector=SimpleNamespace(review=lambda: None),
+    )
+    heartbeat = Heartbeat(
+        sim, 5.0, lambda: [group],
+        send=lambda neighbours, groups: sent.append(("beacon", sim.now)),
+        record=lambda: None,
     )
     silence.start()
     return silence, sent
@@ -94,7 +112,7 @@ def test_unowed_firings_beacon_and_the_first_null_stays_numbered():
     silence, sent = _beaconing_timer(sim, owed=[False])
     sim.run(until=18.0)
     assert sent == [("null", 2.0), ("beacon", 7.0), ("beacon", 12.0), ("beacon", 17.0)]
-    assert silence.nulls_sent == 4
+    assert silence.nulls_sent == 1
 
 
 def test_a_beacon_restarts_the_idle_period_but_not_the_omega_clock():
@@ -449,3 +467,104 @@ def test_member_and_all_its_ring_successors_crashing_together(seed):
     message_id = cluster["P01"].multicast("g", "after")
     assert cluster.run_until_delivered(message_id, processes=survivors, timeout=10.0)
     assert check_all(cluster.trace()).passed
+
+
+# ----------------------------------------------------------------------
+# A beacon vouches for a neighbour, not for a group: overlapping groups
+# ----------------------------------------------------------------------
+# Five processes in fully overlapping groups, constant link delay 0.7 (no
+# latency draw, so every time below is the same on any commit); pinned on
+# the commit before the heartbeat moved to the process.
+FIVE = [f"P{index}" for index in range(1, 6)]
+
+
+def _overlapping(groups, idle_for):
+    config = NewtopConfig(
+        omega=OMEGA, suspicion_timeout=BIG_OMEGA, suspector_check_interval=CHECK
+    )
+    cluster = NewtopCluster(
+        FIVE, config=config, latency_model=ConstantLatency(0.7), seed=1
+    )
+    for group in groups:
+        cluster.create_group(group)
+    cluster.run(idle_for)
+    wire = []
+    cluster.network.add_filter(
+        lambda src, dst, message: wire.append((src, dst, message.payload)) or True
+    )
+    return cluster, wire
+
+
+@pytest.mark.parametrize("overlap", [1, 2, 4])
+def test_beacons_to_a_shared_neighbour_do_not_grow_with_the_overlap(overlap):
+    groups = tuple(f"g{index}" for index in range(overlap))
+    cluster, wire = _overlapping(groups, idle_for=20.3)
+    cluster.run(4 * BIG_OMEGA)
+    assert wire and all(isinstance(payload, Beacon) for _, _, payload in wire)
+    # One beacon per ring neighbour per Omega / 2, naming every shared
+    # group: 8 from P1 to P2 and 5 x 3 x 8 in all, in 1, 2 or 4 groups
+    # (one per group before: 8, 16, 32 and 120, 240, 480).
+    assert sum(1 for src, dst, _ in wire if (src, dst) == ("P1", "P2")) == 8
+    assert len(wire) == len(FIVE) * RING_FANOUT * 8
+    assert {payload.groups for _, _, payload in wire} == {groups}
+    assert {payload.wire_size_bytes() for _, _, payload in wire} == {
+        Beacon("P1", ("g",)).wire_size_bytes() + SCALAR_BYTES * (overlap - 1)
+    }
+    assert not cluster.trace().events(kind=SUSPECT)
+
+
+@pytest.mark.parametrize("overlap", [1, 2, 4])
+def test_a_neighbours_crash_is_suspected_in_every_shared_group_on_the_same_grid_point(
+    overlap,
+):
+    groups = [f"g{index}" for index in range(overlap)]
+    cluster, _ = _overlapping(groups, idle_for=60.3)
+    cluster.crash("P2")
+    cluster.run(3 * BIG_OMEGA)
+    for group in groups:
+        suspicions = {
+            event.process: event.time
+            for event in cluster.trace().events(kind=SUSPECT, group=group)
+        }
+        # P2's three monitors time it out at the grid point 68, P1 concurs
+        # one hop later: in every group, as with one heartbeat per group.
+        assert suspicions == pytest.approx(
+            {"P3": 68.0, "P4": 68.0, "P5": 68.0, "P1": 68.7}, abs=1e-6
+        )
+        installs = {
+            event.process: event.time
+            for event in cluster.trace().events(kind=VIEW_INSTALL, group=group)
+            if event.time > 60.3
+        }
+        assert installs == pytest.approx(
+            {"P1": 68.7, "P3": 69.4, "P4": 69.4, "P5": 69.4}, abs=1e-6
+        )
+
+
+def test_leaving_one_of_two_overlapping_groups_is_silence_in_that_group():
+    """A departure *is* silence in one group: P3 leaves g and stays in the
+    idle h, which has the same members and so the same ring neighbours.
+    Its beacons must stop vouching for g (a prototype that credited every
+    receipt to every shared group kept P3 alive in g through h, see
+    ``tests/test_fuzz_regressions.py``), and g excludes it when it always
+    did: its monitors at the grid point 48, P2 one hop later."""
+    cluster, wire = _overlapping(["g", "h"], idle_for=40.3)
+    cluster["P3"].leave_group("g")
+    cluster.run(3 * BIG_OMEGA)
+    from_p3 = [payload for src, _, payload in wire if src == "P3"]
+    assert from_p3 and all(payload.groups == ("h",) for payload in from_p3)
+    suspicions = cluster.trace().events(kind=SUSPECT)
+    assert {(e.group, e.detail("target")) for e in suspicions} == {("g", "P3")}
+    assert {e.process: e.time for e in suspicions} == pytest.approx(
+        {"P1": 48.0, "P4": 48.0, "P5": 48.0, "P2": 48.7}, abs=1e-6
+    )
+    installs = {
+        event.process: event.time
+        for event in cluster.trace().events(kind=VIEW_INSTALL, group="g")
+        if event.time > 40.3
+    }
+    assert installs == pytest.approx(
+        {"P2": 48.7, "P1": 49.4, "P4": 49.4, "P5": 49.4}, abs=1e-6
+    )
+    for name in FIVE:
+        assert cluster[name].view("h").sorted_members() == tuple(FIVE)

@@ -227,7 +227,7 @@ def test_inert_receipts_end_a_batch_without_a_settle(oracle):
     """The controls: each hand-built case below differs from one of these
     in exactly one clause."""
     _, process, _ = _idle_trio()
-    assert not _feed(oracle, process, "P2", Beacon(origin="P2", group="g1"))
+    assert not _feed(oracle, process, "P2", Beacon(origin="P2", groups=("g1",)))
     assert not _feed(oracle, process, "P3", _null("P3", TOP + 1))
     assert _feed(oracle, process, "P3", _app("P3", TOP + 2))  # first in the queue
     assert process.awaits_delivery()
@@ -301,7 +301,7 @@ _WORK_IN_HAND = {
 def test_a_beacon_or_a_null_while_work_is_in_hand_settles(oracle, work):
     _, process, endpoint = _idle_trio()
     _WORK_IN_HAND[work](endpoint)
-    assert _feed(oracle, process, "P2", Beacon(origin="P2", group="g1"))
+    assert _feed(oracle, process, "P2", Beacon(origin="P2", groups=("g1",)))
     _WORK_IN_HAND[work](endpoint)  # the settle may have finished it
     assert _feed(oracle, process, "P3", _null("P3", TOP + 1))
 
@@ -344,4 +344,4 @@ def test_the_dict_reference_vector_never_promises(oracle):
     cluster.run(20.0)
     process = cluster["P1"]
     assert _feed(oracle, process, "P3", _null("P3", TOP + 1))
-    assert not _feed(oracle, process, "P2", Beacon(origin="P2", group="g1"))
+    assert not _feed(oracle, process, "P2", Beacon(origin="P2", groups=("g1",)))

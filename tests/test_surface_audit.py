@@ -22,6 +22,7 @@ import re
 import repro.analysis.online  # noqa: F401  (its sinks join the roll call)
 import repro.workloads  # noqa: F401
 from repro.core.config import NewtopConfig
+from repro.core.messages import Beacon
 from repro.net import trace as trace_module
 from repro.net.network import NetworkConfig
 from repro.obs import Observation
@@ -99,6 +100,13 @@ def test_every_option_is_read_and_has_two_values_in_use():
         for owner, name, default in options
         if not _is_set(name, default, owner == "Observation")
     ] == []
+
+
+def test_the_process_heartbeat_added_no_option_and_a_beacon_says_only_what_it_vouches_for():
+    # One beacon per process pair is how the protocol works, not a mode of
+    # it: no field, no toggle (PR 22).
+    assert len(dataclasses.fields(NewtopConfig)) == 10
+    assert [field.name for field in dataclasses.fields(Beacon)] == ["origin", "groups"]
 
 
 def _layer_trees():

@@ -8,6 +8,7 @@ deadline among the watched.  The owner pokes when it may have turned
 restless.  Default tuning throughout: omega 2, Omega 10, check interval 1.
 """
 
+import collections
 import math
 
 import pytest
@@ -42,13 +43,75 @@ def test_idle_group_wakes_at_most_three_times_per_timeout(mode):
     session.group("g", NAMES, mode=mode)
     session.run(3 * BIG_OMEGA)
     counters = session.observation.registry.read_counters
-    wakes_before = counters()["suspector.probes"]
+
+    def deadline_tests():
+        # A ring-watched suspector's deadline test rides the process
+        # heartbeat's wake; an asymmetric group's runs on its own tick.
+        return counters()["suspector.probes"] + counters()["heartbeat.wakes"]
+
+    wakes_before = deadline_tests()
     session.run(10 * BIG_OMEGA)
-    wakes = counters()["suspector.probes"] - wakes_before
+    wakes = deadline_tests() - wakes_before
     # Polling cost Omega / check = 10 wakes per endpoint per Omega.
     assert 0 < wakes <= 3 * len(NAMES) * 10
     assert counters().get("trace.suspect", 0) == 0
     assert session.result().passed
+
+
+class _FiredLabels:
+    """Stands in for the simulator's profiler: counts fired events by the
+    first word of their scheduling label."""
+
+    def __init__(self):
+        self.fired = collections.Counter()
+
+    def record_event(self, label, elapsed):
+        self.fired[label.split(" ")[0]] += 1
+
+
+def _five_idle_for_four_timeouts(symmetric, asymmetric=()):
+    """P1-P5, every one in every group, constant link delay (no latency
+    draw: the counts are the same on any commit).  Returns the timers
+    fired by label and the payloads sent during 4 Omega of idleness."""
+    from repro.net.latency import ConstantLatency
+
+    cluster = NewtopCluster(
+        NAMES[:5], config=CONFIG, latency_model=ConstantLatency(0.7), seed=1
+    )
+    for group in symmetric:
+        cluster.create_group(group)
+    for group in asymmetric:
+        cluster.create_group(group, mode=OrderingMode.ASYMMETRIC)
+    cluster.run(20.3)
+    cluster.sim.profiler = labels = _FiredLabels()
+    sent = []
+    cluster.network.add_filter(
+        lambda src, dst, message: sent.append(message.payload) or True
+    )
+    cluster.run(4 * BIG_OMEGA)
+    assert not cluster.trace().events(kind=SUSPECT)
+    return labels.fired, sent
+
+
+@pytest.mark.parametrize("overlap", [1, 2, 4])
+def test_liveness_timers_per_process_do_not_grow_with_the_overlap(overlap):
+    fired, _ = _five_idle_for_four_timeouts([f"g{i}" for i in range(overlap)])
+    # One heartbeat wake per process per Omega / 2 -- 5 x 2 x 4 -- and no
+    # timer per group at all: the wake beacons for every dormant group
+    # and runs every suspector's deadline test.  (Per group before: 2
+    # time-silence firings and a suspector tick per Omega, 60 / 120 / 240.)
+    assert fired["heartbeat"] == 40
+    assert fired["time-silence"] == fired["suspector"] == 0
+
+
+def test_an_overlapping_asymmetric_group_sends_and_wakes_what_it_did_alone():
+    # Pinned on the commit before the heartbeat moved to the process:
+    # numbered idle nulls through the sequencer, a tick per deadline.
+    for symmetric in ([], ["g0", "g1"]):
+        fired, sent = _five_idle_for_four_timeouts(symmetric, asymmetric=["a"])
+        assert sum(1 for payload in sent if getattr(payload, "group", "") == "a") == 224
+        assert (fired["time-silence"], fired["suspector"]) == (56, 20)
+        assert fired["heartbeat"] == (40 if symmetric else 0)
 
 
 # ----------------------------------------------------------------------

@@ -282,16 +282,23 @@ def test_overlapped_idle_group_answers_at_omega_then_idles_again():
     assert cluster.run_until(lambda: not p3.awaits_delivery(), timeout=10.0)
     assert cluster.sim.now - received < 2 * 2.0
     # Once g1 is quiet again g2 is back on the heartbeat: in 4 * Omega/2
-    # each of its members sends 4 nulls (it would be 10 at omega).
+    # each of its members beacons each of the other two 4 times, naming g2
+    # (it would be 10 nulls at omega), and sends no null.
     cluster.run(20.0)
     start = cluster.sim.now
+    beacons = []
+    cluster.network.add_filter(
+        lambda src, dst, message: beacons.append((src, dst, message.payload.groups))
+        or True
+    )
     cluster.run(20.0)
     for name in ("P3", "P4", "P5"):
-        beats = [
-            event for event in cluster.trace().events(kind=NULL_SEND, process=name)
-            if event.group == "g2" and event.time > start
-        ]
-        assert len(beats) == 4, (name, [event.time for event in beats])
+        for peer in {"P3", "P4", "P5"} - {name}:
+            assert beacons.count((name, peer, ("g2",))) == 4, (name, peer)
+    assert not [
+        event for event in cluster.trace().events(kind=NULL_SEND)
+        if event.group is not None and event.time > start
+    ]
     assert not cluster.trace().events(kind="suspect")
 
 
