@@ -94,6 +94,11 @@ def _layout(scale):
 def run_kv_bench(scale=None, observe=None):
     """One full E26 run; returns the result dict the assertions consume."""
     scale = SMOKE_SCALE if scale is None else scale
+    if observe is None:
+        # `app_msgs_per_write` reads the transport's per-cause counters,
+        # which exist only on an observed run; without the sampler the
+        # registry adds no simulator event, so the run is the unobserved one.
+        observe = {"sampler": False}
     layout = _layout(scale)
     spares = [f"x{index}" for index in range(scale["spares"])]
     oracle = KVOracle()
@@ -137,7 +142,7 @@ def run_kv_bench(scale=None, observe=None):
         session.crash(victim)
 
     def do_split():
-        coordinator = store.alive_members(hot_shard)[0]
+        coordinator = store.coordinator(hot_shard)
         events["split"] = rebalancer.split_shard(
             hot_shard, f"s{scale['shards']}", [coordinator, *spares]
         )
@@ -163,6 +168,7 @@ def run_kv_bench(scale=None, observe=None):
         shard: round(sum(bins.values()) / scale["duration"], 3)
         for shard, bins in sorted(workload.completed_bins.items())
     }
+    app_sends = result.obs["metrics"]["counters"]["transport.sends_by_cause.app_multicast"]
     return {
         "scale": dict(scale),
         "layout": {shard: list(members) for shard, members in layout.items()},
@@ -180,6 +186,10 @@ def run_kv_bench(scale=None, observe=None):
             if not store.shards[shard].retired
         },
         "workload": workload.report(),
+        # Wire messages caused by application multicasts (client writes plus
+        # the split's few control commands) per acknowledged client write:
+        # replicas - 1 when every write enters at its shard's sequencer.
+        "app_msgs_per_write": round(app_sends / store.counters["writes_acked"], 4),
         "per_shard_goodput": per_shard_goodput,
         "unavailability": shard_windows,
         "oracle": oracle.summary(),
@@ -226,6 +236,10 @@ def _assert_run(run, scale):
     # Tail latency was actually measured on both paths.
     assert run["workload"]["read_latency"]["count"] > 0
     assert run["workload"]["write_latency"]["count"] > 0
+    # Writes enter at the sequencer: n - 1 copies each and no unicast to the
+    # sequencer first.  A caller that draws the replica at random again pays
+    # (n - 1)(1 + 1/n) = 2.67 at n = 3 and fails here.
+    assert run["app_msgs_per_write"] <= scale["replicas"] - 1 + 0.1, run["app_msgs_per_write"]
 
 
 def test_kv_shards(benchmark):
@@ -258,6 +272,10 @@ def test_kv_shards(benchmark):
         f"{fmt(run['workload']['write_latency']['p99'])}"
     )
     table.append(
+        f"app messages per acknowledged write: {run['app_msgs_per_write']:.3f} "
+        f"(floor {SMOKE_SCALE['replicas'] - 1}: every write enters at its sequencer)"
+    )
+    table.append(
         f"untouched shards with zero outage windows: {quiet}; oracle checked "
         f"{run['oracle']['applies_checked']} applies + "
         f"{run['oracle']['reads_checked']} reads online, 0 stored"
@@ -277,8 +295,6 @@ def record_results(scale_name, json_path, parallel=None, observe=None):
     run = run_kv_bench(scale, observe=observe)
     _assert_run(run, scale)
     payload = {key: value for key, value in run.items() if key != "scale"}
-    if payload.get("obs") is None:
-        payload.pop("obs", None)
     return write_bench_json(
         json_path,
         "kv_shards",

@@ -44,12 +44,12 @@ SPARES = ["x0", "x1"]
 
 def put(session, store, client, op, key, value, ring=None):
     """Submit one write through ``ring`` (default: the current one) and
-    wait for the acknowledgement from the coordinator's apply."""
+    wait for the acknowledgement from the coordinator's apply (the store
+    picks the coordinator: the shard's sequencer)."""
     ring = ring or store.ring
     acks = []
     outcome = store.submit(
         client=client, client_op=op, op="set", key=key, value=value,
-        via=store.alive_members(store.ring.lookup(key))[0],
         ring=ring, callback=acks.append,
     )
     if outcome["status"] != "submitted":  # stale ring / frozen / unavailable
@@ -61,7 +61,7 @@ def put(session, store, client, op, key, value, ring=None):
 def get(session, store, client, key):
     shard = store.ring.lookup(key)
     return store.read(
-        client=client, key=key, via=store.alive_members(shard)[0],
+        client=client, key=key, via=store.coordinator(shard),
         ring=store.ring, min_position=0,
     )
 
@@ -91,7 +91,7 @@ def main():
 
     print("== live split of s0 onto a new shard s3 ==")
     old_ring = store.ring
-    coordinator = store.alive_members("s0")[0]
+    coordinator = store.coordinator("s0")
     report = Rebalancer(store).split_shard("s0", "s3", [coordinator, *SPARES])
     session.run_until(lambda: report.complete or report.failed, timeout=120)
     print(f"  {report.describe()['kind']} moved {report.moved_keys} keys in "

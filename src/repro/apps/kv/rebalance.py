@@ -271,13 +271,17 @@ class Rebalancer:
     # Shared machinery
     # ------------------------------------------------------------------
     def _pick_coordinator(self, source: Shard, members: List[str]) -> str:
+        """The overlap member that drives the rebalance: the source
+        shard's write coordinator when it is one of them (its fence and
+        ``drop_moved`` then cost no hop to the sequencer), else the first."""
         overlap = [m for m in members if m in source.replicas and source.replicas[m].alive]
         if not overlap:
             raise ValueError(
                 f"new members {members} must overlap shard {source.shard_id!r}'s "
                 f"alive replicas {source.alive_members()}"
             )
-        return overlap[0]
+        coordinator = self.store.coordinator(source.shard_id)
+        return coordinator if coordinator in overlap else overlap[0]
 
     def _await_formation(self, report, gid, members, on_formed) -> None:
         """Poll until every member activated the group and left the §5.3

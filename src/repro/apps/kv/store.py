@@ -24,11 +24,25 @@ Layering::
         |
     Session / ProtocolStack / Newtop
 
+Writes enter a shard at its **coordinator** (:meth:`ShardedKV.coordinator`):
+in an asymmetric shard that is the sequencer, which orders a write and
+hands its n-1 copies to the reliable channel in one step, where any other
+member first pays a unicast *to* the sequencer (§4.2).  The coordinator's
+own apply is the acknowledgement, so an ack means *ordered at the
+coordinator and handed to the reliable channel* -- no other replica has
+received the write yet (the membership protocol, not the ack, is what
+carries it past the coordinator's crash).  Write latency therefore counts
+replica-to-replica hops only: the simulator models no client-to-replica
+hop, so a write whose client sits at the sequencer is acknowledged in the
+instant it is submitted.  A symmetric shard has no coordinator; every
+member multicasts directly.
+
 Reads are served from *any* replica's locally applied prefix; clients get
 read-your-writes and monotonic reads by passing ``min_position`` (their
 session watermark for the shard's current generation).  A replica that has
-not caught up answers ``"behind"`` and the client retries, possibly at a
-different replica.  Each shard also carries a ``read_floor`` -- the apply
+not caught up answers ``"behind"`` and names the coordinator -- which has
+applied everything it acknowledged -- for the client to retry at.  Each
+shard also carries a ``read_floor`` -- the apply
 position its state transfer finished at -- so immediately after a
 rebalance no replica can serve a read from a prefix that misses migrated
 keys.  Every apply and every served read is recorded as a
@@ -53,6 +67,7 @@ from repro.apps.kv.commands import (
     value_digest,
 )
 from repro.apps.kv.ring import HashRing
+from repro.core.config import OrderingMode
 from repro.net.trace import KV_APPLY, KV_READ
 
 #: ``origin["client"]`` used by the rebalancer's own fence/migrate traffic;
@@ -246,12 +261,14 @@ class ShardedKV:
 
     The store owns the *authoritative* ring (clients cache copies) and the
     shard table mapping shard ids to their current group generation.  All
-    client traffic flows through :meth:`submit` (writes; acknowledged at
-    the coordinator replica's apply) and :meth:`read` (any-replica reads
-    with a session watermark).  Both validate the client's ring version
-    and answer ``"stale_ring"`` with the current ring instead of silently
-    serving a moved key -- the retry loop that makes rebalancing safe for
-    stale clients.
+    client traffic flows through :meth:`submit` (writes; they enter at the
+    shard's :meth:`coordinator` unless the caller names a replica, and are
+    acknowledged at that replica's apply: ordered there and handed to the
+    reliable channel, not yet received anywhere else) and :meth:`read`
+    (any-replica reads with a session watermark).  Both validate the
+    client's ring version and answer ``"stale_ring"`` with the current ring
+    instead of silently serving a moved key -- the retry loop that makes
+    rebalancing safe for stale clients.
     """
 
     def __init__(
@@ -341,6 +358,34 @@ class ShardedKV:
     def alive_members(self, shard_id: str) -> List[str]:
         return self.shards[shard_id].alive_members()
 
+    def coordinator(self, shard_id: str) -> Optional[str]:
+        """The replica a write to ``shard_id`` should enter at, or ``None``.
+
+        For an asymmetric shard: the alive replica its group view names
+        sequencer (§4.2) -- the one member whose multicast costs n-1
+        messages and no unicast first.  While the view still names a
+        crashed sequencer, the answer is the alive member the failover will
+        hand the duty to (the view with the dead excluded is asked, so the
+        rule stays the view's own): a write submitted through it waits out
+        the agreement in the engine's failover resend and is sequenced
+        locally when the view installs.
+
+        ``None`` for a symmetric shard, where every member multicasts
+        directly and funnelling writes through one of them would only make
+        the others owe nulls -- and for a shard with no alive replica.
+        """
+        shard = self.shards[shard_id]
+        alive = shard.alive_members()
+        if not alive:
+            return None
+        endpoint = self.session[alive[0]].endpoint(shard.group_id)
+        if endpoint.mode != OrderingMode.ASYMMETRIC:
+            return None
+        view = endpoint.view
+        if view.sequencer() not in alive:
+            view = view.exclude(view.members.difference(alive))
+        return view.sequencer()
+
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
@@ -352,18 +397,24 @@ class ShardedKV:
         op: str,
         key: str,
         value: Any = None,
-        via: str,
+        via: Optional[str] = None,
         ring: Optional[HashRing] = None,
         callback: Optional[Callable[[Dict[str, object]], None]] = None,
     ) -> Dict[str, object]:
-        """Submit one client write through the ``via`` replica.
+        """Submit one client write; it enters the shard at ``via``, by
+        default the shard's :meth:`coordinator` (a symmetric shard has
+        none: its first alive replica, any member being as good).
 
         Returns ``{"status": "submitted"}`` on success; the write is
-        acknowledged later, when the coordinator replica applies it, by
+        acknowledged later, when the ``via`` replica applies it, by
         invoking ``callback`` with the outcome (``applied`` with the apply
         position, or ``rejected_moved`` with the current ring for the
-        client to retry against).  Staleness and liveness failures reject
-        synchronously (``stale_ring`` / ``unavailable``).
+        client to retry against).  The ack says the write is *ordered at
+        that replica and handed to the reliable channel*; no other replica
+        has received it yet.  At the sequencer that is the instant of the
+        submit -- latency here counts replica-to-replica hops only.
+        Staleness and liveness failures reject synchronously
+        (``stale_ring`` / ``unavailable``).
         """
         ring = ring or self.ring
         target = ring.lookup(key)
@@ -371,6 +422,8 @@ class ShardedKV:
             self.counters["stale_ring_rejections"] += 1
             return {"status": "stale_ring", "ring": self.ring}
         shard = self.shards[target]
+        if via is None:
+            via = self.coordinator(target) or next(iter(shard.alive_members()), None)
         replica = shard.replicas.get(via)
         if replica is None or not replica.alive:
             self.counters["unavailable_rejections"] += 1
@@ -488,7 +541,9 @@ class ShardedKV:
         current generation (read-your-writes + monotonic reads); together
         with the shard's ``read_floor`` it sets the position the replica
         must have applied, else the answer is ``"behind"`` and the client
-        retries -- possibly at a different replica.
+        retries -- at the ``coordinator`` the answer names, which has
+        applied every write it acknowledged, or after a back-off where the
+        shard has none (symmetric).
         """
         ring = ring or self.ring
         target = ring.lookup(key)
@@ -507,6 +562,7 @@ class ShardedKV:
                 "position": replica.position,
                 "required": required,
                 "generation": shard.generation,
+                "coordinator": self.coordinator(target),
             }
         value, position, writer = replica.read(
             key, client=client, required=required, ring_version=ring.version

@@ -17,9 +17,17 @@ Each logical client:
 * keeps a per-shard session watermark ``(generation, position)`` for
   read-your-writes + monotonic reads, resetting it when a replica move
   bumps the shard's generation,
-* retries ``behind`` / ``unavailable`` / ``rejected_moved`` outcomes
-  after ``retry_delay``, rotating to another alive replica -- the
-  failover and rebalance client loops E26 measures,
+* sends a write to the shard's coordinator (the sequencer of an
+  asymmetric shard: two messages per write over three replicas where a
+  uniformly drawn replica averages 2.67) and a read to a uniformly drawn
+  replica (local, no message); symmetric shards, which have no
+  coordinator, keep the uniform draw for both,
+* retries a ``behind`` read at the coordinator the answer names, in the
+  same instant -- it has applied every write it acknowledged -- and
+  ``unavailable`` / ``rejected_moved`` outcomes (and ``behind`` where
+  there is no coordinator, or the coordinator itself is behind) after
+  ``retry_delay``, rotating to another alive replica -- the failover and
+  rebalance client loops E26 measures,
 * never times out a submitted write: the acknowledgement instant is
   exactly when its read-your-writes expectation advances, which keeps
   the oracle's obligations aligned with client state.  Writes whose
@@ -178,7 +186,7 @@ class KVWorkload:
             client.busy = False
             return
         shard_id = client.ring.lookup(key)
-        via = self._pick_replica(shard_id, client.ring, avoid)
+        via = self._pick_replica(shard_id, is_read, avoid)
         if via is None:
             # Routed shard unknown/unreachable under this ring: refresh
             # against the authoritative ring and retry.
@@ -193,11 +201,17 @@ class KVWorkload:
             self._write_once(client, key, started, attempt, via)
 
     def _pick_replica(
-        self, shard_id: str, ring: HashRing, avoid: Optional[str]
+        self, shard_id: str, is_read: bool, avoid: Optional[str]
     ) -> Optional[str]:
+        """A write enters at the shard's coordinator; a read, and a write
+        to a shard that has none, at a uniformly drawn alive replica."""
         shard = self.store.shards.get(shard_id)
         if shard is None:
             return None
+        if not is_read:
+            coordinator = self.store.coordinator(shard_id)
+            if coordinator is not None:
+                return coordinator
         alive = shard.alive_members()
         if not alive:
             return None
@@ -259,7 +273,13 @@ class KVWorkload:
                 # meaningless in the new group's positions.
                 client.marks[shard_id] = (generation, 0)
             self.counters["behind_retries"] += 1
-            self._retry(client, key, True, started, attempt, via)
+            coordinator = response["coordinator"]
+            if coordinator is not None and coordinator != via:
+                # The coordinator has applied every acknowledged write and
+                # sits at or past the read floor: no back-off can be needed.
+                self._read_once(client, key, started, attempt, coordinator)
+            else:
+                self._retry(client, key, True, started, attempt, via)
             return
         self._handle_reject(client, key, True, started, attempt, via, response)
 

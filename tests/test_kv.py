@@ -15,6 +15,7 @@ from repro.api import Session
 from repro.apps.kv import (
     HashRing,
     KVOracle,
+    KVWorkload,
     META_KEY,
     Rebalancer,
     ShardedKV,
@@ -28,6 +29,7 @@ from repro.apps.kv import (
 from repro.apps.replicated_store import ReplicatedStore
 from repro.core.config import OrderingMode
 from repro.net.trace import TraceEvent
+from repro.workloads.arrivals import DeterministicArrivals
 
 LAYOUT = {
     "s0": ["s0r0", "s0r1", "s0r2"],
@@ -348,6 +350,167 @@ def test_move_replica_bumps_generation_and_departs_old_group():
     assert store.converged(shard_id)
     assert session.result().passed
     assert oracle.passed, oracle.summary()
+
+
+# ----------------------------------------------------------------------
+# The coordinator and the ack contract every write now leans on
+# ----------------------------------------------------------------------
+def test_coordinator_is_the_views_sequencer_and_none_when_symmetric():
+    session, store, _ = make_store(mode=OrderingMode.ASYMMETRIC)
+    for shard_id, shard in store.shards.items():
+        view = session[shard.members[0]].endpoint(shard.group_id).view
+        assert store.coordinator(shard_id) == view.sequencer()
+    # The default `via` is the coordinator: the ack comes from its apply.
+    acks = []
+    store.submit(client="c1", client_op=1, op="set", key="k", value=1,
+                 callback=acks.append)
+    assert session.run_until(lambda: bool(acks), timeout=10)
+    shard = store.shards[acks[0]["shard"]]
+    coordinator = store.coordinator(shard.shard_id)
+    assert shard.replicas[coordinator].position == acks[0]["position"] == 1
+    _, symmetric, _ = make_store(mode=OrderingMode.SYMMETRIC)
+    assert [symmetric.coordinator(s) for s in symmetric.shards] == [None, None]
+
+
+def test_ack_survives_sequencer_crash_in_the_instant_of_the_ack():
+    # An ack says "ordered at the coordinator and handed to the reliable
+    # channel": nobody else holds the write yet.  Crash the sequencer in
+    # the ack's own instant; the copies already in the channel and the
+    # failover agreement must carry the write to the acknowledged position.
+    session, store, oracle = make_store(mode=OrderingMode.ASYMMETRIC, seed=5)
+    key = "ack-key"
+    shard = store.shards[store.ring.lookup(key)]
+    sequencer = store.coordinator(shard.shard_id)
+    survivors = [m for m in shard.members if m != sequencer]
+    acks = []
+
+    def on_ack(ack):
+        acks.append(ack)
+        session.crash(sequencer)
+
+    submitted_at = session.sim.now
+    outcome = store.submit(client="c1", client_op=1, op="set", key=key,
+                           value="kept", callback=on_ack)
+    assert outcome["status"] == "submitted"
+    assert session.run_until(lambda: bool(acks), timeout=10)
+    ack = acks[0]
+    assert ack["status"] == "applied"
+    assert session.sim.now == submitted_at  # acknowledged as it is sequenced
+    assert session[sequencer].crashed
+    assert all(shard.replicas[m].position < ack["position"] for m in survivors)
+    session.run(20.0)
+    assert store.alive_members(shard.shard_id) == survivors
+    for member in survivors:
+        replica = shard.replicas[member]
+        assert replica.last_writer[key] == (ack["message_id"], ack["position"])
+        assert replica.get(key) == "kept"
+    assert store.converged(shard.shard_id)
+    assert session.result().passed
+    assert oracle.passed, oracle.summary()
+
+
+def test_coordinator_names_the_successor_before_the_view_installs():
+    session, store, oracle = make_store(mode=OrderingMode.ASYMMETRIC, seed=5)
+    key = "counter"
+    shard = store.shards[store.ring.lookup(key)]
+    sequencer = store.coordinator(shard.shard_id)
+    successor = sorted(m for m in shard.members if m != sequencer)[0]
+    endpoint = session[successor].endpoint(shard.group_id)
+    session.crash(sequencer)
+    # The view still names the dead sequencer; the store already names the
+    # member the failover will hand the duty to.
+    assert endpoint.view.sequencer() == sequencer
+    assert store.coordinator(shard.shard_id) == successor
+    acks, statuses, vias = [], [], set()
+    for index in range(20):  # one write per sim-second, across the agreement
+        vias.add(store.coordinator(shard.shard_id))
+        statuses.append(store.submit(
+            client="c1", client_op=index, op="increment", key=key, value=1,
+            callback=acks.append,
+        )["status"])
+        if index == 5:
+            # Still before the install: these wait in the failover resend.
+            assert endpoint.view.sequencer() == sequencer and not acks
+        session.run(1.0)
+    assert statuses == ["submitted"] * 20  # never `unavailable`
+    assert vias == {successor}
+    assert store.counters["unavailable_rejections"] == 0
+    session.run(20.0)
+    assert endpoint.view.sequencer() == successor
+    assert [ack["status"] for ack in acks] == ["applied"] * 20
+    assert sorted(ack["position"] for ack in acks) == list(range(1, 21))
+    for member in store.alive_members(shard.shard_id):
+        assert shard.replicas[member].get(key) == 20  # each applied exactly once
+    assert store.converged(shard.shard_id)
+    assert store.pending_writes() == 0
+    assert session.result().passed
+    assert oracle.passed, oracle.summary()
+
+
+def _hundred_workload_writes(mode):
+    """100 `KVWorkload` writes to one R=3 shard; returns the app_multicast
+    transport sends they cost and the per-replica `via` tally."""
+    session = Session("newtop", seed=7, analysis="online", observe={"sampler": False})
+    members = ["r0", "r1", "r2"]
+    session.spawn(members)
+    store = ShardedKV(session, mode=mode)
+    store.bootstrap({"s0": members})
+    session.run(1.0)
+    vias = {}
+    submit = store.submit
+
+    def tallying_submit(**kwargs):
+        vias[kwargs["via"]] = vias.get(kwargs["via"], 0) + 1
+        return submit(**kwargs)
+
+    store.submit = tallying_submit
+    workload = KVWorkload(
+        store, clients=200, keys=64, read_fraction=0.0,
+        arrivals=DeterministicArrivals(rate=4.0), duration=25.25, seed=7,
+    )
+    workload.start()
+    session.run(60.0)
+    assert workload.counters["completed_writes"] == workload.counters["offered"] == 100
+    result = session.result()
+    assert result.passed
+    counters = result.obs["metrics"]["counters"]
+    return counters["transport.sends_by_cause.app_multicast"], vias
+
+
+def test_hundred_workload_writes_cost_exactly_two_hundred_app_sends():
+    # Every write enters at the sequencer: n - 1 = 2 copies and no unicast
+    # to the sequencer first (a uniformly drawn replica averages 2.67).
+    sends, vias = _hundred_workload_writes(OrderingMode.ASYMMETRIC)
+    assert sends == 200
+    assert vias == {"r0": 100}
+    # A symmetric shard has no coordinator: the draw stays uniform (and
+    # each member's multicast costs its n - 1 copies wherever it enters).
+    sends, vias = _hundred_workload_writes(OrderingMode.SYMMETRIC)
+    assert sends == 200
+    assert sorted(vias) == ["r0", "r1", "r2"] and min(vias.values()) >= 20
+
+
+def test_behind_read_retries_at_the_coordinator_in_the_same_instant():
+    session, store, _ = make_store(mode=OrderingMode.ASYMMETRIC)
+    workload = KVWorkload(store, clients=4, keys=8, duration=0.0, seed=1)
+    ack = put(session, store, "c0", 1, "kx", "v1")
+    shard = store.shards[ack["shard"]]
+    coordinator = store.coordinator(shard.shard_id)
+    laggard = next(m for m in shard.members if m != coordinator)
+    assert shard.replicas[laggard].position < ack["position"]
+    behind = store.read(client="c0", key="kx", via=laggard, ring=store.ring,
+                        min_position=ack["position"])
+    assert behind["status"] == "behind" and behind["coordinator"] == coordinator
+    client = workload.clients[0]
+    client.busy = True
+    client.advance(shard.shard_id, ack["generation"], ack["position"])
+    started = session.sim.now
+    workload._read_once(client, "kx", started, 0, laggard)
+    # Completed without a simulator event: no back-off, no second `behind`.
+    assert not client.busy and session.sim.now == started
+    assert workload.counters["behind_retries"] == 1
+    assert workload.counters["completed_reads"] == 1
+    assert workload.read_latency.summary()["max"] == 0.0
 
 
 # ----------------------------------------------------------------------
