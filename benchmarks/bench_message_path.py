@@ -40,7 +40,13 @@ the counts, which repeat exactly per seed:
   and ``<= 0.55`` on the smoke shape (settling after every batch, plus the
   settles outside batches, is 1.10 on the full shape);
 * calls into ``Endpoint`` + ``Network`` send per message sent ``<= 0.8``
-  (one call into each per destination is 2.0 by construction).
+  (one call into each per destination is 2.0 by construction);
+* null multicasts per isolated burst ``== 24``: two multicasts into an
+  idle 12-member symmetric group at a constant link delay of 1.2 (no
+  latency draw, so the count is exact on any commit that sends the same).
+  Each member acknowledges the burst once and the two senders once more;
+  it was 34 while a member owed nulls until the burst was stable at it,
+  re-announcing an ``ldn`` it had already sent.
 
 Run as a script for the CI gate::
 
@@ -57,9 +63,10 @@ from repro.api import Session
 from repro.core import NewtopConfig
 from repro.core.messages import DataMessage, reset_message_counter
 from repro.core.process import NewtopProcess
-from repro.net.latency import UniformLatency
+from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.network import Network, NetworkConfig
 from repro.net.simulator import Simulator
+from repro.net.trace import NULL_SEND
 from repro.net.transport import Endpoint, Transport
 from repro.scenarios import ScenarioEngine, churn_scenario, from_config
 
@@ -79,6 +86,7 @@ DEFAULT_ROUNDS = 5
 #: one settle per batch both are above 1).
 MAX_SETTLE_PASSES_PER_BATCH = {"smoke": 0.55, "full": 0.40}
 MAX_SEND_CALLS_PER_MESSAGE = 0.8
+NULL_MULTICASTS_PER_BURST = 24
 
 FANOUT = 11
 
@@ -191,6 +199,30 @@ def count_session(scale):
     }
 
 
+def count_isolated_burst(members=12, delay=1.2):
+    """Numbered nulls sent in an idle symmetric group after two
+    multicasts into it, until it is quiet again."""
+    reset_message_counter()
+    session = Session(
+        "newtop", seed=1, latency_model=ConstantLatency(delay),
+        config=NewtopConfig(omega=2.0, suspicion_timeout=10.0),
+    )
+    session.spawn([f"P{index:02d}" for index in range(1, members + 1)])
+    session.group("g")
+    session.run(20.3)
+    burst_at = session.sim.now
+    session.multicast("P01", "g", "a")
+    session.multicast("P02", "g", "b")
+    session.run(30.0)
+    result = session.result()
+    assert result.passed and result.deliveries == 2 * members
+    # A heartbeat wake's ``null_send`` names no group.
+    return sum(
+        1 for event in session.trace()
+        if event.kind == NULL_SEND and event.group == "g" and event.time >= burst_at
+    )
+
+
 # ---------------------------------------------------------------------------
 # The pieces, alone
 # ---------------------------------------------------------------------------
@@ -290,6 +322,7 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
     """Count once, time each piece ``rounds`` times, keep the minimum."""
     scale = SMOKE_SCALE if scale is None else scale
     counts = count_session(scale)
+    counts["null_multicasts_per_isolated_burst"] = count_isolated_burst()
     timings = {
         name + "_us": round(1e6 * min(piece() for _ in range(rounds)), 3)
         for name, piece in PIECES.items()
@@ -311,9 +344,16 @@ def check_gates(payload, scale_name="smoke"):
         f"message sent (gate {MAX_SEND_CALLS_PER_MESSAGE}): a fan-out is making one "
         "trip per destination instead of one per multicast"
     )
+    burst = counts["null_multicasts_per_isolated_burst"]
+    assert burst == NULL_MULTICASTS_PER_BURST, (
+        f"{burst} null multicasts per isolated burst (gate {NULL_MULTICASTS_PER_BURST}): "
+        "a member owes a null for work a message of its own already did "
+        "(see GroupEndpoint.owes_group)"
+    )
     return {
         "max_settle_passes_per_batch": max_passes,
         "max_send_calls_per_message": MAX_SEND_CALLS_PER_MESSAGE,
+        "null_multicasts_per_isolated_burst": NULL_MULTICASTS_PER_BURST,
     }
 
 
@@ -326,6 +366,8 @@ def _table(payload):
         f"{counts['settle_passes_changing_nothing']} changed nothing), "
         f"{counts['send_calls_per_message']} send-path calls per message "
         f"({counts['endpoint_send_calls']} transport + {counts['network_send_calls']} network)",
+        f"{counts['null_multicasts_per_isolated_burst']} null multicasts per isolated "
+        "burst (two multicasts into an idle 12-member group)",
     ]
     for name, value in payload["timings"].items():
         rows.append(f"{name:52s} {value:8.3f} (min of {payload['rounds']})")

@@ -11,14 +11,17 @@ ordering mode is chosen per group at creation, §4.3, so it is not here):
   suspected if nothing has been received from it for Ω (> ω) time units
   (§5.2).  "In practice, Ω should be tuned to a value that minimises the
   possibility of unfounded suspicions."  Ω/2 doubles as the *idle
-  heartbeat* period: a member that owes its group nothing (nothing
-  unstable retained, no view change, formation, deferred send, unsequenced
-  unicast or membership agreement pending, nothing undelivered in any of
-  its process's groups and no member asking for a reply) stretches its
-  deadline from ω to Ω/2, never below ω, and in a symmetric group what it
-  sends then is not a null but a numberless beacon to its K = 3 ring
-  successors -- one per neighbour per Ω/2 whatever number of idle groups
-  the two share, naming them (:mod:`repro.core.time_silence`).  Those K
+  heartbeat* period: a member that owes its group nothing (no unstable
+  traffic its own ``ldn`` does not cover yet, no view change, formation,
+  deferred send or unsequenced unicast pending, no agreement waiting on a
+  number of its own, nothing undelivered in any of its process's groups
+  and no member asking for a reply that none of its multicasts gives)
+  stretches its deadline from ω to Ω/2, never below ω, and in a symmetric
+  group what it sends then is not a null but a numberless beacon to its
+  K = 3 ring successors -- one per neighbour per Ω/2 whatever number of
+  idle groups the two share, naming them -- or, while traffic it covered
+  is still unstable, one numbered null per Ω/2 asking for the missing
+  acknowledgments (:mod:`repro.core.time_silence`).  Those K
   members are the ones that time it out while the group is idle;
   everybody else concurs when asked, so a crash in an idle group is
   agreed one gossip hop later than Ω alone would give
@@ -60,7 +63,8 @@ class NewtopConfig:
 
     #: Time-silence period ω (§4.1): maximum interval per group without a
     #: *numbered* send before a null message is multicast, while the
-    #: member owes the group something -- the null deadline is ``last
+    #: member owes the group something no multicast of its own already
+    #: carries (``GroupEndpoint.owes_group``) -- the null deadline is ``last
     #: numbered send + omega`` then.  An idle heartbeat does not restart
     #: this clock, so a member that becomes owed more than ``omega`` after
     #: its last numbered send answers at once (and an answer given less

@@ -129,8 +129,8 @@ class GroupEndpoint:
             # on a timer of its own.
             ring_watched=not asymmetric,
             next_wake=None if asymmetric else process.heartbeat.next_wake,
-            # Our flagged null within ω, the answer within ω of that, found
-            # at the next check.
+            # Our flagged null within ω, the answer within ω of that (or
+            # already in flight), found at the next check.
             grace=2 * config.omega + config.suspector_check_interval,
         )
         self.gv = GroupViewProcess(self, own_id, group_id)
@@ -140,8 +140,11 @@ class GroupEndpoint:
             self._send_null,
             owed=self.owes_group,
             idle_period=config.heartbeat_period,
-            # A symmetric group's idle heartbeat is the process's business.
+            # A symmetric group's idle heartbeat is the process's business,
+            # unless what it retains is still unstable: then its own
+            # acknowledgment may have been lost, and it re-sends one.
             cover=None if asymmetric else self._go_dormant,
+            unstable=None if asymmetric else self.stability.buffer.non_null_count,
         )
 
         self.departed = False
@@ -175,9 +178,15 @@ class GroupEndpoint:
         self._lifecycle = process.recorder.lifecycle
         self._formation_wait: Optional[_FormationWait] = _FormationWait() if formation_wait else None
         #: A member's null said its process is waiting on ``D_i``
-        #: (``awaits_reply``); our next send in the group -- CA2 has already
-        #: pushed the clock past that null's number -- is the answer.
+        #: (``awaits_reply``) and nothing we multicast so far is numbered
+        #: past it; our next send in the group -- CA2 has already pushed the
+        #: clock past that null's number -- is the answer.
         self._reply_awaited = False
+        #: Number and ``ldn`` of our last multicast in the group: what every
+        #: peer's ``RV`` and ``SV`` entry for us will reach without another
+        #: word from us (the channels are FIFO).
+        self._last_sent_clock = 0
+        self._last_sent_ldn = 0
 
         self._record_view_installed()
 
@@ -222,17 +231,34 @@ class GroupEndpoint:
 
     def owes_group(self) -> bool:
         """Whether a null from us would do ordering, stability or membership
-        work right now, so the time-silence deadline is ω rather than the
-        idle heartbeat period (see :mod:`repro.core.time_silence`).
+        work that no message of ours already on the wire does, so the
+        time-silence deadline is ω rather than the idle heartbeat period
+        (see :mod:`repro.core.time_silence`).
 
-        Unstable non-null traffic in the retention buffer is what peers'
-        ``RV``/``SV`` entries are waiting on; a view change, cut marker,
-        formation wait, deferred send or unsequenced unicast is waiting on
-        theirs; while the GV process holds a suspicion, gossip or a held
-        message the agreement needs everybody audible; an asymmetric
-        group's sequencer always owes, because its nulls are the group's
-        ``D_x`` (§4.2) and members read its freshness (under Ω/2) as the
-        evidence that a relayed member's silence means anything.
+        A view change, cut marker, formation wait, deferred send or
+        unsequenced unicast is waiting on peers' ``RV``/``SV`` entries; an
+        asymmetric group's sequencer always owes, because its nulls are the
+        group's ``D_x`` (§4.2) and members read its freshness (under Ω/2)
+        as the evidence that a relayed member's silence means anything.
+        Three things are owed only until a multicast of ours covers them,
+        because the channels are FIFO and the multicast is already on its
+        way to every peer:
+
+        * unstable non-null traffic in the retention buffer (§5.1), until
+          we have multicast an ``ldn`` at least its number -- after that a
+          symmetric group re-sends one numbered null per heartbeat period
+          while it stays unstable, in case that acknowledgment was lost;
+        * a member's null flagged ``awaits_reply``, unless something we
+          multicast in the group is already numbered past it (the flagging
+          process waits on nothing numbered above its own clock);
+        * an agreement in progress (§5.2), until our last numbered send
+          passes the largest ``ln`` the GV process holds -- then every
+          view-change threshold it can produce is below what peers hold of
+          us -- or while it holds a message parked for a suspected sender.
+
+        Asymmetric groups keep the first and the last until they are done:
+        a member's null there travels through the sequencer, not over the
+        FIFO channel to each peer.
 
         Idleness is a property of the processes, not of the group: a
         multi-group process delivers under the minimum of all its ``D_x``
@@ -240,16 +266,24 @@ class GroupEndpoint:
         ordering work for a busy group it overlaps.  A process that holds
         anything undelivered (:meth:`NewtopProcess.awaits_delivery`) owes
         every one of its groups, its nulls say so (``awaits_reply``), and
-        a member that hears one owes its next send.
+        a member that hears one owes a send numbered past it.
         """
+        asymmetric = self.mode is OrderingMode.ASYMMETRIC
+        buffer = self.stability.buffer
         return bool(
-            self.stability.buffer.non_null_count()
+            (
+                buffer.non_null_count()
+                and (asymmetric or buffer.max_non_null_clock > self._last_sent_ldn)
+            )
             or self._reply_awaited
             or self.holds_unsettled_work()
             or self._formation_wait is not None
             or self.process.outstanding_unicasts(self.group_id)
-            or self.gv.busy()
-            or (self.mode == OrderingMode.ASYMMETRIC and self.engine.is_sequencer())
+            or (
+                self.gv.busy() if asymmetric
+                else self.gv.awaits_number(self._last_sent_clock)
+            )
+            or (asymmetric and self.engine.is_sequencer())
             or self.process.awaits_delivery()
         )
 
@@ -322,8 +356,14 @@ class GroupEndpoint:
         )
         self.broadcast_data(message, cause="formation")
 
-    def _send_null(self) -> None:
+    def _send_null(self, ask: bool = False) -> None:
         """Time-silence callback: multicast a null message (§4.1).
+
+        ``ask``: the re-send of a symmetric group that still retains
+        unstable traffic although its own ``ldn`` already covers it.  What
+        is missing is some member's acknowledgment, lost on the way here;
+        the null is flagged ``awaits_reply``, so every member whose last
+        multicast is numbered below it answers with its current ``ldn``.
 
         In an asymmetric group a member's nulls normally travel via the
         sequencer.  While that relay path looks dead -- the sequencer has
@@ -352,13 +392,14 @@ class GroupEndpoint:
                 or self.gv.is_excluded(sequencer)
                 or silent_for >= self.suspector.suspicion_timeout
             )
-        if sequencer_dead_path:
+        if ask or sequencer_dead_path:
             clock = self.process.clock.tick()
             message = DataMessage.null(
                 sender=self.process.process_id,
                 group=self.group_id,
                 clock=clock,
                 ldn=self.engine.ldn(),
+                awaits_reply=ask,
             )
             self.broadcast_data(message, cause="null_time_silence")
         else:
@@ -407,6 +448,8 @@ class GroupEndpoint:
         )
         self.time_silence.notify_sent()
         self._reply_awaited = False
+        self._last_sent_clock = message.clock
+        self._last_sent_ldn = message.ldn
         self.on_data_message(message, local_origin=True)
 
     def send_to_member(
@@ -511,7 +554,9 @@ class GroupEndpoint:
             if self._filtered(filter_key, message):
                 return True
             process.clock.observe(message.clock)
-            if message.awaits_reply:
+            if message.awaits_reply and message.clock > self._last_sent_clock:
+                # A send of ours numbered past the flag is already on its
+                # way to the flagging member: that is the answer.
                 self._reply_awaited = True
         if (
             not local_origin
@@ -814,7 +859,7 @@ class GroupEndpoint:
         if not actually_removed:
             return
         self._adopt_view(self.view.exclude(actually_removed))
-        if self.time_silence.idle_armed and self.mode != OrderingMode.ASYMMETRIC:
+        if self.time_silence.dormant:
             # The ring moved on to successors nobody has vouched to yet.
             self.process.heartbeat.cover(self)
         if self.signature_view is not None:

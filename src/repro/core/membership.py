@@ -110,6 +110,9 @@ class GroupViewProcess:
         #: When each active suspicion was last announced to the group
         #: (simulated time), for the re-gossip keep-alive.
         self._announced: Dict[Suspicion, float] = {}
+        #: The largest ``ln`` among the suspicions and gossip held since
+        #: the agreement was last idle (a running maximum: never too low).
+        self._ln_high = 0
 
     # ------------------------------------------------------------------
     # Queries used by the endpoint's receive path
@@ -122,6 +125,21 @@ class GroupViewProcess:
         """Whether the agreement has anything in flight: a suspicion of our
         own, a peer's gossip, or a message held for a suspected sender."""
         return bool(self._suspicions or self._gossip or self._pending)
+
+    def awaits_number(self, last_sent: int) -> bool:
+        """Whether the agreement still needs a numbered message from us,
+        our last one being numbered ``last_sent``: while it holds a message
+        parked for a suspected sender, or until ``last_sent`` passes every
+        ``ln`` it holds -- every view-change threshold (``lnmn``) it can
+        produce is then below what each peer holds of us."""
+        if not self.busy():
+            self._ln_high = 0
+            return False
+        return bool(self._pending) or last_sent <= self._ln_high
+
+    def _hold_ln(self, suspicion: Suspicion) -> None:
+        if suspicion.last_number > self._ln_high:
+            self._ln_high = suspicion.last_number
 
     def is_excluded(self, process: str) -> bool:
         """Whether ``process`` has been confirmed failed/disconnected."""
@@ -157,6 +175,7 @@ class GroupViewProcess:
             return
         self._suspicions.add(suspicion)
         self._suspected_targets.add(target)
+        self._hold_ln(suspicion)
         self.endpoint.record_membership_event(
             trace_events.SUSPECT, target=target, last_number=suspicion.last_number
         )
@@ -288,6 +307,7 @@ class GroupViewProcess:
             return
         supporters = self._gossip.setdefault(suspicion, set())
         supporters.add(message.origin)
+        self._hold_ln(suspicion)
         # Rule (iii): refute immediately if we already hold something newer
         # from the target.  This applies even when we suspect the target
         # ourselves (at a higher ln): the refutation does not assert the

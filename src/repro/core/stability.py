@@ -47,6 +47,11 @@ class RetentionBuffer:
         #: entries are waiting on, so "any left?" is the O(1) question the
         #: demand-driven time-silence timer asks on every firing.
         self._non_null = 0
+        #: The largest number of any non-null message ever retained: a
+        #: running maximum, so "is everything unstable numbered at most
+        #: ``n``?" is one comparison (never too low; stale-high only after
+        #: step viii dropped a failed sender's newest messages).
+        self.max_non_null_clock = 0
         self._peak_size = 0
         #: Sound lower bound on the smallest retained clock: the stability
         #: garbage collector runs per received message, so the common case
@@ -75,6 +80,8 @@ class RetentionBuffer:
             self._non_null -= 1
         if message.kind != KIND_NULL:
             self._non_null += 1
+            if message.clock > self.max_non_null_clock:
+                self.max_non_null_clock = message.clock
         per_sender[message.clock] = message
         if message.clock < self._min_retained:
             self._min_retained = message.clock

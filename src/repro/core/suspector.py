@@ -30,11 +30,14 @@ members it **watches**:
 * its K ring predecessors, always -- their beacons are addressed to it;
 * everybody, while the owner needs everybody: the endpoint passes
   ``gv.busy() or process.awaits_delivery()``, the two states in which its
-  own traffic (membership gossip, nulls flagged ``awaits_reply``) puts every
-  hearer at the ω all-pairs cadence.  A member that only just became
-  watched may not have been sending to us at all, so it gets a grace of
-  ``min(Ω, 2ω + check_interval)`` -- our flagged null within ω, its answer
-  within ω of that, found at the next check -- before its silence counts;
+  own traffic (membership gossip, nulls flagged ``awaits_reply``) obliges
+  every hearer to answer.  A member that only just became watched may not
+  have been sending to us at all, so it gets a grace of
+  ``min(Ω, 2ω + check_interval)`` -- our flagged null within ω, and its
+  answer within ω of that or already in flight (a hearer that has
+  multicast something numbered past the flag owes nothing more: that
+  multicast reaches us first), found at the next check -- before its
+  silence counts;
 * the target of a peer's suspicion (:meth:`concur`, on receipt of a
   ``SuspectMessage``), judged on *true* silence: a member that has heard
   nothing at all from ``Pk`` for Ω concurs at once.  Beacons carry no

@@ -19,17 +19,33 @@ kept by :class:`TimeSilence`, one per (process, group).  The §5.2 suspector
 only needs to hear *something* inside Ω > ω: a fact about a *process pair*,
 kept by :class:`Heartbeat`, one per process.
 
-Owed nulls: per group, at ω
----------------------------
+Three deadlines per group: ω, a re-send at Ω/2, dormant
+-------------------------------------------------------
 What silence a member may keep depends on whether it **owes** the group
 anything (the owner's ``owed`` predicate, evaluated when the timer fires).
 Owed, the next null is due at ``last numbered send + ω``: the paper's rule,
 numbered and all-pairs, so every phase in which a null does ordering,
-stability or membership work is the paper's.  Not owed,
-all that is left of the null is a heartbeat: an asymmetric group's (whose
-nulls travel through the sequencer and are its ``D_x``) stays a null, due
-``idle_period`` after the last send; a symmetric group passes ``cover``
-instead, its timer goes *dormant* and the process heartbeat vouches for it.
+stability or membership work no message of ours on the wire already does
+is the paper's (:meth:`~repro.core.endpoint.GroupEndpoint.owes_group`).
+Not owed, all that is left of the null is a heartbeat: an asymmetric
+group's (whose nulls travel through the sequencer and are its ``D_x``)
+stays a null, due ``idle_period`` after the last send; a symmetric group
+passes ``cover`` instead, its timer goes *dormant* and the process
+heartbeat vouches for it.
+
+Between the two sits a symmetric group that owes nothing but still retains
+unstable traffic (``unstable``): its own ``ldn`` already covers that
+traffic -- the owner stops owing once it has multicast one -- so what is
+missing is some member's acknowledgment, and in a lossy run it may have
+been lost on the way.  Such a group does not go dormant: one ``idle_period``
+after its last numbered send it re-sends a null, flagged ``awaits_reply``
+(``send_null(True)``), which every member whose last multicast is numbered
+below it answers with its current ``ldn``; one re-send per ``idle_period``
+while the group stays unstable, and dormant at the first firing that finds
+it stable.  Where nothing is lost no re-send is due: an isolated two-message
+burst into an idle 12-member group costs 24 null multicasts, where owing
+until the burst was stable cost 34 (E28 gates the count).
+
 The owner calls :meth:`TimeSilence.demand` after every event that may have
 made it owed (one place: :meth:`repro.core.process.NewtopProcess.settle`),
 which dates a dormant or heartbeat-dated timer to ``max(now, last_send +
@@ -92,17 +108,21 @@ class TimeSilence:
     expected to multicast a null, which resets the timer via
     :meth:`notify_sent`.  With ``cover`` the owner's process heartbeat
     vouches for the group while nothing is owed: an un-owed firing arms no
-    timer and calls ``cover()`` instead.
+    timer and calls ``cover()`` instead -- unless ``unstable()`` says the
+    owner still retains unstable traffic, in which case the timer stays
+    dated by the idle period and, when it comes, calls ``send_null(True)``:
+    a re-send asking for the acknowledgments still missing.
     """
 
     def __init__(
         self,
         sim: Simulator,
         omega: float,
-        send_null: Callable[[], None],
+        send_null: Callable[..., None],
         owed: Optional[Callable[[], bool]] = None,
         idle_period: Optional[float] = None,
         cover: Optional[Callable[[], None]] = None,
+        unstable: Optional[Callable[[], int]] = None,
     ) -> None:
         if omega <= 0:
             raise ValueError(f"omega must be positive (got {omega})")
@@ -112,6 +132,7 @@ class TimeSilence:
         self._send_null = send_null
         self._cover = cover
         self._owed = owed
+        self._unstable = unstable
         #: The ω clock: when the owner last sent anything *numbered* (or
         #: the beacon whose period that send continued).
         self.last_send_time: float = sim.now
@@ -124,10 +145,11 @@ class TimeSilence:
         #: i.e. whether :meth:`demand` has anything to pull in.
         self.idle_armed = False
         self.nulls_sent = 0
-        self._c_owed = self._c_idle = None
+        self._c_owed = self._c_idle = self._c_resent = None
         if sim.metrics is not None:
             self._c_owed = sim.metrics.counter("time_silence.nulls_owed")
             self._c_idle = sim.metrics.counter("time_silence.nulls_idle")
+            self._c_resent = sim.metrics.counter("time_silence.nulls_resent")
 
     def start(self) -> None:
         """Begin monitoring; the first null can fire ω from now."""
@@ -150,6 +172,11 @@ class TimeSilence:
         """Whether the mechanism is currently running."""
         return self._active
 
+    @property
+    def dormant(self) -> bool:
+        """Whether the process heartbeat is vouching for the group."""
+        return self.idle_armed and self._timer is None
+
     def notify_sent(self) -> None:
         """The process just sent a numbered message (null or not) in the
         group: the next null is due a period from now."""
@@ -170,7 +197,7 @@ class TimeSilence:
         if not self._active:
             return
         self.idle_armed = idle
-        if idle and self._cover is not None:
+        if idle and self._covered():
             # Dormant: the process heartbeat beacons for this group.
             self._timer = None
             self._cover()
@@ -179,6 +206,11 @@ class TimeSilence:
 
     def _is_owed(self) -> bool:
         return self.nulls_sent == 0 or self._owed is None or self._owed()
+
+    def _covered(self) -> bool:
+        """Whether an un-owed group may leave its liveness to the process
+        heartbeat: only once nothing it retains is unstable."""
+        return self._cover is not None and not (self._unstable and self._unstable())
 
     def _on_timer(self) -> None:
         if not self._active:
@@ -189,7 +221,7 @@ class TimeSilence:
         owed = self._is_owed()
         period = self.omega if owed else self.idle_period
         silent_for = self.sim.now - self.last_send_time
-        if silent_for + _EPSILON < period or (self._cover is not None and not owed):
+        if silent_for + _EPSILON < period or (not owed and self._covered()):
             # Something was sent in the meantime, or the owner stopped being
             # owed: wake when the silence would reach the period (never
             # sooner than the tolerance, so the timer makes real progress).
@@ -198,9 +230,14 @@ class TimeSilence:
             )
             return
         self.nulls_sent += 1
+        resend = not owed and self._cover is not None
         if self._c_owed is not None:
-            (self._c_owed if owed else self._c_idle).value += 1
-        self._send_null()
+            counter = self._c_owed if owed else self._c_resent if resend else self._c_idle
+            counter.value += 1
+        if resend:
+            self._send_null(True)
+        else:
+            self._send_null()
         # A multicast null went through the normal send path and has
         # already called notify_sent(); one relayed through a sequencer has
         # not been heard yet, but the deadlines count from its issue.  The
@@ -308,7 +345,7 @@ class Heartbeat:
         horizon = now + _EPSILON - self.period
         vouched = self._vouched
         endpoints = self._endpoints()
-        dormant = [e for e in endpoints if e.time_silence.idle_armed]
+        dormant = [e for e in endpoints if e.time_silence.dormant]
         # One beacon to each neighbour some dormant group owes one, in ring
         # order, naming every group it can vouch for; neighbours that share
         # the same groups share one multicast.
@@ -325,7 +362,7 @@ class Heartbeat:
                 ]
                 for other in shared:
                     vouched[(neighbour, other.group_id)] = now
-                    if other.time_silence.idle_armed:
+                    if other.time_silence.dormant:
                         other.time_silence.vouched_at = now
                 fanout.setdefault(tuple([e.group_id for e in shared]), []).append(neighbour)
         for groups, neighbours in fanout.items():

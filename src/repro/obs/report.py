@@ -84,6 +84,16 @@ def _render_metrics(metrics: Mapping[str, Any]) -> List[str]:
     if counters:
         lines.append("  counters")
         lines.extend(_table([(name, _fmt(value)) for name, value in counters.items()], "    "))
+        if "time_silence.nulls_owed" in counters:
+            # The three deadlines of repro.core.time_silence: ω while owed,
+            # the heartbeat period while idle, and the heartbeat period for a
+            # re-send asking for an acknowledgment that never came.
+            lines.append(
+                "  time-silence firings: "
+                f"{_fmt(counters['time_silence.nulls_owed'])} owed, "
+                f"{_fmt(counters.get('time_silence.nulls_idle', 0))} idle, "
+                f"{_fmt(counters.get('time_silence.nulls_resent', 0))} re-sent"
+            )
         beacons = counters.get("transport.sent.Beacon")
         heartbeats = counters.get("time_silence.nulls_idle")
         if beacons and heartbeats:

@@ -47,7 +47,9 @@ fuzz campaign, shrunk, diagnosed and fixed:
   from ``q`` to every group shared with ``q``: a member that had left
   ``g`` kept being heard in ``g`` through ``h`` and was never excluded.
   Liveness evidence names its groups (a beacon's ``groups``); the pair is
-  pinned at the deliveries and message counts of the commit before.
+  pinned at the deliveries of the commit before and at most the messages
+  of the commit that made nulls owed only for work not yet on the wire
+  (836 -> 755 and 596 -> 528 then, deliveries unchanged).
 
 The full generated corpus entries regenerate deterministically from
 ``(corpus_seed, index)`` under the default tuning, and the shrunk minimal
@@ -92,13 +94,13 @@ LEDGER_TUNING = GeneratorTuning(
 @pytest.mark.parametrize(
     "index, deliveries, messages_sent",
     [
-        pytest.param(12, 81, 836, id="leave-one-of-three-overlapping-groups"),
-        pytest.param(50, 59, 596, id="leave-one-of-two-overlapping-groups"),
+        pytest.param(12, 81, 755, id="leave-one-of-three-overlapping-groups"),
+        pytest.param(50, 59, 528, id="leave-one-of-two-overlapping-groups"),
     ],
 )
 def test_a_departure_is_silence_in_its_own_group(index, deliveries, messages_sent):
-    # Pinned on the commit before beacons named their groups: everything
-    # still delivered, in no more messages.
+    # Deliveries pinned on the commit before beacons named their groups:
+    # everything still delivered, in no more messages than pinned.
     row = run_fuzz_unit(7, index, tuning=LEDGER_TUNING)
     assert row["status"] == "pass", row["violations"]
     assert row["deliveries"] == deliveries

@@ -15,6 +15,8 @@ import sys
 import pytest
 
 from repro.api import Session
+from repro.core.messages import DataMessage
+from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.trace import DELIVER, RECEIVE, SEND, TraceEvent, TraceRecorder
 from repro.obs import (
@@ -355,6 +357,54 @@ def test_render_obs_mentions_every_section():
     assert "delivery_batch" in text
     assert "ordering_wait" in text
     assert "time_silence.nulls_owed" in text and "time_silence.nulls_idle" in text
+
+
+def test_a_lost_acknowledgment_shows_as_a_resent_null():
+    """P3's null that acknowledged P1's message never reaches P1, so P1
+    stays unstable with its own ``ldn`` already sent: its next firing is a
+    re-send, counted apart from owed and idle nulls and printed beside
+    them."""
+    session = Session(
+        "newtop", seed=1, observe=True, latency_model=ConstantLatency(0.7),
+        config={"omega": 2.0, "suspicion_timeout": 10.0},
+    )
+    session.spawn(["P1", "P2", "P3", "P4"])
+    session.group("g")
+    session.run(20.3)
+    lost = []
+
+    def lose_covering_null(src, dst, message):
+        payload = message.payload
+        if (
+            (src, dst) == ("P3", "P1") and not lost
+            and isinstance(payload, DataMessage) and payload.kind == "null"
+            and payload.ldn >= sent.clock
+        ):
+            lost.append(payload)
+            return False
+        return True
+
+    session.network.add_filter(lose_covering_null)
+    session.multicast("P1", "g", "m")
+    (sent,) = [event for event in session.trace() if event.kind == SEND]
+    session.run(20.0)
+    result = session.result()
+    assert result.passed and len(lost) == 1
+    counters = result.obs["metrics"]["counters"]
+    assert counters["time_silence.nulls_resent"] == 1
+    assert (
+        counters["time_silence.nulls_owed"] + counters["time_silence.nulls_idle"]
+        + counters["time_silence.nulls_resent"] == counters["trace.null_send"]
+    )
+    assert all(
+        process.endpoint("g").stability.buffer.non_null_count() == 0
+        for process in (session[name] for name in ("P1", "P2", "P3", "P4"))
+    )
+    text = render_obs(result.obs)
+    assert (
+        f"time-silence firings: {counters['time_silence.nulls_owed']} owed, "
+        f"{counters['time_silence.nulls_idle']} idle, 1 re-sent"
+    ) in text
 
 
 def test_render_document_walks_nested_obs_blocks():

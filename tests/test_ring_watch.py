@@ -79,19 +79,20 @@ def test_ring_successors_wrap_and_shrink_with_the_group():
     assert ring_successors(["A"], "A") == ()
 
 
-def _beaconing_timer(sim, owed):
+def _beaconing_timer(sim, owed, unstable=(False,)):
     """One symmetric group's timer wired to a process heartbeat, as an
     endpoint wires them: un-owed, the timer goes dormant and the heartbeat
-    beacons the group's one ring successor."""
+    beacons the group's one ring successor -- unless the group is still
+    unstable, when it re-sends a null asking for answers instead."""
     sent = []
 
-    def send_null():
-        sent.append(("null", sim.now))
+    def send_null(ask=False):
+        sent.append(("resend" if ask else "null", sim.now))
         silence.notify_sent()
 
     silence = TimeSilence(
         sim, 2.0, send_null, owed=lambda: owed[0], idle_period=5.0,
-        cover=lambda: heartbeat.cover(group),
+        cover=lambda: heartbeat.cover(group), unstable=lambda: unstable[0],
     )
     group = SimpleNamespace(
         group_id="g", time_silence=silence, ring_successors=("P2",),
@@ -136,6 +137,23 @@ def test_a_beacon_restarts_the_idle_period_but_not_the_omega_clock():
     sim.schedule_at(11.5, lambda: owed.__setitem__(0, False))
     sim.run(until=17.0)
     assert sent[3:] == [("null", 9.0), ("null", 11.0), ("beacon", 16.0)]
+
+
+def test_covered_but_unstable_resends_at_the_idle_period_instead_of_going_dormant():
+    """The third deadline: owed nothing, but still holding unstable
+    traffic, the timer is not dormant -- it re-sends one numbered null per
+    idle period, and goes dormant at the first firing that finds the group
+    stable."""
+    sim = Simulator()
+    unstable = [True]
+    silence, sent = _beaconing_timer(sim, owed=[False], unstable=unstable)
+    sim.run(until=13.0)
+    assert sent == [("null", 2.0), ("resend", 7.0), ("resend", 12.0)]
+    assert silence.idle_armed and not silence.dormant
+    unstable[0] = False
+    sim.run(until=23.0)
+    assert sent[3:] == [("beacon", 17.0), ("beacon", 22.0)]
+    assert silence.dormant
 
 
 def test_a_null_more_than_omega_after_the_beacon_starts_its_own_period():
@@ -539,6 +557,27 @@ def test_a_neighbours_crash_is_suspected_in_every_shared_group_on_the_same_grid_
         assert installs == pytest.approx(
             {"P1": 68.7, "P3": 69.4, "P4": 69.4, "P5": 69.4}, abs=1e-6
         )
+
+
+def test_no_survivor_sends_a_busy_null_after_passing_the_suspicions_ln():
+    """While the agreement on P2 runs, a survivor owes the group nulls only
+    until one of its numbered sends passes the suspicion's ``ln``: then
+    every view-change threshold the agreement can reach is below what its
+    peers hold of it.  P3-P5 each send one null at their suspicion (numbered
+    2, past ``ln`` 1) and nothing more before they install; P1 had already
+    sent past it.  The commit before sent three more, at 69.0, while still
+    busy (the times above are the same on both)."""
+    cluster, _ = _overlapping(["g0"], idle_for=60.3)
+    cluster.crash("P2")
+    cluster.run(3 * BIG_OMEGA)
+    (ln,) = {event.detail("last_number") for event in cluster.trace().events(kind=SUSPECT)}
+    nulls = [
+        (event.time, event.process, event.clock)
+        for event in cluster.trace().events(kind=NULL_SEND)
+        if event.group == "g0" and event.time > 60.3
+    ]
+    assert ln == 1
+    assert nulls == [(68.0, "P3", 2), (68.0, "P4", 2), (68.0, "P5", 2)]
 
 
 def test_leaving_one_of_two_overlapping_groups_is_silence_in_that_group():

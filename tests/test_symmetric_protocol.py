@@ -320,8 +320,10 @@ _OWED_CONDITIONS = {
     "unicast_outstanding": lambda endpoint: endpoint.process.note_unicast_outstanding(
         "g1", "request-1"
     ),
+    # Numbered past our last send: the view change it can lead to needs a
+    # number of ours above it.
     "suspicion_held": lambda endpoint: endpoint.gv.on_suspector_notification(
-        Suspicion("P2", 0)
+        Suspicion("P2", 10**6)
     ),
     "message_undelivered": lambda endpoint: endpoint.process.delivery_queue.enqueue(
         DataMessage.application("P2", "g1", 10**6, 0, "payload")
