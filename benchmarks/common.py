@@ -22,6 +22,7 @@ from repro.analysis.metrics import build_report
 from repro.api import ProtocolStack, Session, SessionResult
 from repro.core import OrderingMode
 from repro.experiments import SweepReport
+from repro.net.latency import LatencyModel
 from repro.net.trace import EventTrace, TraceEvent, TraceSink
 from repro.scenarios import SCENARIO_PROTOCOL_DEFAULTS
 
@@ -52,6 +53,7 @@ def run_session(
     sinks: Optional[Sequence[TraceSink]] = None,
     view_agreement_sets: Optional[Dict[str, Sequence[str]]] = None,
     observe: object = None,
+    latency_model: Optional[LatencyModel] = None,
 ) -> Session:
     """One :class:`repro.api.Session` with the benchmark-default protocol
     configuration, processes spawned and groups installed.
@@ -61,7 +63,9 @@ def run_session(
     The default is one group ``"bench"`` over everyone.  This replaces the
     per-benchmark cluster boilerplate: the session carries the trace
     wiring, and :func:`assert_session_correct` reads the verdict from
-    whichever analysis mode the benchmark selected.
+    whichever analysis mode the benchmark selected.  ``latency_model``
+    replaces the seeded random link delay (a benchmark that gates exact
+    counts passes ``ConstantLatency``).
     """
     overrides = dict(SCENARIO_PROTOCOL_DEFAULTS)
     if mode_overrides:
@@ -75,6 +79,7 @@ def run_session(
         analysis=analysis,
         view_agreement_sets=view_agreement_sets,
         observe=observe,
+        latency_model=latency_model,
     )
     session.spawn(names)
     for entry in groups if groups is not None else [("bench", None)]:

@@ -16,6 +16,14 @@ sequencer: the shared Lamport clock plus the Send Blocking Rule (enforced
 at the process level, see :mod:`repro.core.process`) are enough to keep
 cross-group delivery totally ordered (MD4').
 
+Stability (§5.1) works through the sequencer too.  A member's request
+carries its ``D_x`` as ``origin_ldn``; the sequencer stamps the minimum of
+the last one from each other member and its own ``D_x`` into every
+sequenced message as ``ldn``, and each receiver records that as the bound
+of the whole view.  So one request from every member after a burst -- an
+idle null will do -- makes the burst stable everywhere, retention drains,
+and the §7 window reopens.
+
 Fault tolerance for the asymmetric engine (sequencer failover, re-sending
 of unsequenced requests) goes beyond what the paper spells out -- §5 covers
 only the symmetric version "to save space" -- and is documented as an
@@ -45,10 +53,12 @@ class AsymmetricOrdering(OrderingEngine):
         #: ``D_x,i`` for asymmetric groups).
         self.last_sequenced: int = 0
         #: At the sequencer only: last ``origin_ldn`` reported by each
-        #: member, aggregated into the ``ldn`` of sequenced messages so
-        #: stability works group-wide.
+        #: *other* member, aggregated into the ``ldn`` of sequenced messages
+        #: so stability works group-wide.  Every member keeps it from the
+        #: start, so a successor sequencer has no entry for itself either.
+        own_id = endpoint.process.process_id
         self._member_ldn: Dict[str, int] = {
-            member: 0 for member in endpoint.view.members
+            member: 0 for member in endpoint.view.members if member != own_id
         }
         #: Requests this process unicast that have not yet come back as a
         #: sequenced multicast: request id -> (payload, kind).  Used to
@@ -182,7 +192,10 @@ class AsymmetricOrdering(OrderingEngine):
 
     def _aggregate_ldn(self) -> int:
         """Group-wide stability bound: the minimum deliverable bound over
-        every member the sequencer has heard from, and its own."""
+        every member the sequencer has heard from, and its own.  A member
+        not heard from yet counts as 0; the sequencer's own bound is read
+        here, never reported (it sends itself no request), and a removed
+        member's entry is gone with it."""
         own = self.ldn()
         if not self._member_ldn:
             return own

@@ -173,6 +173,12 @@ class GroupEndpoint:
             metrics.sum_gauge("flow.blocked_senders").add(
                 lambda: 1 if self.deferred_sends else 0
             )
+            # Messages retained for recovery while not yet stable (§5.1),
+            # over the endpoints still in their group; polled the same way.
+            retained = self.stability.buffer.size
+            metrics.sum_gauge("stability.retained").add(
+                lambda: retained() if self.active else 0
+            )
         #: The recorder's lifecycle dispatch (``None``: nobody follows
         #: messages; see :mod:`repro.net.trace`).
         self._lifecycle = process.recorder.lifecycle
@@ -258,7 +264,11 @@ class GroupEndpoint:
 
         Asymmetric groups keep the first and the last until they are done:
         a member's null there travels through the sequencer, not over the
-        FIFO channel to each peer.
+        FIFO channel to each peer.  The stability term ends too: the
+        sequencer stamps the group's aggregated ``ldn`` on everything it
+        sequences, so unstable traffic is stable everywhere once each member
+        has sent one request after it (:mod:`repro.core.asymmetric`); in an
+        idle asymmetric group only the sequencer then still owes.
 
         Idleness is a property of the processes, not of the group: a
         multi-group process delivers under the minimum of all its ``D_x``

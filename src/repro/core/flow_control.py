@@ -26,7 +26,8 @@ which is the no-overflow guarantee the paper claims.
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import deque
+from typing import Deque, Optional
 
 
 class FlowController:
@@ -36,8 +37,10 @@ class FlowController:
         if window is not None and window < 1:
             raise ValueError("flow-control window must be >= 1 or None")
         self.window = window
-        #: Clocks of own messages sent but not yet known stable.
-        self._outstanding: set[int] = set()
+        #: Clocks of own messages sent but not yet known stable, oldest
+        #: first: the process clock never goes back, and a clock equal to
+        #: the newest entry is already counted.
+        self._outstanding: Deque[int] = deque()
 
     # ------------------------------------------------------------------
     # Send-side interface
@@ -55,16 +58,19 @@ class FlowController:
 
     def note_sent(self, clock: int) -> None:
         """Record that an own application message numbered ``clock`` left."""
-        if self.enabled:
-            self._outstanding.add(clock)
+        outstanding = self._outstanding
+        if self.enabled and not (outstanding and outstanding[-1] >= clock):
+            outstanding.append(clock)
 
     # ------------------------------------------------------------------
     # Stability feedback
     # ------------------------------------------------------------------
     def note_stability(self, stability_bound: float) -> None:
-        """Stop counting own messages at or below a new stability bound."""
-        if self.enabled:
-            self._outstanding = {c for c in self._outstanding if c > stability_bound}
+        """Stop counting own messages at or below a new stability bound;
+        called on every receipt, it costs one pop per message released."""
+        outstanding = self._outstanding
+        while outstanding and outstanding[0] <= stability_bound:
+            outstanding.popleft()
 
     # ------------------------------------------------------------------
     # Introspection

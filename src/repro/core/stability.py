@@ -22,10 +22,11 @@ unstable, so they are guaranteed to still be in the buffer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.messages import KIND_NULL, DataMessage
-from repro.core.vectors import INFINITY as _INF, make_stability_vector
+from repro.core.vectors import make_stability_vector
 
 
 class RetentionBuffer:
@@ -53,12 +54,13 @@ class RetentionBuffer:
         #: step viii dropped a failed sender's newest messages).
         self.max_non_null_clock = 0
         self._peak_size = 0
-        #: Sound lower bound on the smallest retained clock: the stability
-        #: garbage collector runs per received message, so the common case
-        #: ("bound did not advance past anything retained") must be an O(1)
-        #: comparison, not a full-buffer scan.  Removals may leave the
-        #: bound stale-low, which only costs an occasional wasted scan.
-        self._min_retained: float = _INF
+        #: ``(clock, sender)`` of every message retained, as a min-heap: the
+        #: stability garbage collector runs per received message, so it
+        #: pops exactly what the bound passed and otherwise costs one
+        #: comparison with the smallest entry.  Removals other than the
+        #: collector's leave their entries behind; each costs one pop once
+        #: the bound passes it.
+        self._order: List[Tuple[int, str]] = []
 
     # ------------------------------------------------------------------
     # Insertion and garbage collection
@@ -70,46 +72,45 @@ class RetentionBuffer:
         groups file sequenced messages under the sequencer, because that is
         the process whose silence/failure governs their recovery (§4.2).
         """
-        per_sender = self._by_sender.setdefault(key or message.sender, {})
-        replaced = per_sender.get(message.clock)
+        sender = key or message.sender
+        clock = message.clock
+        per_sender = self._by_sender.setdefault(sender, {})
+        replaced = per_sender.get(clock)
         if replaced is None:
             self._size += 1
             if self._size > self._peak_size:
                 self._peak_size = self._size
+            heappush(self._order, (clock, sender))
         elif replaced.kind != KIND_NULL:
             self._non_null -= 1
         if message.kind != KIND_NULL:
             self._non_null += 1
-            if message.clock > self.max_non_null_clock:
-                self.max_non_null_clock = message.clock
-        per_sender[message.clock] = message
-        if message.clock < self._min_retained:
-            self._min_retained = message.clock
+            if clock > self.max_non_null_clock:
+                self.max_non_null_clock = clock
+        per_sender[clock] = message
 
     def discard_stable(self, stability_bound: float) -> int:
         """Discard every retained message numbered ``<= stability_bound``.
 
-        Returns the number of messages discarded.  Called whenever the
-        stability vector's minimum advances.
+        Returns the number of messages discarded.  Called on every receipt;
+        the cost is one heap pop per message freed.
         """
-        if stability_bound < self._min_retained:
+        order = self._order
+        if not order or order[0][0] > stability_bound:
             return 0
+        by_sender = self._by_sender
         discarded = 0
-        new_min: float = _INF
-        for sender in list(self._by_sender):
-            per_sender = self._by_sender[sender]
-            stable_clocks = [clock for clock in per_sender if clock <= stability_bound]
-            for clock in stable_clocks:
-                if per_sender.pop(clock).kind != KIND_NULL:
-                    self._non_null -= 1
-                discarded += 1
-            if per_sender:
-                sender_min = min(per_sender)
-                if sender_min < new_min:
-                    new_min = sender_min
-            else:
-                del self._by_sender[sender]
-        self._min_retained = new_min
+        while order and order[0][0] <= stability_bound:
+            clock, sender = heappop(order)
+            per_sender = by_sender.get(sender)
+            message = per_sender.pop(clock, None) if per_sender else None
+            if message is None:
+                continue  # already dropped by a removal
+            if message.kind != KIND_NULL:
+                self._non_null -= 1
+            discarded += 1
+            if not per_sender:
+                del by_sender[sender]
         self._size -= discarded
         self._discarded_stable += discarded
         return discarded
@@ -206,6 +207,8 @@ class StabilityTracker:
         self.group = group
         self.vector = make_stability_vector(members, use_slab=use_slab)
         self.buffer = RetentionBuffer(group)
+        #: The largest sequencer-aggregated bound recorded so far.
+        self._global_ldn = 0
 
     def on_message(self, message: DataMessage, key: Optional[str] = None) -> int:
         """Process a sent-or-received message; returns messages discarded.
@@ -226,8 +229,13 @@ class StabilityTracker:
         The sequencer computes the minimum deliverable bound over every
         member (from the ``origin_ldn`` of their unicasts) before stamping
         it into sequenced messages, so the bound applies to all members at
-        once.  Returns the number of retained messages discarded.
+        once.  Returns the number of retained messages discarded.  A bound
+        no higher than the last one recorded changes no entry (entries only
+        grow), so it costs one comparison.
         """
+        if ldn <= self._global_ldn:
+            return 0
+        self._global_ldn = ldn
         for member in list(self.vector):
             self.vector.record_ldn(member, ldn)
         return self.buffer.discard_stable(self.vector.stability_bound)

@@ -78,7 +78,9 @@ def _sparkline(values: List[Optional[float]]) -> str:
 # ----------------------------------------------------------------------
 # Section renderers
 # ----------------------------------------------------------------------
-def _render_metrics(metrics: Mapping[str, Any]) -> List[str]:
+def _render_metrics(
+    metrics: Mapping[str, Any], samples: Optional[Mapping[str, Any]] = None
+) -> List[str]:
     lines = ["metrics"]
     counters = metrics.get("counters") or {}
     if counters:
@@ -123,6 +125,15 @@ def _render_metrics(metrics: Mapping[str, Any]) -> List[str]:
             f"ticks, of them {_fmt(counters.get('suspector.pokes', 0))} pulled in "
             f"by a poke, over {_fmt(periods)} process-periods)"
         )
+    retained = gauges.get("stability.retained")
+    if retained is not None:
+        # §5.1's collector at a glance: with stability advancing, "now"
+        # stays near the traffic in flight; a collector that stopped makes
+        # it the peak and the run's whole history.  The peak is over the
+        # sampler's ticks ("-" without a sampler).
+        column = ((samples or {}).get("gauges") or {}).get("stability.retained") or []
+        peak = max([retained, *column]) if column else None
+        lines.append(f"  retained messages: now {_fmt(retained)}, peak {_fmt(peak)}")
     if gauges:
         lines.append("  gauges (at snapshot)")
         rows = []
@@ -390,7 +401,7 @@ def render_obs(obs: Mapping[str, Any], title: str = "") -> str:
         lines.append(title)
         lines.append("-" * len(title))
     if obs.get("metrics"):
-        lines.extend(_render_metrics(obs["metrics"]))
+        lines.extend(_render_metrics(obs["metrics"], obs.get("samples")))
     if obs.get("samples"):
         lines.extend(_render_samples(obs["samples"]))
     if obs.get("profile"):

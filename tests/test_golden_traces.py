@@ -68,6 +68,22 @@ Regeneration notes:
   the tie went to ``P001``; now they are numbered 16 and 15, so every
   member delivers ``P002``'s first.  Each is the same total order at every
   member, and the checkers pass.
+* Asymmetric groups reach stability (the sequencer's aggregated ``ldn``
+  no longer has an entry for the sequencer itself, which pinned it at 0):
+  ``churn60`` and ``formation_crash_during_vote`` (symmetric only) and the
+  four other journey runs stayed byte-identical.  ``kv_failover_asymmetric``
+  moved with its clock-free skeleton equal: its members stop owing a null
+  every ω once their writes are stable, so ``null_send`` 84 -> 78, messages
+  214 -> 199 and events 196 -> 190, the other kinds unchanged; journeys 96
+  -> 90 at rate 1 and 0 -> 1 at 1-in-64 (ids renumbered).
+  ``flow_control_window_one`` (journeys only) moved because its asymmetric
+  window now reopens: the parent delivered 9 of 36 in ``asym`` and left
+  three sends deferred at each of P2, P3 and P4 for good; now all 36 are
+  delivered (sends 15 -> 24, ``unblocked_send`` 9 -> 18, ``null_send`` 98
+  -> 100, messages 265 -> 286, journeys 86 -> 103), ``sym`` unchanged.
+  ``partition_three_three`` (journeys only) moved: ``null_send`` 283 ->
+  276, messages 1,372 -> 1,353, journeys 335 -> 328, the other kinds
+  unchanged.
 """
 
 import argparse

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from repro.api import Session
+from repro.core.config import OrderingMode
 from repro.core.messages import DataMessage
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
@@ -312,6 +313,35 @@ def test_blocked_senders_gauge_follows_the_deferred_sends():
     column = result.obs["samples"]["gauges"]["flow.blocked_senders"]
     assert max(column) == 1 and column[-1] == 0
     assert result.obs["metrics"]["gauges"]["flow.blocked_senders"] == 0
+
+
+def test_retained_gauge_shows_the_collector_drain_an_asymmetric_group():
+    """``stability.retained`` sums the retention buffers of the endpoints
+    still in their group at sampler ticks.  After a burst into an idle
+    asymmetric group it rises, then falls back to the idle nulls not yet
+    known stable, and the report prints it as now / peak.  Before the
+    sequencer stopped stamping ``ldn`` 0 it only grew: a collector that
+    stopped reads "now" equal to "peak"."""
+    names = ["P1", "P2", "P3", "P4"]
+    session = Session(
+        "newtop", seed=1, observe=True, latency_model=ConstantLatency(0.7),
+        config={"omega": 2.0, "suspicion_timeout": 10.0},
+    )
+    session.spawn(names)
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
+    session.run(20.3)
+    for index in range(4):
+        session.multicast("P2", "g", f"m{index}")
+    session.run(60.0)
+    result = session.result()
+    assert result.passed
+    now = result.obs["metrics"]["gauges"]["stability.retained"]
+    assert now == sum(
+        session[name].endpoint("g").stability.buffer.size() for name in names
+    )
+    peak = max(result.obs["samples"]["gauges"]["stability.retained"])
+    assert (now, peak) == (16, 32)  # four buffers of four idle nulls
+    assert f"retained messages: now {now}, peak {peak}" in render_obs(result.obs)
 
 
 def test_session_observe_full_block():

@@ -255,6 +255,35 @@ def test_stability_tracker_global_ldn():
     assert tracker.buffer.size() == 0
 
 
+def test_retention_buffer_collects_past_removals_and_re_retains():
+    """The collector pops only what the bound passed; a message a removal
+    already dropped is skipped when its turn comes, and one retained again
+    after its removal is collected once."""
+    buffer = RetentionBuffer("g")
+    for clock in (1, 2, 3, 4):
+        buffer.retain(_message("P1", "g", clock))
+    buffer.retain(_message("P2", "g", 2))
+    assert buffer.discard_stable(0) == 0
+    assert buffer.discard_sender_above("P1", 2) == 2  # P1#3, P1#4
+    assert buffer.discard_sender("P2") == 1
+    buffer.retain(_message("P1", "g", 4))  # recovered again
+    assert buffer.discard_stable(3) == 2  # P1#1, P1#2
+    assert buffer.size() == 1 and buffer.messages_from("P1")[0].clock == 4
+    assert buffer.discard_stable(10) == 1
+    assert buffer.size() == 0 and buffer.discarded_stable_count == 3
+
+
+def test_stability_tracker_global_ldn_only_moves_forward():
+    tracker = StabilityTracker("g", ["P1", "P2", "P3"])
+    for clock in (1, 2, 3):
+        tracker.on_message(DataMessage.application("P1", "g", clock, 0, "a"))
+    assert tracker.record_global_ldn(2) == 2
+    assert tracker.record_global_ldn(2) == 0
+    assert tracker.record_global_ldn(1) == 0
+    assert tracker.stability_bound() == 2 and tracker.buffer.size() == 1
+    assert tracker.record_global_ldn(3) == 1
+
+
 # ----------------------------------------------------------------------
 # Flow control
 # ----------------------------------------------------------------------
