@@ -21,7 +21,7 @@ global order (safe2) -- that is how Newtop gets cross-group total order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.asymmetric import AsymmetricOrdering
@@ -168,7 +168,10 @@ class GroupEndpoint:
         #: wait / flow control, in submission order.
         self.deferred_sends: List[object] = []
         metrics = process.sim.metrics
+        #: Nulls of ours that rode a suspect or confirm message.
+        self._c_nulls_carried = None
         if metrics is not None:
+            self._c_nulls_carried = metrics.counter("time_silence.nulls_carried")
             # Senders with a send waiting, polled at sampler ticks only.
             metrics.sum_gauge("flow.blocked_senders").add(
                 lambda: 1 if self.deferred_sends else 0
@@ -261,6 +264,9 @@ class GroupEndpoint:
           passes the largest ``ln`` the GV process holds -- then every
           view-change threshold it can produce is below what peers hold of
           us -- or while it holds a message parked for a suspected sender.
+          Normally our own suspect message has met it already: it carries
+          our null (:meth:`mcast_membership`), which CA1 numbers past every
+          message we hold, the target's included.
 
         Asymmetric groups keep the first and the last until they are done:
         a member's null there travels through the sequencer, not over the
@@ -456,11 +462,16 @@ class GroupEndpoint:
         self.process.transport_endpoint.multicast(
             self._peers, message, "newtop", message.wire_size_bytes(), cause
         )
+        self._note_sent(message)
+        self.on_data_message(message, local_origin=True)
+
+    def _note_sent(self, message: DataMessage) -> None:
+        """A numbered multicast of ours is on the wire: restart the ω clock
+        and remember what every peer will hold of us."""
         self.time_silence.notify_sent()
         self._reply_awaited = False
         self._last_sent_clock = message.clock
         self._last_sent_ldn = message.ldn
-        self.on_data_message(message, local_origin=True)
 
     def send_to_member(
         self, member: str, payload: object, cause: Optional[str] = None
@@ -511,13 +522,50 @@ class GroupEndpoint:
             for item in items:
                 self._report(trace_events.DISCARDED, item, reason)
 
-    def mcast_membership(self, message: object, cause: Optional[str] = None) -> None:
+    def mcast_membership(self, message: object, cause: Optional[str] = None) -> bool:
         """The GV process's ``mcast`` primitive: transmit to every view
-        member's GV process (delivered in sent order by the transport)."""
+        member's GV process (delivered in sent order by the transport).
+
+        Outside an asymmetric group and a formation wait, a suspect or
+        confirm message carries our null (``message.null``): numbered like
+        the null time-silence would send (CA1, current ``ldn``,
+        ``awaits_reply``), and looped back like any send of ours.  It is
+        the number the agreement needs from us (:meth:`owes_group`), which
+        would otherwise follow in a frame of its own.  Refutations stay
+        unnumbered (:mod:`repro.core.membership` says why).
+
+        The loop-back does not settle: the GV process is mid-rule (a
+        confirmation goes out before step (viii) runs), and its caller
+        settles once the rule is done.  Returns whether a null rode along.
+        """
+        process = self.process
+        null = None
+        if (
+            self.mode is not OrderingMode.ASYMMETRIC
+            and self._formation_wait is None
+            and isinstance(message, (SuspectMessage, ConfirmMessage))
+        ):
+            null = DataMessage.null(
+                sender=process.process_id,
+                group=self.group_id,
+                clock=process.clock.tick(),
+                ldn=self.engine.ldn(),
+                awaits_reply=process.awaits_delivery(),
+            )
+            message = replace(message, null=null)
+            if self._lifecycle is not None:
+                self._report(trace_events.TRANSMITTED, null, cause)
         size = message.wire_size_bytes() if hasattr(message, "wire_size_bytes") else 0
-        self.process.transport_endpoint.multicast(
-            self._peers, message, "newtop", size, cause
-        )
+        process.transport_endpoint.multicast(self._peers, message, "newtop", size, cause)
+        if null is None:
+            return False
+        if self._c_nulls_carried is not None:
+            self._c_nulls_carried.value += 1
+        self._note_sent(null)
+        self.stability.on_message(null)
+        self._after_stability_advance()
+        self.engine.on_data(null)
+        return True
 
     # ------------------------------------------------------------------
     # Receive path
@@ -651,11 +699,17 @@ class GroupEndpoint:
             self.suspector.heard_from(beacon.origin, 0)
 
     def on_membership_message(self, src: str, message: object) -> None:
-        """Handle a suspect/refute/confirm message from ``src``'s GV."""
+        """Handle a suspect/refute/confirm message from ``src``'s GV, then
+        the null it carries, if any, as the receipt that came right after
+        it on the FIFO channel: the ordinary null path (§5.2 filter, CA2,
+        ``RV``, ``SV``, rule iii)."""
         if not self.active:
             return
         self.suspector.heard_from(src, 0)
         self.gv.on_membership_message(src, message)
+        null = getattr(message, "null", None)
+        if null is not None:
+            self.on_data_message(null)
         if not self.process.in_receipt_batch:
             self.process.settle()
 
@@ -999,10 +1053,13 @@ class GroupEndpoint:
         """End of a suspector tick: re-announce suspicions that have sat
         unresolved for a full timeout, so gossip lost to a transient
         partition converges after the heal.  (A suspicion makes the
-        agreement busy, so every grid point ticks while one is held.)"""
+        agreement busy, so every grid point ticks while one is held.)  A
+        re-announcement that carried our null moved our own ``RV`` and
+        ``SV`` entries, so the tick settles."""
         if not self.active:
             return
-        self.gv.regossip_unresolved(self.suspector.suspicion_timeout)
+        if self.gv.regossip_unresolved(self.suspector.suspicion_timeout):
+            self.process.settle()
 
     def _last_heard_sequencer(self) -> float:
         sequencer = self.view.sequencer()

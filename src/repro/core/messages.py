@@ -355,17 +355,30 @@ class Suspicion:
         return 2 * SCALAR_BYTES
 
 
+def _null_bytes(null: Optional[DataMessage]) -> int:
+    return 0 if null is None else null.wire_size_bytes()
+
+
 @dataclass(frozen=True)
 class SuspectMessage:
-    """``(i, suspect, {Pk, ln})`` -- step (i) of the membership algorithm."""
+    """``(i, suspect, {Pk, ln})`` -- step (i) of the membership algorithm.
+
+    ``null``: in a symmetric group, the sender's own null (§4.1), numbered
+    as it multicast this message and sharing its frame: it is the number
+    the agreement needs from the sender, which would otherwise follow as a
+    multicast of its own.  Receivers take it through the ordinary null path
+    right after the membership message (:mod:`repro.core.membership`).
+    """
 
     origin: str
     group: str
     suspicion: Suspicion
+    null: Optional[DataMessage] = None
 
     def wire_size_bytes(self) -> int:
-        """Total estimated bytes on the wire."""
-        return 2 * SCALAR_BYTES + TAG_BYTES + self.suspicion.wire_size_bytes()
+        """Total estimated bytes on the wire, including a carried null."""
+        size = 2 * SCALAR_BYTES + TAG_BYTES + self.suspicion.wire_size_bytes()
+        return size + _null_bytes(self.null)
 
 
 @dataclass(frozen=True)
@@ -390,18 +403,21 @@ class RefuteMessage:
 
 @dataclass(frozen=True)
 class ConfirmMessage:
-    """``(i, confirmed, detection)`` -- steps (v)/(vi)."""
+    """``(i, confirmed, detection)`` -- steps (v)/(vi).  ``null`` as for
+    :class:`SuspectMessage`."""
 
     origin: str
     group: str
     detection: frozenset  # frozenset[Suspicion]
+    null: Optional[DataMessage] = None
 
     def wire_size_bytes(self) -> int:
-        """Total estimated bytes on the wire."""
+        """Total estimated bytes on the wire, including a carried null."""
         return (
             2 * SCALAR_BYTES
             + TAG_BYTES
             + sum(suspicion.wire_size_bytes() for suspicion in self.detection)
+            + _null_bytes(self.null)
         )
 
 

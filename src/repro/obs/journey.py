@@ -68,13 +68,17 @@ def payload_msg_id(payload: object) -> Optional[str]:
 
     ``DataMessage`` carries ``msg_id``; ``SequencerRequest`` carries
     ``request_id`` (reused as the sequenced message's ``msg_id``, so one
-    journey spans request and sequenced copy).  Anything else -- membership
-    and formation control traffic -- has no stable identity and is covered
-    by cause attribution only.
+    journey spans request and sequenced copy).  A suspect or confirm message
+    that carries its sender's null is that null's envelope on the wire.
+    Anything else -- membership and formation control traffic -- has no
+    stable identity and is covered by cause attribution only.
     """
     msg_id = getattr(payload, "msg_id", None)
     if msg_id is not None:
         return msg_id
+    null = getattr(payload, "null", None)
+    if null is not None:
+        return null.msg_id
     return getattr(payload, "request_id", None)
 
 

@@ -89,12 +89,16 @@ def _render_metrics(
         if "time_silence.nulls_owed" in counters:
             # The three deadlines of repro.core.time_silence: ω while owed,
             # the heartbeat period while idle, and the heartbeat period for a
-            # re-send asking for an acknowledgment that never came.
+            # re-send asking for an acknowledgment that never came.  Beside
+            # them the nulls no timer fired: each rode a suspect or confirm
+            # message of its sender's (repro.core.membership).
             lines.append(
                 "  time-silence firings: "
                 f"{_fmt(counters['time_silence.nulls_owed'])} owed, "
                 f"{_fmt(counters.get('time_silence.nulls_idle', 0))} idle, "
-                f"{_fmt(counters.get('time_silence.nulls_resent', 0))} re-sent"
+                f"{_fmt(counters.get('time_silence.nulls_resent', 0))} re-sent; "
+                f"{_fmt(counters.get('time_silence.nulls_carried', 0))} rode a "
+                "suspicion or confirmation"
             )
         beacons = counters.get("transport.sent.Beacon")
         heartbeats = counters.get("time_silence.nulls_idle")

@@ -54,6 +54,10 @@ fuzz campaign, shrunk, diagnosed and fixed:
 The full generated corpus entries regenerate deterministically from
 ``(corpus_seed, index)`` under the default tuning, and the shrunk minimal
 repros are pinned verbatim -- both must stay clean.
+
+One shrunk repro is pinned the other way round, as a strict ``xfail``: an
+asymmetric view-agreement violation after a single isolation, not fixed
+yet (``KNOWN_FAILING_REPROS``).
 """
 
 import pytest
@@ -204,5 +208,47 @@ SHRUNK_REPROS = {
     "config", SHRUNK_REPROS.values(), ids=SHRUNK_REPROS.keys()
 )
 def test_shrunk_minimal_repros_stay_clean(config):
+    result = run_scenario(config)
+    assert result.passed, list(result.checks.violations)
+
+
+#: Shrunk repros of violations that are not fixed yet, pinned so that a fix
+#: shows up (the test then passes and, being strict, fails the suite until
+#: the entry moves to ``SHRUNK_REPROS``) and so that nobody mistakes them
+#: for a new regression.
+KNOWN_FAILING_REPROS = {
+    # Asymmetric view agreement after a single isolation (the class of
+    # corpus 9 spec 128): "view sequences differ for g01: P007 =
+    # [[P006, P007, P008], [P007, P008], [P007]] vs P008 = [[P006, P007,
+    # P008], [P008]]", under PYTHONHASHSEED 0 and 1.  Shrunk from default-
+    # tuning corpus 1 spec 266, which only started to fail once suspicions
+    # carried their sender's null; this shrunk config fails on the commit
+    # before that as well.
+    "asymmetric-view-agreement-after-isolation": {
+        "schema": 1,
+        "name": "fuzz-1-266",
+        "seed": 410241606,
+        "processes": ["P003", "P004", "P006", "P007", "P008"],
+        "groups": [
+            {"id": "g00", "members": ["P004", "P006", "P008"],
+             "mode": "asymmetric"},
+            {"id": "g01", "members": ["P007", "P008", "P006"],
+             "mode": "asymmetric"},
+            {"id": "g02", "members": ["P008", "P007", "P003"],
+             "mode": "symmetric"},
+        ],
+        "workload": {"duration": 23.4, "profile": "uniform", "rate": 2.34,
+                     "senders_per_group": 3, "start": 1.0},
+        "events": [{"time": 4.03, "kind": "isolate", "targets": ["P006"]}],
+        "drain": 40.0,
+    },
+}
+
+
+@pytest.mark.xfail(strict=True, reason="known asymmetric view-agreement violation")
+@pytest.mark.parametrize(
+    "config", KNOWN_FAILING_REPROS.values(), ids=KNOWN_FAILING_REPROS.keys()
+)
+def test_known_failing_shrunk_repros(config):
     result = run_scenario(config)
     assert result.passed, list(result.checks.violations)

@@ -84,6 +84,31 @@ Regeneration notes:
   ``partition_three_three`` (journeys only) moved: ``null_send`` 283 ->
   276, messages 1,372 -> 1,353, journeys 335 -> 328, the other kinds
   unchanged.
+* A suspicion carries its sender's null (a symmetric group's suspect and
+  confirm messages carry the null the agreement needs, instead of a null
+  multicast of its own): ``kv_failover_asymmetric``,
+  ``formation_crash_during_vote`` (its agreement runs in the formation
+  wait) and ``flow_control_window_one`` stayed byte-identical.  A carried
+  null is a journey of its own (created under the frame's cause, received
+  or wire-dropped with the frame), so ``brief_mute_three_groups`` (331 ->
+  351 journeys) and ``mute_then_resume`` (165 -> 178) moved with the same
+  events and messages as before.  ``partition_three_three`` (journeys
+  only): ``null_send`` 276 -> 267, messages 1,353 -> 1,321, journeys 328 ->
+  360, the other kinds unchanged.  ``flapping_link`` (journeys only):
+  ``null_send`` 50 -> 55 and messages 5,363 -> 5,383, the other kinds
+  unchanged -- the carried nulls renumber the run, and its last
+  application message is still undelivered when the closing round of
+  nulls goes out at 125.0, so it is acknowledged by one more round at
+  126.5.  ``churn60`` moved with **both skeletons different** (accepted):
+  events 1,418 -> 1,343, ``null_send`` 856 -> 781, messages 4,222 -> 3,984
+  (null frames 2,105 -> 1,920, beacons 1,518 -> 1,465), 56 nulls carried,
+  every other kind's count unchanged.  The difference is again the formed
+  group ``fg00``'s concurrent round-1 sends at 16.0: with other latency
+  draws before them, the round-0 sends go out at 14.25 instead of 13.75,
+  and ``P001``'s and ``P002``'s round-1 sends are now both numbered 16
+  (the commit before: 16 and 15), so the tie goes to ``P001`` at every
+  member, as it did two commits back.  The same total order at every
+  member; the checkers pass.
 """
 
 import argparse

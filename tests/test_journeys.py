@@ -18,7 +18,13 @@ import sys
 import pytest
 
 from repro.api import Session
-from repro.core.messages import DataMessage, SequencerRequest
+from repro.core.messages import (
+    ConfirmMessage,
+    DataMessage,
+    SequencerRequest,
+    SuspectMessage,
+)
+from repro.net.latency import ConstantLatency
 from repro.net.trace import (
     BLOCKED_SEND,
     DELIVER,
@@ -254,6 +260,48 @@ def test_payload_msg_id_prefers_msg_id_then_request_id():
     assert payload_msg_id(_Data()) == "P1#3"
     assert payload_msg_id(_Request()) == "P2#5"
     assert payload_msg_id(object()) is None
+
+
+def test_a_null_riding_a_suspicion_or_confirmation_has_a_journey_of_its_own():
+    """In a symmetric group the suspect and confirm messages carry their
+    sender's null, and the frame is that null's envelope: its journey is
+    created under the frame's cause, received by each survivor and dropped
+    on the way to the crashed member."""
+    session = Session(
+        "newtop", seed=1, latency_model=ConstantLatency(0.7),
+        config={"omega": 2.0, "suspicion_timeout": 10.0},
+        observe={"journeys": True, "journey_sample_rate": 1},
+    )
+    names = ["P1", "P2", "P3", "P4"]
+    session.spawn(names)
+    session.group("g")
+    session.run(20.3)
+    riders = {}
+
+    def note_riders(src, dst, message):
+        payload = message.payload
+        if isinstance(payload, (SuspectMessage, ConfirmMessage)):
+            riders[payload.null.msg_id] = (src, type(payload))
+        return True
+
+    session.network.add_filter(note_riders)
+    session.crash("P2")
+    session.run(30.0)
+    assert session.result().passed
+    assert sorted(kind.__name__ for _, kind in riders.values()) == (
+        ["ConfirmMessage"] * 3 + ["SuspectMessage"] * 3
+    )
+    tracker = session.observation.journeys
+    for msg_id, (sender, kind) in riders.items():
+        journey = tracker.journey(msg_id)
+        assert journey["cause"] == (
+            "suspicion_gossip" if kind is SuspectMessage else "confirm_refute"
+        )
+        steps = [(state, process) for state, _, process, _ in journey["transitions"]]
+        survivors = {name for name in names if name not in (sender, "P2")}
+        assert steps[0] == ("created", sender)
+        assert {process for state, process in steps if state == "received"} == survivors
+        assert ("wire_dropped", "P2") in steps
 
 
 # ----------------------------------------------------------------------

@@ -437,6 +437,31 @@ def test_a_lost_acknowledgment_shows_as_a_resent_null():
     ) in text
 
 
+def test_nulls_that_rode_the_agreement_are_counted_apart_from_the_firings():
+    """P2 crashes in an idle four-member group: each survivor's suspect and
+    confirm message carries its null.  No timer fired them, so they are not
+    ``null_send`` events; ``time_silence.nulls_carried`` counts them and
+    the report prints them beside the firings."""
+    session = Session(
+        "newtop", seed=1, observe=True, latency_model=ConstantLatency(0.7),
+        config={"omega": 2.0, "suspicion_timeout": 10.0},
+    )
+    session.spawn(["P1", "P2", "P3", "P4"])
+    session.group("g")
+    session.run(20.3)
+    session.crash("P2")
+    session.run(30.0)
+    result = session.result()
+    assert result.passed
+    counters = result.obs["metrics"]["counters"]
+    assert counters["time_silence.nulls_carried"] == 6  # 3 suspicions, 3 confirmations
+    assert (
+        counters["time_silence.nulls_owed"] + counters["time_silence.nulls_idle"]
+        + counters["time_silence.nulls_resent"] == counters["trace.null_send"]
+    )
+    assert "re-sent; 6 rode a suspicion or confirmation" in render_obs(result.obs)
+
+
 def test_render_document_walks_nested_obs_blocks():
     result = _observed_session(True)
     document = {

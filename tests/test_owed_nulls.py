@@ -11,7 +11,9 @@ multicast already sent is on its way to every peer):
   flagged null per heartbeat period, which draws the acknowledgment a lost
   message did not deliver;
 * (c) a busy agreement is owed nulls only until our last numbered send
-  passes the largest ``ln`` it holds (``tests/test_ring_watch.py``).
+  passes the largest ``ln`` it holds (``tests/test_ring_watch.py``) -- and
+  in a symmetric group the suspicion itself is that send: suspect and
+  confirm messages carry their sender's null.
 
 Every run here uses ``ConstantLatency``, so each time and count below is
 the same on any commit; each test says what the commit before sent.
@@ -21,9 +23,10 @@ from harness import NewtopCluster
 
 from repro.analysis import check_all
 from repro.core import NewtopConfig
-from repro.core.messages import DataMessage
+from repro.core.config import OrderingMode
+from repro.core.messages import ConfirmMessage, DataMessage, SuspectMessage
 from repro.net.latency import ConstantLatency
-from repro.net.trace import DELIVER, NULL_SEND, SEND
+from repro.net.trace import DELIVER, NULL_SEND, SEND, SUSPECT, VIEW_INSTALL
 
 OMEGA, BIG_OMEGA = 2.0, 10.0
 TWELVE = [f"P{index:02d}" for index in range(1, 13)]
@@ -186,3 +189,77 @@ def test_a_window_of_one_sender_still_drains():
     drained = max(record.time for process in cluster for record in process.delivered)
     assert round(drained - start, 6) == 20.0
     assert len(_group_nulls(cluster, start)) == 120
+
+
+# ----------------------------------------------------------------------
+# (c) The agreement's number rides the suspicion itself
+# ----------------------------------------------------------------------
+def _crash_agreement(mode=None):
+    """P3 crashes in an idle five-member group; the cluster, the crash
+    instant and every suspect / confirm message put on the wire."""
+    names = ["P1", "P2", "P3", "P4", "P5"]
+    config = NewtopConfig(
+        omega=OMEGA, suspicion_timeout=BIG_OMEGA, suspector_check_interval=1.0
+    )
+    cluster = NewtopCluster(
+        names, config=config, latency_model=ConstantLatency(0.7), seed=1
+    )
+    cluster.create_group("g", mode=mode)
+    cluster.run(20.3)
+    agreement = []
+    cluster.network.add_filter(
+        lambda src, dst, message: isinstance(
+            message.payload, (SuspectMessage, ConfirmMessage)
+        ) and agreement.append((src, message.payload)) or True
+    )
+    crashed_at = cluster.sim.now
+    cluster.crash("P3")
+    cluster.run(30.0)
+    return cluster, crashed_at, agreement
+
+
+def test_a_crash_agreement_sends_no_null_of_its_own():
+    """Each survivor's suspect message carries its null, numbered 2, past
+    ``ln`` 1, and its confirmation the next one, 3; every survivor's ``RV``
+    ends at 3 for each of the others, so each took its peers' nulls through
+    the ordinary null path.  P3's ring successors suspect 7.7 after the
+    crash, P2 concurs a hop later and the last view installs at 9.1, as on
+    the commit before, which sent three nulls of their own at 7.7 (P1, P4,
+    P5) to pass ``ln`` and left P2's entry at 1."""
+    cluster, crashed_at, agreement = _crash_agreement()
+    survivors = ["P1", "P2", "P4", "P5"]
+    suspicions = cluster.trace().events(kind=SUSPECT)
+    assert {event.detail("last_number") for event in suspicions} == {1}
+    assert {round(event.time - crashed_at, 6) for event in suspicions} == {7.7, 8.4}
+    installs = [
+        event.time for event in cluster.trace().events(kind=VIEW_INSTALL)
+        if event.time > crashed_at
+    ]
+    assert round(max(installs) - crashed_at, 6) == 9.1
+    carried = {
+        (type(payload).__name__, src, payload.null.clock)
+        for src, payload in agreement
+    }
+    assert carried == {("SuspectMessage", name, 2) for name in survivors} | {
+        ("ConfirmMessage", name, 3) for name in survivors
+    }
+    assert _group_nulls(cluster, crashed_at) == []
+    for name in survivors:
+        receive_vector = cluster[name].endpoint("g").engine.receive_vector
+        assert {member: receive_vector[member] for member in survivors} == dict.fromkeys(
+            survivors, 3
+        )
+    assert check_all(cluster.trace()).passed
+
+
+def test_an_asymmetric_agreement_carries_no_null():
+    """A member's null in an asymmetric group travels through the
+    sequencer, not over the FIFO channel to each peer: its suspicions and
+    confirmations go out unnumbered, as before."""
+    cluster, _, agreement = _crash_agreement(OrderingMode.ASYMMETRIC)
+    assert agreement
+    assert all(payload.null is None for _, payload in agreement)
+    survivors = ("P1", "P2", "P4", "P5")
+    for name in survivors:
+        assert cluster[name].view("g").sorted_members() == survivors
+    assert check_all(cluster.trace()).passed

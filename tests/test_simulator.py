@@ -378,7 +378,10 @@ def test_golden_firing_order_of_a_seeded_churn_run(monkeypatch):
     ``(time, scheduling sequence, label)``: a kernel edit that reorders,
     drops or re-dates anything changes the digest.  A *protocol* change that
     schedules differently changes it too -- then, and only then, regenerate
-    with ``PYTHONPATH=src python tests/test_simulator.py``."""
+    with ``PYTHONPATH=src python tests/test_simulator.py``.  Last
+    regenerated when suspect and confirm messages began to carry their
+    sender's null, so the nulls an agreement needed stopped being multicast
+    apart (3,075 -> 2,973 events)."""
     with open(GOLDEN_FIRING_ORDER, encoding="utf-8") as handle:
         golden = json.load(handle)
     assert _churn40_firing_order(monkeypatch) == golden
