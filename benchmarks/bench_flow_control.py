@@ -53,7 +53,8 @@ def run_case(window, seed: int, mode: OrderingMode):
     blocked = len(probe.trace().events(kind=BLOCKED_SEND, process="P1", group="g"))
     return {
         "peak_retained": endpoint.stability.buffer.peak_size,
-        "delivered": min(len(session[name].delivered_payloads("g")) for name in names),
+        # One group: a process's delivery count is the group's.
+        "delivered": min(len(session[name].delivered) for name in names),
         "deferred_sends": blocked,
     }
 

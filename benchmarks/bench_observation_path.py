@@ -30,7 +30,12 @@ gates are the counts, which repeat exactly per seed:
 * trace events materialized per delivery (``<= 1.2``; the stream holds
   2.0 per delivery, half of them ``receive`` events nobody reads),
 * client ``on_event`` calls per delivery (``== 1``; every client seeing
-  every delivery would be 8).
+  every delivery would be 8),
+* delivered ids the replayed ``OnlineCausalOrder`` still holds at the end
+  (``== 0``; a checker that kept every id would hold one per delivery),
+* per-delivery records the streaming session's processes hold (``== 0``;
+  their delivery logs keep a count, the trace's ``deliver`` events being
+  what carries the facts).
 
 Run as a script for the CI gate::
 
@@ -69,6 +74,8 @@ DEFAULT_ROUNDS = 5
 MAX_CAUSAL_ENTRIES_PER_DELIVERY = 12.0
 MAX_EVENTS_MATERIALIZED_PER_DELIVERY = 1.2
 CLIENT_CALLS_PER_DELIVERY = 1.0
+#: Delivery history a streaming run may hold at its end (both counts).
+MAX_HISTORY_HELD = 0
 
 
 class _CountingClient(OpenLoopClient):
@@ -122,6 +129,9 @@ def record_session(scale):
         "multicasts": sum(client.admitted for client in clients),
         "by_kind": dict(sorted(result.metrics["by_kind"].items())),
         "client_on_event_calls": sum(client.on_event_calls for client in clients),
+        "delivery_records_held": sum(
+            process.delivered.held for process in session.stack.processes.values()
+        ),
         "causal_entries_folded": session.suite.causal_order.delta_entries_folded(),
     }
 
@@ -200,6 +210,7 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
         if name == "causal_prefix":
             # The replayed checker does the live one's work, entry for entry.
             assert sink.delta_entries_folded() == recorded["causal_entries_folded"]
+            causal_ids_held = sink.delivered_ids_held()
         timings[name] = row(seconds, fed)
     # The session's own sink set: which events does a real run build?
     _, materialized = _replay_record(
@@ -215,6 +226,8 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
         "client_on_event_calls_per_delivery": round(
             recorded["client_on_event_calls"] / deliveries, 4
         ),
+        "causal_delivered_ids_held": causal_ids_held,
+        "delivery_records_held": recorded["delivery_records_held"],
     }
     return {
         "rounds": rounds,
@@ -246,10 +259,22 @@ def check_gates(payload):
         f"delivery (gate {CLIENT_CALLS_PER_DELIVERY}): deliveries are not routed to "
         "their one owner"
     )
+    assert counts["causal_delivered_ids_held"] <= MAX_HISTORY_HELD, (
+        f"OnlineCausalOrder still holds {counts['causal_delivered_ids_held']} "
+        f"delivered ids after the stream (gate {MAX_HISTORY_HELD}): an id is "
+        "kept past the one frontier check that looks for it"
+    )
+    assert counts["delivery_records_held"] <= MAX_HISTORY_HELD, (
+        f"the streaming session's processes hold {counts['delivery_records_held']} "
+        f"delivery records (gate {MAX_HISTORY_HELD}): a delivery log beside a "
+        "streaming recorder keeps records instead of a count"
+    )
     return {
         "max_causal_entries_per_delivery": MAX_CAUSAL_ENTRIES_PER_DELIVERY,
         "max_events_materialized_per_delivery": MAX_EVENTS_MATERIALIZED_PER_DELIVERY,
         "client_on_event_calls_per_delivery": CLIENT_CALLS_PER_DELIVERY,
+        "max_causal_delivered_ids_held": MAX_HISTORY_HELD,
+        "max_delivery_records_held": MAX_HISTORY_HELD,
     }
 
 
@@ -261,6 +286,8 @@ def _table(payload):
         f"{counts['causal_entries_per_delivery']} causal entries scanned, "
         f"{counts['events_materialized_per_delivery']} events materialized, "
         f"{counts['client_on_event_calls_per_delivery']} client on_event call(s)",
+        f"held after the stream: {counts['causal_delivered_ids_held']} causal "
+        f"delivered ids, {counts['delivery_records_held']} process delivery records",
     ]
     for name, timing in payload["timings"].items():
         rows.append(

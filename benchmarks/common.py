@@ -161,7 +161,9 @@ def run_until_delivered(
     processes: Optional[Sequence[str]] = None,
     timeout: float = 200.0,
 ) -> bool:
-    """Run until every listed (alive) process has delivered ``message_id``."""
+    """Run until every listed (alive) process has delivered ``message_id``
+    (a message of an ordered group: an atomic-only group's deliveries
+    bypass the delivery queue polled here)."""
     targets = [
         session[process_id]
         for process_id in (processes if processes is not None else session.processes)
@@ -170,7 +172,7 @@ def run_until_delivered(
     def all_delivered() -> bool:
         return all(
             process.crashed
-            or any(record.msg_id == message_id for record in process.delivered)
+            or process.delivery_queue.was_delivered(message_id)
             for process in targets
         )
 

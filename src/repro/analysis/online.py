@@ -279,7 +279,9 @@ class _CausalRow:
         #: send sits at index n - 1, and its delta at ``deltas[n - 1]``
         self.sends: List[Tuple[str, Optional[str]]] = []
         self.deltas: List[Dict[str, int]] = []
-        #: message ids delivered here
+        #: message ids delivered here whose frontier check has not come
+        #: yet: each (process, predecessor) pair is checked once, and the
+        #: check that finds an id drops it
         self.delivered: Set[str] = set()
         #: sender -> length of its send prefix verified here; for every
         #: sender but the process itself, also the process's causal context
@@ -338,7 +340,11 @@ class OnlineCausalOrder(OnlineChecker):
     the ledger's ``stream_busy`` (seed 0) it is 10.4 delta entries per
     delivery, and the sender's own, where the full vector holds 30.2
     (:meth:`delta_entries_folded`; ``benchmarks/bench_observation_path.py``
-    gates it).  Memory is O(delta entries), not O(sends x senders).
+    gates it).  Memory is O(delta entries), not O(sends x senders), plus
+    the ids delivered at a process ahead of the frontier check that looks
+    for them: a frontier only moves forward, so each (process, predecessor)
+    pair is checked once and the check drops the id it finds
+    (:meth:`delivered_ids_held`; on a clean run none are left at the end).
 
     The advance-once frontier relies on exemptions being permanent.  The
     "no view yet" exemption is safe even with dynamic group formation
@@ -380,16 +386,21 @@ class OnlineCausalOrder(OnlineChecker):
         if row is None:
             row = rows[process] = _CausalRow()
         delivered = row.delivered
-        delivered.add(message)
         sent = self._sent.get(message)
         if sent is None:
-            return  # Delivery without a recorded send: nothing to infer.
+            # Delivery without a recorded send: nothing to infer (yet).
+            delivered.add(message)
+            return
         sender, position = sent
+        frontier = row.frontier
+        if frontier.get(sender, 0) < position:
+            # Its check is still to come (past the frontier, it was made).
+            delivered.add(message)
         folded = row.folded.get(sender, 0)
         if folded >= position:
             return  # Folded with a later message of the sender's already.
         row.folded[sender] = position
-        frontier, moved = row.frontier, row.moved
+        moved = row.moved
         views = self._timeline.views.get(process)
         departed = self._timeline.departed.get(process, ())
         deltas = rows[sender].deltas[folded:position]
@@ -404,6 +415,7 @@ class OnlineCausalOrder(OnlineChecker):
                 for index in range(verified, count):
                     predecessor, predecessor_group = sends[index]
                     if predecessor in delivered:
+                        delivered.remove(predecessor)
                         continue
                     if predecessor_group is not None:
                         # Exempt: no view of the group, departed from it,
@@ -436,6 +448,11 @@ class OnlineCausalOrder(OnlineChecker):
         row.sends.append((event.message_id, event.group))
         row.deltas.append(delta)
         self._sent[event.message_id] = (sender, len(row.sends))
+
+    def delivered_ids_held(self) -> int:
+        """Delivered ids still waiting for their frontier check, over all
+        processes."""
+        return sum(len(row.delivered) for row in self._rows.values())
 
     def delta_entries_folded(self) -> int:
         """The work done so far, in delta entries folded at receivers (one

@@ -26,8 +26,15 @@ Two analysis modes mirror the scenario engine's:
     stack's post-hoc checkers over it and :meth:`Session.trace` works.
 ``analysis="online"``
     The recorder streams into the stack's check suite and a rolling
-    :class:`~repro.net.trace.MetricsSink` with ``keep_events=False`` -- no
-    event is retained, memory stays flat at any scale.
+    :class:`~repro.net.trace.MetricsSink` with ``keep_events=False``: no
+    trace event is stored, and every process's delivery log keeps a count,
+    not a record per delivery (:class:`~repro.net.trace.DeliveryLog`; the
+    records are read offline).  What a streaming run still keeps grows
+    with its traffic: the checkers' per-message state (arbiter ranks,
+    causal send chains, total-order deliverer maps), each process's
+    :class:`~repro.core.delivery.DeliveryQueue` set of delivered ids
+    (which tells a recovered duplicate apart from a late message that
+    safe2 must reject) and the latency reservoirs.
 
 Extra :class:`~repro.net.trace.TraceSink` objects (e.g. a
 :class:`~repro.net.trace.JsonlSink`, or a custom observer) attach in either

@@ -193,11 +193,13 @@ class ProtocolStack:
         raise NotImplementedError
 
     def deliveries(self) -> int:
-        """Total application deliveries across all processes."""
+        """Total application deliveries across all processes (a count, kept
+        in either analysis mode)."""
         raise NotImplementedError
 
     def delivered_ids(self, process_id: str, group_id: Optional[str] = None) -> List[str]:
-        """Message ids delivered at one process, in local delivery order."""
+        """Message ids delivered at one process, in local delivery order
+        (offline mode only: a streaming run keeps no delivery records)."""
         raise NotImplementedError
 
     def protocol_bytes(self) -> Optional[int]:

@@ -112,7 +112,7 @@ class NewtopStack(ProtocolStack):
         return self.processes[process_id].crashed
 
     def deliveries(self) -> int:
-        return sum(len(process.delivered) for process in self.processes.values())
+        return sum(process.delivered.count for process in self.processes.values())
 
     def delivered_ids(self, process_id: str, group_id: Optional[str] = None) -> List[str]:
         return [
@@ -248,23 +248,18 @@ class BaselineStack(ProtocolStack):
 
     def deliveries(self) -> int:
         return sum(
-            len(instance.delivered)
+            instance.delivered.count
             for groups in self.processes.values()
             for instance in groups.values()
         )
 
     def delivered_ids(self, process_id: str, group_id: Optional[str] = None) -> List[str]:
-        groups = self.processes.get(process_id, {})
         if group_id is not None:
-            instance = groups.get(group_id)
+            instance = self.processes.get(process_id, {}).get(group_id)
             return instance.delivered_ids() if instance is not None else []
-        merged = [
-            delivery
-            for instance in groups.values()
-            for delivery in instance.delivered
-        ]
-        merged.sort(key=lambda delivery: delivery.time)
-        return [delivery.msg_id for delivery in merged]
+        # Across groups the trace holds the order deliveries happened in;
+        # merging the per-group logs by time cannot order one instant's.
+        return self._context().recorder.trace().delivered_ids(process_id)
 
     def protocol_bytes(self) -> Optional[int]:
         return sum(

@@ -4,7 +4,9 @@ Every baseline is a single-group total-order multicast protocol exposing
 the same minimal surface:
 
 * ``multicast(payload) -> message id``
-* ``delivered`` -- payload/message records in local delivery order
+* ``delivered`` -- payload/message records in local delivery order (a
+  :class:`~repro.net.trace.DeliveryLog`: a count only when the recorder
+  streams)
 * ``protocol_bytes_sent`` -- protocol-overhead bytes this process has put
   on the wire (the quantity compared in experiment E7)
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.net.simulator import Simulator
-from repro.net.trace import DELIVER, SEND, TraceRecorder
+from repro.net.trace import DELIVER, SEND, DeliveryLog, TraceRecorder
 from repro.net.transport import Endpoint, Transport, TransportMessage
 
 _baseline_message_counter = itertools.count(1)
@@ -72,7 +74,9 @@ class BaselineProcess:
         self.crashed = False
         self.endpoint: Endpoint = transport.endpoint(process_id)
         self.endpoint.register_handler(channel, self._on_transport_message)
-        self.delivered: List[BaselineDelivery] = []
+        self.delivered: DeliveryLog = (
+            recorder.delivery_log() if recorder is not None else DeliveryLog()
+        )
         self.sent_count = 0
         self.protocol_bytes_sent = 0
         self.payload_bytes_sent = 0
@@ -132,9 +136,7 @@ class BaselineProcess:
             )
 
     def _deliver(self, msg_id: str, sender: str, payload: object) -> None:
-        self.delivered.append(
-            BaselineDelivery(msg_id=msg_id, sender=sender, payload=payload, time=self.sim.now)
-        )
+        self.delivered.add(BaselineDelivery, msg_id, sender, payload, self.sim.now)
         if self.recorder is not None:
             self.recorder.record(
                 self.sim.now,

@@ -69,7 +69,7 @@ from repro.core.vectors import INFINITY
 from repro.core.views import MembershipView
 from repro.net import trace as trace_events
 from repro.net.simulator import Simulator
-from repro.net.trace import TraceRecorder
+from repro.net.trace import DeliveryLog, TraceRecorder
 from repro.net.transport import Transport, TransportMessage
 
 #: Application delivery callback: ``callback(group, sender, payload, msg_id)``.
@@ -78,7 +78,8 @@ DeliveryCallback = Callable[[str, str, object, str], None]
 
 @dataclass
 class DeliveredMessage:
-    """A record of one application delivery, kept in arrival order."""
+    """A record of one application delivery, kept in arrival order (only
+    beside a stored trace, see :class:`~repro.net.trace.DeliveryLog`)."""
 
     group: str
     sender: str
@@ -150,7 +151,9 @@ class NewtopProcess:
         #: still voting on (e.g. a faster member's start-group overtaking the
         #: last vote); replayed once the group is activated locally.
         self._pre_activation_buffer: Dict[str, List[DataMessage]] = {}
-        self.delivered: List[DeliveredMessage] = []
+        #: This process's :class:`DeliveredMessage` records, or their count
+        #: only when the recorder streams.
+        self.delivered: DeliveryLog = self.recorder.delivery_log()
         self.crashed = False
         self._delivering = False
         self._flushing = False
@@ -284,7 +287,8 @@ class NewtopProcess:
         self._delivery_callbacks.append(callback)
 
     def delivered_payloads(self, group_id: Optional[str] = None) -> List[object]:
-        """Payloads delivered so far, in delivery order."""
+        """Payloads delivered so far, in delivery order (offline runs only:
+        a streaming run keeps no delivery records)."""
         return [
             record.payload
             for record in self.delivered
@@ -693,16 +697,16 @@ class NewtopProcess:
             self.note_unicast_sequenced(message.group, message.origin_request)
         endpoint = self._endpoints.get(message.group)
         view_index = endpoint.view.index if endpoint is not None else -1
-        record = DeliveredMessage(
-            group=message.group,
-            sender=message.sender,
-            payload=message.payload,
-            msg_id=message.msg_id,
-            clock=message.clock,
-            view_index=view_index,
-            time=self.sim.now,
+        self.delivered.add(
+            DeliveredMessage,
+            message.group,
+            message.sender,
+            message.payload,
+            message.msg_id,
+            message.clock,
+            view_index,
+            self.sim.now,
         )
-        self.delivered.append(record)
         self.recorder.record(
             self.sim.now,
             trace_events.DELIVER,

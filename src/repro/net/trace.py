@@ -406,8 +406,9 @@ class TraceRecorder:
     the full execution trace (the historical behaviour).  With
     ``keep_events=False`` no event is retained: everything is pushed to the
     registered sinks only, and :meth:`trace` raises -- this is the
-    streaming/online mode used for runs too large to materialize.  A
-    streaming recorder also keeps the exact per-kind tally
+    streaming/online mode used for runs too large to materialize; the
+    protocols' per-process delivery logs follow it (:meth:`delivery_log`).
+    A streaming recorder also keeps the exact per-kind tally
     (:meth:`kind_counts`), and an event of a kind no sink subscribes to is
     counted and numbered but never built.  :attr:`lifecycle` is the second
     input, for the steps that are not events (see the module docstring).
@@ -594,9 +595,16 @@ class TraceRecorder:
         if self._memory is None:
             raise RuntimeError(
                 "this recorder streams to sinks only (keep_events=False); "
-                "no materialized trace is available"
+                "no materialized trace is available -- run offline "
+                "(analysis='offline') to query one"
             )
         return self._memory.trace()
+
+    def delivery_log(self) -> "DeliveryLog":
+        """A new per-process delivery log that keeps what this recorder
+        keeps: every record beside a stored trace, a count beside a
+        streaming one."""
+        return DeliveryLog(stored=self._memory is not None)
 
     def close(self) -> None:
         """Close every registered sink."""
@@ -605,6 +613,56 @@ class TraceRecorder:
 
     def __len__(self) -> int:
         return self._seq
+
+
+class DeliveryLog:
+    """One protocol instance's application deliveries, in delivery order.
+
+    The trace's ``deliver`` events carry the same facts, so the log keeps
+    what its recorder keeps (:meth:`TraceRecorder.delivery_log`): beside a
+    stored trace, or with no recorder at all, every record; beside a
+    streaming recorder a count only, so a streaming run keeps no delivery
+    records.  ``len()`` is the count in both modes.  Reading
+    the records of a counting log raises, as :meth:`TraceRecorder.trace`
+    does.
+    """
+
+    __slots__ = ("count", "_records")
+
+    def __init__(self, stored: bool = True) -> None:
+        self.count = 0
+        self._records: Optional[List[Any]] = [] if stored else None
+
+    def add(self, make: Any, *fields: Any) -> None:
+        """Count one delivery; a stored log also keeps ``make(*fields)``
+        (a counting log never builds the record)."""
+        self.count += 1
+        if self._records is not None:
+            self._records.append(make(*fields))
+
+    def _read(self) -> List[Any]:
+        if self._records is None:
+            raise RuntimeError(
+                "this run streams its trace (analysis='online', keep_events=False), "
+                "so it keeps a count of deliveries, not their records; run it in "
+                "offline mode (analysis='offline') to read them, or use "
+                "deliveries() / delivery_queue.was_delivered(msg_id)"
+            )
+        return self._records
+
+    @property
+    def held(self) -> int:
+        """Records held in memory (0 for a counting log)."""
+        return len(self._records) if self._records is not None else 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._read())
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._read()[index]
 
 
 class EventTrace:

@@ -31,9 +31,12 @@ Two analysis modes select how the predicates are evaluated:
     The recorder streams into the stack's
     :class:`~repro.analysis.online.OnlineCheckSuite` (scoped per group for
     single-group baselines) and a rolling
-    :class:`~repro.net.trace.MetricsSink`; **no event is retained**
-    (``keep_events=False``), so memory stays flat and 1000-process churn
-    runs verify in one pass.  Extra sinks (e.g. a
+    :class:`~repro.net.trace.MetricsSink`; **no event is stored**
+    (``keep_events=False``) and the processes' delivery logs keep counts
+    only, so 1000-process churn runs verify in one pass.  What is kept
+    still grows with the traffic: per-message checker state, each
+    process's delivered-id set and the latency reservoirs (see
+    :mod:`repro.api.session`).  Extra sinks (e.g. a
     :class:`~repro.net.trace.JsonlSink`) can be attached in either mode.
 
 Checking under churn needs care: after partitions (real or induced by drop

@@ -125,7 +125,9 @@ class NewtopCluster:
     def run_until_delivered(
         self, message_id: str, processes: Optional[Sequence[str]] = None, timeout: float = 200.0
     ) -> bool:
-        """Run until every listed (alive) process has delivered ``message_id``."""
+        """Run until every listed (alive) process has delivered ``message_id``
+        (a message of an ordered group: an atomic-only group's deliveries
+        bypass the delivery queue polled here)."""
         targets = [
             self.processes[process_id]
             for process_id in (processes or self.process_ids)
@@ -134,7 +136,7 @@ class NewtopCluster:
         def all_delivered() -> bool:
             return all(
                 process.crashed
-                or any(record.msg_id == message_id for record in process.delivered)
+                or process.delivery_queue.was_delivered(message_id)
                 for process in targets
             )
 

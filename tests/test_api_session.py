@@ -35,6 +35,14 @@ def _drive(session, senders=("A", "B"), group="g", count=2, horizon=60):
 # ---------------------------------------------------------------------------
 
 
+def _delivery_logs(session):
+    """Every protocol instance's delivery log: one per Newtop process, one
+    per (process, group) instance of a baseline."""
+    for entry in session.stack.processes.values():
+        for instance in entry.values() if isinstance(entry, dict) else (entry,):
+            yield instance.delivered
+
+
 @pytest.mark.parametrize("stack", sorted(COMPARISON_STACKS))
 def test_session_lifecycle_on_every_comparison_stack(stack):
     session = Session(stack=stack, seed=3, analysis="online")
@@ -46,9 +54,36 @@ def test_session_lifecycle_on_every_comparison_stack(stack):
     assert result.deliveries == 4 * len(NAMES)
     assert result.trace_events_stored == 0  # online mode: nothing retained
     assert result.metrics["by_kind"]["deliver"] == result.deliveries
-    # Everyone delivered the same ids (per the stack's own ordering rules).
-    sequences = {tuple(session.stack.delivered_ids(name, "g")) for name in NAMES}
-    assert len({frozenset(sequence) for sequence in sequences}) == 1
+
+
+@pytest.mark.parametrize("stack", sorted(COMPARISON_STACKS))
+def test_online_session_keeps_delivery_counts_not_records(stack):
+    """A streaming run holds no per-delivery records, in Newtop processes
+    or baseline instances; its counts are the offline run's, whose records
+    show everyone delivered the same ids (per the stack's own rules)."""
+    counts = {}
+    for analysis in ("offline", "online"):
+        session = Session(stack=stack, seed=3, analysis=analysis)
+        session.spawn(NAMES)
+        session.group("g")
+        _drive(session)
+        logs = list(_delivery_logs(session))
+        assert [log.held for log in logs] == (
+            [len(log) for log in logs] if analysis == "offline" else [0] * len(logs)
+        )
+        counts[analysis] = (session.deliveries(), [len(log) for log in logs])
+        if analysis == "offline":
+            sequences = {tuple(session.stack.delivered_ids(name, "g")) for name in NAMES}
+            assert len({frozenset(sequence) for sequence in sequences}) == 1
+    assert counts["online"] == counts["offline"]
+    assert counts["online"][0] == 4 * len(NAMES)
+    # Reading the records of a streaming log names the mode that keeps them.
+    with pytest.raises(RuntimeError, match="offline"):
+        session.stack.delivered_ids("A", "g")
+    with pytest.raises(RuntimeError, match="offline"):
+        session.stack.delivered_ids("A")
+    with pytest.raises(RuntimeError, match="offline"):
+        list(logs[0])
 
 
 def test_session_offline_mode_materializes_a_trace():

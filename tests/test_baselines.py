@@ -12,7 +12,8 @@ from repro.baselines import (
     PropagationGraphNetwork,
     PsyncProcess,
 )
-from repro.net.latency import UniformLatency
+from repro.api import Session
+from repro.net.latency import ConstantLatency, UniformLatency
 
 
 TOTAL_ORDER_BASELINES = [IsisProcess, LamportAckProcess, FixedSequencerProcess]
@@ -156,3 +157,26 @@ def test_primary_partition_weights():
 def test_primary_partition_requires_members():
     with pytest.raises(ValueError):
         PrimaryPartitionMembership([])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("stack", ["fixed_sequencer", "isis", "lamport_ack", "psync"])
+def test_baseline_stack_merges_groups_in_delivery_order(stack, seed):
+    """A process's deliveries across its groups come back in the order they
+    happened.  At a constant latency two groups deliver in the same
+    instant, which sorting by time put in group-creation order instead."""
+    session = Session(stack=stack, seed=seed, latency_model=ConstantLatency(1.0))
+    names = ["P0", "P1", "P2", "P3"]
+    session.spawn(names)
+    groups = {"g1": names[0:3], "g2": names[1:4]}
+    for group, members in groups.items():
+        session.group(group, members)
+    for round_ in range(6):
+        for group, members in groups.items():
+            for member in members:
+                session.multicast(member, group, f"{group}-{member}-{round_}")
+        session.run(1.0)
+    session.run(30)
+    trace = session.trace()
+    for name in names:
+        assert session.stack.delivered_ids(name) == trace.delivered_ids(name), name

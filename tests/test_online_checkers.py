@@ -710,3 +710,88 @@ def test_first_delivery_after_joining_by_formation_checks_the_whole_vector():
         checker.on_event(event._replace(time=event.time + 100, seq=event.seq + 100))
     assert checker._rows["P"].frontier["S"] == 6
     assert checker.delta_entries_folded() == folded
+
+
+# ---------------------------------------------------------------------------
+# What a streaming run keeps
+# ---------------------------------------------------------------------------
+
+from repro.scenarios import ring_overlap_groups  # noqa: E402
+from repro.workloads import OpenLoopClient, get_profile  # noqa: E402
+
+
+def test_streaming_run_keeps_no_delivery_history():
+    """E27's stream (``benchmarks/bench_observation_path.py`` at smoke
+    scale: 48 processes in 8 overlapping groups of 12, every member
+    multicasting open loop), verified online: no process holds a delivery
+    record and the causal checker holds no delivered id at the end."""
+    session = Session("newtop", seed=5, analysis="online")
+    names = [f"P{index:03d}" for index in range(48)]
+    session.spawn(names)
+    for index, group in enumerate(ring_overlap_groups(names, 8, 12)):
+        session.group(group["id"], group["members"])
+        session.attach_client(
+            OpenLoopClient(
+                get_profile("poisson", rate=25.0),
+                group["members"],
+                [group["id"]],
+                seed=5 * 9973 + index,
+                start=1.0,
+                duration=5.0,
+            )
+        ).start()
+    session.run(12.0)
+    result = session.result()
+    assert result.passed, result.checks.violations[:3]
+    assert result.deliveries == result.metrics["by_kind"]["deliver"] > 10_000
+    logs = [session[name].delivered for name in names]
+    assert sum(len(log) for log in logs) == result.deliveries
+    assert [log.held for log in logs] == [0] * len(names)
+    assert session.suite.causal_order.delivered_ids_held() == 0
+
+
+def test_causal_checker_drops_a_delivered_id_at_its_check():
+    """P delivers y1 before its send is recorded, so y1 waits in P's row
+    until y2's delivery checks it; a re-delivery past the frontier is not
+    kept at all.  The verdicts are the full-vector scan's."""
+    events = _stream(
+        *_installs("g", ["P", "Y"]),
+        ("deliver", "P", "g", "y1", "Y"),
+        ("send", "Y", "g", "y1"),
+        ("send", "Y", "g", "y2"),
+        ("deliver", "P", "g", "y2", "Y"),
+        ("deliver", "P", "g", "y2", "Y"),
+        ("send", "Y", "g", "y3"),
+        ("deliver", "P", "g", "y3", "Y"),
+    )
+    checker = OnlineCausalOrder()
+    held = []
+    for event in events:
+        checker.on_event(event)
+        held.append(checker.delivered_ids_held())
+    assert held == [0, 0, 1, 1, 1, 0, 0, 0, 0]
+    assert checker.violations == []
+    assert full_vector_causal_violations(events) == set()
+    # The same stream without y1's delivery: y2's check reports it missing.
+    missing = [e for e in events if not (e.kind == DELIVER and e.message_id == "y1")]
+    found = delta_causal_violations(missing)
+    assert set(found) == full_vector_causal_violations(missing)
+    assert len(found) == 1 and "preceding y1 " in found[0]
+
+
+def test_a_late_duplicate_delivery_still_fails_the_suite():
+    """Five processes deliver m1 then m2; then m1's first deliverer
+    delivers it again.  Every member of the view has delivered m1 by
+    then, so a total-order checker that forgot a message once all of them
+    had would pass this stream."""
+    members = ["P0", "P1", "P2", "P3", "P4"]
+    steps = [*_installs("g", members)]
+    for message, sender in (("m1", "P0"), ("m2", "P1")):
+        steps.append(("send", sender, "g", message))
+        steps.extend(("deliver", member, "g", message, sender) for member in members)
+    steps.append(("deliver", "P0", "g", "m1", "P0"))
+    events = _stream(*steps)
+    online = replay_online(events)
+    assert not online.passed
+    assert any("total order violated between P0 and P1" in v for v in online.violations)
+    assert not check_all(EventTrace(events)).passed
