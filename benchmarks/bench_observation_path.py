@@ -35,7 +35,12 @@ gates are the counts, which repeat exactly per seed:
   (``== 0``; a checker that kept every id would hold one per delivery),
 * per-delivery records the streaming session's processes hold (``== 0``;
   their delivery logs keep a count, the trace's ``deliver`` events being
-  what carries the facts).
+  what carries the facts),
+* deliverer maps the replayed ``OnlineTotalOrder`` still holds at the end
+  (``== 0``; a map closes once every member of every view it recorded has
+  delivered its message, and the stream drains, so a checker that never
+  closed one would hold one per message).  The tombstones it keeps instead,
+  one per message, are reported.
 
 Run as a script for the CI gate::
 
@@ -61,11 +66,13 @@ from repro.net.trace import DELIVER, MemorySink, MetricsSink, NullSink, TraceRec
 from repro.scenarios import ring_overlap_groups
 from repro.workloads import OpenLoopClient, get_profile
 
-#: ``stream_busy``'s shape; ``smoke`` shortens the traffic window only.
+#: ``stream_busy``'s shape; ``smoke`` shortens the traffic window, and
+#: drains a second longer: its last message reaches its last member at
+#: 12.1 s.
 FULL_SCALE = dict(
     processes=48, groups=8, group_size=12, rate=25.0, duration=14.0, drain=6.0, seed=5
 )
-SMOKE_SCALE = dict(FULL_SCALE, duration=5.0)
+SMOKE_SCALE = dict(FULL_SCALE, duration=5.0, drain=7.0)
 SCALES = {"smoke": SMOKE_SCALE, "full": FULL_SCALE}
 
 DEFAULT_ROUNDS = 5
@@ -74,7 +81,7 @@ DEFAULT_ROUNDS = 5
 MAX_CAUSAL_ENTRIES_PER_DELIVERY = 12.0
 MAX_EVENTS_MATERIALIZED_PER_DELIVERY = 1.2
 CLIENT_CALLS_PER_DELIVERY = 1.0
-#: Delivery history a streaming run may hold at its end (both counts).
+#: Delivery history a streaming run may hold at its end (all three counts).
 MAX_HISTORY_HELD = 0
 
 
@@ -211,6 +218,8 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
             # The replayed checker does the live one's work, entry for entry.
             assert sink.delta_entries_folded() == recorded["causal_entries_folded"]
             causal_ids_held = sink.delivered_ids_held()
+        if name == "total_order":
+            maps_held, closed_held = sink.maps_held(), sink.closed_held()
         timings[name] = row(seconds, fed)
     # The session's own sink set: which events does a real run build?
     _, materialized = _replay_record(
@@ -228,6 +237,8 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
         ),
         "causal_delivered_ids_held": causal_ids_held,
         "delivery_records_held": recorded["delivery_records_held"],
+        "total_order_maps_held": maps_held,
+        "total_order_closed_held": closed_held,
     }
     return {
         "rounds": rounds,
@@ -269,12 +280,19 @@ def check_gates(payload):
         f"delivery records (gate {MAX_HISTORY_HELD}): a delivery log beside a "
         "streaming recorder keeps records instead of a count"
     )
+    assert counts["total_order_maps_held"] <= MAX_HISTORY_HELD, (
+        f"OnlineTotalOrder still holds {counts['total_order_maps_held']} deliverer "
+        f"maps after the stream (gate {MAX_HISTORY_HELD}): a map is kept past the "
+        "point where every member of every view it recorded has delivered its "
+        "message"
+    )
     return {
         "max_causal_entries_per_delivery": MAX_CAUSAL_ENTRIES_PER_DELIVERY,
         "max_events_materialized_per_delivery": MAX_EVENTS_MATERIALIZED_PER_DELIVERY,
         "client_on_event_calls_per_delivery": CLIENT_CALLS_PER_DELIVERY,
         "max_causal_delivered_ids_held": MAX_HISTORY_HELD,
         "max_delivery_records_held": MAX_HISTORY_HELD,
+        "max_total_order_maps_held": MAX_HISTORY_HELD,
     }
 
 
@@ -287,7 +305,9 @@ def _table(payload):
         f"{counts['events_materialized_per_delivery']} events materialized, "
         f"{counts['client_on_event_calls_per_delivery']} client on_event call(s)",
         f"held after the stream: {counts['causal_delivered_ids_held']} causal "
-        f"delivered ids, {counts['delivery_records_held']} process delivery records",
+        f"delivered ids, {counts['delivery_records_held']} process delivery records, "
+        f"{counts['total_order_maps_held']} total-order deliverer maps "
+        f"({counts['total_order_closed_held']} closed-message tombstones)",
     ]
     for name, timing in payload["timings"].items():
         rows.append(

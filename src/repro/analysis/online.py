@@ -15,7 +15,8 @@ checker:
   assigns each message a position at its first delivery anywhere; every
   later delivery is validated against per-pair delivery watermarks
   (conflict detection), O(deliverers-of-message) per delivery instead of
-  O(P^2) sequence comparisons at the end.
+  O(P^2) sequence comparisons at the end; a message's deliverer map is
+  dropped once every member of its views has delivered it.
 * :class:`OnlineCausalOrder` (MD5/MD5' and causal delivery consistency) --
   delta-stamped vector clocks: each send is stamped with the entries of
   the sender's causal context that moved since its previous send, so a
@@ -83,13 +84,16 @@ class _ViewTimeline:
     KINDS = frozenset({VIEW_INSTALL, DEPART})
 
     def __init__(self) -> None:
-        #: process -> group -> current members
+        #: process -> group -> current members; processes that installed
+        #: the same composition share one frozenset
         self.views: Dict[str, Dict[str, FrozenSet[str]]] = {}
         #: process -> groups it has departed
         self.departed: Dict[str, Set[str]] = {}
         #: The kinds the checkers that adopted this timeline read it for;
         #: whoever shares it out subscribes to them and feeds it.
         self.wanted: Set[str] = set()
+        #: every composition installed so far, each the one shared copy
+        self._shared: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
     def on_event(self, event: TraceEvent) -> None:
         if event.group is None:
@@ -98,7 +102,8 @@ class _ViewTimeline:
             row = self.views.get(event.process)
             if row is None:
                 row = self.views[event.process] = {}
-            row[event.group] = frozenset(event.detail("members", ()))
+            members = frozenset(event.detail("members", ()))
+            row[event.group] = self._shared.setdefault(members, members)
         elif event.kind == DEPART:
             self.departed.setdefault(event.process, set()).add(event.group)
 
@@ -135,6 +140,34 @@ class OnlineChecker(TraceSink):
         return CheckResult(self.name, not self.violations, list(self.violations))
 
 
+class _OpenMessage:
+    """A message whose deliverer map :class:`OnlineTotalOrder` still holds,
+    with what it needs to tell when the map may close."""
+
+    __slots__ = ("deliverers", "members", "inside", "closed")
+
+    def __init__(
+        self,
+        process: str,
+        position: int,
+        view: Optional[FrozenSet[str]],
+        closed: Optional[FrozenSet[str]],
+    ) -> None:
+        #: process -> (local delivery position, members of the process's
+        #: view of the message's group at that delivery, or None)
+        self.deliverers: Dict[str, Tuple[int, Optional[FrozenSet[str]]]] = {
+            process: (position, view)
+        }
+        #: the union of the deliverers' views -- almost always the one
+        #: view they share -- or None once a deliverer had none: the map
+        #: then never closes
+        self.members = view
+        #: how many deliverers are in ``members``
+        self.inside = 1 if view is not None and process in view else 0
+        #: the tombstone of an earlier close of the same message, if any
+        self.closed = closed
+
+
 class OnlineTotalOrder(OnlineChecker):
     """MD4/MD4': pairwise-consistent delivery order, checked per delivery.
 
@@ -161,6 +194,22 @@ class OnlineTotalOrder(OnlineChecker):
     (and symmetrically).  Partitioned sides that have mutually excluded
     each other proceed independently (the paper's Example 3); deliveries
     without any installed view stay constrained.
+
+    Memory is the checker's own stability rule (§5.1 applied to the
+    checker): a message's deliverer map closes once every member of every
+    view recorded by one of its deliverers has delivered it.  A process
+    that delivers it later is outside every recorded view, so mutual-view
+    scoping skips each of its pairs with the earlier deliverers; it opens
+    a fresh map and is checked against the later deliverers that hold it
+    in view.  A deliverer with no view keeps the map open.  What stays per
+    message is its arbiter rank and a tombstone: the union of its views
+    and deliverers, usually the one view they share.  On a run whose
+    messages all reach their views, the maps held at the end are none
+    (:meth:`maps_held`; ``benchmarks/bench_observation_path.py`` gates
+    it), and the tombstones one per message (:meth:`closed_held`).
+
+    A process delivering a message it has already delivered -- in its map
+    or in its tombstone -- is reported as a duplicate delivery.
     """
 
     name = "total_order"
@@ -175,11 +224,11 @@ class OnlineTotalOrder(OnlineChecker):
         #: messages; exposed for observability and debugging.
         self.arbiter_position: Dict[str, int] = {}
         self._next_position = 0
-        #: message id -> {process: (local delivery position, members of the
-        #: process's view of the message's group at that delivery, or None)}
-        self._deliverers: Dict[
-            str, Dict[str, Tuple[int, Optional[FrozenSet[str]]]]
-        ] = {}
+        #: message id -> its open deliverer map
+        self._open: Dict[str, _OpenMessage] = {}
+        #: message id -> tombstone of its closed map: every process that
+        #: had delivered it by the close
+        self._closed: Dict[str, FrozenSet[str]] = {}
         #: process -> number of deliveries so far (its local position counter)
         self._local_count: Dict[str, int] = {}
         #: p -> q -> (max local position in q of a message delivered by
@@ -203,38 +252,90 @@ class OnlineTotalOrder(OnlineChecker):
         views = self._timeline.views.get(process)
         if views is not None and event.group is not None:
             view = views.get(event.group)
-        deliverers = self._deliverers.get(message)
-        if deliverers is None:
-            # First delivery anywhere: the arbiter assigns the global slot.
-            self.arbiter_position[message] = self._next_position
-            self._next_position += 1
-            self._deliverers[message] = {process: (local_pos, view)}
-            return
-        watermark, here = self._watermark, (local_pos, message)
-        for other, (other_pos, other_view) in deliverers.items():
-            # Mutual-view scoping: this common message binds the pair only
-            # if each side still saw the other in its view at delivery.
-            if view is not None and other not in view:
-                continue
-            if other_view is not None and process not in other_view:
-                continue
-            mark = marks.get(other)
-            if mark is not None and mark[0] > other_pos:
-                self.violations.append(
-                    f"total order violated between {process} and {other}: "
-                    f"{process} delivered {mark[1]} before {message}, "
-                    f"{other} delivered {message} before {mark[1]} "
-                    f"(arbiter order: {message}="
-                    f"{self.arbiter_position.get(message)}, {mark[1]}="
-                    f"{self.arbiter_position.get(mark[1])})"
-                )
-            # Update both directions' watermarks with this common message.
-            # The reverse one always moves: local_pos is the highest
-            # position this process has handed out.
-            if mark is None or other_pos > mark[0]:
-                marks[other] = (other_pos, message)
-            watermark[other][process] = here
-        deliverers[process] = (local_pos, view)
+        entry = self._open.get(message)
+        if entry is None:
+            closed = self._closed.get(message)
+            if closed is None:
+                # First delivery anywhere: the arbiter assigns the global slot.
+                self.arbiter_position[message] = self._next_position
+                self._next_position += 1
+            elif process in closed:
+                self._duplicate(process, message)
+                return
+            entry = self._open[message] = _OpenMessage(process, local_pos, view, closed)
+        else:
+            deliverers = entry.deliverers
+            again = process in deliverers
+            if again or (entry.closed is not None and process in entry.closed):
+                self._duplicate(process, message)
+            watermark, here = self._watermark, (local_pos, message)
+            for other, (other_pos, other_view) in deliverers.items():
+                # Mutual-view scoping: this common message binds the pair only
+                # if each side still saw the other in its view at delivery.
+                if view is not None and other not in view:
+                    continue
+                if other_view is not None and process not in other_view:
+                    continue
+                mark = marks.get(other)
+                if mark is not None and mark[0] > other_pos:
+                    self.violations.append(
+                        f"total order violated between {process} and {other}: "
+                        f"{process} delivered {mark[1]} before {message}, "
+                        f"{other} delivered {message} before {mark[1]} "
+                        f"(arbiter order: {message}="
+                        f"{self.arbiter_position.get(message)}, {mark[1]}="
+                        f"{self.arbiter_position.get(mark[1])})"
+                    )
+                # Update both directions' watermarks with this common message.
+                # The reverse one always moves: local_pos is the highest
+                # position this process has handed out.
+                if mark is None or other_pos > mark[0]:
+                    marks[other] = (other_pos, message)
+                watermark[other][process] = here
+            deliverers[process] = (local_pos, view)
+            members = entry.members
+            if members is None:
+                return
+            if view is None:
+                entry.members = None
+                return
+            if view is not members and not view <= members:
+                # A view other than the one the deliverers share so far
+                # (a message delivered across a view change): recount.
+                members = entry.members = members | view
+                entry.inside = sum(1 for other in deliverers if other in members)
+            elif not again and process in members:
+                entry.inside += 1
+        members = entry.members
+        if members is not None and entry.inside == len(members):
+            self._close(message, entry)
+
+    def _close(self, message: str, entry: _OpenMessage) -> None:
+        """Every member of every view recorded for ``message`` has
+        delivered it: forget its map, keep who delivered it."""
+        assert entry.members is not None
+        tombstone = entry.members
+        if entry.inside < len(entry.deliverers):
+            # A deliverer outside its own view (only a hand-made stream).
+            tombstone = tombstone.union(entry.deliverers)
+        if entry.closed is not None:
+            tombstone = tombstone | entry.closed
+        self._closed[message] = tombstone
+        del self._open[message]
+
+    def _duplicate(self, process: str, message: str) -> None:
+        self.violations.append(
+            f"duplicate delivery: {process} delivered {message} again "
+            f"(arbiter position {self.arbiter_position[message]})"
+        )
+
+    def maps_held(self) -> int:
+        """Deliverer maps still open."""
+        return len(self._open)
+
+    def closed_held(self) -> int:
+        """Tombstones of closed deliverer maps, one per message."""
+        return len(self._closed)
 
 
 class OnlineSenderInView(OnlineChecker):

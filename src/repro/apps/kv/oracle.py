@@ -120,11 +120,12 @@ class KVOracle(TraceSink):
     def _on_apply(self, event: TraceEvent) -> None:
         self.applies_checked += 1
         group = event.group or ""
-        position = event.detail("position")
-        op = event.detail("op")
-        key = event.detail("key")
-        outcome = event.detail("outcome")
-        digest = event.detail("digest")
+        details = dict(event.details)
+        position = details.get("position")
+        op = details.get("op")
+        key = details.get("key")
+        outcome = details.get("outcome")
+        digest = details.get("digest")
         msg_id = event.message_id or ""
 
         # Gapless, monotone per-replica progress.
@@ -172,8 +173,8 @@ class KVOracle(TraceSink):
                     replica=(outcome, digest),
                 )
 
-        client = event.detail("client")
-        via = event.detail("via")
+        client = details.get("client")
+        via = details.get("via")
         if (
             client is not None
             and key is not None
@@ -192,7 +193,7 @@ class KVOracle(TraceSink):
         if key is not None and outcome == "applied" and op in _WRITE_OPS:
             history = self._history.setdefault((group, key), [])
             if op == "migrate_in":
-                from_digest = event.detail("from_digest")
+                from_digest = details.get("from_digest")
                 if not history and digest != from_digest:
                     self._violate(
                         "transfer_integrity",
@@ -220,12 +221,13 @@ class KVOracle(TraceSink):
     def _on_read(self, event: TraceEvent) -> None:
         self.reads_checked += 1
         group = event.group or ""
-        key = event.detail("key")
-        position = event.detail("position")
-        required = event.detail("required") or 0
-        digest = event.detail("digest")
+        details = dict(event.details)
+        key = details.get("key")
+        position = details.get("position")
+        required = details.get("required") or 0
+        digest = details.get("digest")
         writer = event.message_id
-        client = event.detail("client")
+        client = details.get("client")
 
         if position < required:
             self._violate(

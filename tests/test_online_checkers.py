@@ -440,7 +440,7 @@ def test_view_agreement_falls_back_when_group_unlisted(churn_run):
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.analysis.online import OnlineCausalOrder  # noqa: E402
+from repro.analysis.online import OnlineCausalOrder, OnlineTotalOrder  # noqa: E402
 from repro.api import Session  # noqa: E402
 from repro.core.config import OrderingMode  # noqa: E402
 from repro.net.trace import DEPART, EventTrace, TraceEvent  # noqa: E402
@@ -491,11 +491,33 @@ def full_vector_causal_violations(events):
 
 
 def delta_causal_violations(events):
-    checker = OnlineCausalOrder()
+    return _replay_checker(OnlineCausalOrder(), events).violations
+
+
+def _replay_checker(checker, events):
+    """Feed one checker, built on its own, the kinds it consumes."""
     for event in sorted(events, key=lambda e: (e.time, e.seq)):
         if event.kind in checker.KINDS:
             checker.on_event(event)
-    return checker.violations
+    return checker
+
+
+class NeverClosingTotalOrder(OnlineTotalOrder):
+    """The reference the closing rule must match: every deliverer map
+    stays open for the whole run."""
+
+    def _close(self, message, entry):
+        pass
+
+
+def assert_closing_matches_never_closing(events):
+    """The closing checker reports exactly what the never-closing
+    reference does; returns the closing checker."""
+    closing = _replay_checker(OnlineTotalOrder(), events)
+    reference = _replay_checker(NeverClosingTotalOrder(), events)
+    assert closing.violations == reference.violations
+    assert reference.closed_held() == 0
+    return closing
 
 
 def _symmetric_execution():
@@ -579,6 +601,29 @@ def test_delta_checker_matches_full_vector_scan_on_clean_runs(seeded_executions)
         assert full_vector_causal_violations(events) == set()
 
 
+def test_total_order_maps_close_on_the_seeded_executions(seeded_executions, churn_run):
+    """Most maps close (every one on the seeded executions; on the churn
+    fixture a member that crashed or left keeps two open), and the
+    verdicts are the never-closing reference's -- also on the churn
+    fixture with two deliveries swapped."""
+    _, churn_events = churn_run
+    for events in [*seeded_executions, churn_events]:
+        checker = assert_closing_matches_never_closing(events)
+        assert checker.violations == []
+        messages = len(checker.arbiter_position)
+        assert checker.closed_held() > messages // 2
+        assert checker.maps_held() + checker.closed_held() == messages
+    deliveries = [e for e in churn_events if e.kind == DELIVER]
+    first = deliveries[len(deliveries) // 3]
+    second = next(
+        e for e in deliveries
+        if e.process == first.process and e.seq > first.seq
+        and e.message_id != first.message_id
+    )
+    swapped = _swap_events(churn_events, first, second)
+    assert assert_closing_matches_never_closing(swapped).violations
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_delta_checker_differential_under_delivery_mutations(seeded_executions, data):
@@ -602,6 +647,8 @@ def test_delta_checker_differential_under_delivery_mutations(seeded_executions, 
     found = delta_causal_violations(events)
     assert len(found) == len(set(found))
     assert set(found) == full_vector_causal_violations(events)
+    # Deletions and swaps repeat no delivery: closing maps changes nothing.
+    assert_closing_matches_never_closing(events)
 
 
 # Hand-built streams for the cases a naive delta (scan the delivered
@@ -724,7 +771,8 @@ def test_streaming_run_keeps_no_delivery_history():
     """E27's stream (``benchmarks/bench_observation_path.py`` at smoke
     scale: 48 processes in 8 overlapping groups of 12, every member
     multicasting open loop), verified online: no process holds a delivery
-    record and the causal checker holds no delivered id at the end."""
+    record, the causal checker holds no delivered id and the total-order
+    checker no deliverer map at the end."""
     session = Session("newtop", seed=5, analysis="online")
     names = [f"P{index:03d}" for index in range(48)]
     session.spawn(names)
@@ -740,7 +788,7 @@ def test_streaming_run_keeps_no_delivery_history():
                 duration=5.0,
             )
         ).start()
-    session.run(12.0)
+    session.run(13.0)
     result = session.result()
     assert result.passed, result.checks.violations[:3]
     assert result.deliveries == result.metrics["by_kind"]["deliver"] > 10_000
@@ -748,6 +796,9 @@ def test_streaming_run_keeps_no_delivery_history():
     assert sum(len(log) for log in logs) == result.deliveries
     assert [log.held for log in logs] == [0] * len(names)
     assert session.suite.causal_order.delivered_ids_held() == 0
+    total_order = session.suite.total_order
+    assert total_order.maps_held() == 0
+    assert total_order.closed_held() == len(total_order.arbiter_position)
 
 
 def test_causal_checker_drops_a_delivered_id_at_its_check():
@@ -782,8 +833,7 @@ def test_causal_checker_drops_a_delivered_id_at_its_check():
 def test_a_late_duplicate_delivery_still_fails_the_suite():
     """Five processes deliver m1 then m2; then m1's first deliverer
     delivers it again.  Every member of the view has delivered m1 by
-    then, so a total-order checker that forgot a message once all of them
-    had would pass this stream."""
+    then, so m1's deliverer map is closed: its tombstone still names P0."""
     members = ["P0", "P1", "P2", "P3", "P4"]
     steps = [*_installs("g", members)]
     for message, sender in (("m1", "P0"), ("m2", "P1")):
@@ -793,5 +843,94 @@ def test_a_late_duplicate_delivery_still_fails_the_suite():
     events = _stream(*steps)
     online = replay_online(events)
     assert not online.passed
-    assert any("total order violated between P0 and P1" in v for v in online.violations)
+    assert any(
+        "duplicate delivery: P0 delivered m1 again" in v for v in online.violations
+    )
     assert not check_all(EventTrace(events)).passed
+    checker = _replay_checker(OnlineTotalOrder(), events[:-1])
+    assert (checker.maps_held(), checker.closed_held()) == (0, 2)
+
+
+def test_a_back_to_back_duplicate_delivery_fails_the_suite():
+    """P delivers m1 twice while Q has not delivered it yet: the map is
+    open, and P is already in it."""
+    events = _stream(
+        *_installs("g", ["P", "Q"]),
+        ("send", "P", "g", "m1"),
+        ("deliver", "P", "g", "m1", "P"),
+        ("deliver", "P", "g", "m1", "P"),
+        ("deliver", "Q", "g", "m1", "P"),
+    )
+    online = replay_online(events)
+    assert not online.passed
+    assert online.violations == [
+        "duplicate delivery: P delivered m1 again (arbiter position 0)"
+    ]
+
+
+def _partitioned(late_orders):
+    """g = {A, B, C, D} split in two: A and B, holding view {A, B},
+    deliver m1 then m2 (closing both maps); then C and D, holding view
+    {C, D}, deliver in the orders given."""
+    steps = [
+        *_installs("g", ["A", "B"]),
+        *_installs("g", ["C", "D"]),
+    ]
+    for member in ("A", "B"):
+        steps += [("deliver", member, "g", "m1", "A"), ("deliver", member, "g", "m2", "A")]
+    for member, order in late_orders.items():
+        steps += [("deliver", member, "g", message, "A") for message in order]
+    return _stream(*steps)
+
+
+def test_a_process_outside_every_view_delivers_after_the_close():
+    """C delivers m2 before m1, the opposite of A and B; A and B had
+    excluded C, so nothing binds the pairs and nothing is reported.  C
+    opens a fresh map for each message."""
+    events = _partitioned({"C": ["m2", "m1"]})
+    checker = assert_closing_matches_never_closing(events)
+    assert checker.violations == []
+    assert (checker.maps_held(), checker.closed_held()) == (2, 2)
+    assert checker.arbiter_position == {"m1": 0, "m2": 1}
+
+
+def test_late_processes_holding_each_other_in_view_are_still_checked():
+    """C and D, each in the other's view, deliver m1 and m2 in opposite
+    orders after A's and B's maps closed: a violation between C and D."""
+    events = _partitioned({"C": ["m2", "m1"], "D": ["m1", "m2"]})
+    checker = assert_closing_matches_never_closing(events)
+    assert len(checker.violations) == 1
+    assert "total order violated between D and C" in checker.violations[0]
+    assert (checker.maps_held(), checker.closed_held()) == (0, 2)
+
+
+def test_a_duplicate_after_the_map_reopened_is_still_caught():
+    """C's delivery of m1 reopens m1's map after A and B closed it; A's
+    re-delivery is then checked against the tombstone the fresh map
+    carries."""
+    events = _partitioned({"C": ["m1"], "A": ["m1"]})
+    checker = _replay_checker(OnlineTotalOrder(), events)
+    assert checker.violations == [
+        "duplicate delivery: A delivered m1 again (arbiter position 0)"
+    ]
+
+
+def test_views_recorded_across_a_view_change_are_unioned():
+    """A has excluded C when it delivers m1; B, still holding C in view,
+    delivers m1 too.  Every member of A's view has m1 then, but not every
+    member of B's: the map stays open, and C, delivering m2 before m1
+    where B did the opposite, is checked against B."""
+    events = _stream(
+        ("install", "A", "g", ["A", "B"]),
+        ("install", "B", "g", ["A", "B", "C"]),
+        ("install", "C", "g", ["A", "B", "C"]),
+        ("deliver", "A", "g", "m1", "A"),
+        ("deliver", "B", "g", "m1", "A"),
+        ("deliver", "B", "g", "m2", "B"),
+        ("deliver", "C", "g", "m2", "B"),
+        ("deliver", "C", "g", "m1", "A"),
+    )
+    checker = assert_closing_matches_never_closing(events)
+    assert len(checker.violations) == 1
+    assert "total order violated between C and B" in checker.violations[0]
+    assert (checker.maps_held(), checker.closed_held()) == (1, 1)
