@@ -7,7 +7,7 @@ from initiation to every member completing the start-number agreement, and
 the number of control messages, as group size grows.
 """
 
-from common import RESULTS, assert_session_correct, fmt, run_session, run_until_delivered
+from common import RESULTS, assert_session_correct, fmt, run_session
 
 GROUP_SIZES = [3, 5, 8]
 
@@ -37,7 +37,7 @@ def run_sweep():
         control_messages = session.network.stats.messages_sent - messages_before
         # The new group carries ordered traffic immediately afterwards.
         message_id = session[names[1]].multicast("gn", "post-formation")
-        delivered = run_until_delivered(session, message_id, timeout=100)
+        delivered = session.run_until_delivered(message_id, timeout=100)
         assert_session_correct(session)
         rows.append((size, done, formation_latency, control_messages, delivered))
     return rows

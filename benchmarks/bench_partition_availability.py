@@ -10,7 +10,7 @@ both policies (Newtop measured on the running protocol, the primary
 partition via the policy model applied to the same scenarios).
 """
 
-from common import RESULTS, fmt, run_session, run_until_delivered
+from common import RESULTS, fmt, run_session
 
 from repro.baselines import PrimaryPartitionMembership
 
@@ -33,7 +33,7 @@ def newtop_available_fraction(components, seed: int) -> float:
         # is delivered by every member of that side.
         sender = component[0]
         message_id = session[sender].multicast("g", f"probe-{sender}")
-        if run_until_delivered(session, message_id, processes=component, timeout=120):
+        if session.run_until_delivered(message_id, processes=component, timeout=120):
             available += len(component)
     return available / len(MEMBERS)
 

@@ -1,11 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark file reproduces one experiment id (E1-E17) from DESIGN.md:
-it builds the workload, runs it on the simulated substrate, verifies the
-paper's correctness properties on the trace, derives the quantities the
-paper argues about, appends a human-readable row set to the consolidated
-report, and asserts the *shape* of the result (who wins, how quantities
-scale) rather than absolute numbers.
+Every ``bench_*.py`` file reproduces the experiment its module docstring
+names (E1-E28): it builds the workload, runs it on the simulated
+substrate, verifies the paper's correctness properties on the trace,
+derives the quantities the paper argues about, appends a human-readable
+row set to the consolidated report, and asserts the *shape* of the result
+(who wins, how quantities scale) rather than absolute numbers.
 """
 
 from __future__ import annotations
@@ -153,30 +153,6 @@ class EventProbe(TraceSink):
 
     def trace(self) -> EventTrace:
         return EventTrace(list(self.events))
-
-
-def run_until_delivered(
-    session: Session,
-    message_id: str,
-    processes: Optional[Sequence[str]] = None,
-    timeout: float = 200.0,
-) -> bool:
-    """Run until every listed (alive) process has delivered ``message_id``
-    (a message of an ordered group: an atomic-only group's deliveries
-    bypass the delivery queue polled here)."""
-    targets = [
-        session[process_id]
-        for process_id in (processes if processes is not None else session.processes)
-    ]
-
-    def all_delivered() -> bool:
-        return all(
-            process.crashed
-            or process.delivery_queue.was_delivered(message_id)
-            for process in targets
-        )
-
-    return session.run_until(all_delivered, timeout)
 
 
 def newtop_run_metrics(

@@ -9,9 +9,8 @@ This module turns raw traces and network statistics into those summaries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.net.network import NetworkStats
 from repro.net.trace import (
@@ -24,6 +23,7 @@ from repro.net.trace import (
     UNBLOCKED_SEND,
     VIEW_INSTALL,
 )
+from repro.stats import percentile
 
 
 @dataclass
@@ -43,13 +43,6 @@ class LatencySummary:
         return LatencySummary(count=0, mean=0.0, median=0.0, p95=0.0, maximum=0.0, minimum=0.0)
 
 
-def _percentile(ordered: Sequence[float], fraction: float) -> float:
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, max(0, int(math.ceil(fraction * len(ordered))) - 1))
-    return ordered[index]
-
-
 def summarize_latencies(samples: Iterable[float]) -> LatencySummary:
     """Compute count/mean/median/p95/min/max of a latency sample."""
     ordered = sorted(samples)
@@ -58,8 +51,8 @@ def summarize_latencies(samples: Iterable[float]) -> LatencySummary:
     return LatencySummary(
         count=len(ordered),
         mean=sum(ordered) / len(ordered),
-        median=_percentile(ordered, 0.5),
-        p95=_percentile(ordered, 0.95),
+        median=percentile(ordered, 50),
+        p95=percentile(ordered, 95),
         maximum=ordered[-1],
         minimum=ordered[0],
     )

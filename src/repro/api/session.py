@@ -1,7 +1,7 @@
 """The unified session lifecycle: one front door for every protocol stack.
 
 A :class:`Session` owns the simulated substrate (simulator, network,
-transport, fault injector, trace recorder) and drives a pluggable
+transport, trace recorder) and drives a pluggable
 :class:`~repro.api.stack.ProtocolStack` through one lifecycle::
 
     from repro.api import Session
@@ -18,6 +18,14 @@ The same five lines run the fixed sequencer, ISIS, Lamport all-ack, Psync
 or the primary-partition policy by changing ``stack=``; verification is
 routed through the stack's declared checks, so a sequencer run streams the
 total-order checker while a Psync run streams the causal one.
+
+Faults are session calls as well -- :meth:`Session.crash`,
+:meth:`~Session.leave`, :meth:`~Session.partition`,
+:meth:`~Session.isolate`, :meth:`~Session.heal` -- and take effect at once,
+at the network and at the stack.  To time one, schedule the call, as the
+scenario engine does for a spec's events::
+
+    session.sim.schedule_at(12.0, session.crash, "P3")
 
 Two analysis modes mirror the scenario engine's:
 
@@ -49,7 +57,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from repro.analysis.checkers import CheckResult
 from repro.api.stack import ProtocolStack, StackContext, StackError
 from repro.api.stacks import get_stack
-from repro.net.failures import FailureSchedule, FaultInjector
 from repro.net.faults import get_link_faults
 from repro.net.latency import LatencyModel
 from repro.net.network import Network, NetworkConfig
@@ -161,7 +168,6 @@ class Session:
             self.sim, network_config, lifecycle=self.recorder.lifecycle
         )
         self.transport = Transport(self.network)
-        self.injector = FaultInjector(self.sim, self.network)
         if obs is not None:
             self.recorder.profiler = obs.profiler
             obs.bind(self.sim, self.recorder)
@@ -170,7 +176,6 @@ class Session:
                 sim=self.sim,
                 network=self.network,
                 transport=self.transport,
-                injector=self.injector,
                 recorder=self.recorder,
             ),
             protocol=config,
@@ -237,7 +242,7 @@ class Session:
 
     def partition(self, components: Sequence[Iterable[str]]) -> None:
         """Install a network partition immediately."""
-        self.injector.partition_now(components)
+        self.network.partitions.partition(components, at_time=self.sim.now)
         self.stack.on_partition(components)
 
     def isolate(self, process_ids: Sequence[str]) -> None:
@@ -248,12 +253,8 @@ class Session:
 
     def heal(self) -> None:
         """Heal all partitions immediately."""
-        self.injector.heal_now()
+        self.network.partitions.heal(at_time=self.sim.now)
         self.stack.on_heal()
-
-    def install_failures(self, schedule: FailureSchedule) -> None:
-        """Schedule a declarative set of failures."""
-        self.injector.install(schedule)
 
     # ------------------------------------------------------------------
     # Running
@@ -269,6 +270,28 @@ class Session:
         if self.observation is not None:
             self.observation.ensure_sampling()
         return self.sim.run_until(predicate, timeout)
+
+    def run_until_delivered(
+        self,
+        message_id: str,
+        processes: Optional[Sequence[str]] = None,
+        timeout: float = 200.0,
+    ) -> bool:
+        """Run until every listed (alive) Newtop process has delivered
+        ``message_id`` (a message of an ordered group: an atomic-only
+        group's deliveries bypass the delivery queue polled here)."""
+        targets = [
+            self[process_id]
+            for process_id in (processes if processes is not None else self.processes)
+        ]
+
+        def all_delivered() -> bool:
+            return all(
+                process.crashed or process.delivery_queue.was_delivered(message_id)
+                for process in targets
+            )
+
+        return self.run_until(all_delivered, timeout)
 
     # ------------------------------------------------------------------
     # Introspection

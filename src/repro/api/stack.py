@@ -42,7 +42,6 @@ from repro.analysis.online import (
     OnlineCheckSuite,
     check_events,
 )
-from repro.net.failures import FaultInjector
 from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.net.trace import EventTrace, TraceRecorder
@@ -85,15 +84,14 @@ class UnsupportedScenarioEvent(StackError):
 class StackContext:
     """The shared substrate a session hands to its stack.
 
-    One simulator, network, transport, fault injector and trace recorder --
-    exactly the boilerplate the old per-protocol cluster classes each
-    rebuilt for themselves.
+    One simulator, network, transport and trace recorder -- exactly the
+    boilerplate the old per-protocol cluster classes each rebuilt for
+    themselves.
     """
 
     sim: Simulator
     network: Network
     transport: Transport
-    injector: FaultInjector
     recorder: TraceRecorder
 
 

@@ -26,8 +26,9 @@ and the §7 window reopens.
 
 Fault tolerance for the asymmetric engine (sequencer failover, re-sending
 of unsequenced requests) goes beyond what the paper spells out -- §5 covers
-only the symmetric version "to save space" -- and is documented as an
-extension in DESIGN.md.
+only the symmetric version "to save space" -- and is this reproduction's
+extension: :meth:`AsymmetricOrdering.emit_view_cut` and the view-change
+methods below document it.
 """
 
 from __future__ import annotations

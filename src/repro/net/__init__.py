@@ -14,11 +14,10 @@ deterministic, seedable discrete-event simulation:
 * :mod:`repro.net.partitions` -- the partition model (which pairs of nodes
   can currently communicate).
 * :mod:`repro.net.network` -- the network fabric gluing latency, partitions
-  and crashed-node tracking together.
+  and crashed-node tracking together, with message filters and timed
+  drop windows (:meth:`~repro.net.network.Network.drop_between`).
 * :mod:`repro.net.transport` -- the reliable FIFO transport endpoints used
   by protocol processes.
-* :mod:`repro.net.failures` -- declarative fault-injection schedules
-  (crashes, crash-during-multicast, partitions, heals).
 * :mod:`repro.net.faults` -- probabilistic link-fault models (seeded
   per-message drop / reorder / duplicate, global or per directed link),
   the message-level fault space the scenario fuzzer explores.
@@ -28,7 +27,6 @@ deterministic, seedable discrete-event simulation:
   checkers and the benchmark harness.
 """
 
-from repro.net.failures import FailureSchedule, FaultInjector
 from repro.net.faults import (
     LinkFaultConfigError,
     LinkFaultModel,
@@ -67,8 +65,6 @@ __all__ = [
     "EventHandle",
     "EventTrace",
     "ExponentialLatency",
-    "FailureSchedule",
-    "FaultInjector",
     "JitteredLatency",
     "JsonlSink",
     "LatencyModel",

@@ -1,8 +1,9 @@
 """Probabilistic link-fault models: message drop, reorder and duplication.
 
-The paper's transport assumes reliable, sequenced (FIFO) channels; the
-crash/partition machinery in :mod:`repro.net.failures` breaks *liveness* of
-whole nodes or components, but never the per-message behaviour of a link.
+The paper's transport assumes reliable, sequenced (FIFO) channels; crashes
+and partitions (:class:`~repro.api.Session` ``crash`` / ``partition``)
+break *liveness* of whole nodes or components, but never the per-message
+behaviour of a link.
 A :class:`LinkFaultModel` fills that gap for the scenario fuzzer: every
 message crossing the network may independently be
 

@@ -17,9 +17,10 @@ with these properties, matching the paper's transport assumptions:
   Example 2).
 
 In addition the network supports *message filters*: predicates that may
-drop individual messages.  Filters are how the fault injector models a
-sender crashing part-way through a multicast (Example 1) without the
-protocol code needing any special hooks.
+drop individual messages.  A filter models a sender crashing part-way
+through a multicast (Example 1) and :meth:`Network.drop_between` opens a
+directed loss window with one, without the protocol code needing any
+special hooks.
 
 One call per fan-out
 --------------------
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.faults import LinkFaultModel
 from repro.net.latency import LatencyModel, UniformLatency
@@ -244,7 +245,7 @@ class Network:
         return node_id in self._crashed
 
     # ------------------------------------------------------------------
-    # Filters (used by fault injection)
+    # Filters and drop windows
     # ------------------------------------------------------------------
     def add_filter(self, message_filter: MessageFilter) -> None:
         """Install a drop filter; it applies to messages sent afterwards."""
@@ -254,6 +255,19 @@ class Network:
         """Remove a previously installed filter (no-op if absent)."""
         if message_filter in self._filters:
             self._filters.remove(message_filter)
+
+    def drop_between(
+        self, src_nodes: Set[str], dst_nodes: Set[str], duration: float,
+        label: str = "fault:drop-window-end",
+    ) -> None:
+        """Drop everything from ``src_nodes`` to ``dst_nodes`` for
+        ``duration`` from now (a directed, unannounced outage)."""
+
+        def drop_filter(src: str, dst: str, payload: object) -> bool:
+            return not (src in src_nodes and dst in dst_nodes)
+
+        self.add_filter(drop_filter)
+        self.sim.schedule(duration, self.remove_filter, drop_filter, label=label)
 
     # ------------------------------------------------------------------
     # Sending

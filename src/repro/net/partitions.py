@@ -7,8 +7,8 @@ suspicion) as a first-class failure mode -- Newtop's membership service is
 explicitly designed to let every connected subgroup keep operating -- so
 the simulation substrate supports:
 
-* installing a partition described as a list of components,
-* isolating a single node,
+* installing a partition described as a list of components (a singleton
+  component isolates one node),
 * healing (removing) partitions,
 * querying whether two nodes can currently communicate.
 
@@ -114,11 +114,6 @@ class PartitionManager:
         self._component_of = component_of
         self._leftover = max(component_of.values(), default=0)
         self._history.append((at_time, self.describe()))
-
-    def isolate(self, node: str, at_time: float = 0.0) -> None:
-        """Partition ``node`` away from every other node."""
-        others = [n for n in self._nodes if n != node]
-        self.partition([[node], others], at_time=at_time)
 
     def heal(self, at_time: float = 0.0) -> None:
         """Remove any installed partition; the network becomes fully connected."""

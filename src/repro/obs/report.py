@@ -140,13 +140,7 @@ def _render_metrics(
         lines.append(f"  retained messages: now {_fmt(retained)}, peak {_fmt(peak)}")
     if gauges:
         lines.append("  gauges (at snapshot)")
-        rows = []
-        for name, value in gauges.items():
-            if isinstance(value, Mapping):
-                rows.append((name, _fmt(value.get("value")), f"peak {_fmt(value.get('peak'))}"))
-            else:
-                rows.append((name, _fmt(value), ""))
-        lines.extend(_table(rows, "    "))
+        lines.extend(_table([(name, _fmt(value)) for name, value in gauges.items()], "    "))
     histograms = metrics.get("histograms") or {}
     for name, hist in histograms.items():
         lines.append(

@@ -433,7 +433,7 @@ class ScenarioEngine:
             if len(members) >= 2:
                 session.form_group(event.group, members)
         elif event.kind == "drop":
-            session.injector.drop_between_now(
+            session.network.drop_between(
                 set(event.src), set(event.dst), event.duration, label="scenario:drop-end"
             )
         else:  # pragma: no cover - spec parsing rejects unknown kinds

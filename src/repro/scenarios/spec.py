@@ -42,7 +42,7 @@ windows all raise one clear :class:`InvalidScenarioSpec` up front instead
 of a deep mid-run failure.  (The fuzzer's shrinker leans on this: every
 mutation candidate is re-validated before it is ever run.)
 
-Supported event kinds (matching the fault model of :mod:`repro.net.failures`):
+Supported event kinds (each one :class:`~repro.api.Session` call):
 
 ``crash``
     Crash-stop every process in ``targets``.

@@ -10,6 +10,7 @@ everything here.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -21,11 +22,13 @@ LATENCY_PERCENTILES = (50, 90, 99)
 
 
 def percentile(sorted_samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile over an already sorted sample list."""
+    """Nearest-rank percentile over an already sorted sample list: the
+    smallest sample with at least ``q`` % of the list at or below it,
+    ``sorted_samples[ceil(q * n / 100) - 1]``."""
     if not sorted_samples:
         raise ValueError("no samples")
-    rank = max(0, min(len(sorted_samples) - 1, int(round(q / 100.0 * len(sorted_samples))) - 1))
-    return sorted_samples[rank]
+    rank = math.ceil(q * len(sorted_samples) / 100.0) - 1
+    return sorted_samples[max(0, min(len(sorted_samples) - 1, rank))]
 
 
 def _systematic_ranks(pool: Sequence[float], target: int) -> List[float]:

@@ -22,11 +22,11 @@ from repro.analysis.overhead import (
     piggyback_overhead_bytes,
     psync_overhead_bytes,
 )
-from harness import NewtopCluster
-
+from repro.api import Session
 from repro.core import NewtopConfig
 from repro.net.network import NetworkStats
 from repro.net.trace import DELIVER, SEND, SUSPECT, TraceRecorder, VIEW_INSTALL
+from repro.stats import percentile
 
 
 # ----------------------------------------------------------------------
@@ -122,14 +122,27 @@ def test_latency_summary():
     assert summarize_latencies([]) == LatencySummary.empty()
 
 
+@pytest.mark.parametrize("q", [50, 90, 95, 99])
+def test_percentile_is_nearest_rank(q):
+    """``sorted[ceil(q * n / 100) - 1]`` for every n: p50 of 1..5 is 3 and
+    p90 of 1..6 is 6, and a latency summary reads the same function."""
+    for n in range(1, 51):
+        ordered = [float(value) for value in range(1, n + 1)]
+        rank = -(-q * n // 100)  # exact integer ceiling
+        assert percentile(ordered, q) == ordered[rank - 1], n
+        summary = summarize_latencies(reversed(ordered))
+        assert (summary.median, summary.p95) == (percentile(ordered, 50), percentile(ordered, 95))
+
+
 def test_build_report_from_real_run():
     config = NewtopConfig(omega=2.0, suspicion_timeout=8.0)
-    cluster = NewtopCluster(["P1", "P2", "P3"], config=config, seed=3)
-    cluster.create_group("g")
+    session = Session("newtop", config=config, seed=3)
+    session.spawn(["P1", "P2", "P3"])
+    session.group("g")
     for i in range(5):
-        cluster["P1"].multicast("g", i)
-    cluster.run(60)
-    report = build_report(cluster.trace(), cluster.network.stats, duration=60.0, group="g")
+        session["P1"].multicast("g", i)
+    session.run(60)
+    report = build_report(session.trace(), session.network.stats, duration=60.0, group="g")
     assert report.application_sends == 5
     assert report.application_deliveries == 15
     assert report.delivery_latency.count == 15
@@ -137,7 +150,7 @@ def test_build_report_from_real_run():
     assert report.null_messages > 0
     flattened = report.as_dict()
     assert flattened["application_sends"] == 5.0
-    ratio = messages_per_delivered_multicast(cluster.trace(), cluster.network.stats, "g")
+    ratio = messages_per_delivered_multicast(session.trace(), session.network.stats, "g")
     assert ratio > 0
 
 

@@ -2,7 +2,8 @@
 
 Covers: the Session lifecycle on Newtop and every baseline stack,
 per-stack check selection, the capability-flag path for unsupported
-scenario events, the removal of the old cluster-constructor shims,
+scenario events, the removal of the old cluster-constructor shims and
+fault schedule,
 the primary-partition policy stack, and the cross-stack churn smoke run
 (the E20 code path at tier-1 scale).
 """
@@ -12,6 +13,7 @@ import pytest
 from repro.api import (
     COMPARISON_STACKS,
     Session,
+    StackContext,
     StackError,
     UnsupportedScenarioEvent,
     UnsupportedStackOperation,
@@ -230,7 +232,7 @@ def test_churn_scenario_runs_on_all_six_stacks():
 
 
 # ---------------------------------------------------------------------------
-# The deprecated cluster constructors are gone from the public API
+# Removed surfaces stay gone: the cluster shims and the fault schedule
 # ---------------------------------------------------------------------------
 
 
@@ -244,3 +246,17 @@ def test_cluster_shims_removed_from_public_api():
     assert not hasattr(repro.baselines, "BaselineCluster")
     with pytest.raises(ImportError):
         from repro.core import cluster  # noqa: F401
+
+
+def test_faults_have_one_front_door():
+    """A fault is a Session call; the schedule/injector pair is gone."""
+    import repro.net
+
+    for name in ("FailureSchedule", "FaultInjector"):
+        assert not hasattr(repro.net, name)
+    with pytest.raises(ImportError):
+        from repro.net import failures  # noqa: F401
+    session = Session("newtop")
+    assert not hasattr(session, "install_failures")
+    assert not hasattr(session, "injector")
+    assert "injector" not in StackContext.__dataclass_fields__

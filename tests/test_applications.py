@@ -3,63 +3,65 @@ store, online server migration)."""
 
 import pytest
 
+from repro.api import Session
 from repro.apps import ReplicatedStateMachine, ReplicatedStore, ServerMigrationScenario
-from harness import NewtopCluster
 
 from repro.core import NewtopConfig, OrderingMode
 
 FAST = dict(omega=1.5, suspicion_timeout=6.0, suspector_check_interval=0.5)
 
 
-def _cluster(names, seed=1, **overrides):
+def _session(names, seed=1, **overrides):
     config = NewtopConfig(**FAST).replace(**overrides)
-    return NewtopCluster(names, config=config, seed=seed)
+    session = Session("newtop", config=config, seed=seed)
+    session.spawn(names)
+    return session
 
 
 # ----------------------------------------------------------------------
 # Replicated state machine
 # ----------------------------------------------------------------------
 def test_rsm_replicas_apply_commands_in_same_order():
-    cluster = _cluster(["P1", "P2", "P3"], seed=2)
-    cluster.create_group("counter")
+    session = _session(["P1", "P2", "P3"], seed=2)
+    session.group("counter")
     machines = [
-        ReplicatedStateMachine(cluster[p], "counter", 0, lambda state, delta: state + delta)
+        ReplicatedStateMachine(session[p], "counter", 0, lambda state, delta: state + delta)
         for p in ("P1", "P2", "P3")
     ]
     machines[0].submit(5)
     machines[1].submit(-2)
     machines[2].submit(10)
-    cluster.run(80)
+    session.run(80)
     assert all(machine.state == 13 for machine in machines)
     assert ReplicatedStateMachine.replicas_agree(machines)
     assert machines[0].applied_ids() == machines[1].applied_ids() == machines[2].applied_ids()
 
 
 def test_rsm_survives_replica_crash():
-    cluster = _cluster(["P1", "P2", "P3"], seed=3)
-    cluster.create_group("counter")
+    session = _session(["P1", "P2", "P3"], seed=3)
+    session.group("counter")
     machines = {
-        p: ReplicatedStateMachine(cluster[p], "counter", 0, lambda s, d: s + d)
+        p: ReplicatedStateMachine(session[p], "counter", 0, lambda s, d: s + d)
         for p in ("P1", "P2", "P3")
     }
     machines["P1"].submit(1)
-    cluster.run(30)
-    cluster.crash("P3")
-    cluster.run(100)
+    session.run(30)
+    session.crash("P3")
+    session.run(100)
     machines["P2"].submit(2)
-    cluster.run(80)
+    session.run(80)
     assert machines["P1"].state == machines["P2"].state == 3
     assert ReplicatedStateMachine.replicas_agree([machines["P1"], machines["P2"]])
 
 
 def test_rsm_applies_only_its_group():
-    cluster = _cluster(["P1", "P2"], seed=4)
-    cluster.create_group("a")
-    cluster.create_group("b")
-    machine = ReplicatedStateMachine(cluster["P1"], "a", 0, lambda s, d: s + d)
-    cluster["P2"].multicast("b", 100)
-    cluster["P2"].multicast("a", 7)
-    cluster.run(60)
+    session = _session(["P1", "P2"], seed=4)
+    session.group("a")
+    session.group("b")
+    machine = ReplicatedStateMachine(session["P1"], "a", 0, lambda s, d: s + d)
+    session["P2"].multicast("b", 100)
+    session["P2"].multicast("a", 7)
+    session.run(60)
     assert machine.state == 7
 
 
@@ -67,14 +69,14 @@ def test_rsm_applies_only_its_group():
 # Replicated store
 # ----------------------------------------------------------------------
 def test_store_replicas_converge():
-    cluster = _cluster(["P1", "P2", "P3"], seed=5)
-    cluster.create_group("kv")
-    stores = [ReplicatedStore(cluster[p], "kv") for p in ("P1", "P2", "P3")]
+    session = _session(["P1", "P2", "P3"], seed=5)
+    session.group("kv")
+    stores = [ReplicatedStore(session[p], "kv") for p in ("P1", "P2", "P3")]
     stores[0].set("x", 1)
     stores[1].set("y", "two")
     stores[2].increment("x", 4)
     stores[0].delete("missing")
-    cluster.run(80)
+    session.run(80)
     assert ReplicatedStore.converged(stores)
     for store in stores:
         assert store.get("x") == 5 or store.get("x") == 1  # depends on order...
@@ -84,16 +86,16 @@ def test_store_replicas_converge():
 
 
 def test_store_operations_and_reads():
-    cluster = _cluster(["P1", "P2"], seed=6)
-    cluster.create_group("kv")
-    store_1 = ReplicatedStore(cluster["P1"], "kv")
-    store_2 = ReplicatedStore(cluster["P2"], "kv")
+    session = _session(["P1", "P2"], seed=6)
+    session.group("kv")
+    store_1 = ReplicatedStore(session["P1"], "kv")
+    store_2 = ReplicatedStore(session["P2"], "kv")
     store_1.set("a", 1)
     store_1.increment("a", 2)
     store_1.delete("a")
     store_1.set("b", "keep")
     store_1.read_via_multicast("b")
-    cluster.run(80)
+    session.run(80)
     assert store_2.get("a") is None
     assert store_2.get("b") == "keep"
     assert store_2.get("missing", "default") == "default"
@@ -101,12 +103,12 @@ def test_store_operations_and_reads():
 
 
 def test_store_asymmetric_group():
-    cluster = _cluster(["P1", "P2", "P3"], seed=7)
-    cluster.create_group("kv", mode=OrderingMode.ASYMMETRIC)
-    stores = [ReplicatedStore(cluster[p], "kv") for p in ("P1", "P2", "P3")]
+    session = _session(["P1", "P2", "P3"], seed=7)
+    session.group("kv", mode=OrderingMode.ASYMMETRIC)
+    stores = [ReplicatedStore(session[p], "kv") for p in ("P1", "P2", "P3")]
     for i, store in enumerate(stores):
         store.set(f"k{i}", i)
-    cluster.run(80)
+    session.run(80)
     assert ReplicatedStore.converged(stores)
     assert stores[0].snapshot() == {"k0": 0, "k1": 1, "k2": 2}
 

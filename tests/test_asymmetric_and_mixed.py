@@ -6,77 +6,78 @@ import pytest
 from repro.analysis import check_all
 from repro.analysis.checkers import check_total_order
 from repro.analysis.metrics import blocking_times
-from harness import NewtopCluster
-
+from repro.api import Session
 from repro.core import NewtopConfig, OrderingMode
 from repro.net.trace import BLOCKED_SEND, UNBLOCKED_SEND
 
 
-def _cluster(names, seed=1, **overrides):
+def _session(names, seed=1, **overrides):
     config = NewtopConfig(omega=2.0, suspicion_timeout=8.0).replace(**overrides)
-    return NewtopCluster(names, config=config, seed=seed)
+    session = Session("newtop", config=config, seed=seed)
+    session.spawn(names)
+    return session
 
 
 # ----------------------------------------------------------------------
 # Asymmetric, single group
 # ----------------------------------------------------------------------
 def test_asymmetric_total_order_single_group():
-    cluster = _cluster(["A", "B", "C", "D"], seed=3)
-    cluster.create_group("g", mode=OrderingMode.ASYMMETRIC)
+    session = _session(["A", "B", "C", "D"], seed=3)
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
     for i in range(4):
-        cluster["B"].multicast("g", f"b{i}")
-        cluster["D"].multicast("g", f"d{i}")
-        cluster.run(0.5)
-    cluster.run(60)
-    orders = [tuple(process.delivered_payloads("g")) for process in cluster]
+        session["B"].multicast("g", f"b{i}")
+        session["D"].multicast("g", f"d{i}")
+        session.run(0.5)
+    session.run(60)
+    orders = [tuple(process.delivered_payloads("g")) for process in session.processes.values()]
     assert len(set(orders)) == 1
     assert len(orders[0]) == 8
-    assert check_total_order(cluster.trace(), "g").passed
+    assert check_total_order(session.trace(), "g").passed
 
 
 def test_asymmetric_sequencer_is_lowest_member_id():
-    cluster = _cluster(["A", "B", "C"])
-    cluster.create_group("g", mode=OrderingMode.ASYMMETRIC)
-    for process in cluster:
+    session = _session(["A", "B", "C"])
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
+    for process in session.processes.values():
         assert process.endpoint("g").engine.sequencer() == "A"
-    assert cluster["A"].endpoint("g").engine.is_sequencer()
-    assert not cluster["B"].endpoint("g").engine.is_sequencer()
+    assert session["A"].endpoint("g").engine.is_sequencer()
+    assert not session["B"].endpoint("g").engine.is_sequencer()
 
 
 def test_asymmetric_sequencer_own_sends_are_ordered_too():
-    cluster = _cluster(["A", "B", "C"], seed=9)
-    cluster.create_group("g", mode=OrderingMode.ASYMMETRIC)
-    cluster["A"].multicast("g", "from-sequencer")
-    cluster["C"].multicast("g", "from-member")
-    cluster.run(60)
-    orders = {tuple(process.delivered_payloads("g")) for process in cluster}
+    session = _session(["A", "B", "C"], seed=9)
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
+    session["A"].multicast("g", "from-sequencer")
+    session["C"].multicast("g", "from-member")
+    session.run(60)
+    orders = {tuple(process.delivered_payloads("g")) for process in session.processes.values()}
     assert len(orders) == 1
     assert set(orders.pop()) == {"from-sequencer", "from-member"}
 
 
 def test_asymmetric_messages_are_sequenced_messages():
-    cluster = _cluster(["A", "B"], seed=2)
-    cluster.create_group("g", mode=OrderingMode.ASYMMETRIC)
-    cluster["B"].multicast("g", "x")
-    cluster.run(40)
-    record = cluster["A"].delivered[0]
+    session = _session(["A", "B"], seed=2)
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
+    session["B"].multicast("g", "x")
+    session.run(40)
+    record = session["A"].delivered[0]
     assert record.sender == "B"  # logical sender preserved end to end
 
 
 def test_asymmetric_sequencer_crash_failover():
-    cluster = _cluster(["A", "B", "C"], seed=4, omega=1.5, suspicion_timeout=6.0)
-    cluster.create_group("g", mode=OrderingMode.ASYMMETRIC)
-    cluster["B"].multicast("g", "before")
-    cluster.run(20)
-    cluster.crash("A")  # the sequencer
-    cluster.run(120)
+    session = _session(["A", "B", "C"], seed=4, omega=1.5, suspicion_timeout=6.0)
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
+    session["B"].multicast("g", "before")
+    session.run(20)
+    session.crash("A")  # the sequencer
+    session.run(120)
     for name in ("B", "C"):
-        assert "A" not in cluster[name].view("g").members
-        assert cluster[name].endpoint("g").engine.sequencer() == "B"
-    cluster["C"].multicast("g", "after")
-    cluster.run(80)
+        assert "A" not in session[name].view("g").members
+        assert session[name].endpoint("g").engine.sequencer() == "B"
+    session["C"].multicast("g", "after")
+    session.run(80)
     for name in ("B", "C"):
-        payloads = cluster[name].delivered_payloads("g")
+        payloads = session[name].delivered_payloads("g")
         assert payloads[0] == "before"
         assert "after" in payloads
 
@@ -85,42 +86,42 @@ def test_asymmetric_sequencer_crash_failover():
 # Multi-group and mixed mode
 # ----------------------------------------------------------------------
 def test_multigroup_process_orders_across_groups():
-    cluster = _cluster(["P1", "P2", "P3", "P4"], seed=6)
-    cluster.create_group("g1", ["P1", "P2", "P3"])
-    cluster.create_group("g2", ["P2", "P3", "P4"])
-    cluster["P1"].multicast("g1", "g1-a")
-    cluster["P4"].multicast("g2", "g2-a")
-    cluster.run(2)
-    cluster["P2"].multicast("g1", "g1-b")
-    cluster["P3"].multicast("g2", "g2-b")
-    cluster.run(80)
+    session = _session(["P1", "P2", "P3", "P4"], seed=6)
+    session.group("g1", ["P1", "P2", "P3"])
+    session.group("g2", ["P2", "P3", "P4"])
+    session["P1"].multicast("g1", "g1-a")
+    session["P4"].multicast("g2", "g2-a")
+    session.run(2)
+    session["P2"].multicast("g1", "g1-b")
+    session["P3"].multicast("g2", "g2-b")
+    session.run(80)
     # P2 and P3 are in both groups; their interleaved delivery order of the
     # common messages must agree (MD4').
-    shared = [m for m in cluster["P2"].delivered_payloads() if True]
-    order_p2 = [r.msg_id for r in cluster["P2"].delivered]
-    order_p3 = [r.msg_id for r in cluster["P3"].delivered]
+    shared = [m for m in session["P2"].delivered_payloads() if True]
+    order_p2 = [r.msg_id for r in session["P2"].delivered]
+    order_p3 = [r.msg_id for r in session["P3"].delivered]
     common = set(order_p2) & set(order_p3)
     assert [m for m in order_p2 if m in common] == [m for m in order_p3 if m in common]
-    assert check_all(cluster.trace()).passed
-    assert len(cluster["P2"].delivered) == 4
+    assert check_all(session.trace()).passed
+    assert len(session["P2"].delivered) == 4
 
 
 def test_mixed_mode_symmetric_and_asymmetric_groups():
-    cluster = _cluster(["P1", "P2", "P3"], seed=8)
-    cluster.create_group("sym", ["P1", "P2", "P3"], mode=OrderingMode.SYMMETRIC)
-    cluster.create_group("asym", ["P1", "P2", "P3"], mode=OrderingMode.ASYMMETRIC)
+    session = _session(["P1", "P2", "P3"], seed=8)
+    session.group("sym", ["P1", "P2", "P3"], mode=OrderingMode.SYMMETRIC)
+    session.group("asym", ["P1", "P2", "P3"], mode=OrderingMode.ASYMMETRIC)
     for i in range(3):
-        cluster["P2"].multicast("sym", f"s{i}")
-        cluster["P2"].multicast("asym", f"a{i}")
-        cluster.run(1.0)
-    cluster.run(80)
-    result = check_all(cluster.trace())
+        session["P2"].multicast("sym", f"s{i}")
+        session["P2"].multicast("asym", f"a{i}")
+        session.run(1.0)
+    session.run(80)
+    result = check_all(session.trace())
     assert result.passed, result.violations
-    for process in cluster:
+    for process in session.processes.values():
         assert len(process.delivered_payloads("sym")) == 3
         assert len(process.delivered_payloads("asym")) == 3
     # Cross-group order of the multi-group members agrees.
-    orders = [tuple(r.msg_id for r in cluster[p].delivered) for p in ("P1", "P2", "P3")]
+    orders = [tuple(r.msg_id for r in session[p].delivered) for p in ("P1", "P2", "P3")]
     assert len(set(orders)) == 1
 
 
@@ -129,57 +130,57 @@ def test_blocking_rule_defers_sends_while_unicast_unsequenced():
     # immediately in the symmetric group: the second send must be deferred
     # until the first comes back from the sequencer (Mixed-mode Blocking
     # Rule), and must still be delivered afterwards.
-    cluster = _cluster(["P1", "P2", "P3"], seed=10)
-    cluster.create_group("asym", mode=OrderingMode.ASYMMETRIC)
-    cluster.create_group("sym", mode=OrderingMode.SYMMETRIC)
-    first = cluster["P2"].multicast("asym", "needs-sequencing")
+    session = _session(["P1", "P2", "P3"], seed=10)
+    session.group("asym", mode=OrderingMode.ASYMMETRIC)
+    session.group("sym", mode=OrderingMode.SYMMETRIC)
+    first = session["P2"].multicast("asym", "needs-sequencing")
     assert first is not None
-    assert cluster["P2"].outstanding_unicasts("asym") == 1
-    second = cluster["P2"].multicast("sym", "must-wait")
+    assert session["P2"].outstanding_unicasts("asym") == 1
+    second = session["P2"].multicast("sym", "must-wait")
     assert second is None  # deferred
-    trace_now = cluster.trace()
+    trace_now = session.trace()
     assert trace_now.events(kind=BLOCKED_SEND, process="P2", group="sym")
-    cluster.run(80)
-    assert cluster["P2"].outstanding_unicasts() == 0
-    for process in cluster:
+    session.run(80)
+    assert session["P2"].outstanding_unicasts() == 0
+    for process in session.processes.values():
         assert "must-wait" in process.delivered_payloads("sym")
         assert "needs-sequencing" in process.delivered_payloads("asym")
-    assert cluster.trace().events(kind=UNBLOCKED_SEND, process="P2", group="sym")
-    assert check_all(cluster.trace()).passed
+    assert session.trace().events(kind=UNBLOCKED_SEND, process="P2", group="sym")
+    assert check_all(session.trace()).passed
 
 
 def test_symmetric_only_sends_never_block():
-    cluster = _cluster(["P1", "P2", "P3"], seed=11)
-    cluster.create_group("g1", mode=OrderingMode.SYMMETRIC)
-    cluster.create_group("g2", mode=OrderingMode.SYMMETRIC)
+    session = _session(["P1", "P2", "P3"], seed=11)
+    session.group("g1", mode=OrderingMode.SYMMETRIC)
+    session.group("g2", mode=OrderingMode.SYMMETRIC)
     for i in range(5):
-        assert cluster["P1"].multicast("g1", f"a{i}") is not None
-        assert cluster["P1"].multicast("g2", f"b{i}") is not None
-    assert not cluster.trace().events(kind=BLOCKED_SEND)
-    cluster.run(60)
-    assert check_all(cluster.trace()).passed
+        assert session["P1"].multicast("g1", f"a{i}") is not None
+        assert session["P1"].multicast("g2", f"b{i}") is not None
+    assert not session.trace().events(kind=BLOCKED_SEND)
+    session.run(60)
+    assert check_all(session.trace()).passed
 
 
 def test_same_group_asymmetric_sends_do_not_block_each_other():
     # The Send Blocking Rule only concerns messages unicast in *other*
     # groups: consecutive sends in the same asymmetric group go out freely.
-    cluster = _cluster(["P1", "P2"], seed=12)
-    cluster.create_group("g", mode=OrderingMode.ASYMMETRIC)
-    first = cluster["P2"].multicast("g", "one")
-    second = cluster["P2"].multicast("g", "two")
+    session = _session(["P1", "P2"], seed=12)
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
+    first = session["P2"].multicast("g", "one")
+    second = session["P2"].multicast("g", "two")
     assert first is not None and second is not None
-    cluster.run(60)
-    assert cluster["P1"].delivered_payloads("g") == ["one", "two"]
+    session.run(60)
+    assert session["P1"].delivered_payloads("g") == ["one", "two"]
 
 
 def test_blocking_time_is_measurable():
-    cluster = _cluster(["P1", "P2", "P3"], seed=13)
-    cluster.create_group("asym", mode=OrderingMode.ASYMMETRIC)
-    cluster.create_group("sym", mode=OrderingMode.SYMMETRIC)
-    cluster["P2"].multicast("asym", "x")
-    cluster["P2"].multicast("sym", "y")
-    cluster.run(60)
-    waits = blocking_times(cluster.trace(), group="sym")
+    session = _session(["P1", "P2", "P3"], seed=13)
+    session.group("asym", mode=OrderingMode.ASYMMETRIC)
+    session.group("sym", mode=OrderingMode.SYMMETRIC)
+    session["P2"].multicast("asym", "x")
+    session["P2"].multicast("sym", "y")
+    session.run(60)
+    waits = blocking_times(session.trace(), group="sym")
     assert len(waits) == 1
     assert waits[0] > 0.0
 
@@ -188,13 +189,13 @@ def test_blocking_time_is_measurable():
 # Atomic-only groups
 # ----------------------------------------------------------------------
 def test_atomic_only_group_delivers_without_ordering_gate():
-    cluster = _cluster(["P1", "P2", "P3"], seed=14)
-    cluster.create_group("g", mode=OrderingMode.ATOMIC_ONLY)
-    cluster["P1"].multicast("g", "fast")
-    cluster.run(10)
+    session = _session(["P1", "P2", "P3"], seed=14)
+    session.group("g", mode=OrderingMode.ATOMIC_ONLY)
+    session["P1"].multicast("g", "fast")
+    session.run(10)
     # Delivered promptly (no need to wait for a full round of traffic).
     for name in ("P2", "P3"):
-        assert cluster[name].delivered_payloads("g") == ["fast"]
+        assert session[name].delivered_payloads("g") == ["fast"]
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +212,6 @@ def test_sequenced_loopback_does_not_invert_cross_group_order():
     The configuration reproduces the original failure: 24 processes, four
     ring-overlapping asymmetric groups, bursty open-loop traffic.
     """
-    from repro.api import Session
     from repro.workloads import OpenLoopClient, get_profile
 
     names = [f"P{i:03d}" for i in range(1, 25)]
@@ -253,28 +253,28 @@ def test_view_cut_marker_cuts_detection_into_sequencer_numbering():
     traffic sequenced after the cut delivers in the new view."""
     from repro.core.vectors import INFINITY
 
-    cluster = _cluster(["A", "B", "C", "D"], seed=5,
+    session = _session(["A", "B", "C", "D"], seed=5,
                        suspicion_timeout=6.0, suspector_check_interval=0.5)
-    cluster.create_group("g", mode=OrderingMode.ASYMMETRIC)
-    cluster["B"].multicast("g", "before")
-    cluster.run(5)
-    cluster["D"].crash()
-    cluster.run(30)  # suspicion -> detection -> marker -> install
-    survivors = [cluster[name] for name in ("A", "B", "C")]
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
+    session["B"].multicast("g", "before")
+    session.run(5)
+    session["D"].crash()
+    session.run(30)  # suspicion -> detection -> marker -> install
+    survivors = [session[name] for name in ("A", "B", "C")]
     for process in survivors:
         assert process.view("g").sorted_members() == ("A", "B", "C")
         endpoint = process.endpoint("g")
         assert endpoint.next_view_change_threshold() == INFINITY
         assert not endpoint.pending_view_changes
-    cluster["C"].multicast("g", "after")
-    cluster.run(30)
+    session["C"].multicast("g", "after")
+    session.run(30)
     views = {
         record.payload: record.view_index
         for process in survivors
         for record in process.delivered
     }
     assert views == {"before": 0, "after": 1}
-    assert check_all(cluster.trace(),
+    assert check_all(session.trace(),
                      view_agreement_sets={"g": ["A", "B", "C"]}).passed
 
 
@@ -285,13 +285,13 @@ def test_stale_view_cut_marker_is_ignored():
     from repro.core.messages import DataMessage, KIND_VIEW_CUT
     from repro.core.vectors import INFINITY
 
-    cluster = _cluster(["A", "B", "C", "D"], seed=5,
+    session = _session(["A", "B", "C", "D"], seed=5,
                        suspicion_timeout=6.0, suspector_check_interval=0.5)
-    cluster.create_group("g", mode=OrderingMode.ASYMMETRIC)
-    cluster.run(5)
-    cluster["D"].crash()
-    cluster.run(30)
-    endpoint = cluster["B"].endpoint("g")
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
+    session.run(5)
+    session["D"].crash()
+    session.run(30)
+    endpoint = session["B"].endpoint("g")
     assert endpoint.view.sorted_members() == ("A", "B", "C")
     stale = DataMessage.sequenced(
         origin="A", group="g", clock=10_000, ldn=0, payload=("D",),

@@ -2,8 +2,6 @@
 
 import pytest
 
-from harness import BaselineCluster
-
 from repro.baselines import (
     FixedSequencerProcess,
     IsisProcess,
@@ -12,85 +10,98 @@ from repro.baselines import (
     PropagationGraphNetwork,
     PsyncProcess,
 )
-from repro.api import Session
+from repro.api import BaselineStack, Session
 from repro.net.latency import ConstantLatency, UniformLatency
 
 
 TOTAL_ORDER_BASELINES = [IsisProcess, LamportAckProcess, FixedSequencerProcess]
 
 
+def _baseline(process_class, names, seed, **options):
+    """A session running ``process_class`` in one group ``g`` over
+    ``names``; returns it with each process's protocol instance."""
+    session = Session(BaselineStack(process_class), seed=seed, **options)
+    session.spawn(names)
+    session.group("g")
+    return session, [session[name]["g"] for name in names]
+
+
+def _run_until_all_delivered(session, instances, expected, timeout):
+    return session.run_until(
+        lambda: all(len(instance.delivered) >= expected for instance in instances), timeout
+    )
+
+
 @pytest.mark.parametrize("process_class", TOTAL_ORDER_BASELINES)
 def test_baseline_total_order_and_completeness(process_class):
-    cluster = BaselineCluster(process_class, ["A", "B", "C", "D"], seed=7)
+    session, instances = _baseline(process_class, ["A", "B", "C", "D"], seed=7)
     expected = 0
     for i in range(4):
-        cluster["A"].multicast(f"a{i}")
-        cluster["C"].multicast(f"c{i}")
+        session.multicast("A", "g", f"a{i}")
+        session.multicast("C", "g", f"c{i}")
         expected += 2
-        cluster.run(1.0)
-    assert cluster.run_until_all_delivered(expected, timeout=300)
-    assert cluster.delivery_orders_agree()
-    for process in cluster:
-        assert len(process.delivered) == expected
+        session.run(1.0)
+    assert _run_until_all_delivered(session, instances, expected, timeout=300)
+    assert session.result().passed  # total order, checked on the trace
+    for instance in instances:
+        assert len(instance.delivered) == expected
 
 
 @pytest.mark.parametrize("process_class", TOTAL_ORDER_BASELINES + [PsyncProcess])
 def test_baseline_under_random_latency(process_class):
-    cluster = BaselineCluster(
+    session, instances = _baseline(
         process_class, ["A", "B", "C"], seed=9, latency_model=UniformLatency(0.2, 3.0)
     )
     for i in range(3):
-        cluster["B"].multicast(i)
-    assert cluster.run_until_all_delivered(3, timeout=300)
-    for process in cluster:
-        assert set(process.delivered_payloads()) == {0, 1, 2}
+        session.multicast("B", "g", i)
+    assert _run_until_all_delivered(session, instances, 3, timeout=300)
+    for instance in instances:
+        assert set(instance.delivered_payloads()) == {0, 1, 2}
 
 
 def test_psync_preserves_causal_order():
-    cluster = BaselineCluster(PsyncProcess, ["A", "B", "C"], seed=3)
-    first = cluster["A"].multicast("cause")
-    cluster.run(30)
-    second = cluster["B"].multicast("effect")  # sent after B delivered "cause"
-    cluster.run(60)
-    for process in cluster:
-        order = process.delivered_ids()
+    session, instances = _baseline(PsyncProcess, ["A", "B", "C"], seed=3)
+    first = session.multicast("A", "g", "cause")
+    session.run(30)
+    second = session.multicast("B", "g", "effect")  # sent after B delivered "cause"
+    session.run(60)
+    for instance in instances:
+        order = instance.delivered_ids()
         assert order.index(first) < order.index(second)
 
 
 def test_isis_overhead_grows_with_group_size():
-    small = BaselineCluster(IsisProcess, ["A", "B", "C"], seed=1)
-    large = BaselineCluster(IsisProcess, [f"P{i}" for i in range(10)], seed=1)
-    assert (
-        large["P0"].per_message_overhead_bytes() > small["A"].per_message_overhead_bytes()
-    )
+    _, small = _baseline(IsisProcess, ["A", "B", "C"], seed=1)
+    _, large = _baseline(IsisProcess, [f"P{i}" for i in range(10)], seed=1)
+    assert large[0].per_message_overhead_bytes() > small[0].per_message_overhead_bytes()
 
 
 def test_lamport_ack_message_complexity():
-    cluster = BaselineCluster(LamportAckProcess, ["A", "B", "C", "D"], seed=2)
-    cluster["A"].multicast("x")
-    cluster.run_until_all_delivered(1, timeout=200)
-    cluster.run(50)  # let the remaining acknowledgements drain
+    session, instances = _baseline(LamportAckProcess, ["A", "B", "C", "D"], seed=2)
+    session.multicast("A", "g", "x")
+    _run_until_all_delivered(session, instances, 1, timeout=200)
+    session.run(50)  # let the remaining acknowledgements drain
     # One multicast costs (n-1) data messages plus every receiver acking to
     # everyone else: (n-1) + (n-1)^2 = n*(n-1) = 12 messages for n = 4,
     # i.e. far more than the n-1 a symmetric Newtop multicast needs.
-    size = len(cluster.processes)
-    assert cluster.total_messages_sent() >= size * (size - 1)
-    assert cluster["B"].ack_messages_sent > 0
+    size = len(instances)
+    assert session.network.stats.messages_sent >= size * (size - 1)
+    assert instances[1].ack_messages_sent > 0
 
 
 def test_fixed_sequencer_non_sequencer_submission_path():
-    cluster = BaselineCluster(FixedSequencerProcess, ["A", "B", "C"], seed=4)
-    assert cluster["A"].is_sequencer
-    cluster["C"].multicast("via-sequencer")
-    assert cluster.run_until_all_delivered(1, timeout=200)
-    assert cluster["B"].delivered_payloads() == ["via-sequencer"]
+    session, instances = _baseline(FixedSequencerProcess, ["A", "B", "C"], seed=4)
+    assert instances[0].is_sequencer
+    session.multicast("C", "g", "via-sequencer")
+    assert _run_until_all_delivered(session, instances, 1, timeout=200)
+    assert instances[1].delivered_payloads() == ["via-sequencer"]
 
 
 def test_baseline_protocol_bytes_accounted():
-    cluster = BaselineCluster(IsisProcess, ["A", "B", "C"], seed=5)
-    cluster["A"].multicast("x")
-    cluster.run(60)
-    assert cluster.total_protocol_bytes() > 0
+    session, _ = _baseline(IsisProcess, ["A", "B", "C"], seed=5)
+    session.multicast("A", "g", "x")
+    session.run(60)
+    assert session.stack.protocol_bytes() > 0
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.api import Session
 from repro.core.clock import LamportClock
 from repro.core.messages import (
     ConfirmMessage,
@@ -252,24 +253,23 @@ def test_all_failed_group_never_serialises_infinite_ldn():
     ldn values and its retention buffer must not grow unboundedly."""
     import math
 
-    from harness import NewtopCluster
-
     from repro.core import NewtopConfig
 
-    cluster = NewtopCluster(
-        ["P1", "P2", "P3"],
+    session = Session(
+        "newtop",
         config=NewtopConfig(omega=1.5, suspicion_timeout=6.0, suspector_check_interval=0.5),
         seed=3,
     )
-    cluster.create_group("g", ["P1", "P2", "P3"])
-    cluster["P1"].multicast("g", "hello")
-    cluster.run(5)
-    cluster.crash("P2")
-    cluster.crash("P3")
+    session.spawn(["P1", "P2", "P3"])
+    session.group("g", ["P1", "P2", "P3"])
+    session["P1"].multicast("g", "hello")
+    session.run(5)
+    session.crash("P2")
+    session.crash("P3")
     # Run long enough for suspicion, agreement and the view collapse to a
     # singleton, followed by plenty of time-silence nulls.
-    cluster.run(80)
-    survivor = cluster["P1"]
+    session.run(80)
+    survivor = session["P1"]
     endpoint = survivor.endpoint("g")
     assert endpoint.view.sorted_members() == ("P1",)
     bound = endpoint.stability.stability_bound()

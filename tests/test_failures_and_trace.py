@@ -1,13 +1,15 @@
-"""Unit tests for fault injection and event tracing."""
+"""Unit tests for session faults, drop windows and event tracing."""
 
 import pytest
 
-from repro.net.failures import FailureSchedule, FaultInjector
+from repro.api import Session
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network, NetworkConfig
+from repro.net.partitions import partition_hold_time
 from repro.net.simulator import Simulator
 from repro.net.trace import (
     BLOCKED_SEND,
+    CRASH,
     DELIVER,
     DISCARDED,
     EventTrace,
@@ -23,6 +25,9 @@ from repro.net.trace import (
 )
 
 
+FAST = dict(omega=1.5, suspicion_timeout=6.0, suspector_check_interval=0.5)
+
+
 def _network():
     sim = Simulator(seed=0)
     network = Network(sim, NetworkConfig(latency_model=ConstantLatency(1.0)))
@@ -32,80 +37,70 @@ def _network():
 
 
 # ----------------------------------------------------------------------
-# Fault injection
+# Faults: Session calls, timed with sim.schedule_at
 # ----------------------------------------------------------------------
-def test_scheduled_crash():
-    sim, network = _network()
-    injector = FaultInjector(sim, network)
-    injector.install(FailureSchedule().crash(5.0, "b"))
-    sim.run(until=4.0)
-    assert not network.is_crashed("b")
-    sim.run(until=6.0)
-    assert network.is_crashed("b")
-
-
-def test_scheduled_partition_and_heal():
-    sim, network = _network()
-    injector = FaultInjector(sim, network)
-    schedule = FailureSchedule().partition(2.0, [["a"], ["b", "c"]]).heal(8.0)
-    injector.install(schedule)
-    sim.run(until=3.0)
-    assert not network.partitions.can_communicate("a", "b")
-    sim.run(until=9.0)
-    assert network.partitions.can_communicate("a", "b")
-
-
-def test_crash_during_multicast_limits_receivers():
-    sim, network = _network()
-    received = {"b": [], "c": []}
-    network.detach("b")
-    network.detach("c")
-    network.attach("b", lambda src, payload: received["b"].append(payload))
-    network.attach("c", lambda src, payload: received["c"].append(payload))
-    injector = FaultInjector(sim, network)
-    injector.install(
-        FailureSchedule().crash_during_multicast(5.0, "a", allowed_receivers=["b"])
-    )
-
-    def send_multicast():
-        network.multicast("a", ["b", "c"], "m1")
-
-    sim.schedule_at(5.0, send_multicast)
-    sim.run()
-    assert received["b"] == ["m1"]
-    assert received["c"] == []
-    assert network.is_crashed("a")
-
-
 def test_drop_between_window():
     sim, network = _network()
     received = []
     network.detach("b")
     network.attach("b", lambda src, payload: received.append(payload))
-    injector = FaultInjector(sim, network)
-    injector.install(
-        FailureSchedule().drop_between(2.0, ["a"], ["b"], duration=5.0)
-    )
+    sim.schedule_at(2.0, network.drop_between, {"a"}, {"b"}, 5.0)
     sim.schedule_at(3.0, network.send, "a", "b", "dropped")
     sim.schedule_at(10.0, network.send, "a", "b", "kept")
     sim.run()
     assert received == ["kept"]
+    assert network.stats.messages_dropped_filter == 1
 
 
-def test_isolate_action():
-    sim, network = _network()
-    injector = FaultInjector(sim, network)
-    injector.install(FailureSchedule().isolate(1.0, "c"))
-    sim.run(until=2.0)
-    assert not network.partitions.can_communicate("a", "c")
-    assert network.partitions.can_communicate("a", "b")
+_FAULTS = {
+    "crash": lambda session: session.crash("C"),
+    "partition": lambda session: session.partition([["A", "B"], ["C"]]),
+    "isolate": lambda session: session.isolate(["C"]),
+}
 
 
-def test_schedule_merge():
-    first = FailureSchedule().crash(1.0, "a")
-    second = FailureSchedule().heal(2.0)
-    merged = first.merge(second)
-    assert len(merged.actions) == 2
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("stack", ["newtop", "primary_partition"])
+def test_session_fault_timed_with_schedule_at(stack, fault):
+    """A fault timed with ``sim.schedule_at`` is the same Session call as
+    an immediate one: it reaches the stack, not only the network."""
+    session = Session(stack, config=FAST, seed=1, view_agreement_sets={"g": ["A", "B"]})
+    session.spawn(["A", "B", "C"])
+    session.group("g")
+    sim, partitions = session.sim, session.network.partitions
+    sim.schedule_at(2.0, _FAULTS[fault], session)
+    session.run(1.9)
+    assert not session.stack.is_crashed("C") and partitions.can_communicate("A", "C")
+    session.run(0.2)
+    if fault == "crash":
+        assert session.stack.is_crashed("C")
+        assert [event.process for event in session.trace().events(kind=CRASH)] == ["C"]
+        session.run(60.0)
+        if stack == "newtop":
+            for name in ("A", "B"):
+                assert session[name].view("g").sorted_members() == ("A", "B")
+        assert session.result().passed
+        return
+    assert not partitions.can_communicate("A", "C")
+    minority_send = session.multicast("C", "g", "minority")
+    if stack == "primary_partition":
+        assert session.stack.halted_memberships() == [("C", "g")]
+        assert minority_send is None
+    else:
+        # Newtop's partitionable membership keeps the minority operating.
+        assert minority_send is not None
+    heal_at = 2.0 + partition_hold_time(FAST["suspicion_timeout"])
+    sim.schedule_at(heal_at, session.heal)
+    session.run(heal_at + 0.1 - sim.now)
+    assert partitions.can_communicate("A", "C")
+    if stack == "primary_partition":
+        assert session.stack.halted_memberships() == []
+        assert session.multicast("C", "g", "healed") is not None
+    else:
+        assert session["A"].view("g").sorted_members() == ("A", "B")
+        assert session["C"].view("g").sorted_members() == ("C",)
+    session.run(30.0)
+    assert session.result().passed
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +254,6 @@ def test_recorder_rejects_unknown_sink_error_policy():
 
 
 def test_session_fails_when_a_sink_was_detached():
-    from repro.api import Session
 
     session = Session("newtop", seed=1, sinks=[_BoomSink(explode_at=2)])
     session.spawn(["P1", "P2", "P3"])
@@ -291,7 +285,6 @@ class _Captured(_CountingSink):
 
 
 def _seeded_session(analysis, sinks):
-    from repro.api import Session
     from repro.core.messages import reset_message_counter
 
     reset_message_counter()  # message ids are numbered process-wide
@@ -353,7 +346,6 @@ def test_count_only_kinds_follow_the_sink_list():
     # The checkers and the metrics sink read five kinds, the span sink adds
     # receive, and blocked_send / unblocked_send have a subscriber only when
     # journeys are followed: null_send, suspect and the rest stay count-only.
-    from repro.api import Session
 
     def built_kinds(observe):
         routes = Session("newtop", analysis="online", observe=observe).recorder._routes
@@ -495,7 +487,7 @@ session = Session("newtop", config=FAST, seed=1)
 session.spawn(names)
 session.group("g", names)
 session.run(1.0)
-session.injector.drop_between_now({"P1"}, {"P2"}, 2.5)
+session.network.drop_between({"P1"}, {"P2"}, 2.5)
 for index in range(4):
     for sender in names:
         session.multicast(sender, "g", f"m{index}/{sender}")

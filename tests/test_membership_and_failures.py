@@ -10,23 +10,23 @@ from repro.analysis.checkers import (
     check_total_order,
     check_view_sequences,
 )
+from repro.api import Session
 from types import SimpleNamespace
-
-from harness import NewtopCluster
 
 from repro.core import NewtopConfig, OrderingMode
 from repro.core.membership import GroupViewProcess
 from repro.core.messages import RefuteMessage, Suspicion
 from repro.core.views import MembershipView
-from repro.net.failures import FailureSchedule
 from repro.net.trace import CONFIRM, REFUTE, SUSPECT, VIEW_INSTALL
 
 FAST = dict(omega=1.5, suspicion_timeout=6.0, suspector_check_interval=0.5)
 
 
-def _cluster(names, seed=1, **overrides):
+def _session(names, seed=1, **overrides):
     config = NewtopConfig(**FAST).replace(**overrides)
-    return NewtopCluster(names, config=config, seed=seed)
+    session = Session("newtop", config=config, seed=seed)
+    session.spawn(names)
+    return session
 
 
 # ----------------------------------------------------------------------
@@ -88,17 +88,17 @@ def test_regossip_announces_in_a_hash_seed_independent_order():
 # Crash detection and agreement
 # ----------------------------------------------------------------------
 def test_crashed_member_is_agreed_out_of_the_view():
-    cluster = _cluster(["P1", "P2", "P3", "P4"], seed=2)
-    cluster.create_group("g")
-    cluster.run(5)
-    cluster.crash("P4")
-    cluster.run(120)
+    session = _session(["P1", "P2", "P3", "P4"], seed=2)
+    session.group("g")
+    session.run(5)
+    session.crash("P4")
+    session.run(120)
     survivors = ["P1", "P2", "P3"]
     for name in survivors:
-        view = cluster[name].view("g")
+        view = session[name].view("g")
         assert view.sorted_members() == ("P1", "P2", "P3")
         assert view.index == 1
-    trace = cluster.trace()
+    trace = session.trace()
     assert trace.events(kind=SUSPECT)
     assert trace.events(kind=CONFIRM)
     assert check_view_sequences(trace, "g", survivors).passed
@@ -113,83 +113,82 @@ def test_idle_group_excludes_a_crashed_member_no_later_than_fixed_omega():
     survivors = ("P1", "P2", "P3")
     delays = []
     for crash_at in (20.0, 20.5, 21.0, 21.5, 22.0, 22.5, 23.0):
-        cluster = _cluster(["P1", "P2", "P3", "P4"], seed=1)
-        cluster.create_group("g")
-        cluster.run(crash_at)
-        assert not cluster["P1"].endpoint("g").owes_group()
-        cluster.crash("P4")
-        assert cluster.run_until(
+        session = _session(["P1", "P2", "P3", "P4"], seed=1)
+        session.group("g")
+        session.run(crash_at)
+        assert not session["P1"].endpoint("g").owes_group()
+        session.crash("P4")
+        assert session.run_until(
             lambda: all(
-                "P4" not in cluster[name].view("g").members for name in survivors
+                "P4" not in session[name].view("g").members for name in survivors
             ),
             timeout=30.0,
         )
-        delays.append(cluster.sim.now - crash_at)
+        delays.append(session.sim.now - crash_at)
     assert max(delays) <= 8.9
     assert sum(delays) / len(delays) <= 8.3
 
 
 def test_delivery_continues_after_member_crash():
-    cluster = _cluster(["P1", "P2", "P3"], seed=3)
-    cluster.create_group("g")
-    cluster["P1"].multicast("g", "before")
-    cluster.run(20)
-    cluster.crash("P3")
-    cluster.run(100)
-    after_id = cluster["P1"].multicast("g", "after")
-    assert cluster.run_until_delivered(after_id, processes=["P1", "P2"], timeout=120)
+    session = _session(["P1", "P2", "P3"], seed=3)
+    session.group("g")
+    session["P1"].multicast("g", "before")
+    session.run(20)
+    session.crash("P3")
+    session.run(100)
+    after_id = session["P1"].multicast("g", "after")
+    assert session.run_until_delivered(after_id, processes=["P1", "P2"], timeout=120)
     for name in ("P1", "P2"):
-        assert cluster[name].delivered_payloads("g") == ["before", "after"]
-    result = check_all(cluster.trace(), view_agreement_sets={"g": ["P1", "P2"]})
+        assert session[name].delivered_payloads("g") == ["before", "after"]
+    result = check_all(session.trace(), view_agreement_sets={"g": ["P1", "P2"]})
     assert result.passed, result.violations
 
 
 def test_md1_no_delivery_from_excluded_sender():
-    cluster = _cluster(["P1", "P2", "P3"], seed=4)
-    cluster.create_group("g")
-    cluster.run(5)
-    cluster.crash("P3")
-    cluster.run(100)
+    session = _session(["P1", "P2", "P3"], seed=4)
+    session.group("g")
+    session.run(5)
+    session.crash("P3")
+    session.run(100)
     # Anything P3 managed to send was delivered while it was in the view;
     # nothing is delivered from it afterwards (MD1, checked over the trace).
-    result = check_all(cluster.trace(), view_agreement_sets={"g": ["P1", "P2"]})
+    result = check_all(session.trace(), view_agreement_sets={"g": ["P1", "P2"]})
     assert result.passed, result.violations
 
 
 def test_wrong_suspicion_is_refuted_and_member_kept():
     # A transient one-directional outage makes P1 suspect P3; P2 still hears
     # P3 and must refute, after which P3 stays in everybody's view.
-    cluster = _cluster(["P1", "P2", "P3"], seed=5, suspicion_timeout=5.0)
-    cluster.create_group("g")
-    cluster.run(3)
-    schedule = FailureSchedule().drop_between(3.0, ["P3"], ["P1"], duration=8.0)
-    cluster.install_failures(schedule)
-    cluster.run(60)
-    trace = cluster.trace()
+    session = _session(["P1", "P2", "P3"], seed=5, suspicion_timeout=5.0)
+    session.group("g")
+    session.run(3)
+    session.sim.schedule_at(3.0, session.network.drop_between, {"P3"}, {"P1"}, 8.0)
+    session.run(60)
+    trace = session.trace()
     assert trace.events(kind=REFUTE), "expected the false suspicion to be refuted"
     for name in ("P1", "P2", "P3"):
-        assert cluster[name].view("g").sorted_members() == ("P1", "P2", "P3")
+        assert session[name].view("g").sorted_members() == ("P1", "P2", "P3")
     # Traffic still flows afterwards.
-    message_id = cluster["P3"].multicast("g", "still-here")
-    assert cluster.run_until_delivered(message_id, timeout=80)
-    assert check_all(cluster.trace()).passed
+    message_id = session["P3"].multicast("g", "still-here")
+    assert session.run_until_delivered(message_id, timeout=80)
+    assert check_all(session.trace()).passed
 
 
 def test_voluntary_departure_is_handled_like_silence():
-    cluster = _cluster(["P1", "P2", "P3"], seed=6)
-    cluster.create_group("g")
-    cluster["P3"].multicast("g", "leaving-soon")
-    cluster.run(20)
-    cluster["P3"].leave_group("g")
-    cluster.run(100)
+    session = _session(["P1", "P2", "P3"], seed=6)
+    session.group("g")
+    session["P3"].multicast("g", "leaving-soon")
+    session.run(20)
+    session["P3"].leave_group("g")
+    session.run(100)
     for name in ("P1", "P2"):
-        assert cluster[name].view("g").sorted_members() == ("P1", "P2")
-    assert not cluster["P3"].is_member("g")
+        assert session[name].view("g").sorted_members() == ("P1", "P2")
+    assert not session["P3"].is_member("g")
     # The departed process keeps no view of the group and cannot multicast.
     from repro.core.errors import DepartedGroupError
 
     with pytest.raises(DepartedGroupError):
-        cluster["P3"].multicast("g", "zombie")
+        session["P3"].multicast("g", "zombie")
 
 
 # ----------------------------------------------------------------------
@@ -200,33 +199,33 @@ def test_example1_orphan_message_is_not_delivered_without_its_cause():
     # delivers m, multicasts m' (causally after m) and crashes before it can
     # refute the suspicion of Pr.  The survivors must either deliver both or
     # neither -- they must never deliver the orphan m' alone (MD5).
-    cluster = _cluster(["Pi", "Pj", "Pr", "Ps"], seed=7)
-    cluster.create_group("g")
-    cluster.run(3)
+    session = _session(["Pi", "Pj", "Pr", "Ps"], seed=7)
+    session.group("g")
+    session.run(3)
 
     # Pr multicasts m such that only Ps receives it.
-    cluster.network.add_filter(
+    session.network.add_filter(
         lambda src, dst, payload: not (src == "Pr" and dst in ("Pi", "Pj"))
     )
-    cluster["Pr"].multicast("g", "m")
-    cluster.run(0.1)
-    cluster.crash("Pr")
+    session["Pr"].multicast("g", "m")
+    session.run(0.1)
+    session.crash("Pr")
 
     # Ps reacts to m by multicasting m' and then crashes shortly after.
     def react(group, sender, payload, msg_id):
         if payload == "m":
-            cluster["Ps"].multicast("g", "m-prime")
+            session["Ps"].multicast("g", "m-prime")
 
-    cluster["Ps"].add_delivery_callback(react)
-    cluster.sim.schedule(12.0, cluster.crash, "Ps")
-    cluster.run(200)
+    session["Ps"].add_delivery_callback(react)
+    session.sim.schedule(12.0, session.crash, "Ps")
+    session.run(200)
 
     for name in ("Pi", "Pj"):
-        payloads = cluster[name].delivered_payloads("g")
+        payloads = session[name].delivered_payloads("g")
         assert "m-prime" not in payloads or "m" in payloads
-        view = cluster[name].view("g")
+        view = session[name].view("g")
         assert view.sorted_members() == ("Pi", "Pj")
-    result = check_all(cluster.trace(), view_agreement_sets={"g": ["Pi", "Pj"]})
+    result = check_all(session.trace(), view_agreement_sets={"g": ["Pi", "Pj"]})
     assert result.passed, result.violations
 
 
@@ -234,47 +233,47 @@ def test_example1_orphan_message_is_not_delivered_without_its_cause():
 # Example 3 / partitions: concurrent subgroups stabilise
 # ----------------------------------------------------------------------
 def test_partition_produces_disjoint_stable_subgroup_views():
-    cluster = _cluster(["P1", "P2", "P3", "P4", "P5"], seed=8)
-    cluster.create_group("g")
-    cluster.run(5)
-    cluster.partition([["P1", "P2"], ["P3", "P4", "P5"]])
-    cluster.run(150)
-    minority_view = cluster["P1"].view("g").members
-    majority_view = cluster["P3"].view("g").members
+    session = _session(["P1", "P2", "P3", "P4", "P5"], seed=8)
+    session.group("g")
+    session.run(5)
+    session.partition([["P1", "P2"], ["P3", "P4", "P5"]])
+    session.run(150)
+    minority_view = session["P1"].view("g").members
+    majority_view = session["P3"].view("g").members
     assert minority_view == frozenset({"P1", "P2"})
     assert majority_view == frozenset({"P3", "P4", "P5"})
     assert not (minority_view & majority_view)
     # Views agree within each side (VC1 restricted to the connected side).
-    trace = cluster.trace()
+    trace = session.trace()
     assert check_view_sequences(trace, "g", ["P1", "P2"]).passed
     assert check_view_sequences(trace, "g", ["P3", "P4", "P5"]).passed
 
 
 def test_both_partition_sides_keep_operating():
     # Unlike primary-partition protocols, the minority side keeps delivering.
-    cluster = _cluster(["P1", "P2", "P3", "P4", "P5"], seed=9)
-    cluster.create_group("g")
-    cluster.run(5)
-    cluster.partition([["P1", "P2"], ["P3", "P4", "P5"]])
-    cluster.run(150)
-    minority_id = cluster["P1"].multicast("g", "minority-side")
-    majority_id = cluster["P4"].multicast("g", "majority-side")
-    assert cluster.run_until_delivered(minority_id, processes=["P1", "P2"], timeout=100)
-    assert cluster.run_until_delivered(
+    session = _session(["P1", "P2", "P3", "P4", "P5"], seed=9)
+    session.group("g")
+    session.run(5)
+    session.partition([["P1", "P2"], ["P3", "P4", "P5"]])
+    session.run(150)
+    minority_id = session["P1"].multicast("g", "minority-side")
+    majority_id = session["P4"].multicast("g", "majority-side")
+    assert session.run_until_delivered(minority_id, processes=["P1", "P2"], timeout=100)
+    assert session.run_until_delivered(
         majority_id, processes=["P3", "P4", "P5"], timeout=100
     )
-    assert "minority-side" in cluster["P2"].delivered_payloads("g")
-    assert "majority-side" in cluster["P5"].delivered_payloads("g")
+    assert "minority-side" in session["P2"].delivered_payloads("g")
+    assert "majority-side" in session["P5"].delivered_payloads("g")
 
 
 def test_signature_views_disjoint_after_partition():
-    cluster = _cluster(["P1", "P2", "P3", "P4"], seed=10, use_signature_views=True)
-    cluster.create_group("g")
-    cluster.run(5)
-    cluster.partition([["P1", "P2"], ["P3", "P4"]])
-    cluster.run(150)
-    side_one = cluster["P1"].endpoint("g").signature_view
-    side_two = cluster["P3"].endpoint("g").signature_view
+    session = _session(["P1", "P2", "P3", "P4"], seed=10, use_signature_views=True)
+    session.group("g")
+    session.run(5)
+    session.partition([["P1", "P2"], ["P3", "P4"]])
+    session.run(150)
+    side_one = session["P1"].endpoint("g").signature_view
+    side_two = session["P3"].endpoint("g").signature_view
     assert side_one is not None and side_two is not None
     assert not side_one.intersects(side_two)
 
@@ -285,47 +284,48 @@ def test_example2_causal_chain_across_partition_md5_prime():
     # Pk from its g1 view before (or without ever) delivering anything that
     # causally depends on the lost m1.
     config = NewtopConfig(**FAST)
-    cluster = NewtopCluster(["Pi", "Pj", "Pk", "Pq"], config=config, seed=11)
-    cluster.create_group("g1", ["Pi", "Pj", "Pk"])
-    cluster.create_group("g2", ["Pk", "Pq"])
-    cluster.create_group("g3", ["Pq", "Pi", "Pj"])
-    cluster.run(5)
+    session = Session("newtop", config=config, seed=11)
+    session.spawn(["Pi", "Pj", "Pk", "Pq"])
+    session.group("g1", ["Pi", "Pj", "Pk"])
+    session.group("g2", ["Pk", "Pq"])
+    session.group("g3", ["Pq", "Pi", "Pj"])
+    session.run(5)
 
     # The partition separates Pk from Pi and Pj exactly while m1 is being
     # multicast, so Pi and Pj never receive m1 but Pq (in g2) hears from Pk.
-    cluster.network.add_filter(
+    session.network.add_filter(
         lambda src, dst, payload: not (src == "Pk" and dst in ("Pi", "Pj"))
     )
-    cluster["Pk"].multicast("g1", "m1")
+    session["Pk"].multicast("g1", "m1")
 
     chain_state = {"m2_sent": False, "m4_sent": False}
 
     def relay(group, sender, payload, msg_id):
         if payload == "m1" and not chain_state["m2_sent"]:
             chain_state["m2_sent"] = True
-            cluster["Pk"].multicast("g2", "m2")
+            session["Pk"].multicast("g2", "m2")
 
     def relay_q(group, sender, payload, msg_id):
         if payload == "m2" and not chain_state["m4_sent"]:
             chain_state["m4_sent"] = True
-            cluster["Pq"].multicast("g3", "m4")
+            session["Pq"].multicast("g3", "m4")
 
-    cluster["Pk"].add_delivery_callback(relay)
-    cluster["Pq"].add_delivery_callback(relay_q)
-    cluster.run(250)
+    session["Pk"].add_delivery_callback(relay)
+    session["Pq"].add_delivery_callback(relay_q)
+    session.run(250)
 
     # m4 must eventually be delivered to Pi (it is in g3 with Pq)...
-    assert "m4" in cluster["Pi"].delivered_payloads("g3")
+    assert "m4" in session["Pi"].delivered_payloads("g3")
     # ...and by then Pk must have been excluded from Pi's view of g1,
     # because m1 could never be retrieved (MD5' option (b)).
-    trace = cluster.trace()
+    trace = session.trace()
     m4_delivery = [
         event
         for event in trace.events(kind="deliver", process="Pi", group="g3")
         if event.detail("view_index") is not None and event.message_id
     ]
-    assert "m1" not in cluster["Pi"].delivered_payloads("g1")
-    assert "Pk" not in cluster["Pi"].view("g1").members
+    assert "m1" not in session["Pi"].delivered_payloads("g1")
+    assert "Pk" not in session["Pi"].view("g1").members
     views = trace.events(kind=VIEW_INSTALL, process="Pi", group="g1")
     exclusion_time = None
     for event in views:
@@ -338,7 +338,7 @@ def test_example2_causal_chain_across_partition_md5_prime():
     )
     assert exclusion_time is not None and exclusion_time <= m4_time
     result = check_all(
-        cluster.trace(),
+        session.trace(),
         view_agreement_sets={"g1": ["Pi", "Pj"], "g2": ["Pq"], "g3": ["Pi", "Pj", "Pq"]},
     )
     assert result.passed, result.violations
@@ -348,19 +348,19 @@ def test_example2_causal_chain_across_partition_md5_prime():
 # Virtual synchrony (MD3) around view changes
 # ----------------------------------------------------------------------
 def test_virtual_synchrony_same_messages_in_same_view():
-    cluster = _cluster(["P1", "P2", "P3", "P4"], seed=12)
-    cluster.create_group("g")
+    session = _session(["P1", "P2", "P3", "P4"], seed=12)
+    session.group("g")
     for i in range(3):
-        cluster["P1"].multicast("g", f"pre{i}")
-    cluster.run(20)
-    cluster.crash("P4")
+        session["P1"].multicast("g", f"pre{i}")
+    session.run(20)
+    session.crash("P4")
     for i in range(3):
-        cluster["P2"].multicast("g", f"mid{i}")
-    cluster.run(120)
+        session["P2"].multicast("g", f"mid{i}")
+    session.run(120)
     for i in range(3):
-        cluster["P3"].multicast("g", f"post{i}")
-    cluster.run(80)
-    trace = cluster.trace()
+        session["P3"].multicast("g", f"post{i}")
+    session.run(80)
+    trace = session.trace()
     survivors = ["P1", "P2", "P3"]
     assert check_same_view_delivery_sets(trace, "g", survivors).passed
     assert check_view_sequences(trace, "g", survivors).passed
@@ -370,21 +370,21 @@ def test_virtual_synchrony_same_messages_in_same_view():
 def test_block_sends_during_view_change_option():
     # With the ISIS-style closure enabled, sends issued while a view change
     # is pending are deferred rather than transmitted.
-    cluster = _cluster(["P1", "P2", "P3"], seed=13, block_sends_during_view_change=True)
-    cluster.create_group("g")
-    cluster.run(5)
-    cluster.crash("P3")
-    cluster.run(120)
-    message_id = cluster["P1"].multicast("g", "after-change")
-    assert cluster.run_until_delivered(message_id, processes=["P1", "P2"], timeout=100)
-    assert "after-change" in cluster["P2"].delivered_payloads("g")
+    session = _session(["P1", "P2", "P3"], seed=13, block_sends_during_view_change=True)
+    session.group("g")
+    session.run(5)
+    session.crash("P3")
+    session.run(120)
+    message_id = session["P1"].multicast("g", "after-change")
+    assert session.run_until_delivered(message_id, processes=["P1", "P2"], timeout=100)
+    assert "after-change" in session["P2"].delivered_payloads("g")
 
 
 def test_two_member_group_partition_each_continues_alone():
-    cluster = _cluster(["P1", "P2"], seed=14)
-    cluster.create_group("g")
-    cluster.run(5)
-    cluster.partition([["P1"], ["P2"]])
-    cluster.run(120)
-    assert cluster["P1"].view("g").members == frozenset({"P1"})
-    assert cluster["P2"].view("g").members == frozenset({"P2"})
+    session = _session(["P1", "P2"], seed=14)
+    session.group("g")
+    session.run(5)
+    session.partition([["P1"], ["P2"]])
+    session.run(120)
+    assert session["P1"].view("g").members == frozenset({"P1"})
+    assert session["P2"].view("g").members == frozenset({"P2"})

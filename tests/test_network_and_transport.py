@@ -14,7 +14,6 @@ from repro.net.latency import (
 )
 from dataclasses import asdict
 
-from repro.net.failures import FailureSchedule, FaultInjector
 from repro.net.faults import LinkFaultModel
 from repro.net.network import Network, NetworkConfig
 from repro.net.partitions import PartitionManager
@@ -103,7 +102,7 @@ def test_partition_heal():
 
 def test_isolate_single_node():
     manager = PartitionManager(["a", "b", "c"])
-    manager.isolate("b")
+    manager.partition([["b"]])
     assert not manager.can_communicate("a", "b")
     assert manager.can_communicate("a", "c")
 
@@ -129,7 +128,7 @@ def test_node_registered_after_the_install_joins_the_leftover_component():
     manager.register("later")
     assert manager.can_communicate("later", "b")
     assert not manager.can_communicate("later", "a")
-    manager.isolate("b")
+    manager.partition([["b"], ["a", "c", "late", "later"]])
     manager.register("latest")
     assert manager.can_communicate("latest", "a")
     assert not manager.can_communicate("latest", "b")
@@ -373,9 +372,12 @@ def _partition_in_flight(world):
 
 
 def _crash_during_multicast(world):
-    FaultInjector(world.sim, world.network).install(
-        FailureSchedule().crash_during_multicast(0.5, "n0", ["n3", "n5"])
+    """n0's burst at 0.5 reaches only n3 and n5, then n0 stops (Example 1)."""
+    network = world.network
+    world.sim.schedule_at(
+        0.5, network.add_filter, lambda src, dst, payload: src != "n0" or dst in ("n3", "n5")
     )
+    world.sim.schedule_at(0.75, network.crash, "n0")
 
 
 def _lost(kind):

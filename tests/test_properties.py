@@ -5,8 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.checkers import check_all, check_total_order
-from harness import NewtopCluster
-
+from repro.api import Session
 from repro.core import NewtopConfig, OrderingMode
 from repro.core.clock import LamportClock
 from repro.core.delivery import DeliveryQueue
@@ -143,16 +142,17 @@ def test_views_only_shrink_and_signatures_track_exclusions(data):
 )
 def test_random_workloads_preserve_total_and_causal_order(seed, sends, mode):
     config = NewtopConfig(omega=2.0, suspicion_timeout=30.0)
-    cluster = NewtopCluster(["P1", "P2", "P3"], config=config, seed=seed)
-    cluster.create_group("g", mode=mode)
+    session = Session("newtop", config=config, seed=seed)
+    session.spawn(["P1", "P2", "P3"])
+    session.group("g", mode=mode)
     for index, (sender, delay_tenths) in enumerate(sends):
-        cluster.run(delay_tenths / 10.0)
-        cluster[sender].multicast("g", f"{sender}-{index}")
-    cluster.run(120)
-    orders = [tuple(process.delivered_payloads("g")) for process in cluster]
+        session.run(delay_tenths / 10.0)
+        session[sender].multicast("g", f"{sender}-{index}")
+    session.run(120)
+    orders = [tuple(process.delivered_payloads("g")) for process in session.processes.values()]
     assert len(set(orders)) == 1
     assert len(orders[0]) == len(sends)
-    result = check_all(cluster.trace())
+    result = check_all(session.trace())
     assert result.passed, result.violations
 
 
@@ -168,17 +168,18 @@ def test_random_workloads_preserve_total_and_causal_order(seed, sends, mode):
 )
 def test_random_crashes_preserve_survivor_agreement(seed, crash_victim, crash_after):
     config = NewtopConfig(omega=1.5, suspicion_timeout=6.0, suspector_check_interval=0.5)
-    cluster = NewtopCluster(["P1", "P2", "P3", "P4"], config=config, seed=seed)
-    cluster.create_group("g")
-    cluster["P1"].multicast("g", "first")
-    cluster.run(float(crash_after))
-    cluster.crash(crash_victim)
-    cluster.run(100)
-    cluster["P2"].multicast("g", "second")
-    cluster.run(100)
+    session = Session("newtop", config=config, seed=seed)
+    session.spawn(["P1", "P2", "P3", "P4"])
+    session.group("g")
+    session["P1"].multicast("g", "first")
+    session.run(float(crash_after))
+    session.crash(crash_victim)
+    session.run(100)
+    session["P2"].multicast("g", "second")
+    session.run(100)
     survivors = [p for p in ("P1", "P2", "P3", "P4") if p != crash_victim]
-    orders = {tuple(cluster[p].delivered_payloads("g")) for p in survivors}
+    orders = {tuple(session[p].delivered_payloads("g")) for p in survivors}
     assert len(orders) == 1
     assert "second" in orders.pop()
-    result = check_all(cluster.trace(), view_agreement_sets={"g": survivors})
+    result = check_all(session.trace(), view_agreement_sets={"g": survivors})
     assert result.passed, result.violations

@@ -12,9 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from harness import NewtopCluster
-
 from repro.analysis import check_all
+from repro.api import Session
 from repro.core import NewtopConfig
 from repro.core.messages import (
     Beacon,
@@ -37,25 +36,26 @@ def _idle_group(names=NAMES, seed=1, idle_for=40.3):
     config = NewtopConfig(
         omega=OMEGA, suspicion_timeout=BIG_OMEGA, suspector_check_interval=CHECK
     )
-    cluster = NewtopCluster(list(names), config=config, seed=seed)
-    cluster.create_group("g")
-    cluster.run(idle_for)
-    return cluster
+    session = Session("newtop", config=config, seed=seed)
+    session.spawn(list(names))
+    session.group("g")
+    session.run(idle_for)
+    return session
 
 
-def _cut_link(cluster, a, b):
-    cluster.network.add_filter(lambda src, dst, payload: {src, dst} != {a, b})
+def _cut_link(session, a, b):
+    session.network.add_filter(lambda src, dst, payload: {src, dst} != {a, b})
 
 
-def _events_since(cluster, kind, start):
-    return [event for event in cluster.trace().events(kind=kind) if event.time >= start]
+def _events_since(session, kind, start):
+    return [event for event in session.trace().events(kind=kind) if event.time >= start]
 
 
-def _exclusion_times(cluster, dead, crashed_at):
+def _exclusion_times(session, dead, crashed_at):
     """(survivor, dead member) -> how long after the crash the survivor
     installed a view without it."""
     times = {}
-    for event in cluster.trace().events(kind=VIEW_INSTALL):
+    for event in session.trace().events(kind=VIEW_INSTALL):
         if event.time > crashed_at and event.process not in dead:
             for member in dead:
                 if member not in event.detail("members"):
@@ -250,21 +250,21 @@ def test_losing_a_predecessor_moves_the_ring_on():
 # (a) What an idle group puts on the wire
 # ----------------------------------------------------------------------
 def test_idle_heartbeat_reaches_three_ring_successors_and_carries_no_clock():
-    cluster = _idle_group(idle_for=10.5)
+    session = _idle_group(idle_for=10.5)
     wire = []
-    cluster.network.add_filter(
+    session.network.add_filter(
         lambda src, dst, payload: wire.append((src, dst, payload.payload)) or True
     )
-    clocks = {name: cluster[name].clock.value for name in NAMES}
+    clocks = {name: session[name].clock.value for name in NAMES}
     vectors = {
-        name: cluster[name].endpoint("g").engine.receive_vector.as_dict()
+        name: session[name].endpoint("g").engine.receive_vector.as_dict()
         for name in NAMES
     }
-    start = cluster.sim.now
-    cluster.run(3 * BIG_OMEGA)
+    start = session.sim.now
+    session.run(3 * BIG_OMEGA)
     # Nothing but beacons, each to exactly the sender's three successors.
     assert wire and all(isinstance(payload, Beacon) for _, _, payload in wire)
-    beats = len(_events_since(cluster, NULL_SEND, start))
+    beats = len(_events_since(session, NULL_SEND, start))
     assert beats == 12 * 6 and len(wire) == RING_FANOUT * beats
     for name in NAMES:
         assert {dst for src, dst, _ in wire if src == name} == set(
@@ -272,13 +272,13 @@ def test_idle_heartbeat_reaches_three_ring_successors_and_carries_no_clock():
         )
     # No number: no Lamport clock ticked, no receive vector moved.
     for name in NAMES:
-        assert cluster[name].clock.value == clocks[name]
-        engine = cluster[name].endpoint("g").engine
+        assert session[name].clock.value == clocks[name]
+        engine = session[name].endpoint("g").engine
         assert engine.receive_vector.as_dict() == vectors[name]
     # First null at omega (numbered, all-pairs), then one beat per Omega/2.
-    times = [e.time for e in cluster.trace().events(kind=NULL_SEND, process="P07")]
+    times = [e.time for e in session.trace().events(kind=NULL_SEND, process="P07")]
     assert times == pytest.approx([OMEGA + BIG_OMEGA / 2 * beat for beat in range(8)])
-    assert not cluster.trace().events(kind=SUSPECT)
+    assert not session.trace().events(kind=SUSPECT)
 
 
 # ----------------------------------------------------------------------
@@ -290,16 +290,16 @@ def test_idle_heartbeat_reaches_three_ring_successors_and_carries_no_clock():
 def test_small_groups_keep_their_detection_times(size, first_suspicion, all_excluded):
     # Pinned on the parent commit (all-pairs numbered heartbeats), seed 1.
     names = NAMES[:size]
-    cluster = _idle_group(names)
-    crashed_at = cluster.sim.now
-    cluster.crash(names[size // 2])
-    cluster.run(3 * BIG_OMEGA)
-    suspicions = _events_since(cluster, SUSPECT, crashed_at)
+    session = _idle_group(names)
+    crashed_at = session.sim.now
+    session.crash(names[size // 2])
+    session.run(3 * BIG_OMEGA)
+    suspicions = _events_since(session, SUSPECT, crashed_at)
     assert len(suspicions) == size - 1
     assert min(e.time for e in suspicions) - crashed_at == pytest.approx(
         first_suspicion, abs=0.01
     )
-    excluded = _exclusion_times(cluster, [names[size // 2]], crashed_at)
+    excluded = _exclusion_times(session, [names[size // 2]], crashed_at)
     assert len(excluded) == size - 1
     assert max(excluded.values()) == pytest.approx(all_excluded, abs=0.01)
 
@@ -309,51 +309,51 @@ def test_small_groups_keep_their_detection_times(size, first_suspicion, all_excl
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_idle_crash_costs_one_gossip_hop_and_everybody_agrees_on_ln(seed):
-    cluster = _idle_group(seed=seed)
-    crashed_at = cluster.sim.now
-    cluster.crash("P07")
-    cluster.run(3 * BIG_OMEGA)
-    excluded = _exclusion_times(cluster, ["P07"], crashed_at)
+    session = _idle_group(seed=seed)
+    crashed_at = session.sim.now
+    session.crash("P07")
+    session.run(3 * BIG_OMEGA)
+    excluded = _exclusion_times(session, ["P07"], crashed_at)
     assert len(excluded) == 11
     # The parent (every member times P07 out by itself) had all eleven
     # views installed 10.19-10.20 after the crash on these seeds.
     assert max(excluded.values()) <= 10.20 + HOP + CHECK
-    suspicions = _events_since(cluster, SUSPECT, crashed_at)
+    suspicions = _events_since(session, SUSPECT, crashed_at)
     assert len(suspicions) == 11
     # Three monitors found out by timeout; the other eight concurred, all
     # on the monitors' {P07, ln}: beacons carry no number to disagree on.
     assert {e.detail("last_number") for e in suspicions} == {1}
-    assert not _events_since(cluster, REFUTE, crashed_at)
+    assert not _events_since(session, REFUTE, crashed_at)
     watchers = {"P08", "P09", "P10"}
     first_by_timeout = min(e.time for e in suspicions if e.process in watchers)
     assert all(
         e.time > first_by_timeout for e in suspicions if e.process not in watchers
     )
-    assert check_all(cluster.trace()).passed
+    assert check_all(session.trace()).passed
 
 
 # ----------------------------------------------------------------------
 # (d) One monitor's link fails: a false suspicion dies, nobody is excluded
 # ----------------------------------------------------------------------
-def _membership_send_times(cluster, periods):
+def _membership_send_times(session, periods):
     """Run ``periods`` x Omega; when each suspect/refute/confirm transport
     send went out."""
     sent_at = []
-    cluster.network.add_filter(
+    session.network.add_filter(
         lambda src, dst, message: isinstance(
             message.payload, (SuspectMessage, RefuteMessage, ConfirmMessage)
-        ) and sent_at.append(cluster.sim.now) or True
+        ) and sent_at.append(session.sim.now) or True
     )
-    cluster.run(periods * BIG_OMEGA)
+    session.run(periods * BIG_OMEGA)
     return sent_at
 
 
-def _membership_sends_per_timeout(cluster, periods):
+def _membership_sends_per_timeout(session, periods):
     """Run ``periods`` x Omega and count the suspect/refute/confirm
     transport sends of each Omega-long window."""
-    start = cluster.sim.now
+    start = session.sim.now
     windows = [0] * periods
-    for time in _membership_send_times(cluster, periods):
+    for time in _membership_send_times(session, periods):
         windows[min(int((time - start) / BIG_OMEGA), periods - 1)] += 1
     return windows
 
@@ -370,25 +370,25 @@ def _bursts(times):
 
 
 def test_false_suspicion_by_one_monitor_is_refuted_and_nobody_is_excluded():
-    cluster = _idle_group()
-    start = cluster.sim.now
-    _cut_link(cluster, "P05", "P06")  # P06 is one of P05's three monitors
-    sent_at = _membership_send_times(cluster, 2)
-    suspicions = _events_since(cluster, SUSPECT, start)
+    session = _idle_group()
+    start = session.sim.now
+    _cut_link(session, "P05", "P06")  # P06 is one of P05's three monitors
+    sent_at = _membership_send_times(session, 2)
+    suspicions = _events_since(session, SUSPECT, start)
     assert suspicions[0].process == "P06"
     assert {e.detail("target") for e in suspicions} == {"P05"}
     # The two monitors that still hear P05's beacons never agree, so the
     # suspicion cannot confirm; P05 learns of it from the concurrences and
     # refutes it, and every suspecter accepts.
     assert not {"P07", "P08"} & {e.process for e in suspicions}
-    refutes = _events_since(cluster, REFUTE, start)
+    refutes = _events_since(session, REFUTE, start)
     assert "P05" in {e.process for e in refutes}
     accepted = {e.process for e in refutes if e.detail("accepted")}
     assert accepted == {e.process for e in suspicions}
-    assert not _events_since(cluster, CONFIRM, start)
+    assert not _events_since(session, CONFIRM, start)
     for name in NAMES:
-        assert cluster[name].view("g").sorted_members() == tuple(NAMES)
-        assert not cluster[name].endpoint("g").gv.busy()
+        assert session[name].view("g").sorted_members() == tuple(NAMES)
+        assert not session[name].endpoint("g").gv.busy()
     # The link stays cut, so the cycle repeats, Omega after the last one
     # was refuted: P06 suspects, the eight non-neighbours concur (one
     # multicast each), P05 refutes, the suspecters accept -- 25 multicasts,
@@ -400,14 +400,14 @@ def test_false_suspicion_by_one_monitor_is_refuted_and_nobody_is_excluded():
     # through cycles, and the last cycle falls in one window with its
     # echoes.)  The mean stays below the 264 sends per Omega that the
     # all-pairs heartbeat's cycle (P06 suspects, ten members refute) cost.
-    cluster.run(4 * BIG_OMEGA)  # the filter keeps recording into sent_at
+    session.run(4 * BIG_OMEGA)  # the filter keeps recording into sent_at
     cycles = _bursts(sent_at)
     assert len(cycles) == 4
     assert max(cycles) <= 36 * (len(NAMES) - 1)
     assert len(sent_at) / 6 <= 264
-    assert not _events_since(cluster, CONFIRM, start)
+    assert not _events_since(session, CONFIRM, start)
     for name in NAMES:
-        assert cluster[name].view("g").sorted_members() == tuple(NAMES)
+        assert session[name].view("g").sorted_members() == tuple(NAMES)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -421,20 +421,20 @@ def test_member_cut_from_all_its_monitors_and_nobody_else_is_excluded(seed):
     and the group spent 660-690 membership sends per Omega on it for as
     long as the links stayed cut.  Not reachable by a crash or a clean
     partition."""
-    cluster = _idle_group(seed=seed)
-    cut_at = cluster.sim.now
+    session = _idle_group(seed=seed)
+    cut_at = session.sim.now
     for monitor in ("P06", "P07", "P08"):
-        _cut_link(cluster, "P05", monitor)
-    windows = _membership_sends_per_timeout(cluster, 4)
+        _cut_link(session, "P05", monitor)
+    windows = _membership_sends_per_timeout(session, 4)
     rest = [name for name in NAMES if name != "P05"]
-    excluded = _exclusion_times(cluster, ["P05"], cut_at)
+    excluded = _exclusion_times(session, ["P05"], cut_at)
     assert set(excluded) == {(name, "P05") for name in rest}
     assert max(excluded.values()) <= BIG_OMEGA + CHECK + HOP
     for name in rest:
-        assert cluster[name].view("g").sorted_members() == tuple(rest)
-        assert not cluster[name].endpoint("g").owes_group()
+        assert session[name].view("g").sorted_members() == tuple(rest)
+        assert not session[name].endpoint("g").owes_group()
     # P05 reciprocates (step vii) and ends up alone; then it is over.
-    assert cluster["P05"].view("g").sorted_members() == ("P05",)
+    assert session["P05"].view("g").sorted_members() == ("P05",)
     assert windows[2:] == [0, 0]
 
 
@@ -443,45 +443,45 @@ def test_member_cut_from_all_its_monitors_and_nobody_else_is_excluded(seed):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_waking_from_long_idleness_raises_no_suspicion(seed):
-    cluster = _idle_group(seed=seed, idle_for=3 * BIG_OMEGA + 7.3)
-    sent_at = cluster.sim.now
-    message_id = cluster["P03"].multicast("g", "wake")
-    assert cluster.run_until_delivered(message_id, timeout=10.0)
+    session = _idle_group(seed=seed, idle_for=3 * BIG_OMEGA + 7.3)
+    sent_at = session.sim.now
+    message_id = session["P03"].multicast("g", "wake")
+    assert session.run_until_delivered(message_id, timeout=10.0)
     # Every receiver answers at once: the parent took 3.2 here.
-    assert cluster.sim.now - sent_at < 3.2
-    cluster.run(4 * BIG_OMEGA)
-    assert not cluster.trace().events(kind=SUSPECT)
-    assert not any(cluster[name].endpoint("g").owes_group() for name in NAMES)
+    assert session.sim.now - sent_at < 3.2
+    session.run(4 * BIG_OMEGA)
+    assert not session.trace().events(kind=SUSPECT)
+    assert not any(session[name].endpoint("g").owes_group() for name in NAMES)
 
 
 # ----------------------------------------------------------------------
 # (f) A dead link nobody's ring runs over: found when traffic needs it
 # ----------------------------------------------------------------------
 def test_link_cut_between_non_neighbours_does_not_wedge_the_group():
-    cluster = _idle_group()
-    _cut_link(cluster, "P02", "P08")
-    cut_at = cluster.sim.now
-    cluster.run(3 * BIG_OMEGA)
+    session = _idle_group()
+    _cut_link(session, "P02", "P08")
+    cut_at = session.sim.now
+    session.run(3 * BIG_OMEGA)
     # Idle, neither sends the other anything: there is nothing to miss.
-    assert not _events_since(cluster, SUSPECT, cut_at)
-    sent_at = cluster.sim.now
-    message_id = cluster["P05"].multicast("g", "resume")
+    assert not _events_since(session, SUSPECT, cut_at)
+    sent_at = session.sim.now
+    message_id = session["P05"].multicast("g", "resume")
     # P02 and P08 now wait on each other's nulls, so each watches everybody
     # and times the other out after the grace; the members that hear both
     # refute with the missing messages piggybacked (rule iii), exactly as
     # they did on the parent.
-    assert cluster.run_until_delivered(message_id, timeout=2 * BIG_OMEGA)
-    assert cluster.sim.now - sent_at < BIG_OMEGA
-    suspicions = _events_since(cluster, SUSPECT, sent_at)
+    assert session.run_until_delivered(message_id, timeout=2 * BIG_OMEGA)
+    assert session.sim.now - sent_at < BIG_OMEGA
+    suspicions = _events_since(session, SUSPECT, sent_at)
     assert {(e.process, e.detail("target")) for e in suspicions} == {
         ("P02", "P08"), ("P08", "P02"),
     }
-    cluster.run(3 * BIG_OMEGA)
-    assert not _events_since(cluster, CONFIRM, cut_at)
+    session.run(3 * BIG_OMEGA)
+    assert not _events_since(session, CONFIRM, cut_at)
     for name in NAMES:
-        assert cluster[name].delivered_payloads("g") == ["resume"]
-        assert cluster[name].view("g").sorted_members() == tuple(NAMES)
-    assert check_all(cluster.trace()).passed
+        assert session[name].delivered_payloads("g") == ["resume"]
+        assert session[name].view("g").sorted_members() == tuple(NAMES)
+    assert check_all(session.trace()).passed
 
 
 # ----------------------------------------------------------------------
@@ -494,22 +494,22 @@ def test_member_and_all_its_ring_successors_crashing_together(seed):
     watched everybody only while its process awaited a delivery left the
     group at omega all-pairs for good; it must also watch everybody while
     the agreement is busy."""
-    cluster = _idle_group(seed=seed)
+    session = _idle_group(seed=seed)
     dead = ["P05", "P06", "P07", "P08"]
-    crashed_at = cluster.sim.now
+    crashed_at = session.sim.now
     for name in dead:
-        cluster.crash(name)
-    cluster.run(3 * BIG_OMEGA)
+        session.crash(name)
+    session.run(3 * BIG_OMEGA)
     survivors = [name for name in NAMES if name not in dead]
-    excluded = _exclusion_times(cluster, dead, crashed_at)
+    excluded = _exclusion_times(session, dead, crashed_at)
     assert set(excluded) == {(s, d) for s in survivors for d in dead}
     assert max(excluded.values()) <= 3 * BIG_OMEGA
     for name in survivors:
-        assert cluster[name].view("g").sorted_members() == tuple(survivors)
-        assert not cluster[name].endpoint("g").owes_group()
-    message_id = cluster["P01"].multicast("g", "after")
-    assert cluster.run_until_delivered(message_id, processes=survivors, timeout=10.0)
-    assert check_all(cluster.trace()).passed
+        assert session[name].view("g").sorted_members() == tuple(survivors)
+        assert not session[name].endpoint("g").owes_group()
+    message_id = session["P01"].multicast("g", "after")
+    assert session.run_until_delivered(message_id, processes=survivors, timeout=10.0)
+    assert check_all(session.trace()).passed
 
 
 # ----------------------------------------------------------------------
@@ -525,24 +525,23 @@ def _overlapping(groups, idle_for):
     config = NewtopConfig(
         omega=OMEGA, suspicion_timeout=BIG_OMEGA, suspector_check_interval=CHECK
     )
-    cluster = NewtopCluster(
-        FIVE, config=config, latency_model=ConstantLatency(0.7), seed=1
-    )
+    session = Session("newtop", config=config, latency_model=ConstantLatency(0.7), seed=1)
+    session.spawn(FIVE)
     for group in groups:
-        cluster.create_group(group)
-    cluster.run(idle_for)
+        session.group(group)
+    session.run(idle_for)
     wire = []
-    cluster.network.add_filter(
+    session.network.add_filter(
         lambda src, dst, message: wire.append((src, dst, message.payload)) or True
     )
-    return cluster, wire
+    return session, wire
 
 
 @pytest.mark.parametrize("overlap", [1, 2, 4])
 def test_beacons_to_a_shared_neighbour_do_not_grow_with_the_overlap(overlap):
     groups = tuple(f"g{index}" for index in range(overlap))
-    cluster, wire = _overlapping(groups, idle_for=20.3)
-    cluster.run(4 * BIG_OMEGA)
+    session, wire = _overlapping(groups, idle_for=20.3)
+    session.run(4 * BIG_OMEGA)
     assert wire and all(isinstance(payload, Beacon) for _, _, payload in wire)
     # One beacon per ring neighbour per Omega / 2, naming every shared
     # group: 8 from P1 to P2 and 5 x 3 x 8 in all, in 1, 2 or 4 groups
@@ -553,7 +552,7 @@ def test_beacons_to_a_shared_neighbour_do_not_grow_with_the_overlap(overlap):
     assert {payload.wire_size_bytes() for _, _, payload in wire} == {
         Beacon("P1", ("g",)).wire_size_bytes() + SCALAR_BYTES * (overlap - 1)
     }
-    assert not cluster.trace().events(kind=SUSPECT)
+    assert not session.trace().events(kind=SUSPECT)
 
 
 @pytest.mark.parametrize("overlap", [1, 2, 4])
@@ -561,13 +560,13 @@ def test_a_neighbours_crash_is_suspected_in_every_shared_group_on_the_same_grid_
     overlap,
 ):
     groups = [f"g{index}" for index in range(overlap)]
-    cluster, _ = _overlapping(groups, idle_for=60.3)
-    cluster.crash("P2")
-    cluster.run(3 * BIG_OMEGA)
+    session, _ = _overlapping(groups, idle_for=60.3)
+    session.crash("P2")
+    session.run(3 * BIG_OMEGA)
     for group in groups:
         suspicions = {
             event.process: event.time
-            for event in cluster.trace().events(kind=SUSPECT, group=group)
+            for event in session.trace().events(kind=SUSPECT, group=group)
         }
         # P2's three monitors time it out at the grid point 68, P1 concurs
         # one hop later: in every group, as with one heartbeat per group.
@@ -576,7 +575,7 @@ def test_a_neighbours_crash_is_suspected_in_every_shared_group_on_the_same_grid_
         )
         installs = {
             event.process: event.time
-            for event in cluster.trace().events(kind=VIEW_INSTALL, group=group)
+            for event in session.trace().events(kind=VIEW_INSTALL, group=group)
             if event.time > 60.3
         }
         assert installs == pytest.approx(
@@ -594,10 +593,10 @@ def test_no_survivor_sends_a_busy_null_after_passing_the_suspicions_ln():
     again -- only beacons (``group=None``).  Two commits back P3-P5 sent
     three separate nulls at 68.0 and three more at 69.0, the commit before
     this the three at 68.0 (the times above are the same on all three)."""
-    cluster, wire = _overlapping(["g0"], idle_for=60.3)
-    cluster.crash("P2")
-    cluster.run(3 * BIG_OMEGA)
-    (ln,) = {event.detail("last_number") for event in cluster.trace().events(kind=SUSPECT)}
+    session, wire = _overlapping(["g0"], idle_for=60.3)
+    session.crash("P2")
+    session.run(3 * BIG_OMEGA)
+    (ln,) = {event.detail("last_number") for event in session.trace().events(kind=SUSPECT)}
     assert ln == 1
     carried = {
         (type(payload).__name__, src, payload.null.clock)
@@ -609,7 +608,7 @@ def test_no_survivor_sends_a_busy_null_after_passing_the_suspicions_ln():
         ("ConfirmMessage", name, 3) for name in survivors
     }
     assert not [
-        event for event in cluster.trace().events(kind=NULL_SEND)
+        event for event in session.trace().events(kind=NULL_SEND)
         if event.group is not None and event.time > 60.3
     ]
 
@@ -621,23 +620,23 @@ def test_leaving_one_of_two_overlapping_groups_is_silence_in_that_group():
     receipt to every shared group kept P3 alive in g through h, see
     ``tests/test_fuzz_regressions.py``), and g excludes it when it always
     did: its monitors at the grid point 48, P2 one hop later."""
-    cluster, wire = _overlapping(["g", "h"], idle_for=40.3)
-    cluster["P3"].leave_group("g")
-    cluster.run(3 * BIG_OMEGA)
+    session, wire = _overlapping(["g", "h"], idle_for=40.3)
+    session["P3"].leave_group("g")
+    session.run(3 * BIG_OMEGA)
     from_p3 = [payload for src, _, payload in wire if src == "P3"]
     assert from_p3 and all(payload.groups == ("h",) for payload in from_p3)
-    suspicions = cluster.trace().events(kind=SUSPECT)
+    suspicions = session.trace().events(kind=SUSPECT)
     assert {(e.group, e.detail("target")) for e in suspicions} == {("g", "P3")}
     assert {e.process: e.time for e in suspicions} == pytest.approx(
         {"P1": 48.0, "P4": 48.0, "P5": 48.0, "P2": 48.7}, abs=1e-6
     )
     installs = {
         event.process: event.time
-        for event in cluster.trace().events(kind=VIEW_INSTALL, group="g")
+        for event in session.trace().events(kind=VIEW_INSTALL, group="g")
         if event.time > 40.3
     }
     assert installs == pytest.approx(
         {"P2": 48.7, "P1": 49.4, "P4": 49.4, "P5": 49.4}, abs=1e-6
     )
     for name in FIVE:
-        assert cluster[name].view("h").sorted_members() == tuple(FIVE)
+        assert session[name].view("h").sorted_members() == tuple(FIVE)

@@ -16,10 +16,10 @@ depend on it.
 
 import pytest
 
-from harness import NewtopCluster
 from test_hot_path_equivalence import _churn_config
 from test_kv import LAYOUT, make_store, put
 
+from repro.api import Session
 from repro.apps.kv import Rebalancer
 from repro.core import NewtopConfig, OrderingMode
 from repro.core.endpoint import PendingViewChange
@@ -130,26 +130,27 @@ def test_oracle_finds_nothing_with_deferred_sends_and_a_formation(oracle):
     sends are deferred most of the time) and a §5.3 formation on top."""
     config = NewtopConfig(omega=1.0, suspicion_timeout=6.0, flow_control_window=1)
     names = ["P1", "P2", "P3", "P4", "P5"]
-    cluster = NewtopCluster(names, config=config, seed=4)
-    cluster.create_group("g1", ["P1", "P2", "P3"])
-    cluster.create_group("g2", ["P3", "P4", "P5"])
-    cluster.run(3.0)
+    session = Session("newtop", config=config, seed=4)
+    session.spawn(names)
+    session.group("g1", ["P1", "P2", "P3"])
+    session.group("g2", ["P3", "P4", "P5"])
+    session.run(3.0)
     handle = None
     for index in range(90):
-        cluster[("P1", "P2", "P3")[index % 3]].multicast("g1", f"a{index}")
-        cluster[("P3", "P4", "P5")[index % 3]].multicast("g2", f"b{index}")
+        session[("P1", "P2", "P3")[index % 3]].multicast("g1", f"a{index}")
+        session[("P3", "P4", "P5")[index % 3]].multicast("g2", f"b{index}")
         if index == 30:
-            handle = cluster["P2"].form_group("g3", ["P2", "P3", "P4"])
+            handle = session["P2"].form_group("g3", ["P2", "P3", "P4"])
         if index > 60:
-            cluster["P2"].multicast("g3", f"c{index}")
-        cluster.run(0.3)
-    cluster.run(150.0)  # a window of one drains at one message per round
+            session["P2"].multicast("g3", f"c{index}")
+        session.run(0.3)
+    session.run(150.0)  # a window of one drains at one message per round
     assert handle is not None and handle.formed
-    assert cluster.trace().events(kind="blocked_send")
+    assert session.trace().events(kind="blocked_send")
     for name in ("P2", "P3", "P4"):
-        assert len(cluster[name].delivered_payloads("g3")) == 29
+        assert len(session[name].delivered_payloads("g3")) == 29
     for name in ("P1", "P2", "P3"):
-        assert len(cluster[name].delivered_payloads("g1")) == 90
+        assert len(session[name].delivered_payloads("g1")) == 90
     _assert_nothing_found(oracle, at_least=150)
 
 
@@ -186,10 +187,11 @@ def _idle_trio(mode=None):
     """P1 idle in ``g1`` with a hand-built ``RV``: its own entry and P3's
     far ahead, P2's the one entry standing at the minimum."""
     config = NewtopConfig(omega=1.0, suspicion_timeout=6.0)
-    cluster = NewtopCluster(["P1", "P2", "P3"], config=config, seed=1)
-    cluster.create_group("g1", mode=mode)
-    cluster.run(20.0)
-    process = cluster["P1"]
+    session = Session("newtop", config=config, seed=1)
+    session.spawn(["P1", "P2", "P3"])
+    session.group("g1", mode=mode)
+    session.run(20.0)
+    process = session["P1"]
     endpoint = process.endpoint("g1")
     if mode is not OrderingMode.ASYMMETRIC:
         vector = endpoint.engine.receive_vector
@@ -201,7 +203,7 @@ def _idle_trio(mode=None):
         assert vector.minimum() == vector["P2"] and not vector.minimum_in_doubt()
         assert not endpoint.owes_group()
     assert not endpoint.gv.busy() and not process.awaits_delivery()
-    return cluster, process, endpoint
+    return session, process, endpoint
 
 
 def _feed(oracle, process, src, payload):
@@ -308,8 +310,9 @@ def test_a_beacon_or_a_null_while_work_is_in_hand_settles(oracle, work):
 
 def test_a_null_during_a_formation_wait_settles(oracle):
     config = NewtopConfig(omega=1.0, suspicion_timeout=6.0)
-    cluster = NewtopCluster(["P1", "P2", "P3"], config=config, seed=1)
-    process = cluster["P1"]
+    session = Session("newtop", config=config, seed=1)
+    session.spawn(["P1", "P2", "P3"])
+    process = session["P1"]
     process.activate_formed_group("g1", ("P1", "P2", "P3"), OrderingMode.SYMMETRIC)
     assert process.endpoint("g1").in_formation_wait
     assert _feed(oracle, process, "P3", _null("P3", TOP + 1))
@@ -339,9 +342,10 @@ def test_the_dict_reference_vector_never_promises(oracle):
     """``use_slab_state=False``: the reference backend cannot tell whether
     the minimum moved, so no group message is inert (a beacon still is)."""
     config = NewtopConfig(omega=1.0, suspicion_timeout=6.0, use_slab_state=False)
-    cluster = NewtopCluster(["P1", "P2", "P3"], config=config, seed=1)
-    cluster.create_group("g1")
-    cluster.run(20.0)
-    process = cluster["P1"]
+    session = Session("newtop", config=config, seed=1)
+    session.spawn(["P1", "P2", "P3"])
+    session.group("g1")
+    session.run(20.0)
+    process = session["P1"]
     assert _feed(oracle, process, "P3", _null("P3", TOP + 1))
     assert not _feed(oracle, process, "P2", Beacon(origin="P2", groups=("g1",)))

@@ -13,8 +13,6 @@ import math
 
 import pytest
 
-from harness import NewtopCluster
-
 from repro.api import Session
 from repro.core import NewtopConfig
 from repro.core.config import OrderingMode
@@ -75,21 +73,20 @@ def _five_idle_for_four_timeouts(symmetric, asymmetric=()):
     fired by label and the payloads sent during 4 Omega of idleness."""
     from repro.net.latency import ConstantLatency
 
-    cluster = NewtopCluster(
-        NAMES[:5], config=CONFIG, latency_model=ConstantLatency(0.7), seed=1
-    )
+    session = Session("newtop", config=CONFIG, latency_model=ConstantLatency(0.7), seed=1)
+    session.spawn(NAMES[:5])
     for group in symmetric:
-        cluster.create_group(group)
+        session.group(group)
     for group in asymmetric:
-        cluster.create_group(group, mode=OrderingMode.ASYMMETRIC)
-    cluster.run(20.3)
-    cluster.sim.profiler = labels = _FiredLabels()
+        session.group(group, mode=OrderingMode.ASYMMETRIC)
+    session.run(20.3)
+    session.sim.profiler = labels = _FiredLabels()
     sent = []
-    cluster.network.add_filter(
+    session.network.add_filter(
         lambda src, dst, message: sent.append(message.payload) or True
     )
-    cluster.run(4 * BIG_OMEGA)
-    assert not cluster.trace().events(kind=SUSPECT)
+    session.run(4 * BIG_OMEGA)
+    assert not session.trace().events(kind=SUSPECT)
     return labels.fired, sent
 
 
@@ -118,33 +115,34 @@ def test_an_overlapping_asymmetric_group_sends_and_wakes_what_it_did_alone():
 # (b) A peer's suspicion wakes a sleeping member on the grid
 # ----------------------------------------------------------------------
 def test_suspect_message_pulls_the_tick_in_and_the_grace_is_unchanged():
-    cluster = NewtopCluster(NAMES, config=CONFIG, seed=1)
-    cluster.create_group("g")
-    cluster.run(40.3)
-    endpoint = cluster["P01"].endpoint("g")
+    session = Session("newtop", config=CONFIG, seed=1)
+    session.spawn(NAMES)
+    session.group("g")
+    session.run(40.3)
+    endpoint = session["P01"].endpoint("g")
     suspector = endpoint.suspector
     # P01 watches P10-P12 and sleeps until one of their deadlines; P05 is
     # not on its ring and was last heard during start-up.
     assert suspector.dozing and not endpoint.gv.busy()
     assert suspector.last_heard("P05") < BIG_OMEGA
-    cluster.crash("P07")
-    assert cluster.sim.run_until(endpoint.gv.busy, timeout=3 * BIG_OMEGA)
+    session.crash("P07")
+    assert session.sim.run_until(endpoint.gv.busy, timeout=3 * BIG_OMEGA)
     # A monitor's SuspectMessage just arrived (P01 concurred on the spot).
     # The watch-all entry is the business of the next grid point -- the
     # group started at 0, so the next whole number -- and not of this event.
-    arrived = cluster.sim.now
+    arrived = session.sim.now
     entry = math.floor(arrived / CHECK) * CHECK + CHECK
     assert suspector.dozing
-    cluster.sim.run(until=entry - 1e-6)
+    session.sim.run(until=entry - 1e-6)
     assert suspector.last_heard("P05") < BIG_OMEGA
-    cluster.sim.run(until=entry)
+    session.sim.run(until=entry)
     # Watching everybody from `entry` on: P05's silence counts from
     # entry - Omega + min(Omega, 2 * omega + check), as it always did.
     assert suspector.last_heard("P05") == pytest.approx(entry - BIG_OMEGA + GRACE)
     assert not suspector.dozing
-    cluster.run(3 * BIG_OMEGA)
+    session.run(3 * BIG_OMEGA)
     assert {
-        event.detail("target") for event in cluster.trace().events(kind=SUSPECT)
+        event.detail("target") for event in session.trace().events(kind=SUSPECT)
     } == {"P07"}
 
 
@@ -308,21 +306,20 @@ def test_receipts_just_short_of_grid_points_end_to_end(members, delay):
     from repro.net.latency import ConstantLatency
 
     names = NAMES[:members]
-    cluster = NewtopCluster(
-        names, config=CONFIG, latency_model=ConstantLatency(delay), seed=1
-    )
-    cluster.create_group("g")
+    session = Session("newtop", config=CONFIG, latency_model=ConstantLatency(delay), seed=1)
+    session.spawn(names)
+    session.group("g")
     time, count = 0.0, 0
     while time < 300.0:
         time += 0.1
         count += 1
         if count % 37 < 3:
-            cluster.sim.schedule_at(
-                time, cluster[names[count % 3]].multicast, "g", f"m{count}"
+            session.sim.schedule_at(
+                time, session[names[count % 3]].multicast, "g", f"m{count}"
             )
-    cluster.run(320.0)
-    assert cluster.trace().events(kind=SUSPECT) == []
-    delivered = {len(process.delivered) for process in cluster}
+    session.run(320.0)
+    assert session.trace().events(kind=SUSPECT) == []
+    delivered = {len(process.delivered) for process in session.processes.values()}
     assert len(delivered) == 1 and delivered.pop() > 200
 
 
@@ -346,9 +343,10 @@ def test_clearing_a_suspicion_gives_a_sleeping_suspector_a_deadline():
 # ----------------------------------------------------------------------
 def test_unresolved_suspicion_is_regossiped_once_per_timeout():
     names = NAMES[:4]
-    cluster = NewtopCluster(names, config=CONFIG, seed=2)
-    cluster.create_group("g")
-    cluster.run(20.3)
+    session = Session("newtop", config=CONFIG, seed=2)
+    session.spawn(names)
+    session.group("g")
+    session.run(20.3)
     # The membership plane is cut, as by a partition that lets nulls
     # through: every survivor suspects P04 and none hears of another's
     # support, so each holds its suspicion unresolved.
@@ -357,16 +355,16 @@ def test_unresolved_suspicion_is_regossiped_once_per_timeout():
     def membership_cut(src, dst, message):
         payload = message.payload
         if isinstance(payload, SuspectMessage) and src == "P01" and dst == "P02":
-            announced.append(cluster.sim.now)
+            announced.append(session.sim.now)
         return not isinstance(payload, (SuspectMessage, RefuteMessage, ConfirmMessage))
 
-    cluster.network.add_filter(membership_cut)
-    cluster.crash("P04")
-    cluster.run(4.5 * BIG_OMEGA)
+    session.network.add_filter(membership_cut)
+    session.crash("P04")
+    session.run(4.5 * BIG_OMEGA)
     assert len(announced) == 4
     first = announced[0]
     # Announced by the tick that timed P04 out, re-announced by the ticks
     # exactly one, two and three Omega later: the restless grid is intact.
     assert first == math.floor(first)
     assert announced == [first + BIG_OMEGA * round_ for round_ in range(4)]
-    assert cluster["P01"].view("g").sorted_members() == tuple(names)
+    assert session["P01"].view("g").sorted_members() == tuple(names)

@@ -4,8 +4,7 @@ import pytest
 
 from repro.analysis import check_all
 from repro.analysis.checkers import check_total_order
-from harness import NewtopCluster
-
+from repro.api import Session
 from repro.core import NewtopConfig, OrderingMode
 from repro.core.endpoint import PendingViewChange
 from repro.core.messages import DataMessage, Suspicion
@@ -13,105 +12,108 @@ from repro.net.latency import ExponentialLatency, UniformLatency
 from repro.net.trace import NULL_SEND
 
 
-def _cluster(names, seed=1, **config_overrides):
+def _session(names, seed=1, **config_overrides):
     config = NewtopConfig(omega=2.0, suspicion_timeout=8.0).replace(**config_overrides)
-    return NewtopCluster(names, config=config, seed=seed)
+    session = Session("newtop", config=config, seed=seed)
+    session.spawn(names)
+    return session
 
 
 def test_single_multicast_reaches_every_member_in_order():
-    cluster = _cluster(["P1", "P2", "P3"])
-    cluster.create_group("g1")
-    message_id = cluster["P1"].multicast("g1", "hello")
-    assert cluster.run_until_delivered(message_id, timeout=60)
-    for process in cluster:
+    session = _session(["P1", "P2", "P3"])
+    session.group("g1")
+    message_id = session["P1"].multicast("g1", "hello")
+    assert session.run_until_delivered(message_id, timeout=60)
+    for process in session.processes.values():
         assert process.delivered_payloads("g1") == ["hello"]
 
 
 def test_concurrent_senders_agree_on_total_order():
-    cluster = _cluster(["P1", "P2", "P3", "P4"], seed=5)
-    cluster.create_group("g1")
+    session = _session(["P1", "P2", "P3", "P4"], seed=5)
+    session.group("g1")
     for i in range(5):
-        cluster["P1"].multicast("g1", f"a{i}")
-        cluster["P2"].multicast("g1", f"b{i}")
-        cluster["P3"].multicast("g1", f"c{i}")
-        cluster.run(0.5)
-    cluster.run(60)
-    orders = [tuple(process.delivered_payloads("g1")) for process in cluster]
+        session["P1"].multicast("g1", f"a{i}")
+        session["P2"].multicast("g1", f"b{i}")
+        session["P3"].multicast("g1", f"c{i}")
+        session.run(0.5)
+    session.run(60)
+    orders = [tuple(process.delivered_payloads("g1")) for process in session.processes.values()]
     assert len(set(orders)) == 1
     assert len(orders[0]) == 15
-    assert check_total_order(cluster.trace(), "g1").passed
+    assert check_total_order(session.trace(), "g1").passed
 
 
 def test_total_order_under_heavy_latency_variance():
     config = NewtopConfig(omega=2.0, suspicion_timeout=30.0)
-    cluster = NewtopCluster(
-        ["P1", "P2", "P3", "P4", "P5"],
+    session = Session(
+        "newtop",
         config=config,
         latency_model=ExponentialLatency(mean=2.0, floor=0.1),
         seed=13,
     )
-    cluster.create_group("g1")
+    session.spawn(["P1", "P2", "P3", "P4", "P5"])
+    session.group("g1")
     for i in range(4):
         for name in ("P1", "P3", "P5"):
-            cluster[name].multicast("g1", f"{name}-{i}")
-        cluster.run(1.0)
-    cluster.run(150)
-    orders = [tuple(process.delivered_payloads("g1")) for process in cluster]
+            session[name].multicast("g1", f"{name}-{i}")
+        session.run(1.0)
+    session.run(150)
+    orders = [tuple(process.delivered_payloads("g1")) for process in session.processes.values()]
     assert len(set(orders)) == 1
     assert len(orders[0]) == 12
-    result = check_all(cluster.trace())
+    result = check_all(session.trace())
     assert result.passed, result.violations
 
 
 def test_sender_delivers_its_own_messages_through_the_protocol():
-    cluster = _cluster(["P1", "P2"])
-    cluster.create_group("g1")
-    cluster["P1"].multicast("g1", "mine")
+    session = _session(["P1", "P2"])
+    session.group("g1")
+    session["P1"].multicast("g1", "mine")
     # Not yet deliverable: P1 has not heard anything numbered >= 1 from P2.
-    assert cluster["P1"].delivered_payloads("g1") == []
-    cluster.run(30)
-    assert cluster["P1"].delivered_payloads("g1") == ["mine"]
+    assert session["P1"].delivered_payloads("g1") == []
+    session.run(30)
+    assert session["P1"].delivered_payloads("g1") == ["mine"]
 
 
 def test_time_silence_keeps_delivery_live_with_silent_members():
     # P3 never sends anything; its null messages must still let P1's
     # multicast become deliverable.
-    cluster = _cluster(["P1", "P2", "P3"])
-    cluster.create_group("g1")
-    message_id = cluster["P1"].multicast("g1", "x")
-    delivered = cluster.run_until_delivered(message_id, timeout=60)
+    session = _session(["P1", "P2", "P3"])
+    session.group("g1")
+    message_id = session["P1"].multicast("g1", "x")
+    delivered = session.run_until_delivered(message_id, timeout=60)
     assert delivered
-    nulls = cluster.trace().events(kind=NULL_SEND)
+    nulls = session.trace().events(kind=NULL_SEND)
     assert nulls, "the time-silence mechanism should have produced null messages"
 
 
 def test_causal_order_across_request_reply():
-    cluster = _cluster(["P1", "P2", "P3"])
-    cluster.create_group("g1")
-    request_id = cluster["P1"].multicast("g1", "request")
+    session = _session(["P1", "P2", "P3"])
+    session.group("g1")
+    request_id = session["P1"].multicast("g1", "request")
 
     replied = []
 
     def reply_on_delivery(group, sender, payload, msg_id):
         if payload == "request" and not replied:
-            replied.append(cluster["P2"].multicast(group, "reply"))
+            replied.append(session["P2"].multicast(group, "reply"))
 
-    cluster["P2"].add_delivery_callback(reply_on_delivery)
-    cluster.run(80)
-    for process in cluster:
+    session["P2"].add_delivery_callback(reply_on_delivery)
+    session.run(80)
+    for process in session.processes.values():
         payloads = process.delivered_payloads("g1")
         assert payloads.index("request") < payloads.index("reply")
-    assert check_all(cluster.trace()).passed
+    assert check_all(session.trace()).passed
 
 
 def test_larger_group_total_order():
     names = [f"P{i}" for i in range(1, 9)]
-    cluster = _cluster(names, seed=21)
-    cluster.create_group("big")
+    session = _session(names, seed=21)
+    session.group("big")
     for i, name in enumerate(names):
-        cluster[name].multicast("big", f"m{i}")
-    cluster.run(80)
-    orders = [tuple(process.delivered_payloads("big")) for process in cluster]
+        session[name].multicast("big", f"m{i}")
+    session.run(80)
+    orders = [tuple(process.delivered_payloads("big")) for process in session.processes.values()]
     assert len(set(orders)) == 1
     assert len(orders[0]) == len(names)
 
@@ -119,12 +121,12 @@ def test_larger_group_total_order():
 def test_delivery_latency_bounded_by_time_silence_period():
     # With quiet co-members, a multicast becomes deliverable roughly one
     # omega plus one network delay after it is sent, not arbitrarily later.
-    cluster = _cluster(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=5.0)
-    cluster.create_group("g1")
-    cluster.run(5)
-    cluster["P1"].multicast("g1", "probe")
-    cluster.run(40)
-    latencies = cluster.trace().delivery_latencies("g1")
+    session = _session(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=5.0)
+    session.group("g1")
+    session.run(5)
+    session["P1"].multicast("g1", "probe")
+    session.run(40)
+    latencies = session.trace().delivery_latencies("g1")
     assert latencies and max(latencies) < 10.0
 
 
@@ -132,30 +134,30 @@ def test_delivery_latency_bound_holds_after_long_idleness():
     # The same bound after >= 3 * Omega of idleness, when every member has
     # stretched its null deadline to the Omega/2 heartbeat: the multicast
     # makes its receivers owed, which pulls their next null in to omega.
-    cluster = _cluster(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=5.0)
-    cluster.create_group("g1")
-    cluster.run(16)
-    idle = [cluster[name].endpoint("g1") for name in ("P1", "P2", "P3")]
+    session = _session(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=5.0)
+    session.group("g1")
+    session.run(16)
+    idle = [session[name].endpoint("g1") for name in ("P1", "P2", "P3")]
     assert not any(endpoint.owes_group() for endpoint in idle)
-    cluster["P1"].multicast("g1", "probe")
+    session["P1"].multicast("g1", "probe")
     assert idle[0].owes_group()
-    cluster.run(40)
-    latencies = cluster.trace().delivery_latencies("g1")
+    session.run(40)
+    latencies = session.trace().delivery_latencies("g1")
     assert len(latencies) == 3 and max(latencies) < 10.0
     # ... and once the probe is stable everywhere the group idles again.
     assert not any(endpoint.owes_group() for endpoint in idle)
 
 
 def test_idle_group_sends_heartbeats_at_half_the_suspicion_timeout():
-    cluster = _cluster(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=6.0)
-    cluster.create_group("g1")
-    cluster.run(31.5)
+    session = _session(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=6.0)
+    session.group("g1")
+    session.run(31.5)
     nulls = [
-        event.time for event in cluster.trace().events(kind=NULL_SEND, process="P2")
+        event.time for event in session.trace().events(kind=NULL_SEND, process="P2")
     ]
     # First null at omega, then one per Omega/2 = 3.0: 1, 4, 7, ..., 31.
     assert nulls == pytest.approx([1.0 + 3.0 * beat for beat in range(11)])
-    assert not cluster.trace().events(kind="suspect")
+    assert not session.trace().events(kind="suspect")
 
 
 def test_flow_control_window_of_one_drains_after_idleness():
@@ -163,38 +165,38 @@ def test_flow_control_window_of_one_drains_after_idleness():
     # stable, and stability rides on the other members' nulls: an unstable
     # message in the retention buffer must keep everybody at the omega
     # cadence, or each send would wait out an idle heartbeat.
-    cluster = _cluster(["P1", "P2", "P3"], seed=9, flow_control_window=1)
-    cluster.create_group("g1")
-    cluster.run(25)
-    started = cluster.sim.now
+    session = _session(["P1", "P2", "P3"], seed=9, flow_control_window=1)
+    session.group("g1")
+    session.run(25)
+    started = session.sim.now
     for index in range(6):
-        cluster["P1"].multicast("g1", f"m{index}")
-    assert len(cluster["P1"].endpoint("g1").deferred_sends) == 5
-    assert cluster.run_until(
-        lambda: all(len(p.delivered_payloads("g1")) == 6 for p in cluster),
+        session["P1"].multicast("g1", f"m{index}")
+    assert len(session["P1"].endpoint("g1").deferred_sends) == 5
+    assert session.run_until(
+        lambda: all(len(p.delivered_payloads("g1")) == 6 for p in session.processes.values()),
         timeout=40.0,
     )
     # The parent commit (fixed-omega timer) took 27.9 here.
-    assert cluster.sim.now - started <= 28.0
-    assert not cluster["P1"].endpoint("g1").deferred_sends
-    for process in cluster:
+    assert session.sim.now - started <= 28.0
+    assert not session["P1"].endpoint("g1").deferred_sends
+    for process in session.processes.values():
         assert process.delivered_payloads("g1") == [f"m{i}" for i in range(6)]
 
 
 def _window_of_one_drain_time(seed):
-    cluster = _cluster(["P1", "P2", "P3"], seed=seed, flow_control_window=1)
-    cluster.create_group("g1")
-    cluster.run(25)
-    started = cluster.sim.now
+    session = _session(["P1", "P2", "P3"], seed=seed, flow_control_window=1)
+    session.group("g1")
+    session.run(25)
+    started = session.sim.now
     for index in range(6):
-        cluster["P1"].multicast("g1", f"m{index}")
-    assert cluster.run_until(
-        lambda: all(len(p.delivered_payloads("g1")) == 6 for p in cluster),
+        session["P1"].multicast("g1", f"m{index}")
+    assert session.run_until(
+        lambda: all(len(p.delivered_payloads("g1")) == 6 for p in session.processes.values()),
         timeout=60.0,
     )
-    for process in cluster:
+    for process in session.processes.values():
         assert process.delivered_payloads("g1") == [f"m{i}" for i in range(6)]
-    return cluster.sim.now - started
+    return session.sim.now - started
 
 
 def test_flow_control_window_of_one_drain_time_over_twenty_seeds():
@@ -215,15 +217,15 @@ def _overlapping_pair(g2_offset=0.0, seed=1, **config_overrides):
     """g1 = {P1, P2, P3} and g2 = {P3, P4, P5}: only P3 is in both.  g2 is
     created ``g2_offset`` after g1, which on fixed-omega timers decides how
     its nulls are phased against g1's."""
-    cluster = _cluster(
+    session = _session(
         ["P1", "P2", "P3", "P4", "P5"], seed=seed,
         omega=2.0, suspicion_timeout=10.0, **config_overrides,
     )
-    cluster.create_group("g1", ["P1", "P2", "P3"])
-    cluster.run(g2_offset)
-    cluster.create_group("g2", ["P3", "P4", "P5"])
-    cluster.run(30.0 - g2_offset)
-    return cluster
+    session.group("g1", ["P1", "P2", "P3"])
+    session.run(g2_offset)
+    session.group("g2", ["P3", "P4", "P5"])
+    session.run(30.0 - g2_offset)
+    return session
 
 
 @pytest.mark.parametrize("g2_offset", [0.0, 1.0])
@@ -242,12 +244,12 @@ def test_idle_overlapping_group_does_not_slow_a_busy_group(g2_offset):
     past Omega."""
     latencies = []
     for seed in (1, 2, 3):
-        cluster = _overlapping_pair(g2_offset, seed=seed)
+        session = _overlapping_pair(g2_offset, seed=seed)
         for index in range(120):
-            cluster[("P1", "P2")[index % 2]].multicast("g1", f"m{index}")
-            cluster.run(0.7)
-        cluster.run(40.0)
-        run = cluster.trace().delivery_latencies("g1")
+            session[("P1", "P2")[index % 2]].multicast("g1", f"m{index}")
+            session.run(0.7)
+        session.run(40.0)
+        run = session.trace().delivery_latencies("g1")
         assert len(run) == 360
         latencies.extend(run)
     latencies.sort()
@@ -257,49 +259,49 @@ def test_idle_overlapping_group_does_not_slow_a_busy_group(g2_offset):
 
 
 def test_overlapped_idle_group_answers_at_omega_then_idles_again():
-    cluster = _overlapping_pair()
-    p3, p4 = cluster["P3"], cluster["P4"]
+    session = _overlapping_pair()
+    p3, p4 = session["P3"], session["P4"]
     assert not p3.endpoint("g2").owes_group()
     assert not p4.endpoint("g2").owes_group()
-    cluster["P1"].multicast("g1", "probe")
-    assert cluster.run_until(lambda: p3.awaits_delivery(), timeout=5.0)
-    received = cluster.sim.now
+    session["P1"].multicast("g1", "probe")
+    assert session.run_until(lambda: p3.awaits_delivery(), timeout=5.0)
+    received = session.sim.now
     # The probe belongs to g1, but it waits on g2's D_x as well.
     assert p3.endpoint("g2").owes_group()
     assert not p4.endpoint("g2").owes_group()
     # P3 has been silent in g2 for longer than omega: its null goes out at
     # once, flagged; P4 owes the answer until it has sent it.
-    cluster.run(1e-6)
+    session.run(1e-6)
     asked = [
-        event for event in cluster.trace().events(kind=NULL_SEND, process="P3")
+        event for event in session.trace().events(kind=NULL_SEND, process="P3")
         if event.group == "g2" and event.time >= received
     ]
     assert [event.time for event in asked] == [received]
-    assert cluster.run_until(lambda: p4.endpoint("g2").owes_group(), timeout=5.0)
-    assert cluster.run_until(
+    assert session.run_until(lambda: p4.endpoint("g2").owes_group(), timeout=5.0)
+    assert session.run_until(
         lambda: not p4.endpoint("g2").owes_group(), timeout=2.0 + 1e-6
     )
-    assert cluster.run_until(lambda: not p3.awaits_delivery(), timeout=10.0)
-    assert cluster.sim.now - received < 2 * 2.0
+    assert session.run_until(lambda: not p3.awaits_delivery(), timeout=10.0)
+    assert session.sim.now - received < 2 * 2.0
     # Once g1 is quiet again g2 is back on the heartbeat: in 4 * Omega/2
     # each of its members beacons each of the other two 4 times, naming g2
     # (it would be 10 nulls at omega), and sends no null.
-    cluster.run(20.0)
-    start = cluster.sim.now
+    session.run(20.0)
+    start = session.sim.now
     beacons = []
-    cluster.network.add_filter(
+    session.network.add_filter(
         lambda src, dst, message: beacons.append((src, dst, message.payload.groups))
         or True
     )
-    cluster.run(20.0)
+    session.run(20.0)
     for name in ("P3", "P4", "P5"):
         for peer in {"P3", "P4", "P5"} - {name}:
             assert beacons.count((name, peer, ("g2",))) == 4, (name, peer)
     assert not [
-        event for event in cluster.trace().events(kind=NULL_SEND)
+        event for event in session.trace().events(kind=NULL_SEND)
         if event.group is not None and event.time > start
     ]
-    assert not cluster.trace().events(kind="suspect")
+    assert not session.trace().events(kind="suspect")
 
 
 _OWED_CONDITIONS = {
@@ -337,26 +339,26 @@ def test_every_owed_condition_reaches_the_timer_through_settle(condition):
     ``NewtopProcess.settle()`` -- the follow-up to every receipt, send and
     suspector notification -- the only place the timers are told: however
     an endpoint comes to owe, the next settle pulls its heartbeat in."""
-    cluster = _cluster(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=6.0)
-    cluster.create_group("g1")
-    cluster.run(20.0)
-    endpoint = cluster["P1"].endpoint("g1")
+    session = _session(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=6.0)
+    session.group("g1")
+    session.run(20.0)
+    endpoint = session["P1"].endpoint("g1")
     assert not endpoint.owes_group() and endpoint.time_silence.idle_armed
     _OWED_CONDITIONS[condition](endpoint)
     assert endpoint.owes_group()
-    cluster["P1"].settle()
+    session["P1"].settle()
     assert not endpoint.time_silence.idle_armed
-    nulls = cluster.trace().events(kind=NULL_SEND, process="P1")
-    cluster.run(1.0 + 1e-6)
-    assert len(cluster.trace().events(kind=NULL_SEND, process="P1")) > len(nulls)
+    nulls = session.trace().events(kind=NULL_SEND, process="P1")
+    session.run(1.0 + 1e-6)
+    assert len(session.trace().events(kind=NULL_SEND, process="P1")) > len(nulls)
 
 
 def test_message_history_and_view_index_recorded():
-    cluster = _cluster(["P1", "P2"])
-    cluster.create_group("g1")
-    cluster["P1"].multicast("g1", "x")
-    cluster.run(30)
-    record = cluster["P2"].delivered[0]
+    session = _session(["P1", "P2"])
+    session.group("g1")
+    session["P1"].multicast("g1", "x")
+    session.run(30)
+    record = session["P2"].delivered[0]
     assert record.group == "g1"
     assert record.sender == "P1"
     assert record.view_index == 0
