@@ -1,14 +1,16 @@
-"""The sweep runner: grids of (stack x profile x load x fault) sessions.
+"""The sweep runner: grids of (stack x profile x load x fault) scenarios.
 
 One :class:`SweepSpec` describes a family of load/availability experiments:
 a shared overlapping-group topology, a set of protocol stacks, a set of
 workload profiles, a set of offered-load points, and a set of fault
-patterns.  :func:`run_sweep` executes every cell of the grid as an
-independent online-verified :class:`~repro.api.Session` driven by
-:class:`~repro.workloads.client.OpenLoopClient` traffic, and aggregates
-the per-cell results into one JSON-shaped :class:`SweepReport` -- the
-offered-load vs goodput/latency curves and availability-under-partition
-tables of benchmark E21.
+patterns.  A cell is a :class:`~repro.scenarios.spec.ScenarioSpec`:
+:func:`cell_scenario` compiles its topology, one open-loop workload per
+group and its fault as timed events, and :func:`run_cell` runs it on the
+:class:`~repro.scenarios.engine.ScenarioEngine` with online verification,
+marking the counters at the phase boundaries.  :func:`run_sweep` runs
+every cell of the grid and aggregates the rows into one JSON-shaped
+:class:`SweepReport` -- the offered-load vs goodput/latency curves and
+availability-under-partition tables of benchmark E21.
 
 Every cell runs in three equal *phases* of the client window:
 
@@ -53,17 +55,15 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.api import Session
-from repro.core.messages import reset_message_counter
-from repro.net.latency import get_latency_model
+from repro.api import available_stacks
 from repro.net.partitions import partition_hold_time
 from repro.parallel import WorkUnit, run_units
-from repro.scenarios.engine import SCENARIO_PROTOCOL_DEFAULTS
-from repro.scenarios.spec import default_process_names
-from repro.workloads.client import LatencyReservoir, OpenLoopClient, aggregate_counters
-from repro.workloads.profiles import get_profile
+from repro.scenarios.engine import SCENARIO_PROTOCOL_DEFAULTS, ScenarioEngine
+from repro.scenarios.library import ring_overlap_groups
+from repro.scenarios.spec import ScenarioSpec, default_process_names, from_config
+from repro.workloads.client import aggregate_counters
 
 #: Fault patterns a sweep cell understands.
 FAULT_PATTERNS = ("none", "crash", "partition")
@@ -108,33 +108,18 @@ class SweepSpec:
     latency_options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Fail at construction, not mid-sweep in a worker: every cell of
+        # the grid must compile to a valid scenario on a known stack.
         unknown = [fault for fault in self.faults if fault not in FAULT_PATTERNS]
         if unknown:
             raise ValueError(f"unknown fault patterns {unknown}; expected {FAULT_PATTERNS}")
-        if self.group_size > self.processes:
-            raise ValueError("group_size cannot exceed the process count")
+        unknown = [stack for stack in self.stacks if stack not in available_stacks()]
+        if unknown:
+            raise ValueError(f"unknown stacks {unknown}; expected one of {available_stacks()}")
         if self.duration <= 0 or self.drain < 0:
             raise ValueError("duration must be > 0 and drain >= 0")
-        if self.latency_model is not None:
-            # Fail on typos at spec construction, not mid-sweep in a worker.
-            get_latency_model(self.latency_model, **dict(self.latency_options))
-
-    # ------------------------------------------------------------------
-    # Topology
-    # ------------------------------------------------------------------
-    def topology(self) -> List[Tuple[str, Tuple[str, ...]]]:
-        """Ring-overlapping groups over the process set (same shape as the
-        scenario library's churn generator)."""
-        names = default_process_names(self.processes)
-        offset = max(1, self.processes // self.groups)
-        groups = []
-        for index in range(self.groups):
-            members = tuple(
-                names[(index * offset + position) % self.processes]
-                for position in range(self.group_size)
-            )
-            groups.append((f"g{index:02d}", members))
-        return groups
+        for _stack, profile_name, load, fault in _grid(self):
+            cell_scenario(self, profile_name, load, fault)
 
     def partition_components(self) -> List[List[str]]:
         """The majority/minority split used by ``fault="partition"``."""
@@ -153,9 +138,11 @@ class SweepSpec:
         an acknowledgement round again -- from sequencer-failover dynamics
         (covered by its own benchmarks).
         """
-        topology = self.topology()
-        leaders = {members[0] for _, members in topology}
-        first_group = topology[0][1]
+        groups = ring_overlap_groups(
+            default_process_names(self.processes), self.groups, self.group_size
+        )
+        leaders = {group["members"][0] for group in groups}
+        first_group = groups[0]["members"]
         for member in reversed(first_group):
             if member not in leaders:
                 return [member]
@@ -182,37 +169,69 @@ class SweepSpec:
         }
 
 
-def _merged_latency(clients: Sequence[OpenLoopClient]) -> Dict[str, Optional[float]]:
-    """Exact count/mean/min/max plus percentiles over merged reservoirs."""
-    return LatencyReservoir.merged(client.latency for client in clients).summary()
+def _phase_times(spec: SweepSpec, fault: str) -> Tuple[float, float, float]:
+    """``(fault_time, fault_end, window_end)`` of a cell: the ends of its
+    pre-fault, fault and recovery phases."""
+    third = spec.duration / 3.0
+    fault_length = third
+    if fault == "partition":
+        timeout = {**SCENARIO_PROTOCOL_DEFAULTS, **spec.protocol}["suspicion_timeout"]
+        fault_length = max(third, partition_hold_time(float(timeout)))
+    fault_time = spec.start + third
+    fault_end = fault_time + fault_length
+    return fault_time, fault_end, fault_end + third
+
+
+def cell_scenario(
+    spec: SweepSpec, profile_name: str, load: float, fault: str = "none"
+) -> ScenarioSpec:
+    """The scenario one (profile, load, fault) cell of ``spec`` runs.
+
+    Ring-overlapping groups over ``spec.processes``, one open-loop client
+    per group at ``load / groups`` over the cell's client window, and the
+    cell's fault as timed events: a crash of :meth:`SweepSpec.crash_targets`
+    at the fault phase's start, or a partition into
+    :meth:`SweepSpec.partition_components` held until the phase's end.
+    ``run_scenario(cell_scenario(...), stack=..., analysis="online")``
+    replays the cell's simulation; ``to_config`` of it shows the cell.
+    """
+    names = default_process_names(spec.processes)
+    groups = ring_overlap_groups(names, spec.groups, spec.group_size)
+    fault_time, fault_end, window_end = _phase_times(spec, fault)
+    events: List[Dict[str, object]] = []
+    if fault == "crash":
+        events.append({"time": fault_time, "kind": "crash", "targets": spec.crash_targets()})
+    elif fault == "partition":
+        events.append({
+            "time": fault_time, "kind": "partition",
+            "components": spec.partition_components(),
+        })
+        events.append({"time": fault_end, "kind": "heal"})
+    config: Dict[str, object] = {
+        "name": f"sweep cell {profile_name} load={load} fault={fault}",
+        "seed": spec.seed,
+        "processes": list(names),
+        "groups": groups,
+        "workload": {
+            "profile": profile_name,
+            "rate": load / len(groups),
+            "start": spec.start,
+            "duration": window_end - spec.start,
+            "senders_per_group": spec.senders_per_group,
+            "payload_bytes": spec.payload_bytes,
+            "profile_options": dict(spec.profile_options),
+        },
+        "events": events,
+        "drain": spec.drain,
+        "protocol": dict(spec.protocol),
+    }
+    if spec.latency_model is not None:
+        config["latency"] = {"model": spec.latency_model, **spec.latency_options}
+    return from_config(config)
 
 
 def _phase_delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]:
     return {key: after[key] - before[key] for key in after}
-
-
-def _agreement_sets(
-    spec: SweepSpec,
-    topology: Sequence[Tuple[str, Tuple[str, ...]]],
-    fault: str,
-) -> Dict[str, List[str]]:
-    """Per-group view-agreement sets for the cell's fault pattern.
-
-    Mirrors the scenario engine's *stable core* rule: crashed members drop
-    out, a partition keeps the majority component (processes never
-    separated from it are the only ones required to agree on view
-    sequences).
-    """
-    excluded: set = set()
-    if fault == "crash":
-        excluded = set(spec.crash_targets())
-    elif fault == "partition":
-        majority = set(spec.partition_components()[0])
-        excluded = set(default_process_names(spec.processes)) - majority
-    return {
-        group_id: [member for member in members if member not in excluded]
-        for group_id, members in topology
-    }
 
 
 def run_cell(
@@ -225,92 +244,42 @@ def run_cell(
 ) -> Dict[str, object]:
     """Run one (stack, profile, load, fault) cell and return its row.
 
-    Cells are self-contained: every random draw derives from the spec's
-    seeds and the interpreter's message-id counter is reset up front, so a
-    cell's row is identical whether it runs first or five-hundredth, in
-    this process or on a :mod:`repro.parallel` worker.  ``observe``
-    attaches a :mod:`repro.obs` observation to the cell's session and adds
-    its snapshot to the row as ``"obs"`` (observation never changes the
+    The cell is :func:`cell_scenario` run by the
+    :class:`~repro.scenarios.engine.ScenarioEngine` with online analysis;
+    this function only adds the phase marks and builds the row.  Cells
+    are self-contained: every random draw derives from the spec's seeds
+    and the engine resets the message-id counter, so a cell's row is
+    identical whether it runs first or five-hundredth, in this process or
+    on a :mod:`repro.parallel` worker.  ``observe`` attaches a
+    :mod:`repro.obs` observation to the cell's session and adds its
+    snapshot to the row as ``"obs"`` (observation never changes the
     numbers, only adds to the row).
     """
     wall_start = _time.time()
-    reset_message_counter()
-    topology = spec.topology()
-    agreement_sets = _agreement_sets(spec, topology, fault)
-    overrides = dict(SCENARIO_PROTOCOL_DEFAULTS)
-    overrides.update(spec.protocol)
-    session = Session(
-        stack,
-        config=overrides,
-        seed=spec.seed,
-        analysis="online",
-        latency_model=(
-            get_latency_model(spec.latency_model, **dict(spec.latency_options))
-            if spec.latency_model is not None
-            else None
-        ),
-        view_agreement_sets=agreement_sets,
-        observe=observe,
+    engine = ScenarioEngine(
+        cell_scenario(spec, profile_name, load, fault),
+        analysis="online", stack=stack, observe=observe,
     )
-    session.spawn(default_process_names(spec.processes))
-    for group_id, members in topology:
-        session.group(group_id, members)
+    fault_time, fault_end, window_end = _phase_times(spec, fault)
+    # Counter snapshots (aggregate, per client) at each phase boundary --
+    # taken ahead of the boundary's fault event -- and after the drain.
+    marks: List[Tuple[Dict[str, int], Dict[str, Dict[str, int]]]] = []
 
-    # Three phases: pre-fault, fault window, recovery.
-    third = spec.duration / 3.0
-    fault_length = third
-    if fault == "partition":
-        fault_length = max(
-            third, partition_hold_time(float(overrides["suspicion_timeout"]))
-        )
-    fault_time = spec.start + third
-    fault_end = fault_time + fault_length
-    window_end = fault_end + third
-    window = window_end - spec.start
+    def mark() -> None:
+        marks.append((
+            aggregate_counters(engine.clients),
+            {client.name: client.counters() for client in engine.clients},
+        ))
 
-    clients: List[OpenLoopClient] = []
-    per_group_rate = load / max(1, len(topology))
-    for index, (group_id, members) in enumerate(topology):
-        senders = (
-            list(members[: spec.senders_per_group])
-            if spec.senders_per_group > 0
-            else list(members)
-        )
-        profile = get_profile(
-            profile_name, rate=per_group_rate,
-            payload_bytes=spec.payload_bytes, **dict(spec.profile_options),
-        )
-        client = session.attach_client(
-            OpenLoopClient(
-                profile, senders, [group_id],
-                seed=spec.seed * 9973 + index,
-                start=spec.start, duration=window,
-                name=f"{group_id}-client",
-            )
-        )
-        client.start()
-        clients.append(client)
+    for boundary in (fault_time, fault_end, window_end):
+        engine.session.sim.schedule_at(boundary, mark, label="sweep:phase")
+    result = engine.run()
+    mark()
+    (
+        (at_fault, fault_marks), (at_recovery, recovery_marks),
+        (at_end, end_marks), (totals, final_marks),
+    ) = marks
 
-    session.sim.run(until=fault_time)
-    at_fault = aggregate_counters(clients)
-    fault_marks = {client.name: client.counters() for client in clients}
-    if fault == "crash":
-        for victim in spec.crash_targets():
-            session.crash(victim)
-    elif fault == "partition":
-        session.partition(spec.partition_components())
-    session.sim.run(until=fault_end)
-    at_recovery = aggregate_counters(clients)
-    recovery_marks = {client.name: client.counters() for client in clients}
-    if fault == "partition":
-        session.heal()
-    session.sim.run(until=window_end)
-    at_end = aggregate_counters(clients)
-    end_marks = {client.name: client.counters() for client in clients}
-    session.run(spec.drain)
-    result = session.result()
-
-    totals = aggregate_counters(clients)
     phases = {
         "pre": at_fault,
         "fault": _phase_delta(at_recovery, at_fault),
@@ -321,13 +290,13 @@ def run_cell(
     # behind its healthy siblings, so availability tooling (outage-window
     # extraction in the E21/E26 benchmarks) needs the per-client split.
     group_phases = {
-        client.name: {
-            "pre": fault_marks[client.name],
-            "fault": _phase_delta(recovery_marks[client.name], fault_marks[client.name]),
-            "recovery": _phase_delta(end_marks[client.name], recovery_marks[client.name]),
-            "drain": _phase_delta(client.counters(), end_marks[client.name]),
+        name: {
+            "pre": fault_marks[name],
+            "fault": _phase_delta(recovery_marks[name], fault_marks[name]),
+            "recovery": _phase_delta(end_marks[name], recovery_marks[name]),
+            "drain": _phase_delta(final, end_marks[name]),
         }
-        for client in clients
+        for name, final in final_marks.items()
     }
     phase_bounds = {
         "pre": (spec.start, fault_time),
@@ -338,39 +307,38 @@ def run_cell(
     fault_phase = phases["fault"]
     stalled_groups = 0
     if fault != "none":
-        for client in clients:
+        for name, final in final_marks.items():
             # Per-group stall: load still offered after the fault settled
             # (recovery phase onwards), but not a single delivery of this
             # group's messages anywhere -- including the final drain, so a
             # slow-but-live protocol is not misread as stalled.
-            delta = _phase_delta(client.counters(), recovery_marks[client.name])
+            delta = _phase_delta(final, recovery_marks[name])
             stalled_groups += int(delta["offered"] > 0 and delta["delivered_events"] == 0)
     availability = (
         round(fault_phase["admitted"] / fault_phase["offered"], 4)
         if fault != "none" and fault_phase["offered"]
         else None
     )
+    window = window_end - spec.start
     row: Dict[str, object] = {
-        "stack": session.stack.name,
+        "stack": result.stack,
         "profile": profile_name,
         "offered_load": load,
         "fault": fault,
         "passed": result.passed,
-        "violations": (
-            list(result.checks.violations[:3]) if result.checks is not None else []
-        ),
+        "violations": list(result.checks.violations[:3]),
         **totals,
         "goodput": round(totals["delivered_unique"] / window, 4),
         "delivery_ratio": (
             round(totals["delivered_unique"] / totals["admitted"], 4)
             if totals["admitted"] else None
         ),
-        "latency": _merged_latency(clients),
+        "latency": result.latency_reservoir.summary(),
         "phases": phases,
         "group_phases": group_phases,
         "phase_bounds": phase_bounds,
         "availability": availability,
-        "stalled_groups": stalled_groups if fault != "none" else 0,
+        "stalled_groups": stalled_groups,
         "messages_sent": result.messages_sent,
         "delivery_events": result.delivery_events,
         "trace_events": result.trace_events,
@@ -447,11 +415,12 @@ def _failed_cell_row(
     spec: SweepSpec, stack: str, profile_name: str, load: float, fault: str,
     status: str, error: Optional[str],
 ) -> Dict[str, object]:
-    """Row for a cell whose worker crashed or timed out: the grid position
+    """Row for a cell that raised, crashed or timed out: the grid position
     survives (so lookups work) with ``passed=False``, the diagnosis, and a
     ``replay`` block carrying the exact seed and constructor kwargs --
     ``run_cell(SweepSpec(**row["replay"]["spec"]), stack, profile, load,
-    fault)`` reproduces the casualty standalone, outside the pool."""
+    fault)`` reproduces the casualty standalone, outside the pool, and
+    :func:`cell_scenario` with the same coordinates shows its scenario."""
     return {
         "stack": stack,
         "profile": profile_name,
@@ -487,25 +456,17 @@ def run_sweep(
     """Execute every cell of the grid; ``progress`` (if given) is called
     with each finished row (CLI feedback for long sweeps).
 
-    ``parallel=N`` (N > 1) shards the cells across a
-    :class:`repro.parallel.ParallelExecutor` pool of N worker processes.
-    Cell seeds derive from the spec -- never from shard order -- so the
-    report is identical to the serial one apart from ``wall_seconds``
-    (pinned by ``tests/test_parallel.py``); ``progress`` then observes
-    completion order rather than grid order.  ``timeout`` bounds each
-    cell's wall clock (pool mode only); a crashed or timed-out cell
-    yields a ``passed=False`` row with its diagnosis instead of killing
-    the sweep.
+    Cells run through :func:`repro.parallel.run_units`: inline by
+    default, or with ``parallel=N`` (N > 1) sharded across a pool of N
+    worker processes.  Cell seeds derive from the spec -- never from
+    shard order -- so the report is identical to the serial one apart
+    from ``wall_seconds`` (pinned by ``tests/test_parallel.py``);
+    ``progress`` then observes completion order rather than grid order.
+    ``timeout`` bounds each cell's wall clock (pool mode only).  A cell
+    that raises, crashes or times out yields a ``passed=False`` row with
+    its diagnosis instead of killing the sweep, in either mode.
     """
     grid = _grid(spec)
-    cells: List[Dict[str, object]] = []
-    if (parallel or 1) <= 1:
-        for stack, profile_name, load, fault in grid:
-            row = run_cell(spec, stack, profile_name, load, fault)
-            cells.append(row)
-            if progress is not None:
-                progress(row)
-        return SweepReport(spec=spec.describe(), cells=cells)
 
     def on_event(kind, unit_id, worker, payload) -> None:
         if kind == "done" and progress is not None and payload.ok:
@@ -520,6 +481,7 @@ def run_sweep(
         for stack, profile_name, load, fault in grid
     ]
     results = run_units(units, parallel=parallel, timeout=timeout, on_event=on_event)
+    cells: List[Dict[str, object]] = []
     for coordinates, result in zip(grid, results):
         if result.ok:
             cells.append(result.value)

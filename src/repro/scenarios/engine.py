@@ -201,8 +201,8 @@ class ScenarioEngine:
         overrides.update(spec.protocol)
         # A spec-declared latency model ("latency": {"model": ...}) applies
         # when the caller did not pass one explicitly -- an explicit
-        # ``latency_model`` argument (e.g. a sweep cell) wins, so a batch
-        # can still sweep a latency axis over latency-declaring specs.
+        # ``latency_model`` argument wins, so a batch can still sweep a
+        # latency axis over latency-declaring specs.
         if latency_model is None and spec.latency is not None:
             options = {
                 key: value for key, value in spec.latency.items() if key != "model"
@@ -651,40 +651,33 @@ def run_scenarios(
 ) -> List[ScenarioResult]:
     """Run a batch of scenarios, optionally sharded across worker processes.
 
-    Results come back in input order, one per config.  ``parallel=N``
-    (N > 1) distributes the scenarios over a
-    :class:`repro.parallel.ParallelExecutor` pool -- each scenario is an
-    independent simulation whose randomness derives entirely from its
-    spec's seed, so the batch's results are identical to a serial run
-    (``progress``, if given, then observes completion order).  In pool
-    mode ``stack`` must be a registry name (worker processes build their
-    own instances) and ``timeout`` bounds each scenario's wall clock.
+    Results come back in input order, one per config.  The scenarios run
+    through :func:`repro.parallel.run_units`: inline by default, or with
+    ``parallel=N`` (N > 1) distributed over a pool of N worker processes
+    -- each scenario is an independent simulation whose randomness
+    derives entirely from its spec's seed, so the batch's results are
+    identical to a serial run (``progress``, if given, then observes
+    completion order).  In pool mode ``stack`` must be a registry name
+    (worker processes build their own instances), an ``observe``
+    :class:`~repro.obs.Observation` instance is replaced by ``"full"``,
+    and ``timeout`` bounds each scenario's wall clock.
 
-    A scenario whose worker crashes or times out raises
-    :class:`ScenarioExecutionError` naming the casualty -- a batch is a
-    unit of verification, and a silently missing shard would make "all
-    checks passed" a lie.
+    A scenario that raises, or whose worker crashes or times out, raises
+    :class:`ScenarioExecutionError` naming the casualty, in either mode --
+    a batch is a unit of verification, and a silently missing shard would
+    make "all checks passed" a lie.
     """
     configs = list(configs)
-    if (parallel or 1) <= 1:
-        results = []
-        for config in configs:
-            result = run_scenario(
-                config,
-                latency_model=latency_model,
-                analysis=analysis,
-                stack=stack,
-                on_unsupported=on_unsupported,
-                observe=observe,
+    if (parallel or 1) > 1:
+        if not isinstance(stack, str):
+            raise ValueError(
+                "parallel scenario batches need a stack registry name, not an instance"
             )
-            results.append(result)
-            if progress is not None:
-                progress(result)
-        return results
-    if not isinstance(stack, str):
-        raise ValueError(
-            "parallel scenario batches need a stack registry name, not an instance"
-        )
+        if isinstance(observe, Observation):
+            # Shipped as a coercible value: an Observation instance holds
+            # simulator-bound callables and would not survive the pickle
+            # boundary.
+            observe = "full"
 
     def on_event(kind, unit_id, worker, payload) -> None:
         if kind == "done" and progress is not None and payload.ok:
@@ -700,10 +693,7 @@ def run_scenarios(
                 "analysis": analysis,
                 "stack": stack,
                 "on_unsupported": on_unsupported,
-                # Shipped as the raw coercible value (bool/str/dict): an
-                # Observation instance holds simulator-bound callables and
-                # would not survive the pickle boundary.
-                "observe": observe if not isinstance(observe, Observation) else "full",
+                "observe": observe,
             },
         )
         for index, config in enumerate(configs)
@@ -756,7 +746,7 @@ def run_scenarios(
 
 @dataclass(frozen=True)
 class ScenarioFailure:
-    """One casualty of a parallel scenario batch, with everything needed to
+    """One casualty of a scenario batch, with everything needed to
     replay it standalone: ``run_scenario(failure.config)`` reproduces the
     exact simulation (the config carries the seed)."""
 
@@ -773,7 +763,7 @@ class ScenarioFailure:
 
 
 class ScenarioExecutionError(RuntimeError):
-    """A scenario in a parallel batch crashed, timed out or errored.
+    """A scenario in a batch crashed, timed out or errored.
 
     :attr:`failures` lists every casualty as a :class:`ScenarioFailure`,
     each carrying the exact ``(seed, config)`` for standalone replay.

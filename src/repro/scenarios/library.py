@@ -38,6 +38,8 @@ def ring_overlap_groups(
     mode: str = "symmetric",
 ) -> List[Dict]:
     """Group dicts for a ring of overlapping member blocks."""
+    if n_groups < 1:
+        raise ValueError("a ring of groups needs n_groups >= 1")
     if group_size > len(processes):
         raise ValueError("group_size cannot exceed the number of processes")
     stride = max(1, len(processes) // n_groups)

@@ -224,9 +224,10 @@ class ScenarioSpec:
     #: Extra workload phases driven through every group over their own
     #: (validated non-overlapping) time windows.
     load_phases: Tuple[WorkloadSpec, ...] = ()
-    #: Latency-model selection, JSON-shaped (``{"model": name, **options}``)
-    #: like :attr:`~repro.experiments.SweepSpec.latency_model`; ``None``
-    #: keeps the engine's default.
+    #: Latency-model selection, JSON-shaped (``{"model": name, **options}``,
+    #: validated at parse time); ``None`` keeps the engine's default.  A
+    #: sweep cell's scenario carries its
+    #: :attr:`~repro.experiments.SweepSpec.latency_model` and options here.
     latency: Optional[Mapping[str, object]] = None
     #: Link-fault model config (see :class:`~repro.net.faults.LinkFaultModel`),
     #: stored in its canonical JSON shape; ``None`` disables link faults.
@@ -302,6 +303,8 @@ def _parse_workload(raw: Mapping, what: str) -> WorkloadSpec:
     )
     if workload.messages_per_sender < 0:
         raise InvalidScenarioSpec(f"{what} needs messages_per_sender >= 0")
+    if workload.senders_per_group < 0:
+        raise InvalidScenarioSpec(f"{what} needs senders_per_group >= 0")
     _number(workload.gap, f"{what}.gap")
     if workload.gap <= 0:
         raise InvalidScenarioSpec(f"{what} needs gap > 0")

@@ -10,8 +10,9 @@ import json
 
 import pytest
 
-from repro.experiments import SweepSpec, run_cell, run_sweep
+from repro.experiments import SweepSpec, cell_scenario, run_cell, run_sweep
 from repro.net.partitions import partition_hold_time
+from repro.scenarios import run_scenario
 
 
 def tiny_spec(**overrides):
@@ -36,15 +37,36 @@ def test_spec_validation_and_topology():
         tiny_spec(faults=("meteor",))
     with pytest.raises(ValueError):
         tiny_spec(group_size=99)
-    topology = tiny_spec().topology()
-    assert len(topology) == 2
-    members = {m for _, ms in topology for m in ms}
+    # Every cell must compile to a valid scenario on a known stack, at
+    # construction -- not later, in a worker.
+    for bad in ({"groups": 0}, {"loads": (-1.0,)}, {"profiles": ("nope",)},
+                {"stacks": ("nope",)}, {"senders_per_group": -2}):
+        with pytest.raises(ValueError):
+            tiny_spec(**bad)
+    spec = tiny_spec()
+    groups = cell_scenario(spec, "poisson", 0.5, "crash").groups
+    assert len(groups) == 2
+    members = {m for group in groups for m in group.members}
     assert len(members) <= 6
     # Ring overlap: consecutive groups share members.
-    assert set(topology[0][1]) & set(topology[1][1])
+    assert set(groups[0].members) & set(groups[1].members)
     # The crash victim leads no group (it must not be a sequencer).
-    leaders = {ms[0] for _, ms in topology}
-    assert tiny_spec().crash_targets()[0] not in leaders
+    leaders = {group.members[0] for group in groups}
+    assert spec.crash_targets()[0] not in leaders
+
+
+def test_a_cell_is_its_scenario():
+    """run_cell is cell_scenario run by the scenario engine: replaying
+    the scenario gives the row's verdict and message counts."""
+    spec = tiny_spec()
+    row = run_cell(spec, "newtop", "poisson", 1.0, "crash")
+    result = run_scenario(
+        cell_scenario(spec, "poisson", 1.0, "crash"), stack="newtop", analysis="online"
+    )
+    assert (result.passed, result.messages_sent, result.delivery_events) == (
+        row["passed"], row["messages_sent"], row["delivery_events"],
+    )
+    assert result.workload["offered"] == row["offered"]
 
 
 def test_sweep_report_consistency_property():

@@ -189,13 +189,20 @@ def test_scenario_batch_parallel_equals_serial():
     assert all(result.passed for result in pooled)
 
 
-def test_scenario_batch_surfaces_worker_casualties():
+@pytest.mark.parametrize("parallel", [None, 2])
+def test_scenario_batch_surfaces_worker_casualties(parallel):
+    """Serial and pooled batches report a casualty the same way: one
+    ScenarioExecutionError naming it, with its config for replay."""
     good = churn_scenario(n_processes=8, n_groups=2, group_size=4,
                           crashes=0, leaves=0, messages_per_sender=1, seed=2)
     bad = dict(good)
     bad["groups"] = [{"id": "broken", "members": ["nobody"]}]
-    with pytest.raises(ScenarioExecutionError):
-        run_scenarios([good, bad], parallel=2, analysis="online")
+    with pytest.raises(ScenarioExecutionError) as caught:
+        run_scenarios([good, bad], parallel=parallel, analysis="online")
+    (failure,) = caught.value.failures
+    assert (failure.index, failure.status) == (1, STATUS_ERROR)
+    assert "InvalidScenarioSpec" in failure.error
+    assert failure.seed == 2
 
 
 def test_failed_sweep_cell_keeps_its_grid_position():
@@ -216,6 +223,37 @@ def test_failed_sweep_cell_keeps_its_grid_position():
     # The JSON-recording path must survive metric-less failure rows.
     document = report.as_dict()
     assert document["curves"] == {}
+
+
+def test_failed_serial_sweep_cell_keeps_its_grid_position(monkeypatch):
+    """Serial sweeps report a casualty as pooled ones do: a cell that
+    raises becomes a passed=False row in its grid position, and the
+    other cells still run."""
+    from repro.experiments import sweep
+
+    real_run_cell = sweep.run_cell
+
+    def run_cell(spec, stack, profile_name, load, fault):
+        if load == 0.5:
+            raise RuntimeError("cell blew up")
+        return real_run_cell(spec, stack, profile_name, load, fault)
+
+    monkeypatch.setattr(sweep, "run_cell", run_cell)
+    spec = SweepSpec(
+        stacks=("newtop-symmetric",), profiles=("poisson",), loads=(0.5, 1.0),
+        faults=("none",), processes=8, groups=2, group_size=5,
+        duration=12.0, drain=20.0, seed=7,
+    )
+    seen = []
+    report = run_sweep(spec, progress=seen.append)
+    failed, ran = report.cells
+    assert failed["passed"] is False
+    assert failed["execution_status"] == STATUS_ERROR
+    assert "cell blew up" in failed["violations"][0]
+    assert report.cell("newtop-symmetric", "poisson", 0.5, "none") is failed
+    assert ran["passed"] and ran["offered_load"] == 1.0
+    assert not report.passed
+    assert sorted(row["offered_load"] for row in seen) == [0.5, 1.0]
 
 
 # ----------------------------------------------------------------------

@@ -323,6 +323,11 @@ def test_scenario_workload_profile_validation():
         from_config({**base, "workload": {"profile": "not-a-profile"}})
     with pytest.raises(InvalidScenarioSpec):
         from_config({**base, "workload": {"profile": "poisson", "rate": 0}})
+    # A negative sender count would silently slice members[:-k].
+    with pytest.raises(InvalidScenarioSpec, match="senders_per_group"):
+        from_config({**base, "workload": {"senders_per_group": -2}})
+    with pytest.raises(InvalidScenarioSpec, match="senders_per_group"):
+        from_config({**base, "workload": {"profile": "poisson", "senders_per_group": -2}})
     spec = from_config({**base, "workload": {"profile": "poisson", "duration": 25.0}})
     # The horizon must cover the open-loop window, not the closed-loop rounds.
     assert spec.horizon() >= 25.0
