@@ -27,29 +27,47 @@ and the §7 window reopens.
 Fault tolerance for the asymmetric engine (sequencer failover, re-sending
 of unsequenced requests) goes beyond what the paper spells out -- §5 covers
 only the symmetric version "to save space" -- and is this reproduction's
-extension: :meth:`AsymmetricOrdering.emit_view_cut` and the view-change
-methods below document it.
+extension, all of it in this module: :class:`SequencerFailover` and the
+view-change methods of the engine document it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.config import OrderingMode
 from repro.core.messages import (
     CAUSE_BY_KIND,
     DataMessage,
     KIND_NULL,
     KIND_VIEW_CUT,
     SequencerRequest,
+    Suspicion,
 )
 from repro.core.ordering import OrderingEngine
+from repro.core.vectors import INFINITY
 
 
 class AsymmetricOrdering(OrderingEngine):
     """Sequencer-based total order for one group."""
 
+    mode = OrderingMode.ASYMMETRIC
+    relayed = True
+
     def __init__(self, endpoint) -> None:
         super().__init__(endpoint)
+        # The failover answers the engine's §5 questions for this mode.
+        failover = self.failover = SequencerFailover(self)
+        self.relay_dead = failover.relay_dead
+        self.on_view_cut = failover.on_view_cut
+        self.cut_bound = failover.cut_bound
+        self.holds_unsettled_work = failover.holds_unsettled_work
+        self.forget_stale_cuts = failover.forget_stale_cuts
+        self.defers_suspicion = failover.defers_suspicion
+        self.refresh_suspicions = failover.refresh_suspicions
+        if endpoint.config.use_view_cut_marker:  # off: E25's mutant arm
+            self.discard_bounds = failover.discard_bounds
+            self.view_change_threshold = failover.view_change_threshold
         #: Number of the last sequenced message received (the paper's
         #: ``D_x,i`` for asymmetric groups).
         self.last_sequenced: int = 0
@@ -79,6 +97,19 @@ class AsymmetricOrdering(OrderingEngine):
     def is_sequencer(self) -> bool:
         """Whether the local process is the current sequencer."""
         return self.sequencer() == self.endpoint.process.process_id
+
+    def owes_stability(self, last_sent_ldn: int) -> bool:
+        """Owed until stable, as a member's null travels through the
+        sequencer, not over the FIFO channel to each peer.  The sequencer
+        stamps the group's aggregated ``ldn`` on what it sequences, so that
+        is one request from each member after it."""
+        return bool(self.endpoint.stability.buffer.non_null_count())
+
+    def owes_agreement(self, last_sent_clock: int) -> bool:
+        """Owed until done, for the same reason.  The sequencer always owes:
+        its nulls are the group's ``D_x``, and their freshness (under Ω/2)
+        is what makes a relayed member's silence mean anything."""
+        return self.endpoint.gv.busy() or self.is_sequencer()
 
     # ------------------------------------------------------------------
     # Send path
@@ -161,35 +192,16 @@ class AsymmetricOrdering(OrderingEngine):
         return message
 
     def emit_view_cut(self, removed: frozenset) -> int:
-        """Sequence the end-of-view marker for a confirmed detection (§5.2
-        extension) and return its number -- the cut at which every surviving
-        member installs the view excluding ``removed``.
-
-        The asymmetric deliverable bound is the last number received *from
-        the sequencer*, so a cut expressed in any other numbering (such as
-        the detection's ``lnmn``, which is in the failed member's terms)
-        cannot tell receivers where the old view's stream ends: a member
-        whose detection lags keeps delivering freshly sequenced messages in
-        the old view while faster peers deliver them in the new one.  The
-        marker closes that gap by placing the view change *into the
-        sequenced stream itself*: everything the sequencer numbered below
-        the marker belongs to the old view at every member, everything
-        above it waits for the install.
-        """
-        process = self.endpoint.process
-        clock = process.clock.tick()
-        message = DataMessage.sequenced(
-            origin=process.process_id,
-            group=self.endpoint.group_id,
-            clock=clock,
-            ldn=self._aggregate_ldn(),
+        """Sequence the end-of-view marker for a confirmed detection and
+        return its number: the cut at which every surviving member installs
+        the view excluding ``removed`` (:class:`SequencerFailover`)."""
+        return self._sequence_and_multicast(
+            origin=self.endpoint.process.process_id,
             payload=tuple(sorted(removed)),
             kind=KIND_VIEW_CUT,
-            sequencer=process.process_id,
             origin_request=None,
-        )
-        self.endpoint.broadcast_data(message, cause="view_cut")
-        return clock
+            cause="view_cut",
+        ).clock
 
     def _aggregate_ldn(self) -> int:
         """Group-wide stability bound: the minimum deliverable bound over
@@ -209,8 +221,9 @@ class AsymmetricOrdering(OrderingEngine):
         """Advance ``D_x`` and clear Send-Blocking-Rule bookkeeping.
 
         Only *sequenced* messages advance ``D_x``: during a sequencer
-        failover members may multicast liveness nulls directly (see the
-        endpoint), and those must not move the deliverable bound.  Every
+        failover members may multicast liveness nulls directly
+        (:meth:`SequencerFailover.relay_dead`), and those must not move the
+        deliverable bound.  Every
         sequenced receipt raises ``D_x``, so the engine makes no promise
         about the others either: it always answers "may have moved".
         """
@@ -331,3 +344,164 @@ class AsymmetricOrdering(OrderingEngine):
             f"AsymmetricOrdering(group={self.endpoint.group_id!r}, "
             f"sequencer={self.sequencer()!r}, D={self.deliverable_bound()})"
         )
+
+
+class SequencerFailover:
+    """Where a confirmed detection cuts a sequencer group's stream, and when
+    a relayed member's silence counts (§5.2 for §4.2 groups).
+
+    ``lnmn`` (the failed member's last number) marks no position in the
+    sequencer's numbering, so the sequencer places the cut: on executing a
+    detection it sequences an end-of-view marker
+    (:meth:`AsymmetricOrdering.emit_view_cut`), below which everything is
+    old-view at every member.  A member meets the marker and its own
+    confirmation in either order.  The states:
+
+    * *marker first* (``cut_points``: removed set -> marker number):
+      deliveries above the smallest cut wait, so this member's old-view
+      delivery set cannot outgrow its peers'; the confirmation installs at
+      the cut.
+    * *confirmed first* (``parked``: removed sets): deliveries keep
+      flowing, and the view change is made when the marker lands.  A
+      detection that removes the sequencer cannot wait for a marker: it
+      cuts at the dead sequencer's agreed last number, and every parked
+      detection with it.
+    * *deferred once* (``deferred``: members): a member's suspicion raised
+      while the sequencer stood suspected is set aside once; the next
+      silent timeout counts.
+    """
+
+    def __init__(self, engine: AsymmetricOrdering) -> None:
+        self.engine = engine
+        self.endpoint = engine.endpoint
+        self.cut_points: Dict[frozenset, int] = {}
+        self.parked: List[frozenset] = []
+        self.deferred: Set[str] = set()
+
+    def relay_dead(self) -> bool:
+        """While the sequencer has been silent past the suspicion window,
+        stands suspected or is excluded, a member multicasts its nulls
+        directly, unsequenced: they never advance ``D_x`` but keep the
+        other members' suspectors fed, so they do not suspect each other
+        while agreeing on the sequencer's failure.  Silence, not suspicion:
+        a refutation can clear the suspicion without reviving the relay."""
+        engine = self.engine
+        if engine.is_sequencer():
+            return False
+        endpoint = self.endpoint
+        sequencer = engine.sequencer()
+        heard = endpoint.suspector.last_activity(sequencer)
+        silent_for = endpoint.process.sim.now - heard if heard is not None else 0.0
+        return (
+            endpoint.gv.is_suspected(sequencer)
+            or endpoint.gv.is_excluded(sequencer)
+            or silent_for >= endpoint.suspector.suspicion_timeout
+        )
+
+    def discard_bounds(self, detection: frozenset) -> Dict[str, int]:
+        """Each target's messages survive up to *its own* agreed last
+        number (clamped at the failover cut): cutting at another, laggard
+        target's ``ln`` would take back what members already delivered."""
+        last_numbers = _last_numbers(detection)
+        cut = last_numbers.get(self.engine.sequencer())
+        if cut is None:
+            return last_numbers
+        return {target: min(number, cut) for target, number in last_numbers.items()}
+
+    def view_change_threshold(self, detection, removed: frozenset, lnmn: int) -> Optional[int]:
+        """The sequencer cuts at its marker, a member at one recorded, or it
+        parks the detection (``None``).  A sequencer's *agreed* last number
+        is the same at every survivor (rule iii), and survivors may have
+        delivered well past ``lnmn``, another target's stale number."""
+        engine = self.engine
+        cut = _last_numbers(detection).get(engine.sequencer())
+        if cut is not None:
+            endpoint = self.endpoint
+            for awaiting in self.parked:
+                # Their marker will never come; their old-view stream now
+                # truncates at the failover cut, so re-discard what the
+                # per-target bound kept above it.
+                for target in awaiting:
+                    endpoint.process.delivery_queue.discard_from_sender(
+                        endpoint.group_id, target, above_clock=cut
+                    )
+                    endpoint.stability.buffer.discard_sender_above(target, cut)
+                endpoint.add_view_change(awaiting, cut)
+            self.parked.clear()
+            return cut
+        if engine.is_sequencer():
+            return engine.emit_view_cut(removed)
+        cut = self.cut_points.pop(removed, None)
+        if cut is None:
+            self.parked.append(removed)
+        return cut
+
+    def on_view_cut(self, message: DataMessage) -> None:
+        endpoint = self.endpoint
+        removed = frozenset(message.payload or ())
+        # A marker naming us leaves our exclusion to the reciprocal
+        # suspicions.  A stale one (replayed, or recovered by a refutation,
+        # after its view installed) would cap delivery forever: its targets
+        # are never detected again.
+        own_id = endpoint.process.process_id
+        if not removed or own_id in removed or not removed <= endpoint.view.members:
+            return
+        if removed in self.parked:
+            self.parked.remove(removed)
+            endpoint.add_view_change(removed, message.clock)
+            return
+        self.cut_points[removed] = message.clock
+
+    def cut_bound(self) -> float:
+        return float(min(self.cut_points.values())) if self.cut_points else INFINITY
+
+    def holds_unsettled_work(self) -> bool:
+        return bool(self.cut_points or self.parked)
+
+    def forget_stale_cuts(self) -> None:
+        """Cut state whose targets are not all in the view can never match a
+        detection (excluded processes are not re-suspected)."""
+        members = self.endpoint.view.members
+        self.cut_points = {
+            targets: cut for targets, cut in self.cut_points.items() if targets <= members
+        }
+        self.parked = [targets for targets in self.parked if targets <= members]
+
+    def defers_suspicion(self, suspicion: Suspicion) -> bool:
+        """A member heard through the sequencer is evidently silent only
+        while the sequencer is evidently alive: while the sequencer is quiet
+        (for Ω/2) but unsuspected, the suspicion waits.  Once it is
+        suspected, direct membership traffic refreshes the suspector, and a
+        member gets one more timeout of it -- not more, or a member crashed
+        with the sequencer would deadlock the failover."""
+        endpoint = self.endpoint
+        sequencer = self.engine.sequencer()
+        target = suspicion.target
+        if target == sequencer or endpoint.process.process_id == sequencer:
+            return False
+        suspector = endpoint.suspector
+        heard = suspector.last_heard(sequencer)
+        silent_for = endpoint.process.sim.now - heard if heard is not None else 0.0
+        if not endpoint.gv.is_suspected(sequencer):
+            if silent_for < 0.5 * suspector.suspicion_timeout:
+                return False
+        elif target in self.deferred:
+            return False
+        else:
+            self.deferred.add(target)
+        suspector.clear_suspicion(target)
+        return True
+
+    def refresh_suspicions(self) -> None:
+        """A fresh suspicion window for every member after an install, so a
+        sequencer change does not cascade into further suspicions."""
+        endpoint = self.endpoint
+        self.deferred.clear()
+        for member in endpoint.view.members:
+            if member != endpoint.process.process_id:
+                endpoint.suspector.clear_suspicion(member)
+
+
+def _last_numbers(detection: frozenset) -> Dict[str, int]:
+    """Each target's agreed last number: its largest ``ln`` in a detection."""
+    return {suspicion.target: suspicion.last_number for suspicion in sorted(detection)}

@@ -4,7 +4,8 @@ A :class:`GroupEndpoint` bundles the state and machinery a Newtop process
 keeps for one of its groups (the paper's architecture, Fig. 3):
 
 * the current membership view (and, optionally, its §6 signature form),
-* the ordering engine (symmetric §4.1 or asymmetric §4.2),
+* the ordering engine (symmetric §4.1 or asymmetric §4.2, whose sequencer
+  failover answers the questions below that depend on the mode),
 * the stability tracker and retention buffer (§5.1),
 * the time-silence mechanism (§4.1) and the failure suspector (§5.2),
 * the group-view (membership agreement) process ``GV_x,i`` (§5.2),
@@ -22,7 +23,7 @@ global order (safe2) -- that is how Newtop gets cross-group total order
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.asymmetric import AsymmetricOrdering
 from repro.core.config import NewtopConfig, OrderingMode
@@ -101,14 +102,11 @@ class GroupEndpoint:
         self.signature_view: Optional[SignatureView] = (
             SignatureView.initial(group_id, members) if config.use_signature_views else None
         )
-        asymmetric = mode == OrderingMode.ASYMMETRIC
-        if asymmetric:
-            self.engine = AsymmetricOrdering(self)
-        else:
-            # ATOMIC_ONLY reuses the symmetric engine's bookkeeping; the
-            # process-level delivery path simply does not wait for safe1'
-            # in that mode.
-            self.engine = SymmetricOrdering(self)
+        # ATOMIC_ONLY reuses the symmetric engine's bookkeeping; the
+        # process-level delivery path simply does not wait for safe1' in
+        # that mode.
+        engine = AsymmetricOrdering if mode is AsymmetricOrdering.mode else SymmetricOrdering
+        self.engine = engine(self)
         self.stability = StabilityTracker(
             group_id,
             members,
@@ -124,11 +122,8 @@ class GroupEndpoint:
             notify=self._on_suspector_notification,
             on_tick=self._on_suspector_tick,
             needs_everybody=self._needs_everybody,
-            # An asymmetric member is heard through the sequencer's relay
-            # and its idle nulls stay numbered: everybody watches everybody,
-            # on a timer of its own.
-            ring_watched=not asymmetric,
-            next_wake=None if asymmetric else process.heartbeat.next_wake,
+            ring_watched=not self.engine.relayed,
+            next_wake=None if self.engine.relayed else process.heartbeat.next_wake,
             # Our flagged null within ω, the answer within ω of that (or
             # already in flight), found at the next check.
             grace=2 * config.omega + config.suspector_check_interval,
@@ -140,30 +135,15 @@ class GroupEndpoint:
             self._send_null,
             owed=self.owes_group,
             idle_period=config.heartbeat_period,
-            # A symmetric group's idle heartbeat is the process's business,
-            # unless what it retains is still unstable: then its own
-            # acknowledgment may have been lost, and it re-sends one.
-            cover=None if asymmetric else self._go_dormant,
-            unstable=None if asymmetric else self.stability.buffer.non_null_count,
+            # A directly heard group's idle heartbeat is the process's
+            # business, unless what it retains is still unstable: then its
+            # own acknowledgment may have been lost, and it re-sends one.
+            cover=None if self.engine.relayed else self._go_dormant,
+            unstable=None if self.engine.relayed else self.stability.buffer.non_null_count,
         )
 
         self.departed = False
         self.pending_view_changes: List[PendingViewChange] = []
-        #: Asymmetric groups only -- view-cut markers received before the
-        #: local detection confirmed: removed-set -> marker number.  While
-        #: one is held, deliveries above the smallest cut are blocked so
-        #: this member's old-view delivery set cannot outgrow its peers'.
-        self._pending_cut_points: Dict[frozenset, int] = {}
-        #: Asymmetric groups only -- detections confirmed locally before
-        #: the sequencer's marker arrived: (removed-set, lnmn fallback).
-        #: Deliveries keep flowing (the pre-marker stream belongs to the
-        #: old view); the view change is created when the marker lands.
-        self._detections_awaiting_cut: List[Tuple[frozenset, int]] = []
-        #: Asymmetric groups only -- members whose suspicion was deferred
-        #: once while the sequencer itself stood suspected (see
-        #: :meth:`_on_suspector_notification`); a second silent timeout
-        #: after that is accepted as failure evidence.
-        self._failover_deferred: Set[str] = set()
         #: Application payloads deferred by the blocking rules / formation
         #: wait / flow control, in submission order.
         self.deferred_sends: List[object] = []
@@ -245,36 +225,12 @@ class GroupEndpoint:
         (see :mod:`repro.core.time_silence`).
 
         A view change, cut marker, formation wait, deferred send or
-        unsequenced unicast is waiting on peers' ``RV``/``SV`` entries; an
-        asymmetric group's sequencer always owes, because its nulls are the
-        group's ``D_x`` (§4.2) and members read its freshness (under Ω/2)
-        as the evidence that a relayed member's silence means anything.
-        Three things are owed only until a multicast of ours covers them,
-        because the channels are FIFO and the multicast is already on its
-        way to every peer:
-
-        * unstable non-null traffic in the retention buffer (§5.1), until
-          we have multicast an ``ldn`` at least its number -- after that a
-          symmetric group re-sends one numbered null per heartbeat period
-          while it stays unstable, in case that acknowledgment was lost;
-        * a member's null flagged ``awaits_reply``, unless something we
-          multicast in the group is already numbered past it (the flagging
-          process waits on nothing numbered above its own clock);
-        * an agreement in progress (§5.2), until our last numbered send
-          passes the largest ``ln`` the GV process holds -- then every
-          view-change threshold it can produce is below what peers hold of
-          us -- or while it holds a message parked for a suspected sender.
-          Normally our own suspect message has met it already: it carries
-          our null (:meth:`mcast_membership`), which CA1 numbers past every
-          message we hold, the target's included.
-
-        Asymmetric groups keep the first and the last until they are done:
-        a member's null there travels through the sequencer, not over the
-        FIFO channel to each peer.  The stability term ends too: the
-        sequencer stamps the group's aggregated ``ldn`` on everything it
-        sequences, so unstable traffic is stable everywhere once each member
-        has sent one request after it (:mod:`repro.core.asymmetric`); in an
-        idle asymmetric group only the sequencer then still owes.
+        unsequenced unicast is waiting on peers' ``RV``/``SV`` entries.  A
+        member's null flagged ``awaits_reply`` is owed only until something
+        we multicast in the group is numbered past it (the channels are
+        FIFO, and the flagging process waits on nothing numbered above its
+        own clock).  Unstable traffic and an agreement in progress are owed
+        as the engine says (``owes_stability``, ``owes_agreement``).
 
         Idleness is a property of the processes, not of the group: a
         multi-group process delivers under the minimum of all its ``D_x``
@@ -284,36 +240,27 @@ class GroupEndpoint:
         every one of its groups, its nulls say so (``awaits_reply``), and
         a member that hears one owes a send numbered past it.
         """
-        asymmetric = self.mode is OrderingMode.ASYMMETRIC
-        buffer = self.stability.buffer
+        engine = self.engine
         return bool(
-            (
-                buffer.non_null_count()
-                and (asymmetric or buffer.max_non_null_clock > self._last_sent_ldn)
-            )
+            engine.owes_stability(self._last_sent_ldn)
             or self._reply_awaited
             or self.holds_unsettled_work()
             or self._formation_wait is not None
             or self.process.outstanding_unicasts(self.group_id)
-            or (
-                self.gv.busy() if asymmetric
-                else self.gv.awaits_number(self._last_sent_clock)
-            )
-            or (asymmetric and self.engine.is_sequencer())
+            or engine.owes_agreement(self._last_sent_clock)
             or self.process.awaits_delivery()
         )
 
     def holds_unsettled_work(self) -> bool:
         """Whether this group holds something only a later
         :meth:`NewtopProcess.settle` can finish: a deferred send, a
-        confirmed view change awaiting its threshold, a cut point or a
-        parked detection.  While any group of a process does, no receipt
-        of that process is taken to be inert."""
+        confirmed view change awaiting its threshold, or the engine's cut
+        state (a cut point or a parked detection).  While any group of a
+        process does, no receipt of that process is taken to be inert."""
         return bool(
             self.deferred_sends
             or self.pending_view_changes
-            or self._pending_cut_points
-            or self._detections_awaiting_cut
+            or self.engine.holds_unsettled_work()
         )
 
     # ------------------------------------------------------------------
@@ -333,16 +280,11 @@ class GroupEndpoint:
     def next_view_change_threshold(self) -> float:
         """Number above which no message may be delivered before the next
         pending view change is installed (infinity when none is pending).
-
-        A view-cut marker received ahead of the local detection caps
-        delivery the same way: messages the sequencer numbered above the
-        cut belong to the next view and must not be delivered in this one.
-        """
-        threshold = INFINITY
+        A cut the engine holds ahead of its view change caps delivery the
+        same way (:meth:`OrderingEngine.cut_bound`)."""
+        threshold = self.engine.cut_bound()
         if self.pending_view_changes:
-            threshold = float(self.pending_view_changes[0].threshold)
-        if self._pending_cut_points:
-            threshold = min(threshold, float(min(self._pending_cut_points.values())))
+            threshold = min(threshold, float(self.pending_view_changes[0].threshold))
         return threshold
 
     # ------------------------------------------------------------------
@@ -380,35 +322,12 @@ class GroupEndpoint:
         is missing is some member's acknowledgment, lost on the way here;
         the null is flagged ``awaits_reply``, so every member whose last
         multicast is numbered below it answers with its current ``ldn``.
-
-        In an asymmetric group a member's nulls normally travel via the
-        sequencer.  While that relay path looks dead -- the sequencer has
-        been silent past the suspicion window, stands suspected, or is
-        already excluded -- the member multicasts a plain (unsequenced)
-        null directly: it carries no ordering weight (it never advances
-        ``D_x``) but keeps the remaining members' failure suspectors fed so
-        they do not cascade into suspecting each other while agreeing on
-        the sequencer's failure.  Keying on silence rather than formal
-        suspicion matters: a refutation can clear the sequencer suspicion
-        (shipping one recovered message) without reviving the relay, and
-        members must not fall mutually silent during the re-suspicion
-        window that follows.
+        It also goes straight to every member, unnumbered by the engine,
+        while the engine's relay looks dead (:meth:`OrderingEngine.relay_dead`).
         """
         if not self.active:
             return
-        sequencer_dead_path = False
-        if self.mode == OrderingMode.ASYMMETRIC and not self.engine.is_sequencer():
-            sequencer = self.engine.sequencer()
-            heard = self.suspector.last_activity(sequencer)
-            silent_for = (
-                self.process.sim.now - heard if heard is not None else 0.0
-            )
-            sequencer_dead_path = (
-                self.gv.is_suspected(sequencer)
-                or self.gv.is_excluded(sequencer)
-                or silent_for >= self.suspector.suspicion_timeout
-            )
-        if ask or sequencer_dead_path:
+        if ask or self.engine.relay_dead():
             clock = self.process.clock.tick()
             message = DataMessage.null(
                 sender=self.process.process_id,
@@ -526,7 +445,7 @@ class GroupEndpoint:
         """The GV process's ``mcast`` primitive: transmit to every view
         member's GV process (delivered in sent order by the transport).
 
-        Outside an asymmetric group and a formation wait, a suspect or
+        Outside a relayed group and a formation wait, a suspect or
         confirm message carries our null (``message.null``): numbered like
         the null time-silence would send (CA1, current ``ldn``,
         ``awaits_reply``), and looped back like any send of ours.  It is
@@ -541,7 +460,7 @@ class GroupEndpoint:
         process = self.process
         null = None
         if (
-            self.mode is not OrderingMode.ASYMMETRIC
+            not self.engine.relayed
             and self._formation_wait is None
             and isinstance(message, (SuspectMessage, ConfirmMessage))
         ):
@@ -651,10 +570,9 @@ class GroupEndpoint:
         # Formation wait (§5.3 step 5).
         if kind == KIND_START_GROUP and message.start_number is not None:
             self._on_start_group(message.sender, message.start_number)
-        # Asymmetric end-of-view marker: the sequencer placed the pending
-        # view change into its stream at this message's number.
+        # End-of-view marker: the view change's place in the stream.
         elif kind == KIND_VIEW_CUT:
-            self._on_view_cut(message)
+            self.engine.on_view_cut(message)
         # Only application messages enter the delivery queue; null and
         # start-group messages have done their job already.
         elif kind == KIND_DATA:
@@ -757,45 +675,15 @@ class GroupEndpoint:
     # Failure detection execution (step viii) and view installation
     # ------------------------------------------------------------------
     def execute_failure_detection(self, detection: frozenset) -> None:
-        """Step (viii): discard post-``lnmn`` messages of the failed
-        processes, unblock ``D``, and schedule the view installation."""
+        """Step (viii): discard the failed processes' messages past the cut
+        the engine places (``lnmn`` in §5), unblock ``D``, and schedule the
+        view installation at that cut (:class:`OrderingEngine`)."""
         removed = frozenset(suspicion.target for suspicion in detection)
         lnmn = min(suspicion.last_number for suspicion in detection)
         own_id = self.process.process_id
-        # The discard bound depends on where the old view's stream ends.
-        # When the cut is in *sequencer numbering* (the end-of-view marker,
-        # or -- for a detection that removes the sequencer itself -- the
-        # dead sequencer's agreed last number), each target's messages
-        # survive up to *its own* agreed last number, clamped at the cut: a
-        # multi-target detection must not cut one target's stream at
-        # another (laggard) target's ln, because members that already
-        # delivered the in-between messages cannot take them back, so
-        # virtual synchrony would split.  When the cut is ``lnmn`` itself
-        # (symmetric groups or marker disabled), everything above ``lnmn``
-        # belongs to the next view and a removed member's messages there
-        # can never be delivered again -- they are discarded exactly as in
-        # the paper's step (viii).
-        asymmetric = self.mode == OrderingMode.ASYMMETRIC
-        sequencer_removed = asymmetric and self.view.sequencer() in removed
-        sequencer_cut = (
-            asymmetric
-            and self.config.use_view_cut_marker
-        )
-        last_numbers: Dict[str, int] = {}
-        for suspicion in detection:
-            last_numbers[suspicion.target] = max(
-                last_numbers.get(suspicion.target, 0), suspicion.last_number
-            )
-        failover_cut = (
-            last_numbers[self.view.sequencer()] if sequencer_removed else None
-        )
+        bounds = self.engine.discard_bounds(detection)
         for target in removed:
-            if not sequencer_cut:
-                above = lnmn
-            elif sequencer_removed:
-                above = min(last_numbers[target], failover_cut)
-            else:
-                above = last_numbers[target]
+            above = bounds.get(target, lnmn)
             discarded = self.process.delivery_queue.discard_from_sender(
                 self.group_id, target, above_clock=above
             )
@@ -805,96 +693,17 @@ class GroupEndpoint:
                 self.engine.on_own_messages_discarded(own_discards)
             self.stability.handle_member_removed(target, discard_above=above)
         self.engine.on_members_removed(removed, lnmn)
-        threshold = self._view_change_threshold(removed, lnmn, failover_cut)
+        threshold = self.engine.view_change_threshold(detection, removed, lnmn)
         if threshold is not None:
-            self.pending_view_changes.append(
-                PendingViewChange(removed=removed, threshold=threshold)
-            )
-            self.pending_view_changes.sort(key=lambda change: change.threshold)
+            self.add_view_change(removed, threshold)
         self.process.settle()
 
-    def _view_change_threshold(
-        self,
-        removed: frozenset,
-        lnmn: int,
-        failover_cut: Optional[int] = None,
-    ) -> Optional[int]:
-        """Where the view excluding ``removed`` cuts the delivery stream.
-
-        Symmetric groups use ``lnmn`` directly: the receive-vector bound
-        stalls at the failed members' last numbers, so ``lnmn`` is a cut
-        every member reaches identically.  Asymmetric groups deliver by
-        *sequencer* numbering, in which ``lnmn`` (the failed member's last
-        number) marks no stream position -- the cut must come from the
-        sequencer itself:
-
-        * the sequencer, on executing the detection, sequences a view-cut
-          marker and installs at the marker's number;
-        * a member whose marker already arrived installs at the recorded
-          cut;
-        * a member that confirmed first parks the detection until the
-          marker lands (``None``: no pending change yet) -- deliveries keep
-          flowing because everything the sequencer numbers before the
-          marker still belongs to the old view;
-        * a detection that removes the sequencer cannot wait for a marker.
-          It cuts at ``failover_cut`` -- the dead sequencer's *agreed* last
-          number, which rule-(iii) refutation convergence makes identical
-          at every survivor.  Survivors may already have delivered
-          sequenced messages well past ``lnmn`` (another target's stale
-          number), so cutting there would retroactively move delivered
-          messages into the next view; everything the dead sequencer
-          numbered is old-view at everyone.  Parked detections flush at the
-          same cut, since their markers will never come.
-        """
-        if self.mode != OrderingMode.ASYMMETRIC or not self.config.use_view_cut_marker:
-            return lnmn
-        if self.view.sequencer() in removed:
-            cut = failover_cut if failover_cut is not None else lnmn
-            for awaiting, _fallback in self._detections_awaiting_cut:
-                # The marker these detections were parked for will never
-                # come; their old-view stream now truncates at the failover
-                # cut, so re-discard what the per-target bound kept above it.
-                for target in awaiting:
-                    self.process.delivery_queue.discard_from_sender(
-                        self.group_id, target, above_clock=cut
-                    )
-                    self.stability.buffer.discard_sender_above(target, cut)
-                self.pending_view_changes.append(
-                    PendingViewChange(removed=awaiting, threshold=cut)
-                )
-            self._detections_awaiting_cut.clear()
-            return cut
-        if self.engine.is_sequencer():
-            return self.engine.emit_view_cut(removed)
-        cut = self._pending_cut_points.pop(removed, None)
-        if cut is not None:
-            return cut
-        self._detections_awaiting_cut.append((removed, lnmn))
-        return None
-
-    def _on_view_cut(self, message: DataMessage) -> None:
-        """A sequencer's end-of-view marker arrived (possibly before or
-        after the local detection confirmed -- both orders are handled)."""
-        removed = frozenset(message.payload or ())
-        if not removed or self.process.process_id in removed:
-            # A marker naming ourselves: our exclusion is driven by the
-            # reciprocal-suspicion machinery, not by this cut.
-            return
-        if not removed <= self.view.members:
-            # Stale marker (re-injected by a pending-message replay or a
-            # refutation recovery after its view already installed): the
-            # targets can never be detected again, so recording the cut
-            # would cap delivery forever.
-            return
-        for index, (awaiting, _fallback) in enumerate(self._detections_awaiting_cut):
-            if awaiting == removed:
-                del self._detections_awaiting_cut[index]
-                self.pending_view_changes.append(
-                    PendingViewChange(removed=removed, threshold=message.clock)
-                )
-                self.pending_view_changes.sort(key=lambda change: change.threshold)
-                return
-        self._pending_cut_points[removed] = message.clock
+    def add_view_change(self, removed: frozenset, threshold: int) -> None:
+        """Install the view excluding ``removed`` once ``threshold`` is reached."""
+        self.pending_view_changes.append(
+            PendingViewChange(removed=removed, threshold=threshold)
+        )
+        self.pending_view_changes.sort(key=lambda change: change.threshold)
 
     def maybe_install_views(self) -> bool:
         """Install pending view changes whose precondition is met.
@@ -932,30 +741,11 @@ class GroupEndpoint:
             self.suspector.remove_member(member)
         self.engine.on_members_removed(actually_removed, change.threshold)
         self.engine.on_view_installed()
+        # The GV process can confirm here, and so read the engine's cuts.
         self.gv.on_view_installed()
-        # Cut bookkeeping whose targets are no longer all in the view can
-        # never match a future detection (excluded processes are not
-        # re-suspected); dropping it keeps a stale marker from capping
-        # delivery forever.
-        members = self.view.members
-        self._pending_cut_points = {
-            targets: cut
-            for targets, cut in self._pending_cut_points.items()
-            if targets <= members
-        }
-        self._detections_awaiting_cut = [
-            (targets, fallback)
-            for targets, fallback in self._detections_awaiting_cut
-            if targets <= members
-        ]
+        self.engine.forget_stale_cuts()
         self._record_view_installed()
-        if self.mode == OrderingMode.ASYMMETRIC:
-            # Give the remaining members a fresh suspicion window so the
-            # sequencer change does not cascade into further suspicions.
-            self._failover_deferred.clear()
-            for member in self.view.members:
-                if member != self.process.process_id:
-                    self.suspector.clear_suspicion(member)
+        self.engine.refresh_suspicions()
         if self._formation_wait is not None:
             self._check_formation_complete()
 
@@ -1017,35 +807,8 @@ class GroupEndpoint:
     # Suspector wiring
     # ------------------------------------------------------------------
     def _on_suspector_notification(self, suspicion: Suspicion) -> None:
-        if not self.active:
+        if not self.active or self.engine.defers_suspicion(suspicion):
             return
-        if self.mode == OrderingMode.ASYMMETRIC:
-            sequencer = self.view.sequencer()
-            if suspicion.target != sequencer and self.process.process_id != sequencer:
-                # In an asymmetric group a member is only heard *through*
-                # the sequencer, so its silence is meaningful evidence only
-                # while the sequencer itself is demonstrably alive.  While
-                # the sequencer has gone quiet but is not yet suspected,
-                # defer the member's suspicion until the sequencer question
-                # settles.  Once the sequencer *is* suspected the failover
-                # agreement runs over direct membership traffic, so a live
-                # member proves its own liveness (suspect/refute/confirm
-                # arrivals refresh the suspector).  Grant each member one
-                # further full timeout of that traffic; a member still
-                # silent after it is accepted as failed -- deferring
-                # forever would deadlock the failover whenever a member
-                # crashed together with the sequencer (the agreement would
-                # await its confirmation indefinitely).
-                sequencer_silent_for = self.process.sim.now - self._last_heard_sequencer()
-                sequencer_fresh = sequencer_silent_for < 0.5 * self.suspector.suspicion_timeout
-                if not self.gv.is_suspected(sequencer):
-                    if not sequencer_fresh:
-                        self.suspector.clear_suspicion(suspicion.target)
-                        return
-                elif suspicion.target not in self._failover_deferred:
-                    self._failover_deferred.add(suspicion.target)
-                    self.suspector.clear_suspicion(suspicion.target)
-                    return
         self.gv.on_suspector_notification(suspicion)
         self.process.settle()
 
@@ -1060,11 +823,6 @@ class GroupEndpoint:
             return
         if self.gv.regossip_unresolved(self.suspector.suspicion_timeout):
             self.process.settle()
-
-    def _last_heard_sequencer(self) -> float:
-        sequencer = self.view.sequencer()
-        last = self.suspector.last_heard(sequencer)
-        return last if last is not None else self.process.sim.now
 
     # ------------------------------------------------------------------
     # Stability / flow-control follow-ups

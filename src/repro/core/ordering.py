@@ -8,21 +8,25 @@ what lets a process mix modes across its groups (§4.3).  The engine's job
 is narrow:
 
 * turn an application payload (or a null / start-group message) into the
-  protocol messages that must be transmitted, and
+  protocol messages that must be transmitted,
 * maintain the per-group deliverable bound ``D_x,i`` that the process-level
-  delivery queue combines across groups (safe1').
+  delivery queue combines across groups (safe1'), and
+* answer the endpoint's §5 questions that depend on how members hear each
+  other (what a member owes, where a detection cuts the stream, whether a
+  suspicion counts yet): the defaults are §5's symmetric answers.
 
-Everything else -- delivery ordering, stability, membership, blocking rules
--- lives outside the engines, so the two engines stay small and the
-mixed-mode guarantees follow from construction rather than case analysis.
+Delivery ordering, stability, membership agreement and the blocking rules
+live outside the engines, so the mixed-mode guarantees follow from
+construction rather than case analysis.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.messages import DataMessage, SequencerRequest
+from repro.core.messages import DataMessage, SequencerRequest, Suspicion
+from repro.core.vectors import INFINITY
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.endpoint import GroupEndpoint
@@ -30,6 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 class OrderingEngine(ABC):
     """Mode-specific send/receive handling for one group."""
+
+    #: Whether a member is heard only through another's relay.  One heard
+    #: directly is ring-watched while idle, goes dormant under the process
+    #: heartbeat, is named by its beacons, and rides its null on its
+    #: suspect and confirm messages.
+    relayed = False
 
     def __init__(self, endpoint: "GroupEndpoint") -> None:
         self.endpoint = endpoint
@@ -112,3 +122,60 @@ class OrderingEngine(ABC):
         (the asymmetric sequencer) can arrange recovery; the symmetric
         engine's own multicasts reach members directly, so the default is
         a no-op."""
+
+    # ------------------------------------------------------------------
+    # §5 questions: the defaults are the symmetric answers
+    # ------------------------------------------------------------------
+    def owes_stability(self, last_sent_ldn: int) -> bool:
+        """Terms of :meth:`GroupEndpoint.owes_group`.  Unstable non-null
+        traffic retained (§5.1) is owed until we have multicast an ``ldn``
+        at least its number: the channels are FIFO, so that multicast is on
+        its way to every peer.  After that the group re-sends one numbered
+        null per heartbeat period while it stays unstable, in case that
+        acknowledgment was lost."""
+        buffer = self.endpoint.stability.buffer
+        return bool(buffer.non_null_count() and buffer.max_non_null_clock > last_sent_ldn)
+
+    def owes_agreement(self, last_sent_clock: int) -> bool:
+        """An agreement in progress (§5.2) is owed until our last numbered
+        send passes the largest ``ln`` the GV process holds -- every
+        threshold it can produce is then below what peers hold of us -- or
+        while it holds a message parked for a suspected sender.  Our suspect
+        message normally meets it: it carries our null, numbered past every
+        message we hold (:meth:`GroupEndpoint.mcast_membership`)."""
+        return self.endpoint.gv.awaits_number(last_sent_clock)
+
+    def relay_dead(self) -> bool:
+        """Whether our nulls must bypass a relay that looks dead."""
+        return False
+
+    def discard_bounds(self, detection: frozenset) -> Dict[str, int]:
+        """Per removed member, a step (viii) discard bound other than ``lnmn``."""
+        return {}
+
+    def view_change_threshold(self, detection, removed: frozenset, lnmn: int) -> Optional[int]:
+        """Where the view excluding ``removed`` cuts the stream (``None``:
+        not known yet).  ``D`` stalls at the failed members' last numbers,
+        so ``lnmn`` is a cut every member reaches identically."""
+        return lnmn
+
+    def on_view_cut(self, message: DataMessage) -> None:
+        """An end-of-view marker arrived."""
+
+    def cut_bound(self) -> float:
+        """Cap on delivery from a cut held ahead of its view change."""
+        return INFINITY
+
+    def holds_unsettled_work(self) -> bool:
+        """Whether cut state waits on a later settle."""
+        return False
+
+    def forget_stale_cuts(self) -> None:
+        """After an install: drop cut state the new view made stale."""
+
+    def defers_suspicion(self, suspicion: Suspicion) -> bool:
+        """Whether ``suspicion`` waits instead of reaching the GV process."""
+        return False
+
+    def refresh_suspicions(self) -> None:
+        """After an install has been recorded: reset suspicion state."""

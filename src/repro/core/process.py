@@ -499,12 +499,13 @@ class NewtopProcess:
     # The idle heartbeat (callbacks of :class:`Heartbeat`)
     # ------------------------------------------------------------------
     def _beaconing_endpoints(self) -> List[GroupEndpoint]:
-        """The groups a beacon of ours can vouch for: the symmetric ones
-        we are active in (a departure is silence in that group)."""
+        """The groups a beacon of ours can vouch for: the ones we are
+        active in (a departure is silence in that group) whose members hear
+        each other directly (``OrderingEngine.relayed``)."""
         return [
             endpoint
             for endpoint in self._endpoints.values()
-            if not endpoint.departed and endpoint.mode != OrderingMode.ASYMMETRIC
+            if not endpoint.departed and not endpoint.engine.relayed
         ]
 
     def _send_beacons(self, neighbours: Sequence[str], groups: Tuple[str, ...]) -> None:

@@ -8,6 +8,8 @@ from repro.analysis.checkers import check_total_order
 from repro.analysis.metrics import blocking_times
 from repro.api import Session
 from repro.core import NewtopConfig, OrderingMode
+from repro.core.messages import KIND_DATA, KIND_VIEW_CUT, DataMessage, Suspicion
+from repro.core.vectors import INFINITY
 from repro.net.trace import BLOCKED_SEND, UNBLOCKED_SEND
 
 
@@ -251,8 +253,6 @@ def test_view_cut_marker_cuts_detection_into_sequencer_numbering():
     sequenced view-cut marker: every survivor installs the same view, no
     message is delivered in different views at different members, and
     traffic sequenced after the cut delivers in the new view."""
-    from repro.core.vectors import INFINITY
-
     session = _session(["A", "B", "C", "D"], seed=5,
                        suspicion_timeout=6.0, suspector_check_interval=0.5)
     session.group("g", mode=OrderingMode.ASYMMETRIC)
@@ -282,9 +282,6 @@ def test_stale_view_cut_marker_is_ignored():
     """A marker whose targets already left the view (replay after the
     install) must not record a cut -- a stale cut would cap delivery
     forever (the targets can never be detected again)."""
-    from repro.core.messages import DataMessage, KIND_VIEW_CUT
-    from repro.core.vectors import INFINITY
-
     session = _session(["A", "B", "C", "D"], seed=5,
                        suspicion_timeout=6.0, suspector_check_interval=0.5)
     session.group("g", mode=OrderingMode.ASYMMETRIC)
@@ -297,6 +294,91 @@ def test_stale_view_cut_marker_is_ignored():
         origin="A", group="g", clock=10_000, ldn=0, payload=("D",),
         kind=KIND_VIEW_CUT, sequencer="A", origin_request=None,
     )
-    endpoint._on_view_cut(stale)
-    assert not endpoint._pending_cut_points
+    endpoint.engine.failover.on_view_cut(stale)
+    assert not endpoint.engine.failover.cut_points
     assert endpoint.next_view_change_threshold() == INFINITY
+
+
+def _relayed_member():
+    """B, idle in the asymmetric group ``g``: a member the sequencer A
+    relays.  The tests below hand it the sequencer's traffic and its own
+    confirmed detections directly, in the order they choose; the
+    simulation does not run in between."""
+    session = _session(["A", "B", "C", "D"], seed=5,
+                       suspicion_timeout=6.0, suspector_check_interval=0.5)
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
+    session.run(20)
+    endpoint = session["B"].endpoint("g")
+    assert not endpoint.pending_view_changes and not endpoint.holds_unsettled_work()
+    return session["B"], endpoint
+
+
+def _from_sequencer(endpoint, kind, payload, clock=None):
+    """Hand ``endpoint`` a message the sequencer A numbered ``clock`` (by
+    default the next number above everything it holds)."""
+    if clock is None:
+        clock = endpoint.process.clock.value + 1
+    endpoint.on_data_message(DataMessage.sequenced(
+        origin="A", group="g", clock=clock, ldn=0, payload=payload,
+        kind=kind, sequencer="A", origin_request=None,
+    ))
+    return clock
+
+
+def _detect(endpoint, target, last_number):
+    endpoint.execute_failure_detection(frozenset({Suspicion(target, last_number)}))
+
+
+def _views_delivered(process):
+    return {record.payload: record.view_index for record in process.delivered}
+
+
+def test_view_cut_marker_then_confirmation_installs_at_the_marker():
+    process, endpoint = _relayed_member()
+    cut = _from_sequencer(endpoint, KIND_VIEW_CUT, ("C",))
+    assert endpoint.next_view_change_threshold() == cut
+    _from_sequencer(endpoint, KIND_DATA, "after")
+    assert "after" not in _views_delivered(process)  # numbered past the cut
+    _detect(endpoint, "C", 1)
+    assert endpoint.view.sorted_members() == ("A", "B", "D")
+    assert not endpoint.holds_unsettled_work()
+    assert _views_delivered(process)["after"] == 1
+
+
+def test_confirmation_then_view_cut_marker_installs_at_the_marker():
+    process, endpoint = _relayed_member()
+    _detect(endpoint, "C", 1)
+    assert endpoint.holds_unsettled_work()
+    assert endpoint.next_view_change_threshold() == INFINITY
+    # Until the marker arrives, everything sequenced is old-view traffic.
+    _from_sequencer(endpoint, KIND_DATA, "before")
+    assert _views_delivered(process) == {"before": 0}
+    assert endpoint.view.sorted_members() == ("A", "B", "C", "D")
+    _from_sequencer(endpoint, KIND_VIEW_CUT, ("C",))
+    assert endpoint.view.sorted_members() == ("A", "B", "D")
+    assert not endpoint.holds_unsettled_work()
+    _from_sequencer(endpoint, KIND_DATA, "after")
+    assert _views_delivered(process) == {"before": 0, "after": 1}
+
+
+def test_sequencer_failure_installs_parked_detections_at_the_failover_cut():
+    process, endpoint = _relayed_member()
+    _detect(endpoint, "C", 1)
+    _detect(endpoint, "D", 1)
+    assert endpoint.holds_unsettled_work() and not endpoint.pending_view_changes
+    # The dead sequencer's agreed last number, above what B has received:
+    # every view change waits there, the parked ones included.
+    cut = endpoint.process.clock.value + 2
+    _detect(endpoint, "A", cut)
+    assert [
+        (tuple(sorted(change.removed)), change.threshold)
+        for change in endpoint.pending_view_changes
+    ] == [(("C",), cut), (("D",), cut), (("A",), cut)]
+    assert not endpoint.engine.failover.parked
+    assert endpoint.view.sorted_members() == ("A", "B", "C", "D")
+    # Its last message arrives (a refutation's recovery, say): all three
+    # views install behind it.
+    _from_sequencer(endpoint, KIND_DATA, "last", clock=cut)
+    assert endpoint.view.sorted_members() == ("B",)
+    assert _views_delivered(process) == {"last": 0}
+    assert not endpoint.pending_view_changes and not endpoint.holds_unsettled_work()

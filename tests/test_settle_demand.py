@@ -23,7 +23,7 @@ from repro.api import Session
 from repro.apps.kv import Rebalancer
 from repro.core import NewtopConfig, OrderingMode
 from repro.core.endpoint import PendingViewChange
-from repro.core.messages import Beacon, DataMessage, Suspicion
+from repro.core.messages import KIND_VIEW_CUT, Beacon, DataMessage, Suspicion
 from repro.core.process import NewtopProcess
 from repro.net.transport import TransportMessage
 from repro.scenarios import run_scenario
@@ -185,13 +185,14 @@ TOP = 10**6
 
 def _idle_trio(mode=None):
     """P1 idle in ``g1`` with a hand-built ``RV``: its own entry and P3's
-    far ahead, P2's the one entry standing at the minimum."""
+    far ahead, P2's the one entry standing at the minimum.  In an
+    asymmetric group, P2 idle: a member the sequencer (P1) relays."""
     config = NewtopConfig(omega=1.0, suspicion_timeout=6.0)
     session = Session("newtop", config=config, seed=1)
     session.spawn(["P1", "P2", "P3"])
     session.group("g1", mode=mode)
     session.run(20.0)
-    process = session["P1"]
+    process = session["P2" if mode is OrderingMode.ASYMMETRIC else "P1"]
     endpoint = process.endpoint("g1")
     if mode is not OrderingMode.ASYMMETRIC:
         vector = endpoint.engine.receive_vector
@@ -289,11 +290,16 @@ _WORK_IN_HAND = {
     "view_change_pending": lambda endpoint: endpoint.pending_view_changes.append(
         PendingViewChange(removed=frozenset({"P9"}), threshold=10 * TOP)
     ),
-    "cut_marker_held": lambda endpoint: endpoint._pending_cut_points.update(
-        {frozenset({"P9"}): 10 * TOP}
+    # A sequencer group's cut state: the marker for P3 ahead of our
+    # detection, and the other way round.
+    "cut_marker_held": lambda endpoint: endpoint.engine.on_view_cut(
+        DataMessage.sequenced(
+            "P1", "g1", 10 * TOP, 0, ("P3",), KIND_VIEW_CUT,
+            sequencer="P1", origin_request=None,
+        )
     ),
-    "detection_awaiting_cut": lambda endpoint: endpoint._detections_awaiting_cut.append(
-        (frozenset({"P9"}), 1)
+    "detection_awaiting_cut": lambda endpoint: endpoint.engine.view_change_threshold(
+        frozenset({Suspicion("P3", 1)}), frozenset({"P3"}), 1
     ),
     "send_deferred": lambda endpoint: endpoint.deferred_sends.append("payload"),
 }
@@ -301,9 +307,11 @@ _WORK_IN_HAND = {
 
 @pytest.mark.parametrize("work", sorted(_WORK_IN_HAND))
 def test_a_beacon_or_a_null_while_work_is_in_hand_settles(oracle, work):
-    _, process, endpoint = _idle_trio()
+    relayed = work in ("cut_marker_held", "detection_awaiting_cut")
+    _, process, endpoint = _idle_trio(OrderingMode.ASYMMETRIC if relayed else None)
+    peer = "P3" if relayed else "P2"
     _WORK_IN_HAND[work](endpoint)
-    assert _feed(oracle, process, "P2", Beacon(origin="P2", groups=("g1",)))
+    assert _feed(oracle, process, peer, Beacon(origin=peer, groups=("g1",)))
     _WORK_IN_HAND[work](endpoint)  # the settle may have finished it
     assert _feed(oracle, process, "P3", _null("P3", TOP + 1))
 

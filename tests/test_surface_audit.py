@@ -11,6 +11,11 @@ behind it: no module under ``repro.core`` or ``repro.net`` imports
 ``repro.obs`` or names a ``journeys`` handle, and every lifecycle kind of
 :mod:`repro.net.trace` is both reported from somewhere under ``src`` and
 named by some sink's ``KINDS``.
+
+§4.2's sequencer failover lives behind the asymmetric engine: no module of
+``repro.core`` but ``asymmetric.py`` names the asymmetric mode (``config.py``
+defines it), and the
+group endpoint names neither the sequencer nor the failover's state.
 """
 
 import ast
@@ -171,3 +176,30 @@ def test_every_lifecycle_kind_is_reported_and_heard():
         cls.__name__ for cls in followers
         if cls.on_lifecycle is trace_module.TraceSink.on_lifecycle
     ] == []  # no deaf subscriber
+
+
+def _identifiers(text):
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_the_sequencer_failover_has_one_home():
+    core = ROOT / "src" / "repro" / "core"
+    naming_the_mode = [
+        path.name
+        for path, text in SOURCES.items()
+        if path.parent == core and "ASYMMETRIC" in _identifiers(text)
+    ]
+    assert naming_the_mode == ["asymmetric.py", "config.py"]  # config defines it
+    endpoint = _identifiers(SOURCES[core / "endpoint.py"])
+    assert endpoint & {
+        "sequencer", "is_sequencer", "emit_view_cut", "_last_heard_sequencer",
+        "_failover_deferred", "_pending_cut_points", "_detections_awaiting_cut",
+    } == set()

@@ -7,7 +7,7 @@ from repro.analysis.checkers import check_total_order
 from repro.api import Session
 from repro.core import NewtopConfig, OrderingMode
 from repro.core.endpoint import PendingViewChange
-from repro.core.messages import DataMessage, Suspicion
+from repro.core.messages import KIND_VIEW_CUT, DataMessage, Suspicion
 from repro.net.latency import ExponentialLatency, UniformLatency
 from repro.net.trace import NULL_SEND
 
@@ -312,11 +312,16 @@ _OWED_CONDITIONS = {
     "view_change_pending": lambda endpoint: endpoint.pending_view_changes.append(
         PendingViewChange(removed=frozenset({"P9"}), threshold=10**6)
     ),
-    "cut_marker_held": lambda endpoint: endpoint._pending_cut_points.update(
-        {frozenset({"P9"}): 10**6}
+    # The sequencer's end-of-view marker for P3, ahead of our detection.
+    "cut_marker_held": lambda endpoint: endpoint.engine.on_view_cut(
+        DataMessage.sequenced(
+            "P1", "g1", 10**6, 0, ("P3",), KIND_VIEW_CUT,
+            sequencer="P1", origin_request=None,
+        )
     ),
-    "detection_awaiting_cut": lambda endpoint: endpoint._detections_awaiting_cut.append(
-        (frozenset({"P9"}), 1)
+    # Our detection of P3, ahead of the sequencer's marker.
+    "detection_awaiting_cut": lambda endpoint: endpoint.engine.view_change_threshold(
+        frozenset({Suspicion("P3", 1)}), frozenset({"P3"}), 1
     ),
     "send_deferred": lambda endpoint: endpoint.deferred_sends.append("payload"),
     "unicast_outstanding": lambda endpoint: endpoint.process.note_unicast_outstanding(
@@ -338,19 +343,25 @@ def test_every_owed_condition_reaches_the_timer_through_settle(condition):
     """``owes_group()`` is the only statement of what is owed and
     ``NewtopProcess.settle()`` -- the follow-up to every receipt, send and
     suspector notification -- the only place the timers are told: however
-    an endpoint comes to owe, the next settle pulls its heartbeat in."""
+    an endpoint comes to owe, the next settle pulls its heartbeat in.
+
+    Cut state exists only in a sequencer group, at a member the sequencer
+    relays (P2); its heartbeat is a timer of its own, never dormant."""
+    relayed = condition in ("cut_marker_held", "detection_awaiting_cut")
+    name = "P2" if relayed else "P1"
     session = _session(["P1", "P2", "P3"], omega=1.0, suspicion_timeout=6.0)
-    session.group("g1")
+    session.group("g1", mode=OrderingMode.ASYMMETRIC if relayed else None)
     session.run(20.0)
-    endpoint = session["P1"].endpoint("g1")
-    assert not endpoint.owes_group() and endpoint.time_silence.idle_armed
+    endpoint = session[name].endpoint("g1")
+    assert not endpoint.owes_group()
+    assert relayed or endpoint.time_silence.idle_armed
     _OWED_CONDITIONS[condition](endpoint)
     assert endpoint.owes_group()
-    session["P1"].settle()
-    assert not endpoint.time_silence.idle_armed
-    nulls = session.trace().events(kind=NULL_SEND, process="P1")
+    session[name].settle()
+    assert relayed or not endpoint.time_silence.idle_armed
+    nulls = session.trace().events(kind=NULL_SEND, process=name)
     session.run(1.0 + 1e-6)
-    assert len(session.trace().events(kind=NULL_SEND, process="P1")) > len(nulls)
+    assert len(session.trace().events(kind=NULL_SEND, process=name)) > len(nulls)
 
 
 def test_message_history_and_view_index_recorded():
