@@ -10,7 +10,13 @@
 * :mod:`repro.analysis.overhead` -- per-message protocol overhead models
   for Newtop and the §6 comparison protocols (ISIS vector clocks, Psync
   context graphs, piggybacking).
+
+``metrics`` and ``overhead`` serve the benchmarks and no run: their names
+resolve here on first access (module ``__getattr__``).
 """
+
+import importlib
+from typing import Any
 
 from repro.analysis.checkers import (
     CheckResult,
@@ -21,7 +27,6 @@ from repro.analysis.checkers import (
     check_total_order,
     check_view_sequences,
 )
-from repro.analysis.metrics import LatencySummary, MetricsReport, summarize_latencies
 from repro.analysis.online import (
     ALL_CHECKS,
     GroupScopedCheckSuite,
@@ -33,12 +38,6 @@ from repro.analysis.online import (
     OnlineViewAgreement,
     OnlineVirtualSynchrony,
     check_events,
-)
-from repro.analysis.overhead import (
-    isis_overhead_bytes,
-    newtop_overhead_bytes,
-    piggyback_overhead_bytes,
-    psync_overhead_bytes,
 )
 
 __all__ = [
@@ -67,3 +66,22 @@ __all__ = [
     "psync_overhead_bytes",
     "summarize_latencies",
 ]
+
+#: Exported names whose modules load on first access (PEP 562).
+_LAZY_EXPORTS = {
+    "LatencySummary": "repro.analysis.metrics",
+    "MetricsReport": "repro.analysis.metrics",
+    "summarize_latencies": "repro.analysis.metrics",
+    "isis_overhead_bytes": "repro.analysis.overhead",
+    "newtop_overhead_bytes": "repro.analysis.overhead",
+    "piggyback_overhead_bytes": "repro.analysis.overhead",
+    "psync_overhead_bytes": "repro.analysis.overhead",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

@@ -17,11 +17,18 @@
 :func:`get_stack` resolves registry names (or passes instances through);
 every stack is freshly constructed per session, so sessions never share
 protocol state.
+
+No :mod:`repro.baselines` module is imported here at load time: each
+baseline's ``STACK_FACTORIES`` entry imports its protocol module when it
+is called, and :class:`PrimaryPartitionStack` imports its own in
+``__init__`` and ``on_partition``.  A Newtop run never loads them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Type
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Type,
+)
 
 from repro.analysis.checkers import CheckResult, check_all
 from repro.api.stack import (
@@ -34,15 +41,12 @@ from repro.api.stack import (
     StackContext,
     StackError,
 )
-from repro.baselines.base import BaselineProcess
-from repro.baselines.fixed_sequencer import FixedSequencerProcess
-from repro.baselines.isis import IsisProcess
-from repro.baselines.lamport_ack import LamportAckProcess
-from repro.baselines.primary_partition import PrimaryPartitionMembership
-from repro.baselines.psync import PsyncProcess
 from repro.core.config import NewtopConfig, OrderingMode
 from repro.core.process import NewtopProcess
 from repro.net.trace import CRASH, EventTrace, VIEW_INSTALL
+
+if TYPE_CHECKING:
+    from repro.baselines.base import BaselineProcess
 
 
 class NewtopStack(ProtocolStack):
@@ -285,6 +289,8 @@ class PrimaryPartitionStack(BaselineStack):
     """
 
     def __init__(self) -> None:
+        from repro.baselines.fixed_sequencer import FixedSequencerProcess
+
         super().__init__(
             FixedSequencerProcess,
             name="primary_partition",
@@ -293,6 +299,8 @@ class PrimaryPartitionStack(BaselineStack):
         self._halted: Set[Tuple[str, str]] = set()
 
     def on_partition(self, components: Sequence[Iterable[str]]) -> None:
+        from repro.baselines.primary_partition import PrimaryPartitionMembership
+
         listed: Set[str] = set()
         resolved = [set(component) for component in components]
         for component in resolved:
@@ -322,23 +330,39 @@ class PrimaryPartitionStack(BaselineStack):
         return sorted(self._halted)
 
 
+def _fixed_sequencer_stack() -> ProtocolStack:
+    from repro.baselines.fixed_sequencer import FixedSequencerProcess
+
+    return BaselineStack(FixedSequencerProcess, checks=("total_order", "sender_in_view"))
+
+
+def _isis_stack() -> ProtocolStack:
+    from repro.baselines.isis import IsisProcess
+
+    return BaselineStack(IsisProcess, checks=("total_order", "causal_prefix", "sender_in_view"))
+
+
+def _lamport_ack_stack() -> ProtocolStack:
+    from repro.baselines.lamport_ack import LamportAckProcess
+
+    return BaselineStack(LamportAckProcess, checks=("total_order", "sender_in_view"))
+
+
+def _psync_stack() -> ProtocolStack:
+    from repro.baselines.psync import PsyncProcess
+
+    return BaselineStack(PsyncProcess, checks=("causal_prefix", "sender_in_view"))
+
+
 #: Registry of constructable stacks; every entry builds a *fresh* stack.
 STACK_FACTORIES: Dict[str, Callable[[], ProtocolStack]] = {
     "newtop": NewtopStack,
     "newtop-symmetric": lambda: NewtopStack(mode=OrderingMode.SYMMETRIC),
     "newtop-asymmetric": lambda: NewtopStack(mode=OrderingMode.ASYMMETRIC),
-    "fixed_sequencer": lambda: BaselineStack(
-        FixedSequencerProcess, checks=("total_order", "sender_in_view")
-    ),
-    "isis": lambda: BaselineStack(
-        IsisProcess, checks=("total_order", "causal_prefix", "sender_in_view")
-    ),
-    "lamport_ack": lambda: BaselineStack(
-        LamportAckProcess, checks=("total_order", "sender_in_view")
-    ),
-    "psync": lambda: BaselineStack(
-        PsyncProcess, checks=("causal_prefix", "sender_in_view")
-    ),
+    "fixed_sequencer": _fixed_sequencer_stack,
+    "isis": _isis_stack,
+    "lamport_ack": _lamport_ack_stack,
+    "psync": _psync_stack,
     "primary_partition": PrimaryPartitionStack,
 }
 
@@ -363,10 +387,13 @@ def get_stack(stack) -> ProtocolStack:
     name constructs a fresh stack."""
     if isinstance(stack, ProtocolStack):
         return stack
+    # Only the lookup is guarded: an error raised while a registered
+    # factory builds its stack is that stack's, not an unknown name.
     try:
-        return STACK_FACTORIES[stack]()
+        factory = STACK_FACTORIES[stack]
     except (KeyError, TypeError):
         raise StackError(
             f"unknown protocol stack {stack!r}; expected a ProtocolStack or "
             f"one of {available_stacks()}"
         ) from None
+    return factory()

@@ -17,7 +17,13 @@ These are the applications the paper's motivation section appeals to:
   hash ring over shards, one Newtop group per shard, rebalancing and
   failover as protocol events, an online consistency oracle, and a
   ring-routed workload (experiment E26).
+
+Only :mod:`repro.apps.kv` loads with this package; the other three
+modules' names resolve here on first access (module ``__getattr__``).
 """
+
+import importlib
+from typing import Any
 
 from repro.apps.kv import (
     HashRing,
@@ -27,9 +33,6 @@ from repro.apps.kv import (
     RebalanceReport,
     ShardedKV,
 )
-from repro.apps.replicated_state_machine import ReplicatedStateMachine, StateMachineReplica
-from repro.apps.replicated_store import ReplicatedStore
-from repro.apps.server_migration import MigrationReport, ServerMigrationScenario
 
 __all__ = [
     "HashRing",
@@ -44,3 +47,20 @@ __all__ = [
     "ShardedKV",
     "StateMachineReplica",
 ]
+
+#: Exported names whose modules load on first access (PEP 562).
+_LAZY_EXPORTS = {
+    "ReplicatedStateMachine": "repro.apps.replicated_state_machine",
+    "StateMachineReplica": "repro.apps.replicated_state_machine",
+    "ReplicatedStore": "repro.apps.replicated_store",
+    "MigrationReport": "repro.apps.server_migration",
+    "ServerMigrationScenario": "repro.apps.server_migration",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

@@ -43,11 +43,17 @@ observation on or off.
 
 ``python -m repro.obs report BENCH_file.json`` renders any benchmark JSON
 (or result dump) containing ``obs`` blocks into a readable report.
+
+Only :mod:`repro.obs.metrics` loads with this package.  Each of the other
+four instruments is imported by :meth:`Observation.__init__` when its flag
+builds it, and the report renderer when it is first named; every name in
+``__all__`` still resolves here, through the module ``__getattr__``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+import importlib
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from repro.net.trace import TraceSink
 from repro.obs.metrics import (
@@ -56,11 +62,12 @@ from repro.obs.metrics import (
     MetricsRegistry,
     PolledGauge,
 )
-from repro.obs.journey import JourneyTracker
-from repro.obs.profiler import HotPathProfiler
-from repro.obs.report import render_document, render_obs
-from repro.obs.sampler import SimTimeSampler
-from repro.obs.spans import SpanBreakdownSink
+
+if TYPE_CHECKING:
+    from repro.obs.journey import JourneyTracker
+    from repro.obs.profiler import HotPathProfiler
+    from repro.obs.sampler import SimTimeSampler
+    from repro.obs.spans import SpanBreakdownSink
 
 __all__ = [
     "Observation",
@@ -75,6 +82,24 @@ __all__ = [
     "render_obs",
     "render_document",
 ]
+
+#: Exported names whose modules load on first access (PEP 562).
+_LAZY_EXPORTS = {
+    "SimTimeSampler": "repro.obs.sampler",
+    "HotPathProfiler": "repro.obs.profiler",
+    "JourneyTracker": "repro.obs.journey",
+    "SpanBreakdownSink": "repro.obs.spans",
+    "render_obs": "repro.obs.report",
+    "render_document": "repro.obs.report",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
 
 
 class Observation:
@@ -101,18 +126,30 @@ class Observation:
         # The registry always exists: the sampler reads it, and
         # instrumented layers only check one attribute.
         self.registry = MetricsRegistry()
-        self.sampler: Optional[SimTimeSampler] = SimTimeSampler(self.registry) if sampler else None
-        self.profiler: Optional[HotPathProfiler] = HotPathProfiler() if profiler else None
-        self.spans: Optional[SpanBreakdownSink] = SpanBreakdownSink() if spans else None
-        self.journeys: Optional[JourneyTracker] = (
-            JourneyTracker(
+        self.sampler: Optional[SimTimeSampler] = None
+        self.profiler: Optional[HotPathProfiler] = None
+        self.spans: Optional[SpanBreakdownSink] = None
+        self.journeys: Optional[JourneyTracker] = None
+        if sampler:
+            from repro.obs.sampler import SimTimeSampler
+
+            self.sampler = SimTimeSampler(self.registry)
+        if profiler:
+            from repro.obs.profiler import HotPathProfiler
+
+            self.profiler = HotPathProfiler()
+        if spans:
+            from repro.obs.spans import SpanBreakdownSink
+
+            self.spans = SpanBreakdownSink()
+        if journeys:
+            from repro.obs.journey import JourneyTracker
+
+            self.journeys = JourneyTracker(
                 self.registry,
                 sample_rate=journey_sample_rate,
                 force_ids=journey_force_ids,
             )
-            if journeys
-            else None
-        )
         self._sim = None
 
     # ------------------------------------------------------------------

@@ -28,7 +28,12 @@ Quick start::
 
 See :mod:`repro.scenarios.spec` for the config-dict format and
 :mod:`repro.scenarios.library` for the ready-made scenario generators.
+:mod:`repro.scenarios.report` (``RollingReport``, a batch's progress
+callback) loads on first access through the module ``__getattr__``.
 """
+
+import importlib
+from typing import Any
 
 from repro.scenarios.engine import (
     SCENARIO_PROTOCOL_DEFAULTS,
@@ -40,7 +45,6 @@ from repro.scenarios.engine import (
     run_scenario,
     run_scenarios,
 )
-from repro.scenarios.report import VIOLATION_LIMIT, RollingReport
 from repro.scenarios.library import (
     cascading_partitions_scenario,
     churn_scenario,
@@ -88,3 +92,17 @@ __all__ = [
     "from_config",
     "to_config",
 ]
+
+#: Exported names whose modules load on first access (PEP 562).
+_LAZY_EXPORTS = {
+    "RollingReport": "repro.scenarios.report",
+    "VIOLATION_LIMIT": "repro.scenarios.report",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

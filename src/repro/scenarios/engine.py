@@ -64,7 +64,6 @@ from repro.core.messages import reset_message_counter
 from repro.net.faults import LinkFaultModel
 from repro.net.latency import LatencyModel, get_latency_model
 from repro.obs import Observation
-from repro.parallel import WorkUnit, run_units
 from repro.net.trace import TraceSink
 from repro.scenarios.spec import (
     FORMATION_WORKLOAD_GRACE,
@@ -667,6 +666,10 @@ def run_scenarios(
     a batch is a unit of verification, and a silently missing shard would
     make "all checks passed" a lie.
     """
+    # Imported here, not at the top: a single scenario run never needs the
+    # pool executor or the multiprocessing machinery behind it.
+    from repro.parallel import WorkUnit, run_units
+
     configs = list(configs)
     if (parallel or 1) > 1:
         if not isinstance(stack, str):

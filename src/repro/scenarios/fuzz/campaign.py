@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import WorkUnit, run_units
 from repro.scenarios.engine import run_scenario
 from repro.scenarios.fuzz.generator import (
     GeneratorTuning,
@@ -230,6 +229,10 @@ def run_campaign(
     (``shrink_budget`` scenario runs each); with ``artifact_dir`` every
     casualty gets a replayable artifact JSON.
     """
+    # Imported here, not at the top: ``run_fuzz_unit`` alone never needs
+    # the pool executor or the multiprocessing machinery behind it.
+    from repro.parallel import WorkUnit, run_units
+
     tuning = GeneratorTuning.from_config(tuning)
     registry = registry if registry is not None else MetricsRegistry()
     counters = {status: registry.counter(f"fuzz.{status}") for status in STATUSES}

@@ -121,6 +121,20 @@ def test_per_stack_check_selection():
     assert session.result().passed
 
 
+def test_a_registered_factory_error_is_not_an_unknown_stack(monkeypatch):
+    from repro.api import stacks
+
+    def broken_factory():
+        raise TypeError("broken while building")
+
+    monkeypatch.setitem(stacks.STACK_FACTORIES, "boom", broken_factory)
+    with pytest.raises(TypeError, match="broken while building"):
+        get_stack("boom")
+    # An unhashable name is still an unknown stack.
+    with pytest.raises(StackError, match="unknown protocol stack"):
+        get_stack(["newtop"])
+
+
 def test_unknown_stack_and_unsupported_operations():
     with pytest.raises(StackError):
         get_stack("does-not-exist")

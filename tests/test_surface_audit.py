@@ -16,15 +16,28 @@ named by some sink's ``KINDS``.
 ``repro.core`` but ``asymmetric.py`` names the asymmetric mode (``config.py``
 defines it), and the
 group endpoint names neither the sequencer nor the failover's state.
+
+A run imports only what it runs: the packages the performance ledger's
+workloads import load no pool executor, no §6 baseline, no report renderer
+and no demo application, and running one unit of each workload imports
+nothing more.  Every exported name still resolves where it always did.
 """
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 
 import repro.analysis.online  # noqa: F401  (its sinks join the roll call)
+import repro.obs.journey  # noqa: F401  (loads only when a run observes journeys)
+import repro.obs.spans  # noqa: F401
 import repro.workloads  # noqa: F401
 from repro.core.config import NewtopConfig
 from repro.core.messages import Beacon
@@ -203,3 +216,132 @@ def test_the_sequencer_failover_has_one_home():
         "sequencer", "is_sequencer", "emit_view_cut", "_last_heard_sequencer",
         "_failover_deferred", "_pending_cut_points", "_detections_awaiting_cut",
     } == set()
+
+
+#: The packages the performance ledger's workloads import.
+LEDGER_PACKAGES = (
+    "repro.api",
+    "repro.scenarios",
+    "repro.scenarios.fuzz",
+    "repro.apps.kv",
+    "repro.workloads",
+)
+
+#: Modules that sit beside the protocol stack: no run of those packages
+#: executes them, so importing the packages must not load them.
+OFF_THE_RUN_PATH = re.compile(
+    r"multiprocessing(\.|$)"
+    r"|repro\.parallel(\.|$)"
+    r"|repro\.baselines(\.|$)"
+    r"|repro\.obs\.(report|journey|spans|profiler|sampler)$"
+    r"|repro\.apps\.(server_migration|replicated_state_machine|replicated_store)$"
+    r"|repro\.analysis\.(metrics|overhead)$"
+    r"|repro\.scenarios\.report$"
+)
+
+
+def _in_fresh_interpreter(script):
+    """Run ``script`` in a new interpreter with ``src`` on the path and
+    return the JSON object it prints last."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_a_run_imports_only_what_it_runs():
+    loaded = _in_fresh_interpreter(
+        f"""
+        import importlib, json, sys
+        for name in {LEDGER_PACKAGES!r}:
+            importlib.import_module(name)
+        loaded = sorted(sys.modules)
+        from repro.api import Session
+        Session("isis")
+        print(json.dumps({{"loaded": loaded, "after_isis": sorted(sys.modules)}}))
+        """
+    )
+    assert [name for name in loaded["loaded"] if OFF_THE_RUN_PATH.match(name)] == []
+    assert len([name for name in loaded["loaded"] if name.split(".")[0] == "repro"]) <= 60
+    # A baseline stack still builds: its factory imports its module.
+    assert "repro.baselines.isis" in loaded["after_isis"]
+
+
+def test_no_import_on_the_timed_path():
+    """One small unit of each ledger workload shape, built and run after
+    the packages are imported, adds no ``repro`` or ``multiprocessing``
+    module: an import there would be timed as the run's, not set-up."""
+    added = _in_fresh_interpreter(
+        f"""
+        import importlib, json, sys
+        for name in {LEDGER_PACKAGES!r}:
+            importlib.import_module(name)
+        before = set(sys.modules)
+
+        from repro.api import Session
+        from repro.apps.kv import KVOracle, ShardedKV
+        from repro.core.config import OrderingMode
+        from repro.scenarios import ScenarioEngine, churn_scenario, from_config
+        from repro.scenarios.fuzz import run_fuzz_unit
+        from repro.workloads import OpenLoopClient, get_profile
+
+        session = Session("newtop", seed=1, analysis="online")
+        session.spawn(["A", "B", "C"])
+        session.group("g")
+        client = session.attach_client(
+            OpenLoopClient(get_profile("poisson", rate=2.0), ["A", "B"], ["g"], duration=5.0)
+        )
+        client.start()
+        session.run(15)
+        assert session.result().passed
+
+        assert run_fuzz_unit(0, 0)["status"] == "pass"
+
+        session = Session("newtop", seed=1, analysis="online", sinks=[KVOracle()])
+        session.spawn(["r0", "r1", "r2"])
+        store = ShardedKV(session, mode=OrderingMode.ASYMMETRIC)
+        store.bootstrap({{"s0": ["r0", "r1", "r2"]}})
+        acks = []
+        store.submit(client="c", client_op=1, op="set", key="k", value=1, callback=acks.append)
+        session.run(10)
+        assert [ack["status"] for ack in acks] == ["applied"]
+
+        spec = from_config(churn_scenario(n_processes=12, n_groups=2, group_size=6, seed=3))
+        assert ScenarioEngine(spec, analysis="online").run().passed
+
+        added = sorted(
+            name for name in set(sys.modules) - before
+            if name.split(".")[0] in ("repro", "multiprocessing")
+        )
+        print(json.dumps(added))
+        """
+    )
+    assert added == []
+
+
+def test_every_exported_name_resolves_to_its_defining_object():
+    for package_name in (
+        "repro",
+        "repro.api",
+        "repro.analysis",
+        "repro.apps",
+        "repro.obs",
+        "repro.scenarios",
+        "repro.scenarios.fuzz",
+    ):
+        package = importlib.import_module(package_name)
+        lazy = getattr(package, "_LAZY_EXPORTS", {})
+        for name in package.__all__:
+            value = getattr(package, name)
+            home = getattr(value, "__module__", None) or lazy.get(name)
+            if home is not None and home.startswith("repro"):
+                assert getattr(importlib.import_module(home), name) is value, (package_name, name)
+        # An unknown name is an AttributeError, so ``hasattr`` still works.
+        assert not hasattr(package, "NoSuchExport")
+        assert set(lazy) <= set(package.__all__)
