@@ -1,11 +1,13 @@
 """Shared helpers for the benchmark harness.
 
-Every ``bench_*.py`` file reproduces the experiment its module docstring
-names (E1-E28): it builds the workload, runs it on the simulated
-substrate, verifies the paper's correctness properties on the trace,
-derives the quantities the paper argues about, appends a human-readable
-row set to the consolidated report, and asserts the *shape* of the result
-(who wins, how quantities scale) rather than absolute numbers.
+``bench_paper_claims.py`` holds the paper's claims E1-E17 as one gated
+registry; every other ``bench_*.py`` file reproduces the experiment its
+module docstring names (E18-E28): it builds the workload, runs it on the
+simulated substrate, verifies the paper's correctness properties on the
+trace, derives the quantities the paper argues about, appends a
+human-readable row set to the consolidated report, and asserts the
+*shape* of the result (who wins, how quantities scale) rather than
+absolute numbers.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analysis.metrics import build_report
-from repro.api import ProtocolStack, Session, SessionResult
-from repro.core import OrderingMode
+from repro.api import ProtocolStack, Session
 from repro.experiments import SweepReport
 from repro.net.latency import LatencyModel
 from repro.net.trace import EventTrace, TraceEvent, TraceSink
@@ -52,7 +52,6 @@ def run_session(
     checks: Optional[Sequence[str]] = None,
     sinks: Optional[Sequence[TraceSink]] = None,
     view_agreement_sets: Optional[Dict[str, Sequence[str]]] = None,
-    observe: object = None,
     latency_model: Optional[LatencyModel] = None,
 ) -> Session:
     """One :class:`repro.api.Session` with the benchmark-default protocol
@@ -62,7 +61,7 @@ def run_session(
     ``(group_id, members, mode)``; ``members=None`` means every process.
     The default is one group ``"bench"`` over everyone.  This replaces the
     per-benchmark cluster boilerplate: the session carries the trace
-    wiring, and :func:`assert_session_correct` reads the verdict from
+    wiring, and ``session.result().passed`` reads the verdict from
     whichever analysis mode the benchmark selected.  ``latency_model``
     replaces the seeded random link delay (a benchmark that gates exact
     counts passes ``ConstantLatency``).
@@ -78,7 +77,6 @@ def run_session(
         checks=checks,
         analysis=analysis,
         view_agreement_sets=view_agreement_sets,
-        observe=observe,
         latency_model=latency_model,
     )
     session.spawn(names)
@@ -103,13 +101,6 @@ def run_session_traffic(
             session.multicast(sender, group, f"{sender}-{index}")
         session.run(gap)
     session.run(drain)
-
-
-def assert_session_correct(session: Session) -> SessionResult:
-    """Every benchmark checks the stack's guarantees before reporting."""
-    result = session.result()
-    assert result.passed, f"protocol guarantees violated: {result.checks.violations[:3]}"
-    return result
 
 
 def latency_block(result) -> Optional[Dict[str, object]]:
@@ -153,26 +144,6 @@ class EventProbe(TraceSink):
 
     def trace(self) -> EventTrace:
         return EventTrace(list(self.events))
-
-
-def newtop_run_metrics(
-    names: Sequence[str],
-    mode: OrderingMode,
-    messages_per_sender: int = 4,
-    seed: int = 3,
-    senders: Optional[Sequence[str]] = None,
-) -> Dict[str, float]:
-    """One standard Newtop run; returns the flattened metrics report."""
-    session = run_session(names, groups=[("bench", None, mode)], seed=seed)
-    active_senders = list(senders) if senders is not None else list(names)
-    start = session.sim.now
-    run_session_traffic(session, "bench", active_senders, messages_per_sender)
-    duration = session.sim.now - start
-    assert_session_correct(session)
-    report = build_report(session.trace(), session.network.stats, duration=duration, group="bench")
-    flattened = report.as_dict()
-    flattened["group_size"] = float(len(names))
-    return flattened
 
 
 #: Version of the shared BENCH_*.json header schema.  Bumped to 2 when the

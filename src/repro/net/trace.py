@@ -741,9 +741,7 @@ class EventTrace:
         """All group identifiers appearing in the trace."""
         return sorted({event.group for event in self._events if event.group is not None})
 
-    def delivered_sequence(
-        self, process: str, group: Optional[str] = None, include_nulls: bool = False
-    ) -> List[TraceEvent]:
+    def delivered_sequence(self, process: str, group: Optional[str] = None) -> List[TraceEvent]:
         """Delivery events at ``process`` in delivery order.
 
         With ``group`` given, restricted to that group's messages; the order
@@ -751,11 +749,6 @@ class EventTrace:
         processes, interleaves groups).
         """
         base = self._by_kind_and_process(DELIVER, process)
-        if include_nulls:
-            base = sorted(
-                base + self._by_kind_and_process(NULL_DELIVER, process),
-                key=lambda event: (event.time, event.seq),
-            )
         if group is None:
             return list(base)
         return [event for event in base if event.group == group]

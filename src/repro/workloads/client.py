@@ -209,24 +209,6 @@ class OpenLoopClient:
         """Distinct admitted messages delivered by at least one process."""
         return len(self._delivered_ids)
 
-    @property
-    def latency_count(self) -> int:
-        """Exact number of latency samples observed."""
-        return self.latency.count
-
-    @property
-    def latency_mean(self) -> float:
-        """Exact running mean of the observed latencies."""
-        return self.latency.mean
-
-    @property
-    def latency_min(self) -> float:
-        return self.latency.min
-
-    @property
-    def latency_max(self) -> float:
-        return self.latency.max
-
     def counters(self) -> Dict[str, int]:
         """The monotone counters, for phase-delta accounting."""
         return {
