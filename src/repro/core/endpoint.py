@@ -147,11 +147,13 @@ class GroupEndpoint:
         #: Application payloads deferred by the blocking rules / formation
         #: wait / flow control, in submission order.
         self.deferred_sends: List[object] = []
-        metrics = process.sim.metrics
         #: Nulls of ours that rode a suspect or confirm message.
-        self._c_nulls_carried = None
+        self.nulls_carried = 0
+        metrics = process.sim.metrics
         if metrics is not None:
-            self._c_nulls_carried = metrics.counter("time_silence.nulls_carried")
+            metrics.counter_source(
+                "time_silence.", lambda: {"nulls_carried": self.nulls_carried}
+            )
             # Senders with a send waiting, polled at sampler ticks only.
             metrics.sum_gauge("flow.blocked_senders").add(
                 lambda: 1 if self.deferred_sends else 0
@@ -478,8 +480,7 @@ class GroupEndpoint:
         process.transport_endpoint.multicast(self._peers, message, "newtop", size, cause)
         if null is None:
             return False
-        if self._c_nulls_carried is not None:
-            self._c_nulls_carried.value += 1
+        self.nulls_carried += 1
         self._note_sent(null)
         self.stability.on_message(null)
         self._after_stability_advance()

@@ -193,16 +193,23 @@ class FailureSuspector:
         #: quiet: a grid point no earlier than the pending tick.
         self._deadline: Optional[float] = None
         self._next_wake = next_wake
-        metrics = sim.metrics
-        self._c_probes = self._c_pokes = self._c_suspicions = None
-        self._c_forced = self._c_concurrences = self._c_watch_all = None
-        if metrics is not None:
-            self._c_probes = metrics.counter("suspector.probes")
-            self._c_pokes = metrics.counter("suspector.pokes")
-            self._c_suspicions = metrics.counter("suspector.suspicions")
-            self._c_forced = metrics.counter("suspector.forced_suspicions")
-            self._c_concurrences = metrics.counter("suspector.concurrences")
-            self._c_watch_all = metrics.counter("suspector.watch_all_entries")
+        #: Ticks run, ticks pulled in by a poke, suspicions raised (of
+        #: them forced by rule (vii), or concurring with a peer's), and
+        #: ticks that began watching everybody.
+        self.probes = self.pokes = self.suspicions = 0
+        self.forced_suspicions = self.concurrences = self.watch_all_entries = 0
+        if sim.metrics is not None:
+            sim.metrics.counter_source("suspector.", self._counts)
+
+    def _counts(self) -> Dict[str, int]:
+        return {
+            "probes": self.probes,
+            "pokes": self.pokes,
+            "suspicions": self.suspicions,
+            "forced_suspicions": self.forced_suspicions,
+            "concurrences": self.concurrences,
+            "watch_all_entries": self.watch_all_entries,
+        }
 
     def start(self) -> None:
         """Start monitoring; the tick grid starts here."""
@@ -232,8 +239,7 @@ class FailureSuspector:
         if restless is None:
             restless = self._needs_everybody()
         if restless and not self._pulled:
-            if self._c_pokes is not None:
-                self._c_pokes.value += 1
+            self.pokes += 1
             self._pulled = True
             self._date(self._next_grid_point())
         elif self._pulled and not restless:
@@ -296,8 +302,7 @@ class FailureSuspector:
         if not self._ring_watched or not self._active:
             return
         if self.sim.now - self._activity[slot] >= self.suspicion_timeout:
-            if self._c_concurrences is not None:
-                self._c_concurrences.value += 1
+            self.concurrences += 1
             self._raise_suspicion(member)
 
     def force_suspect(self, member: str) -> None:
@@ -305,8 +310,8 @@ class FailureSuspector:
         slot = self._monitored_slot(member)
         if slot is None:
             return
-        if self._c_forced is not None and not self._suspected[slot]:
-            self._c_forced.value += 1
+        if not self._suspected[slot]:
+            self.forced_suspicions += 1
         self._raise_suspicion(member)
 
     def monitored_members(self) -> Set[str]:
@@ -447,8 +452,7 @@ class FailureSuspector:
         # notification must not re-date a tick that has already fired.
         self._timer = None
         self.dozing = self._pulled = False
-        if self._c_probes is not None:
-            self._c_probes.value += 1
+        self.probes += 1
         now = self.sim.now
         timeout = self.suspicion_timeout
         slots = self._all_slots
@@ -458,8 +462,7 @@ class FailureSuspector:
                 slots = self._ring_slots
             elif not self._watching_all:
                 self._watching_all = True
-                if self._c_watch_all is not None:
-                    self._c_watch_all.value += 1
+                self.watch_all_entries += 1
                 self._grant_grace(slots)
         # Slot order is member order: multi-suspicion ticks notify in it.
         for slot in slots:
@@ -476,6 +479,5 @@ class FailureSuspector:
         if self._suspected[slot]:
             return
         self._suspected[slot] = True
-        if self._c_suspicions is not None:
-            self._c_suspicions.value += 1
+        self.suspicions += 1
         self._notify(Suspicion(target=member, last_number=self._clock[slot]))

@@ -144,12 +144,19 @@ class TimeSilence:
         #: Whether the timer is dormant or was dated by the idle period,
         #: i.e. whether :meth:`demand` has anything to pull in.
         self.idle_armed = False
-        self.nulls_sent = 0
-        self._c_owed = self._c_idle = self._c_resent = None
+        #: Nulls sent, and how many of them were owed or re-sent (the
+        #: rest were idle).
+        self.nulls_sent = self.nulls_owed = self.nulls_resent = 0
         if sim.metrics is not None:
-            self._c_owed = sim.metrics.counter("time_silence.nulls_owed")
-            self._c_idle = sim.metrics.counter("time_silence.nulls_idle")
-            self._c_resent = sim.metrics.counter("time_silence.nulls_resent")
+            sim.metrics.counter_source("time_silence.", self._counts)
+
+    def _counts(self) -> Dict[str, int]:
+        owed, resent = self.nulls_owed, self.nulls_resent
+        return {
+            "nulls_owed": owed,
+            "nulls_idle": self.nulls_sent - owed - resent,
+            "nulls_resent": resent,
+        }
 
     def start(self) -> None:
         """Begin monitoring; the first null can fire ω from now."""
@@ -230,11 +237,11 @@ class TimeSilence:
             )
             return
         self.nulls_sent += 1
-        resend = not owed and self._cover is not None
-        if self._c_owed is not None:
-            counter = self._c_owed if owed else self._c_resent if resend else self._c_idle
-            counter.value += 1
-        if resend:
+        if owed:
+            self.nulls_owed += 1
+            self._send_null()
+        elif self._cover is not None:
+            self.nulls_resent += 1
             self._send_null(True)
         else:
             self._send_null()
@@ -289,10 +296,13 @@ class Heartbeat:
         self._wake_at: Optional[float] = None
         self._started_at = sim.now
         self._stopped_at: Optional[float] = None
-        self._c_wakes = self._c_idle = None
+        #: Wakes, and wakes that sent beacons (each one idle null).
+        self.wakes = self.beaconing_wakes = 0
         if sim.metrics is not None:
-            self._c_wakes = sim.metrics.counter("heartbeat.wakes")
-            self._c_idle = sim.metrics.counter("time_silence.nulls_idle")
+            sim.metrics.counter_source("heartbeat.", lambda: {"wakes": self.wakes})
+            sim.metrics.counter_source(
+                "time_silence.", lambda: {"nulls_idle": self.beaconing_wakes}
+            )
             sim.metrics.sum_gauge("heartbeat.process_periods").add(self._periods_run)
 
     def _periods_run(self) -> float:
@@ -339,8 +349,7 @@ class Heartbeat:
 
     def _on_wake(self) -> None:
         self._timer = None
-        if self._c_wakes is not None:
-            self._c_wakes.value += 1
+        self.wakes += 1
         now = self.sim.now
         horizon = now + _EPSILON - self.period
         vouched = self._vouched
@@ -368,8 +377,7 @@ class Heartbeat:
         for groups, neighbours in fanout.items():
             self._send(neighbours, groups)
         if fanout:
-            if self._c_idle is not None:
-                self._c_idle.value += 1
+            self.beaconing_wakes += 1
             self._record()
         # The suspectors first: a tick they keep for the instant of the
         # next wake fires ahead of it, and what it finds decides whether

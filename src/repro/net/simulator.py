@@ -82,11 +82,12 @@ class Simulator:
     ``seed`` seeds the simulator-owned :attr:`rng`; all randomness in a
     simulation (latency sampling, workload generation) should be drawn from
     it so runs are reproducible.  The two observation hooks are
-    duck-typed (the kernel never imports :mod:`repro.obs`) and cost one
-    ``is None`` check per event when absent: ``metrics`` (a
-    ``MetricsRegistry``) counts events scheduled / fired / cancelled and
-    polls the heap's occupancy; ``profiler`` (a ``HotPathProfiler``)
-    wall-clocks every callback under the category of its scheduling label.
+    duck-typed (the kernel never imports :mod:`repro.obs`): ``metrics`` (a
+    ``MetricsRegistry``) is only carried -- the registry reads the kernel's
+    own counts (:meth:`counts`) and heap occupancy when it is read, so it
+    costs the event loop nothing; ``profiler`` (a
+    ``HotPathProfiler``) wall-clocks every callback under the category of
+    its scheduling label, at one ``is None`` check per event when absent.
     They ride the object every layer already holds, so network, transport
     and protocol read them off the simulator at their own construction;
     what happens to a *message* is reported to the trace recorder instead
@@ -109,18 +110,12 @@ class Simulator:
         self._events_processed = 0
         self._running = False
         self._cancelled_in_heap = 0
+        self.events_cancelled = 0
         self.compactions = 0
         self.rng = random.Random(seed)
         self.seed = seed
         self.metrics = metrics
         self.profiler = profiler
-        self._c_scheduled = self._c_fired = self._c_cancelled = None
-        if metrics is not None:
-            self._c_scheduled = metrics.counter("sim.events_scheduled")
-            self._c_fired = metrics.counter("sim.events_fired")
-            self._c_cancelled = metrics.counter("sim.events_cancelled")
-            metrics.gauge("sim.heap_pending", lambda: self.pending_events)
-            metrics.gauge("sim.heap_live", lambda: self.live_pending_events)
 
     # ------------------------------------------------------------------
     # Clock
@@ -134,6 +129,15 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of events executed so far (monitoring / debugging)."""
         return self._events_processed
+
+    def counts(self) -> dict:
+        """Events scheduled, fired and cancelled so far: the ``sim.*``
+        counters of an observed run."""
+        return {
+            "events_scheduled": self._next_sequence,
+            "events_fired": self._events_processed,
+            "events_cancelled": self.events_cancelled,
+        }
 
     @property
     def pending_events(self) -> int:
@@ -186,8 +190,6 @@ class Simulator:
         return now
 
     def _push(self, time: float, callback, args: tuple, label: str) -> EventHandle:
-        if self._c_scheduled is not None:
-            self._c_scheduled.value += 1
         event = EventHandle(self, time, callback, args, label)
         heapq.heappush(self._heap, (time, self._next_sequence, event))
         self._next_sequence += 1
@@ -217,8 +219,6 @@ class Simulator:
             event._args = ()
             self._now = time
             self._events_processed += 1
-            if self._c_fired is not None:
-                self._c_fired.value += 1
             profiler = self.profiler
             if profiler is None:
                 callback(*args)
@@ -278,8 +278,7 @@ class Simulator:
     def _on_cancelled(self) -> None:
         """A queued event was cancelled: count it, compact when cancelled
         entries outnumber the threshold share of the heap."""
-        if self._c_cancelled is not None:
-            self._c_cancelled.value += 1
+        self.events_cancelled += 1
         self._cancelled_in_heap += 1
         heap = self._heap
         if (

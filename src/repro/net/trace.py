@@ -306,23 +306,20 @@ class MetricsSink(TraceSink):
     times), but it never grows with deliveries, nulls or run length.
 
     It subscribes to the two kinds whose fields it reads, so on a streaming
-    recorder every other kind stays count-only.  ``events_total`` and
-    ``by_kind`` tally what the sink was *given* (everything, when fed by
-    hand); a run's totals over every kind are the recorder's, and
+    recorder every other kind stays count-only.  It counts no kinds of its
+    own: a run's totals over every kind are the recorder's, and
     :meth:`snapshot` takes them as ``kind_counts``.
     """
 
     KINDS = frozenset({SEND, DELIVER})
 
     def __init__(self) -> None:
-        self.by_kind: Dict[str, int] = {}
         self.deliveries_by_group: Dict[str, int] = {}
         self._first_send_time: Dict[str, float] = {}
         self.latency = LatencyReservoir()
         self._latency_m2 = 0.0
 
     def on_event(self, event: TraceEvent) -> None:
-        self.by_kind[event.kind] = self.by_kind.get(event.kind, 0) + 1
         if event.kind == SEND and event.message_id is not None:
             self._first_send_time.setdefault(event.message_id, event.time)
         elif event.kind == DELIVER:
@@ -336,11 +333,6 @@ class MetricsSink(TraceSink):
                 delta = sample - self.latency.mean
                 self.latency.add(sample)
                 self._latency_m2 += delta * (sample - self.latency.mean)
-
-    @property
-    def events_total(self) -> int:
-        """How many events the sink was given."""
-        return sum(self.by_kind.values())
 
     @property
     def latency_count(self) -> int:
@@ -365,12 +357,12 @@ class MetricsSink(TraceSink):
             return 0.0
         return self._latency_m2 / self.latency.count
 
-    def snapshot(self, kind_counts: Optional[Dict[str, int]] = None) -> Dict[str, Any]:
+    def snapshot(self, kind_counts: Dict[str, int]) -> Dict[str, Any]:
         """A JSON-shaped summary of everything aggregated so far.
 
         ``kind_counts`` is the recorder's tally over every kind
-        (:meth:`TraceRecorder.kind_counts`); without it ``events_total``
-        and ``by_kind`` cover only what this sink was given.
+        (:meth:`TraceRecorder.kind_counts`), reported as ``by_kind`` and
+        summed as ``events_total``.
 
         The ``latency`` block carries the reservoir's p50/p95/p99 alongside
         the exact moments, so consumers (benchmark tables, BENCH JSONs)
@@ -381,7 +373,7 @@ class MetricsSink(TraceSink):
         percentiles = (
             self.latency.summary(percentiles=(50, 95, 99)) if has_latency else {}
         )
-        by_kind = dict(self.by_kind if kind_counts is None else kind_counts)
+        by_kind = dict(kind_counts)
         return {
             "events_total": sum(by_kind.values()),
             "by_kind": by_kind,

@@ -232,28 +232,17 @@ class Endpoint:
         stats.sent += count
         stats.bytes_sent += size_bytes * count
         stats.per_channel_sent[channel] = stats.per_channel_sent.get(channel, 0) + count
-        kind_counters = transport._sent_kind_counters
-        if kind_counters is not None:
+        sent_by_kind = transport._sent_by_kind
+        if sent_by_kind is not None:
             kind = getattr(payload, "kind", None) or type(payload).__name__
-            counter = kind_counters.get(kind)
-            if counter is None:
-                counter = kind_counters[kind] = transport._metrics.counter(
-                    "transport.sent." + kind
-                )
-            counter.value += count
-            # Cause attribution: bumped in the same branch as the total, so
-            # sum(transport.sends_by_cause.*) == transport.sends holds by
-            # construction.
-            transport._c_sends.value += count
+            sent_by_kind[kind] = sent_by_kind.get(kind, 0) + count
+            # Cause attribution: counted beside ``stats.sent``, the total,
+            # so sum(transport.sends_by_cause.*) == transport.sends holds
+            # by construction.
             if cause is None:
                 cause = _derive_cause(kind, payload)
-            cause_counters = transport._cause_counters
-            cause_counter = cause_counters.get(cause)
-            if cause_counter is None:
-                cause_counter = cause_counters[cause] = transport._metrics.counter(
-                    "transport.sends_by_cause." + cause
-                )
-            cause_counter.value += count
+            sends_by_cause = transport._sends_by_cause
+            sends_by_cause[cause] = sends_by_cause.get(cause, 0) + count
         return network.multicast(node_id, dsts, payload, size_bytes, frames=frames)
 
     # ------------------------------------------------------------------
@@ -367,22 +356,26 @@ class Transport:
         self.network = network
         self._endpoints: Dict[str, Endpoint] = {}
         # Observation wiring (``sim.metrics`` / ``sim.profiler`` are None
-        # unless the run is observed): per-kind send counters are created
-        # lazily as kinds appear; the batch histogram sizes same-instant
+        # unless the run is observed): sends are tallied by kind and by
+        # cause as they appear; the batch histogram sizes same-instant
         # delivery batches.
         metrics = network.sim.metrics
-        self._metrics = metrics
         self._profiler = network.sim.profiler
+        self._sent_by_kind: Optional[Dict[str, int]] = None
+        self._sends_by_cause: Optional[Dict[str, int]] = None
+        self._batch_hist = None
         if metrics is not None:
-            self._sent_kind_counters: Optional[Dict[str, object]] = {}
+            self._sent_by_kind, self._sends_by_cause = {}, {}
             self._batch_hist = metrics.histogram("transport.delivery_batch_size")
-            self._c_sends = metrics.counter("transport.sends")
-            self._cause_counters: Optional[Dict[str, object]] = {}
-        else:
-            self._sent_kind_counters = None
-            self._batch_hist = None
-            self._c_sends = None
-            self._cause_counters = None
+            metrics.counter_source("transport.", self._counts)
+
+    def _counts(self) -> Dict[str, int]:
+        counts = {"sends": sum(e.stats.sent for e in self._endpoints.values())}
+        for kind, sent in self._sent_by_kind.items():
+            counts["sent." + kind] = sent
+        for cause, sent in self._sends_by_cause.items():
+            counts["sends_by_cause." + cause] = sent
+        return counts
 
     def endpoint(self, node_id: str) -> Endpoint:
         """Create (or return the existing) endpoint for ``node_id``."""

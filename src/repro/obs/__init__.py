@@ -1,17 +1,20 @@
 """``repro.obs`` -- observability for every layer of the reproduction.
 
 One :class:`Observation` object bundles the five instruments.  Three are
-handles the layers are built with (one ``is None`` check each when off):
+handles the layers are built with:
 
 * a :class:`~repro.obs.metrics.MetricsRegistry` of counters / gauges /
-  histograms the simulator, transport, network, suspector and endpoints
-  report into;
+  histograms.  It is read, never pushed into: the simulator, transport,
+  suspector, time-silence, heartbeat and endpoints keep their counts as
+  plain ints and register each as a counter source when built with it,
+  and :meth:`Observation.bind` publishes the kernel's and the trace
+  recorder's the same way;
 * a :class:`~repro.obs.sampler.SimTimeSampler` snapshotting the registry
   every few simulated time units into a columnar time series
   (null-vs-app traffic per interval, messages-per-delivery curves);
 * a :class:`~repro.obs.profiler.HotPathProfiler` attributing wall clock
   to callback categories (timer fire, delivery batch, protocol receive,
-  sink fan-out);
+  sink fan-out), at one ``is None`` check per event when off;
 
 and two are sinks of the run's :class:`~repro.net.trace.TraceRecorder`,
 the one seam ``repro.core`` and ``repro.net`` report a message's life to
@@ -56,12 +59,7 @@ import importlib
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from repro.net.trace import TraceSink
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    PolledGauge,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry, PolledGauge
 
 if TYPE_CHECKING:
     from repro.obs.journey import JourneyTracker
@@ -72,7 +70,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Observation",
     "MetricsRegistry",
-    "Counter",
     "PolledGauge",
     "Histogram",
     "SimTimeSampler",
@@ -169,7 +166,7 @@ class Observation:
                 return Observation(profiler=True, spans=True, journeys=True)
             if value == "journeys":
                 return Observation(journeys=True)
-            if value in ("metrics", "true", "on"):
+            if value == "metrics":
                 return Observation()
             raise ValueError(f"unknown observe mode {value!r} (try True or 'full')")
         if isinstance(value, Mapping):
@@ -186,11 +183,17 @@ class Observation:
         return [sink for sink in (self.spans, self.journeys) if sink is not None]
 
     def bind(self, sim, recorder) -> None:
-        """Attach the sampler to the run's simulator and publish the
-        recorder's per-kind tally as the ``trace.<kind>`` counters (what
-        feeds the sampler's null-vs-app traffic series)."""
+        """Attach the sampler to the run's simulator and publish what the
+        kernel and the recorder already count: the simulator's events as
+        the ``sim.*`` counters, its heap as the ``sim.heap_*`` gauges and
+        the recorder's per-kind tally as the ``trace.<kind>`` counters
+        (what feeds the sampler's null-vs-app traffic series)."""
         self._sim = sim
-        self.registry.counter_source("trace.", recorder.kind_counts)
+        registry = self.registry
+        registry.counter_source("sim.", sim.counts)
+        registry.gauge("sim.heap_pending", lambda: sim.pending_events)
+        registry.gauge("sim.heap_live", lambda: sim.live_pending_events)
+        registry.counter_source("trace.", recorder.kind_counts)
         if self.sampler is not None:
             self.sampler.attach(sim)
 

@@ -154,9 +154,17 @@ class JourneyTracker(TraceSink):
         #: oldest first; and how long the one just unblocked had waited.
         self._blocked_at: Dict[Tuple[str, str], Deque[float]] = {}
         self._blocked_for: Dict[Tuple[str, str], float] = {}
-        self._c_tracked = registry.counter("journeys.tracked")
-        self._c_skipped = registry.counter("journeys.skipped")
-        self._c_overflow = registry.counter("journeys.overflow")
+        #: Messages the sampling passed over, and sampled ones turned
+        #: away because ``max_tracked`` were followed already.
+        self.skipped = self.overflow = 0
+        registry.counter_source("journeys.", self._counts)
+
+    def _counts(self) -> Dict[str, int]:
+        return {
+            "tracked": len(self._journeys),
+            "skipped": self.skipped,
+            "overflow": self.overflow,
+        }
 
     # ------------------------------------------------------------------
     # Sampling
@@ -181,16 +189,15 @@ class JourneyTracker(TraceSink):
         if msg_id in self._journeys:
             return
         if not self.wants(msg_id):
-            self._c_skipped.value += 1
+            self.skipped += 1
             return
         forced = msg_id in self.force_ids
         if len(self._journeys) >= self.max_tracked and not forced:
-            self._c_overflow.value += 1
+            self.overflow += 1
             return
         journey = _Journey(msg_id, cause, sender, group, now, forced)
         journey.record("created", now, sender, cause)
         self._journeys[msg_id] = journey
-        self._c_tracked.value += 1
 
     # ------------------------------------------------------------------
     # The two inputs: numbered events and lifecycle steps
@@ -308,9 +315,7 @@ class JourneyTracker(TraceSink):
         return {
             "sample_rate": self.sample_rate,
             "seed": self.seed,
-            "tracked": self._c_tracked.value,
-            "skipped": self._c_skipped.value,
-            "overflow": self._c_overflow.value,
+            **self._counts(),
             "sends_by_cause": self.registry.family("transport.sends_by_cause."),
             "by_cause": dict(sorted(by_cause.items())),
             "wait_states": wait_states,

@@ -1,14 +1,18 @@
 """Low-overhead metrics registry: counters, gauges and histograms.
 
-The registry is the passive half of :mod:`repro.obs` -- instrumented code
-holds direct references to :class:`Counter` / :class:`Histogram` objects
-and bumps plain attributes, so a hot path pays
-one attribute increment per event when metrics are enabled and a single
-``is None`` check when they are not.  Nothing here ever touches the
+The registry is the passive half of :mod:`repro.obs`, and it is *read*,
+never pushed into.  A counter is a count its owner keeps anyway -- a
+plain int on the simulator, a suspector, a time-silence timer -- which
+the owner publishes once, at construction, as a *counter source*
+(:meth:`MetricsRegistry.counter_source`); the registry sums the sources
+when a snapshot or sampler tick reads it.  So counting costs a hot path
+the same whether or not the run is observed; the transport's per-kind
+and per-cause tallies, kept only when it is, are the one exception.
+Nothing here ever touches the
 simulator's RNG or schedules events, so enabling metrics cannot perturb
 seed-determinism.
 
-Gauges are polled, never pushed: a :class:`PolledGauge` wraps a
+Gauges are polled the same way: a :class:`PolledGauge` wraps a
 zero-argument callable (``len(heap)``, in-flight batch depth) that is only
 evaluated when a snapshot or sampler tick asks for it -- zero hot-path
 cost -- and a :class:`GaugeRoster` sums one such callable per entity
@@ -20,25 +24,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional
 
 __all__ = [
-    "Counter",
     "PolledGauge",
     "Histogram",
     "GaugeRoster",
     "MetricsRegistry",
 ]
-
-
-class Counter:
-    """A monotonically increasing count, bumped as ``counter.value += n``."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def snapshot(self) -> int:
-        return self.value
 
 
 class PolledGauge:
@@ -130,27 +120,20 @@ class GaugeRoster:
 class MetricsRegistry:
     """The per-run namespace of instruments.
 
-    Instrumented modules call ``registry.counter("sim.events_fired")``
-    once at construction time and keep the returned object; repeated
-    registrations of the same name return the same instrument so wiring
-    order never matters.  ``snapshot()`` evaluates every polled gauge and
-    returns a plain JSON-able dict grouped by instrument type.
+    Instrumented modules register a counter source or a gauge once, at
+    construction time; repeated registrations of a gauge's name return
+    the same instrument so wiring order never matters.  ``snapshot()``
+    reads every source and polled gauge and returns a plain JSON-able
+    dict grouped by instrument type.
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
         self._polled: Dict[str, PolledGauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._rosters: Dict[str, GaugeRoster] = {}
-        self._counter_sources: Dict[str, Callable[[], Mapping[str, int]]] = {}
+        self._counter_sources: Dict[str, List[Callable[[], Mapping[str, int]]]] = {}
 
     # -- registration --------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
-
     def gauge(self, name: str, fn: Callable[[], float]) -> PolledGauge:
         instrument = self._polled.get(name)
         if instrument is None:
@@ -175,8 +158,10 @@ class MetricsRegistry:
         """Publish counts their owner already keeps as the counters
         ``prefix + key``, read from ``fn()`` whenever the registry is --
         the trace recorder's per-kind tally is ``trace.<kind>`` this way,
-        at no cost per event."""
-        self._counter_sources[prefix] = fn
+        at no cost per event.  Sources under one prefix add up per key:
+        every suspector of a run registers its own, and the registry
+        reads their sum."""
+        self._counter_sources.setdefault(prefix, []).append(fn)
 
     # -- reading -------------------------------------------------------
     def family(self, prefix: str) -> Dict[str, int]:
@@ -197,10 +182,12 @@ class MetricsRegistry:
         return {name: gauge.read() for name, gauge in self._polled.items()}
 
     def read_counters(self) -> Dict[str, int]:
-        values = {name: counter.value for name, counter in self._counters.items()}
-        for prefix, fn in self._counter_sources.items():
-            for key, value in fn().items():
-                values[prefix + key] = value
+        values: Dict[str, int] = {}
+        for prefix, fns in self._counter_sources.items():
+            for fn in fns:
+                for key, value in fn().items():
+                    name = prefix + key
+                    values[name] = values.get(name, 0) + value
         return values
 
     def snapshot(self) -> Dict[str, object]:

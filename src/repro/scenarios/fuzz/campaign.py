@@ -235,12 +235,13 @@ def run_campaign(
 
     tuning = GeneratorTuning.from_config(tuning)
     registry = registry if registry is not None else MetricsRegistry()
-    counters = {status: registry.counter(f"fuzz.{status}") for status in STATUSES}
+    tallies = dict.fromkeys(STATUSES, 0)
+    registry.counter_source("fuzz.", tallies.copy)
     wall_start = _time.time()
     tuning_config = tuning.to_config()
 
     def observe_row(row: Dict[str, object]) -> None:
-        counters[row["status"]].value += 1
+        tallies[row["status"]] += 1
         if progress is not None:
             progress(row)
 
@@ -296,7 +297,7 @@ def run_campaign(
             observe_row(row)
         else:
             # Pool mode streams only successful units through on_event.
-            counters[status].value += 1
+            tallies[status] += 1
             if progress is not None:
                 progress(row)
         rows.append(row)
@@ -338,7 +339,6 @@ def run_campaign(
             failure.artifact = path
 
     wall = _time.time() - wall_start
-    tallies = {status: counters[status].value for status in STATUSES}
     return CampaignReport(
         corpus_seed=corpus_seed,
         count=count,

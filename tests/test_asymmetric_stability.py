@@ -88,11 +88,8 @@ def test_an_idle_group_turns_stable_drains_and_stops_owing():
     assert all(e.stability.buffer.non_null_count() == 0 for e in endpoints)
     assert [e.owes_group() for e in endpoints] == [True, False, False, False]
 
-    counters = session.sim.metrics
-    owed, idle = (
-        counters.counter(f"time_silence.nulls_{kind}") for kind in ("owed", "idle")
-    )
-    owed_before, idle_before = owed.value, idle.value
+    counters = session.sim.metrics.read_counters
+    before = counters()
     since = session.sim.now
     sizes = []
     for _ in range(10):
@@ -103,8 +100,13 @@ def test_an_idle_group_turns_stable_drains_and_stops_owing():
         event.process for event in session.trace()
         if event.kind == NULL_SEND and event.time > since
     ]
-    assert owed.value - owed_before == nulls.count("P1") == 10
-    assert idle.value - idle_before == len(nulls) - nulls.count("P1") == 30
+    after = counters()
+    owed, idle = (
+        after[f"time_silence.nulls_{kind}"] - before[f"time_silence.nulls_{kind}"]
+        for kind in ("owed", "idle")
+    )
+    assert owed == nulls.count("P1") == 10
+    assert idle == len(nulls) - nulls.count("P1") == 30
     assert max(max(row) for row in sizes) == 4
     assert round(session.sim.now - burst_at, 6) == 70.0
     assert session.result().passed

@@ -415,21 +415,20 @@ def test_storing_recorder_builds_every_event_and_tallies_on_demand():
     assert recorder.stored_events == 3
 
 
-def test_metrics_sink_fed_by_hand_tallies_what_it_is_given():
-    from repro.net.trace import MetricsSink, TraceEvent
+def test_metrics_sink_reports_the_recorders_tally():
+    from repro.net.trace import MetricsSink
 
     sink = MetricsSink()
-    sink.on_event(TraceEvent(1.0, SEND, "p1", "g", "m1", "p1"))
-    sink.on_event(TraceEvent(1.5, RECEIVE, "p2", "g", "m1", "p1"))
-    sink.on_event(TraceEvent(2.0, DELIVER, "p2", "g", "m1", "p1"))
-    assert sink.by_kind == {SEND: 1, RECEIVE: 1, DELIVER: 1}
-    snapshot = sink.snapshot()
-    assert snapshot["events_total"] == 3 and snapshot["latency"]["count"] == 1
-    # Behind a recorder it is sent only what it reads; the totals are the
-    # recorder's.
-    recorder = TraceRecorder(sinks=[MetricsSink()], keep_events=False)
+    # Behind a recorder it is sent only what it reads, and counts no kinds
+    # of its own: the totals are the recorder's.
+    recorder = TraceRecorder(sinks=[sink], keep_events=False)
+    recorder.record(1.0, SEND, "p1", group="g", message_id="m1", sender="p1")
     assert recorder.record(1.5, RECEIVE, "p2", group="g", message_id="m1") is None
-    assert sink.snapshot(recorder.kind_counts())["by_kind"] == {RECEIVE: 1}
+    recorder.record(2.0, DELIVER, "p2", group="g", message_id="m1", sender="p1")
+    snapshot = sink.snapshot(recorder.kind_counts())
+    assert snapshot["by_kind"] == {SEND: 1, RECEIVE: 1, DELIVER: 1}
+    assert snapshot["events_total"] == 3 and snapshot["latency"]["count"] == 1
+    assert not hasattr(sink, "by_kind") and not hasattr(sink, "events_total")
 
 
 # ----------------------------------------------------------------------

@@ -44,13 +44,26 @@ def _benchmarks_on_path():
 # ----------------------------------------------------------------------
 def test_registry_instruments_are_idempotent_by_name():
     registry = MetricsRegistry()
-    counter = registry.counter("a.count")
-    counter.value += 3
-    assert registry.counter("a.count") is counter
+    counts = {"count": 3}
+    registry.counter_source("a.", lambda: counts)
+    # Reading takes nothing away: the owner's count is read as it stands.
     assert registry.read_counters() == {"a.count": 3}
+    assert registry.read_counters() == {"a.count": 3}
+    counts["count"] += 1
+    assert registry.snapshot()["counters"] == {"a.count": 4}
     gauge = registry.gauge("a.depth", lambda: 7)
     assert registry.gauge("a.depth", lambda: 99) is gauge
     assert registry.read_gauges()["a.depth"] == 7
+
+
+def test_counter_sources_under_one_prefix_sum_per_key():
+    registry = MetricsRegistry()
+    first, second = {"wakes": 2, "nulls_idle": 5}, {"nulls_idle": 4}
+    registry.counter_source("t.", lambda: first)
+    registry.counter_source("t.", lambda: second)
+    registry.counter_source("u.", lambda: {"wakes": 1})
+    assert registry.read_counters() == {"t.wakes": 2, "t.nulls_idle": 9, "u.wakes": 1}
+    assert registry.family("t.") == {"nulls_idle": 9, "wakes": 2}
 
 
 def test_histogram_buckets_mean_and_overflow():
@@ -83,12 +96,13 @@ def test_sum_gauge_aggregates_contributors():
 # ----------------------------------------------------------------------
 def test_sampler_samples_on_interval_and_parks_when_idle():
     registry = MetricsRegistry()
-    counter = registry.counter("work.done")
+    counts = {"done": 0}
+    registry.counter_source("work.", lambda: counts)
     sampler = SimTimeSampler(registry, interval=2.0)
     sim = Simulator(seed=0)
     sampler.attach(sim)
     for at in (1.0, 3.0, 5.0):
-        sim.schedule_at(at, lambda: setattr(counter, "value", counter.value + 10))
+        sim.schedule_at(at, lambda: counts.__setitem__("done", counts["done"] + 10))
     sim.run()  # must terminate: the sampler parks once the queue drains
     assert sampler.times == [2.0, 4.0, 6.0]
     assert sampler.counter_columns["work.done"] == [10, 20, 30]
@@ -105,7 +119,7 @@ def test_sampler_backfills_late_instruments():
     sampler = SimTimeSampler(registry, interval=1.0)
     sim = Simulator(seed=0)
     sampler.attach(sim)
-    sim.schedule_at(1.5, lambda: registry.counter("late").__setattr__("value", 5))
+    sim.schedule_at(1.5, lambda: registry.counter_source("", lambda: {"late": 5}))
     sim.schedule_at(2.5, lambda: None)
     sim.run()
     # The late counter's column is padded with zeros for missed samples.
@@ -258,8 +272,10 @@ def test_observation_coercion_modes():
     assert custom.sampler is None and custom.profiler is not None
     prebuilt = Observation(spans=True)
     assert Observation.coerce(prebuilt) is prebuilt
-    with pytest.raises(ValueError):
-        Observation.coerce("loud")
+    assert Observation.coerce("metrics").sampler is not None
+    for unknown in ("loud", "true", "on"):
+        with pytest.raises(ValueError):
+            Observation.coerce(unknown)
     with pytest.raises(ValueError):
         Observation.coerce(3.14)
 
