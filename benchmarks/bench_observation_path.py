@@ -42,16 +42,26 @@ gates are the counts, which repeat exactly per seed:
   closed one would hold one per message).  The tombstones it keeps instead,
   one per message, are reported.
 
+The session then runs once more, with no capture sink, under
+``tracemalloc``: the peak traced bytes and, at the one-simulated-second
+sample holding the most, the bytes held per ``src/repro`` file (top ten)
+are **reported only** -- object sizes differ between Python versions --
+so a memory claim can name the layer it moves.
+
 Run as a script for the CI gate::
 
     python benchmarks/bench_observation_path.py --scale smoke \
         --json BENCH_observation_path.json
 """
 
+import math
+import os
 import time
+import tracemalloc
 
 from common import RESULTS, benchmark_arg_parser, write_bench_json
 
+import repro
 from repro.analysis.online import (
     OnlineCausalOrder,
     OnlineCheckSuite,
@@ -84,6 +94,9 @@ CLIENT_CALLS_PER_DELIVERY = 1.0
 #: Delivery history a streaming run may hold at its end (all three counts).
 MAX_HISTORY_HELD = 0
 
+#: Files of the memory run's per-file table.
+MEMORY_TOP_FILES = 10
+
 
 class _CountingClient(OpenLoopClient):
     """An open-loop client that counts how often it is handed an event."""
@@ -101,11 +114,10 @@ class _DeliveriesOnly(NullSink):
     KINDS = frozenset({DELIVER})
 
 
-def record_session(scale):
-    """Run the seeded session once; returns its facts and event stream."""
+def _build_session(scale, sinks=()):
+    """The seeded session, its groups and clients attached; not yet run."""
     reset_message_counter()
-    capture = MemorySink()
-    session = Session("newtop", seed=scale["seed"], analysis="online", sinks=[capture])
+    session = Session("newtop", seed=scale["seed"], analysis="online", sinks=list(sinks))
     names = [f"P{index:03d}" for index in range(scale["processes"])]
     session.spawn(names)
     clients = []
@@ -126,7 +138,18 @@ def record_session(scale):
         )
         client.start()
         clients.append(client)
-    session.run(1.0 + scale["duration"] + scale["drain"])
+    return session, clients
+
+
+def _horizon(scale):
+    return 1.0 + scale["duration"] + scale["drain"]
+
+
+def record_session(scale):
+    """Run the seeded session once; returns its facts and event stream."""
+    capture = MemorySink()
+    session, clients = _build_session(scale, [capture])
+    session.run(_horizon(scale))
     result = session.result()
     assert result.passed, result.checks.violations[:3]
     assert result.trace_events == len(capture.events)
@@ -140,6 +163,43 @@ def record_session(scale):
             process.delivered.held for process in session.stack.processes.values()
         ),
         "causal_entries_folded": session.suite.causal_order.delta_entries_folded(),
+    }
+
+
+def memory_profile(scale):
+    """Run the session again under ``tracemalloc``, sampling the heap once
+    per simulated second; returns the peak traced bytes and the per-file
+    bytes of the sample holding the most."""
+    package = os.path.dirname(repro.__file__)
+    horizon = _horizon(scale)
+    tracemalloc.start()
+    try:
+        session, _ = _build_session(scale)
+        held, sampled_at, snapshot = -1, 0.0, None
+        for second in range(1, math.ceil(horizon) + 1):
+            session.run(min(float(second), horizon) - session.sim.now)
+            current = tracemalloc.get_traced_memory()[0]
+            if current > held:
+                held, sampled_at = current, session.sim.now
+                snapshot = tracemalloc.take_snapshot()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    in_package = snapshot.filter_traces(
+        [tracemalloc.Filter(True, os.path.join(package, "*"))]
+    ).statistics("filename")
+    return {
+        "peak_traced_bytes": peak,
+        "sampled_at_sim_s": sampled_at,
+        "sampled_traced_bytes": held,
+        "sampled_repro_bytes": sum(stat.size for stat in in_package),
+        "top_files": [
+            {
+                "file": os.path.relpath(stat.traceback[0].filename, package),
+                "bytes": stat.size,
+            }
+            for stat in in_package[:MEMORY_TOP_FILES]
+        ],
     }
 
 
@@ -246,6 +306,7 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
         **recorded,
         "counts": counts,
         "timings": timings,
+        "memory": memory_profile(scale),
     }
 
 
@@ -315,6 +376,14 @@ def _table(payload):
             f"{timing['events_fed']} events ({timing['seconds']:.4f} s, "
             f"min of {payload['rounds']})"
         )
+    memory = payload["memory"]
+    rows.append(
+        f"tracemalloc: peak {memory['peak_traced_bytes'] / 1e6:.2f} MB traced; at "
+        f"t={memory['sampled_at_sim_s']:g} sim-s {memory['sampled_traced_bytes'] / 1e6:.2f} "
+        f"MB held, {memory['sampled_repro_bytes'] / 1e6:.2f} MB of it by src/repro"
+    )
+    for entry in memory["top_files"]:
+        rows.append(f"  {entry['file']:30s} {entry['bytes'] / 1e6:8.3f} MB")
     return rows
 
 

@@ -41,7 +41,8 @@ checker:
 
 :class:`OnlineCheckSuite` bundles all five behind one sink, dispatching
 each event kind only to the checkers that consume it and keeping the one
-view timeline the first three share.  Attach it to a
+view timeline the first three share (the other two intern the view
+compositions they store in its table).  Attach it to a
 :class:`~repro.net.trace.TraceRecorder` (optionally with
 ``keep_events=False`` so the full trace is never materialized) and call
 :meth:`~OnlineCheckSuite.result` at the end of the run; the verdict mirrors
@@ -78,7 +79,9 @@ class _ViewTimeline:
 
     An :class:`OnlineCheckSuite` keeps one and feeds it once per install or
     departure for the checkers that scope their checks by view; a checker
-    constructed on its own owns (and feeds) one.
+    constructed on its own owns (and feeds) one.  Its composition table
+    (:meth:`intern`) is also where the checkers that store installed views
+    keep them, so each composition is held once per suite.
     """
 
     KINDS = frozenset({VIEW_INSTALL, DEPART})
@@ -102,10 +105,14 @@ class _ViewTimeline:
             row = self.views.get(event.process)
             if row is None:
                 row = self.views[event.process] = {}
-            members = frozenset(event.detail("members", ()))
-            row[event.group] = self._shared.setdefault(members, members)
+            row[event.group] = self.intern(event.detail("members", ()))
         elif event.kind == DEPART:
             self.departed.setdefault(event.process, set()).add(event.group)
+
+    def intern(self, members: Iterable[str]) -> FrozenSet[str]:
+        """The one shared copy of this view composition."""
+        composition = frozenset(members)
+        return self._shared.setdefault(composition, composition)
 
 
 class OnlineChecker(TraceSink):
@@ -593,10 +600,15 @@ class OnlineVirtualSynchrony(OnlineChecker):
     KINDS = frozenset({DELIVER, VIEW_INSTALL, CRASH})
 
     def __init__(
-        self, view_agreement_sets: Optional[Dict[str, Iterable[str]]] = None
+        self,
+        view_agreement_sets: Optional[Dict[str, Iterable[str]]] = None,
+        timeline: Optional[_ViewTimeline] = None,
     ) -> None:
         super().__init__()
         self.view_agreement_sets = view_agreement_sets
+        #: Interns stored compositions: the shared timeline's table, or one
+        #: of its own (the timeline need not be fed to intern through it).
+        self._intern = (timeline if timeline is not None else _ViewTimeline()).intern
         #: (process, group) -> installed view compositions, in order
         self._installs: Dict[Tuple[str, str], List[FrozenSet[str]]] = {}
         #: (process, group) -> view_index -> (xor, sum, count)
@@ -615,7 +627,7 @@ class OnlineVirtualSynchrony(OnlineChecker):
         key = (event.process, event.group)
         if event.kind == VIEW_INSTALL:
             self._installs.setdefault(key, []).append(
-                frozenset(event.detail("members", ()))
+                self._intern(event.detail("members", ()))
             )
             return
         view_index = event.detail("view_index")
@@ -682,10 +694,15 @@ class OnlineViewAgreement(OnlineChecker):
     KINDS = frozenset({VIEW_INSTALL, CRASH})
 
     def __init__(
-        self, view_agreement_sets: Optional[Dict[str, Iterable[str]]] = None
+        self,
+        view_agreement_sets: Optional[Dict[str, Iterable[str]]] = None,
+        timeline: Optional[_ViewTimeline] = None,
     ) -> None:
         super().__init__()
         self.view_agreement_sets = view_agreement_sets
+        #: Interns stored compositions: the shared timeline's table, or one
+        #: of its own (the timeline need not be fed to intern through it).
+        self._intern = (timeline if timeline is not None else _ViewTimeline()).intern
         self._sequences: Dict[Tuple[str, str], List[FrozenSet[str]]] = {}
         self._groups: Set[str] = set()
         self._crashed: Set[str] = set()
@@ -699,7 +716,7 @@ class OnlineViewAgreement(OnlineChecker):
             return
         self._groups.add(event.group)
         self._sequences.setdefault((event.process, event.group), []).append(
-            frozenset(event.detail("members", ()))
+            self._intern(event.detail("members", ()))
         )
 
     def result(self) -> CheckResult:
@@ -747,8 +764,10 @@ CHECKER_FACTORIES = {
     "total_order": lambda sets, timeline: OnlineTotalOrder(timeline),
     "sender_in_view": lambda sets, timeline: OnlineSenderInView(timeline),
     "causal_prefix": lambda sets, timeline: OnlineCausalOrder(timeline),
-    "view_sequences": lambda sets, timeline: OnlineViewAgreement(sets),
-    "same_view_delivery_sets": lambda sets, timeline: OnlineVirtualSynchrony(sets),
+    "view_sequences": lambda sets, timeline: OnlineViewAgreement(sets, timeline),
+    "same_view_delivery_sets": lambda sets, timeline: OnlineVirtualSynchrony(
+        sets, timeline
+    ),
 }
 
 #: Every checker, in dispatch order -- the default (Newtop) selection.

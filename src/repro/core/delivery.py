@@ -25,25 +25,23 @@ Indexing
 --------
 The queue is on the per-receipt hot path: every received message triggers a
 delivery attempt, so a full rescan of the pending pool per receipt would be
-O(n) per message and O(n^2) per run.  Instead the pool is indexed twice:
+O(n) per message and O(n^2) per run.  Instead the pool is indexed once, by a
+**min-heap of safe2 sort keys** (the key's last field is the message id), so
+:meth:`pop_deliverable` releases the ``k`` deliverable messages in
+O(k log n) and :meth:`has_pending_at_or_below` peeks in O(1) amortised.
+Removals outside the heap are lazy in it: a key whose message is no longer
+pending under that key is skipped (and dropped) when it reaches the top.
 
-* a **min-heap** of ``(sort key, msg id)`` pairs ordered by the safe2 key,
-  so :meth:`pop_deliverable` releases the ``k`` deliverable messages in
-  O(k log n) and :meth:`has_pending_at_or_below` peeks in O(1) amortised;
-* **per-origin FIFO deques** keyed ``(group, member)`` (a message is filed
-  under both its sender and, in asymmetric groups, its sequencer), so the
-  membership protocol's :meth:`discard_from_sender` touches only that
-  member's messages instead of the whole pool.
-
-Removals initiated through one index are lazy in the other: an entry whose
-message id is no longer pending is skipped (and dropped) when encountered.
+Step (viii)'s :meth:`discard_from_sender` scans the pending pool instead,
+O(pending) once per removed member and group.  It runs only at a view
+change, whereas an index by origin that made it cheaper would cost an
+entry per pending message on every receipt.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import DeliveryOrderViolation
 from repro.core.messages import DataMessage
@@ -59,10 +57,8 @@ class DeliveryQueue:
 
     def __init__(self) -> None:
         self._pending: Dict[str, DataMessage] = {}
-        #: Safe2-ordered heap of (sort key, msg id); lazily pruned.
-        self._heap: List[Tuple[Tuple[int, str, str, str], str]] = []
-        #: (group, origin member) -> msg ids in arrival order; lazily pruned.
-        self._by_origin: Dict[Tuple[str, str], Deque[str]] = {}
+        #: Safe2 sort keys of the pending messages; lazily pruned.
+        self._heap: List[Tuple[int, str, str, str]] = []
         self._delivered_ids: set = set()
         self._last_delivered_key: Optional[Tuple[int, str, str, str]] = None
         self.delivered_count = 0
@@ -82,46 +78,27 @@ class DeliveryQueue:
             self.duplicate_count += 1
             return False
         self._pending[message.msg_id] = message
-        heapq.heappush(self._heap, (delivery_sort_key(message), message.msg_id))
-        self._origin_deque(message.group, message.sender).append(message.msg_id)
-        if message.sequenced_by is not None and message.sequenced_by != message.sender:
-            self._origin_deque(message.group, message.sequenced_by).append(message.msg_id)
+        heapq.heappush(self._heap, delivery_sort_key(message))
         return True
-
-    def _origin_deque(self, group: str, member: str) -> Deque[str]:
-        key = (group, member)
-        queue = self._by_origin.get(key)
-        if queue is None:
-            self._by_origin[key] = queue = deque()
-        return queue
 
     def discard_from_sender(self, group: str, sender: str, above_clock: int) -> List[DataMessage]:
         """Remove pending messages of ``sender`` in ``group`` numbered above
         ``above_clock`` (step (viii): rejected messages of failed processes).
 
         ``sender`` matches both the logical sender and the sequencer a
-        message travelled through.  Returns the messages removed, so callers
-        can trace the discards.  Only this origin's index is walked; the
-        heap entries of removed messages are pruned lazily.
+        message travelled through.  Returns the messages removed, in arrival
+        order, so callers can trace the discards.  Their heap keys are
+        pruned lazily.
         """
-        queue = self._by_origin.get((group, sender))
-        if not queue:
-            return []
-        doomed: List[DataMessage] = []
-        kept: Deque[str] = deque()
-        for msg_id in queue:
-            message = self._pending.get(msg_id)
-            if message is None:
-                continue  # already delivered or discarded via the other index
-            if message.clock > above_clock:
-                doomed.append(message)
-                del self._pending[msg_id]
-            else:
-                kept.append(msg_id)
-        if kept:
-            self._by_origin[(group, sender)] = kept
-        else:
-            del self._by_origin[(group, sender)]
+        doomed = [
+            message
+            for message in self._pending.values()
+            if message.group == group
+            and message.clock > above_clock
+            and (message.sender == sender or message.sequenced_by == sender)
+        ]
+        for message in doomed:
+            del self._pending[message.msg_id]
         return doomed
 
     # ------------------------------------------------------------------
@@ -146,21 +123,20 @@ class DeliveryQueue:
             if message.group == group
         )
 
-    def _peek(self, bound: float) -> Optional[Tuple[Tuple[int, str, str, str], str]]:
-        """Smallest live heap entry numbered ``<= bound``, pruning the stale
+    def _peek(self, bound: float) -> Optional[Tuple[int, str, str, str]]:
+        """Smallest live heap key numbered ``<= bound``, pruning the stale
         ones met on the way.  A head beyond the bound ends the search
         unexamined: live or stale, nothing smaller is left."""
         heap = self._heap
         while heap:
-            head = heap[0]
-            key, msg_id = head
+            key = heap[0]
             if key[0] > bound:
                 return None
-            message = self._pending.get(msg_id)
+            message = self._pending.get(key[3])
             if message is None or delivery_sort_key(message) != key:
                 heapq.heappop(heap)  # stale: delivered, discarded, or re-enqueued
                 continue
-            return head
+            return key
         return None
 
     def was_delivered(self, msg_id: str) -> bool:
@@ -183,10 +159,10 @@ class DeliveryQueue:
         """
         messages: List[DataMessage] = []
         while True:
-            head = self._peek(bound)
-            if head is None:
+            key = self._peek(bound)
+            if key is None:
                 break
-            key, msg_id = head
+            msg_id = key[3]
             # Check the safe2 invariant *before* popping, so a violation
             # leaves the offending message in the queue as evidence.
             if self._last_delivered_key is not None and key < self._last_delivered_key:
@@ -199,28 +175,8 @@ class DeliveryQueue:
             self._last_delivered_key = key
             self._delivered_ids.add(msg_id)
             self.delivered_count += 1
-            self._prune_origin(message.group, message.sender)
-            if message.sequenced_by is not None and message.sequenced_by != message.sender:
-                self._prune_origin(message.group, message.sequenced_by)
             messages.append(message)
         return messages
-
-    def _prune_origin(self, group: str, member: str) -> None:
-        """Drop no-longer-pending ids from the head of one origin deque.
-
-        Messages deliver in roughly arrival order per origin, so popping
-        stale heads after each delivery keeps the deques bounded by the
-        live pending count (amortised O(1) per delivery).
-        """
-        key = (group, member)
-        queue = self._by_origin.get(key)
-        if queue is None:
-            return
-        pending = self._pending
-        while queue and queue[0] not in pending:
-            queue.popleft()
-        if not queue:
-            del self._by_origin[key]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence
 
 #: Bounded reservoir size for latency percentile estimation.
@@ -54,7 +55,9 @@ class LatencyReservoir:
     Count, mean, min and max are exact over every sample ever added.
     Percentiles come from a bounded reservoir: classic reservoir sampling
     (uniform over the stream) driven by a private seeded RNG, so the same
-    sample stream always produces the same reservoir.
+    sample stream always produces the same reservoir.  The pool is an
+    ``array('d')``: 8 bytes per held sample, not a float object and a
+    list slot.
 
     Reservoirs *merge*: :meth:`merge` folds another reservoir in, keeping
     the exact moments exact and concatenating the sample pools.  A merged
@@ -75,7 +78,7 @@ class LatencyReservoir:
         self.mean = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._samples: List[float] = []
+        self._samples = array("d")
         self._rng = random.Random(seed ^ 0x5EED)
 
     def add(self, sample: float) -> None:
@@ -98,18 +101,18 @@ class LatencyReservoir:
         *count-weighted*: when both sides are exact (every observed
         sample still in the pool) the union is kept verbatim, otherwise
         each side contributes systematically spaced ranks in proportion
-        to its observation count -- so a three-point moment sketch
-        standing for a million samples is not drowned out by (nor drowns
-        out) a hundred-sample reservoir next to it.
+        to its observation count -- so a small pool standing for a
+        million samples is not drowned out by (nor drowns out) a
+        hundred-sample reservoir next to it.
         """
         if not other.count:
             return self
         if not self.count:
             self.count, self.mean = other.count, other.mean
             self.min, self.max = other.min, other.max
-            self._samples = _systematic_ranks(
+            self._samples = array("d", _systematic_ranks(
                 other._samples, min(len(other._samples), self.capacity)
-            )
+            ))
             return self
         total = self.count + other.count
         exact = (
@@ -123,8 +126,9 @@ class LatencyReservoir:
             own_share = min(
                 self.capacity - 1, max(1, round(self.capacity * self.count / total))
             )
-            self._samples = _systematic_ranks(self._samples, own_share) + \
-                _systematic_ranks(other._samples, self.capacity - own_share)
+            pool = _systematic_ranks(self._samples, own_share)
+            pool += _systematic_ranks(other._samples, self.capacity - own_share)
+            self._samples = array("d", pool)
         self.mean = (self.mean * self.count + other.mean * other.count) / total
         self.count = total
         self.min = min(self.min, other.min)
@@ -159,25 +163,6 @@ class LatencyReservoir:
         for q in percentiles:
             summary[f"p{q}"] = percentile(ordered, q)
         return summary
-
-    @staticmethod
-    def from_moments(count: int, mean: float, minimum: float,
-                     maximum: float) -> "LatencyReservoir":
-        """A reservoir reconstructed from exact moments alone.
-
-        For folding in sources that kept no samples (e.g. a rolling
-        metrics aggregate): the pool holds a three-point min/mean/max
-        sketch at the exact count, so merged percentiles stay bounded by
-        the true extremes even though the interior shape is coarse.
-        """
-        reservoir = LatencyReservoir()
-        if count:
-            reservoir.count = count
-            reservoir.mean = mean
-            reservoir.min = minimum
-            reservoir.max = maximum
-            reservoir._samples = [minimum, mean, maximum]
-        return reservoir
 
     @staticmethod
     def merged(reservoirs: Iterable["LatencyReservoir"],

@@ -14,7 +14,11 @@ import json
 import pytest
 
 from repro.analysis import check_all, check_events
-from repro.analysis.online import OnlineCheckSuite
+from repro.analysis.online import (
+    OnlineCheckSuite,
+    OnlineViewAgreement,
+    OnlineVirtualSynchrony,
+)
 from repro.net.trace import (
     DELIVER,
     JsonlSink,
@@ -22,6 +26,7 @@ from repro.net.trace import (
     MetricsSink,
     NullSink,
     SEND,
+    TraceEvent,
     TraceRecorder,
     VIEW_INSTALL,
 )
@@ -406,6 +411,33 @@ def test_suite_dispatches_only_relevant_kinds(churn_run):
     positions = suite.total_order.arbiter_position
     assert set(positions) == delivered_ids
     assert sorted(positions.values()) == list(range(len(delivered_ids)))
+
+
+def test_checkers_hold_each_view_composition_once():
+    """The two checkers that store installed views intern them in the
+    suite's view timeline: every composition they hold is the timeline's
+    object.  A checker built on its own keeps a table of its own."""
+    engine = ScenarioEngine(from_config(churn_scenario(**SMALL_CHURN)), analysis="online")
+    assert engine.run().passed
+    suite = engine.session.suite
+    table = suite.total_order._timeline._shared
+    by_type = {type(checker): checker for checker in suite.checkers}
+    held = [
+        view
+        for views in list(by_type[OnlineVirtualSynchrony]._installs.values())
+        + list(by_type[OnlineViewAgreement]._sequences.values())
+        for view in views
+    ]
+    assert len(held) > len(table) > 1
+    assert all(table[view] is view for view in held)
+
+    alone = OnlineViewAgreement()
+    for process in ("P1", "P2"):
+        alone.on_event(
+            TraceEvent(1.0, VIEW_INSTALL, process, "g", details=(("members", ("P1", "P2")),))
+        )
+    first, second = (views[0] for views in alone._sequences.values())
+    assert first is second and first not in table
 
 
 def test_view_agreement_falls_back_when_group_unlisted(churn_run):

@@ -13,7 +13,11 @@ Three layers are pinned here:
 """
 
 import copy
+import hashlib
 import os
+import pickle
+import random
+import struct
 import time
 
 import pytest
@@ -292,27 +296,89 @@ def test_reservoir_compaction_is_deterministic_and_quantile_faithful():
     assert merged.summary()["p50"] == pytest.approx(500.0, rel=0.2)
 
 
-def test_reservoir_from_moments_bounds_percentiles():
-    sketch = LatencyReservoir.from_moments(100, 2.0, 1.0, 8.0)
-    summary = sketch.summary()
-    assert summary["count"] == 100
-    assert 1.0 <= summary["p50"] <= 8.0
-    assert summary["p99"] <= 8.0
-    empty = LatencyReservoir.from_moments(0, 0.0, 0.0, 0.0)
-    assert empty.summary()["count"] == 0
-
-
 def test_reservoir_merge_weights_sources_by_count():
-    """A low-count reservoir must not dominate a high-count sketch: the
+    """A low-count reservoir must not dominate a high-count one: the
     merged pool is apportioned by observation count, not pool length."""
-    sketch = LatencyReservoir.from_moments(100_000, 2.0, 1.9, 2.1)
+    bulk = LatencyReservoir(capacity=32, seed=2)
+    for index in range(100_000):
+        bulk.add(1.9 + 0.2 * (index % 101) / 100)
     outliers = LatencyReservoir(capacity=256, seed=1)
     for _ in range(100):
         outliers.add(50.0)
-    merged = LatencyReservoir.merged([sketch, outliers], capacity=1000)
+    merged = LatencyReservoir.merged([bulk, outliers], capacity=1000)
     summary = merged.summary()
     assert summary["count"] == 100_100
     # 99.9% of the observations sit near 2.0, so the median must too --
-    # even though the outlier source supplied 33x more raw samples.
+    # even though the outlier source supplied 3x more raw samples.
     assert summary["p50"] == pytest.approx(2.0, abs=0.2)
     assert summary["max"] == 50.0
+
+
+def _lognormal_reservoir(seed):
+    """A 4,096-sample reservoir fed a seeded 10,000-sample stream."""
+    rng = random.Random(seed)
+    reservoir = LatencyReservoir(capacity=4096, seed=seed)
+    for _ in range(10_000):
+        reservoir.add(rng.lognormvariate(0.0, 1.0))
+    return reservoir
+
+
+def _pool_digest(samples):
+    return hashlib.sha256(struct.pack("<%dd" % len(samples), *samples)).hexdigest()
+
+
+def test_reservoir_numbers_are_pinned():
+    """Summary and pool of a seeded full reservoir, and of a merge of two,
+    as literal values: the pool's storage must not move a bit of them."""
+    reservoir = _lognormal_reservoir(41)
+    assert reservoir.summary() == {
+        "count": 10000,
+        "mean": 1.635093169150738,
+        "min": 0.02965254908128672,
+        "max": 46.51421114794294,
+        "p50": 1.0148713504075006,
+        "p90": 3.6666063079370064,
+        "p99": 10.067128478101365,
+    }
+    samples = reservoir.samples
+    assert len(samples) == 4096
+    assert samples[:3] == [0.9470173613400157, 3.6666063079370064, 0.19223379471147006]
+    assert _pool_digest(samples) == (
+        "948df7ebb5ec7cef299879a227bfd9dd33e53a34fca891111e7eb5ea0e65a795"
+    )
+
+    merged = LatencyReservoir.merged(
+        [_lognormal_reservoir(41), _lognormal_reservoir(42)], capacity=4096
+    )
+    again = LatencyReservoir.merged(
+        [_lognormal_reservoir(41), _lognormal_reservoir(42)], capacity=4096
+    )
+    assert merged.samples == again.samples
+    assert merged.summary() == again.summary() == {
+        "count": 20000,
+        "mean": 1.652531967072923,
+        "min": 0.023870884331647562,
+        "max": 46.51421114794294,
+        "p50": 1.0040175291750486,
+        "p90": 3.6949990768805265,
+        "p99": 10.448521858599683,
+    }
+    assert _pool_digest(merged.samples) == (
+        "17728a350e18259839f1ed08b333f61c6a312b7fdbae6c82db77f0ae6b74194d"
+    )
+
+
+def test_reservoir_pickle_round_trip_keeps_moments_and_pool():
+    """What the worker pool ships back: count, moments, pool and the
+    replacement stream all survive a pickle round-trip."""
+    reservoir = _lognormal_reservoir(7)
+    copied = pickle.loads(pickle.dumps(reservoir))
+    assert (copied.count, copied.mean, copied.min, copied.max) == (
+        reservoir.count, reservoir.mean, reservoir.min, reservoir.max
+    )
+    assert copied.samples == reservoir.samples
+    assert copied.summary() == reservoir.summary()
+    for value in (0.5, 7.25, 99.0):
+        reservoir.add(value)
+        copied.add(value)
+    assert copied.samples == reservoir.samples

@@ -1,6 +1,8 @@
 """Unit tests for views, the delivery queue, stability tracking, flow
 control, time-silence and the failure suspector."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import NewtopConfig
@@ -11,7 +13,7 @@ from repro.core.errors import (
     InvalidViewError,
 )
 from repro.core.flow_control import FlowController
-from repro.core.messages import DataMessage, Suspicion
+from repro.core.messages import KIND_DATA, DataMessage, Suspicion
 from repro.core.stability import RetentionBuffer, StabilityTracker
 from repro.core.suspector import FailureSuspector
 from repro.core.time_silence import TimeSilence
@@ -136,6 +138,45 @@ def test_delivery_queue_discard_from_sender():
     removed = queue.discard_from_sender("g", "P1", above_clock=5)
     assert [m.clock for m in removed] == [9]
     assert queue.pending_count() == 2
+
+    # Sequencer-relayed messages (sender != sequenced_by) among other
+    # origins', other groups' and below-the-cut messages, enqueued out of
+    # safe2 order: each discard returns exactly its matches, in arrival order.
+    def relayed(origin, clock):
+        return DataMessage.sequenced(
+            origin, "g", clock, 0, f"{origin}:{clock}", KIND_DATA, "S", None
+        )
+
+    queue = DeliveryQueue()
+    via_s_12 = relayed("P1", 12)
+    p2_own_7 = _message("P2", "g", 7)
+    p1_own_8 = _message("P1", "g", 8)
+    p3_via_s_6 = relayed("P3", 6)
+    p1_other_group = _message("P1", "h", 10)
+    p1_via_s_4 = relayed("P1", 4)
+    p2_via_s_11 = relayed("P2", 11)
+    for message in (via_s_12, p2_own_7, p1_own_8, p3_via_s_6,
+                    p1_other_group, p1_via_s_4, p2_via_s_11):
+        assert queue.enqueue(message)
+    by_sender = queue.discard_from_sender("g", "P1", above_clock=5)
+    assert by_sender == [via_s_12, p1_own_8]
+    by_sequencer = queue.discard_from_sender("g", "S", above_clock=5)
+    assert by_sequencer == [p3_via_s_6, p2_via_s_11]
+    assert queue.discard_from_sender("g", "S", above_clock=5) == []
+    assert queue.pending_count() == 3
+
+    # A discarded id enqueued again -- unchanged, or re-numbered as a
+    # failover re-sequences it -- is delivered once; the heap entries its
+    # first arrival left behind are skipped.
+    resequenced = dataclasses.replace(p1_own_8, clock=13)
+    assert queue.enqueue(via_s_12)
+    assert queue.enqueue(resequenced)
+    delivered = queue.pop_deliverable(bound=20)
+    assert delivered == [p1_via_s_4, p2_own_7, p1_other_group, via_s_12, resequenced]
+    assert queue.delivered_count == 5
+    assert queue.pending_count() == 0
+    assert not queue.has_pending_at_or_below(20)
+    assert queue.pop_deliverable(bound=20) == []
 
 
 def test_delivery_sort_key_is_total():
