@@ -52,7 +52,7 @@ mode via ``sinks=[...]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union
 
 from repro.analysis.checkers import CheckResult
 from repro.api.stack import ProtocolStack, StackContext, StackError
@@ -169,7 +169,6 @@ class Session:
         )
         self.transport = Transport(self.network)
         if obs is not None:
-            self.recorder.profiler = obs.profiler
             obs.bind(self.sim, self.recorder)
         self.stack.attach(
             StackContext(
@@ -181,6 +180,10 @@ class Session:
             protocol=config,
         )
         self._client_router: Optional[DeliveryRouter] = None
+        # The network holds one partition layout at a time, but faults
+        # compose: an isolation while a partition is up must not heal it.
+        self._partition_components: List[Set[str]] = []
+        self._isolated: Set[str] = set()
         self._closed = False
         self._result: Optional[SessionResult] = None
 
@@ -241,20 +244,35 @@ class Session:
         self.stack.form_group(group_id, members)
 
     def partition(self, components: Sequence[Iterable[str]]) -> None:
-        """Install a network partition immediately."""
-        self.network.partitions.partition(components, at_time=self.sim.now)
-        self.stack.on_partition(components)
+        """Install a network partition immediately.  It replaces the last
+        partition; processes isolated since the last heal stay isolated."""
+        self._partition_components = [set(side) for side in components]
+        self._install_topology()
 
     def isolate(self, process_ids: Sequence[str]) -> None:
-        """Partition each listed process away from everyone else."""
-        components = [[process_id] for process_id in process_ids]
-        self.network.partitions.partition(components, at_time=self.sim.now)
-        self.stack.on_partition(components)
+        """Partition each listed process away from everyone else, within
+        whatever partition is installed."""
+        self._isolated.update(process_ids)
+        self._install_topology()
 
     def heal(self) -> None:
-        """Heal all partitions immediately."""
+        """Heal all partitions and isolations immediately."""
+        self._partition_components = []
+        self._isolated = set()
         self.network.partitions.heal(at_time=self.sim.now)
         self.stack.on_heal()
+
+    def _install_topology(self) -> None:
+        """Install the composed fault topology: the partition's components
+        lose their isolated members, every isolated process is a singleton
+        component, and the processes nobody listed form the leftover one.
+        The stack hears every component, the leftover included."""
+        components = [side - self._isolated for side in self._partition_components]
+        components = [side for side in components if side]
+        components.extend({name} for name in sorted(self._isolated))
+        partitions = self.network.partitions
+        partitions.partition([sorted(side) for side in components], at_time=self.sim.now)
+        self.stack.on_partition(partitions.components())
 
     # ------------------------------------------------------------------
     # Running

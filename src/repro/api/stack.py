@@ -166,7 +166,8 @@ class ProtocolStack:
         )
 
     def on_partition(self, components: Sequence[Iterable[str]]) -> None:
-        """Hook invoked after the network installed a partition."""
+        """Hook invoked after the network installed a partition, with every
+        component of the installed layout, the leftover one included."""
 
     def on_heal(self) -> None:
         """Hook invoked after all partitions healed."""

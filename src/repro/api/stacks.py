@@ -301,20 +301,13 @@ class PrimaryPartitionStack(BaselineStack):
     def on_partition(self, components: Sequence[Iterable[str]]) -> None:
         from repro.baselines.primary_partition import PrimaryPartitionMembership
 
-        listed: Set[str] = set()
-        resolved = [set(component) for component in components]
-        for component in resolved:
-            listed |= component
-        leftover = set(self.processes) - listed
-        if leftover:
-            resolved.append(leftover)
         self._halted.clear()
         for group_id, members in self.groups.items():
             live = [member for member in members if member not in self._crashed]
             if not live:
                 continue
             policy = PrimaryPartitionMembership(live)
-            available = policy.available_processes(resolved)
+            available = policy.available_processes(components)
             for member in live:
                 if member not in available:
                     self._halted.add((member, group_id))

@@ -23,9 +23,8 @@ that owes a group nothing sends a numberless
 to anybody else (:mod:`repro.core.time_silence`).  The rule that keeps the
 timeout honest: *a member may time out only members its own traffic has
 obliged to answer, and must watch everybody whenever it needs everybody.*
-Given a ``needs_everybody`` predicate the suspector records ``heard`` and
-``activity`` for every member but *initiates* a timeout only for the
-members it **watches**:
+The suspector records ``heard`` and ``activity`` for every member but
+*initiates* a timeout only for the members it **watches**:
 
 * its K ring predecessors, always -- their beacons are addressed to it;
 * everybody, while the owner needs everybody: the endpoint passes
@@ -127,8 +126,7 @@ class FailureSuspector:
     whole view is watched rather than the ring predecessors; ``grace`` is
     how long a member that just became watched is given before its silence
     counts; ``next_wake()`` is when the owner's process heartbeat will next
-    call :meth:`review`.  See the module docstring.  Without the predicate
-    every member is watched and every grid point ticks.
+    call :meth:`review`.  See the module docstring.
     """
 
     def __init__(
@@ -139,8 +137,8 @@ class FailureSuspector:
         suspicion_timeout: float,
         check_interval: float,
         notify: Callable[[Suspicion], None],
-        on_tick: Optional[Callable[[], None]] = None,
-        needs_everybody: Optional[Callable[[], bool]] = None,
+        on_tick: Callable[[], None],
+        needs_everybody: Callable[[], bool],
         grace: float = 0.0,
         ring_watched: bool = True,
         next_wake: Optional[Callable[[], Optional[float]]] = None,
@@ -171,7 +169,7 @@ class FailureSuspector:
         self._suspected: List[bool] = [False] * len(self._pids)
         self._monitored: List[bool] = [True] * len(self._pids)
         self._needs_everybody = needs_everybody
-        self._ring_watched = needs_everybody is not None and ring_watched
+        self._ring_watched = ring_watched
         #: Ring-watched groups: slots of our ring predecessors (ascending:
         #: a tick notifies in member order), whether the last check watched
         #: everybody, and the grace of a member that just became watched.
@@ -401,7 +399,7 @@ class FailureSuspector:
         may still send it back to the deadline."""
         if not self._active:
             return
-        restless = self._needs_everybody is None or self._needs_everybody()
+        restless = self._needs_everybody()
         self._pulled = restless and not seen
         self.dozing = not restless or not seen
         if self.dozing:
@@ -470,8 +468,7 @@ class FailureSuspector:
                 continue
             if now - self._heard[slot] >= timeout:
                 self._raise_suspicion(self._pids[slot])
-        if self._on_tick is not None:
-            self._on_tick()
+        self._on_tick()
         self._arm(seen=True)
 
     def _raise_suspicion(self, member: str) -> None:

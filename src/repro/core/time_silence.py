@@ -51,7 +51,8 @@ made it owed (one place: :meth:`repro.core.process.NewtopProcess.settle`),
 which dates a dormant or heartbeat-dated timer to ``max(now, last_send +
 ω)``: a member idle for longer than ω answers the first message of a burst
 at once.  The first null is always due at ω, so group start-up is the
-paper's; without a predicate the timer is the fixed-ω mechanism of §4.1.
+paper's; an ``owed`` that always holds makes the timer the fixed-ω
+mechanism of §4.1.
 
 The idle heartbeat: per process pair, at Ω/2, naming its groups
 ---------------------------------------------------------------
@@ -103,8 +104,8 @@ class TimeSilence:
     """Per-(process, group) null-message timer.
 
     ``send_null`` is called when the process has been silent in the group
-    for the period in force -- ``omega`` while ``owed()`` (``None``: always,
-    the fixed-ω timer), else ``idle_period`` (never below ω) -- and is
+    for the period in force -- ``omega`` while ``owed()``, else
+    ``idle_period`` (never below ω) -- and is
     expected to multicast a null, which resets the timer via
     :meth:`notify_sent`.  With ``cover`` the owner's process heartbeat
     vouches for the group while nothing is owed: an un-owed firing arms no
@@ -119,8 +120,8 @@ class TimeSilence:
         sim: Simulator,
         omega: float,
         send_null: Callable[..., None],
-        owed: Optional[Callable[[], bool]] = None,
-        idle_period: Optional[float] = None,
+        owed: Callable[[], bool],
+        idle_period: float,
         cover: Optional[Callable[[], None]] = None,
         unstable: Optional[Callable[[], int]] = None,
     ) -> None:
@@ -128,7 +129,7 @@ class TimeSilence:
             raise ValueError(f"omega must be positive (got {omega})")
         self.sim = sim
         self.omega = omega
-        self.idle_period = omega if idle_period is None else max(omega, idle_period)
+        self.idle_period = max(omega, idle_period)
         self._send_null = send_null
         self._cover = cover
         self._owed = owed
@@ -212,7 +213,7 @@ class TimeSilence:
             self._timer = self.sim.schedule(delay, self._on_timer, label="time-silence")
 
     def _is_owed(self) -> bool:
-        return self.nulls_sent == 0 or self._owed is None or self._owed()
+        return self.nulls_sent == 0 or self._owed()
 
     def _covered(self) -> bool:
         """Whether an un-owed group may leave its liveness to the process

@@ -56,13 +56,10 @@ from repro.net.trace import WIRE_DROPPED
 #: message through, ``False`` to drop it.
 MessageFilter = Callable[[str, str, object], bool]
 
-#: Delivery callback registered per node: ``callback(src, payload)``.
-DeliverCallback = Callable[[str, object], None]
-
-#: Optional batch delivery callback per node, invoked once per delivery
-#: instant instead of once per message with the network's own batch:
-#: ``callback([(src, payload, size_bytes), ...])`` in send order.  The list
-#: is the callee's to read, not to keep or change.
+#: Delivery callback registered per node, invoked once per delivery
+#: instant with the network's own batch: ``callback([(src, payload,
+#: size_bytes), ...])`` in send order.  The list is the callee's to read,
+#: not to keep or change.
 DeliverBatchCallback = Callable[[List[Tuple[str, object, int]]], None]
 
 #: Minimal spacing enforced between consecutive deliveries on one channel,
@@ -152,7 +149,6 @@ class Network:
         self.config = config or NetworkConfig()
         self.partitions = PartitionManager()
         self.stats = NetworkStats()
-        self._deliver_callbacks: Dict[str, DeliverCallback] = {}
         self._batch_callbacks: Dict[str, DeliverBatchCallback] = {}
         self._crashed: set[str] = set()
         self._filters: List[MessageFilter] = []
@@ -200,34 +196,22 @@ class Network:
     # ------------------------------------------------------------------
     # Node management
     # ------------------------------------------------------------------
-    def attach(
-        self,
-        node_id: str,
-        deliver: DeliverCallback,
-        deliver_batch: Optional[DeliverBatchCallback] = None,
-    ) -> None:
-        """Register ``node_id`` with its delivery callback.
-
-        When ``deliver_batch`` is given, all messages arriving at one
-        simulated instant are handed over in a single call instead of one
-        ``deliver`` call per message.
-        """
-        if node_id in self._deliver_callbacks:
+    def attach(self, node_id: str, deliver_batch: DeliverBatchCallback) -> None:
+        """Register ``node_id`` with its delivery callback, which receives
+        every message arriving at one simulated instant in one call."""
+        if node_id in self._batch_callbacks:
             raise ValueError(f"node {node_id!r} already attached")
-        self._deliver_callbacks[node_id] = deliver
-        if deliver_batch is not None:
-            self._batch_callbacks[node_id] = deliver_batch
+        self._batch_callbacks[node_id] = deliver_batch
         self.partitions.register(node_id)
 
     def detach(self, node_id: str) -> None:
         """Remove a node; pending messages to it will be dropped."""
-        self._deliver_callbacks.pop(node_id, None)
         self._batch_callbacks.pop(node_id, None)
 
     @property
     def nodes(self) -> List[str]:
         """Identifiers of all attached nodes."""
-        return sorted(self._deliver_callbacks)
+        return sorted(self._batch_callbacks)
 
     @property
     def link_fault_model(self) -> Optional[LinkFaultModel]:
@@ -467,9 +451,8 @@ class Network:
             if not surviving:
                 return
             messages = surviving
-        batch_callback = self._batch_callbacks.get(dst)
-        callback = self._deliver_callbacks.get(dst)
-        if callback is None and batch_callback is None:
+        callback = self._batch_callbacks.get(dst)
+        if callback is None:
             frames = [message[1] for message in messages]
             self._drop("messages_dropped_crash", frames, "receiver_detached")
             return
@@ -478,14 +461,10 @@ class Network:
         for message in messages:
             delivered_bytes += message[2]
         stats.bytes_delivered += delivered_bytes
-        if batch_callback is not None:
-            batch_callback(messages)
-        else:
-            for src, payload, _ in messages:
-                callback(src, payload)
+        callback(messages)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Network(nodes={len(self._deliver_callbacks)}, crashed={len(self._crashed)}, "
+            f"Network(nodes={len(self._batch_callbacks)}, crashed={len(self._crashed)}, "
             f"partition={self.partitions.describe()!r})"
         )

@@ -88,10 +88,12 @@ class Simulator:
     costs the event loop nothing; ``profiler`` (a
     ``HotPathProfiler``) wall-clocks every callback under the category of
     its scheduling label, at one ``is None`` check per event when absent.
-    They ride the object every layer already holds, so network, transport
-    and protocol read them off the simulator at their own construction;
-    what happens to a *message* is reported to the trace recorder instead
-    (:mod:`repro.net.trace`).
+    That per-callback hook in :meth:`step` is the profiler's one handle: no
+    layer above the kernel holds it or times a section of its own.  The
+    registry rides the object every layer already holds, so a layer that
+    keeps counts reads it off the simulator at construction and registers
+    them; what happens to a *message* is reported to the trace recorder
+    instead (:mod:`repro.net.trace`).
     """
 
     #: Compact the heap once more than this fraction of it is cancelled

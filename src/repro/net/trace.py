@@ -75,7 +75,6 @@ the recorder's constructor.
 from __future__ import annotations
 
 import json
-from time import perf_counter
 from typing import (
     Any, Dict, FrozenSet, IO, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
     Union,
@@ -438,10 +437,6 @@ class TraceRecorder:
         self.sink_errors: List[Dict[str, Any]] = []
         #: The sink objects removed after raising (inspection/tests).
         self.detached_sinks: List[TraceSink] = []
-        #: Optional :class:`repro.obs.profiler.HotPathProfiler`; when set,
-        #: the sink fan-out loop is timed as the nested ``sink_fanout``
-        #: section.
-        self.profiler = None
 
     def _reroute(self) -> None:
         """Rebuild the per-kind fan-out from the registered sinks: kind ->
@@ -518,8 +513,6 @@ class TraceRecorder:
         self._seq += 1
         if memory is not None:
             memory.on_event(event)
-        profiler = self.profiler
-        start = perf_counter() if profiler is not None else 0.0
         failed: Optional[List[TraceSink]] = None
         for sink in sinks:
             try:
@@ -534,8 +527,6 @@ class TraceRecorder:
             for sink in failed:
                 self._sinks.remove(sink)
             self._reroute()
-        if profiler is not None:
-            profiler.record("sink_fanout", perf_counter() - start)
         return event
 
     def sink_failed(self, sink: object, exc: Exception, event: TraceEvent) -> None:

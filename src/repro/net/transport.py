@@ -9,13 +9,18 @@ wraps the raw :class:`~repro.net.network.Network` with:
 * typed envelopes (:class:`TransportMessage`) carrying the sender, a
   payload, a wire-size estimate and timing information used by the
   benchmark harness,
-* a per-endpoint dispatch table so several protocol layers on the same node
-  (data traffic, membership traffic, group-formation traffic) can register
-  independent handlers keyed by a ``channel`` string.
+* a per-endpoint dispatch table keyed by a ``channel`` string.  All Newtop
+  traffic -- data, nulls, beacons, membership and formation messages --
+  travels on the one ``"newtop"`` channel, as in the paper's Fig. 3, where
+  the membership service's ``mcast`` primitive and the data multicasts sit
+  on the same transport; channels separate the per-group instances of the
+  §6 baseline stacks.
 
-This mirrors the paper's architecture (Fig. 3) where the membership
-service's ``mcast`` primitive and the data multicasts both sit on the same
-transport but are logically distinct streams.
+Every endpoint's sends are tallied by payload kind and by root cause, and
+every delivery batch by its size, whether or not the run is observed: an
+observed run's metrics registry reads those counts (``transport.*``
+counters, the ``transport.delivery_batch_size`` histogram) when it is
+read, and nothing here holds an observer.
 
 One call per fan-out
 --------------------
@@ -38,7 +43,6 @@ to the protocol's batch handler as one list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.net.network import Network
@@ -88,7 +92,8 @@ class TransportMessage:
     src, dst:
         Node identifiers.
     channel:
-        Logical stream name, e.g. ``"data"`` or ``"membership"``.
+        Logical stream name: ``"newtop"``, or a baseline group's
+        ``"baseline:<group>"``.
     payload:
         The protocol-level message object.
     seqno:
@@ -207,8 +212,8 @@ class Endpoint:
         ``cause`` names the root cause that made this send happen
         (``app_multicast``, ``null_time_silence``, ``suspicion_gossip``,
         ``confirm_refute``, ``formation``, ``failover_resend``,
-        ``view_cut``, ...); when observed, every send is counted into
-        ``transport.sends_by_cause.<cause>`` and the counters exactly
+        ``view_cut``, ...); every send is counted under its cause (read as
+        ``transport.sends_by_cause.<cause>``), and the counts exactly
         partition the ``transport.sends`` total.  Call sites that thread
         no cause fall back to a derivation from the payload itself.
         """
@@ -233,16 +238,15 @@ class Endpoint:
         stats.bytes_sent += size_bytes * count
         stats.per_channel_sent[channel] = stats.per_channel_sent.get(channel, 0) + count
         sent_by_kind = transport._sent_by_kind
-        if sent_by_kind is not None:
-            kind = getattr(payload, "kind", None) or type(payload).__name__
-            sent_by_kind[kind] = sent_by_kind.get(kind, 0) + count
-            # Cause attribution: counted beside ``stats.sent``, the total,
-            # so sum(transport.sends_by_cause.*) == transport.sends holds
-            # by construction.
-            if cause is None:
-                cause = _derive_cause(kind, payload)
-            sends_by_cause = transport._sends_by_cause
-            sends_by_cause[cause] = sends_by_cause.get(cause, 0) + count
+        kind = getattr(payload, "kind", None) or type(payload).__name__
+        sent_by_kind[kind] = sent_by_kind.get(kind, 0) + count
+        # Cause attribution: counted beside ``stats.sent``, the total, so
+        # sum(transport.sends_by_cause.*) == transport.sends holds by
+        # construction.
+        if cause is None:
+            cause = _derive_cause(kind, payload)
+        sends_by_cause = transport._sends_by_cause
+        sends_by_cause[cause] = sends_by_cause.get(cause, 0) + count
         return network.multicast(node_id, dsts, payload, size_bytes, frames=frames)
 
     # ------------------------------------------------------------------
@@ -275,9 +279,9 @@ class Endpoint:
         a batch that really mixes batch-handled channels is split, in order
         of first arrival.
         """
-        batch_hist = self.transport._batch_hist
-        if batch_hist is not None:
-            batch_hist.record(len(items))
+        batch_sizes = self.transport.batch_sizes
+        size = len(items)
+        batch_sizes[size] = batch_sizes.get(size, 0) + 1
         stats = self.stats
         next_expected = self._next_expected
         per_channel_received = stats.per_channel_received
@@ -323,10 +327,6 @@ class Endpoint:
                     handler(message)
         if not batched:
             return
-        profiler = self.transport._profiler
-        # Timed as a *nested* section: this wall time is a subset of the
-        # enclosing delivery callback's category, not additive with it.
-        start = perf_counter() if profiler is not None else 0.0
         if mixed:
             grouped: Dict[str, List[TransportMessage]] = {}
             for message in batched:
@@ -337,12 +337,6 @@ class Endpoint:
                 batch_handlers[channel](messages)
         elif not self._crashed:
             batch_handlers[batched[0].channel](batched)
-        if profiler is not None:
-            profiler.record("protocol_receive", perf_counter() - start)
-
-    def _on_network_delivery(self, src: str, raw: object) -> None:
-        """One arrival outside a batch: a batch of one."""
-        self._on_network_delivery_batch([(src, raw, 0)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self._crashed else "up"
@@ -355,19 +349,17 @@ class Transport:
     def __init__(self, network: Network) -> None:
         self.network = network
         self._endpoints: Dict[str, Endpoint] = {}
-        # Observation wiring (``sim.metrics`` / ``sim.profiler`` are None
-        # unless the run is observed): sends are tallied by kind and by
-        # cause as they appear; the batch histogram sizes same-instant
-        # delivery batches.
+        # Sends by payload kind and by root cause, and delivery batches by
+        # size: kept always, read by an observed run's registry.
+        self._sent_by_kind: Dict[str, int] = {}
+        self._sends_by_cause: Dict[str, int] = {}
+        self.batch_sizes: Dict[int, int] = {}
         metrics = network.sim.metrics
-        self._profiler = network.sim.profiler
-        self._sent_by_kind: Optional[Dict[str, int]] = None
-        self._sends_by_cause: Optional[Dict[str, int]] = None
-        self._batch_hist = None
         if metrics is not None:
-            self._sent_by_kind, self._sends_by_cause = {}, {}
-            self._batch_hist = metrics.histogram("transport.delivery_batch_size")
             metrics.counter_source("transport.", self._counts)
+            metrics.histogram_source(
+                "transport.delivery_batch_size", lambda: self.batch_sizes
+            )
 
     def _counts(self) -> Dict[str, int]:
         counts = {"sends": sum(e.stats.sent for e in self._endpoints.values())}
@@ -382,11 +374,7 @@ class Transport:
         if node_id in self._endpoints:
             return self._endpoints[node_id]
         endpoint = Endpoint(self, node_id)
-        self.network.attach(
-            node_id,
-            endpoint._on_network_delivery,
-            deliver_batch=endpoint._on_network_delivery_batch,
-        )
+        self.network.attach(node_id, endpoint._on_network_delivery_batch)
         self._endpoints[node_id] = endpoint
         return endpoint
 

@@ -6,15 +6,17 @@ handles the layers are built with:
 * a :class:`~repro.obs.metrics.MetricsRegistry` of counters / gauges /
   histograms.  It is read, never pushed into: the simulator, transport,
   suspector, time-silence, heartbeat and endpoints keep their counts as
-  plain ints and register each as a counter source when built with it,
+  plain ints (the transport its delivery batch sizes as a ``{size:
+  batches}`` dict) and register each as a source when built with it,
   and :meth:`Observation.bind` publishes the kernel's and the trace
   recorder's the same way;
 * a :class:`~repro.obs.sampler.SimTimeSampler` snapshotting the registry
   every few simulated time units into a columnar time series
   (null-vs-app traffic per interval, messages-per-delivery curves);
 * a :class:`~repro.obs.profiler.HotPathProfiler` attributing wall clock
-  to callback categories (timer fire, delivery batch, protocol receive,
-  sink fan-out), at one ``is None`` check per event when off;
+  to simulator-callback categories (delivery batch, each timer's fire,
+  scenario event, sampler, workload), through the kernel's per-callback
+  hook alone, at one ``is None`` check per event when off;
 
 and two are sinks of the run's :class:`~repro.net.trace.TraceRecorder`,
 the one seam ``repro.core`` and ``repro.net`` report a message's life to

@@ -5,12 +5,13 @@ never pushed into.  A counter is a count its owner keeps anyway -- a
 plain int on the simulator, a suspector, a time-silence timer -- which
 the owner publishes once, at construction, as a *counter source*
 (:meth:`MetricsRegistry.counter_source`); the registry sums the sources
-when a snapshot or sampler tick reads it.  So counting costs a hot path
-the same whether or not the run is observed; the transport's per-kind
-and per-cause tallies, kept only when it is, are the one exception.
-Nothing here ever touches the
-simulator's RNG or schedules events, so enabling metrics cannot perturb
-seed-determinism.
+when a snapshot or sampler tick reads it.  A histogram is read the same
+way: its owner keeps a ``{value: occurrences}`` dict (the transport's
+delivery batch sizes) and publishes it as a *histogram source*
+(:meth:`MetricsRegistry.histogram_source`), bucketed when a snapshot
+reads it.  So counting costs a hot path the same whether or not the run
+is observed.  Nothing here ever touches the simulator's RNG or schedules
+events, so enabling metrics cannot perturb seed-determinism.
 
 Gauges are polled the same way: a :class:`PolledGauge` wraps a
 zero-argument callable (``len(heap)``, in-flight batch depth) that is only
@@ -48,48 +49,48 @@ class PolledGauge:
 
 
 class Histogram:
-    """A fixed-bucket histogram for small positive integers (batch sizes).
+    """A fixed-bucket histogram of small positive integers (batch sizes),
+    read from its owner's ``{value: occurrences}`` counts.
 
     ``bounds`` are inclusive upper edges; values above the last edge land
-    in the overflow bucket.  Recording is one bisect-free loop over a
-    handful of edges -- cheap enough for per-batch call sites -- and the
-    exact sum/count are kept so the mean never suffers bucket error.
+    in the overflow bucket.  The counts are bucketed only when the
+    histogram is read, and the exact sum and count are kept so the mean
+    never suffers bucket error.
     """
 
-    __slots__ = ("name", "bounds", "buckets", "overflow", "count", "total", "max")
+    __slots__ = ("name", "bounds", "_fn")
 
-    def __init__(self, name: str, bounds: Optional[List[int]] = None) -> None:
+    def __init__(
+        self,
+        name: str,
+        fn: Callable[[], Mapping[int, int]],
+        bounds: Optional[List[int]] = None,
+    ) -> None:
         self.name = name
         self.bounds = list(bounds) if bounds is not None else [1, 2, 4, 8, 16, 32, 64, 128]
-        self.buckets = [0] * len(self.bounds)
-        self.overflow = 0
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value > self.max:
-            self.max = value
-        for index, edge in enumerate(self.bounds):
-            if value <= edge:
-                self.buckets[index] += 1
-                return
-        self.overflow += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        self._fn = fn
 
     def snapshot(self) -> Dict[str, object]:
+        counts = self._fn()
+        bounds = self.bounds
+        buckets = [0] * len(bounds)
+        overflow = count = total = 0
+        for value, hits in counts.items():
+            count += hits
+            total += value * hits
+            for index, edge in enumerate(bounds):
+                if value <= edge:
+                    buckets[index] += hits
+                    break
+            else:
+                overflow += hits
         return {
-            "count": self.count,
-            "mean": round(self.mean, 4),
-            "max": self.max,
+            "count": count,
+            "mean": round(total / count, 4) if count else 0.0,
+            "max": max(counts) if counts else 0.0,
             "buckets": {
-                **{f"le_{edge}": hits for edge, hits in zip(self.bounds, self.buckets)},
-                "overflow": self.overflow,
+                **{f"le_{edge}": hits for edge, hits in zip(bounds, buckets)},
+                "overflow": overflow,
             },
         }
 
@@ -120,11 +121,11 @@ class GaugeRoster:
 class MetricsRegistry:
     """The per-run namespace of instruments.
 
-    Instrumented modules register a counter source or a gauge once, at
-    construction time; repeated registrations of a gauge's name return
-    the same instrument so wiring order never matters.  ``snapshot()``
-    reads every source and polled gauge and returns a plain JSON-able
-    dict grouped by instrument type.
+    Instrumented modules register a counter source, a histogram source or
+    a gauge once, at construction time; repeated registrations of a
+    gauge's name return the same instrument so wiring order never
+    matters.  ``snapshot()`` reads every source and polled gauge and
+    returns a plain JSON-able dict grouped by instrument type.
     """
 
     def __init__(self) -> None:
@@ -140,11 +141,16 @@ class MetricsRegistry:
             instrument = self._polled[name] = PolledGauge(name, fn)
         return instrument
 
-    def histogram(self, name: str, bounds: Optional[List[int]] = None) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram(name, bounds)
-        return instrument
+    def histogram_source(
+        self,
+        name: str,
+        fn: Callable[[], Mapping[int, int]],
+        bounds: Optional[List[int]] = None,
+    ) -> None:
+        """Publish a ``{value: occurrences}`` dict its owner keeps as the
+        histogram ``name``, bucketed from ``fn()`` whenever the registry is
+        read."""
+        self._histograms[name] = Histogram(name, fn, bounds)
 
     def sum_gauge(self, name: str) -> GaugeRoster:
         """A :class:`GaugeRoster` published as the polled gauge ``name``."""

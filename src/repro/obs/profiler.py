@@ -5,11 +5,12 @@ without an external tool: the simulator's :meth:`step` hot loop, when a
 profiler is installed, times each callback with ``perf_counter`` and files
 the elapsed wall time under a *category* derived from the event's label
 ("deliver ->p17" → ``delivery_batch``, "suspector" → a timer-fire
-category, ...).  Two nested sections are timed inside their enclosing
-callbacks -- ``protocol_receive`` (the transport's per-batch protocol
-dispatch) and ``sink_fanout`` (the trace recorder's sink loop) -- so their
-seconds are *subsets* of the enclosing category, not additive with it;
-:meth:`snapshot` marks them as such.
+category, ...).  That per-callback hook is the profiler's one handle: no
+layer under the kernel times a section of its own, so the categories
+partition the attributed time.  Within a callback, the performance
+ledger's cProfile attribution (``benchmarks/ledger/run.py --trace 1``)
+splits the time per layer -- protocol receipt under ``core.*``, the trace
+fan-out under ``net.trace`` and ``analysis.online``.
 
 The profiler is wall-clock only: it never reads simulated time, never
 touches the RNG and never schedules events, so attaching it cannot perturb
@@ -19,14 +20,9 @@ per event).
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Tuple
 
-__all__ = ["HotPathProfiler", "perf_counter"]
-
-#: Sections timed *inside* another callback; their time double-counts with
-#: the enclosing category and is excluded from share-of-total maths.
-NESTED_SECTIONS = frozenset({"protocol_receive", "sink_fanout"})
+__all__ = ["HotPathProfiler"]
 
 
 class _Section:
@@ -51,22 +47,18 @@ class HotPathProfiler:
     # ------------------------------------------------------------------
     # Recording (hot path)
     # ------------------------------------------------------------------
-    def record(self, section: str, elapsed: float) -> None:
-        """File ``elapsed`` wall seconds under ``section``."""
-        record = self._sections.get(section)
-        if record is None:
-            record = self._sections[section] = _Section()
-        record.calls += 1
-        record.seconds += elapsed
-        if elapsed > record.max_seconds:
-            record.max_seconds = elapsed
-
     def record_event(self, label: str, elapsed: float) -> None:
         """File one simulator-callback execution under its label's category."""
         category = self._category_cache.get(label)
         if category is None:
             category = self._category_cache[label] = self._categorize(label)
-        self.record(category, elapsed)
+        record = self._sections.get(category)
+        if record is None:
+            record = self._sections[category] = _Section()
+        record.calls += 1
+        record.seconds += elapsed
+        if elapsed > record.max_seconds:
+            record.max_seconds = elapsed
 
     @staticmethod
     def _categorize(label: str) -> str:
@@ -92,12 +84,8 @@ class HotPathProfiler:
     # ------------------------------------------------------------------
     @property
     def total_seconds(self) -> float:
-        """Attributed wall seconds, nested (double-counted) sections excluded."""
-        return sum(
-            section.seconds
-            for name, section in self._sections.items()
-            if name not in NESTED_SECTIONS
-        )
+        """Attributed wall seconds, summed over every category."""
+        return sum(section.seconds for section in self._sections.values())
 
     def top(self, n: int = 10) -> List[Tuple[str, float]]:
         """The ``n`` most expensive categories as ``(name, seconds)``."""
@@ -117,10 +105,7 @@ class HotPathProfiler:
                 if section.calls
                 else 0.0,
                 "max_us": round(section.max_seconds * 1e6, 3),
-                "share": round(section.seconds / total, 4)
-                if total and name not in NESTED_SECTIONS
-                else None,
-                "nested": name in NESTED_SECTIONS,
+                "share": round(section.seconds / total, 4) if total else None,
             }
         return {
             "total_seconds": round(total, 6),

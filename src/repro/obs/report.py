@@ -216,7 +216,7 @@ def _render_profile(profile: Mapping[str, Any]) -> List[str]:
                     f"{_fmt(entry.get('seconds'))}s",
                     f"{_fmt(detail.get('calls'))} calls",
                     f"{_fmt(detail.get('mean_us'))}us/call",
-                    f"{share * 100:.1f}%" if share is not None else "(nested)",
+                    f"{share * 100:.1f}%" if share is not None else "-",
                 )
             )
         lines.extend(_table(rows, "    "))

@@ -227,13 +227,6 @@ class ScenarioEngine:
         #: Open-loop clients (one per group) when the spec names a profile.
         self.clients: List[OpenLoopClient] = []
         self._installed = False
-        # The network's PartitionManager holds a single layout (installing
-        # a new one replaces the old), but scenario events compose: an
-        # isolate landing while a partition is up must not silently reheal
-        # the partition.  The engine therefore tracks the composed fault
-        # topology and reinstalls the combined layout on every change.
-        self._partition_components: List[Set[str]] = []
-        self._isolated: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Capability mapping
@@ -410,15 +403,11 @@ class ScenarioEngine:
                 ):
                     session.leave(target, event.group)
         elif event.kind == "partition":
-            self._partition_components = [set(side) for side in event.components]
-            self._install_topology()
+            session.partition(event.components)
         elif event.kind == "heal":
-            self._partition_components = []
-            self._isolated = set()
             session.heal()
         elif event.kind == "isolate":
-            self._isolated.update(event.targets)
-            self._install_topology()
+            session.isolate(event.targets)
         elif event.kind == "form_group":
             # §5.3: the first listed (live) target initiates formation with
             # every live target as an intended member.  Crashed targets are
@@ -437,20 +426,6 @@ class ScenarioEngine:
             )
         else:  # pragma: no cover - spec parsing rejects unknown kinds
             raise ValueError(f"unknown scenario event kind {event.kind!r}")
-
-    def _install_topology(self) -> None:
-        """Install the composed fault topology (partition + isolations).
-
-        Components listed by the active partition event lose their isolated
-        members; every isolated process becomes a singleton component; the
-        remaining processes form the implicit leftover component.
-        """
-        components = [
-            side - self._isolated for side in self._partition_components
-        ]
-        components = [side for side in components if side]
-        components.extend({name} for name in sorted(self._isolated))
-        self.session.partition([sorted(side) for side in components])
 
     def _schedule_sample(self) -> None:
         sim = self.session.sim
@@ -657,9 +632,9 @@ def run_scenarios(
     derives entirely from its spec's seed, so the batch's results are
     identical to a serial run (``progress``, if given, then observes
     completion order).  In pool mode ``stack`` must be a registry name
-    (worker processes build their own instances), an ``observe``
-    :class:`~repro.obs.Observation` instance is replaced by ``"full"``,
-    and ``timeout`` bounds each scenario's wall clock.
+    and ``observe`` a coercible value, not an
+    :class:`~repro.obs.Observation` instance (worker processes build their
+    own instances), and ``timeout`` bounds each scenario's wall clock.
 
     A scenario that raises, or whose worker crashes or times out, raises
     :class:`ScenarioExecutionError` naming the casualty, in either mode --
@@ -677,10 +652,12 @@ def run_scenarios(
                 "parallel scenario batches need a stack registry name, not an instance"
             )
         if isinstance(observe, Observation):
-            # Shipped as a coercible value: an Observation instance holds
-            # simulator-bound callables and would not survive the pickle
-            # boundary.
-            observe = "full"
+            # An Observation instance holds simulator-bound callables and
+            # would not survive the pickle boundary.
+            raise ValueError(
+                "parallel scenario batches need a coercible observe= value "
+                "(True, a mode name or a dict), not an Observation instance"
+            )
 
     def on_event(kind, unit_id, worker, payload) -> None:
         if kind == "done" and progress is not None and payload.ok:

@@ -167,6 +167,41 @@ def test_primary_partition_stack_halts_the_minority():
     assert session.result().passed
 
 
+def test_session_faults_compose_an_isolation_into_the_partition():
+    session = Session(seed=2)
+    session.spawn(["A", "B", "C", "D", "E"])
+    session.partition([["A", "B"], ["C", "D", "E"]])
+    session.isolate(["E"])
+    partitions = session.network.partitions
+    # The isolation did not heal the partition: A and B stay apart from C
+    # and D, and E is alone.
+    assert partitions.components() == [{"A", "B"}, {"C", "D"}, {"E"}]
+    assert not partitions.can_communicate("A", "C")
+    assert partitions.can_communicate("C", "D")
+    assert not partitions.can_communicate("D", "E")
+    # A new partition replaces the old one; the isolation stays.
+    session.partition([["A", "E"]])
+    assert partitions.components() == [{"A"}, {"E"}, {"B", "C", "D"}]
+    session.heal()
+    assert not partitions.partitioned
+    session.isolate(["B"])
+    assert partitions.components() == [{"B"}, {"A", "C", "D", "E"}]
+
+
+def test_primary_partition_stack_hears_the_leftover_component():
+    session = Session(stack="primary_partition", seed=4)
+    session.spawn(["A", "B", "C", "D", "E"])
+    session.group("g")
+    # Only the minority is listed: A, B and C form the leftover majority.
+    session.partition([["D", "E"]])
+    assert session.stack.halted_memberships() == [("D", "g"), ("E", "g")]
+    # An isolation inside the majority leaves A and B two of five.
+    session.isolate(["C"])
+    assert session.stack.halted_memberships() == [
+        ("A", "g"), ("B", "g"), ("C", "g"), ("D", "g"), ("E", "g"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Capability flags in the scenario engine
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def _network():
     sim = Simulator(seed=0)
     network = Network(sim, NetworkConfig(latency_model=ConstantLatency(1.0)))
     for node in ("a", "b", "c"):
-        network.attach(node, lambda src, payload: None)
+        network.attach(node, lambda batch: None)
     return sim, network
 
 
@@ -43,7 +43,7 @@ def test_drop_between_window():
     sim, network = _network()
     received = []
     network.detach("b")
-    network.attach("b", lambda src, payload: received.append(payload))
+    network.attach("b", lambda batch: received.extend(payload for _, payload, _ in batch))
     sim.schedule_at(2.0, network.drop_between, {"a"}, {"b"}, 5.0)
     sim.schedule_at(3.0, network.send, "a", "b", "dropped")
     sim.schedule_at(10.0, network.send, "a", "b", "kept")

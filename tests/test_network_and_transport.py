@@ -154,8 +154,8 @@ def _make_network(latency=None):
 def test_network_delivers_messages():
     sim, network = _make_network()
     received = []
-    network.attach("a", lambda src, payload: None)
-    network.attach("b", lambda src, payload: received.append((src, payload)))
+    network.attach("a", lambda batch: None)
+    network.attach("b", lambda batch: received.extend((src, payload) for src, payload, _ in batch))
     assert network.send("a", "b", "hello", size_bytes=10)
     sim.run()
     assert received == [("a", "hello")]
@@ -166,8 +166,8 @@ def test_network_delivers_messages():
 def test_network_drops_to_crashed_node():
     sim, network = _make_network()
     received = []
-    network.attach("a", lambda src, payload: None)
-    network.attach("b", lambda src, payload: received.append(payload))
+    network.attach("a", lambda batch: None)
+    network.attach("b", lambda batch: received.extend(payload for _, payload, _ in batch))
     network.crash("b")
     assert not network.send("a", "b", "x")
     sim.run()
@@ -177,8 +177,8 @@ def test_network_drops_to_crashed_node():
 
 def test_network_drops_from_crashed_sender():
     sim, network = _make_network()
-    network.attach("a", lambda src, payload: None)
-    network.attach("b", lambda src, payload: None)
+    network.attach("a", lambda batch: None)
+    network.attach("b", lambda batch: None)
     network.crash("a")
     assert not network.send("a", "b", "x")
 
@@ -186,8 +186,8 @@ def test_network_drops_from_crashed_sender():
 def test_network_partition_drops_at_send():
     sim, network = _make_network()
     received = []
-    network.attach("a", lambda src, payload: None)
-    network.attach("b", lambda src, payload: received.append(payload))
+    network.attach("a", lambda batch: None)
+    network.attach("b", lambda batch: received.extend(payload for _, payload, _ in batch))
     network.partitions.partition([["a"], ["b"]])
     assert not network.send("a", "b", "x")
     sim.run()
@@ -197,8 +197,8 @@ def test_network_partition_drops_at_send():
 def test_network_partition_drops_in_flight():
     sim, network = _make_network(ConstantLatency(5.0))
     received = []
-    network.attach("a", lambda src, payload: None)
-    network.attach("b", lambda src, payload: received.append(payload))
+    network.attach("a", lambda batch: None)
+    network.attach("b", lambda batch: received.extend(payload for _, payload, _ in batch))
     assert network.send("a", "b", "x")
     # Partition before the delivery time of the in-flight message.
     sim.schedule(1.0, network.partitions.partition, [["a"], ["b"]])
@@ -210,8 +210,8 @@ def test_network_partition_drops_in_flight():
 def test_network_filter_drops_selected_messages():
     sim, network = _make_network()
     received = []
-    network.attach("a", lambda src, payload: None)
-    network.attach("b", lambda src, payload: received.append(payload))
+    network.attach("a", lambda batch: None)
+    network.attach("b", lambda batch: received.extend(payload for _, payload, _ in batch))
     network.add_filter(lambda src, dst, payload: payload != "drop-me")
     network.send("a", "b", "keep")
     network.send("a", "b", "drop-me")
@@ -223,7 +223,7 @@ def test_network_filter_drops_selected_messages():
 def test_network_multicast_counts_accepted():
     sim, network = _make_network()
     for node in ("a", "b", "c", "d"):
-        network.attach(node, lambda src, payload: None)
+        network.attach(node, lambda batch: None)
     network.crash("d")
     accepted = network.multicast("a", ["b", "c", "d"], "x")
     assert accepted == 2
@@ -231,9 +231,9 @@ def test_network_multicast_counts_accepted():
 
 def test_network_duplicate_attach_rejected():
     _, network = _make_network()
-    network.attach("a", lambda src, payload: None)
+    network.attach("a", lambda batch: None)
     with pytest.raises(ValueError):
-        network.attach("a", lambda src, payload: None)
+        network.attach("a", lambda batch: None)
 
 
 # ----------------------------------------------------------------------
@@ -457,7 +457,7 @@ def test_a_crashed_sender_accepts_nothing_and_counts_every_destination():
     sim = Simulator(seed=1)
     network = Network(sim, NetworkConfig())
     for node in NODES:
-        network.attach(node, lambda src, payload: None)
+        network.attach(node, lambda batch: None)
     network.crash("n0")
     assert network.multicast("n0", FANOUT, "x", size_bytes=10) == 0
     assert not network.send("n0", "n1", "x", size_bytes=10)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import Session
 from repro.core.config import OrderingMode
-from repro.core.messages import DataMessage
+from repro.core.messages import DataMessage, reset_message_counter
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
 from repro.net.trace import DELIVER, RECEIVE, SEND, TraceEvent, TraceRecorder
@@ -29,8 +29,8 @@ from repro.obs import (
     render_document,
     render_obs,
 )
-from repro.obs.profiler import NESTED_SECTIONS
 from repro.obs.report import find_obs_blocks
+from repro.scenarios import SCENARIO_PROTOCOL_DEFAULTS
 
 
 def _benchmarks_on_path():
@@ -68,14 +68,22 @@ def test_counter_sources_under_one_prefix_sum_per_key():
 
 def test_histogram_buckets_mean_and_overflow():
     registry = MetricsRegistry()
-    hist = registry.histogram("batch", bounds=[1, 2, 4])
-    for value in (1, 1, 2, 3, 4, 9):
-        hist.record(value)
-    snap = hist.snapshot()
+    # The owner's counts, {value: occurrences}, of 1, 1, 2, 3, 4, 9.
+    sizes = {1: 2, 2: 1, 3: 1, 4: 1, 9: 1}
+    registry.histogram_source("batch", lambda: sizes, bounds=[1, 2, 4])
+    snap = registry.snapshot()["histograms"]["batch"]
     assert snap["count"] == 6
     assert snap["max"] == 9
     assert snap["mean"] == pytest.approx(20 / 6, abs=1e-3)
     assert snap["buckets"] == {"le_1": 2, "le_2": 1, "le_4": 2, "overflow": 1}
+    # Read, never pushed: the owner's next count shows at the next read.
+    sizes[2] += 1
+    assert registry.snapshot()["histograms"]["batch"]["buckets"]["le_2"] == 2
+    registry.histogram_source("empty", dict)
+    assert registry.snapshot()["histograms"]["empty"] == {
+        "count": 0, "mean": 0.0, "max": 0.0,
+        "buckets": {**{f"le_{2 ** k}": 0 for k in range(8)}, "overflow": 0},
+    }
 
 
 def test_sum_gauge_aggregates_contributors():
@@ -182,24 +190,28 @@ def test_profiler_categorizes_labels(label, category):
     assert HotPathProfiler._categorize(label) == category
 
 
-def test_profiler_totals_exclude_nested_sections():
+def test_profiler_totals_sum_every_category():
     profiler = HotPathProfiler()
     profiler.record_event("deliver ->P1", 0.5)
     profiler.record_event("deliver ->P2", 0.3)
     profiler.record_event("suspector", 0.2)
-    profiler.record("protocol_receive", 0.4)  # nested inside deliveries
-    profiler.record("sink_fanout", 0.1)
-    assert profiler.total_seconds == pytest.approx(1.0)
+    profiler.record_event("time-silence", 0.1)
+    # The kernel's per-callback hook is the one way in: the categories
+    # partition the attributed time, and the shares sum to one.
+    assert not hasattr(profiler, "record")
+    assert profiler.total_seconds == pytest.approx(1.1)
     snap = profiler.snapshot(top_n=2)
-    assert snap["total_seconds"] == pytest.approx(1.0)
+    assert snap["total_seconds"] == pytest.approx(1.1)
     assert [entry["section"] for entry in snap["top"]] == [
-        "delivery_batch", "protocol_receive",
+        "delivery_batch", "timer_fire:suspector",
     ]
     assert snap["sections"]["delivery_batch"]["calls"] == 2
-    assert snap["sections"]["delivery_batch"]["share"] == pytest.approx(0.8)
-    for name in NESTED_SECTIONS:
-        assert snap["sections"][name]["nested"] is True
-        assert snap["sections"][name]["share"] is None
+    assert snap["sections"]["delivery_batch"]["share"] == pytest.approx(0.8 / 1.1, abs=1e-4)
+    assert sum(section["share"] for section in snap["sections"].values()) == pytest.approx(
+        1.0, abs=1e-3
+    )
+    assert all(set(section) == {"calls", "seconds", "mean_us", "max_us", "share"}
+               for section in snap["sections"].values())
 
 
 # ----------------------------------------------------------------------
@@ -364,9 +376,19 @@ def test_session_observe_full_block():
     result = _observed_session("full")
     obs = result.obs
     assert set(obs) == {"metrics", "samples", "profile", "spans", "journeys"}
-    assert obs["profile"]["total_seconds"] > 0
-    top_sections = [entry["section"] for entry in obs["profile"]["top"]]
+    profile = obs["profile"]
+    assert profile["total_seconds"] > 0
+    top_sections = [entry["section"] for entry in profile["top"]]
     assert "delivery_batch" in top_sections
+    # One handle: every section is a simulator-callback category, and the
+    # sections add up to the total.
+    assert set(profile["sections"]) <= {
+        "delivery_batch", "timer_fire:suspector", "timer_fire:time_silence",
+        "timer_fire:heartbeat", "obs_sampler",
+    }
+    assert sum(section["seconds"] for section in profile["sections"].values()) == (
+        pytest.approx(profile["total_seconds"], abs=1e-5)
+    )
     spans = obs["spans"]
     assert spans["tracked_messages"] == 4
     assert spans["stages"]["latency"]["count"] == result.deliveries
@@ -376,6 +398,72 @@ def test_session_observe_full_block():
     counters = obs["metrics"]["counters"]
     by_cause = obs["journeys"]["sends_by_cause"]
     assert sum(by_cause.values()) == counters["transport.sends"]
+
+
+def _pinned_transport_run(observe):
+    reset_message_counter()
+    names = ["P1", "P2", "P3", "P4"]
+    session = Session(
+        "newtop", config=SCENARIO_PROTOCOL_DEFAULTS, seed=4, analysis="online",
+        observe=observe, batch_window=0.25,
+    )
+    session.spawn(names)
+    session.group("g")
+    session.group("a", names[:3], mode=OrderingMode.ASYMMETRIC)
+    session.run(1.0)
+    for index in range(4):
+        for sender in names[:3]:
+            session.multicast(sender, "a", f"a{index}/{sender}")
+            session.multicast(sender, "g", f"g{index}/{sender}")
+        session.run(0.5)
+    session.crash("P4")
+    session.run(30.0)
+    assert session.result().passed
+    return session
+
+
+def test_transport_histogram_and_tallies_of_a_seeded_run_are_pinned():
+    """The transport keeps its batch sizes and its per-kind and per-cause
+    send tallies always, and an observed run's registry reads them.  The
+    literals were taken when the registry was still pushed into, and the
+    reading must give them back exactly."""
+    session = _pinned_transport_run(observe=True)
+    result = session.result()
+    metrics = result.obs["metrics"]
+    assert metrics["histograms"] == {
+        "transport.delivery_batch_size": {
+            "count": 161,
+            "mean": 1.5217,
+            "max": 6,
+            "buckets": {
+                "le_1": 106, "le_2": 38, "le_4": 13, "le_8": 4, "le_16": 0,
+                "le_32": 0, "le_64": 0, "le_128": 0, "overflow": 0,
+            },
+        }
+    }
+    transport = {
+        name: value
+        for name, value in metrics["counters"].items()
+        if name.startswith("transport.")
+    }
+    assert transport == {
+        "transport.sends": 278,
+        "transport.sends_by_cause.app_multicast": 60,
+        "transport.sends_by_cause.confirm_refute": 9,
+        "transport.sends_by_cause.null_time_silence": 200,
+        "transport.sends_by_cause.suspicion_gossip": 9,
+        "transport.sent.Beacon": 36,
+        "transport.sent.ConfirmMessage": 9,
+        "transport.sent.SuspectMessage": 9,
+        "transport.sent.data": 60,
+        "transport.sent.null": 164,
+    }
+    # An unobserved run keeps the same counts; nobody reads them.
+    unobserved = _pinned_transport_run(observe=None).transport
+    assert unobserved.batch_sizes == session.transport.batch_sizes
+    assert unobserved._counts() == {
+        name[len("transport."):]: value for name, value in transport.items()
+    }
 
 
 def test_unobserved_session_has_no_obs_and_no_instruments():

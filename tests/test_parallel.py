@@ -209,6 +209,23 @@ def test_scenario_batch_surfaces_worker_casualties(parallel):
     assert failure.seed == 2
 
 
+def test_scenario_batch_refuses_what_a_pool_cannot_ship():
+    """A pool builds its own instances: a stack or an Observation instance
+    is refused before any worker starts, not swapped for something else."""
+    from repro.api import get_stack
+    from repro.obs import Observation
+
+    config = churn_scenario(n_processes=8, n_groups=2, group_size=4, seed=2)
+    with pytest.raises(ValueError, match="stack registry name"):
+        run_scenarios([config], parallel=2, stack=get_stack("newtop"))
+    with pytest.raises(ValueError, match="Observation instance"):
+        run_scenarios([config], parallel=2, observe=Observation())
+    # Serially the instance is used as given.
+    observation = Observation(sampler=False)
+    (result,) = run_scenarios([config], observe=observation)
+    assert result.obs is not None and "samples" not in result.obs
+
+
 def test_failed_sweep_cell_keeps_its_grid_position():
     """A crashed/timed-out cell must not kill the sweep: its row keeps
     the coordinates with passed=False (exercised via a timeout so small

@@ -174,7 +174,7 @@ def test_a_null_more_than_omega_after_the_beacon_starts_its_own_period():
 def _ring_suspector(sim, needs_everybody, notifications, own="P05"):
     suspector = FailureSuspector(
         sim, own, NAMES, suspicion_timeout=BIG_OMEGA, check_interval=CHECK,
-        notify=notifications.append,
+        notify=notifications.append, on_tick=lambda: None,
         needs_everybody=lambda: needs_everybody[0], grace=2 * OMEGA + CHECK,
     )
     suspector.start()

@@ -43,7 +43,7 @@ from repro.core.config import NewtopConfig
 from repro.core.messages import Beacon
 from repro.net import trace as trace_module
 from repro.net.network import NetworkConfig
-from repro.obs import Observation
+from repro.obs import Histogram, Observation
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = {
@@ -134,12 +134,41 @@ def _layer_trees():
             yield "/".join(parts[2:]), ast.parse(text)
 
 
+def _transport_tallies(tree):
+    """The counts ``Transport.__init__`` keeps as plain dicts, with every
+    local name bound to one of them in the module."""
+    tallies = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            for statement in ast.walk(node):
+                if isinstance(statement, (ast.Assign, ast.AnnAssign)) and isinstance(
+                    statement.value, ast.Dict
+                ):
+                    targets = getattr(statement, "targets", None) or [statement.target]
+                    tallies.update(
+                        target.attr for target in targets if isinstance(target, ast.Attribute)
+                    )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and getattr(node.value, "attr", None) in tallies:
+            tallies.update(
+                target.id for target in node.targets if isinstance(target, ast.Name)
+            )
+    return tallies
+
+
 def test_protocol_and_substrate_know_no_observer():
-    """No observer import, no journeys, and no pushed counter: a layer
-    keeps its counts as plain ints and the registry reads them, so no
-    module calls a registry ``counter(`` or keeps a ``_c_*`` handle."""
+    """No observer import, no journeys, and nothing pushed: a layer keeps
+    its counts as plain ints (the transport its batch sizes as a dict) and
+    the registry reads them, so no module calls a registry ``counter(`` or
+    ``histogram(`` or keeps a ``_c_*`` handle.  The profiler's one handle
+    is the kernel's per-callback hook: outside ``net/simulator.py`` no
+    name holds a profiler or a ``perf_counter``.  And a count is kept
+    whether or not anybody reads it: no transport tally is compared with
+    ``None``."""
     offenders = set()
     for module, tree in _layer_trees():
+        kernel = module == "net/simulator.py"
+        tallies = _transport_tallies(tree) if module == "net/transport.py" else set()
         for node in ast.walk(tree):
             imported = []
             if isinstance(node, ast.Import):
@@ -148,19 +177,42 @@ def test_protocol_and_substrate_know_no_observer():
                 imported = [node.module or ""]
             names = (
                 getattr(node, "id", None), getattr(node, "attr", None),
-                getattr(node, "arg", None),
+                getattr(node, "arg", None), getattr(node, "name", None),
             )
             pushed = (
                 isinstance(node, ast.Call)
-                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "counter"
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                in ("counter", "histogram")
             ) or any(name and name.startswith("_c_") for name in names)
+            timed = not kernel and any(
+                name and ("profiler" in name or "perf_counter" in name) for name in names
+            )
+            guarded = (
+                isinstance(node, ast.Compare)
+                and any(
+                    isinstance(side, ast.Constant) and side.value is None
+                    for side in node.comparators
+                )
+                and any(
+                    getattr(part, "id", getattr(part, "attr", None)) in tallies
+                    for part in ast.walk(node.left)
+                )
+            )
             if (
                 any(name.startswith("repro.obs") for name in imported)
                 or "journeys" in names
                 or pushed
+                or timed
+                or guarded
             ):
                 offenders.add(module)
     assert sorted(offenders) == []
+    # The transport's counts are the three dicts the registry reads.
+    transport = dict(_layer_trees())["net/transport.py"]
+    assert {"_sent_by_kind", "_sends_by_cause", "batch_sizes"} <= _transport_tallies(transport)
+    # A histogram is bucketed from its owner's counts when it is read;
+    # nothing records into one.
+    assert not hasattr(Histogram, "record")
 
 
 def _sink_classes(base=trace_module.TraceSink):

@@ -327,7 +327,8 @@ def test_clearing_a_suspicion_gives_a_sleeping_suspector_a_deadline():
     sim, notifications = Simulator(), []
     suspector = FailureSuspector(
         sim, "P1", ["P1", "P2"], suspicion_timeout=BIG_OMEGA, check_interval=CHECK,
-        notify=notifications.append, needs_everybody=lambda: False,
+        notify=notifications.append, on_tick=lambda: None,
+        needs_everybody=lambda: False,
     )
     suspector.start()
     sim.run(until=12.5)

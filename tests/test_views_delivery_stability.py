@@ -354,10 +354,15 @@ def test_flow_control_invalid_window():
 # ----------------------------------------------------------------------
 # Time-silence
 # ----------------------------------------------------------------------
+def _fixed_omega_timer(sim, omega, send_null):
+    """A timer that is always owed: the fixed-ω mechanism of §4.1."""
+    return TimeSilence(sim, omega, send_null, owed=lambda: True, idle_period=omega)
+
+
 def test_time_silence_sends_null_after_omega_of_silence():
     sim = Simulator()
     nulls = []
-    silence = TimeSilence(sim, omega=2.0, send_null=lambda: nulls.append(sim.now))
+    silence = _fixed_omega_timer(sim, 2.0, lambda: nulls.append(sim.now))
     silence.start()
     sim.run(until=7.0)
     assert len(nulls) >= 3
@@ -367,7 +372,7 @@ def test_time_silence_sends_null_after_omega_of_silence():
 def test_time_silence_suppressed_by_activity():
     sim = Simulator()
     nulls = []
-    silence = TimeSilence(sim, omega=2.0, send_null=lambda: nulls.append(sim.now))
+    silence = _fixed_omega_timer(sim, 2.0, lambda: nulls.append(sim.now))
     silence.start()
     # Simulate application sends every time unit: the timer never fires.
     for t in range(1, 10):
@@ -379,7 +384,7 @@ def test_time_silence_suppressed_by_activity():
 def test_time_silence_stop_cancels_timer():
     sim = Simulator()
     nulls = []
-    silence = TimeSilence(sim, omega=1.0, send_null=lambda: nulls.append(sim.now))
+    silence = _fixed_omega_timer(sim, 1.0, lambda: nulls.append(sim.now))
     silence.start()
     silence.stop()
     sim.run(until=10.0)
@@ -474,7 +479,7 @@ def test_time_silence_activity_pushes_the_idle_deadline_out():
     assert nulls == pytest.approx([2.0, 7.0, 15.0])
 
 
-def test_time_silence_without_predicate_is_the_fixed_omega_timer():
+def test_time_silence_always_owed_is_the_fixed_omega_timer():
     sim = Simulator()
     nulls = []
 
@@ -482,7 +487,7 @@ def test_time_silence_without_predicate_is_the_fixed_omega_timer():
         nulls.append(sim.now)
         silence.notify_sent()
 
-    silence = TimeSilence(sim, omega=2.0, send_null=send_null)
+    silence = _fixed_omega_timer(sim, 2.0, send_null)
     silence.start()
     sim.schedule_at(5.0, silence.demand)
     sim.run(until=9.0)
@@ -500,7 +505,7 @@ def test_time_silence_idle_period_never_below_omega():
 
 def test_time_silence_requires_positive_omega():
     with pytest.raises(ValueError):
-        TimeSilence(Simulator(), omega=0.0, send_null=lambda: None)
+        _fixed_omega_timer(Simulator(), 0.0, lambda: None)
 
 
 # ----------------------------------------------------------------------
@@ -511,7 +516,8 @@ def test_suspector_raises_suspicion_after_timeout():
     notifications = []
     suspector = FailureSuspector(
         sim, "P1", ["P1", "P2", "P3"], suspicion_timeout=5.0, check_interval=1.0,
-        notify=notifications.append,
+        notify=notifications.append, on_tick=lambda: None,
+        needs_everybody=lambda: True, ring_watched=False,
     )
     suspector.start()
     sim.schedule_at(2.0, suspector.heard_from, "P2", 7)
@@ -528,7 +534,8 @@ def test_suspector_not_triggered_by_live_member():
     notifications = []
     suspector = FailureSuspector(
         sim, "P1", ["P1", "P2"], suspicion_timeout=5.0, check_interval=1.0,
-        notify=notifications.append,
+        notify=notifications.append, on_tick=lambda: None,
+        needs_everybody=lambda: True, ring_watched=False,
     )
     suspector.start()
     for t in range(1, 30, 2):
@@ -542,7 +549,8 @@ def test_suspector_clear_allows_resuspect():
     notifications = []
     suspector = FailureSuspector(
         sim, "P1", ["P1", "P2"], suspicion_timeout=3.0, check_interval=1.0,
-        notify=notifications.append,
+        notify=notifications.append, on_tick=lambda: None,
+        needs_everybody=lambda: True, ring_watched=False,
     )
     suspector.start()
     sim.run(until=5.0)
@@ -557,7 +565,8 @@ def test_suspector_force_and_remove():
     notifications = []
     suspector = FailureSuspector(
         sim, "P1", ["P1", "P2", "P3"], suspicion_timeout=50.0, check_interval=1.0,
-        notify=notifications.append,
+        notify=notifications.append, on_tick=lambda: None,
+        needs_everybody=lambda: True, ring_watched=False,
     )
     suspector.start()
     suspector.force_suspect("P2")
