@@ -47,6 +47,12 @@ Two analysis modes mirror the scenario engine's:
 Extra :class:`~repro.net.trace.TraceSink` objects (e.g. a
 :class:`~repro.net.trace.JsonlSink`, or a custom observer) attach in either
 mode via ``sinks=[...]``.
+
+A session ends in two steps: :meth:`Session.close` (which
+:meth:`Session.result` calls) flushes the sinks and leaves the session
+inspectable; :meth:`Session.release` ends its life, so that reference
+counting frees it.  :func:`repro.scenarios.run_scenario` and the sweep's
+cell runner release theirs once the result is built.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from repro.net.simulator import Simulator
 from repro.net.trace import EventTrace, MetricsSink, TraceRecorder, TraceSink
 from repro.net.transport import Transport
 from repro.obs import Observation
-from repro.workloads.client import DeliveryRouter
+from repro.workloads.client import DeliveryRouter, OpenLoopClient
 
 
 @dataclass
@@ -131,6 +137,7 @@ class Session:
         # (pinned by the hot-path equivalence tests).
         self.observation: Optional[Observation] = Observation.coerce(observe)
         obs = self.observation
+        self._owns_observation = obs is not None and obs is not observe
         # The recorder comes first: the layers built below read its
         # lifecycle dispatch (``None`` unless a sink subscribes) once.
         self.suite = None
@@ -180,6 +187,7 @@ class Session:
             protocol=config,
         )
         self._client_router: Optional[DeliveryRouter] = None
+        self._clients: List[OpenLoopClient] = []
         # The network holds one partition layout at a time, but faults
         # compose: an isolation while a partition is up must not heal it.
         self._partition_components: List[Set[str]] = []
@@ -226,6 +234,7 @@ class Session:
         if self._client_router is None:
             self._client_router = self.recorder.add_sink(DeliveryRouter(self.recorder))
         client.bind(self, self._client_router)
+        self._clients.append(client)
         return client
 
     # ------------------------------------------------------------------
@@ -338,6 +347,26 @@ class Session:
         if not self._closed:
             self._closed = True
             self.recorder.close()
+
+    def release(self) -> None:
+        """End the session's life once its result is taken: drop the pending
+        events and cut the one link that closes each reference cycle (at the
+        stack, the transport, the recorder, the clients and an observation
+        built here), so that reference counting alone frees the session.
+
+        Still readable: the cached :meth:`result`, network and transport
+        stats, recorder tallies, delivery-log counts and a caller-passed
+        :class:`~repro.obs.Observation`.  Nothing runs after it.
+        """
+        self.close()
+        self.sim.drop_pending()
+        self.stack.release()
+        self.transport.release()
+        self.recorder.release()
+        for client in self._clients:
+            client.release()
+        if self._owns_observation:
+            self.observation.registry.release()
 
     def result(self) -> SessionResult:
         """Close the sinks and evaluate the stack's selected checks.

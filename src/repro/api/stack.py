@@ -172,6 +172,11 @@ class ProtocolStack:
     def on_heal(self) -> None:
         """Hook invoked after all partitions healed."""
 
+    def release(self) -> None:
+        """Hook invoked by :meth:`Session.release`: cut the links that close
+        the processes' reference cycles, keeping what :meth:`deliveries`
+        and :meth:`protocol_bytes` read."""
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -106,6 +106,10 @@ class NewtopStack(ProtocolStack):
     def form_group(self, group_id: str, members: Sequence[str]) -> None:
         self.processes[members[0]].form_group(group_id, members)
 
+    def release(self) -> None:
+        for process in self.processes.values():
+            process.release()
+
     def process_ids(self) -> List[str]:
         return sorted(self.processes)
 
@@ -240,6 +244,11 @@ class BaselineStack(ProtocolStack):
         # idempotent when instances already crashed it).
         context.transport.endpoint(process_id).crash()
         context.recorder.record(context.sim.now, CRASH, process_id)
+
+    def release(self) -> None:
+        for groups in self.processes.values():
+            for instance in groups.values():
+                instance.endpoint = None
 
     def process_ids(self) -> List[str]:
         return sorted(self.processes)

@@ -57,7 +57,7 @@ class AsymmetricOrdering(OrderingEngine):
     def __init__(self, endpoint) -> None:
         super().__init__(endpoint)
         # The failover answers the engine's §5 questions for this mode.
-        failover = self.failover = SequencerFailover(self)
+        failover = self.failover = SequencerFailover(endpoint)
         self.relay_dead = failover.relay_dead
         self.on_view_cut = failover.on_view_cut
         self.cut_bound = failover.cut_bound
@@ -371,12 +371,17 @@ class SequencerFailover:
       silent timeout counts.
     """
 
-    def __init__(self, engine: AsymmetricOrdering) -> None:
-        self.engine = engine
-        self.endpoint = engine.endpoint
+    def __init__(self, endpoint) -> None:
+        self.endpoint = endpoint
         self.cut_points: Dict[frozenset, int] = {}
         self.parked: List[frozenset] = []
         self.deferred: Set[str] = set()
+
+    @property
+    def engine(self) -> AsymmetricOrdering:
+        """Read through the endpoint: a reference back to the engine, which
+        holds us, would close a cycle."""
+        return self.endpoint.engine
 
     def relay_dead(self) -> bool:
         """While the sequencer has been silent past the suspicion window,

@@ -204,6 +204,11 @@ class GroupEndpoint:
         self.time_silence.start()
         self.suspector.start()
 
+    def release(self) -> None:
+        """The session ended: drop the parts that point back at this
+        endpoint.  What the metric registry reads of it stays."""
+        self.engine = self.gv = self.time_silence = self.suspector = None
+
     def shutdown(self) -> None:
         """Stop all timers (departure, crash or teardown)."""
         self.departed = True

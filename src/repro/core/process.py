@@ -257,6 +257,15 @@ class NewtopProcess:
         self.heartbeat.stop()
         self.transport_endpoint.crash()
 
+    def release(self) -> None:
+        """The session ended: drop the parts that call back into this
+        process (transport endpoint, heartbeat, formation coordinator,
+        group endpoints).  Its delivery counts stay readable."""
+        for endpoint in self._endpoints.values():
+            endpoint.release()
+        self.transport_endpoint = self.heartbeat = self.formation = None
+        self._endpoints = {}
+
     # ------------------------------------------------------------------
     # Introspection (public API)
     # ------------------------------------------------------------------

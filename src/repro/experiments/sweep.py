@@ -275,6 +275,8 @@ def run_cell(
         engine.session.sim.schedule_at(boundary, mark, label="sweep:phase")
     result = engine.run()
     mark()
+    # Everything the row needs is read; the rest of the cell can go.
+    engine.session.release()
     (
         (at_fault, fault_marks), (at_recovery, recovery_marks),
         (at_end, end_marks), (totals, final_marks),

@@ -24,7 +24,8 @@ One rule: *events fire in ``(time, sequence)`` order, from one heap.*
   :attr:`Simulator.compaction_threshold` of it, so timer churn (every
   protocol timer is re-dated far more often than it fires) cannot grow it.
 * :meth:`Simulator.run` / :meth:`Simulator.run_until` drive the simulation,
-  one pop per event.
+  one pop per event; :meth:`Simulator.drop_pending` ends it, leaving every
+  queued handle cancelled and the counts as the run left them.
 """
 
 from __future__ import annotations
@@ -273,6 +274,18 @@ class Simulator:
                 return False
             executed += 1
         return True
+
+    def drop_pending(self) -> None:
+        """End a finished run: empty the heap, leaving each pending handle as
+        :meth:`EventHandle.cancel` leaves it, with no count moved.  (Owner
+        -> handle -> bound callback -> owner is every timer's cycle.)"""
+        for _, _, event in self._heap:
+            if event._callback is not None:
+                event.cancelled = True
+                event._callback = None
+                event._args = ()
+        self._heap.clear()
+        self._cancelled_in_heap = 0
 
     # ------------------------------------------------------------------
     # Lazy deletion

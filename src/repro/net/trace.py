@@ -594,6 +594,12 @@ class TraceRecorder:
         for sink in self._sinks:
             sink.close()
 
+    def release(self) -> None:
+        """End the run: drop every sink (a session's delivery router points
+        back here).  Tallies and the stored trace stay readable."""
+        self._sinks = []
+        self._reroute()
+
     def __len__(self) -> int:
         return self._seq
 

@@ -369,6 +369,12 @@ class Transport:
             counts["sends_by_cause." + cause] = sent
         return counts
 
+    def release(self) -> None:
+        """End the run: each endpoint lets go of the transport; the
+        endpoints and their stats stay readable."""
+        for endpoint in self._endpoints.values():
+            endpoint.transport = None
+
     def endpoint(self, node_id: str) -> Endpoint:
         """Create (or return the existing) endpoint for ``node_id``."""
         if node_id in self._endpoints:

@@ -169,6 +169,14 @@ class MetricsRegistry:
         reads their sum."""
         self._counter_sources.setdefault(prefix, []).append(fn)
 
+    def release(self) -> None:
+        """Drop every source, gauge and histogram (of a run that ended and
+        was snapshotted: each reaches back to the simulator holding us)."""
+        self._polled = {}
+        self._histograms = {}
+        self._rosters = {}
+        self._counter_sources = {}
+
     # -- reading -------------------------------------------------------
     def family(self, prefix: str) -> Dict[str, int]:
         """Counters under ``prefix``, keyed by the suffix after it.

@@ -599,9 +599,13 @@ def run_scenario(
     observe: object = None,
 ) -> ScenarioResult:
     """Parse a scenario config dict, run it on ``stack``, and return the
-    result.  See :class:`ScenarioEngine` for the knobs."""
+    result.  See :class:`ScenarioEngine` for the knobs.
+
+    The session is released (:meth:`repro.api.Session.release`) once the
+    result is built; for a live one, keep a :class:`ScenarioEngine`.
+    """
     spec = config if isinstance(config, ScenarioSpec) else from_config(config)
-    return ScenarioEngine(
+    engine = ScenarioEngine(
         spec,
         latency_model=latency_model,
         analysis=analysis,
@@ -609,7 +613,10 @@ def run_scenario(
         stack=stack,
         on_unsupported=on_unsupported,
         observe=observe,
-    ).run()
+    )
+    result = engine.run()
+    engine.session.release()
+    return result
 
 
 def run_scenarios(
@@ -635,6 +642,8 @@ def run_scenarios(
     and ``observe`` a coercible value, not an
     :class:`~repro.obs.Observation` instance (worker processes build their
     own instances), and ``timeout`` bounds each scenario's wall clock.
+    In either mode an ``Observation`` instance is accepted only for a
+    batch of one config: it would read the sum of every run so far.
 
     A scenario that raises, or whose worker crashes or times out, raises
     :class:`ScenarioExecutionError` naming the casualty, in either mode --
@@ -646,6 +655,12 @@ def run_scenarios(
     from repro.parallel import WorkUnit, run_units
 
     configs = list(configs)
+    if isinstance(observe, Observation) and len(configs) > 1:
+        raise ValueError(
+            "a scenario batch of more than one config needs a coercible "
+            "observe= value (True, a mode name or a dict), not one shared "
+            "Observation instance"
+        )
     if (parallel or 1) > 1:
         if not isinstance(stack, str):
             raise ValueError(

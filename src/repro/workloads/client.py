@@ -148,6 +148,11 @@ class OpenLoopClient:
         self._router = router
         return self
 
+    def release(self) -> None:
+        """The session ended: let go of it and its router (both reach back
+        here).  Counters and latency stay readable."""
+        self._session = self._router = None
+
     def start(self) -> None:
         """Schedule the first arrival (call after :meth:`bind`)."""
         session = self._require_session()

@@ -226,6 +226,28 @@ def test_scenario_batch_refuses_what_a_pool_cannot_ship():
     assert result.obs is not None and "samples" not in result.obs
 
 
+def test_serial_batch_refuses_one_observation_for_many_configs():
+    """One Observation over several scenarios would read the sum of every
+    run so far into each later result; a serial batch refuses it as a pool
+    does, while a coercible value gives every scenario its own."""
+    from repro.obs import Observation
+
+    configs = [
+        churn_scenario(n_processes=8, n_groups=2, group_size=4, seed=seed)
+        for seed in (2, 3)
+    ]
+    with pytest.raises(ValueError, match="shared Observation instance"):
+        run_scenarios(configs, observe=Observation(sampler=False))
+    first, second = run_scenarios(configs, observe={"sampler": False})
+    (alone,) = run_scenarios(configs[1:], observe=Observation(sampler=False))
+    sends = [
+        result.obs["metrics"]["counters"]["transport.sends"]
+        for result in (first, second, alone)
+    ]
+    assert sends[1] == sends[2] == second.messages_sent
+    assert sends[0] == first.messages_sent
+
+
 def test_failed_sweep_cell_keeps_its_grid_position():
     """A crashed/timed-out cell must not kill the sweep: its row keeps
     the coordinates with passed=False (exercised via a timeout so small

@@ -281,6 +281,32 @@ def test_cancel_is_idempotent_and_counts_stay_consistent():
     assert (sim.pending_events, sim.live_pending_events) == (0, 0)
 
 
+def test_drop_pending_leaves_every_handle_cancelled_and_every_count_as_it_was():
+    """The end of a finished run: every queued handle is left as cancel()
+    leaves it, the heap is empty, and no count moves."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "ran")
+    sim.run(until=1.5)
+    pending = [sim.schedule(delay, fired.append, delay) for delay in (1.0, 2.0, 3.0)]
+    already = sim.schedule(4.0, fired.append, "cancelled before")
+    already.cancel()
+    counts = sim.counts()
+    processed, cancelled = sim.events_processed, sim.events_cancelled
+    sim.drop_pending()
+    for handle in pending + [already]:
+        assert handle.cancelled
+        assert handle._callback is None and handle._args == ()
+    assert (sim.pending_events, sim.live_pending_events) == (0, 0)
+    assert sim.counts() == counts
+    assert (sim.events_processed, sim.events_cancelled) == (processed, cancelled)
+    pending[0].cancel()  # a dropped handle is inert
+    assert sim.counts() == counts and sim.pending_events == 0
+    sim.run(until=100.0)
+    assert fired == ["ran"]
+    assert sim.events_processed == processed
+
+
 def test_rescheduling_a_long_dated_timer_keeps_the_heap_bounded():
     """What every protocol timer does: cancel the pending deadline, date a
     new one.  10,000 rounds against 50 standing events must compact, not

@@ -17,6 +17,9 @@ named by some sink's ``KINDS``.
 defines it), and the
 group endpoint names neither the sequencer nor the failover's state.
 
+A finished run is freed by reference counting, not by the cycle
+collector: no module under ``src/repro`` imports ``gc``.
+
 A run imports only what it runs: the packages the performance ledger's
 workloads import load no pool executor, no §6 baseline, no report renderer
 and no demo application, and running one unit of each workload imports
@@ -279,6 +282,26 @@ def test_the_sequencer_failover_has_one_home():
         "sequencer", "is_sequencer", "emit_view_cut", "_last_heard_sequencer",
         "_failover_deferred", "_pending_cut_points", "_detections_awaiting_cut",
     } == set()
+
+
+def test_nothing_in_the_library_calls_the_cycle_collector():
+    """A finished session releases its own reference cycles
+    (:meth:`repro.api.Session.release`); a ``gc.collect()`` per run would
+    hide a missing cut and cost a full collection each time."""
+    importing_gc = []
+    for path, text in SOURCES.items():
+        if path.relative_to(ROOT).parts[0] != "src":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module == "gc" or module.startswith("gc.") for module in modules):
+                importing_gc.append(str(path.relative_to(ROOT)))
+    assert importing_gc == []
 
 
 #: The packages the performance ledger's workloads import.
