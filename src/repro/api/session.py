@@ -107,7 +107,10 @@ class SessionResult:
 
 
 class Session:
-    """One protocol run: substrate + stack + verification, one lifecycle."""
+    """One protocol run: substrate + stack + verification, one lifecycle.
+
+    The session owns what it builds, the observation ``observe=`` names
+    included, and :meth:`release` frees all of it."""
 
     def __init__(
         self,
@@ -133,11 +136,11 @@ class Session:
         # Observation (repro.obs): ``True`` enables metrics + sampler,
         # "journeys" adds sampled per-message journey tracing, "full" adds
         # the profiler, span breakdowns and journeys, a dict passes keyword
-        # arguments through.  Never changes behaviour or seed-determinism
-        # (pinned by the hot-path equivalence tests).
+        # arguments through.  The session builds it and empties it on
+        # release.  Never changes behaviour or seed-determinism (pinned by
+        # the hot-path equivalence tests).
         self.observation: Optional[Observation] = Observation.coerce(observe)
         obs = self.observation
-        self._owns_observation = obs is not None and obs is not observe
         # The recorder comes first: the layers built below read its
         # lifecycle dispatch (``None`` unless a sink subscribes) once.
         self.suite = None
@@ -187,7 +190,8 @@ class Session:
             protocol=config,
         )
         self._client_router: Optional[DeliveryRouter] = None
-        self._clients: List[OpenLoopClient] = []
+        #: The attached traffic clients, in attachment order.
+        self.clients: List[OpenLoopClient] = []
         # The network holds one partition layout at a time, but faults
         # compose: an isolation while a partition is up must not heal it.
         self._partition_components: List[Set[str]] = []
@@ -234,7 +238,7 @@ class Session:
         if self._client_router is None:
             self._client_router = self.recorder.add_sink(DeliveryRouter(self.recorder))
         client.bind(self, self._client_router)
-        self._clients.append(client)
+        self.clients.append(client)
         return client
 
     # ------------------------------------------------------------------
@@ -351,21 +355,22 @@ class Session:
     def release(self) -> None:
         """End the session's life once its result is taken: drop the pending
         events and cut the one link that closes each reference cycle (at the
-        stack, the transport, the recorder, the clients and an observation
-        built here), so that reference counting alone frees the session.
+        stack, the transport, the recorder, the clients and the
+        observation's registry), so that reference counting alone frees the
+        session.
 
         Still readable: the cached :meth:`result`, network and transport
-        stats, recorder tallies, delivery-log counts and a caller-passed
-        :class:`~repro.obs.Observation`.  Nothing runs after it.
+        stats, recorder tallies and delivery-log counts.  Nothing runs
+        after it.
         """
         self.close()
         self.sim.drop_pending()
         self.stack.release()
         self.transport.release()
         self.recorder.release()
-        for client in self._clients:
+        for client in self.clients:
             client.release()
-        if self._owns_observation:
+        if self.observation is not None:
             self.observation.registry.release()
 
     def result(self) -> SessionResult:

@@ -334,22 +334,6 @@ class MetricsSink(TraceSink):
                 self._latency_m2 += delta * (sample - self.latency.mean)
 
     @property
-    def latency_count(self) -> int:
-        return self.latency.count
-
-    @property
-    def latency_mean(self) -> float:
-        return self.latency.mean
-
-    @property
-    def latency_min(self) -> float:
-        return self.latency.min
-
-    @property
-    def latency_max(self) -> float:
-        return self.latency.max
-
-    @property
     def latency_variance(self) -> float:
         """Population variance of the latency samples seen so far."""
         if self.latency.count < 2:
@@ -368,7 +352,7 @@ class MetricsSink(TraceSink):
         read percentiles straight from here instead of recomputing them
         from raw samples.
         """
-        has_latency = self.latency_count > 0
+        has_latency = self.latency.count > 0
         percentiles = (
             self.latency.summary(percentiles=(50, 95, 99)) if has_latency else {}
         )
@@ -378,10 +362,10 @@ class MetricsSink(TraceSink):
             "by_kind": by_kind,
             "deliveries_by_group": dict(self.deliveries_by_group),
             "latency": {
-                "count": self.latency_count,
-                "mean": self.latency_mean if has_latency else None,
-                "min": self.latency_min if has_latency else None,
-                "max": self.latency_max if has_latency else None,
+                "count": self.latency.count,
+                "mean": self.latency.mean if has_latency else None,
+                "min": self.latency.min if has_latency else None,
+                "max": self.latency.max if has_latency else None,
                 "variance": self.latency_variance,
                 "p50": percentiles.get("p50"),
                 "p95": percentiles.get("p95"),

@@ -41,6 +41,10 @@ Usage::
     result = session.result()
     print(render_obs(result.obs))
 
+The session builds its observation from ``observe=`` and empties its
+registry when released; read the instruments mid-run as
+``session.observation``.
+
 The contract, pinned by ``tests/test_hot_path_equivalence.py``: observing
 a run never changes its behaviour -- no RNG draws, no trace events, no
 protocol decisions -- so the trace event stream is byte-identical with
@@ -102,14 +106,14 @@ def __getattr__(name: str) -> Any:
 
 
 class Observation:
-    """One run's observation bundle; coerced from the ``observe=`` argument.
+    """One run's observation bundle, built by the session from its
+    ``observe=`` argument, and released with it.
 
     ``observe=True`` enables the cheap instruments (registry + sampler);
     ``observe="full"`` adds the wall-clock profiler and the span sink;
     a mapping passes keyword arguments straight through (e.g.
-    ``observe={"profiler": True, "sampler": False}``); an existing
-    :class:`Observation` is used as-is (callers may pre-build one to read
-    instruments mid-run).
+    ``observe={"profiler": True, "sampler": False}``).  To read
+    instruments mid-run, use ``session.observation``.
     """
 
     def __init__(
@@ -156,24 +160,23 @@ class Observation:
     # ------------------------------------------------------------------
     @staticmethod
     def coerce(value: Any) -> Optional["Observation"]:
-        """Normalize a user-facing ``observe=`` value (None/bool/str/dict)."""
+        """Build the observation an ``observe=`` value names; anything but
+        None, a bool, a mode name or a dict (an ``Observation`` instance
+        too) raises ``ValueError``."""
         if value is None or value is False:
             return None
-        if isinstance(value, Observation):
-            return value
-        if value is True:
+        if value is True or value == "metrics":
             return Observation()
-        if isinstance(value, str):
-            if value == "full":
-                return Observation(profiler=True, spans=True, journeys=True)
-            if value == "journeys":
-                return Observation(journeys=True)
-            if value == "metrics":
-                return Observation()
-            raise ValueError(f"unknown observe mode {value!r} (try True or 'full')")
+        if value == "journeys":
+            return Observation(journeys=True)
+        if value == "full":
+            return Observation(profiler=True, spans=True, journeys=True)
         if isinstance(value, Mapping):
             return Observation(**value)
-        raise ValueError(f"cannot interpret observe={value!r}")
+        raise ValueError(
+            f"cannot interpret observe={value!r}: pass None, False, True, "
+            "'metrics', 'journeys', 'full' or a dict of Observation keywords"
+        )
 
     # ------------------------------------------------------------------
     # Wiring

@@ -53,11 +53,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.checkers import CheckResult
 from repro.api import (
     EVENT_CAPABILITIES,
     ProtocolStack,
     Session,
+    SessionResult,
     UnsupportedScenarioEvent,
 )
 from repro.core.messages import reset_message_counter
@@ -100,31 +100,19 @@ class RuntimeSample:
 
 
 @dataclass
-class ScenarioResult:
-    """Everything a scenario run produced: verdicts plus runtime metrics."""
+class ScenarioResult(SessionResult):
+    """A session's result plus what the spec knows: its name, the
+    agreement sets :attr:`checks` held the stable core to, and runtime
+    health.  The added fields take defaults because a dataclass field
+    without one cannot follow the inherited defaults."""
 
-    name: str
-    checks: CheckResult
-    agreement_sets: Dict[str, List[str]]
-    sim_time: float
-    events_processed: int
-    deliveries: int
-    messages_sent: int
-    delivery_events: int
-    compactions: int
-    peak_pending_events: int
-    peak_live_pending_events: int
+    name: str = ""
+    agreement_sets: Dict[str, List[str]] = field(default_factory=dict)
+    events_processed: int = 0
+    compactions: int = 0
+    peak_pending_events: int = 0
+    peak_live_pending_events: int = 0
     samples: List[RuntimeSample] = field(default_factory=list)
-    #: Which verification pipeline produced :attr:`checks`.
-    analysis: str = "offline"
-    #: Total trace events recorded (streamed or stored).
-    trace_events: int = 0
-    #: Trace events still held in memory at the end (0 in online mode).
-    trace_events_stored: int = 0
-    #: Rolling aggregates from the online MetricsSink (online mode only).
-    metrics: Optional[Dict[str, object]] = None
-    #: Name of the protocol stack the scenario ran on.
-    stack: str = "newtop"
     #: Warnings for events dropped under ``on_unsupported="skip"``.
     skipped_events: List[str] = field(default_factory=list)
     #: Open-loop workload accounting (aggregated over the per-group
@@ -135,15 +123,6 @@ class ScenarioResult:
     #: summary -- is what lets a sharded batch merge percentiles exactly:
     #: the object is picklable and rides back from pool workers intact.
     latency_reservoir: Optional[LatencyReservoir] = None
-    #: Observation snapshot (``observe=`` was given), else ``None``.
-    obs: Optional[Dict[str, object]] = None
-    #: Trace sinks detached after raising mid-run (fails :attr:`passed`).
-    sink_errors: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        """Whether every checked guarantee held and no sink was detached."""
-        return self.checks.passed and not self.sink_errors
 
     def summary(self) -> List[str]:
         """Human-readable result rows (used by the benchmark report)."""
@@ -183,8 +162,6 @@ class ScenarioEngine:
         on_unsupported: str = "raise",
         observe: object = None,
     ) -> None:
-        if analysis not in ("offline", "online"):
-            raise ValueError(f"unknown analysis mode {analysis!r}")
         if on_unsupported not in ("raise", "skip"):
             raise ValueError(f"unknown on_unsupported policy {on_unsupported!r}")
         # One engine = one self-contained simulation; restarting message-id
@@ -194,7 +171,6 @@ class ScenarioEngine:
         # still match a serial run byte-for-byte.
         reset_message_counter()
         self.spec = spec
-        self.analysis = analysis
         self._agreement_sets = self.expected_agreement_sets()
         overrides = dict(SCENARIO_PROTOCOL_DEFAULTS)
         overrides.update(spec.protocol)
@@ -224,9 +200,13 @@ class ScenarioEngine:
         self._events = self._supported_events(on_unsupported)
         self.session.spawn(spec.processes)
         self.samples: List[RuntimeSample] = []
-        #: Open-loop clients (one per group) when the spec names a profile.
-        self.clients: List[OpenLoopClient] = []
         self._installed = False
+
+    @property
+    def clients(self) -> List[OpenLoopClient]:
+        """Open-loop clients (one per group and phase) when the spec names
+        a profile: the session's, in attachment order."""
+        return self.session.clients
 
     # ------------------------------------------------------------------
     # Capability mapping
@@ -342,7 +322,7 @@ class ScenarioEngine:
             if phase_index == 0
             else f"{group_id}-client-p{phase_index}"
         )
-        client = self.session.attach_client(
+        self.session.attach_client(
             OpenLoopClient(
                 profile,
                 senders,
@@ -352,9 +332,7 @@ class ScenarioEngine:
                 duration=workload.duration,
                 name=name,
             )
-        )
-        client.start()
-        self.clients.append(client)
+        ).start()
 
     def _schedule_group_sends(
         self,
@@ -526,30 +504,19 @@ class ScenarioEngine:
             # a checker raises -- that is exactly when the dump matters.
             session.close()
         return ScenarioResult(
+            **vars(session_result),
             name=self.spec.name,
-            checks=session_result.checks,
             agreement_sets=self._agreement_sets,
-            sim_time=session_result.sim_time,
             events_processed=session.sim.events_processed,
-            deliveries=session_result.deliveries,
-            messages_sent=session_result.messages_sent,
-            delivery_events=session_result.delivery_events,
             compactions=session.sim.compactions,
             peak_pending_events=max(sample.pending_events for sample in self.samples),
             peak_live_pending_events=max(
                 sample.live_pending_events for sample in self.samples
             ),
             samples=list(self.samples),
-            analysis=self.analysis,
-            trace_events=session_result.trace_events,
-            trace_events_stored=session_result.trace_events_stored,
-            metrics=session_result.metrics,
-            stack=self.stack.name,
             skipped_events=list(self.skipped_events),
             workload=self._workload_stats(),
             latency_reservoir=self._latency_reservoir(),
-            obs=session_result.obs,
-            sink_errors=session_result.sink_errors,
         )
 
     def _latency_reservoir(self) -> Optional[LatencyReservoir]:
@@ -638,12 +605,10 @@ def run_scenarios(
     -- each scenario is an independent simulation whose randomness
     derives entirely from its spec's seed, so the batch's results are
     identical to a serial run (``progress``, if given, then observes
-    completion order).  In pool mode ``stack`` must be a registry name
-    and ``observe`` a coercible value, not an
-    :class:`~repro.obs.Observation` instance (worker processes build their
-    own instances), and ``timeout`` bounds each scenario's wall clock.
-    In either mode an ``Observation`` instance is accepted only for a
-    batch of one config: it would read the sum of every run so far.
+    completion order).  In pool mode ``stack`` must be a registry name,
+    and ``timeout`` bounds each scenario's wall clock.  Each scenario's
+    session builds its own observation from ``observe``; a value no
+    session accepts raises ``ValueError`` before any scenario runs.
 
     A scenario that raises, or whose worker crashes or times out, raises
     :class:`ScenarioExecutionError` naming the casualty, in either mode --
@@ -655,24 +620,11 @@ def run_scenarios(
     from repro.parallel import WorkUnit, run_units
 
     configs = list(configs)
-    if isinstance(observe, Observation) and len(configs) > 1:
+    Observation.coerce(observe)
+    if (parallel or 1) > 1 and not isinstance(stack, str):
         raise ValueError(
-            "a scenario batch of more than one config needs a coercible "
-            "observe= value (True, a mode name or a dict), not one shared "
-            "Observation instance"
+            "parallel scenario batches need a stack registry name, not an instance"
         )
-    if (parallel or 1) > 1:
-        if not isinstance(stack, str):
-            raise ValueError(
-                "parallel scenario batches need a stack registry name, not an instance"
-            )
-        if isinstance(observe, Observation):
-            # An Observation instance holds simulator-bound callables and
-            # would not survive the pickle boundary.
-            raise ValueError(
-                "parallel scenario batches need a coercible observe= value "
-                "(True, a mode name or a dict), not an Observation instance"
-            )
 
     def on_event(kind, unit_id, worker, payload) -> None:
         if kind == "done" and progress is not None and payload.ok:

@@ -29,7 +29,6 @@ import pytest
 from repro.api import Session
 from repro.core.config import OrderingMode
 from repro.core.messages import reset_message_counter
-from repro.obs import Observation
 from repro.scenarios import (
     SCENARIO_PROTOCOL_DEFAULTS as FAST,
     churn_scenario,
@@ -42,21 +41,22 @@ GOLDEN_COUNTER_TOTALS = os.path.join(
 
 
 def _churn():
-    observation = Observation()
     result = run_scenario(
         churn_scenario(n_processes=40, n_groups=4, group_size=8, formations=1, seed=3),
         analysis="online",
-        observe=observation,
+        observe="metrics",
     )
     assert result.passed
-    return observation.registry.read_counters()
+    return result.obs["metrics"]["counters"]
 
 
 def _asymmetric_failover():
-    observation = Observation(journeys=True, journey_sample_rate=2)
-    observation.journeys.max_tracked = 24
     names = ["P1", "P2", "P3", "P4", "P5"]
-    session = Session("newtop", config=FAST, seed=9, analysis="online", observe=observation)
+    session = Session(
+        "newtop", config=FAST, seed=9, analysis="online",
+        observe={"journeys": True, "journey_sample_rate": 2},
+    )
+    session.observation.journeys.max_tracked = 24
     session.spawn(names)
     session.group("a", names[:4], mode=OrderingMode.ASYMMETRIC)  # P1 sequences
     session.group("g", names[1:])
@@ -75,7 +75,7 @@ def _asymmetric_failover():
         session.run(1.0)
     session.run(60.0)
     assert session.result().passed
-    return observation.registry.read_counters()
+    return session.observation.registry.read_counters()
 
 
 RUNS = {"churn": _churn, "asymmetric_failover": _asymmetric_failover}

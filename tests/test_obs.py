@@ -282,8 +282,8 @@ def test_observation_coercion_modes():
     assert journeys.profiler is None and journeys.spans is None
     custom = Observation.coerce({"sampler": False, "profiler": True})
     assert custom.sampler is None and custom.profiler is not None
-    prebuilt = Observation(spans=True)
-    assert Observation.coerce(prebuilt) is prebuilt
+    with pytest.raises(ValueError, match="a dict"):
+        Observation.coerce(Observation(spans=True))
     assert Observation.coerce("metrics").sampler is not None
     for unknown in ("loud", "true", "on"):
         with pytest.raises(ValueError):

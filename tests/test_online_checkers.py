@@ -131,8 +131,8 @@ def test_metrics_sink_uses_first_send_time():
     # the latency clock.
     recorder.record(5.0, SEND, "P1", group="g", message_id="m1", sender="P1")
     recorder.record(6.0, DELIVER, "P2", group="g", message_id="m1", sender="P1")
-    assert metrics.latency_count == 1
-    assert metrics.latency_mean == pytest.approx(5.0)
+    assert metrics.latency.count == 1
+    assert metrics.latency.mean == pytest.approx(5.0)
     assert metrics.snapshot(recorder.kind_counts())["by_kind"] == {"send": 2, "deliver": 1}
     assert metrics.deliveries_by_group == {"g": 1}
 

@@ -13,7 +13,9 @@ the cycle collector with dozens of other dead sessions.
 
 The guard: with the collector disabled, ``gc.collect()`` finds nothing
 after a run, on every shape a campaign or a sweep runs.  A cut left out
-leaves the whole session behind and fails it.
+leaves the whole session behind and fails it.  The observation is the
+session's own: ``observe=`` refuses a caller-built ``Observation``, whose
+registry would otherwise keep the finished run alive.
 """
 
 import gc
@@ -22,7 +24,7 @@ import pytest
 
 from repro.api import Session, available_stacks
 from repro.obs import Observation
-from repro.scenarios import churn_scenario, run_scenario
+from repro.scenarios import churn_scenario, run_scenario, run_scenarios
 from repro.scenarios.fuzz import run_fuzz_unit
 
 
@@ -52,6 +54,10 @@ def _asymmetric_sequencer_crash():
     return config
 
 
+def _churn():
+    return churn_scenario(n_processes=12, n_groups=3, group_size=6, crashes=1, leaves=1, seed=3)
+
+
 def _small(**extra):
     config = churn_scenario(n_processes=8, n_groups=2, group_size=4, seed=3)
     config.update(extra)
@@ -76,6 +82,12 @@ CASES = {
         analysis="online",
     ),
     "observe-full": lambda: run_scenario(_symmetric(), analysis="online", observe="full"),
+    "observe-metrics-dict": lambda: run_scenario(
+        _churn(), analysis="online", observe={"sampler": False}
+    ),
+    "observe-journeys-dict": lambda: run_scenario(
+        _churn(), analysis="online", observe={"sampler": False, "journeys": True}
+    ),
 }
 
 
@@ -119,22 +131,16 @@ def test_a_finished_sweep_cell_leaves_no_cyclic_garbage():
     assert rows[-1]["passed"]
 
 
-def test_a_callers_observation_still_reads_the_run_after_release():
-    """The session cuts the observation it built; one the caller passed in
-    keeps every source and still reads what the result's snapshot read."""
-    held = Observation(sampler=False, journeys=True)
-    observations = iter([Observation(sampler=False, journeys=True), held])
-    results = []
-
-    def run():
-        results.append(
-            run_scenario(_symmetric(), analysis="online", observe=next(observations))
-        )
-
-    assert _garbage_after(run) == 0
-    counters = held.registry.snapshot()["counters"]
-    assert counters == results[-1].obs["metrics"]["counters"]
-    assert counters["transport.sends"] == results[-1].messages_sent > 0
+def test_an_observation_instance_is_refused_everywhere():
+    """The session is the one owner of its observation: each front door
+    refuses a caller-built one and names what ``observe=`` takes."""
+    accepted = "None, False, True, 'metrics', 'journeys', 'full' or a dict"
+    with pytest.raises(ValueError, match=accepted):
+        Session("newtop", observe=Observation())
+    with pytest.raises(ValueError, match=accepted):
+        run_scenario(_small(), observe=Observation())
+    with pytest.raises(ValueError, match=accepted):
+        run_scenarios([_small()], observe=Observation())
 
 
 def test_what_a_result_reads_stays_readable_after_release():

@@ -18,7 +18,9 @@ defines it), and the
 group endpoint names neither the sequencer nor the failover's state.
 
 A finished run is freed by reference counting, not by the cycle
-collector: no module under ``src/repro`` imports ``gc``.
+collector: no module under ``src/repro`` imports ``gc``, and only
+``Observation.coerce`` builds an ``Observation``, so the session that
+coerced it is its one owner.
 
 A run imports only what it runs: the packages the performance ledger's
 workloads import load no pool executor, no §6 baseline, no report renderer
@@ -302,6 +304,29 @@ def test_nothing_in_the_library_calls_the_cycle_collector():
             if any(module == "gc" or module.startswith("gc.") for module in modules):
                 importing_gc.append(str(path.relative_to(ROOT)))
     assert importing_gc == []
+
+
+def test_only_the_session_builds_an_observation():
+    """``Observation.coerce`` is the one door: outside ``repro/obs/__init__.py``
+    nothing under ``src/repro`` builds an ``Observation`` or asks whether a
+    value is one, so no caller-built observation can outlive its session."""
+    building = []
+    for path, text in SOURCES.items():
+        parts = path.relative_to(ROOT).parts
+        if parts[:2] != ("src", "repro") or parts[2:] == ("obs", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            tested = node.args[1:] if callee == "isinstance" else []
+            if callee == "Observation" or any(
+                getattr(name, "id", getattr(name, "attr", None)) == "Observation"
+                for argument in tested
+                for name in ast.walk(argument)
+            ):
+                building.append(f"{'/'.join(parts[2:])}:{node.lineno}")
+    assert building == []
 
 
 #: The packages the performance ledger's workloads import.
