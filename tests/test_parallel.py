@@ -209,23 +209,34 @@ def test_scenario_batch_surfaces_worker_casualties(parallel):
     assert failure.seed == 2
 
 
-def test_scenario_batch_refuses_what_it_cannot_build_per_scenario():
-    """A pool builds its own stacks, and every session its own observation:
-    a stack instance for a pool, or an Observation instance for any batch,
-    is refused before a scenario runs.  A dict gives each scenario of a
-    serial batch its own, which reads that run alone."""
+def test_scenario_batch_refuses_what_a_pool_cannot_ship():
+    """A pool builds its own instances: a stack or an Observation instance
+    is refused before any worker starts, not swapped for something else."""
     from repro.api import get_stack
+    from repro.obs import Observation
+
+    config = churn_scenario(n_processes=8, n_groups=2, group_size=4, seed=2)
+    with pytest.raises(ValueError, match="stack registry name"):
+        run_scenarios([config], parallel=2, stack=get_stack("newtop"))
+    with pytest.raises(ValueError, match="Observation keywords"):
+        run_scenarios([config], parallel=2, observe=Observation())
+    # Serially a dict builds the session's own observation.
+    (result,) = run_scenarios([config], observe={"sampler": False})
+    assert result.obs is not None and "samples" not in result.obs
+
+
+def test_serial_batch_refuses_one_observation_for_many_configs():
+    """Every session builds its own observation: a serial batch refuses an
+    Observation instance as a pool does, while a dict gives each scenario
+    its own, which reads that run alone."""
     from repro.obs import Observation
 
     configs = [
         churn_scenario(n_processes=8, n_groups=2, group_size=4, seed=seed)
         for seed in (2, 3)
     ]
-    with pytest.raises(ValueError, match="stack registry name"):
-        run_scenarios(configs[:1], parallel=2, stack=get_stack("newtop"))
-    for parallel in (None, 2):
-        with pytest.raises(ValueError, match="Observation keywords"):
-            run_scenarios(configs, parallel=parallel, observe=Observation())
+    with pytest.raises(ValueError, match="Observation keywords"):
+        run_scenarios(configs, observe=Observation(sampler=False))
     first, second = run_scenarios(configs, observe={"sampler": False})
     (alone,) = run_scenarios(configs[1:], observe={"sampler": False})
     sends = [
