@@ -32,7 +32,7 @@ import pytest
 
 from common import EventProbe, fmt, run_session, run_session_traffic, write_bench_json
 
-from repro.analysis.checkers import check_view_sequences
+from repro.analysis import check_events
 from repro.analysis.metrics import blocking_times, build_report, view_agreement_latency
 from repro.analysis.overhead import (
     isis_overhead_bytes,
@@ -395,7 +395,7 @@ def _partitioned_views(use_signatures: bool) -> Measured:
     probe = EventProbe(VIEW_INSTALL)
     # The global view-agreement checks assume a single surviving component;
     # this run *deliberately* ends partitioned, so those two checks are
-    # replaced by the per-side check_view_sequences calls below.
+    # replaced by the per-side view-sequence replays below.
     session = run_session(
         ["Pi", "Pj", "Pk", "Pl", "Pm"],
         groups=[("g", None)],
@@ -425,8 +425,10 @@ def _partitioned_views(use_signatures: bool) -> Measured:
         ),
         # Each side's view sequences agree (VC1), checked over the probe's
         # captured view installs; the rest streams through the suite.
-        "passed": check_view_sequences(trace, "g", ["Pi", "Pj"]).passed
-        and check_view_sequences(trace, "g", ["Pk", "Pl"]).passed
+        "passed": all(
+            check_events(trace, {"g": side}, checks=("view_sequences",)).passed
+            for side in (["Pi", "Pj"], ["Pk", "Pl"])
+        )
         and session.result().passed,
     }
 

@@ -9,8 +9,8 @@ crashes, voluntary departures and dynamic group formations while
 application traffic keeps flowing, then verifies every guarantee (total
 order, view agreement among the stable core, virtual synchrony).
 
-* **E18** (100 processes / 10 groups) verifies post-hoc on the full trace
-  and measures the throughput levers of the simulation runtime --
+* **E18** (100 processes / 10 groups) stores the full trace beside the
+  streaming checkers and measures the throughput levers of the simulation runtime --
   same-instant delivery batching and event-heap health -- so runtime
   regressions show up as shape changes, not just slower wall clock.
 * **E19** (1000 processes / 100 groups) is only feasible with the

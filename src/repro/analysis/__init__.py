@@ -1,10 +1,11 @@
 """Analysis tooling: property checkers, metrics and overhead models.
 
-* :mod:`repro.analysis.checkers` -- verify the paper's delivery and view
-  guarantees (MD1-MD5', VC1-VC3) over recorded event traces (post-hoc).
-* :mod:`repro.analysis.online` -- the same guarantees checked incrementally
-  while events stream through the trace recorder's sink API; scales to
-  1000-process runs with no materialized trace.
+* :mod:`repro.analysis.online` -- the one checker suite for the paper's
+  delivery and view guarantees (MD1-MD5', VC1-VC3), evaluated
+  incrementally as events stream through the trace recorder's sink API;
+  every run's verdict comes from it, and a stored trace is checked by
+  replaying it (:func:`check_events`).  It scales to 1000-process runs
+  with no materialized trace.
 * :mod:`repro.analysis.metrics` -- latency / throughput / message-count
   summaries derived from traces and network statistics.
 * :mod:`repro.analysis.overhead` -- per-message protocol overhead models
@@ -18,17 +19,9 @@ resolve here on first access (module ``__getattr__``).
 import importlib
 from typing import Any
 
-from repro.analysis.checkers import (
-    CheckResult,
-    check_all,
-    check_causal_prefix,
-    check_same_view_delivery_sets,
-    check_sender_in_view,
-    check_total_order,
-    check_view_sequences,
-)
 from repro.analysis.online import (
     ALL_CHECKS,
+    CheckResult,
     GroupScopedCheckSuite,
     OnlineCausalOrder,
     OnlineCheckSuite,
@@ -53,13 +46,7 @@ __all__ = [
     "OnlineTotalOrder",
     "OnlineViewAgreement",
     "OnlineVirtualSynchrony",
-    "check_all",
     "check_events",
-    "check_causal_prefix",
-    "check_same_view_delivery_sets",
-    "check_sender_in_view",
-    "check_total_order",
-    "check_view_sequences",
     "isis_overhead_bytes",
     "newtop_overhead_bytes",
     "piggyback_overhead_bytes",

@@ -1,15 +1,12 @@
-"""Online (streaming) checkers for the paper's guarantees.
+"""The checkers for the paper's guarantees: one streaming suite.
 
-The post-hoc checkers in :mod:`repro.analysis.checkers` are quadratic in
-processes and messages: total order compares every process pair's delivery
-sequences, and the causal checkers build an explicit transitive closure of
-the happened-before relation.  That is fine at paper scale but is the
-ceiling that kept the churn benchmark at 100 processes.  This module checks
-the same predicates *incrementally*, consuming :class:`~repro.net.trace.TraceEvent`
-objects as they are recorded (each checker is a
-:class:`~repro.net.trace.TraceSink`).  Work per event never depends on the
-process count or the run length; what it does depend on is stated per
-checker:
+The paper states its guarantees as predicates over executions.  This
+module checks each of them *incrementally*, consuming
+:class:`~repro.net.trace.TraceEvent` objects as they are recorded (each
+checker is a :class:`~repro.net.trace.TraceSink`), so every run -- stored
+trace or not -- gets its verdict from the same code.  Work per event never
+depends on the process count or the run length; what it does depend on is
+stated per checker:
 
 * :class:`OnlineTotalOrder` (MD4/MD4') -- a shared global-position arbiter
   assigns each message a position at its first delivery anywhere; every
@@ -36,32 +33,39 @@ checker:
   fingerprints for the enclosed interval.
 * :class:`OnlineViewAgreement` (VC1) -- per-(process, group) view
   sequences; installs are rare, so they are stored and compared at
-  :meth:`result` time within the expected agreement sets, exactly like the
-  post-hoc checker.
+  :meth:`result` time within the expected agreement sets.
 
 :class:`OnlineCheckSuite` bundles all five behind one sink, dispatching
 each event kind only to the checkers that consume it and keeping the one
 view timeline the first three share (the other two intern the view
-compositions they store in its table).  Attach it to a
-:class:`~repro.net.trace.TraceRecorder` (optionally with
-``keep_events=False`` so the full trace is never materialized) and call
-:meth:`~OnlineCheckSuite.result` at the end of the run; the verdict mirrors
-:func:`repro.analysis.checkers.check_all`.
+compositions they store in its table).  A session attaches the stack's
+suite to its :class:`~repro.net.trace.TraceRecorder` in either analysis
+mode (``keep_events=False`` when nothing is stored) and reads
+:meth:`~OnlineCheckSuite.result` at the end of the run; a stored or parsed
+trace is checked by replaying it through a fresh suite
+(:func:`check_events`).
 
-Equivalence with the post-hoc checkers: on any trace both suites agree on
-the overall verdict (violations may be attributed to differently named
-sub-checkers: e.g. a delivery from an already-excluded sender inverting a
-causal pair is reported by the online suite under MD1 rather than under
-the causal checker, because exclusion exempts it from MD5' by the paper's
-own clause).  The equivalence and mutation-sensitivity tests in
-``tests/test_online_checkers.py`` pin this down.
+The reports are worded once, here.  A causality violation reads "<p>
+delivered <m'> without causally preceding <m> whose sender <s> is still in
+its view of <g>", and names one missed predecessor: each (process,
+predecessor) pair is checked once, at the first delivery whose causal past
+covers it, so a predecessor that never arrives is reported once per
+process, not once per later message that depends on it.  A delivery from
+an already-excluded sender that inverts a causal pair is reported under
+MD1 ("outside its view"), because exclusion exempts it from MD5' by the
+paper's own clause.
+
+``tests/oracle_checkers.py`` keeps an independent post-hoc evaluation of
+the same predicates over a stored trace; ``tests/test_online_checkers.py``
+requires the two to agree on every verdict and on the kind of the first
+violation, on seeded executions, on mutated ones and on fuzz specs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.checkers import CheckResult
 from repro.net.trace import (
     CRASH,
     DELIVER,
@@ -71,6 +75,26 @@ from repro.net.trace import (
     TraceSink,
     VIEW_INSTALL,
 )
+
+
+@dataclass
+class CheckResult:
+    """Outcome of one (or several) property checks."""
+
+    name: str
+    passed: bool
+    violations: List[str] = field(default_factory=list)
+
+    def merge(self, other: "CheckResult") -> "CheckResult":
+        """Combine two results into one (AND of passes, union of violations)."""
+        return CheckResult(
+            name=f"{self.name}+{other.name}",
+            passed=self.passed and other.passed,
+            violations=self.violations + other.violations,
+        )
+
+    def __bool__(self) -> bool:
+        return self.passed
 
 
 class _ViewTimeline:
@@ -195,8 +219,7 @@ class OnlineTotalOrder(OnlineChecker):
     process's full sequence, so any per-group inversion is a full-sequence
     inversion.
 
-    Like the post-hoc checker, the pairwise constraint is scoped by mutual
-    view membership: a delivery at ``p`` constrains the pair ``(p, q)``
+    The pairwise constraint is scoped by mutual view membership: a delivery at ``p`` constrains the pair ``(p, q)``
     only while ``p``'s view of the message's group still contains ``q``
     (and symmetrically).  Partitioned sides that have mutually excluded
     each other proceed independently (the paper's Example 3); deliveries
@@ -366,8 +389,8 @@ class OnlineSenderInView(OnlineChecker):
         if views is None or event.group is None:
             return
         members = views.get(event.group)
-        # No view installed yet: same exemption as the post-hoc checker
-        # (deliveries before the first install are not constrained).
+        # No view installed yet: deliveries before the first install are
+        # not constrained.
         if members is not None and event.sender not in members:
             self.violations.append(
                 f"{event.process} delivered {event.message_id} from "
@@ -588,8 +611,7 @@ class OnlineVirtualSynchrony(OnlineChecker):
     fingerprints for the enclosed interval.  Per event this is O(1); memory
     is O(views), not O(deliveries).
 
-    ``view_agreement_sets`` scopes the comparison per group exactly like
-    the post-hoc :func:`~repro.analysis.checkers.check_all` does: groups
+    ``view_agreement_sets`` scopes the comparison per group: groups
     named in the mapping compare only the listed processes (the scenario's
     stable core -- e.g. drop-window targets are excluded because lost
     messages may never trigger suspicion); unnamed groups fall back to
@@ -642,8 +664,8 @@ class OnlineVirtualSynchrony(OnlineChecker):
         buckets[view_index] = (xor ^ digest, total + digest, count + 1)
 
     def _in_scope(self, process: str, group: str) -> bool:
-        """Mirror check_all's scoping: listed groups compare only their
-        agreement set; unlisted groups compare everyone."""
+        """Listed groups compare only their agreement set; unlisted groups
+        compare everyone."""
         if self.view_agreement_sets is None:
             return True
         expected = self.view_agreement_sets.get(group)
@@ -685,9 +707,9 @@ class OnlineViewAgreement(OnlineChecker):
 
     View installs are rare (O(membership changes), never O(messages)), so
     the sequences are simply stored per (process, group) and compared at
-    :meth:`result` time within the expected agreement sets -- the same
-    scoping as the post-hoc checker (only the scenario's stable core must
-    agree after partitions; crashed processes are exempt).
+    :meth:`result` time within the expected agreement sets (only the
+    scenario's stable core must agree after partitions; crashed processes
+    are exempt).
     """
 
     name = "view_sequences"
@@ -735,8 +757,8 @@ class OnlineViewAgreement(OnlineChecker):
                 ]
             else:
                 # No agreement set for this group: fall back to every
-                # process that installed a view of it, exactly like the
-                # post-hoc checker (appropriate for partition-free groups).
+                # process that installed a view of it (appropriate for
+                # partition-free groups).
                 candidates = sorted(
                     process
                     for (process, seq_group) in self._sequences
@@ -783,10 +805,10 @@ ALL_CHECKS: Tuple[str, ...] = (
 class OnlineCheckSuite(TraceSink):
     """All streaming checkers behind a single trace sink.
 
-    Construct (optionally with the per-group view agreement sets, as for
-    :func:`repro.analysis.checkers.check_all`), register on a
-    :class:`~repro.net.trace.TraceRecorder` -- typically one created with
-    ``keep_events=False`` so nothing is materialized -- and read
+    Construct (optionally with the per-group view agreement sets: group id
+    -> the processes expected to agree), register on a
+    :class:`~repro.net.trace.TraceRecorder` -- with ``keep_events=False``
+    when nothing need be materialized -- and read
     :meth:`result` once the run settles.  Events are dispatched only to the
     checkers whose :attr:`~OnlineChecker.KINDS` include their kind, and the
     suite subscribes to the union, so the dominant null-message traffic

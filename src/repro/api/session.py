@@ -17,7 +17,10 @@ transport, trace recorder) and drives a pluggable
 The same five lines run the fixed sequencer, ISIS, Lamport all-ack, Psync
 or the primary-partition policy by changing ``stack=``; verification is
 routed through the stack's declared checks, so a sequencer run streams the
-total-order checker while a Psync run streams the causal one.
+total-order checker while a Psync run streams the causal one.  Every run
+gets its verdict the same way: the recorder streams into the stack's check
+suite (:meth:`~repro.api.stack.ProtocolStack.make_check_suite`) as events
+are recorded, and :meth:`Session.result` reads it.
 
 Faults are session calls as well -- :meth:`Session.crash`,
 :meth:`~Session.leave`, :meth:`~Session.partition`,
@@ -27,15 +30,16 @@ scenario engine does for a spec's events::
 
     session.sim.schedule_at(12.0, session.crash, "P3")
 
-Two analysis modes mirror the scenario engine's:
+Two analysis modes mirror the scenario engine's.  They choose only what
+is stored, never how the run is checked:
 
 ``analysis="offline"`` (default)
-    The full trace is materialized; :meth:`Session.result` evaluates the
-    stack's post-hoc checkers over it and :meth:`Session.trace` works.
+    The full trace is materialized as well, so :meth:`Session.trace` and
+    every delivery log's records work.
 ``analysis="online"``
-    The recorder streams into the stack's check suite and a rolling
-    :class:`~repro.net.trace.MetricsSink` with ``keep_events=False``: no
-    trace event is stored, and every process's delivery log keeps a count,
+    The recorder streams with ``keep_events=False`` and feeds a rolling
+    :class:`~repro.net.trace.MetricsSink` besides the suite: no trace
+    event is stored, and every process's delivery log keeps a count,
     not a record per delivery (:class:`~repro.net.trace.DeliveryLog`; the
     records are read offline).  What a streaming run still keeps grows
     with its traffic: the checkers' per-message state (arbiter ranks,
@@ -60,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union
 
-from repro.analysis.checkers import CheckResult
+from repro.analysis.online import CheckResult
 from repro.api.stack import ProtocolStack, StackContext, StackError
 from repro.api.stacks import get_stack
 from repro.net.faults import get_link_faults
@@ -131,8 +135,6 @@ class Session:
             raise ValueError(f"unknown analysis mode {analysis!r}")
         self.stack = get_stack(stack)
         self.analysis = analysis
-        self.view_agreement_sets = view_agreement_sets
-        self._checks = tuple(checks) if checks is not None else None
         # Observation (repro.obs): ``True`` enables metrics + sampler,
         # "journeys" adds sampled per-message journey tracing, "full" adds
         # the profiler, span breakdowns and journeys, a dict passes keyword
@@ -143,25 +145,23 @@ class Session:
         obs = self.observation
         # The recorder comes first: the layers built below read its
         # lifecycle dispatch (``None`` unless a sink subscribes) once.
+        # The stack's check suite gives the verdict in either mode;
+        # checks=() disables verification, and the other sinks still run.
+        checks = tuple(checks) if checks is not None else None
         self.suite = None
+        if checks is None or checks:
+            self.suite = self.stack.make_check_suite(view_agreement_sets, checks=checks)
         self.metrics_sink: Optional[MetricsSink] = None
-        extra_sinks = list(sinks or ())
-        if obs is not None:
-            extra_sinks.extend(obs.trace_sinks())
+        recorder_sinks = [self.suite] if self.suite is not None else []
         if analysis == "online":
-            # checks=() disables verification; the metrics sink still runs.
-            if self._checks is None or self._checks:
-                self.suite = self.stack.make_check_suite(
-                    view_agreement_sets, checks=self._checks
-                )
             self.metrics_sink = MetricsSink()
-            check_sinks = [self.suite] if self.suite is not None else []
-            self.recorder = TraceRecorder(
-                sinks=[*check_sinks, self.metrics_sink, *extra_sinks],
-                keep_events=False,
-            )
-        else:
-            self.recorder = TraceRecorder(sinks=extra_sinks)
+            recorder_sinks.append(self.metrics_sink)
+        recorder_sinks.extend(sinks or ())
+        if obs is not None:
+            recorder_sinks.extend(obs.trace_sinks())
+        self.recorder = TraceRecorder(
+            sinks=recorder_sinks, keep_events=analysis == "offline"
+        )
         self.sim = Simulator(
             seed=seed,
             metrics=obs.registry if obs is not None else None,
@@ -374,24 +374,14 @@ class Session:
             self.observation.registry.release()
 
     def result(self) -> SessionResult:
-        """Close the sinks and evaluate the stack's selected checks.
-
-        Online mode reads the verdict from the streaming suite; offline
-        mode runs the stack's post-hoc checkers over the stored trace.
-        ``checks=()`` disables verification (``checks`` is then ``None``).
+        """Close the sinks and read the verdict of the stack's check suite,
+        which consumed every event as it was recorded.  ``checks=()``
+        disables verification (``checks`` is then ``None``).
         """
         if self._result is not None:
             return self._result
         self.close()
-        checks: Optional[CheckResult]
-        if self._checks is not None and not self._checks:
-            checks = None
-        elif self.suite is not None:
-            checks = self.suite.result()
-        else:
-            checks = self.stack.offline_checks(
-                self.trace(), self.view_agreement_sets, checks=self._checks
-            )
+        checks = self.suite.result() if self.suite is not None else None
         stats = self.network.stats
         self._result = SessionResult(
             stack=self.stack.name,

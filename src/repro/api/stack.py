@@ -35,16 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.checkers import CheckResult
-from repro.analysis.online import (
-    ALL_CHECKS,
-    GroupScopedCheckSuite,
-    OnlineCheckSuite,
-    check_events,
-)
+from repro.analysis.online import ALL_CHECKS, GroupScopedCheckSuite, OnlineCheckSuite
 from repro.net.network import Network
 from repro.net.simulator import Simulator
-from repro.net.trace import EventTrace, TraceRecorder
+from repro.net.trace import TraceRecorder
 from repro.net.transport import Transport
 
 #: Capability flags a stack may declare (what the scenario engine maps
@@ -218,27 +212,13 @@ class ProtocolStack:
         view_agreement_sets: Optional[Dict[str, Iterable[str]]] = None,
         checks: Optional[Iterable[str]] = None,
     ):
-        """A streaming check suite scoped the way this stack's guarantees
-        are scoped; register it as a trace sink."""
+        """The check suite scoped the way this stack's guarantees are
+        scoped: the one verdict path of every run, registered as a trace
+        sink in either analysis mode."""
         names = tuple(checks) if checks is not None else self.checks
         if self.check_scope == "group":
             return GroupScopedCheckSuite(view_agreement_sets, checks=names)
         return OnlineCheckSuite(view_agreement_sets, checks=names)
-
-    def offline_checks(
-        self,
-        trace: EventTrace,
-        view_agreement_sets: Optional[Dict[str, Iterable[str]]] = None,
-        checks: Optional[Iterable[str]] = None,
-    ) -> CheckResult:
-        """Post-hoc verdict over a materialized trace.
-
-        The default replays the trace through the streaming suite, scoped
-        as :meth:`make_check_suite` scopes it; stacks with dedicated
-        post-hoc checkers (Newtop) override this.
-        """
-        names = tuple(checks) if checks is not None else self.checks
-        return check_events(trace, view_agreement_sets, names, self.check_scope)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

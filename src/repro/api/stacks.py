@@ -30,7 +30,6 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Type,
 )
 
-from repro.analysis.checkers import CheckResult, check_all
 from repro.api.stack import (
     CAP_CRASH,
     CAP_FORM_GROUP,
@@ -43,7 +42,7 @@ from repro.api.stack import (
 )
 from repro.core.config import NewtopConfig, OrderingMode
 from repro.core.process import NewtopProcess
-from repro.net.trace import CRASH, EventTrace, VIEW_INSTALL
+from repro.net.trace import CRASH, VIEW_INSTALL
 
 if TYPE_CHECKING:
     from repro.baselines.base import BaselineProcess
@@ -128,17 +127,6 @@ class NewtopStack(ProtocolStack):
             for record in self.processes[process_id].delivered
             if group_id is None or record.group == group_id
         ]
-
-    def offline_checks(
-        self,
-        trace: EventTrace,
-        view_agreement_sets=None,
-        checks: Optional[Iterable[str]] = None,
-    ) -> CheckResult:
-        # The paper's exact post-hoc checkers, unless a subset was selected.
-        if checks is None or tuple(checks) == ALL_CHECKS:
-            return check_all(trace, view_agreement_sets=view_agreement_sets)
-        return super().offline_checks(trace, view_agreement_sets, checks=checks)
 
     def _context(self) -> StackContext:
         if self.context is None:

@@ -23,8 +23,8 @@ deterministic, seedable discrete-event simulation:
   the message-level fault space the scenario fuzzer explores.
 * :mod:`repro.net.trace` -- the event trace recorder and its pluggable
   sink architecture (in-memory trace, JSONL file writer, rolling metrics
-  aggregator, null sink), consumed by the post-hoc and streaming property
-  checkers and the benchmark harness.
+  aggregator, null sink), consumed by the streaming property checkers and
+  the benchmark harness.
 """
 
 from repro.net.faults import (

@@ -5,9 +5,9 @@ reports its externally observable events -- sends, receives, deliveries,
 view installations, suspicions -- to a :class:`TraceRecorder`.  The trace is
 the single source of truth used by:
 
-* the property checkers in :mod:`repro.analysis.checkers` (post-hoc) and
-  :mod:`repro.analysis.online` (streaming), which assert the paper's
-  guarantees (MD1-MD5', VC1-VC3) over executions, and
+* the check suite in :mod:`repro.analysis.online`, which asserts the
+  paper's guarantees (MD1-MD5', VC1-VC3) over executions as their events
+  are recorded, and
 * the benchmark harness, which derives latency, message-count and overhead
   series from it.
 
@@ -641,16 +641,14 @@ class DeliveryLog:
 class EventTrace:
     """Queryable, immutable view over a list of trace events.
 
-    Filter results by kind (and kind+process) are indexed lazily, and the
-    happened-before relation is memoized per group argument, so repeated
-    checker queries cost one scan instead of one scan each.
+    Filter results by kind (and kind+process) are indexed lazily, so
+    repeated queries cost one scan instead of one scan each.
     """
 
     def __init__(self, events: List[TraceEvent]) -> None:
         self._events = sorted(events, key=lambda event: (event.time, event.seq))
         self._kind_index: Optional[Dict[str, List[TraceEvent]]] = None
         self._kind_process_index: Dict[str, Dict[str, List[TraceEvent]]] = {}
-        self._hb_cache: Dict[Optional[str], List[Tuple[str, str]]] = {}
 
     # ------------------------------------------------------------------
     # Basic access
@@ -704,15 +702,11 @@ class EventTrace:
         return result
 
     # ------------------------------------------------------------------
-    # Derived views used by checkers and benchmarks
+    # Derived views used by benchmarks and tests
     # ------------------------------------------------------------------
     def processes(self) -> List[str]:
         """All process identifiers appearing in the trace."""
         return sorted({event.process for event in self._events})
-
-    def groups(self) -> List[str]:
-        """All group identifiers appearing in the trace."""
-        return sorted({event.group for event in self._events if event.group is not None})
 
     def delivered_sequence(self, process: str, group: Optional[str] = None) -> List[TraceEvent]:
         """Delivery events at ``process`` in delivery order.
@@ -749,10 +743,6 @@ class EventTrace:
             for event in self.views_installed(process, group)
         ]
 
-    def crashed_processes(self) -> List[str]:
-        """Processes that recorded a crash event."""
-        return sorted({event.process for event in self.events(kind=CRASH)})
-
     def delivery_latencies(self, group: Optional[str] = None) -> List[float]:
         """Per-delivery latency: delivery time minus original send time.
 
@@ -772,63 +762,6 @@ class EventTrace:
             if event.message_id in send_times:
                 latencies.append(event.time - send_times[event.message_id])
         return latencies
-
-    def happened_before_pairs(self, group: Optional[str] = None) -> List[Tuple[str, str]]:
-        """Pairs ``(m, m')`` of message ids with ``send(m) -> send(m')``.
-
-        The happened-before relation is reconstructed per the paper: m -> m'
-        if the same process sent m before m', or if some process delivered m
-        before sending m', closed transitively.  Used by the post-hoc
-        causal-order checkers; quadratic in the number of messages, so the
-        result is memoized per ``group`` argument (``check_all`` evaluates
-        it globally and per group -- each variant is now computed once).
-        The streaming checkers in :mod:`repro.analysis.online` avoid the
-        closure entirely via vector-clock summaries.
-        """
-        cached = self._hb_cache.get(group)
-        if cached is not None:
-            return cached
-        per_process: Dict[str, List[TraceEvent]] = {}
-        for event in self._events:
-            if event.kind in (SEND, DELIVER):
-                if group is not None and event.group != group:
-                    continue
-                per_process.setdefault(event.process, []).append(event)
-
-        direct: Dict[str, set] = {}
-        for events in per_process.values():
-            seen_messages: List[str] = []
-            for event in events:
-                if event.message_id is None:
-                    continue
-                if event.kind == SEND:
-                    for earlier in seen_messages:
-                        if earlier != event.message_id:
-                            direct.setdefault(earlier, set()).add(event.message_id)
-                    seen_messages.append(event.message_id)
-                else:  # DELIVER
-                    seen_messages.append(event.message_id)
-
-        # Transitive closure (messages at test scale are few enough).
-        closed: Dict[str, set] = {key: set(values) for key, values in direct.items()}
-        changed = True
-        while changed:
-            changed = False
-            for key in list(closed):
-                additions = set()
-                for successor in closed[key]:
-                    additions |= closed.get(successor, set())
-                if not additions.issubset(closed[key]):
-                    closed[key] |= additions
-                    changed = True
-        # Sorted: the checkers report violations in pair order, and a set's
-        # order is the interpreter's string hash seed.
-        pairs = []
-        for earlier, laters in closed.items():
-            for later in sorted(laters):
-                pairs.append((earlier, later))
-        self._hb_cache[group] = pairs
-        return pairs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventTrace(events={len(self._events)})"

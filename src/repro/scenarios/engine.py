@@ -20,20 +20,19 @@ capability flags: an event the stack has no capability for (e.g.
 :attr:`ScenarioResult.skipped_events`, never an ``AttributeError``
 mid-run.
 
-Two analysis modes select how the predicates are evaluated:
+The predicates are evaluated one way in every run: the recorder streams
+into the stack's :class:`~repro.analysis.online.OnlineCheckSuite` (scoped
+per group for single-group baselines), and the result reads its verdict.
+Two analysis modes choose only what is stored beside it:
 
 ``analysis="offline"`` (default)
-    The full trace is materialized and the stack's post-hoc checkers run
-    at the end (for Newtop, the exact MD/VC checkers of
-    :mod:`repro.analysis.checkers`) -- right for paper-sized runs and
-    debugging.
+    The full trace is materialized as well -- right for paper-sized runs
+    and debugging.
 ``analysis="online"``
-    The recorder streams into the stack's
-    :class:`~repro.analysis.online.OnlineCheckSuite` (scoped per group for
-    single-group baselines) and a rolling
-    :class:`~repro.net.trace.MetricsSink`; **no event is stored**
-    (``keep_events=False``) and the processes' delivery logs keep counts
-    only, so 1000-process churn runs verify in one pass.  What is kept
+    A rolling :class:`~repro.net.trace.MetricsSink` joins the suite,
+    **no event is stored** (``keep_events=False``) and the processes'
+    delivery logs keep counts only, so 1000-process churn runs verify in
+    one pass.  What is kept
     still grows with the traffic: per-message checker state, each
     process's delivered-id set and the latency reservoirs (see
     :mod:`repro.api.session`).  Extra sinks (e.g. a
@@ -485,12 +484,9 @@ class ScenarioEngine:
     # Running
     # ------------------------------------------------------------------
     def run(self) -> ScenarioResult:
-        """Install, run to the horizon, and evaluate the checkers.
-
-        In offline mode the stack's post-hoc checkers run over the
-        materialized trace; in online mode the verdict is read from the
-        streaming suite that consumed every event as it was recorded.
-        """
+        """Install, run to the horizon, and read the verdict of the
+        stack's check suite, which consumed every event as it was
+        recorded."""
         session = self.session
         try:
             self._install()

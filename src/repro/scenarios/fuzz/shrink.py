@@ -38,7 +38,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.scenarios.engine import run_scenario
+from repro.net.trace import DELIVER
+from repro.scenarios.engine import ScenarioEngine, run_scenario
 from repro.scenarios.spec import InvalidScenarioSpec, from_config
 
 #: Violation-kind classification, by distinctive checker-message fragment.
@@ -47,6 +48,7 @@ VIOLATION_KINDS: Tuple[Tuple[str, str], ...] = (
     ("virtual synchrony violated", "virtual-synchrony"),
     ("view sequences differ", "view-agreement"),
     ("total order violated", "total-order"),
+    ("duplicate delivery", "total-order"),
     ("causally preceding", "causality"),
     ("outside its view", "view-delivery"),
 )
@@ -63,6 +65,11 @@ def classify_violations(violations: Sequence[str]) -> Optional[str]:
 
 #: Message ids as the checkers print them: ``<sender>#<counter>``.
 _MSG_ID_RE = re.compile(r"[A-Za-z_][\w.\-]*#\d+")
+
+#: The virtual-synchrony report: group, view position, the two processes.
+_SYNCHRONY_RE = re.compile(
+    r"virtual synchrony violated in (\S+) view (\d+): (\S+) and (\S+) delivered"
+)
 
 
 def implicated_message_ids(violations: Sequence[str]) -> List[str]:
@@ -85,16 +92,22 @@ def explain_journeys(
     """Re-run ``config`` with journey tracing pinned to the messages the
     ``violations`` name, and return their full journeys.
 
-    The replay is deterministic (same spec, same seed), so the journeys
-    describe exactly the run that violated -- created / sent / held /
-    sequenced / delivered transitions with simulated timestamps.  Returns
-    ``[]`` when no violation names a message id, or on replay failure
-    (explanations are best-effort evidence, never a second crash).
+    A virtual-synchrony report names no message, only two processes and a
+    view: then the messages are the ones those processes' deliveries in
+    that view differ on (:func:`_differing_deliveries`).  The replay is
+    deterministic (same spec, same seed), so the journeys describe exactly
+    the run that violated -- created / sent / held / sequenced / delivered
+    transitions with simulated timestamps.  Returns ``[]`` when no message
+    is implicated, or on replay failure (explanations are best-effort
+    evidence, never a second crash).
     """
-    force_ids = implicated_message_ids(violations)[:max_messages]
-    if not force_ids:
-        return []
     try:
+        force_ids = implicated_message_ids(violations)
+        if not force_ids:
+            force_ids = _differing_deliveries(config, violations, stack=stack)
+        force_ids = force_ids[:max_messages]
+        if not force_ids:
+            return []
         result = run_scenario(
             config,
             stack=stack,
@@ -111,6 +124,33 @@ def explain_journeys(
     obs = result.obs or {}
     block = obs.get("journeys") or {}
     return list(block.get("forced") or [])
+
+
+def _differing_deliveries(
+    config: Mapping, violations: Sequence[str], stack: str = "newtop"
+) -> List[str]:
+    """The message ids the first virtual-synchrony report's two processes
+    delivered in the named view but not both, sorted.
+
+    The report gives only counts, so ``config`` is replayed with its trace
+    stored and the two processes' deliveries stamped with that view are
+    compared.  ``[]`` when no violation is such a report.
+    """
+    for violation in violations:
+        match = _SYNCHRONY_RE.search(violation)
+        if match is not None:
+            break
+    else:
+        return []
+    group, view, first, second = match.groups()
+    engine = ScenarioEngine(from_config(config), stack=stack)
+    engine.run()
+    delivered: Dict[str, set] = {first: set(), second: set()}
+    for event in engine.session.trace().events(kind=DELIVER, group=group):
+        if event.process in delivered and event.detail("view_index") == int(view):
+            delivered[event.process].add(event.message_id)
+    engine.session.release()
+    return sorted(delivered[first] ^ delivered[second])
 
 
 @dataclass

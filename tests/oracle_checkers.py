@@ -1,11 +1,12 @@
-"""Trace-based checkers for the paper's guarantees.
+"""The tests' oracle: post-hoc checkers for the paper's guarantees.
 
-The paper states its guarantees as predicates over executions (§3); these
-functions evaluate the corresponding predicates over an
-:class:`~repro.net.trace.EventTrace` recorded during a simulation.  They are
-used by the integration tests, the property-based tests and the benchmark
-harness (every benchmark asserts its run was correct before reporting
-numbers).
+The paper states its guarantees as predicates over executions (§3).  Every
+run's verdict comes from the streaming suite in
+:mod:`repro.analysis.online`; these functions evaluate the same predicates
+a second, independent way -- over a stored
+:class:`~repro.net.trace.EventTrace`, with the happened-before relation
+built as an explicit transitive closure -- so tests can check a run with
+both and ``tests/test_online_checkers.py`` can require that the two agree.
 
 Checked properties
 ------------------
@@ -29,40 +30,91 @@ Crashed processes are exempt from liveness-flavoured checks (a crashed
 process may have delivered a prefix only), exactly as the paper's
 properties quantify over functioning processes.
 
-These checkers are post-hoc: they need a materialized
-:class:`~repro.net.trace.EventTrace` and some are quadratic in processes
-or messages.  :mod:`repro.analysis.online` checks the same predicates
-incrementally from the trace recorder's sink API with amortized O(1)-O(k)
-work per event; both suites agree on every verdict (pinned down by
-``tests/test_online_checkers.py``).
+The reports differ from the suite's: a causal violation here is listed
+once per (earlier, later) pair of the closure, so one missing predecessor
+is reported once for every later message that depends on it.  Some checks
+are quadratic in processes or messages; that is the price of being a
+straightforward second opinion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from weakref import WeakKeyDictionary
 
-from repro.net.trace import DELIVER, DEPART, EventTrace, SEND, VIEW_INSTALL
+from repro.analysis.online import CheckResult
+from repro.net.trace import CRASH, DELIVER, DEPART, EventTrace, SEND, VIEW_INSTALL
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one (or several) property checks."""
+def trace_groups(trace: EventTrace) -> List[str]:
+    """All group identifiers appearing in the trace."""
+    return sorted({event.group for event in trace if event.group is not None})
 
-    name: str
-    passed: bool
-    violations: List[str] = field(default_factory=list)
 
-    def merge(self, other: "CheckResult") -> "CheckResult":
-        """Combine two results into one (AND of passes, union of violations)."""
-        return CheckResult(
-            name=f"{self.name}+{other.name}",
-            passed=self.passed and other.passed,
-            violations=self.violations + other.violations,
-        )
+def crashed_processes(trace: EventTrace) -> List[str]:
+    """Processes that recorded a crash event."""
+    return sorted({event.process for event in trace.events(kind=CRASH)})
 
-    def __bool__(self) -> bool:
-        return self.passed
+
+#: trace -> group argument -> its happened-before pairs
+_HB_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def happened_before_pairs(
+    trace: EventTrace, group: Optional[str] = None
+) -> List[Tuple[str, str]]:
+    """Pairs ``(m, m')`` of message ids with ``send(m) -> send(m')``.
+
+    The happened-before relation is reconstructed per the paper: m -> m'
+    if the same process sent m before m', or if some process delivered m
+    before sending m', closed transitively.  Quadratic in the number of
+    messages, so the result is memoized per trace and ``group`` argument
+    (:func:`check_all` evaluates it globally twice and once per group).
+    """
+    cache = _HB_CACHE.setdefault(trace, {})
+    cached = cache.get(group)
+    if cached is not None:
+        return cached
+    per_process: Dict[str, List] = {}
+    for event in trace:
+        if event.kind in (SEND, DELIVER):
+            if group is not None and event.group != group:
+                continue
+            per_process.setdefault(event.process, []).append(event)
+
+    direct: Dict[str, set] = {}
+    for events in per_process.values():
+        seen_messages: List[str] = []
+        for event in events:
+            if event.message_id is None:
+                continue
+            if event.kind == SEND:
+                for earlier in seen_messages:
+                    if earlier != event.message_id:
+                        direct.setdefault(earlier, set()).add(event.message_id)
+            seen_messages.append(event.message_id)
+
+    # Transitive closure (messages at test scale are few enough).
+    closed: Dict[str, set] = {key: set(values) for key, values in direct.items()}
+    changed = True
+    while changed:
+        changed = False
+        for key in list(closed):
+            additions = set()
+            for successor in closed[key]:
+                additions |= closed.get(successor, set())
+            if not additions.issubset(closed[key]):
+                closed[key] |= additions
+                changed = True
+    # Sorted: the checkers report violations in pair order, and a set's
+    # order is the interpreter's string hash seed.
+    pairs = [
+        (earlier, later)
+        for earlier, laters in closed.items()
+        for later in sorted(laters)
+    ]
+    cache[group] = pairs
+    return pairs
 
 
 def _subsequence_of_common(first: Sequence[str], second: Sequence[str]) -> Optional[Tuple[str, str]]:
@@ -160,7 +212,7 @@ def check_total_order(trace: EventTrace, group: Optional[str] = None) -> CheckRe
                 )
     # Causal consistency of each local order: m -> m' implies m delivered
     # before m' whenever both are delivered.
-    pairs = trace.happened_before_pairs(group)
+    pairs = happened_before_pairs(trace, group)
     for process in processes:
         order = {msg_id: index for index, msg_id in enumerate(sequences[process])}
         for earlier, later in pairs:
@@ -174,11 +226,8 @@ def check_total_order(trace: EventTrace, group: Optional[str] = None) -> CheckRe
 def _view_timelines(
     trace: EventTrace, process: str
 ) -> Dict[str, List[Tuple[float, int, frozenset]]]:
-    """Per group, the timeline of views installed at ``process``.
-
-    Shared by the MD1 and MD5' checkers (and mirrored live by the online
-    checkers' view tracking).
-    """
+    """Per group, the timeline of views installed at ``process`` (shared
+    by the MD1 and MD5' checkers)."""
     view_timeline: Dict[str, List[Tuple[float, int, frozenset]]] = {}
     for event in trace.events(kind=VIEW_INSTALL, process=process):
         view_timeline.setdefault(event.group, []).append(
@@ -232,7 +281,7 @@ def check_view_sequences(
     which is only appropriate for partition-free runs.
     """
     violations: List[str] = []
-    crashed = set(trace.crashed_processes())
+    crashed = set(crashed_processes(trace))
     if processes is None:
         candidates = [
             process
@@ -264,7 +313,7 @@ def check_same_view_delivery_sets(
     of consecutive views delivered the same set of the group's messages
     between those installations."""
     violations: List[str] = []
-    crashed = set(trace.crashed_processes())
+    crashed = set(crashed_processes(trace))
     candidates = [
         process
         for process in (processes if processes is not None else trace.processes())
@@ -312,7 +361,7 @@ def check_causal_prefix(trace: EventTrace) -> CheckResult:
     message whose sender is still in the delivering process's view of that
     message's group at delivery time."""
     violations: List[str] = []
-    pairs = trace.happened_before_pairs()
+    pairs = happened_before_pairs(trace)
     send_info: Dict[str, Tuple[str, str]] = {}
     for event in trace.events(kind=SEND):
         if event.message_id is not None:
@@ -376,16 +425,14 @@ def check_all(
     expected to agree on view sequences (use it in partition scenarios,
     where only same-side processes must agree).
 
-    The happened-before relation and the per-kind event indexes are
-    memoized inside :class:`~repro.net.trace.EventTrace`, so the global and
-    per-group passes here share one computation per variant instead of
-    re-deriving them.  For runs too large to materialize a trace at all,
-    use :class:`repro.analysis.online.OnlineCheckSuite` instead.
+    The happened-before relation is memoized per trace and the per-kind
+    event indexes inside :class:`~repro.net.trace.EventTrace`, so the
+    global and per-group passes here share one computation per variant.
     """
     result = check_total_order(trace)
     result = result.merge(check_sender_in_view(trace))
     result = result.merge(check_causal_prefix(trace))
-    for group in groups if groups is not None else trace.groups():
+    for group in groups if groups is not None else trace_groups(trace):
         expected = view_agreement_sets.get(group) if view_agreement_sets else None
         result = result.merge(check_total_order(trace, group))
         result = result.merge(check_view_sequences(trace, group, expected))

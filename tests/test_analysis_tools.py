@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.checkers import (
+from oracle_checkers import (
     check_causal_prefix,
     check_same_view_delivery_sets,
     check_sender_in_view,

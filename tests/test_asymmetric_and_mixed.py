@@ -3,8 +3,7 @@ mixed-mode multi-group operation (§4.3), including the blocking rules."""
 
 import pytest
 
-from repro.analysis import check_all
-from repro.analysis.checkers import check_total_order
+from oracle_checkers import check_all, check_total_order
 from repro.analysis.metrics import blocking_times
 from repro.api import Session
 from repro.core import NewtopConfig, OrderingMode

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle_checkers import happened_before_pairs, trace_groups
 from repro.api import Session
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network, NetworkConfig
@@ -120,7 +121,7 @@ def test_trace_filters_and_sequences():
     recorder.record(2.5, DELIVER, "p1", group="g", message_id="m1", sender="p1", clock=1)
     trace = recorder.trace()
     assert trace.processes() == ["p1", "p2"]
-    assert trace.groups() == ["g"]
+    assert trace_groups(trace) == ["g"]
     assert trace.delivered_ids("p2", "g") == ["m1"]
     assert len(trace.events(kind=DELIVER)) == 2
     latencies = trace.delivery_latencies("g")
@@ -147,7 +148,7 @@ def test_trace_happened_before_transitive():
     recorder.record(4.0, DELIVER, "p3", group="g", message_id="m2", sender="p2")
     recorder.record(5.0, SEND, "p3", group="g", message_id="m3", sender="p3")
     trace = recorder.trace()
-    pairs = set(trace.happened_before_pairs())
+    pairs = set(happened_before_pairs(trace))
     assert ("m1", "m2") in pairs
     assert ("m2", "m3") in pairs
     assert ("m1", "m3") in pairs  # transitivity
@@ -478,6 +479,7 @@ def test_jsonl_sink_leaves_borrowed_files_open():
 
 _LOSSY_LINK_RUN = """
 import json
+import sys
 from repro.api import Session
 from repro.scenarios import SCENARIO_PROTOCOL_DEFAULTS as FAST
 
@@ -492,28 +494,47 @@ for index in range(4):
         session.multicast(sender, "g", f"m{index}/{sender}")
     session.run(1.0)
 session.run(20.0)
-print(json.dumps(session.result().checks.violations))
+if sys.argv[1] == "oracle":
+    from oracle_checkers import check_all
+    print(json.dumps(check_all(session.trace()).violations))
+else:
+    print(json.dumps(session.result().checks.violations))
 """
 
 
-def test_offline_violation_order_does_not_depend_on_the_hash_seed():
-    """P2 never gets what P1 sent it for 2.5 time units and delivers what
-    the others sent after it: thirteen causal-prefix violations, found by
-    walking ``happened_before_pairs`` -- whose order was a set's."""
+def _lossy_link_violations(hash_seed, checker):
+    """The violations ``checker`` ("session" or "oracle") reports on
+    :data:`_LOSSY_LINK_RUN`, run under ``PYTHONHASHSEED=hash_seed``."""
     import json
     import os
     import subprocess
     import sys
 
-    def violations(hash_seed):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        done = subprocess.run(
-            [sys.executable, "-c", _LOSSY_LINK_RUN],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        return json.loads(done.stdout)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _LOSSY_LINK_RUN, checker],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
 
-    first, second = violations("1"), violations("2")
+
+def test_offline_violation_order_does_not_depend_on_the_hash_seed():
+    """P2 never gets what P1 sent it for 2.5 time units and delivers what
+    the others sent after it: the session's suite reports three
+    causal-prefix violations, one per predecessor P2 missed, in the same
+    order under any hash seed."""
+    first = _lossy_link_violations("1", "session")
+    second = _lossy_link_violations("2", "session")
+    assert len(first) == 3 and all("without causally preceding" in line for line in first)
+    assert first == second
+
+
+def test_oracle_violation_order_does_not_depend_on_the_hash_seed():
+    """The same run under the tests' post-hoc oracle: thirteen causal-prefix
+    violations, one per (missed predecessor, later delivery) pair, found by
+    walking ``happened_before_pairs`` -- whose order was a set's."""
+    first = _lossy_link_violations("1", "oracle")
+    second = _lossy_link_violations("2", "oracle")
     assert len(first) == 13 and all("causally" in line for line in first)
     assert first == second

@@ -227,6 +227,9 @@ def test_fuzzer_finds_and_shrinks_a_reintroduced_protocol_bug(tmp_path):
     failure = shrunk[0]
     assert failure.violation_kind == "virtual-synchrony"
     assert any("virtual synchrony" in v for v in failure.violations)
+    # The report names no message; the explainer replays the minimal
+    # config and pins the messages the two processes disagree on.
+    assert failure.journeys
 
     # The minimized repro is tiny and still carries the bug toggle.
     assert len(failure.minimized.get("events", ())) <= 12

@@ -3,7 +3,7 @@ process API (error handling, crash semantics, session helpers)."""
 
 import pytest
 
-from repro.analysis import check_all
+from oracle_checkers import check_all
 from repro.api import Session
 from repro.core import (
     AlreadyMemberError,

@@ -4,8 +4,8 @@ partitions, departures, and the paper's Examples 1-3."""
 
 import pytest
 
-from repro.analysis import check_all
-from repro.analysis.checkers import (
+from oracle_checkers import (
+    check_all,
     check_same_view_delivery_sets,
     check_total_order,
     check_view_sequences,

@@ -471,8 +471,10 @@ def test_unobserved_session_has_no_obs_and_no_instruments():
     assert session.observation is None
     assert session.sim.metrics is None and session.sim.profiler is None
     # No journey tracker either: the recorder has no lifecycle subscriber
-    # (and no sink beyond its own trace store), so it hands out no dispatch.
-    assert session.recorder.lifecycle is None and session.recorder._sinks == []
+    # (and no sink beyond its trace store and the stack's check suite), so
+    # it hands out no dispatch.
+    assert session.recorder.lifecycle is None
+    assert session.recorder._sinks == [session.suite]
     session.spawn(["P1", "P2"])
     session.group("g")
     session.run(5.0)

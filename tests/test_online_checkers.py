@@ -1,11 +1,12 @@
 """Tests for the streaming verification & observability subsystem.
 
-Covers the ISSUE-2 surface: the trace-sink architecture (memory, JSONL,
-metrics, null sinks; streaming recorders that never materialize a trace),
-online/offline checker equivalence on seeded scenario traces, mutation
-sensitivity (both suites must catch seeded violations), the scenario
-engine's ``analysis="online"`` mode, and the satellite fixes (first-send
-latency samples, happened-before memoization, per-kind event indexes).
+Covers the trace-sink architecture (memory, JSONL, metrics, null sinks;
+streaming recorders that never materialize a trace), agreement between the
+check suite and the post-hoc oracle (``oracle_checkers``) on seeded
+scenario traces and on fuzz specs, mutation sensitivity (both must catch
+seeded violations), the scenario engine's ``analysis="online"`` mode, and
+first-send latency samples, happened-before memoization and per-kind event
+indexes.
 """
 
 import io
@@ -13,7 +14,8 @@ import json
 
 import pytest
 
-from repro.analysis import check_all, check_events
+from oracle_checkers import check_all, happened_before_pairs
+from repro.analysis import check_events
 from repro.analysis.online import (
     OnlineCheckSuite,
     OnlineViewAgreement,
@@ -40,6 +42,7 @@ from repro.scenarios import (
     mixed_modes_scenario,
     run_scenario,
 )
+from repro.scenarios.fuzz import GeneratorTuning, classify_violations, generate_spec
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -165,8 +168,8 @@ def test_happened_before_pairs_memoized():
     from repro.net.trace import EventTrace
 
     trace = EventTrace(events)
-    first = trace.happened_before_pairs()
-    assert trace.happened_before_pairs() is first  # cached, not recomputed
+    first = happened_before_pairs(trace)
+    assert happened_before_pairs(trace) is first  # cached, not recomputed
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +888,8 @@ def test_a_late_duplicate_delivery_still_fails_the_suite():
 
 def test_a_back_to_back_duplicate_delivery_fails_the_suite():
     """P delivers m1 twice while Q has not delivered it yet: the map is
-    open, and P is already in it."""
+    open, and P is already in it.  The fuzzer classes the report as a
+    total-order violation."""
     events = _stream(
         *_installs("g", ["P", "Q"]),
         ("send", "P", "g", "m1"),
@@ -898,6 +902,7 @@ def test_a_back_to_back_duplicate_delivery_fails_the_suite():
     assert online.violations == [
         "duplicate delivery: P delivered m1 again (arbiter position 0)"
     ]
+    assert classify_violations(online.violations) == "total-order"
 
 
 def _partitioned(late_orders):
@@ -966,3 +971,44 @@ def test_views_recorded_across_a_view_change_are_unioned():
     assert len(checker.violations) == 1
     assert "total order violated between C and B" in checker.violations[0]
     assert (checker.maps_held(), checker.closed_held()) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The oracle guards the suite on fuzz specs
+# ---------------------------------------------------------------------------
+
+#: Every fuzzer-found violation under the default tuning, ``(corpus, index)``
+#: -> its kind: ten causality and six view-agreement failures.
+KNOWN_FAILING_SPECS = {
+    (1, 102): "causality", (1, 266): "view-agreement", (2, 3): "causality",
+    (3, 217): "causality", (4, 11): "causality", (5, 125): "view-agreement",
+    (5, 227): "causality", (6, 21): "causality", (6, 72): "causality",
+    (6, 176): "view-agreement", (8, 33): "causality", (9, 97): "view-agreement",
+    (9, 128): "view-agreement", (9, 214): "causality", (10, 63): "view-agreement",
+    (10, 298): "causality",
+}
+
+#: The failing specs, then the first ten of corpora 1-3 (2:3 is in both).
+FUZZ_SLICE = tuple(dict.fromkeys([
+    *KNOWN_FAILING_SPECS,
+    *((corpus, index) for corpus in (1, 2, 3) for index in range(10)),
+]))
+
+
+@pytest.mark.parametrize(
+    "corpus,index", FUZZ_SLICE, ids=[f"{c}:{i}" for c, i in FUZZ_SLICE]
+)
+def test_oracle_and_suite_agree_on_fuzz_specs(corpus, index):
+    """The run's verdict (the session's suite) and the oracle's, over the
+    same stored trace: the same pass/fail and the same violation kind --
+    the known one for a failing spec."""
+    engine = ScenarioEngine(generate_spec(corpus, index, GeneratorTuning()))
+    suite = engine.run().checks
+    oracle = check_all(
+        engine.session.trace(), view_agreement_sets=engine.expected_agreement_sets()
+    )
+    engine.session.release()
+    assert suite.passed == oracle.passed, (suite.violations[:2], oracle.violations[:2])
+    kind = classify_violations(suite.violations)
+    assert kind == classify_violations(oracle.violations)
+    assert kind == KNOWN_FAILING_SPECS.get((corpus, index))

@@ -19,7 +19,7 @@ Every run here uses ``ConstantLatency``, so each time and count below is
 the same on any commit; each test says what the commit before sent.
 """
 
-from repro.analysis import check_all
+from oracle_checkers import check_all
 from repro.api import Session
 from repro.core import NewtopConfig
 from repro.core.config import OrderingMode

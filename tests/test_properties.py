@@ -4,7 +4,7 @@ protocol invariants over randomly generated workloads."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.checkers import check_all, check_total_order
+from oracle_checkers import check_all, check_total_order
 from repro.api import Session
 from repro.core import NewtopConfig, OrderingMode
 from repro.core.clock import LamportClock

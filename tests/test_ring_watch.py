@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import check_all
+from oracle_checkers import check_all
 from repro.api import Session
 from repro.core import NewtopConfig
 from repro.core.messages import (

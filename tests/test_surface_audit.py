@@ -22,6 +22,10 @@ collector: no module under ``src/repro`` imports ``gc``, and only
 ``Observation.coerce`` builds an ``Observation``, so the session that
 coerced it is its one owner.
 
+Every run has one verdict path, the stack's streaming check suite: nothing
+under ``src/repro`` names the post-hoc checkers, which live in the tests as
+their oracle.
+
 A run imports only what it runs: the packages the performance ledger's
 workloads import load no pool executor, no §6 baseline, no report renderer
 and no demo application, and running one unit of each workload imports
@@ -327,6 +331,26 @@ def test_only_the_session_builds_an_observation():
             ):
                 building.append(f"{'/'.join(parts[2:])}:{node.lineno}")
     assert building == []
+
+
+def test_every_run_has_one_verdict_path():
+    """No second checker under ``src/repro``: no ``check_all``, no stack's
+    ``offline_checks``, no happened-before closure and no
+    ``repro.analysis.checkers`` module, named in code or in prose.  A
+    stored trace is checked by replaying it through the suite
+    (``check_events``); the post-hoc checkers are ``tests/oracle_checkers.py``."""
+    retired = (
+        "check_all", "offline_checks", "happened_before_pairs", "repro.analysis.checkers",
+    )
+    naming = [
+        f"{'/'.join(path.relative_to(ROOT).parts[2:])}: {name}"
+        for path, text in SOURCES.items()
+        if path.relative_to(ROOT).parts[:2] == ("src", "repro")
+        for name in retired
+        if name in text
+    ]
+    assert naming == []
+    assert not (ROOT / "src" / "repro" / "analysis" / "checkers.py").exists()
 
 
 #: The packages the performance ledger's workloads import.

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis import check_all
-from repro.analysis.checkers import check_total_order
+from oracle_checkers import check_all, check_total_order
 from repro.api import Session
 from repro.core import NewtopConfig, OrderingMode
 from repro.core.endpoint import PendingViewChange
