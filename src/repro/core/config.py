@@ -105,18 +105,6 @@ class NewtopConfig:
     #: Timeout used by the group-formation coordinator while collecting
     #: votes (§5.3 step 3).
     formation_timeout: float = 30.0
-    #: Back the receive/stability vectors with slab arrays (dense member
-    #: slots, cached minimum) instead of per-vector dicts.  Both backends
-    #: are behaviourally identical -- equivalence tests run seeded
-    #: scenarios under each and require byte-identical results -- so this
-    #: switch exists only to prove that and to measure the difference.
-    use_slab_state: bool = True
-    #: Drain a whole per-process transport batch (all messages arriving at
-    #: one simulated instant) before attempting deliveries and flushing
-    #: deferred sends, instead of doing both after every message.  Purely a
-    #: hot-path batching knob: the delivery sequence is unchanged (pinned
-    #: by equivalence tests).
-    batch_receipts: bool = True
     #: Sequence an end-of-view ``view_cut`` marker when an asymmetric group
     #: excludes a non-sequencer member, so every survivor cuts the delivery
     #: stream at the same sequencer number.  Disabling it reverts to the

@@ -107,11 +107,7 @@ class GroupEndpoint:
         # that mode.
         engine = AsymmetricOrdering if mode is AsymmetricOrdering.mode else SymmetricOrdering
         self.engine = engine(self)
-        self.stability = StabilityTracker(
-            group_id,
-            members,
-            use_slab=config.use_slab_state,
-        )
+        self.stability = StabilityTracker(group_id, members)
         self.flow = FlowController(config.flow_control_window)
         self.suspector = FailureSuspector(
             sim=process.sim,

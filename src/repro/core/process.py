@@ -108,11 +108,7 @@ class NewtopProcess:
         self.config = (config or NewtopConfig()).validate()
         self.recorder = recorder if recorder is not None else TraceRecorder()
         self.transport_endpoint = transport.endpoint(process_id)
-        self.transport_endpoint.register_handler("newtop", self._on_transport_message)
-        if self.config.batch_receipts:
-            self.transport_endpoint.register_batch_handler(
-                "newtop", self._on_transport_batch
-            )
+        self.transport_endpoint.register_batch_handler("newtop", self._on_transport_batch)
         self.clock = LamportClock()
         self.delivery_queue = DeliveryQueue()
         metrics = sim.metrics
@@ -435,7 +431,8 @@ class NewtopProcess:
         receipt of an instant yields the same stream as delivering after
         each one, and a pass skipped after an inert batch would have
         delivered nothing (both pinned by the batching equivalence test,
-        whose ``batch_receipts=False`` arm settles after every message).
+        whose per-message arm registers :meth:`_on_transport_message` as the
+        channel's handler, so each group message settles on its own).
         """
         moved = False
         self.in_receipt_batch = True
@@ -616,9 +613,8 @@ class NewtopProcess:
             unstable message raises neither) numbered above the bound the
             last delivery pass ran under (so it is not deliverable itself),
 
-          and did not raise ``min(RV)`` (the slab vector knows: that is
-          exactly when it flags a rescan; the dict reference cannot tell
-          and always says it may have);
+          and did not raise ``min(RV)`` (the vector knows: that is
+          exactly when it flags a rescan, ``minimum_in_doubt()``);
 
         and only while no group of the process holds a deferred send, a
         pending view change, a cut point or a parked detection
@@ -643,11 +639,14 @@ class NewtopProcess:
         through a delivery, a view installation or a membership message,
         all of which settle.
 
-        ``batch_receipts=False`` settles after every message, inert or
-        not, and is the ungated reference
-        ``tests/test_hot_path_equivalence.py`` compares against;
-        ``tests/test_settle_demand.py`` runs a settle after every batch
-        the rule let go and asserts that it found nothing.
+        The ungated reference is a test fixture: it registers
+        :meth:`_on_transport_message` in place of the batch handler, so
+        each group or membership message settles on its own, inert or not
+        (``on_data_message`` and ``on_membership_message`` settle outside a
+        batch), and ``tests/test_hot_path_equivalence.py`` compares whole
+        runs against it; ``tests/test_settle_demand.py`` runs a settle
+        after every batch the rule let go and asserts that it found
+        nothing.
         """
         self.attempt_delivery()
         self.flush_deferred_sends()

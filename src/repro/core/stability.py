@@ -26,7 +26,7 @@ from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.messages import KIND_NULL, DataMessage
-from repro.core.vectors import make_stability_vector
+from repro.core.vectors import StabilityVector
 
 
 class RetentionBuffer:
@@ -198,14 +198,9 @@ class StabilityTracker:
       benchmarks.
     """
 
-    def __init__(
-        self,
-        group: str,
-        members: Iterable[str],
-        use_slab: bool = True,
-    ) -> None:
+    def __init__(self, group: str, members: Iterable[str]) -> None:
         self.group = group
-        self.vector = make_stability_vector(members, use_slab=use_slab)
+        self.vector = StabilityVector(members)
         self.buffer = RetentionBuffer(group)
         #: The largest sequencer-aggregated bound recorded so far.
         self._global_ldn = 0

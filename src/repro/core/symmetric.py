@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.core.messages import CAUSE_BY_KIND, DataMessage, KIND_NULL, KIND_START_GROUP
 from repro.core.ordering import OrderingEngine
-from repro.core.vectors import make_receive_vector
+from repro.core.vectors import ReceiveVector
 
 
 class SymmetricOrdering(OrderingEngine):
@@ -31,9 +31,7 @@ class SymmetricOrdering(OrderingEngine):
 
     def __init__(self, endpoint) -> None:
         super().__init__(endpoint)
-        self.receive_vector = make_receive_vector(
-            endpoint.view.members, use_slab=endpoint.config.use_slab_state
-        )
+        self.receive_vector = ReceiveVector(endpoint.view.members)
 
     # ------------------------------------------------------------------
     # Send path

@@ -19,18 +19,13 @@ and can be discarded from retransmission buffers.
 infinity so that ``D`` can advance past the point at which the failed
 processes fell silent.
 
-Two interchangeable backends implement the vector:
-
-* :class:`SlabMemberVector` (the default, aliased as :class:`MemberVector`)
-  stores values in a flat slab list keyed by dense slot indices with a
-  cached minimum.  Entries are monotone (they only grow), so the cache is
-  ``(min value, count of entries at it)``: a receipt that raises a
-  non-minimal entry is O(1), and the O(n) rescan happens only when the
-  minimum actually advances -- amortised O(1) per receipt on the hot path.
-* :class:`DictMemberVector` is the original dict-per-vector implementation,
-  kept as the executable reference: the equivalence tests run whole seeded
-  scenarios under both backends (``NewtopConfig.use_slab_state``) and
-  require byte-identical results.
+The vector is :class:`SlabMemberVector`: values in a flat slab list keyed
+by dense slot indices, with a cached minimum.  Entries are monotone (they
+only grow), so the cache is ``(min value, count of entries at it)``: a
+receipt that raises a non-minimal entry is O(1), and the O(n) rescan
+happens only when the minimum actually advances -- amortised O(1) per
+receipt on the hot path.  The dict-per-vector implementation it replaced
+is the tests' reference model (``tests/reference_twins.py``).
 """
 
 from __future__ import annotations
@@ -263,107 +258,13 @@ class SlabMemberVector:
         return f"{type(self).__name__}({inner})"
 
 
-class DictMemberVector:
-    """Reference dict-backed vector (the pre-slab implementation).
+class ReceiveVector(SlabMemberVector):
+    """``RV_x,i``: latest message number received from each view member.
 
-    Selected with ``NewtopConfig.use_slab_state=False``; the equivalence
-    tests run identical seeded scenarios under both backends and require
-    byte-identical scenario results.
+    ``minimum()`` is the paper's ``D_x,i``.
     """
 
-    def __init__(self, members: Iterable[str], initial: int = 0) -> None:
-        self._entries: Dict[str, float] = {member: initial for member in members}
-        if not self._entries:
-            raise ValueError("a member vector needs at least one member")
-        self._last_finite_minimum: float = float(initial)
-
-    # ------------------------------------------------------------------
-    # Entry access
-    # ------------------------------------------------------------------
-    def __getitem__(self, member: str) -> float:
-        return self._entries[member]
-
-    def __contains__(self, member: str) -> bool:
-        return member in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, member: str, default: Optional[float] = None) -> Optional[float]:
-        """Entry for ``member`` or ``default`` when absent."""
-        return self._entries.get(member, default)
-
-    def members(self) -> list[str]:
-        """Member identifiers tracked by this vector, sorted."""
-        return sorted(self._entries)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Copy of the underlying mapping (for inspection / metrics)."""
-        return dict(self._entries)
-
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-    def update(self, member: str, value: float) -> bool:
-        """Monotone update; see :meth:`SlabMemberVector.update`."""
-        if member not in self._entries:
-            raise KeyError(f"{member!r} is not tracked by this vector")
-        if value > self._entries[member]:
-            self._entries[member] = value
-            return True
-        return False
-
-    def mark_infinite(self, member: str) -> None:
-        """Step (viii): stop letting ``member`` constrain the minimum."""
-        if member in self._entries:
-            self._entries[member] = INFINITY
-
-    def remove(self, member: str) -> None:
-        """Drop ``member`` from the vector entirely (after view installation)."""
-        self._entries.pop(member, None)
-
-    def add_member(self, member: str, initial: int = 0) -> None:
-        """Track a new member (group formation only)."""
-        self._entries.setdefault(member, initial)
-
-    # ------------------------------------------------------------------
-    # The protocol-relevant aggregate
-    # ------------------------------------------------------------------
-    def minimum(self) -> float:
-        """Minimum entry; see :meth:`SlabMemberVector.minimum`."""
-        return min(self._entries.values()) if self._entries else INFINITY
-
-    def minimum_in_doubt(self) -> bool:
-        """Always: the reference keeps no cached minimum, so it cannot
-        tell; see :meth:`SlabMemberVector.minimum_in_doubt`."""
-        return True
-
-    def finite_minimum(self) -> float:
-        """Clamped finite minimum; see :meth:`SlabMemberVector.finite_minimum`."""
-        finite = [value for value in self._entries.values() if value != INFINITY]
-        if not finite:
-            return self._last_finite_minimum
-        value = min(finite)
-        if value > self._last_finite_minimum:
-            self._last_finite_minimum = value
-        return value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{member}:{value}" for member, value in sorted(self._entries.items()))
-        return f"{type(self).__name__}({inner})"
-
-
-#: Default backend.  Protocol code should construct concrete vectors via
-#: :func:`make_receive_vector` / :func:`make_stability_vector` so the
-#: config flag can switch backends.
-MemberVector = SlabMemberVector
-
-
-class _ReceiveVectorOps:
-    """``RV_x,i`` behaviour shared by both backends."""
+    __slots__ = ()
 
     def record_receipt(self, sender: str, clock: int) -> bool:
         """Record that a message numbered ``clock`` arrived from ``sender``."""
@@ -375,8 +276,15 @@ class _ReceiveVectorOps:
         return self.minimum()
 
 
-class _StabilityVectorOps:
-    """``SV_x,i`` behaviour shared by both backends."""
+class StabilityVector(SlabMemberVector):
+    """``SV_x,i``: latest ``m.ldn`` received from each view member.
+
+    ``minimum()`` bounds the numbers of messages known to have been received
+    by every member; such messages are *stable* and may be discarded from
+    retransmission buffers (§5.1).
+    """
+
+    __slots__ = ()
 
     def record_ldn(self, sender: str, ldn: int) -> bool:
         """Record the ``m.ldn`` piggybacked on a message from ``sender``."""
@@ -393,37 +301,3 @@ class _StabilityVectorOps:
         when every entry is infinite (mass failure, §5.2 step viii).
         """
         return self.finite_minimum()
-
-
-class ReceiveVector(_ReceiveVectorOps, SlabMemberVector):
-    """``RV_x,i``: latest message number received from each view member.
-
-    ``minimum()`` is the paper's ``D_x,i``.
-    """
-
-
-class DictReceiveVector(_ReceiveVectorOps, DictMemberVector):
-    """Dict-backed reference ``RV_x,i``."""
-
-
-class StabilityVector(_StabilityVectorOps, SlabMemberVector):
-    """``SV_x,i``: latest ``m.ldn`` received from each view member.
-
-    ``minimum()`` bounds the numbers of messages known to have been received
-    by every member; such messages are *stable* and may be discarded from
-    retransmission buffers (§5.1).
-    """
-
-
-class DictStabilityVector(_StabilityVectorOps, DictMemberVector):
-    """Dict-backed reference ``SV_x,i``."""
-
-
-def make_receive_vector(members: Iterable[str], use_slab: bool = True):
-    """Construct an ``RV`` with the configured backend."""
-    return ReceiveVector(members) if use_slab else DictReceiveVector(members)
-
-
-def make_stability_vector(members: Iterable[str], use_slab: bool = True):
-    """Construct an ``SV`` with the configured backend."""
-    return StabilityVector(members) if use_slab else DictStabilityVector(members)

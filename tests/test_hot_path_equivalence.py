@@ -1,17 +1,19 @@
-"""Equivalence pins for the hot-path refactor (slab state / batching).
+"""Equivalence pins for the hot path (slab vectors / receipt batching).
 
-The 10k-scale hot path replaced two reference implementations that are
-still kept behind toggles:
+``src/`` has one backend for the receive and stability vectors (slab
+arrays with a cached minimum) and one way to take receipts (per-instant
+transport batches).  The implementations they replaced are kept test-side
+as executable references (:mod:`reference_twins`):
 
-* per-member dict vector-clock state with slab-backed arrays
-  (``NewtopConfig.use_slab_state``), and
-* per-message receipt processing with per-instant delivery batches
-  (``NewtopConfig.batch_receipts``).
+* the dict-per-vector model of ``RV``/``SV``, and
+* per-message receipt processing, which settles after every message.
 
-Both must be *behaviour-preserving*: for a seeded churn run, every toggle
-combination has to produce byte-identical results -- same event count,
-same deliveries, same messages, same verdicts, same metrics.  (The event
-kernel has no twin: its firing order is pinned by the golden run in
+Both fast paths must be *behaviour-preserving*: a seeded churn run under
+each reference arm has to produce byte-identical results -- same event
+count, same deliveries, same messages, same verdicts, same metrics -- and
+each arm has to prove it ran.  The model is also compared operation by
+operation with the slab vector under hypothesis.  (The event kernel has
+no twin: its firing order is pinned by the golden run in
 ``tests/test_simulator.py``.)
 """
 
@@ -19,24 +21,24 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.vectors import (
-    INFINITY,
+from reference_twins import (
     DictMemberVector,
     DictReceiveVector,
     DictStabilityVector,
-    ReceiveVector,
-    SlabMemberVector,
-    StabilityVector,
+    ReferencePaths,
 )
+from repro.core.vectors import INFINITY, ReceiveVector, SlabMemberVector, StabilityVector
 from repro.scenarios import churn_scenario, run_scenario
 
 # ---------------------------------------------------------------------------
-# Scenario-level equivalence: every toggle combination, one seeded churn run
+# Scenario-level equivalence: every reference arm, one seeded churn run
 # ---------------------------------------------------------------------------
 
-def _churn_config(**protocol):
-    config = churn_scenario(
+def _churn_config():
+    return churn_scenario(
         n_processes=60,
         n_groups=6,
         group_size=8,
@@ -46,8 +48,6 @@ def _churn_config(**protocol):
         messages_per_sender=2,
         seed=11,
     )
-    config["protocol"] = dict(config.get("protocol") or {}, **protocol)
-    return config
 
 
 def _fingerprint(result):
@@ -71,24 +71,50 @@ def _fingerprint(result):
     }
 
 
+@pytest.fixture(scope="module")
+def fast_run():
+    """The churn run on the fast paths, once per module, with the number
+    of settles it took."""
+    with pytest.MonkeyPatch.context() as patch:
+        paths = ReferencePaths(patch)
+        paths.count_settles()
+        result = run_scenario(_churn_config(), analysis="online")
+    return result, paths.settles
+
+
 @pytest.mark.parametrize(
-    "protocol",
+    "arms",
     [
-        dict(use_slab_state=False),
-        dict(batch_receipts=False),
-        dict(use_slab_state=False, batch_receipts=False),
+        ("dict_vectors",),
+        ("per_message_receipts",),
+        ("dict_vectors", "per_message_receipts"),
     ],
     ids=["dict-vectors", "per-message-receipts", "all-reference"],
 )
-def test_churn_run_identical_across_hot_path_toggles(protocol):
-    fast = run_scenario(_churn_config(), analysis="online")
-    reference = run_scenario(_churn_config(**protocol), analysis="online")
+def test_churn_run_identical_across_hot_path_toggles(fast_run, reference_paths, arms):
+    fast, fast_settles = fast_run
+    reference_paths.count_settles()
+    for arm in arms:
+        getattr(reference_paths, arm)()
+    reference = run_scenario(_churn_config(), analysis="online")
     assert fast.passed and reference.passed
     assert _fingerprint(fast) == _fingerprint(reference)
+    # Each arm ran: a patch that stopped applying would compare the fast
+    # path with itself.  Either twin settles more often than the gate.
+    assert reference_paths.settles > fast_settles
+    if "dict_vectors" in arms:
+        assert reference_paths.built["DictReceiveVector"] > 0
+        assert reference_paths.built["DictStabilityVector"] > 0
+    else:
+        assert not reference_paths.built
+    if "per_message_receipts" in arms:
+        assert reference_paths.receipts_one_by_one > 0
+    else:
+        assert reference_paths.receipts_one_by_one == 0
 
 
 # ---------------------------------------------------------------------------
-# Slab vectors vs the dict reference, under randomized operation sequences
+# Slab vectors vs the dict model, under generated operation sequences
 # ---------------------------------------------------------------------------
 
 def _assert_vectors_agree(slab, reference):
@@ -98,42 +124,55 @@ def _assert_vectors_agree(slab, reference):
     assert slab.finite_minimum() == reference.finite_minimum()
 
 
-@pytest.mark.parametrize("seed", [1, 7, 23, 99])
-def test_slab_member_vector_matches_dict_reference(seed):
-    rng = random.Random(seed)
-    members = [f"P{index}" for index in range(8)]
+_PROGRAMS = st.lists(
+    st.tuples(
+        st.sampled_from(["update", "update", "update", "mark_infinite", "remove", "add_member"]),
+        st.integers(min_value=0, max_value=10**3),  # picks a member
+        st.integers(min_value=-1, max_value=40),  # the value or initial entry
+    ),
+    max_size=150,
+)
+
+
+@pytest.mark.parametrize("n_members", [1, 7, 23, 99])
+@given(program=_PROGRAMS)
+def test_slab_member_vector_matches_dict_reference(n_members, program):
+    """Random update / mark_infinite / remove / add_member sequences leave
+    the slab vector and the dict model equal, over views of 1 to 99
+    members plus two newcomers.  ``minimum_in_doubt()`` is held to its
+    promise: when it reads False, the minimum is the one read last time."""
+    members = [f"P{index}" for index in range(n_members)]
+    pool = members + ["N0", "N1"]
     slab = SlabMemberVector(members, initial=-1)
     reference = DictMemberVector(members, initial=-1)
-    active = set(members)
-    removed = set()
-    for _ in range(600):
-        op = rng.random()
-        if op < 0.70 and active:
-            member = rng.choice(sorted(active))
-            value = rng.randrange(-1, 40)
-            assert slab.update(member, value) == reference.update(member, value)
-        elif op < 0.80 and active:
-            member = rng.choice(sorted(active))
-            slab.mark_infinite(member)
-            reference.mark_infinite(member)
-        elif op < 0.90 and len(active) > 1:
-            member = rng.choice(sorted(active))
-            slab.remove(member)
-            reference.remove(member)
-            active.discard(member)
-            removed.add(member)
-        elif removed:
-            member = rng.choice(sorted(removed))
-            slab.add_member(member, initial=rng.randrange(0, 5))
-            reference.add_member(member, initial=slab[member])
-            removed.discard(member)
-            active.add(member)
+    last_read = slab.minimum()
+    for op, pick, value in program:
+        member = pool[pick % len(pool)]
+        if op == "update":
+            if member in reference:
+                assert slab.update(member, value) == reference.update(member, value)
+            else:
+                with pytest.raises(KeyError):
+                    slab.update(member, value)
+                with pytest.raises(KeyError):
+                    reference.update(member, value)
+        elif op == "mark_infinite":
+            for vector in (slab, reference):
+                vector.mark_infinite(member)
+        elif op == "remove":
+            if len(reference) > 1:  # a view always keeps its own member
+                for vector in (slab, reference):
+                    vector.remove(member)
+        else:
+            for vector in (slab, reference):
+                vector.add_member(member, initial=value)
+            # Entries only grow except here (group formation): a newcomer
+            # may stand below the minimum, so the promise starts afresh.
+            last_read = slab.minimum()
+        if not slab.minimum_in_doubt():
+            assert slab.minimum() == last_read
+        last_read = slab.minimum()
         _assert_vectors_agree(slab, reference)
-    # Untracked members raise on both implementations.
-    with pytest.raises(KeyError):
-        slab.update("stranger", 3)
-    with pytest.raises(KeyError):
-        reference.update("stranger", 3)
 
 
 def test_slab_add_member_reactivates_with_dict_semantics():
@@ -187,14 +226,14 @@ def test_protocol_vectors_match_dict_reference(fast_cls, reference_cls, record, 
 # Link-fault models at zero rates must never change a run
 # ---------------------------------------------------------------------------
 
-def test_churn_run_identical_with_zero_rate_link_faults_attached():
+def test_churn_run_identical_with_zero_rate_link_faults_attached(fast_run):
     """A :class:`repro.net.faults.LinkFaultModel` draws every decision from
     its own RNG, so attaching one whose rates are all zero is byte-identical
     to no model at all -- the invariant that keeps fault-free fuzz corpora
     comparable with the rest of the suite."""
     config = _churn_config()
     config["link_faults"] = {"seed": 11}
-    plain = run_scenario(_churn_config(), analysis="online")
+    plain, _ = fast_run
     attached = run_scenario(config, analysis="online")
     assert plain.passed and attached.passed
     assert _fingerprint(plain) == _fingerprint(attached)
@@ -205,7 +244,7 @@ def test_churn_run_identical_with_zero_rate_link_faults_attached():
 # ---------------------------------------------------------------------------
 
 def _observation_fingerprint(result):
-    """The toggle fingerprint, minus ``events_processed``: the sampler
+    """The run fingerprint, minus ``events_processed``: the sampler
     schedules its own simulator events, which is exactly the one thing
     observation is *allowed* to add."""
     fingerprint = _fingerprint(result)
@@ -216,8 +255,8 @@ def _observation_fingerprint(result):
 @pytest.mark.parametrize(
     "observe", ["metrics", "journeys", "full"], ids=["metrics", "journeys", "full"]
 )
-def test_churn_run_identical_with_observation_attached(observe):
-    plain = run_scenario(_churn_config(), analysis="online")
+def test_churn_run_identical_with_observation_attached(fast_run, observe):
+    plain, _ = fast_run
     observed = run_scenario(_churn_config(), analysis="online", observe=observe)
     assert plain.passed and observed.passed
     assert _observation_fingerprint(plain) == _observation_fingerprint(observed)

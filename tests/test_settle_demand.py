@@ -16,6 +16,7 @@ depend on it.
 
 import pytest
 
+from reference_twins import DictReceiveVector
 from test_hot_path_equivalence import _churn_config
 from test_kv import LAYOUT, make_store, put
 
@@ -346,14 +347,16 @@ def test_a_null_in_a_group_that_is_not_symmetric_settles(oracle, mode):
     assert _feed(oracle, process, "P3", _null("P3", TOP + 1))
 
 
-def test_the_dict_reference_vector_never_promises(oracle):
-    """``use_slab_state=False``: the reference backend cannot tell whether
-    the minimum moved, so no group message is inert (a beacon still is)."""
-    config = NewtopConfig(omega=1.0, suspicion_timeout=6.0, use_slab_state=False)
+def test_the_dict_reference_vector_never_promises(oracle, reference_paths):
+    """The dict model (:mod:`reference_twins`) cannot tell whether the
+    minimum moved, so no group message is inert (a beacon still is)."""
+    reference_paths.dict_vectors()
+    config = NewtopConfig(omega=1.0, suspicion_timeout=6.0)
     session = Session("newtop", config=config, seed=1)
     session.spawn(["P1", "P2", "P3"])
     session.group("g1")
     session.run(20.0)
     process = session["P1"]
+    assert isinstance(process.endpoint("g1").engine.receive_vector, DictReceiveVector)
     assert _feed(oracle, process, "P3", _null("P3", TOP + 1))
     assert not _feed(oracle, process, "P2", Beacon(origin="P2", groups=("g1",)))

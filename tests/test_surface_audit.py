@@ -132,7 +132,7 @@ def test_every_option_is_read_and_has_two_values_in_use():
 def test_the_process_heartbeat_added_no_option_and_a_beacon_says_only_what_it_vouches_for():
     # One beacon per process pair is how the protocol works, not a mode of
     # it: no field, no toggle (PR 22).
-    assert len(dataclasses.fields(NewtopConfig)) == 10
+    assert len(dataclasses.fields(NewtopConfig)) == 8
     assert [field.name for field in dataclasses.fields(Beacon)] == ["origin", "groups"]
 
 
