@@ -9,10 +9,11 @@ Two arms, both required:
   tracked, not failed -- the paper's guarantees are safety properties).
   Throughput lands in the JSON as ``specs_per_minute``, the number the
   ROADMAP quotes.
-* **Oracle arm** -- the same machinery with a known bug re-introduced
-  (``use_view_cut_marker: False``, reverting step (viii) to the naive
-  lnmn discard bound) must find at least one virtual-synchrony violation
-  within a small bounded budget.  A campaign that passes because the
+* **Oracle arm** -- the same machinery with a known bug planted (the
+  :data:`mutants.naive_view_cut` class patch, reverting a sequencer
+  group's step (viii) to the naive lnmn cut with no end-of-view marker)
+  must find at least one virtual-synchrony violation within a small
+  bounded budget.  A campaign that passes because the
   checkers quietly stopped looking fails here, not in a real regression.
 
 Failures of the healthy arm write replayable artifacts next to the JSON
@@ -28,6 +29,7 @@ import os
 import time
 
 from common import benchmark_arg_parser, write_bench_json
+from mutants import naive_view_cut
 
 from repro.scenarios.fuzz import GeneratorTuning, run_campaign
 
@@ -41,8 +43,8 @@ FULL_SCALE = dict(corpus_seed=7, count=400, oracle_budget=8)
 SCALES = {"smoke": SMOKE_SCALE, "full": FULL_SCALE}
 
 #: The oracle arm's tuning: aimed at the view-cut bug's trigger shape
-#: (asymmetric groups, open-loop load, crash churn), with the bug toggle
-#: stamped into every generated spec.
+#: (asymmetric groups, open-loop load, crash churn).  It runs under
+#: :data:`mutants.naive_view_cut`, serially, so the patch reaches every run.
 ORACLE_TUNING = GeneratorTuning(
     min_processes=6,
     max_processes=8,
@@ -56,7 +58,6 @@ ORACLE_TUNING = GeneratorTuning(
     load_phase_probability=0.0,
     latency_swap_probability=0.0,
     link_fault_probability=0.0,
-    protocol={"use_view_cut_marker": False},
 )
 
 
@@ -71,14 +72,15 @@ def measure(scale=None, parallel=None, artifact_dir=None):
         max_shrink=3,
         artifact_dir=artifact_dir,
     )
-    oracle = run_campaign(
-        scale["corpus_seed"],
-        scale["oracle_budget"],
-        tuning=ORACLE_TUNING,
-        shrink_failures=True,
-        max_shrink=1,
-        shrink_budget=60,
-    )
+    with naive_view_cut:
+        oracle = run_campaign(
+            scale["corpus_seed"],
+            scale["oracle_budget"],
+            tuning=ORACLE_TUNING,
+            shrink_failures=True,
+            max_shrink=1,
+            shrink_budget=60,
+        )
     oracle_shrunk = [f for f in oracle.failures if f.minimized is not None]
     return {
         "corpus_seed": scale["corpus_seed"],
@@ -116,10 +118,10 @@ def check_gates(payload):
     )
     oracle = payload["oracle"]
     assert oracle["violations"] >= 1, (
-        f"the oracle arm found no violation in {oracle['budget']} specs with "
-        "use_view_cut_marker disabled: the checker oracle has gone blind"
+        f"the oracle arm found no violation in {oracle['budget']} specs under "
+        f"the {naive_view_cut.name} mutant: the checker oracle has gone blind"
     )
-    assert oracle["violation_kind"] == "virtual-synchrony", oracle
+    assert oracle["violation_kind"] == naive_view_cut.caught_by, oracle
     assert oracle["shrunk_events"] is not None and oracle["shrunk_events"] <= 12, (
         f"shrinker left {oracle['shrunk_events']} events in the oracle repro "
         "(expected a minimal repro of at most 12)"
@@ -142,7 +144,7 @@ def test_fuzz_campaign(benchmark):
             f"{payload['count']} specs -> {payload['tallies']} at "
             f"{payload['specs_per_minute']} specs/min (parallel "
             f"{payload['parallel']})",
-            f"oracle arm (use_view_cut_marker off): "
+            f"oracle arm ({naive_view_cut.name} mutant): "
             f"{oracle['violations']} {oracle['violation_kind']} violation(s) "
             f"within {oracle['budget']} specs, shrunk to "
             f"{oracle['shrunk_events']} event(s) in {oracle['shrink_runs']} "

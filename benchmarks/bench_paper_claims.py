@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import pytest
 
 from common import EventProbe, fmt, run_session, run_session_traffic, write_bench_json
+from mutants import deliver_past_suspected_senders
 
 from repro.analysis import check_events
 from repro.analysis.metrics import blocking_times, build_report, view_agreement_latency
@@ -1200,33 +1201,13 @@ def test_claim_holds(claim):
     assert row["holds"], row["measured"]
 
 
-def _deliver_past_suspected_senders(monkeypatch) -> None:
-    """Mutant of Example 2's exclude-before-deliver step: a suspicion is
-    never confirmed into an exclusion, and a symmetric group's bound skips
-    the receive-vector entries of suspected members instead, so a process
-    delivers past a suspected sender's gap while the sender is still in
-    its view."""
-    from repro.core.membership import GroupViewProcess
-    from repro.core.symmetric import SymmetricOrdering
-
-    def bound(self):
-        suspected = self.endpoint.gv.suspected_processes()
-        standing = [
-            value for member, value in self.receive_vector.as_dict().items()
-            if member not in suspected
-        ]
-        return max(min(standing, default=float("inf")), self.d_floor)
-
-    monkeypatch.setattr(SymmetricOrdering, "deliverable_bound", bound)
-    monkeypatch.setattr(GroupViewProcess, "_confirm", lambda self, detection: None)
-
-
-def test_the_exclusion_mutant_turns_e5_and_the_cli_red(monkeypatch, tmp_path):
+def test_the_exclusion_mutant_turns_e5_and_the_cli_red(tmp_path):
     e5 = next(claim for claim in CLAIMS if claim.id == "E5")
+    assert deliver_past_suspected_senders.caught_by == e5.id
     assert e5.holds(e5.run())
-    _deliver_past_suspected_senders(monkeypatch)
-    assert not e5.holds(e5.run())
-    assert main(["--json", str(tmp_path / "claims.json")]) == 1
+    with deliver_past_suspected_senders:
+        assert not e5.holds(e5.run())
+        assert main(["--json", str(tmp_path / "claims.json")]) == 1
     rows = json.loads((tmp_path / "claims.json").read_text())["claims"]
     assert [row["holds"] for row in rows if row["id"] == "E5"] == [False]
 

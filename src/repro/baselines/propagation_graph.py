@@ -205,10 +205,6 @@ class PropagationGraphNetwork:
         """Message ids delivered at ``process_id`` in arrival order."""
         return [delivery.msg_id for delivery in self._node(process_id).delivered]
 
-    def total_protocol_bytes(self) -> int:
-        """Protocol bytes transmitted across the whole forest."""
-        return sum(node.protocol_bytes_sent for node in self.nodes.values())
-
     def depth_of(self, process_id: str) -> int:
         """Distance from ``process_id`` to the root of its tree."""
         depth = 0

@@ -27,8 +27,8 @@ and the §7 window reopens.
 Fault tolerance for the asymmetric engine (sequencer failover, re-sending
 of unsequenced requests) goes beyond what the paper spells out -- §5 covers
 only the symmetric version "to save space" -- and is this reproduction's
-extension, all of it in this module: :class:`SequencerFailover` and the
-view-change methods of the engine document it.
+extension, all of it in this module: :class:`AsymmetricOrdering`'s
+docstring and its view-change methods document it.
 """
 
 from __future__ import annotations
@@ -49,25 +49,35 @@ from repro.core.vectors import INFINITY
 
 
 class AsymmetricOrdering(OrderingEngine):
-    """Sequencer-based total order for one group."""
+    """Sequencer-based total order for one group, and where a confirmed
+    detection cuts its stream and when a relayed member's silence counts
+    (§5.2 for §4.2 groups).
+
+    ``lnmn`` (the failed member's last number) marks no position in the
+    sequencer's numbering, so the sequencer places the cut: on executing a
+    detection it sequences an end-of-view marker (:meth:`emit_view_cut`),
+    below which everything is old-view at every member.  A member meets the
+    marker and its own confirmation in either order.  The states:
+
+    * *marker first* (``cut_points``: removed set -> marker number):
+      deliveries above the smallest cut wait, so this member's old-view
+      delivery set cannot outgrow its peers'; the confirmation installs at
+      the cut.
+    * *confirmed first* (``parked``: removed sets): deliveries keep
+      flowing, and the view change is made when the marker lands.  A
+      detection that removes the sequencer cannot wait for a marker: it
+      cuts at the dead sequencer's agreed last number, and every parked
+      detection with it.
+    * *deferred once* (``deferred``: members): a member's suspicion raised
+      while the sequencer stood suspected is set aside once; the next
+      silent timeout counts.
+    """
 
     mode = OrderingMode.ASYMMETRIC
     relayed = True
 
     def __init__(self, endpoint) -> None:
         super().__init__(endpoint)
-        # The failover answers the engine's §5 questions for this mode.
-        failover = self.failover = SequencerFailover(endpoint)
-        self.relay_dead = failover.relay_dead
-        self.on_view_cut = failover.on_view_cut
-        self.cut_bound = failover.cut_bound
-        self.holds_unsettled_work = failover.holds_unsettled_work
-        self.forget_stale_cuts = failover.forget_stale_cuts
-        self.defers_suspicion = failover.defers_suspicion
-        self.refresh_suspicions = failover.refresh_suspicions
-        if endpoint.config.use_view_cut_marker:  # off: E25's mutant arm
-            self.discard_bounds = failover.discard_bounds
-            self.view_change_threshold = failover.view_change_threshold
         #: Number of the last sequenced message received (the paper's
         #: ``D_x,i`` for asymmetric groups).
         self.last_sequenced: int = 0
@@ -86,6 +96,10 @@ class AsymmetricOrdering(OrderingEngine):
         #: Sequencer of the view as last installed; view installations that
         #: leave the sequencer in place must not trigger re-sends.
         self._current_sequencer: str = endpoint.view.sequencer()
+        #: The failover states of the class docstring.
+        self.cut_points: Dict[frozenset, int] = {}
+        self.parked: List[frozenset] = []
+        self.deferred: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Sequencer identity
@@ -194,7 +208,7 @@ class AsymmetricOrdering(OrderingEngine):
     def emit_view_cut(self, removed: frozenset) -> int:
         """Sequence the end-of-view marker for a confirmed detection and
         return its number: the cut at which every surviving member installs
-        the view excluding ``removed`` (:class:`SequencerFailover`)."""
+        the view excluding ``removed`` (:meth:`view_change_threshold`)."""
         return self._sequence_and_multicast(
             origin=self.endpoint.process.process_id,
             payload=tuple(sorted(removed)),
@@ -222,7 +236,7 @@ class AsymmetricOrdering(OrderingEngine):
 
         Only *sequenced* messages advance ``D_x``: during a sequencer
         failover members may multicast liveness nulls directly
-        (:meth:`SequencerFailover.relay_dead`), and those must not move the
+        (:meth:`relay_dead`), and those must not move the
         deliverable bound.  Every
         sequenced receipt raises ``D_x``, so the engine makes no promise
         about the others either: it always answers "may have moved".
@@ -339,50 +353,9 @@ class AsymmetricOrdering(OrderingEngine):
                 self.sequencer(), request, cause="failover_resend"
             )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AsymmetricOrdering(group={self.endpoint.group_id!r}, "
-            f"sequencer={self.sequencer()!r}, D={self.deliverable_bound()})"
-        )
-
-
-class SequencerFailover:
-    """Where a confirmed detection cuts a sequencer group's stream, and when
-    a relayed member's silence counts (§5.2 for §4.2 groups).
-
-    ``lnmn`` (the failed member's last number) marks no position in the
-    sequencer's numbering, so the sequencer places the cut: on executing a
-    detection it sequences an end-of-view marker
-    (:meth:`AsymmetricOrdering.emit_view_cut`), below which everything is
-    old-view at every member.  A member meets the marker and its own
-    confirmation in either order.  The states:
-
-    * *marker first* (``cut_points``: removed set -> marker number):
-      deliveries above the smallest cut wait, so this member's old-view
-      delivery set cannot outgrow its peers'; the confirmation installs at
-      the cut.
-    * *confirmed first* (``parked``: removed sets): deliveries keep
-      flowing, and the view change is made when the marker lands.  A
-      detection that removes the sequencer cannot wait for a marker: it
-      cuts at the dead sequencer's agreed last number, and every parked
-      detection with it.
-    * *deferred once* (``deferred``: members): a member's suspicion raised
-      while the sequencer stood suspected is set aside once; the next
-      silent timeout counts.
-    """
-
-    def __init__(self, endpoint) -> None:
-        self.endpoint = endpoint
-        self.cut_points: Dict[frozenset, int] = {}
-        self.parked: List[frozenset] = []
-        self.deferred: Set[str] = set()
-
-    @property
-    def engine(self) -> AsymmetricOrdering:
-        """Read through the endpoint: a reference back to the engine, which
-        holds us, would close a cycle."""
-        return self.endpoint.engine
-
+    # ------------------------------------------------------------------
+    # §5 questions: the failover states of the class docstring
+    # ------------------------------------------------------------------
     def relay_dead(self) -> bool:
         """While the sequencer has been silent past the suspicion window,
         stands suspected or is excluded, a member multicasts its nulls
@@ -390,11 +363,10 @@ class SequencerFailover:
         other members' suspectors fed, so they do not suspect each other
         while agreeing on the sequencer's failure.  Silence, not suspicion:
         a refutation can clear the suspicion without reviving the relay."""
-        engine = self.engine
-        if engine.is_sequencer():
+        if self.is_sequencer():
             return False
         endpoint = self.endpoint
-        sequencer = engine.sequencer()
+        sequencer = self.sequencer()
         heard = endpoint.suspector.last_activity(sequencer)
         silent_for = endpoint.process.sim.now - heard if heard is not None else 0.0
         return (
@@ -408,7 +380,7 @@ class SequencerFailover:
         number (clamped at the failover cut): cutting at another, laggard
         target's ``ln`` would take back what members already delivered."""
         last_numbers = _last_numbers(detection)
-        cut = last_numbers.get(self.engine.sequencer())
+        cut = last_numbers.get(self.sequencer())
         if cut is None:
             return last_numbers
         return {target: min(number, cut) for target, number in last_numbers.items()}
@@ -418,8 +390,7 @@ class SequencerFailover:
         parks the detection (``None``).  A sequencer's *agreed* last number
         is the same at every survivor (rule iii), and survivors may have
         delivered well past ``lnmn``, another target's stale number."""
-        engine = self.engine
-        cut = _last_numbers(detection).get(engine.sequencer())
+        cut = _last_numbers(detection).get(self.sequencer())
         if cut is not None:
             endpoint = self.endpoint
             for awaiting in self.parked:
@@ -434,8 +405,8 @@ class SequencerFailover:
                 endpoint.add_view_change(awaiting, cut)
             self.parked.clear()
             return cut
-        if engine.is_sequencer():
-            return engine.emit_view_cut(removed)
+        if self.is_sequencer():
+            return self.emit_view_cut(removed)
         cut = self.cut_points.pop(removed, None)
         if cut is None:
             self.parked.append(removed)
@@ -480,7 +451,7 @@ class SequencerFailover:
         member gets one more timeout of it -- not more, or a member crashed
         with the sequencer would deadlock the failover."""
         endpoint = self.endpoint
-        sequencer = self.engine.sequencer()
+        sequencer = self.sequencer()
         target = suspicion.target
         if target == sequencer or endpoint.process.process_id == sequencer:
             return False
@@ -505,6 +476,12 @@ class SequencerFailover:
         for member in endpoint.view.members:
             if member != endpoint.process.process_id:
                 endpoint.suspector.clear_suspicion(member)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"AsymmetricOrdering(group={self.endpoint.group_id!r}, "
+            f"sequencer={self.sequencer()!r}, D={self.deliverable_bound()})"
+        )
 
 
 def _last_numbers(detection: frozenset) -> Dict[str, int]:

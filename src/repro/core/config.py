@@ -105,15 +105,6 @@ class NewtopConfig:
     #: Timeout used by the group-formation coordinator while collecting
     #: votes (§5.3 step 3).
     formation_timeout: float = 30.0
-    #: Sequence an end-of-view ``view_cut`` marker when an asymmetric group
-    #: excludes a non-sequencer member, so every survivor cuts the delivery
-    #: stream at the same sequencer number.  Disabling it reverts to the
-    #: failed member's ``lnmn`` as the cut -- a position the sequencer
-    #: stream never agrees on, which virtual synchrony checkers catch under
-    #: faults + load.  This switch exists ONLY as a known-bug target for the
-    #: fuzz mutation harness (tests prove the fuzzer re-finds the violation);
-    #: never disable it in real runs.
-    use_view_cut_marker: bool = True
 
     @property
     def heartbeat_period(self) -> float:

@@ -157,24 +157,6 @@ class SlabMemberVector:
         self._present_count -= 1
         self._on_raised(self._values[slot])
 
-    def add_member(self, member: str, initial: int = 0) -> None:
-        """Track a new member (used only by group formation, where the
-        vector is created for the full intended membership)."""
-        slot = self._slot.get(member)
-        if slot is not None:
-            if not self._present[slot]:
-                self._present[slot] = True
-                self._present_count += 1
-                self._values[slot] = initial
-                self._on_lowered(float(initial))
-            return
-        self._slot[member] = len(self._pids)
-        self._pids.append(member)
-        self._values.append(initial)
-        self._present.append(True)
-        self._present_count += 1
-        self._on_lowered(float(initial))
-
     def _on_raised(self, old_value: float) -> None:
         """An entry at ``old_value`` was raised or removed."""
         if self._min_dirty or old_value != self._min_value:
@@ -182,16 +164,6 @@ class SlabMemberVector:
         self._min_count -= 1
         if self._min_count <= 0:
             self._min_dirty = True
-
-    def _on_lowered(self, value: float) -> None:
-        """A new entry at ``value`` appeared (group formation only)."""
-        if self._min_dirty:
-            return
-        if value < self._min_value:
-            self._min_value = value
-            self._min_count = 1
-        elif value == self._min_value:
-            self._min_count += 1
 
     def _rescan(self) -> None:
         best = INFINITY

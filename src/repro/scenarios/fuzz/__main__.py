@@ -27,8 +27,6 @@ def _add_tuning_arguments(parser: argparse.ArgumentParser) -> None:
                         help="event budget per generated spec")
     parser.add_argument("--max-processes", type=int, default=None,
                         help="process-count ceiling per generated spec")
-    parser.add_argument("--protocol", type=str, default=None,
-                        help="JSON protocol overrides stamped into every spec")
 
 
 def _tuning(args: argparse.Namespace) -> GeneratorTuning:
@@ -37,8 +35,6 @@ def _tuning(args: argparse.Namespace) -> GeneratorTuning:
         overrides["max_events"] = args.max_events
     if args.max_processes is not None:
         overrides["max_processes"] = args.max_processes
-    if args.protocol is not None:
-        overrides["protocol"] = json.loads(args.protocol)
     return GeneratorTuning.from_config({**GeneratorTuning().to_config(), **overrides})
 
 

@@ -36,8 +36,8 @@ empirically against the unmutated stack):
 
 Weights and budgets are tunable via :class:`GeneratorTuning` -- the
 mutation-harness tests narrow them to aim the generator at a known bug's
-trigger shape, and ``tuning.protocol`` injects protocol overrides (e.g.
-disabling the asymmetric view-cut marker) into every generated spec.
+trigger shape.  The bug itself is planted by the test side
+(``benchmarks/mutants.py``), never by the spec.
 """
 
 from __future__ import annotations
@@ -134,16 +134,11 @@ class GeneratorTuning:
     event_window: Tuple[float, float] = (3.0, 10.0)
     #: Settling time after the last send/event before checking.
     drain: float = 40.0
-    #: Protocol overrides stamped into every generated spec (merged over
-    #: the scenario defaults by the engine).  The mutation harness injects
-    #: its bug toggle here.
-    protocol: Mapping[str, object] = field(default_factory=dict)
 
     def to_config(self) -> Dict[str, object]:
         """Plain-dict form (picklable / JSON-shaped)."""
         config = asdict(self)
         config["event_weights"] = dict(self.event_weights)
-        config["protocol"] = dict(self.protocol)
         return config
 
     @classmethod
@@ -366,8 +361,6 @@ def generate_config(
         "events": events,
         "drain": tuning.drain,
     }
-    if tuning.protocol:
-        config["protocol"] = dict(tuning.protocol)
     if rng.random() < tuning.load_phase_probability:
         # The extra burst starts after the primary window; from_config
         # validates non-overlap, so compute the primary end here.

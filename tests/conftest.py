@@ -1,8 +1,17 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and ``benchmarks/`` on the path:
+tests import its harness modules (``common``, ``mutants``, the bench
+scripts) by their bare names."""
+
+import os
+import sys
 
 import pytest
 
 from reference_twins import ReferencePaths
+
+_BENCHMARKS = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "benchmarks"))
+if _BENCHMARKS not in sys.path:
+    sys.path.insert(0, _BENCHMARKS)
 
 
 @pytest.fixture

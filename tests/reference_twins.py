@@ -74,9 +74,6 @@ class DictMemberVector:
     def remove(self, member: str) -> None:
         self._entries.pop(member, None)
 
-    def add_member(self, member: str, initial: int = 0) -> None:
-        self._entries.setdefault(member, initial)
-
     def minimum(self) -> float:
         return min(self._entries.values()) if self._entries else INFINITY
 

@@ -293,8 +293,8 @@ def test_stale_view_cut_marker_is_ignored():
         origin="A", group="g", clock=10_000, ldn=0, payload=("D",),
         kind=KIND_VIEW_CUT, sequencer="A", origin_request=None,
     )
-    endpoint.engine.failover.on_view_cut(stale)
-    assert not endpoint.engine.failover.cut_points
+    endpoint.engine.on_view_cut(stale)
+    assert not endpoint.engine.cut_points
     assert endpoint.next_view_change_threshold() == INFINITY
 
 
@@ -373,7 +373,7 @@ def test_sequencer_failure_installs_parked_detections_at_the_failover_cut():
         (tuple(sorted(change.removed)), change.threshold)
         for change in endpoint.pending_view_changes
     ] == [(("C",), cut), (("D",), cut), (("A",), cut)]
-    assert not endpoint.engine.failover.parked
+    assert not endpoint.engine.parked
     assert endpoint.view.sorted_members() == ("A", "B", "C", "D")
     # Its last message arrives (a refutation's recovery, say): all three
     # views install behind it.

@@ -9,11 +9,14 @@ Three layers are pinned here:
   carries a standalone-replayable config, and artifacts replay
   deterministically through the CLI entry points.
 * **The mutation harness** -- the end-to-end proof the fuzzer can find a
-  real protocol bug: re-introduce a known one (disable the asymmetric
-  view-cut marker, step (viii)'s discard-bound fix) and the campaign must
-  find a virtual-synchrony violation within a small bounded budget,
-  shrink it to a tiny repro, and the healthy stack must stay clean on the
-  exact same corpus.
+  real protocol bug: plant a known one (``mutants.naive_view_cut``, a
+  sequencer group cutting at ``lnmn`` with no end-of-view marker) and the
+  campaign must find a virtual-synchrony violation within a small bounded
+  budget and shrink it to a tiny repro that is clean without the mutant,
+  and the healthy stack must stay clean on the exact same corpus.
+
+Old carriers of a planted bug (a spec's ``protocol`` naming a removed
+switch, a tuning's ``protocol``, the CLI's ``--protocol``) fail loudly.
 """
 
 import copy
@@ -21,6 +24,7 @@ import json
 
 import pytest
 
+from mutants import naive_view_cut
 from repro.scenarios import ScenarioExecutionError, churn_scenario, run_scenario, run_scenarios
 from repro.scenarios.fuzz import (
     GeneratorTuning,
@@ -86,15 +90,40 @@ def test_tuning_round_trips_and_drives_generation():
         max_events=2,
         max_processes=6,
         asymmetric_probability=1.0,
-        protocol={"use_view_cut_marker": False},
+        drain=25.0,
     )
     rebuilt = GeneratorTuning.from_config(tuning.to_config())
     assert rebuilt == tuning
     config = generate_config(7, 0, rebuilt)
     assert len(config["processes"]) <= 6
     assert len(config["events"]) <= 2
-    assert config["protocol"] == {"use_view_cut_marker": False}
+    assert config["drain"] == 25.0
+    assert "protocol" not in config
     assert all(group["mode"] == "asymmetric" for group in config["groups"])
+
+
+def test_a_removed_bug_switch_fails_loudly_wherever_it_is_carried(tmp_path, capsys):
+    """A planted bug lives only in ``mutants``: an old artifact or spec
+    naming the removed view-cut switch must raise, never silently run the
+    healthy protocol, and so must the removed tuning and CLI carriers."""
+    config = generate_config(7, 0)
+    config["protocol"] = {"use_view_cut_marker": False}
+    with pytest.raises(TypeError, match="use_view_cut_marker"):
+        run_scenario(copy.deepcopy(config))
+    artifact = tmp_path / "old-artifact.json"
+    artifact.write_text(json.dumps({"spec": config, "violation_kind": "virtual-synchrony"}))
+    with pytest.raises(TypeError, match="use_view_cut_marker"):
+        replay_artifact(str(artifact))
+
+    with pytest.raises(TypeError, match="protocol"):
+        GeneratorTuning.from_config(
+            dict(GeneratorTuning().to_config(), protocol={"use_view_cut_marker": False})
+        )
+
+    with pytest.raises(SystemExit) as excinfo:
+        fuzz_cli(["run", "--count", "1", "--protocol", '{"use_view_cut_marker": false}'])
+    assert excinfo.value.code == 2
+    assert "--protocol" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +216,8 @@ def test_scenario_batch_failures_carry_replay_info():
 # The mutation harness: the fuzzer must catch a re-introduced protocol bug
 # ---------------------------------------------------------------------------
 #: Tuning aimed at the view-cut bug's trigger shape: asymmetric groups under
-#: open-loop load with crash churn.  ``protocol`` re-introduces the bug by
-#: switching step (viii) back to the naive lnmn discard bound.
+#: open-loop load with crash churn.  The bug itself is planted by running
+#: under ``naive_view_cut``.
 MUTANT_TUNING = GeneratorTuning(
     min_processes=6,
     max_processes=8,
@@ -202,7 +231,6 @@ MUTANT_TUNING = GeneratorTuning(
     load_phase_probability=0.0,
     latency_swap_probability=0.0,
     link_fault_probability=0.0,
-    protocol={"use_view_cut_marker": False},
 )
 
 #: Small bounded budget: the mutant trips well inside it (index 3 of seed 7).
@@ -210,53 +238,54 @@ MUTANT_BUDGET = 8
 
 
 def test_fuzzer_finds_and_shrinks_a_reintroduced_protocol_bug(tmp_path):
-    report = run_campaign(
-        7,
-        MUTANT_BUDGET,
-        tuning=MUTANT_TUNING,
-        shrink_failures=True,
-        max_shrink=1,
-        shrink_budget=60,
-        artifact_dir=str(tmp_path),
-    )
+    with naive_view_cut:
+        report = run_campaign(
+            7,
+            MUTANT_BUDGET,
+            tuning=MUTANT_TUNING,
+            shrink_failures=True,
+            max_shrink=1,
+            shrink_budget=60,
+            artifact_dir=str(tmp_path),
+        )
     assert not report.passed
     assert report.tallies["violation"] >= 1
 
     shrunk = [f for f in report.failures if f.minimized is not None]
     assert shrunk, "no violation was shrunk"
     failure = shrunk[0]
-    assert failure.violation_kind == "virtual-synchrony"
+    assert failure.violation_kind == naive_view_cut.caught_by == "virtual-synchrony"
     assert any("virtual synchrony" in v for v in failure.violations)
     # The report names no message; the explainer replays the minimal
     # config and pins the messages the two processes disagree on.
     assert failure.journeys
 
-    # The minimized repro is tiny and still carries the bug toggle.
+    # The minimized repro is tiny and carries no protocol override.
     assert len(failure.minimized.get("events", ())) <= 12
-    assert failure.minimized["protocol"] == {"use_view_cut_marker": False}
+    assert "protocol" not in failure.minimized
     assert failure.shrink_runs <= 60
 
-    # The artifact replays standalone, reproduces the same violation kind,
-    # and does so deterministically.
+    # The artifact replays standalone under the mutant, reproduces the same
+    # violation kind, and does so deterministically; without the mutant the
+    # same artifact is clean, so the mutant is the cause.
     assert failure.artifact is not None
-    first = replay_artifact(failure.artifact)
-    again = replay_artifact(failure.artifact)
+    with naive_view_cut:
+        first = replay_artifact(failure.artifact)
+        again = replay_artifact(failure.artifact)
+        # The full (unshrunk) failure config replays the violation too.
+        replay = run_scenario(copy.deepcopy(failure.config))
     assert first["reproduced"] is True
     assert first == again
-
-    # The full (unshrunk) failure config replays the violation too.
-    replay = run_scenario(copy.deepcopy(failure.config))
     assert any("virtual synchrony" in v for v in replay.checks.violations)
+    healthy = replay_artifact(failure.artifact)
+    assert healthy["passed"] is True and healthy["reproduced"] is False
 
 
 def test_same_corpus_is_clean_without_the_mutation():
     """The control arm: the exact corpus slice that catches the mutant
     passes on the fixed stack, so the harness measures the bug, not the
     generator."""
-    healthy = GeneratorTuning.from_config(
-        dict(MUTANT_TUNING.to_config(), protocol={})
-    )
-    report = run_campaign(7, MUTANT_BUDGET, tuning=healthy, shrink_failures=False)
+    report = run_campaign(7, MUTANT_BUDGET, tuning=MUTANT_TUNING, shrink_failures=False)
     assert report.passed, [f.as_dict() for f in report.failures]
 
 
@@ -278,9 +307,9 @@ def test_cli_replay_exit_codes(tmp_path, capsys):
     assert verdict["passed"] is True
     assert verdict["reproduced"] is None  # bare config: nothing recorded
 
-    mutant = generate_config(7, 3, MUTANT_TUNING)
     broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(mutant))
-    assert fuzz_cli(["replay", str(broken)]) == 1
+    broken.write_text(json.dumps(generate_config(7, 3, MUTANT_TUNING)))
+    with naive_view_cut:
+        assert fuzz_cli(["replay", str(broken)]) == 1
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["violation_kind"] == "virtual-synchrony"

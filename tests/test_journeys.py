@@ -12,8 +12,6 @@ behaviour-free half of the contract is pinned in
 """
 
 import json
-import os
-import sys
 
 import pytest
 
@@ -62,12 +60,6 @@ from repro.scenarios.fuzz import (
     implicated_message_ids,
     write_artifact,
 )
-
-
-def _benchmarks_on_path():
-    benchmarks_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
-    if benchmarks_dir not in sys.path:
-        sys.path.insert(0, benchmarks_dir)
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +350,6 @@ def test_frame_for_a_detached_node_is_reported_like_every_other_drop():
 
 
 def test_cause_counters_partition_transport_sends_at_smoke_scale():
-    _benchmarks_on_path()
     from bench_scenario_churn import SMOKE_SCALE, run_churn
 
     result = run_churn(SMOKE_SCALE, analysis="online", observe="journeys")

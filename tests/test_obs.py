@@ -9,8 +9,6 @@ the contract -- observation never changes a run -- is pinned separately in
 """
 
 import json
-import os
-import sys
 
 import pytest
 
@@ -31,12 +29,6 @@ from repro.obs import (
 )
 from repro.obs.report import find_obs_blocks
 from repro.scenarios import SCENARIO_PROTOCOL_DEFAULTS
-
-
-def _benchmarks_on_path():
-    benchmarks_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
-    if benchmarks_dir not in sys.path:
-        sys.path.insert(0, benchmarks_dir)
 
 
 # ----------------------------------------------------------------------
@@ -658,7 +650,6 @@ def test_metrics_sink_snapshot_carries_percentiles():
 
 
 def test_latency_block_prefers_metrics_snapshot():
-    _benchmarks_on_path()
     from common import latency_block
 
     result = _observed_session(True)
@@ -672,7 +663,6 @@ def test_latency_block_prefers_metrics_snapshot():
 
 
 def test_write_bench_json_stamps_provenance(tmp_path):
-    _benchmarks_on_path()
     from common import BENCH_SCHEMA_VERSION, write_bench_json
 
     path = tmp_path / "BENCH_stamp.json"

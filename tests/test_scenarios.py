@@ -6,8 +6,6 @@ the simulator's bounded-heap invariant under timer churn, and the
 benchmark smoke mode that keeps the scenario path exercised by tier-1.
 """
 
-import os
-import sys
 from collections import deque
 
 import pytest
@@ -264,9 +262,6 @@ def test_scenario_run_triggers_no_heap_growth_from_cancellations():
 
 
 def test_benchmark_smoke_mode():
-    benchmarks_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
-    if benchmarks_dir not in sys.path:
-        sys.path.insert(0, benchmarks_dir)
     import bench_scenario_churn
 
     result = bench_scenario_churn.run_churn(bench_scenario_churn.SMOKE_SCALE)
@@ -276,9 +271,6 @@ def test_benchmark_smoke_mode():
 
 def test_benchmark_smoke_mode_online_json(tmp_path):
     """The CI hook: smoke-scale E19 online run recorded to JSON."""
-    benchmarks_dir = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
-    if benchmarks_dir not in sys.path:
-        sys.path.insert(0, benchmarks_dir)
     import json
 
     import bench_scenario_churn

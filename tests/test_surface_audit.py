@@ -15,7 +15,9 @@ named by some sink's ``KINDS``.
 §4.2's sequencer failover lives behind the asymmetric engine: no module of
 ``repro.core`` but ``asymmetric.py`` names the asymmetric mode (``config.py``
 defines it), and the
-group endpoint names neither the sequencer nor the failover's state.
+group endpoint names neither the sequencer nor the failover's state.  The
+engine answers the endpoint's hooks from its class alone, so a planted bug
+patched onto the class (``benchmarks/mutants.py``) reaches every engine.
 
 A finished run is freed by reference counting, not by the cycle
 collector: no module under ``src/repro`` imports ``gc``, and only
@@ -48,8 +50,11 @@ import repro.analysis.online  # noqa: F401  (its sinks join the roll call)
 import repro.obs.journey  # noqa: F401  (loads only when a run observes journeys)
 import repro.obs.spans  # noqa: F401
 import repro.workloads  # noqa: F401
-from repro.core.config import NewtopConfig
+from repro.api import Session
+from repro.core.asymmetric import AsymmetricOrdering
+from repro.core.config import NewtopConfig, OrderingMode
 from repro.core.messages import Beacon
+from repro.core.ordering import OrderingEngine
 from repro.net import trace as trace_module
 from repro.net.network import NetworkConfig
 from repro.obs import Histogram, Observation
@@ -132,7 +137,7 @@ def test_every_option_is_read_and_has_two_values_in_use():
 def test_the_process_heartbeat_added_no_option_and_a_beacon_says_only_what_it_vouches_for():
     # One beacon per process pair is how the protocol works, not a mode of
     # it: no field, no toggle (PR 22).
-    assert len(dataclasses.fields(NewtopConfig)) == 8
+    assert len(dataclasses.fields(NewtopConfig)) == 7
     assert [field.name for field in dataclasses.fields(Beacon)] == ["origin", "groups"]
 
 
@@ -288,6 +293,19 @@ def test_the_sequencer_failover_has_one_home():
         "sequencer", "is_sequencer", "emit_view_cut", "_last_heard_sequencer",
         "_failover_deferred", "_pending_cut_points", "_detections_awaiting_cut",
     } == set()
+
+
+def test_no_asymmetric_engine_shadows_a_hook_of_its_class():
+    hooks = {name for name, _ in inspect.getmembers(OrderingEngine, inspect.isfunction)}
+    session = Session("newtop", seed=1)
+    session.spawn(["A", "B", "C", "D"])
+    session.group("g", mode=OrderingMode.ASYMMETRIC)
+    session.run(5)
+    session["D"].crash()
+    session.run(30)
+    engines = [session[name].endpoint("g").engine for name in ("A", "B", "C")]
+    assert all(isinstance(engine, AsymmetricOrdering) for engine in engines)
+    assert [sorted(hooks & set(vars(engine))) for engine in engines] == [[], [], []]
 
 
 def test_nothing_in_the_library_calls_the_cycle_collector():
