@@ -237,7 +237,7 @@ def _time_multicast(batch_window, multicasts=400):
     names = [f"N{index:02d}" for index in range(FANOUT + 1)]
     endpoints = [transport.endpoint(name) for name in names]
     for endpoint in endpoints:
-        endpoint.register_batch_handler("newtop", lambda messages: None)
+        endpoint.register_handler("newtop", lambda messages: None)
     elapsed = 0.0
     for index in range(multicasts):
         sender = endpoints[index % len(endpoints)]

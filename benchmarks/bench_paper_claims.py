@@ -210,8 +210,8 @@ def _transport_latency(messages: int = 10) -> float:
     transport = Transport(Network(sim, NetworkConfig(latency_model=UniformLatency())))
     sender = transport.endpoint("a")
     latencies = []
-    transport.endpoint("b").register_default_handler(
-        lambda msg: latencies.append(sim.now - msg.sent_at)
+    transport.endpoint("b").register_handler(
+        "data", lambda run: latencies.extend(sim.now - msg.sent_at for msg in run)
     )
     for index in range(messages):
         sim.schedule_at(float(index), sender.send, "b", index)

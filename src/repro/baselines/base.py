@@ -17,20 +17,20 @@ by :class:`repro.api.Session` with the matching baseline stack.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.core.messages import next_message_number
 from repro.net.simulator import Simulator
 from repro.net.trace import DELIVER, SEND, DeliveryLog, TraceRecorder
 from repro.net.transport import Endpoint, Transport, TransportMessage
 
-_baseline_message_counter = itertools.count(1)
-
 
 def next_baseline_message_id(sender: str) -> str:
-    """Globally unique message id for baseline protocols."""
-    return f"{sender}~{next(_baseline_message_counter)}"
+    """Globally unique message id for baseline protocols, numbered from
+    the one message-id counter, so ``reset_message_counter()`` restarts
+    baseline runs too."""
+    return f"{sender}~{next_message_number()}"
 
 
 @dataclass
@@ -73,7 +73,7 @@ class BaselineProcess:
         self.recorder = recorder
         self.crashed = False
         self.endpoint: Endpoint = transport.endpoint(process_id)
-        self.endpoint.register_handler(channel, self._on_transport_message)
+        self.endpoint.register_handler(channel, self._on_transport_run)
         self.delivered: DeliveryLog = (
             recorder.delivery_log() if recorder is not None else DeliveryLog()
         )
@@ -158,10 +158,11 @@ class BaselineProcess:
     # ------------------------------------------------------------------
     # Transport ingress
     # ------------------------------------------------------------------
-    def _on_transport_message(self, tmsg: TransportMessage) -> None:
-        if self.crashed:
-            return
-        self.on_message(tmsg.src, tmsg.payload)
+    def _on_transport_run(self, messages: List[TransportMessage]) -> None:
+        for tmsg in messages:
+            if self.crashed:
+                return
+            self.on_message(tmsg.src, tmsg.payload)
 
     def on_message(self, src: str, payload: object) -> None:
         """Handle one protocol message from ``src`` (subclass hook)."""

@@ -62,14 +62,15 @@ class _GraphNode:
         self.children: List[str] = []
         self.delivered: List[BaselineDelivery] = []
         self.endpoint = network.transport.endpoint(process_id)
-        self.endpoint.register_handler("propagation", self._on_transport_message)
+        self.endpoint.register_handler("propagation", self._on_transport_run)
         self.protocol_bytes_sent = 0
 
-    def _on_transport_message(self, tmsg: TransportMessage) -> None:
-        message = tmsg.payload
-        if not isinstance(message, _PropagatedMessage):  # pragma: no cover - defensive
-            raise TypeError(f"unexpected propagation payload {message!r}")
-        self.handle(message)
+    def _on_transport_run(self, messages: List[TransportMessage]) -> None:
+        for tmsg in messages:
+            message = tmsg.payload
+            if not isinstance(message, _PropagatedMessage):  # pragma: no cover - defensive
+                raise TypeError(f"unexpected propagation payload {message!r}")
+            self.handle(message)
 
     def handle(self, message: _PropagatedMessage) -> None:
         """Deliver locally if we are a destination, then forward downwards."""

@@ -93,6 +93,12 @@ def _next_message_id(sender: str) -> str:
     return f"{sender}#{next(_message_counter)}"
 
 
+def next_message_number() -> int:
+    """The next number of the one process-wide message-id counter (the
+    baseline stacks number their ids ``sender~n`` from it)."""
+    return next(_message_counter)
+
+
 def reset_message_counter() -> None:
     """Restart message-id numbering from 1.
 

@@ -108,7 +108,7 @@ class NewtopProcess:
         self.config = (config or NewtopConfig()).validate()
         self.recorder = recorder if recorder is not None else TraceRecorder()
         self.transport_endpoint = transport.endpoint(process_id)
-        self.transport_endpoint.register_batch_handler("newtop", self._on_transport_batch)
+        self.transport_endpoint.register_handler("newtop", self._on_transport_batch)
         self.clock = LamportClock()
         self.delivery_queue = DeliveryQueue()
         metrics = sim.metrics
@@ -421,8 +421,10 @@ class NewtopProcess:
     # Transport ingress
     # ------------------------------------------------------------------
     def _on_transport_batch(self, messages: List[TransportMessage]) -> None:
-        """Drain every receipt that arrived at this instant, then settle
-        once for the whole batch -- unless every receipt in it was *inert*
+        """Drain every receipt that arrived at this instant (all of a
+        process's traffic shares the ``"newtop"`` channel, so the transport
+        hands the instant over as one run), then settle once for the whole
+        batch -- unless every receipt in it was *inert*
         (:meth:`settle` states the rule), in which case there is nothing
         for a settle to find and the batch just ends.
 
@@ -431,8 +433,9 @@ class NewtopProcess:
         receipt of an instant yields the same stream as delivering after
         each one, and a pass skipped after an inert batch would have
         delivered nothing (both pinned by the batching equivalence test,
-        whose per-message arm registers :meth:`_on_transport_message` as the
-        channel's handler, so each group message settles on its own).
+        whose per-message arm registers a handler that passes each message
+        of the run to :meth:`_on_transport_message` alone, so each group
+        message settles on its own).
         """
         moved = False
         self.in_receipt_batch = True
@@ -639,9 +642,10 @@ class NewtopProcess:
         through a delivery, a view installation or a membership message,
         all of which settle.
 
-        The ungated reference is a test fixture: it registers
-        :meth:`_on_transport_message` in place of the batch handler, so
-        each group or membership message settles on its own, inert or not
+        The ungated reference is a test fixture: it registers, in place of
+        :meth:`_on_transport_batch`, a handler that passes each message of
+        the run to :meth:`_on_transport_message` alone, so each group or
+        membership message settles on its own, inert or not
         (``on_data_message`` and ``on_membership_message`` settle outside a
         batch), and ``tests/test_hot_path_equivalence.py`` compares whole
         runs against it; ``tests/test_settle_demand.py`` runs a settle

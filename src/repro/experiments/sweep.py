@@ -456,7 +456,8 @@ def run_sweep(
     timeout: Optional[float] = None,
 ) -> SweepReport:
     """Execute every cell of the grid; ``progress`` (if given) is called
-    with each finished row (CLI feedback for long sweeps).
+    with each row as its cell finishes, a failed cell's too (CLI feedback
+    for long sweeps).
 
     Cells run through :func:`repro.parallel.run_units`: inline by
     default, or with ``parallel=N`` (N > 1) sharded across a pool of N
@@ -469,11 +470,6 @@ def run_sweep(
     its diagnosis instead of killing the sweep, in either mode.
     """
     grid = _grid(spec)
-
-    def on_event(kind, unit_id, worker, payload) -> None:
-        if kind == "done" and progress is not None and payload.ok:
-            progress(payload.value)
-
     units = [
         WorkUnit(
             unit_id=f"{stack}|{profile_name}|{load}|{fault}",
@@ -482,14 +478,23 @@ def run_sweep(
         )
         for stack, profile_name, load, fault in grid
     ]
-    results = run_units(units, parallel=parallel, timeout=timeout, on_event=on_event)
-    cells: List[Dict[str, object]] = []
-    for coordinates, result in zip(grid, results):
+    coordinates = {unit.unit_id: cell for unit, cell in zip(units, grid)}
+    rows: Dict[str, Dict[str, object]] = {}
+
+    def on_event(kind, unit_id, worker, result) -> None:
+        # Every cell, failed or not, is reported as it lands, in either mode.
+        if kind != "done":
+            return
         if result.ok:
-            cells.append(result.value)
+            row = result.value
         else:
-            row = _failed_cell_row(spec, *coordinates, result.status, result.error)
-            cells.append(row)
-            if progress is not None:
-                progress(row)
+            row = _failed_cell_row(
+                spec, *coordinates[unit_id], result.status, result.error
+            )
+        rows[unit_id] = row
+        if progress is not None:
+            progress(row)
+
+    run_units(units, parallel=parallel, timeout=timeout, on_event=on_event)
+    cells = [rows[unit.unit_id] for unit in units]
     return SweepReport(spec=spec.describe(), cells=cells)

@@ -9,18 +9,19 @@ wraps the raw :class:`~repro.net.network.Network` with:
 * typed envelopes (:class:`TransportMessage`) carrying the sender, a
   payload, a wire-size estimate and timing information used by the
   benchmark harness,
-* a per-endpoint dispatch table keyed by a ``channel`` string.  All Newtop
-  traffic -- data, nulls, beacons, membership and formation messages --
-  travels on the one ``"newtop"`` channel, as in the paper's Fig. 3, where
-  the membership service's ``mcast`` primitive and the data multicasts sit
-  on the same transport; channels separate the per-group instances of the
-  §6 baseline stacks.
+* one handler per ``channel`` string.  All Newtop traffic -- data, nulls,
+  beacons, membership and formation messages -- travels on the one
+  ``"newtop"`` channel, as in the paper's Fig. 3, where the membership
+  service's ``mcast`` primitive and the data multicasts sit on the same
+  transport; channels separate the per-group instances of the §6
+  baseline stacks.
 
-Every endpoint's sends are tallied by payload kind and by root cause, and
-every delivery batch by its size, whether or not the run is observed: an
-observed run's metrics registry reads those counts (``transport.*``
-counters, the ``transport.delivery_batch_size`` histogram) when it is
-read, and nothing here holds an observer.
+Every endpoint counts its sends (``stats.sent``), and the transport tallies
+them by payload kind and by root cause, and every delivery batch by its
+size, whether or not the run is observed: an observed run's metrics
+registry reads those counts (``transport.*`` counters, the
+``transport.delivery_batch_size`` histogram) when it is read, and nothing
+here holds an observer.
 
 One call per fan-out
 --------------------
@@ -35,24 +36,28 @@ sample per destination as it goes, so the order is part of what a seed
 means (a sorted fan-out permutes the draws of, say, a beacon to its ring
 successors, and with them every trace that follows).
 
-Inward the same: the network hands over its own batch of same-instant
-arrivals, the endpoint checks and counts each message, and all of them go
-to the protocol's batch handler as one list.
+One call per run
+----------------
+Inward, the network hands over its own batch of same-instant arrivals and
+the endpoint FIFO-checks each frame.  A handler receives *runs*: each
+stretch of consecutive same-channel arrivals, in send order, as one list.
+A run is handed over before the next channel's first frame is checked,
+and a crashed endpoint hands over nothing more.  A node whose traffic
+shares one channel (every Newtop process) gets a whole instant in one
+call; frames of several channels (a process hosting several baseline
+groups) reach their handlers in exactly the order they arrived.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.net.network import Network
 
-#: Handler signature: ``handler(message)``.
-Handler = Callable[["TransportMessage"], None]
-
-#: Batch-handler signature: ``handler(messages)`` -- every message that
-#: arrived on one channel at one simulated instant, in send order.
-BatchHandler = Callable[[List["TransportMessage"]], None]
+#: Handler signature: ``handler(messages)`` -- one run of consecutive
+#: same-channel arrivals at one simulated instant, in send order.
+Handler = Callable[[List["TransportMessage"]], None]
 
 #: Root-cause fallback by payload ``kind`` (Newtop data-channel traffic).
 _KIND_CAUSES = {
@@ -120,15 +125,8 @@ class TransportMessage:
 class TransportStats:
     """Per-endpoint counters."""
 
+    #: Frames handed to the network (one per destination of a fan-out).
     sent: int = 0
-    received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    #: Stale-seqno frames suppressed because a link-fault model duplicated
-    #: them on the wire (only counted while such a model is attached).
-    duplicates_suppressed: int = 0
-    per_channel_sent: Dict[str, int] = field(default_factory=dict)
-    per_channel_received: Dict[str, int] = field(default_factory=dict)
 
 
 class FifoViolationError(RuntimeError):
@@ -146,8 +144,6 @@ class Endpoint:
         self.node_id = node_id
         self.stats = TransportStats()
         self._handlers: Dict[str, Handler] = {}
-        self._batch_handlers: Dict[str, "BatchHandler"] = {}
-        self._default_handler: Optional[Handler] = None
         # FIFO bookkeeping: next expected seqno per (src, channel).
         self._next_expected: Dict[tuple, int] = {}
         # Outgoing seqnos: channel -> dst -> last number used.
@@ -158,24 +154,11 @@ class Endpoint:
     # Handler registration
     # ------------------------------------------------------------------
     def register_handler(self, channel: str, handler: Handler) -> None:
-        """Register the handler for messages on ``channel``."""
+        """Register the handler for ``channel``: it is called with each run
+        of consecutive same-channel arrivals at one instant, in send order,
+        after their FIFO check.  Frames on a channel without a handler are
+        checked and dropped."""
         self._handlers[channel] = handler
-
-    def register_batch_handler(self, channel: str, handler: "BatchHandler") -> None:
-        """Register a handler invoked once per delivery *instant* with every
-        message that arrived on ``channel`` at that instant, in send order.
-
-        A batch handler supersedes the channel's per-message handler.
-        FIFO checking and the per-message stats are performed before the
-        batch handler runs.  Protocols use this to pay per-receipt
-        follow-up work (delivery attempts, deferred-send flushes) once per
-        instant instead of once per message.
-        """
-        self._batch_handlers[channel] = handler
-
-    def register_default_handler(self, handler: Handler) -> None:
-        """Handler for channels without a specific registration."""
-        self._default_handler = handler
 
     # ------------------------------------------------------------------
     # Sending
@@ -233,10 +216,7 @@ class Endpoint:
         count = len(frames)
         if not count:
             return 0
-        stats = self.stats
-        stats.sent += count
-        stats.bytes_sent += size_bytes * count
-        stats.per_channel_sent[channel] = stats.per_channel_sent.get(channel, 0) + count
+        self.stats.sent += count
         sent_by_kind = transport._sent_by_kind
         kind = getattr(payload, "kind", None) or type(payload).__name__
         sent_by_kind[kind] = sent_by_kind.get(kind, 0) + count
@@ -269,31 +249,26 @@ class Endpoint:
         """Process every message that arrived at one simulated instant:
         the network's own batch of ``(src, envelope, size)`` triples.
 
-        The network hands same-instant arrivals over in a single call (one
-        scheduled event per destination per instant); the FIFO check, the
-        duplicate suppression and the stats remain per message.  A channel
-        with a registered batch handler receives all its same-instant
-        messages in one call *after* the per-message channels dispatched.
-        All protocol traffic of a node shares one channel, so the validated
-        messages of a batch go to that channel's handler as one list; only
-        a batch that really mixes batch-handled channels is split, in order
-        of first arrival.
+        The FIFO check and the duplicate suppression are per frame; the
+        checked frames go to their channel's handler run by run (see the
+        module notes), and the crash flag is read before each hand-over.
         """
         batch_sizes = self.transport.batch_sizes
         size = len(items)
         batch_sizes[size] = batch_sizes.get(size, 0) + 1
-        stats = self.stats
         next_expected = self._next_expected
-        per_channel_received = stats.per_channel_received
-        batch_handlers = self._batch_handlers
-        batched: List[TransportMessage] = []
-        mixed = False
+        run: List[TransportMessage] = []
+        run_channel = None
         for src, message, _ in items:
-            if self._crashed:
-                return
             if not isinstance(message, TransportMessage):  # pragma: no cover - substrate misuse
                 raise TypeError(f"unexpected payload on the wire: {message!r}")
             channel = message.channel
+            if channel != run_channel:
+                if run:
+                    if not self._hand_over(run_channel, run):
+                        return
+                    run = []
+                run_channel = channel
             key = (src, channel)
             seqno = message.seqno
             expected = next_expected.get(key, 1)
@@ -301,9 +276,7 @@ class Endpoint:
                 if self.transport.network.link_fault_model is not None:
                     # A duplicated frame: the fault model re-delivers copies
                     # of frames the channel has already moved past.  A
-                    # sequenced transport absorbs those silently -- suppress
-                    # and count.
-                    stats.duplicates_suppressed += 1
+                    # sequenced transport absorbs those silently.
                     continue
                 raise FifoViolationError(
                     f"{self.node_id}: duplicate/out-of-order message from {src} "
@@ -314,29 +287,19 @@ class Endpoint:
             # larger-than-expected seqno means the intermediate ones are
             # gone for good, which is exactly the paper's loss model).
             next_expected[key] = seqno + 1
-            stats.received += 1
-            stats.bytes_received += message.size_bytes
-            per_channel_received[channel] = per_channel_received.get(channel, 0) + 1
-            if channel in batch_handlers:
-                if batched and channel != batched[0].channel:
-                    mixed = True
-                batched.append(message)
-            else:
-                handler = self._handlers.get(channel, self._default_handler)
-                if handler is not None:
-                    handler(message)
-        if not batched:
-            return
-        if mixed:
-            grouped: Dict[str, List[TransportMessage]] = {}
-            for message in batched:
-                grouped.setdefault(message.channel, []).append(message)
-            for channel, messages in grouped.items():
-                if self._crashed:
-                    break
-                batch_handlers[channel](messages)
-        elif not self._crashed:
-            batch_handlers[batched[0].channel](batched)
+            run.append(message)
+        if run:
+            self._hand_over(run_channel, run)
+
+    def _hand_over(self, channel: str, run: List[TransportMessage]) -> bool:
+        """Give ``run`` to ``channel``'s handler unless this endpoint has
+        crashed; returns whether it is still up."""
+        if self._crashed:
+            return False
+        handler = self._handlers.get(channel)
+        if handler is not None:
+            handler(run)
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self._crashed else "up"

@@ -399,13 +399,15 @@ class ParallelExecutor:
                 status, value, error, wall = payload
                 result = UnitResult(unit_id, status, value=value, error=error,
                                     wall_seconds=wall, worker=worker_index)
-                if unit_id not in results:
-                    results[unit_id] = result
                 for worker in workers:
                     if (worker.assignment is not None
                             and worker.assignment[0].unit_id == unit_id):
                         worker.assignment = None
-                self._emit("done", unit_id, worker_index, result)
+                # One ``done`` per unit: a result that lands after its unit
+                # was already marked crashed or timed out is dropped.
+                if unit_id not in results:
+                    results[unit_id] = result
+                    self._emit("done", unit_id, worker_index, result)
 
     def _emit(self, kind: str, unit_id: str, worker: Optional[int], payload) -> None:
         if self.on_event is not None:

@@ -223,8 +223,9 @@ def run_campaign(
     ``parallel=N`` shards the corpus over a worker pool with ``timeout``
     bounding each unit's wall clock; the report is identical to a serial
     run (every spec regenerates from its ``(corpus_seed, index)``).
-    ``progress`` observes each finished row; ``registry`` (or an internal
-    one) streams the ``fuzz.*`` tallies while the campaign runs.  Up to
+    ``progress`` observes each row, a casualty's too, as its unit
+    finishes, serial or pooled; ``registry`` (or an internal one) streams
+    the ``fuzz.*`` tallies while the campaign runs.  Up to
     ``max_shrink`` violations are delta-debugged afterwards
     (``shrink_budget`` scenario runs each); with ``artifact_dir`` every
     casualty gets a replayable artifact JSON.
@@ -240,15 +241,6 @@ def run_campaign(
     wall_start = _time.time()
     tuning_config = tuning.to_config()
 
-    def observe_row(row: Dict[str, object]) -> None:
-        tallies[row["status"]] += 1
-        if progress is not None:
-            progress(row)
-
-    def on_event(kind, unit_id, worker, payload) -> None:
-        if kind == "done" and payload.ok:
-            observe_row(payload.value)
-
     units = [
         WorkUnit(
             unit_id=f"fuzz-{corpus_seed}-{index:05d}",
@@ -258,57 +250,42 @@ def run_campaign(
         )
         for index in range(count)
     ]
-    serial = (parallel or 1) <= 1
-    outcomes = run_units(
-        units,
-        parallel=parallel,
-        timeout=timeout,
-        on_event=None if serial else on_event,
-    )
+    indices = {unit.unit_id: index for index, unit in enumerate(units)}
+    rows_by_unit: Dict[str, Dict[str, object]] = {}
 
-    rows: List[Dict[str, object]] = []
-    failures: List[FuzzFailure] = []
-    for index, outcome in enumerate(outcomes):
+    def on_event(kind, unit_id, worker, outcome) -> None:
+        # Every outcome is tallied and reported as it lands, in either mode.
+        if kind != "done":
+            return
         if outcome.ok:
             row = dict(outcome.value)
-            if serial:
-                observe_row(row)
-            rows.append(row)
-            if row["status"] in ("violation", "stall"):
-                failures.append(
-                    FuzzFailure(
-                        index=index,
-                        status=row["status"],
-                        violations=list(row["violations"]),
-                        violation_kind=row["violation_kind"],
-                        config=generate_config(corpus_seed, index, tuning),
-                    )
-                )
-            continue
-        status = outcome.status if outcome.status in STATUSES else "crashed"
-        row = {
-            "index": index,
-            "status": status,
-            "error": outcome.error,
-            "violations": [],
-            "violation_kind": None,
-        }
-        if serial:
-            observe_row(row)
         else:
-            # Pool mode streams only successful units through on_event.
-            tallies[status] += 1
-            if progress is not None:
-                progress(row)
-        rows.append(row)
-        failures.append(
-            FuzzFailure(
-                index=index,
-                status=status,
-                error=outcome.error,
-                config=generate_config(corpus_seed, index, tuning),
-            )
+            row = {
+                "index": indices[unit_id],
+                "status": outcome.status if outcome.status in STATUSES else "crashed",
+                "error": outcome.error,
+                "violations": [],
+                "violation_kind": None,
+            }
+        rows_by_unit[unit_id] = row
+        tallies[row["status"]] += 1
+        if progress is not None:
+            progress(row)
+
+    run_units(units, parallel=parallel, timeout=timeout, on_event=on_event)
+    rows = [rows_by_unit[unit.unit_id] for unit in units]
+    failures = [
+        FuzzFailure(
+            index=row["index"],
+            status=row["status"],
+            violations=list(row["violations"]),
+            violation_kind=row["violation_kind"],
+            error=row.get("error"),
+            config=generate_config(corpus_seed, row["index"], tuning),
         )
+        for row in rows
+        if row["status"] != "pass"
+    ]
 
     if shrink_failures:
         shrunk = 0

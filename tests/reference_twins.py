@@ -11,9 +11,10 @@ seeded runs to come out byte-identical:
   dict-per-vector model: a plain mapping whose minimum is recomputed on
   every read, so it can never promise that the minimum stayed put
   (``minimum_in_doubt()`` is always True);
-* the per-message receipt arm -- the process's per-message receive path
-  registered in place of its batch handler, so each group or membership
-  message settles on its own, inert or not.
+* the per-message receipt arm -- a process's transport handler wrapped
+  so that each message of a run goes through its per-message receive
+  path alone, and each group or membership message settles on its own,
+  inert or not.
 
 :class:`ReferencePaths` applies either or both (the ``reference_paths``
 fixture in ``conftest.py`` builds one per test) and counts what it
@@ -145,20 +146,30 @@ class ReferencePaths:
         return build
 
     def per_message_receipts(self) -> None:
-        """A process registering its batch handler gets its per-message
-        receive path registered instead: outside a batch the group's
-        receive path settles after every message it takes."""
+        """A :class:`NewtopProcess` registering its transport handler gets
+        one that takes the run a message at a time through the per-message
+        receive path instead: outside a batch the group's receive path
+        settles after every message it takes.  Other handlers register
+        unchanged."""
+        register = Endpoint.register_handler
 
         def register_per_message(endpoint, channel, handler):
-            on_message = handler.__self__._on_transport_message
+            process = getattr(handler, "__self__", None)
+            if not isinstance(process, NewtopProcess):
+                register(endpoint, channel, handler)
+                return
+            on_message = process._on_transport_message
 
-            def one_by_one(tmsg):
-                self.receipts_one_by_one += 1
-                return on_message(tmsg)
+            def one_by_one(messages):
+                for tmsg in messages:
+                    if endpoint.crashed:
+                        return
+                    self.receipts_one_by_one += 1
+                    on_message(tmsg)
 
-            endpoint.register_handler(channel, one_by_one)
+            register(endpoint, channel, one_by_one)
 
-        self._patch.setattr(Endpoint, "register_batch_handler", register_per_message)
+        self._patch.setattr(Endpoint, "register_handler", register_per_message)
 
     def count_settles(self) -> None:
         settle = NewtopProcess.settle

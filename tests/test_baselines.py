@@ -12,6 +12,7 @@ from repro.baselines import (
 )
 from repro.api import BaselineStack, Session
 from repro.net.latency import ConstantLatency, UniformLatency
+from repro.scenarios import ScenarioEngine, churn_scenario, from_config
 
 
 TOTAL_ORDER_BASELINES = [IsisProcess, LamportAckProcess, FixedSequencerProcess]
@@ -191,3 +192,24 @@ def test_baseline_stack_merges_groups_in_delivery_order(stack, seed):
     trace = session.trace()
     for name in names:
         assert session.stack.delivered_ids(name) == trace.delivered_ids(name), name
+
+
+def test_a_baseline_run_does_not_depend_on_what_ran_before_it():
+    """Baseline message ids come from the one message-id counter that every
+    scenario restarts, so a run's trace is the same first or second."""
+    config = churn_scenario(
+        n_processes=12, n_groups=4, group_size=6, crashes=1, leaves=0,
+        formations=0, messages_per_sender=2, seed=3,
+    )
+
+    def trace():
+        engine = ScenarioEngine(from_config(config), stack="isis")
+        assert engine.run().passed
+        return [
+            (event.time, event.kind, event.process, event.group, event.message_id)
+            for event in engine.session.trace()
+        ]
+
+    first = trace()
+    assert any(message_id for *_, message_id in first)
+    assert trace() == first

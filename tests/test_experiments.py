@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.experiments import SweepSpec, cell_scenario, run_cell, run_sweep
+from repro.experiments import SweepSpec, cell_scenario, run_cell, run_sweep, sweep
 from repro.net.partitions import partition_hold_time
 from repro.scenarios import run_scenario
 
@@ -83,6 +83,32 @@ def test_sweep_report_consistency_property():
         assert phase_offered == cell["offered"]
     # The report must be JSON-serializable as-is (the CI artifact).
     json.dumps(report.as_dict())
+
+
+def test_a_sweep_reports_a_failed_cell_as_it_lands(monkeypatch):
+    """``progress`` hears of every cell before the next one runs, a cell
+    that raised included."""
+    order = []
+
+    def fake_cell(spec, stack, profile_name, load, fault):
+        order.append(f"run {stack} {load}")
+        if stack == "newtop" and load == 0.5:
+            raise RuntimeError("cell crash")
+        return {"stack": stack, "offered_load": load, "passed": True}
+
+    monkeypatch.setattr(sweep, "run_cell", fake_cell)
+    report = run_sweep(
+        tiny_spec(),
+        progress=lambda row: order.append(f"row {row['stack']} {row['offered_load']}"),
+    )
+    assert order == [
+        f"{step} {stack} {load}"
+        for load in (0.5, 1.0)
+        for stack in ("newtop", "fixed_sequencer")
+        for step in ("run", "row")
+    ]
+    assert [cell["passed"] for cell in report.cells] == [False, True, True, True]
+    assert "cell crash" in report.cells[0]["violations"][0]
 
 
 def test_curves_cover_every_load_point_in_order():

@@ -34,6 +34,7 @@ from repro.scenarios.fuzz import (
     run_campaign,
     run_fuzz_unit,
 )
+from repro.scenarios.fuzz import campaign
 from repro.scenarios.fuzz.__main__ import main as fuzz_cli
 from repro.scenarios.spec import (
     SCENARIO_SCHEMA_VERSION,
@@ -183,6 +184,29 @@ def test_healthy_corpus_campaign_is_clean():
     # The streaming counters and the final tallies are the same numbers.
     assert report.metrics["counters"]["fuzz.pass"] == report.tallies["pass"]
     json.dumps(report.as_dict())  # the report is JSON-shaped throughout
+
+
+def test_a_serial_campaign_reports_each_outcome_as_it_lands(monkeypatch):
+    """``progress`` hears of a unit, pass or casualty, before the next one
+    runs: a long ``fuzz run`` prints as it goes."""
+    order = []
+
+    def fake_unit(corpus_seed, index, tuning=None, stack="newtop"):
+        order.append(f"run{index}")
+        if index == 1:
+            raise RuntimeError("engine crash")
+        return {"index": index, "status": "pass", "violations": [], "violation_kind": None}
+
+    monkeypatch.setattr(campaign, "run_fuzz_unit", fake_unit)
+    report = run_campaign(
+        7, 3, shrink_failures=False,
+        progress=lambda row: order.append(f"progress{row['index']}"),
+    )
+    assert order == ["run0", "progress0", "run1", "progress1", "run2", "progress2"]
+    assert (report.tallies["pass"], report.tallies["crashed"]) == (2, 1)
+    assert [row["status"] for row in report.rows] == ["pass", "crashed", "pass"]
+    assert [(failure.index, failure.status) for failure in report.failures] == [(1, "crashed")]
+    assert "engine crash" in report.failures[0].error
 
 
 def test_run_fuzz_unit_row_is_self_describing():

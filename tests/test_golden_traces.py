@@ -11,7 +11,7 @@ with ``PYTHONPATH=src python tests/test_golden_traces.py`` and say so.
 ``journey_digests.json`` does the same for what :mod:`repro.obs.journey`
 makes of a run: the sha256 of the whole ``journeys`` block plus every
 tracked journey's transition list, at sample rate 1 and 1-in-64, offline
-and online, for the three runs above and five more that between them
+and online, for the three Newtop runs above and five more that between them
 produce every transition and every reason the tracker knows (the test
 below says which).  It was generated at the commit *before* journeys moved
 onto the trace recorder's seam (PR 21), so it pins that the move changed no
@@ -35,6 +35,15 @@ stream.  It compares two of them and reports, per run, which held:
 It refuses to write while both differ for a run not named by
 ``--accept RUN``; a run accepted so must be explained below.
 Regeneration notes:
+
+* ``lamport_ack_churn12`` was added (the other digests unchanged) to pin
+  the order in which the transport hands a baseline process's channels
+  their frames: 146 of its delivery batches mix ``baseline:<group>``
+  channels, and handing each batch over sorted by channel moves its
+  digest.  It was generated in a fresh interpreter at the commit before
+  the transport's handlers took runs, where baseline message ids still
+  came from a counter of their own, started at 1 as the shared counter
+  now is after ``reset_message_counter()``.
 
 * PR 22 (one beacon per process pair): ``churn60``,
   ``formation_crash_during_vote`` and ``brief_mute_three_groups`` moved;
@@ -122,6 +131,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -230,11 +240,32 @@ def _formation_crash(**options):
     return session
 
 
-RUNS = {
+def _lamport_ack_churn12(**options):
+    """A baseline stack under churn: each process hosts one ``lamport_ack``
+    instance per group, each on its own ``baseline:<group>`` channel, and
+    the 0.25 batch window puts several channels' frames in one delivery
+    batch -- so the run pins the cross-channel order of the transport's
+    runs."""
+    engine = ScenarioEngine(
+        from_config(
+            churn_scenario(
+                n_processes=12, n_groups=4, group_size=6, crashes=1, leaves=0,
+                formations=0, messages_per_sender=4, seed=3, batch_window=0.25,
+            )
+        ),
+        stack="lamport_ack",
+        **options,
+    )
+    assert engine.run().passed
+    return engine.session
+
+
+NEWTOP_RUNS = {
     "churn60": _churn60,
     "kv_failover_asymmetric": _kv_failover,
     "formation_crash_during_vote": _formation_crash,
 }
+RUNS = dict(NEWTOP_RUNS, lamport_ack_churn12=_lamport_ack_churn12)
 
 
 def _fresh(name):
@@ -351,7 +382,7 @@ def _brief_mute(**options):
 
 
 JOURNEY_RUNS = dict(
-    RUNS,
+    NEWTOP_RUNS,
     flow_control_window_one=_flow_window,
     partition_three_three=_partition,
     flapping_link=_flapping_link,
@@ -441,7 +472,7 @@ def _skeletons():
         for event in session.trace():
             if event.kind not in SKELETON_KINDS:
                 continue
-            sender = (event.message_id or "").split("#")[0]
+            sender = re.split("[#~]", event.message_id or "")[0]
             clocked.setdefault(event.process, []).append([
                 event.kind, event.group, sender,
                 event.sender, event.clock, repr(event.details),

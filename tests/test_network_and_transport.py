@@ -239,14 +239,14 @@ def test_network_duplicate_attach_rejected():
 # ----------------------------------------------------------------------
 # Transport
 # ----------------------------------------------------------------------
-def test_transport_fifo_per_channel_with_random_latency():
+def test_transport_fifo_on_each_channel_with_random_latency():
     sim = Simulator(seed=9)
     network = Network(sim, NetworkConfig(latency_model=UniformLatency(0.1, 5.0)))
     transport = Transport(network)
     sender = transport.endpoint("s")
     receiver = transport.endpoint("r")
     received = []
-    receiver.register_handler("data", lambda msg: received.append(msg.payload))
+    receiver.register_handler("data", lambda run: received.extend(m.payload for m in run))
     for i in range(50):
         sender.send("r", i, channel="data")
     sim.run()
@@ -260,8 +260,8 @@ def test_transport_channels_are_independent_streams():
     sender = transport.endpoint("s")
     receiver = transport.endpoint("r")
     seen = {"a": [], "b": []}
-    receiver.register_handler("a", lambda msg: seen["a"].append(msg.payload))
-    receiver.register_handler("b", lambda msg: seen["b"].append(msg.payload))
+    receiver.register_handler("a", lambda run: seen["a"].extend(m.payload for m in run))
+    receiver.register_handler("b", lambda run: seen["b"].extend(m.payload for m in run))
     sender.send("r", 1, channel="a")
     sender.send("r", 2, channel="b")
     sim.run()
@@ -275,7 +275,7 @@ def test_transport_crashed_endpoint_stops_sending_and_receiving():
     a = transport.endpoint("a")
     b = transport.endpoint("b")
     received = []
-    b.register_default_handler(lambda msg: received.append(msg.payload))
+    b.register_handler("data", lambda run: received.extend(m.payload for m in run))
     a.send("b", "before")
     sim.run()
     b.crash()
@@ -291,13 +291,52 @@ def test_transport_stats_track_channels():
     transport = Transport(network)
     a = transport.endpoint("a")
     b = transport.endpoint("b")
-    b.register_default_handler(lambda msg: None)
+    b.register_handler("data", lambda run: None)
     a.send("b", "x", channel="data", size_bytes=5)
     a.send("b", "y", channel="ctl", size_bytes=7)
+    a.multicast(["a", "b"], "z", channel="data")
     sim.run()
-    assert a.stats.per_channel_sent == {"data": 1, "ctl": 1}
-    assert b.stats.per_channel_received == {"data": 1, "ctl": 1}
-    assert a.stats.bytes_sent == 12
+    assert (a.stats.sent, b.stats.sent) == (4, 0)
+
+
+def _one_instant(frames, crash_on=None):
+    """``s`` sends ``(channel, payload)`` frames to ``r`` at time 0 and they
+    land at one instant; returns every handler call as ``(channel,
+    payloads)``.  A handler called with ``crash_on`` in its run crashes
+    ``r``."""
+    sim = Simulator(seed=2)
+    network = Network(
+        sim, NetworkConfig(latency_model=ConstantLatency(1.0), batch_window=0.25)
+    )
+    transport = Transport(network)
+    sender, receiver = transport.endpoint("s"), transport.endpoint("r")
+    calls = []
+
+    def handler(run):
+        payloads = [message.payload for message in run]
+        calls.append((run[0].channel, payloads))
+        if crash_on in payloads:
+            receiver.crash()
+
+    for channel in ("a", "b"):
+        receiver.register_handler(channel, handler)
+    for channel, payload in frames:
+        sender.send("r", payload, channel=channel)
+    sim.run()
+    assert network.stats.delivery_events == 1
+    return calls
+
+
+def test_transport_hands_over_each_channel_run_in_arrival_order():
+    frames = [("a", "a1"), ("b", "b1"), ("a", "a2")]
+    assert _one_instant(frames) == [("a", ["a1"]), ("b", ["b1"]), ("a", ["a2"])]
+    # The crash flag is read between runs.
+    assert _one_instant(frames, crash_on="b1") == [("a", ["a1"]), ("b", ["b1"])]
+
+
+def test_transport_hands_over_a_one_channel_instant_in_one_call():
+    frames = [("a", "a1"), ("a", "a2"), ("a", "a3")]
+    assert _one_instant(frames) == [("a", ["a1", "a2", "a3"])]
 
 
 def test_transport_endpoint_reused_for_same_node():
@@ -332,8 +371,9 @@ class _World:
         for name, endpoint in self.endpoints.items():
             endpoint.register_handler(
                 "data",
-                lambda message, name=name: self.received.append(
+                lambda run, name=name: self.received.extend(
                     (self.sim.now, name, message.src, message.seqno, message.payload)
+                    for message in run
                 ),
             )
         self.accepted = []
@@ -484,4 +524,3 @@ def test_multicast_keeps_the_callers_order_and_an_empty_fan_out_costs_nothing():
     assert seen == FANOUT
     assert sender.multicast((), "x", "data") == 0
     assert sender.stats.sent == len(FANOUT)
-    assert sender.stats.per_channel_sent == {"data": len(FANOUT)}

@@ -6,6 +6,10 @@ defines it, and be given a value other than its default somewhere under
 ``src``, ``benchmarks``, ``examples`` or ``tests``.  An option nothing sets
 is a constant; one nothing reads is nothing at all.
 
+The transport hands each channel's handler runs of same-instant arrivals
+through one registration method, and keeps no per-endpoint tally that
+nothing outside it reads.
+
 The protocol and the substrate report to the trace recorder and know nobody
 behind it: no module under ``repro.core`` or ``repro.net`` imports
 ``repro.obs`` or names a ``journeys`` handle, and every lifecycle kind of
@@ -57,6 +61,7 @@ from repro.core.messages import Beacon
 from repro.core.ordering import OrderingEngine
 from repro.net import trace as trace_module
 from repro.net.network import NetworkConfig
+from repro.net.transport import Endpoint, TransportStats
 from repro.obs import Histogram, Observation
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -227,6 +232,30 @@ def test_protocol_and_substrate_know_no_observer():
     # A histogram is bucketed from its owner's counts when it is read;
     # nothing records into one.
     assert not hasattr(Histogram, "record")
+
+
+def test_the_transport_keeps_one_handler_kind_and_only_tallies_somebody_reads():
+    """A handler takes runs, so an endpoint has one way to register one.
+    A count kept per send costs on the hot path whether or not anybody
+    reads it: each ``TransportStats`` field is read as ``<...>.stats.<field>``
+    somewhere under ``src`` or ``benchmarks`` outside ``net/transport.py``."""
+    assert [name for name in dir(Endpoint) if name.startswith("register")] == [
+        "register_handler"
+    ]
+    read = set()
+    for path, text in SOURCES.items():
+        relative = path.relative_to(ROOT)
+        if relative.parts[0] not in ("src", "benchmarks") or relative.name == "transport.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and getattr(node.value, "attr", None) == "stats"
+            ):
+                read.add(node.attr)
+    fields = [field.name for field in dataclasses.fields(TransportStats)]
+    assert [name for name in fields if name not in read] == []
 
 
 def _sink_classes(base=trace_module.TraceSink):
