@@ -34,7 +34,6 @@ from common import EventProbe, fmt, run_session, run_session_traffic, write_benc
 from mutants import deliver_past_suspected_senders
 
 from repro.analysis import check_events
-from repro.analysis.metrics import blocking_times, build_report, view_agreement_latency
 from repro.analysis.overhead import (
     isis_overhead_bytes,
     newtop_overhead_bytes,
@@ -56,6 +55,7 @@ from repro.net.trace import (
     DELIVER,
     NULL_SEND,
     RECEIVE,
+    SEND,
     SUSPECT,
     UNBLOCKED_SEND,
     VIEW_INSTALL,
@@ -500,21 +500,27 @@ def holds_e7(m) -> bool:
 E8_SIZES = (3, 5, 8)
 
 
+def _group_costs(session: Session, group: str) -> Measured:
+    """Latency and deliveries of ``group`` from the session's latency sink;
+    its sends and numbered nulls (a heartbeat wake's ``null_send`` names no
+    group) from the stored trace."""
+    trace = session.trace()
+    return {
+        "latency": session.metrics_sink.latency.mean,
+        "sends": len(trace.events(kind=SEND, group=group)),
+        "nulls": len(trace.events(kind=NULL_SEND, group=group)),
+        "deliveries": session.metrics_sink.deliveries_by_group.get(group, 0),
+    }
+
+
 def _ordering_run(size: int, mode: OrderingMode) -> Measured:
     """Four messages from every member of one group of ``size``."""
     names = [f"P{i}" for i in range(size)]
     session = run_session(names, groups=[("bench", None, mode)], seed=size)
-    start = session.sim.now
     run_session_traffic(session, "bench", names, messages_per_sender=4)
-    report = build_report(
-        session.trace(), session.network.stats, duration=session.sim.now - start, group="bench"
-    )
     return {
-        "latency": report.delivery_latency.mean,
-        "msgs_sent": report.network.get("messages_sent", 0),
-        "nulls": report.null_messages,
-        "sends": report.application_sends,
-        "deliveries": report.application_deliveries,
+        **_group_costs(session, "bench"),
+        "msgs_sent": session.network.stats.messages_sent,
         "passed": session.result().passed,
     }
 
@@ -560,7 +566,7 @@ def _two_group_sender(mode_one: OrderingMode, mode_two: OrderingMode, seed: int)
         session.run(1.0)
     session.run(80)
     trace = probe.trace()
-    waits = blocking_times(trace)
+    waits = trace.blocking_times()
     return {
         "blocked": len(trace.events(kind=BLOCKED_SEND, process="P2")),
         "mean_wait": sum(waits) / len(waits) if waits else 0.0,
@@ -592,24 +598,22 @@ E10_OMEGAS = (1.0, 2.0, 4.0, 8.0)
 
 
 def _one_quiet_sender(omega: float) -> Measured:
-    # The null ratio and latency are post-hoc report quantities, so this
-    # run keeps the offline (materialized-trace) analysis mode.
+    # The null count is read off the stored trace, so this run keeps the
+    # offline (materialized-trace) analysis mode.
     session = run_session(
         ["P1", "P2", "P3", "P4"], groups=[("g", None)], seed=17,
         mode_overrides=dict(omega=omega, suspicion_timeout=omega * 8),
     )
-    start = session.sim.now
     for index in range(6):
         session.multicast("P1", "g", index)
         session.run(3.0)
     session.run(60)
-    report = build_report(
-        session.trace(), session.network.stats, duration=session.sim.now - start, group="g"
-    )
+    costs = _group_costs(session, "g")
     return {
-        "null_ratio": report.null_ratio,
-        "latency": report.delivery_latency.mean,
-        "deliveries": report.application_deliveries,
+        # Null messages per application send: the time-silence overhead.
+        "null_ratio": costs["nulls"] / max(costs["sends"], 1),
+        "latency": costs["latency"],
+        "deliveries": costs["deliveries"],
         "passed": session.result().passed,
     }
 
@@ -661,7 +665,7 @@ def _crash_agreement(size: int) -> Measured:
     crashed_at = session.sim.now
     session.crash(victim)
     session.run(150)
-    latencies = view_agreement_latency(probe.trace(), "g", victim)
+    latencies = probe.trace().view_agreement_latency("g", victim)
     stats = [session[name].endpoint("g").gv.stats for name in survivors]
     return {
         "agreement_latency": sum(latencies.values()) / len(latencies) if latencies else 0.0,

@@ -106,20 +106,14 @@ def run_session_traffic(
 def latency_block(result) -> Optional[Dict[str, object]]:
     """The delivery-latency summary (count/mean/p50/p95/p99/...) of a run.
 
-    Reads the block straight off the rolling
-    :class:`~repro.net.trace.MetricsSink` snapshot -- which now carries the
+    Reads the block straight off the run's
+    :class:`~repro.net.trace.MetricsSink` snapshot -- which carries the
     percentiles -- rather than re-walking a reservoir in every benchmark.
-    Works on :class:`SessionResult` and ``ScenarioResult`` alike; falls
-    back to the exact reservoir for results without a metrics snapshot
-    (offline runs), and returns ``None`` when neither exists.
+    Works on :class:`SessionResult` and ``ScenarioResult`` alike, in either
+    analysis mode; ``None`` for an object without a snapshot.
     """
     metrics = getattr(result, "metrics", None)
-    if metrics is not None and metrics.get("latency"):
-        return metrics["latency"]
-    reservoir = getattr(result, "latency_reservoir", None)
-    if reservoir is not None:
-        return reservoir.summary(percentiles=(50, 95, 99))
-    return None
+    return metrics["latency"] if metrics else None
 
 
 class EventProbe(TraceSink):

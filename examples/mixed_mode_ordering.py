@@ -20,7 +20,6 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import OrderingMode, Session
-from repro.analysis.metrics import blocking_times
 
 
 def main() -> None:
@@ -53,7 +52,7 @@ def main() -> None:
         for record in session[name].delivered:
             print(f"    [{record.group:9s}] {record.payload}")
 
-    waits = blocking_times(session.trace(), group="telemetry")
+    waits = session.trace().blocking_times(group="telemetry")
     if waits:
         print(f"\nBlocking-rule wait before the deferred telemetry send: "
               f"{waits[0]:.2f} simulated time units")

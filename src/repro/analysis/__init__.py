@@ -1,4 +1,4 @@
-"""Analysis tooling: property checkers, metrics and overhead models.
+"""Analysis tooling: property checkers and overhead models.
 
 * :mod:`repro.analysis.online` -- the one checker suite for the paper's
   delivery and view guarantees (MD1-MD5', VC1-VC3), evaluated
@@ -6,14 +6,17 @@
   every run's verdict comes from it, and a stored trace is checked by
   replaying it (:func:`check_events`).  It scales to 1000-process runs
   with no materialized trace.
-* :mod:`repro.analysis.metrics` -- latency / throughput / message-count
-  summaries derived from traces and network statistics.
 * :mod:`repro.analysis.overhead` -- per-message protocol overhead models
   for Newtop and the §6 comparison protocols (ISIS vector clocks, Psync
   context graphs, piggybacking).
 
-``metrics`` and ``overhead`` serve the benchmarks and no run: their names
-resolve here on first access (module ``__getattr__``).
+``overhead`` serves the benchmarks and no run: its names resolve here on
+first access (module ``__getattr__``).  A run's latency and counts come
+from its :class:`~repro.net.trace.MetricsSink` (``result.metrics``); a
+stored trace answers the post-hoc questions itself
+(:meth:`~repro.net.trace.EventTrace.delivery_latencies`,
+:meth:`~repro.net.trace.EventTrace.blocking_times`,
+:meth:`~repro.net.trace.EventTrace.view_agreement_latency`).
 """
 
 import importlib
@@ -37,8 +40,6 @@ __all__ = [
     "ALL_CHECKS",
     "CheckResult",
     "GroupScopedCheckSuite",
-    "LatencySummary",
-    "MetricsReport",
     "OnlineCausalOrder",
     "OnlineCheckSuite",
     "OnlineChecker",
@@ -51,14 +52,10 @@ __all__ = [
     "newtop_overhead_bytes",
     "piggyback_overhead_bytes",
     "psync_overhead_bytes",
-    "summarize_latencies",
 ]
 
 #: Exported names whose modules load on first access (PEP 562).
 _LAZY_EXPORTS = {
-    "LatencySummary": "repro.analysis.metrics",
-    "MetricsReport": "repro.analysis.metrics",
-    "summarize_latencies": "repro.analysis.metrics",
     "isis_overhead_bytes": "repro.analysis.overhead",
     "newtop_overhead_bytes": "repro.analysis.overhead",
     "piggyback_overhead_bytes": "repro.analysis.overhead",

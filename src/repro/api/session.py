@@ -30,23 +30,29 @@ scenario engine does for a spec's events::
 
     session.sim.schedule_at(12.0, session.crash, "P3")
 
+Every run's latency comes one way too: the recorder streams into the
+run's one :class:`~repro.net.trace.MetricsSink`
+(:attr:`Session.metrics_sink`), which :meth:`Session.result` reads as
+``metrics`` -- per-group delivery counts, the latency reservoir and the
+recorder's per-kind tally -- and, when the observation asks for spans, as
+the ``obs["spans"]`` stages.
+
 Two analysis modes mirror the scenario engine's.  They choose only what
-is stored, never how the run is checked:
+is stored, never how the run is checked or measured:
 
 ``analysis="offline"`` (default)
     The full trace is materialized as well, so :meth:`Session.trace` and
     every delivery log's records work.
 ``analysis="online"``
-    The recorder streams with ``keep_events=False`` and feeds a rolling
-    :class:`~repro.net.trace.MetricsSink` besides the suite: no trace
-    event is stored, and every process's delivery log keeps a count,
+    The recorder streams with ``keep_events=False``: no trace event is
+    stored, and every process's delivery log keeps a count,
     not a record per delivery (:class:`~repro.net.trace.DeliveryLog`; the
     records are read offline).  What a streaming run still keeps grows
     with its traffic: the checkers' per-message state (arbiter ranks,
     causal send chains, total-order deliverer maps), each process's
     :class:`~repro.core.delivery.DeliveryQueue` set of delivered ids
     (which tells a recovered duplicate apart from a late message that
-    safe2 must reject) and the latency reservoirs.
+    safe2 must reject) and the latency sink's send-time table.
 
 Extra :class:`~repro.net.trace.TraceSink` objects (e.g. a
 :class:`~repro.net.trace.JsonlSink`, or a custom observer) attach in either
@@ -71,7 +77,7 @@ from repro.net.faults import get_link_faults
 from repro.net.latency import LatencyModel
 from repro.net.network import Network, NetworkConfig
 from repro.net.simulator import Simulator
-from repro.net.trace import EventTrace, MetricsSink, TraceRecorder, TraceSink
+from repro.net.trace import EventTrace, MetricsSink, SpanMetricsSink, TraceRecorder, TraceSink
 from repro.net.transport import Transport
 from repro.obs import Observation
 from repro.workloads.client import DeliveryRouter, OpenLoopClient
@@ -91,8 +97,9 @@ class SessionResult:
     sim_time: float
     trace_events: int
     trace_events_stored: int
+    #: The run's :class:`~repro.net.trace.MetricsSink` snapshot.
+    metrics: Dict[str, object]
     protocol_bytes: Optional[int] = None
-    metrics: Optional[Dict[str, object]] = None
     #: The observation snapshot (``observe=`` was given), else ``None``.
     obs: Optional[Dict[str, object]] = None
     #: Sinks that raised during fan-out and were detached (see
@@ -151,11 +158,13 @@ class Session:
         self.suite = None
         if checks is None or checks:
             self.suite = self.stack.make_check_suite(view_agreement_sets, checks=checks)
-        self.metrics_sink: Optional[MetricsSink] = None
+        # The run's one latency sink, in either mode, as the suite is; it
+        # times the span stages too when the observation asks for them.
+        self.metrics_sink: MetricsSink = (
+            SpanMetricsSink() if obs is not None and obs.spans else MetricsSink()
+        )
         recorder_sinks = [self.suite] if self.suite is not None else []
-        if analysis == "online":
-            self.metrics_sink = MetricsSink()
-            recorder_sinks.append(self.metrics_sink)
+        recorder_sinks.append(self.metrics_sink)
         recorder_sinks.extend(sinks or ())
         if obs is not None:
             recorder_sinks.extend(obs.trace_sinks())
@@ -179,7 +188,7 @@ class Session:
         )
         self.transport = Transport(self.network)
         if obs is not None:
-            obs.bind(self.sim, self.recorder)
+            obs.bind(self.sim, self.recorder, self.metrics_sink)
         self.stack.attach(
             StackContext(
                 sim=self.sim,
@@ -395,11 +404,7 @@ class Session:
             trace_events=self.recorder.events_recorded,
             trace_events_stored=self.recorder.stored_events,
             protocol_bytes=self.stack.protocol_bytes(),
-            metrics=(
-                self.metrics_sink.snapshot(self.recorder.kind_counts())
-                if self.metrics_sink is not None
-                else None
-            ),
+            metrics=self.metrics_sink.snapshot(self.recorder.kind_counts()),
             obs=(
                 self.observation.snapshot() if self.observation is not None else None
             ),

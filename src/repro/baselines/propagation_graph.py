@@ -22,7 +22,7 @@ coordination-free sequencers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baselines.base import BaselineDelivery, next_baseline_message_id

@@ -44,9 +44,10 @@ Provided sinks:
 * :class:`JsonlSink` -- writes one JSON object per event to a file
   (truncating any existing content), for offline tooling and cross-run
   diffing;
-* :class:`MetricsSink` -- a rolling aggregator (per-group delivery counts,
-  streaming latency stats; subscribed to ``SEND`` and ``DELIVER`` only) that
-  never stores events;
+* :class:`MetricsSink` -- the run's one latency sink, attached by every
+  session: per-group delivery counts and streaming latency stats from
+  ``SEND`` and ``DELIVER`` (plus ``RECEIVE`` for the span stages an
+  observation asks for); it never stores events;
 * :class:`NullSink` -- discards everything (useful to measure recording
   overhead in isolation);
 * :class:`repro.analysis.online.OnlineCheckSuite` -- streaming property
@@ -76,8 +77,8 @@ from __future__ import annotations
 
 import json
 from typing import (
-    Any, Dict, FrozenSet, IO, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
-    Union,
+    Any, Dict, FrozenSet, IO, Iterable, Iterator, List, NamedTuple, Optional, Set,
+    Tuple, Union,
 )
 
 from repro.stats import LatencyReservoir
@@ -289,7 +290,7 @@ class JsonlSink(TraceSink):
 
 
 class MetricsSink(TraceSink):
-    """Rolling aggregator: never stores events, only summaries.
+    """The run's one latency sink: never stores events, only summaries.
 
     Tracks per-group application delivery counts and streaming
     delivery-latency statistics: exact count/mean/min/max (with a
@@ -299,15 +300,22 @@ class MetricsSink(TraceSink):
     summary) keeps cross-shard percentiles exact whenever the shard pools
     are exact.  Latency samples pair each delivery with the *first* send of
     its message id -- re-sends under the original id (asymmetric failover)
-    must not reset the clock.  Memory is O(kinds + groups + distinct
-    message ids + reservoir capacity): the send-time table is what pairs
-    deliveries with sends and cannot be evicted (a multicast delivers many
-    times), but it never grows with deliveries, nulls or run length.
+    must not reset the clock -- and a delivery recorded *before* its send
+    (an asymmetric group's sequencer delivers its own multicast inside the
+    call that sends it) waits for that send, so every delivery of a sent
+    message is one sample, as :meth:`EventTrace.delivery_latencies` counts
+    it.  Memory is O(kinds + groups + distinct message ids + reservoir
+    capacity): the send-time table is what pairs deliveries with sends and
+    cannot be evicted (a multicast delivers many times), but it never grows
+    with deliveries, nulls or run length.
 
     It subscribes to the two kinds whose fields it reads, so on a streaming
     recorder every other kind stays count-only.  It counts no kinds of its
     own: a run's totals over every kind are the recorder's, and
     :meth:`snapshot` takes them as ``kind_counts``.
+
+    :class:`SpanMetricsSink` is this sink with the span stages added, built
+    when the run's observation asks for them.
     """
 
     KINDS = frozenset({SEND, DELIVER})
@@ -315,12 +323,16 @@ class MetricsSink(TraceSink):
     def __init__(self) -> None:
         self.deliveries_by_group: Dict[str, int] = {}
         self._first_send_time: Dict[str, float] = {}
+        #: message id -> times of its deliveries recorded before its send.
+        self._unsent_deliveries: Dict[str, List[float]] = {}
         self.latency = LatencyReservoir()
         self._latency_m2 = 0.0
 
     def on_event(self, event: TraceEvent) -> None:
         if event.kind == SEND and event.message_id is not None:
             self._first_send_time.setdefault(event.message_id, event.time)
+            if self._unsent_deliveries:
+                self._pair_unsent(event.message_id)
         elif event.kind == DELIVER:
             if event.group is not None:
                 self.deliveries_by_group[event.group] = (
@@ -332,6 +344,18 @@ class MetricsSink(TraceSink):
                 delta = sample - self.latency.mean
                 self.latency.add(sample)
                 self._latency_m2 += delta * (sample - self.latency.mean)
+            elif event.message_id is not None:
+                self._unsent_deliveries.setdefault(event.message_id, []).append(event.time)
+
+    def _pair_unsent(self, message_id: str) -> None:
+        """Sample the deliveries of ``message_id`` that came before its send."""
+        times = self._unsent_deliveries.pop(message_id, ())
+        send_time = self._first_send_time[message_id]
+        for time in times:
+            sample = time - send_time
+            delta = sample - self.latency.mean
+            self.latency.add(sample)
+            self._latency_m2 += delta * (sample - self.latency.mean)
 
     @property
     def latency_variance(self) -> float:
@@ -370,6 +394,79 @@ class MetricsSink(TraceSink):
                 "p50": percentiles.get("p50"),
                 "p95": percentiles.get("p95"),
                 "p99": percentiles.get("p99"),
+            },
+        }
+
+
+class SpanMetricsSink(MetricsSink):
+    """:class:`MetricsSink` plus the span stages, for a run whose
+    observation asks for spans (``Observation(spans=True)``, on in
+    ``observe="full"``); a subclass, so the unobserved sink's per-event
+    path stays as it is.
+
+    It adds ``receive`` to the kinds and maps a multicast's send ->
+    sequenced -> delivered -> stable lifecycle onto the events that already
+    exist, as the stages of :meth:`span_snapshot`, all timed from the one
+    send-time table:
+
+    * ``transit`` -- send -> *first* receive anywhere (network + transport
+      batching; in an asymmetric group the sequencer hop rides inside it);
+    * ``ordering_wait`` -- receive -> deliver at the *same* process (the
+      logical-clock / sequencer-number gating delay); a receive entry is
+      popped by its delivery;
+    * ``latency`` -- send -> each deliver: :attr:`latency` itself;
+    * ``spread`` -- first deliver -> last deliver of a message (the
+      stability proxy), folded when read.
+    """
+
+    KINDS = frozenset({SEND, RECEIVE, DELIVER})
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.transit = LatencyReservoir()
+        self.ordering_wait = LatencyReservoir()
+        self._received: Set[str] = set()
+        self._receive_time: Dict[Tuple[str, str], float] = {}
+        #: message id -> [first, last] delivery time.
+        self._deliver_window: Dict[str, List[float]] = {}
+
+    def on_event(self, event: TraceEvent) -> None:
+        message_id = event.message_id
+        if event.kind == RECEIVE:
+            send_time = self._first_send_time.get(message_id)
+            if send_time is not None:
+                if message_id not in self._received:
+                    self._received.add(message_id)
+                    self.transit.add(event.time - send_time)
+                self._receive_time.setdefault((message_id, event.process), event.time)
+            return
+        super().on_event(event)
+        if event.kind != DELIVER:
+            return
+        receive_time = self._receive_time.pop((message_id, event.process), None)
+        if receive_time is not None:
+            self.ordering_wait.add(event.time - receive_time)
+        if message_id is not None:
+            window = self._deliver_window.setdefault(message_id, [event.time, event.time])
+            window[1] = max(window[1], event.time)
+
+    def span_snapshot(self) -> Dict[str, Any]:
+        """The ``obs["spans"]`` block: the messages timed, and each stage
+        as a p50/p95/p99 summary (``None`` while empty)."""
+        spread = LatencyReservoir()
+        for first, last in self._deliver_window.values():
+            spread.add(last - first)
+        stages = {
+            "transit": self.transit,
+            "ordering_wait": self.ordering_wait,
+            "latency": self.latency,
+            "spread": spread,
+        }
+        return {
+            "tracked_messages": len(self._first_send_time),
+            "stages": {
+                name: reservoir.summary(percentiles=(50, 95, 99)) if reservoir.count else None
+                for name, reservoir in stages.items()
             },
         }
 
@@ -762,6 +859,46 @@ class EventTrace:
             if event.message_id in send_times:
                 latencies.append(event.time - send_times[event.message_id])
         return latencies
+
+    def blocking_times(self, group: Optional[str] = None) -> List[float]:
+        """Durations between a blocked send and its eventual transmission.
+
+        Pairs BLOCKED_SEND and UNBLOCKED_SEND events per (process, group) in
+        FIFO order, which matches how the deferred-send queue drains.
+        """
+        blocked: Dict[Tuple[str, Optional[str]], List[float]] = {}
+        durations: List[float] = []
+        for event in self._events:
+            if group is not None and event.group != group:
+                continue
+            key = (event.process, event.group)
+            if event.kind == BLOCKED_SEND:
+                blocked.setdefault(key, []).append(event.time)
+            elif event.kind == UNBLOCKED_SEND:
+                queue = blocked.get(key)
+                if queue:
+                    durations.append(event.time - queue.pop(0))
+        return durations
+
+    def view_agreement_latency(self, group: str, crashed_process: str) -> Dict[str, float]:
+        """Per-process latency from the first suspicion of
+        ``crashed_process`` to the installation of a view excluding it."""
+        result: Dict[str, float] = {}
+        for process in self.processes():
+            suspicions = [
+                event.time
+                for event in self.events(kind=SUSPECT, process=process, group=group)
+                if event.detail("target") == crashed_process
+            ]
+            if not suspicions:
+                continue
+            suspect_time = suspicions[0]
+            for event in self.views_installed(process, group):
+                members = event.detail("members", ())
+                if crashed_process not in members and event.time >= suspect_time:
+                    result[process] = event.time - suspect_time
+                    break
+        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventTrace(events={len(self._events)})"

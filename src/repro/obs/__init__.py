@@ -1,6 +1,6 @@
 """``repro.obs`` -- observability for every layer of the reproduction.
 
-One :class:`Observation` object bundles the five instruments.  Three are
+One :class:`Observation` object bundles the instruments.  Three are
 handles the layers are built with:
 
 * a :class:`~repro.obs.metrics.MetricsRegistry` of counters / gauges /
@@ -18,13 +18,15 @@ handles the layers are built with:
   scenario event, sampler, workload), through the kernel's per-callback
   hook alone, at one ``is None`` check per event when off;
 
-and two are sinks of the run's :class:`~repro.net.trace.TraceRecorder`,
-the one seam ``repro.core`` and ``repro.net`` report a message's life to
+and the rest read the run's :class:`~repro.net.trace.TraceRecorder`, the
+one seam ``repro.core`` and ``repro.net`` report a message's life to
 (neither imports this package):
 
-* a :class:`~repro.obs.spans.SpanBreakdownSink` computing per-message
-  lifecycle breakdowns (transit / ordering wait / latency / spread) as
-  exact reservoirs;
+* ``spans=True`` makes the run's one latency sink, which every session
+  attaches, a :class:`~repro.net.trace.SpanMetricsSink`: it also times
+  the per-message lifecycle stages (transit / ordering wait / latency /
+  spread) as exact reservoirs, from the send-time table it keeps anyway,
+  and they come back as the ``spans`` block;
 * a :class:`~repro.obs.journey.JourneyTracker` sampling a deterministic
   1-in-N subset of message ids and recording each one's full lifecycle
   (created -> sent -> received -> held -> sequenced -> delivered |
@@ -54,7 +56,7 @@ observation on or off.
 (or result dump) containing ``obs`` blocks into a readable report.
 
 Only :mod:`repro.obs.metrics` loads with this package.  Each of the other
-four instruments is imported by :meth:`Observation.__init__` when its flag
+three instruments is imported by :meth:`Observation.__init__` when its flag
 builds it, and the report renderer when it is first named; every name in
 ``__all__`` still resolves here, through the module ``__getattr__``.
 """
@@ -64,14 +66,13 @@ from __future__ import annotations
 import importlib
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
-from repro.net.trace import TraceSink
+from repro.net.trace import MetricsSink, SpanMetricsSink, TraceSink
 from repro.obs.metrics import Histogram, MetricsRegistry, PolledGauge
 
 if TYPE_CHECKING:
     from repro.obs.journey import JourneyTracker
     from repro.obs.profiler import HotPathProfiler
     from repro.obs.sampler import SimTimeSampler
-    from repro.obs.spans import SpanBreakdownSink
 
 __all__ = [
     "Observation",
@@ -81,7 +82,6 @@ __all__ = [
     "SimTimeSampler",
     "HotPathProfiler",
     "JourneyTracker",
-    "SpanBreakdownSink",
     "render_obs",
     "render_document",
 ]
@@ -91,7 +91,6 @@ _LAZY_EXPORTS = {
     "SimTimeSampler": "repro.obs.sampler",
     "HotPathProfiler": "repro.obs.profiler",
     "JourneyTracker": "repro.obs.journey",
-    "SpanBreakdownSink": "repro.obs.spans",
     "render_obs": "repro.obs.report",
     "render_document": "repro.obs.report",
 }
@@ -110,7 +109,8 @@ class Observation:
     ``observe=`` argument, and released with it.
 
     ``observe=True`` enables the cheap instruments (registry + sampler);
-    ``observe="full"`` adds the wall-clock profiler and the span sink;
+    ``observe="full"`` adds the wall-clock profiler, the span stages and
+    journeys;
     a mapping passes keyword arguments straight through (e.g.
     ``observe={"profiler": True, "sampler": False}``).  To read
     instruments mid-run, use ``session.observation``.
@@ -131,7 +131,8 @@ class Observation:
         self.registry = MetricsRegistry()
         self.sampler: Optional[SimTimeSampler] = None
         self.profiler: Optional[HotPathProfiler] = None
-        self.spans: Optional[SpanBreakdownSink] = None
+        #: Whether the run's latency sink also times the span stages.
+        self.spans = spans
         self.journeys: Optional[JourneyTracker] = None
         if sampler:
             from repro.obs.sampler import SimTimeSampler
@@ -141,10 +142,6 @@ class Observation:
             from repro.obs.profiler import HotPathProfiler
 
             self.profiler = HotPathProfiler()
-        if spans:
-            from repro.obs.spans import SpanBreakdownSink
-
-            self.spans = SpanBreakdownSink()
         if journeys:
             from repro.obs.journey import JourneyTracker
 
@@ -154,6 +151,7 @@ class Observation:
                 force_ids=journey_force_ids,
             )
         self._sim = None
+        self._latency: Optional[MetricsSink] = None
 
     # ------------------------------------------------------------------
     # Coercion
@@ -185,15 +183,17 @@ class Observation:
         """The sinks to build the run's :class:`TraceRecorder` with (the
         journey tracker hears lifecycle kinds, which are routed to the
         sinks a recorder has when the layers under it are built)."""
-        return [sink for sink in (self.spans, self.journeys) if sink is not None]
+        return [self.journeys] if self.journeys is not None else []
 
-    def bind(self, sim, recorder) -> None:
+    def bind(self, sim, recorder, latency: MetricsSink) -> None:
         """Attach the sampler to the run's simulator and publish what the
         kernel and the recorder already count: the simulator's events as
         the ``sim.*`` counters, its heap as the ``sim.heap_*`` gauges and
         the recorder's per-kind tally as the ``trace.<kind>`` counters
-        (what feeds the sampler's null-vs-app traffic series)."""
+        (what feeds the sampler's null-vs-app traffic series).  ``latency``
+        is the run's latency sink, read for the ``spans`` block."""
         self._sim = sim
+        self._latency = latency
         registry = self.registry
         registry.counter_source("sim.", sim.counts)
         registry.gauge("sim.heap_pending", lambda: sim.pending_events)
@@ -208,13 +208,11 @@ class Observation:
             self.sampler.ensure_running()
 
     def finalize(self) -> None:
-        """Take the closing sample and seal the span reservoirs."""
+        """Take the closing sample."""
         sampler = self.sampler
         if sampler is not None and self._sim is not None:
             if not sampler.times or sampler.times[-1] < self._sim.now:
                 sampler.sample_now()
-        if self.spans is not None:
-            self.spans.close()
 
     # ------------------------------------------------------------------
     # Reading
@@ -227,8 +225,8 @@ class Observation:
             block["samples"] = self.sampler.snapshot()
         if self.profiler is not None:
             block["profile"] = self.profiler.snapshot()
-        if self.spans is not None:
-            block["spans"] = self.spans.snapshot()
+        if isinstance(self._latency, SpanMetricsSink):
+            block["spans"] = self._latency.span_snapshot()
         if self.journeys is not None:
             block["journeys"] = self.journeys.snapshot()
         return block

@@ -224,14 +224,7 @@ def _render_profile(profile: Mapping[str, Any]) -> List[str]:
 
 
 def _render_spans(spans: Mapping[str, Any]) -> List[str]:
-    lines = [
-        f"spans: {_fmt(spans.get('tracked_messages'))} messages tracked"
-        + (
-            f", {_fmt(spans.get('dropped_messages'))} dropped"
-            if spans.get("dropped_messages")
-            else ""
-        )
-    ]
+    lines = [f"spans: {_fmt(spans.get('tracked_messages'))} messages tracked"]
     stages = spans.get("stages") or {}
     rows = [("stage", "count", "mean", "p50", "p95", "p99", "max")]
     for name, summary in stages.items():

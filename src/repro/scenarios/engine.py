@@ -23,19 +23,20 @@ mid-run.
 The predicates are evaluated one way in every run: the recorder streams
 into the stack's :class:`~repro.analysis.online.OnlineCheckSuite` (scoped
 per group for single-group baselines), and the result reads its verdict.
-Two analysis modes choose only what is stored beside it:
+Latency is measured one way as well: the session's
+:class:`~repro.net.trace.MetricsSink` joins the suite in every run, so
+``result.metrics`` and :attr:`ScenarioResult.latency_reservoir` are always
+there.  Two analysis modes choose only what is stored beside them:
 
 ``analysis="offline"`` (default)
     The full trace is materialized as well -- right for paper-sized runs
     and debugging.
 ``analysis="online"``
-    A rolling :class:`~repro.net.trace.MetricsSink` joins the suite,
-    **no event is stored** (``keep_events=False``) and the processes'
+    **No event is stored** (``keep_events=False``) and the processes'
     delivery logs keep counts only, so 1000-process churn runs verify in
-    one pass.  What is kept
-    still grows with the traffic: per-message checker state, each
-    process's delivered-id set and the latency reservoirs (see
-    :mod:`repro.api.session`).  Extra sinks (e.g. a
+    one pass.  What is kept still grows with the traffic: per-message
+    checker state, each process's delivered-id set and the latency sink's
+    send-time table (see :mod:`repro.api.session`).  Extra sinks (e.g. a
     :class:`~repro.net.trace.JsonlSink`) can be attached in either mode.
 
 Checking under churn needs care: after partitions (real or induced by drop
@@ -117,10 +118,11 @@ class ScenarioResult(SessionResult):
     #: Open-loop workload accounting (aggregated over the per-group
     #: clients) when the spec selected a profile; ``None`` otherwise.
     workload: Optional[Dict[str, object]] = None
-    #: Exact delivery-latency statistics merged over the per-group clients
-    #: (profile workloads only).  Carrying the *reservoir* -- not just its
-    #: summary -- is what lets a sharded batch merge percentiles exactly:
-    #: the object is picklable and rides back from pool workers intact.
+    #: Exact delivery-latency statistics: merged over the per-group clients
+    #: (profile workloads), else the MetricsSink's; set on every run.
+    #: Carrying the *reservoir* -- not just its summary -- is what lets a
+    #: sharded batch merge percentiles exactly: the object is picklable and
+    #: rides back from pool workers intact.
     latency_reservoir: Optional[LatencyReservoir] = None
 
     def summary(self) -> List[str]:
@@ -515,19 +517,16 @@ class ScenarioEngine:
             latency_reservoir=self._latency_reservoir(),
         )
 
-    def _latency_reservoir(self) -> Optional[LatencyReservoir]:
+    def _latency_reservoir(self) -> LatencyReservoir:
         """The run's exact delivery-latency reservoir.
 
         Profile workloads merge the per-group clients' reservoirs (each is
-        exact over that client's admitted messages).  Closed-loop runs fall
-        back to the online MetricsSink's reservoir, which samples every
-        delivery; offline closed-loop runs have no streaming aggregate and
-        return ``None``.
+        exact over that client's admitted messages).  Closed-loop runs read
+        the session's MetricsSink reservoir, which samples every delivery.
         """
         if self.clients:
             return LatencyReservoir.merged(client.latency for client in self.clients)
-        sink = self.session.metrics_sink
-        return sink.latency if sink is not None else None
+        return self.session.metrics_sink.latency
 
     def _workload_stats(self) -> Optional[Dict[str, object]]:
         if not self.clients:

@@ -77,9 +77,6 @@ class RollingReport:
             if capacity is not None
             else LatencyReservoir()
         )
-        #: Shards that carried no latency reservoir (offline closed-loop
-        #: runs) -- their deliveries are absent from :attr:`latency`.
-        self.shards_without_latency = 0
 
     # ------------------------------------------------------------------
     # The progress hook
@@ -102,10 +99,7 @@ class RollingReport:
         self.messages_sent += result.messages_sent
         self.trace_events += result.trace_events
         self.trace_events_stored += result.trace_events_stored
-        if result.latency_reservoir is not None:
-            self.latency.merge(result.latency_reservoir)
-        else:
-            self.shards_without_latency += 1
+        self.latency.merge(result.latency_reservoir)
         if self.printer is not None:
             self.printer(self.line(result))
 
@@ -144,7 +138,6 @@ class RollingReport:
             "trace_events_stored": self.trace_events_stored,
             "latency": self.latency.summary(),
             "latency_exact": self.latency.is_exact,
-            "shards_without_latency": self.shards_without_latency,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -9,13 +9,6 @@ from oracle_checkers import (
     check_total_order,
     check_view_sequences,
 )
-from repro.analysis.metrics import (
-    LatencySummary,
-    build_report,
-    messages_per_delivered_multicast,
-    summarize_latencies,
-    view_agreement_latency,
-)
 from repro.analysis.overhead import (
     isis_overhead_bytes,
     newtop_overhead_bytes,
@@ -24,9 +17,8 @@ from repro.analysis.overhead import (
 )
 from repro.api import Session
 from repro.core import NewtopConfig
-from repro.net.network import NetworkStats
 from repro.net.trace import DELIVER, SEND, SUSPECT, TraceRecorder, VIEW_INSTALL
-from repro.stats import percentile
+from repro.stats import LatencyReservoir, percentile
 
 
 # ----------------------------------------------------------------------
@@ -114,27 +106,22 @@ def test_check_result_merge():
 # ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
-def test_latency_summary():
-    summary = summarize_latencies([1.0, 2.0, 3.0, 4.0])
-    assert summary.count == 4
-    assert summary.mean == pytest.approx(2.5)
-    assert summary.minimum == 1.0 and summary.maximum == 4.0
-    assert summarize_latencies([]) == LatencySummary.empty()
-
-
 @pytest.mark.parametrize("q", [50, 90, 95, 99])
 def test_percentile_is_nearest_rank(q):
     """``sorted[ceil(q * n / 100) - 1]`` for every n: p50 of 1..5 is 3 and
-    p90 of 1..6 is 6, and a latency summary reads the same function."""
+    p90 of 1..6 is 6, and a latency reservoir's summary reads the same
+    function."""
     for n in range(1, 51):
         ordered = [float(value) for value in range(1, n + 1)]
         rank = -(-q * n // 100)  # exact integer ceiling
         assert percentile(ordered, q) == ordered[rank - 1], n
-        summary = summarize_latencies(reversed(ordered))
-        assert (summary.median, summary.p95) == (percentile(ordered, 50), percentile(ordered, 95))
+        reservoir = LatencyReservoir()
+        for sample in reversed(ordered):
+            reservoir.add(sample)
+        assert reservoir.summary(percentiles=(q,))[f"p{q}"] == percentile(ordered, q)
 
 
-def test_build_report_from_real_run():
+def test_offline_session_metrics_from_a_real_run():
     config = NewtopConfig(omega=2.0, suspicion_timeout=8.0)
     session = Session("newtop", config=config, seed=3)
     session.spawn(["P1", "P2", "P3"])
@@ -142,23 +129,22 @@ def test_build_report_from_real_run():
     for i in range(5):
         session["P1"].multicast("g", i)
     session.run(60)
-    report = build_report(session.trace(), session.network.stats, duration=60.0, group="g")
-    assert report.application_sends == 5
-    assert report.application_deliveries == 15
-    assert report.delivery_latency.count == 15
-    assert report.throughput > 0
-    assert report.null_messages > 0
-    flattened = report.as_dict()
-    assert flattened["application_sends"] == 5.0
-    ratio = messages_per_delivered_multicast(session.trace(), session.network.stats, "g")
-    assert ratio > 0
+    # An offline run is measured by the same sink as an online one.
+    metrics = session.result().metrics
+    assert metrics["by_kind"][SEND] == 5
+    assert metrics["deliveries_by_group"] == {"g": 15}
+    assert metrics["by_kind"]["null_send"] > 0
+    latencies = session.trace().delivery_latencies("g")
+    assert metrics["latency"]["count"] == len(latencies) == 15
+    assert metrics["latency"]["mean"] == pytest.approx(sum(latencies) / 15, abs=1e-12)
+    assert session.network.stats.messages_sent > 5
 
 
 def test_view_agreement_latency_metric():
     recorder = TraceRecorder()
     recorder.record(10.0, SUSPECT, "p1", group="g", target="p3", last_number=4)
     recorder.record(14.0, VIEW_INSTALL, "p1", group="g", members=("p1", "p2"), index=1)
-    latency = view_agreement_latency(recorder.trace(), "g", "p3")
+    latency = recorder.trace().view_agreement_latency("g", "p3")
     assert latency == {"p1": pytest.approx(4.0)}
 
 

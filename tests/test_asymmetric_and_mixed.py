@@ -4,7 +4,6 @@ mixed-mode multi-group operation (§4.3), including the blocking rules."""
 import pytest
 
 from oracle_checkers import check_all, check_total_order
-from repro.analysis.metrics import blocking_times
 from repro.api import Session
 from repro.core import NewtopConfig, OrderingMode
 from repro.core.messages import KIND_DATA, KIND_VIEW_CUT, DataMessage, Suspicion
@@ -181,7 +180,7 @@ def test_blocking_time_is_measurable():
     session["P2"].multicast("asym", "x")
     session["P2"].multicast("sym", "y")
     session.run(60)
-    waits = blocking_times(session.trace(), group="sym")
+    waits = session.trace().blocking_times(group="sym")
     assert len(waits) == 1
     assert waits[0] > 0.0
 

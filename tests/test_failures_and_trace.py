@@ -344,8 +344,8 @@ def test_count_only_kinds_follow_the_sink_list():
     assert [event.seq for event in deliveries.events] == [1, 5]
     with pytest.raises(ValueError, match="unknown trace event kind"):
         recorder.record(7.0, "no_such_kind", "p1")
-    # The checkers and the metrics sink read five kinds, the span sink adds
-    # receive, and blocked_send / unblocked_send have a subscriber only when
+    # The checkers and the metrics sink read five kinds, the metrics sink's
+    # span stages add receive, and blocked_send / unblocked_send have a subscriber only when
     # journeys are followed: null_send, suspect and the rest stay count-only.
 
     def built_kinds(observe):

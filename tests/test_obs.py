@@ -2,7 +2,7 @@
 
 Covers the metrics registry, the simulated-time sampler (including its
 park/resume contract with unbounded ``sim.run()``), the hot-path profiler's
-label categorization, the span-breakdown sink, the ``observe=`` coercion
+label categorization, the latency sink's span stages, the ``observe=`` coercion
 and session wiring, and the report renderer / CLI.  The determinism half of
 the contract -- observation never changes a run -- is pinned separately in
 ``tests/test_hot_path_equivalence.py``.
@@ -17,13 +17,14 @@ from repro.core.config import OrderingMode
 from repro.core.messages import DataMessage, reset_message_counter
 from repro.net.latency import ConstantLatency
 from repro.net.simulator import Simulator
-from repro.net.trace import DELIVER, RECEIVE, SEND, TraceEvent, TraceRecorder
+from repro.net.trace import (
+    DELIVER, RECEIVE, SEND, MetricsSink, SpanMetricsSink, TraceEvent, TraceRecorder,
+)
 from repro.obs import (
     HotPathProfiler,
     MetricsRegistry,
     Observation,
     SimTimeSampler,
-    SpanBreakdownSink,
     render_document,
     render_obs,
 )
@@ -207,7 +208,7 @@ def test_profiler_totals_sum_every_category():
 
 
 # ----------------------------------------------------------------------
-# Span breakdowns
+# Span stages of the latency sink
 # ----------------------------------------------------------------------
 def _span_event(time, kind, process, mid):
     return TraceEvent(time=time, kind=kind, process=process, group="g",
@@ -215,46 +216,42 @@ def _span_event(time, kind, process, mid):
 
 
 def test_span_sink_computes_lifecycle_stages():
-    sink = SpanBreakdownSink()
+    sink = SpanMetricsSink()
+    assert sink.KINDS == {SEND, RECEIVE, DELIVER}
+    assert MetricsSink().KINDS == {SEND, DELIVER}
     sink.on_event(_span_event(0.0, SEND, "p1", "m1"))
     sink.on_event(_span_event(1.0, RECEIVE, "p2", "m1"))
     sink.on_event(_span_event(2.0, RECEIVE, "p3", "m1"))
     sink.on_event(_span_event(3.0, DELIVER, "p2", "m1"))
     sink.on_event(_span_event(5.0, DELIVER, "p3", "m1"))
-    snap = sink.snapshot()
+    snap = sink.span_snapshot()
+    assert set(snap) == {"tracked_messages", "stages"}
     assert snap["tracked_messages"] == 1
     assert snap["stages"]["transit"]["count"] == 1
     assert snap["stages"]["transit"]["mean"] == pytest.approx(1.0)
     # ordering_wait: p2 waited 2.0, p3 waited 3.0.
     assert snap["stages"]["ordering_wait"]["count"] == 2
     assert snap["stages"]["ordering_wait"]["mean"] == pytest.approx(2.5)
-    # latency: 3.0 and 5.0 after the send.
+    # latency: 3.0 and 5.0 after the send -- the sink's one reservoir.
     assert snap["stages"]["latency"]["mean"] == pytest.approx(4.0)
+    assert snap["stages"]["latency"] == sink.latency.summary(percentiles=(50, 95, 99))
     # spread: last minus first delivery.
     assert snap["stages"]["spread"]["count"] == 1
     assert snap["stages"]["spread"]["mean"] == pytest.approx(2.0)
     assert snap["stages"]["spread"]["p50"] == pytest.approx(2.0)
 
 
-def test_span_sink_caps_tracked_messages():
-    sink = SpanBreakdownSink(max_tracked=2)
-    for index in range(4):
-        sink.on_event(_span_event(float(index), SEND, "p1", f"m{index}"))
-    assert sink.tracked_messages == 2
-    assert sink.dropped_messages == 2
-    # Untracked messages are ignored downstream, not crashed on.
-    sink.on_event(_span_event(9.0, DELIVER, "p2", "m3"))
-    snap = sink.snapshot()
-    assert snap["stages"]["latency"] is None
-
-
-def test_span_sink_close_is_idempotent():
-    sink = SpanBreakdownSink()
+def test_span_snapshot_is_repeatable_mid_run():
+    sink = SpanMetricsSink()
     sink.on_event(_span_event(0.0, SEND, "p1", "m1"))
     sink.on_event(_span_event(1.0, DELIVER, "p2", "m1"))
-    sink.close()
-    sink.close()
-    assert sink.snapshot()["stages"]["spread"]["count"] == 1
+    first = sink.span_snapshot()
+    assert first == sink.span_snapshot()
+    assert first["stages"]["spread"]["count"] == 1
+    assert first["stages"]["transit"] is None  # no receive yet
+    # ``spread`` is folded when read, so a later delivery still widens it.
+    sink.on_event(_span_event(4.0, DELIVER, "p3", "m1"))
+    assert sink.span_snapshot()["stages"]["spread"]["max"] == pytest.approx(3.0)
 
 
 # ----------------------------------------------------------------------
@@ -264,14 +261,14 @@ def test_observation_coercion_modes():
     assert Observation.coerce(None) is None
     assert Observation.coerce(False) is None
     basic = Observation.coerce(True)
-    assert basic.sampler is not None and basic.profiler is None and basic.spans is None
+    assert basic.sampler is not None and basic.profiler is None and not basic.spans
     assert basic.journeys is None
     full = Observation.coerce("full")
-    assert full.profiler is not None and full.spans is not None
+    assert full.profiler is not None and full.spans
     assert full.journeys is not None
     journeys = Observation.coerce("journeys")
     assert journeys.journeys is not None
-    assert journeys.profiler is None and journeys.spans is None
+    assert journeys.profiler is None and not journeys.spans
     custom = Observation.coerce({"sampler": False, "profiler": True})
     assert custom.sampler is None and custom.profiler is not None
     with pytest.raises(ValueError, match="a dict"):
@@ -463,10 +460,11 @@ def test_unobserved_session_has_no_obs_and_no_instruments():
     assert session.observation is None
     assert session.sim.metrics is None and session.sim.profiler is None
     # No journey tracker either: the recorder has no lifecycle subscriber
-    # (and no sink beyond its trace store and the stack's check suite), so
-    # it hands out no dispatch.
+    # (and no sink beyond its trace store, the stack's check suite and the
+    # latency sink, which times no span stage), so it hands out no dispatch.
     assert session.recorder.lifecycle is None
-    assert session.recorder._sinks == [session.suite]
+    assert session.recorder._sinks == [session.suite, session.metrics_sink]
+    assert type(session.metrics_sink) is MetricsSink
     session.spawn(["P1", "P2"])
     session.group("g")
     session.run(5.0)
@@ -657,7 +655,6 @@ def test_latency_block_prefers_metrics_snapshot():
 
     class _Bare:
         metrics = None
-        latency_reservoir = None
 
     assert latency_block(_Bare()) is None
 

@@ -30,7 +30,9 @@ coerced it is its one owner.
 
 Every run has one verdict path, the stack's streaming check suite: nothing
 under ``src/repro`` names the post-hoc checkers, which live in the tests as
-their oracle.
+their oracle.  And one latency path, the session's ``MetricsSink``: the
+span sink and the post-hoc metrics report are gone from the code, the
+tests and the README.
 
 A run imports only what it runs: the packages the performance ledger's
 workloads import load no pool executor, no §6 baseline, no report renderer
@@ -52,7 +54,6 @@ import textwrap
 
 import repro.analysis.online  # noqa: F401  (its sinks join the roll call)
 import repro.obs.journey  # noqa: F401  (loads only when a run observes journeys)
-import repro.obs.spans  # noqa: F401
 import repro.workloads  # noqa: F401
 from repro.api import Session
 from repro.core.asymmetric import AsymmetricOrdering
@@ -400,6 +401,29 @@ def test_every_run_has_one_verdict_path():
     assert not (ROOT / "src" / "repro" / "analysis" / "checkers.py").exists()
 
 
+def test_every_run_has_one_latency_path():
+    """The span sink and the post-hoc metrics report are gone: none of
+    their names appears in the code, the tests or the README, and neither
+    module exists.  A run's latency is its ``MetricsSink``'s; a stored
+    trace answers the post-hoc questions itself."""
+    retired = (
+        "SpanBreakdownSink", "build_report", "MetricsReport", "LatencySummary",
+        "summarize_latencies", "messages_per_delivered_multicast",
+    )
+    texts = {
+        path.relative_to(ROOT).as_posix(): text
+        for path, text in SOURCES.items()
+        if path != pathlib.Path(__file__).resolve()
+    }
+    texts["README.md"] = (ROOT / "README.md").read_text(encoding="utf-8")
+    naming = [
+        f"{where}: {name}" for where, text in texts.items() for name in retired if name in text
+    ]
+    assert naming == []
+    assert not (ROOT / "src" / "repro" / "obs" / "spans.py").exists()
+    assert not (ROOT / "src" / "repro" / "analysis" / "metrics.py").exists()
+
+
 #: The packages the performance ledger's workloads import.
 LEDGER_PACKAGES = (
     "repro.api",
@@ -415,9 +439,9 @@ OFF_THE_RUN_PATH = re.compile(
     r"multiprocessing(\.|$)"
     r"|repro\.parallel(\.|$)"
     r"|repro\.baselines(\.|$)"
-    r"|repro\.obs\.(report|journey|spans|profiler|sampler)$"
+    r"|repro\.obs\.(report|journey|profiler|sampler)$"
     r"|repro\.apps\.(server_migration|replicated_state_machine|replicated_store)$"
-    r"|repro\.analysis\.(metrics|overhead)$"
+    r"|repro\.analysis\.overhead$"
     r"|repro\.scenarios\.report$"
 )
 
