@@ -4,8 +4,8 @@ microbenchmark).
 What happens to a delivery *after* the protocol has decided to make it:
 ``TraceRecorder.record`` builds (or only counts) an event, the
 :class:`~repro.net.trace.MetricsSink` and the online checkers consume it,
-and the workload's delivery router hands it to the client that issued the
-message.  On the ledger's ``stream_busy`` workload those layers are 40 % of
+and the metrics sink credits its latency sample to the client that issued
+the message.  On the ledger's ``stream_busy`` workload those layers are 40 % of
 host time; this benchmark measures each of them alone.
 
 One seeded session of ``stream_busy``'s shape (48 processes in 8
@@ -29,7 +29,7 @@ gates are the counts, which repeat exactly per seed:
   (``<= 12``; a full-vector scan is 30 on this shape),
 * trace events materialized per delivery (``<= 1.2``; the stream holds
   2.0 per delivery, half of them ``receive`` events nobody reads),
-* client ``on_event`` calls per delivery (``== 1``; every client seeing
+* client ``on_delivery`` calls per delivery (``== 1``; every client seeing
   every delivery would be 8),
 * delivered ids the replayed ``OnlineCausalOrder`` still holds at the end
   (``== 0``; a checker that kept every id would hold one per delivery),
@@ -72,7 +72,7 @@ from repro.analysis.online import (
 )
 from repro.api import Session
 from repro.core.messages import reset_message_counter
-from repro.net.trace import DELIVER, MemorySink, MetricsSink, NullSink, TraceRecorder
+from repro.net.trace import MemorySink, MetricsSink, NullSink, TraceRecorder
 from repro.scenarios import ring_overlap_groups
 from repro.workloads import OpenLoopClient, get_profile
 
@@ -99,19 +99,14 @@ MEMORY_TOP_FILES = 10
 
 
 class _CountingClient(OpenLoopClient):
-    """An open-loop client that counts how often it is handed an event."""
+    """An open-loop client that counts how often it is credited with a
+    delivery."""
 
-    on_event_calls = 0
+    on_delivery_calls = 0
 
-    def on_event(self, event):
-        self.on_event_calls += 1
-        super().on_event(event)
-
-
-class _DeliveriesOnly(NullSink):
-    """Stands in for the workload's delivery router in the replay."""
-
-    KINDS = frozenset({DELIVER})
+    def on_delivery(self, message_id, latency):
+        self.on_delivery_calls += 1
+        super().on_delivery(message_id, latency)
 
 
 def _build_session(scale, sinks=()):
@@ -158,7 +153,7 @@ def record_session(scale):
         "deliveries": result.deliveries,
         "multicasts": sum(client.admitted for client in clients),
         "by_kind": dict(sorted(result.metrics["by_kind"].items())),
-        "client_on_event_calls": sum(client.on_event_calls for client in clients),
+        "client_on_delivery_calls": sum(client.on_delivery_calls for client in clients),
         "delivery_records_held": sum(
             process.delivered.held for process in session.stack.processes.values()
         ),
@@ -282,9 +277,7 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
             maps_held, closed_held = sink.maps_held(), sink.closed_held()
         timings[name] = row(seconds, fed)
     # The session's own sink set: which events does a real run build?
-    _, materialized = _replay_record(
-        events, [OnlineCheckSuite(), MetricsSink(), _DeliveriesOnly()]
-    )
+    _, materialized = _replay_record(events, [OnlineCheckSuite(), MetricsSink()])
     counts = {
         # Delta entries folded, plus each delivery's own sender entry.
         "causal_entries_per_delivery": round(
@@ -292,8 +285,8 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
         ),
         "events_materialized": materialized,
         "events_materialized_per_delivery": round(materialized / deliveries, 4),
-        "client_on_event_calls_per_delivery": round(
-            recorded["client_on_event_calls"] / deliveries, 4
+        "client_on_delivery_calls_per_delivery": round(
+            recorded["client_on_delivery_calls"] / deliveries, 4
         ),
         "causal_delivered_ids_held": causal_ids_held,
         "delivery_records_held": recorded["delivery_records_held"],
@@ -326,9 +319,9 @@ def check_gates(payload):
         f"(gate {MAX_EVENTS_MATERIALIZED_PER_DELIVERY}): a sink of the online session "
         "subscribes to a kind it only counts (see the count-only rule in net/trace.py)"
     )
-    assert counts["client_on_event_calls_per_delivery"] == CLIENT_CALLS_PER_DELIVERY, (
-        f"{counts['client_on_event_calls_per_delivery']} client on_event calls per "
-        f"delivery (gate {CLIENT_CALLS_PER_DELIVERY}): deliveries are not routed to "
+    assert counts["client_on_delivery_calls_per_delivery"] == CLIENT_CALLS_PER_DELIVERY, (
+        f"{counts['client_on_delivery_calls_per_delivery']} client on_delivery calls per "
+        f"delivery (gate {CLIENT_CALLS_PER_DELIVERY}): deliveries are not credited to "
         "their one owner"
     )
     assert counts["causal_delivered_ids_held"] <= MAX_HISTORY_HELD, (
@@ -350,7 +343,7 @@ def check_gates(payload):
     return {
         "max_causal_entries_per_delivery": MAX_CAUSAL_ENTRIES_PER_DELIVERY,
         "max_events_materialized_per_delivery": MAX_EVENTS_MATERIALIZED_PER_DELIVERY,
-        "client_on_event_calls_per_delivery": CLIENT_CALLS_PER_DELIVERY,
+        "client_on_delivery_calls_per_delivery": CLIENT_CALLS_PER_DELIVERY,
         "max_causal_delivered_ids_held": MAX_HISTORY_HELD,
         "max_delivery_records_held": MAX_HISTORY_HELD,
         "max_total_order_maps_held": MAX_HISTORY_HELD,
@@ -364,7 +357,7 @@ def _table(payload):
         f"{payload['multicasts']} multicasts; per delivery: "
         f"{counts['causal_entries_per_delivery']} causal entries scanned, "
         f"{counts['events_materialized_per_delivery']} events materialized, "
-        f"{counts['client_on_event_calls_per_delivery']} client on_event call(s)",
+        f"{counts['client_on_delivery_calls_per_delivery']} client on_delivery call(s)",
         f"held after the stream: {counts['causal_delivered_ids_held']} causal "
         f"delivered ids, {counts['delivery_records_held']} process delivery records, "
         f"{counts['total_order_maps_held']} total-order deliverer maps "

@@ -80,7 +80,7 @@ from repro.net.simulator import Simulator
 from repro.net.trace import EventTrace, MetricsSink, SpanMetricsSink, TraceRecorder, TraceSink
 from repro.net.transport import Transport
 from repro.obs import Observation
-from repro.workloads.client import DeliveryRouter, OpenLoopClient
+from repro.workloads.client import OpenLoopClient
 
 
 @dataclass
@@ -198,7 +198,6 @@ class Session:
             ),
             protocol=config,
         )
-        self._client_router: Optional[DeliveryRouter] = None
         #: The attached traffic clients, in attachment order.
         self.clients: List[OpenLoopClient] = []
         # The network holds one partition layout at a time, but faults
@@ -238,15 +237,13 @@ class Session:
         :class:`~repro.workloads.client.OpenLoopClient`).
 
         The client is bound to this session -- giving it the simulator for
-        scheduling arrivals and the stack for membership guards -- and to
-        the session's delivery router, the one ``DELIVER`` sink all its
-        clients share: each delivery goes to the client that issued the
-        message id, in either analysis mode.  Returns the client; call its
-        ``start()`` to begin offering load.
+        scheduling arrivals, the stack for membership guards and the
+        session's metrics sink, which credits each client with the
+        deliveries of the message ids its multicasts returned, in either
+        analysis mode.  Returns the client; call its ``start()`` to begin
+        offering load.
         """
-        if self._client_router is None:
-            self._client_router = self.recorder.add_sink(DeliveryRouter(self.recorder))
-        client.bind(self, self._client_router)
+        client.bind(self)
         self.clients.append(client)
         return client
 
@@ -364,7 +361,8 @@ class Session:
     def release(self) -> None:
         """End the session's life once its result is taken: drop the pending
         events and cut the one link that closes each reference cycle (at the
-        stack, the transport, the recorder, the clients and the
+        stack, the transport, the recorder, the clients -- which the
+        metrics sink reaches as the owners of their message ids -- and the
         observation's registry), so that reference counting alone frees the
         session.
 

@@ -47,7 +47,8 @@ Provided sinks:
 * :class:`MetricsSink` -- the run's one latency sink, attached by every
   session: per-group delivery counts and streaming latency stats from
   ``SEND`` and ``DELIVER`` (plus ``RECEIVE`` for the span stages an
-  observation asks for); it never stores events;
+  observation asks for), each sample also credited to the traffic client
+  that issued its message; it never stores events;
 * :class:`NullSink` -- discards everything (useful to measure recording
   overhead in isolation);
 * :class:`repro.analysis.online.OnlineCheckSuite` -- streaming property
@@ -309,6 +310,12 @@ class MetricsSink(TraceSink):
     cannot be evicted (a multicast delivers many times), but it never grows
     with deliveries, nulls or run length.
 
+    It is also where a traffic client's deliveries are paired with their
+    sends: a client wraps each multicast in :meth:`hold` and :meth:`claim`,
+    and from then on every sample of the message id the call returned goes
+    to the client's ``on_delivery``, in record order.  A run with no client
+    pays one ``is None`` test per sample for this.
+
     It subscribes to the two kinds whose fields it reads, so on a streaming
     recorder every other kind stays count-only.  It counts no kinds of its
     own: a run's totals over every kind are the recorder's, and
@@ -327,6 +334,12 @@ class MetricsSink(TraceSink):
         self._unsent_deliveries: Dict[str, List[float]] = {}
         self.latency = LatencyReservoir()
         self._latency_m2 = 0.0
+        #: message id -> the traffic client that issued it; ``None`` until
+        #: a client first multicasts.
+        self._owners: Optional[Dict[str, Any]] = None
+        #: ``(message id, sample)`` recorded inside a client's multicast
+        #: call, while it runs (:meth:`hold`).
+        self._held: Optional[List[Tuple[str, float]]] = None
 
     def on_event(self, event: TraceEvent) -> None:
         if event.kind == SEND and event.message_id is not None:
@@ -344,6 +357,8 @@ class MetricsSink(TraceSink):
                 delta = sample - self.latency.mean
                 self.latency.add(sample)
                 self._latency_m2 += delta * (sample - self.latency.mean)
+                if self._owners is not None:
+                    self._credit(event.message_id, sample)
             elif event.message_id is not None:
                 self._unsent_deliveries.setdefault(event.message_id, []).append(event.time)
 
@@ -356,6 +371,44 @@ class MetricsSink(TraceSink):
             delta = sample - self.latency.mean
             self.latency.add(sample)
             self._latency_m2 += delta * (sample - self.latency.mean)
+            if self._owners is not None:
+                self._credit(message_id, sample)
+
+    def hold(self) -> None:
+        """A traffic client is about to multicast: hold every sample
+        recorded until :meth:`claim` closes the call."""
+        if self._owners is None:
+            self._owners = {}
+        self._held = []
+
+    def claim(self, message_id: Optional[str], client: Any) -> None:
+        """Close the call :meth:`hold` opened, which returned ``message_id``
+        (``None``: the stack refused or deferred the send).  ``client`` owns
+        that message's samples from now on, and the ones held over the call
+        (an asymmetric sequencer's own copy, a baseline's synchronous
+        self-delivery).  The other held samples go to their owners in record
+        order; one of an id nobody claimed -- a deferred send flushed inside
+        this call -- goes to no client.  A client raising here raises out
+        of its arrival, and so out of the run; one raising from
+        :meth:`on_event` is this sink raising, which the recorder detaches."""
+        held, self._held = self._held, None
+        owners = self._owners
+        if message_id is not None:
+            owners[message_id] = client
+        for held_id, sample in held:
+            owner = owners.get(held_id)
+            if owner is not None:
+                owner.on_delivery(held_id, sample)
+
+    def _credit(self, message_id: str, sample: float) -> None:
+        """Hand one sample to its message's client, or hold it while a
+        client's call runs."""
+        if self._held is not None:
+            self._held.append((message_id, sample))
+            return
+        owner = self._owners.get(message_id)
+        if owner is not None:
+            owner.on_delivery(message_id, sample)
 
     @property
     def latency_variance(self) -> float:
@@ -547,7 +600,7 @@ class TraceRecorder:
             try:
                 sink.on_lifecycle(kind, time, process, subject, detail, peer)
             except Exception as exc:
-                self.sink_failed(sink, exc, TraceEvent(time, kind, process, seq=self._seq))
+                self._sink_failed(sink, exc, TraceEvent(time, kind, process, seq=self._seq))
                 self._sinks.remove(sink)
                 self._reroute()
 
@@ -599,7 +652,7 @@ class TraceRecorder:
             try:
                 sink.on_event(event)
             except Exception as exc:
-                self.sink_failed(sink, exc, event)
+                self._sink_failed(sink, exc, event)
                 if failed is None:
                     failed = []
                 failed.append(sink)
@@ -610,12 +663,10 @@ class TraceRecorder:
             self._reroute()
         return event
 
-    def sink_failed(self, sink: object, exc: Exception, event: TraceEvent) -> None:
-        """Apply the ``on_sink_error`` policy to an observer that raised on
+    def _sink_failed(self, sink: TraceSink, exc: Exception, event: TraceEvent) -> None:
+        """Apply the ``on_sink_error`` policy to a sink that raised on
         ``event``: re-raise, or log it in :attr:`sink_errors` and
-        :attr:`detached_sinks`.  The caller stops feeding it -- the
-        recorder its own sinks, a sink that fans out further (the
-        workload's delivery router) the observer behind it."""
+        :attr:`detached_sinks`; the caller then stops feeding it."""
         if self._on_sink_error == "raise":
             raise exc
         self.sink_errors.append(
@@ -676,8 +727,9 @@ class TraceRecorder:
             sink.close()
 
     def release(self) -> None:
-        """End the run: drop every sink (a session's delivery router points
-        back here).  Tallies and the stored trace stay readable."""
+        """End the run: drop every sink (a caller's sink may point back at
+        the session that records here).  Tallies and the stored trace stay
+        readable."""
         self._sinks = []
         self._reroute()
 

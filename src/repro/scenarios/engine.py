@@ -73,7 +73,8 @@ from repro.scenarios.spec import (
     from_config,
     to_config,
 )
-from repro.workloads.client import LatencyReservoir, OpenLoopClient, aggregate_counters
+from repro.stats import LatencyReservoir
+from repro.workloads.client import OpenLoopClient, aggregate_counters
 from repro.workloads.profiles import get_profile
 
 #: Protocol defaults for scenario runs: fast time-silence and suspicion so

@@ -12,7 +12,7 @@ payload size under a registry name.
 The :class:`~repro.workloads.client.OpenLoopClient` runs a profile
 reactively on top of any :class:`repro.api.Session`: arrivals are
 simulator events, sends go through the stack's public multicast, and the
-client doubles as a trace sink that tracks its own deliveries -- so
+session's metrics sink credits the client with its own deliveries -- so
 offered vs admitted vs delivered load is measured per profile with no
 materialized schedule and no stored trace, at any scale::
 
@@ -35,6 +35,7 @@ Scenario specs reference profiles by name (``workload: {"profile":
 :mod:`repro.experiments` grids them against stacks and offered loads.
 """
 
+from repro.stats import LATENCY_PERCENTILES, LATENCY_RESERVOIR, LatencyReservoir
 from repro.workloads.arrivals import (
     ARRIVAL_KINDS,
     ArrivalProcess,
@@ -43,13 +44,7 @@ from repro.workloads.arrivals import (
     PoissonArrivals,
     RampArrivals,
 )
-from repro.workloads.client import (
-    LATENCY_PERCENTILES,
-    LATENCY_RESERVOIR,
-    LatencyReservoir,
-    OpenLoopClient,
-    aggregate_counters,
-)
+from repro.workloads.client import OpenLoopClient, aggregate_counters
 from repro.workloads.profiles import (
     PROFILE_FACTORIES,
     WorkloadProfile,

@@ -15,14 +15,14 @@ primary-partition halting a minority member).  Arrivals whose drawn sender
 is crashed or no longer a group member are counted as *skipped* and issue
 nothing, which keeps ``offered >= admitted`` exact.
 
-It also watches its own deliveries: a session's clients share one
-:class:`DeliveryRouter` on the recorder (installed by
-:meth:`repro.api.Session.attach_client`), which hands each ``DELIVER``
-event to the client that issued the message id -- one dict lookup per
-delivery however many clients are attached.  From those the client
-maintains streaming latency statistics -- exact count/mean/min/max plus
-percentiles over a bounded deterministic reservoir -- without retaining
-any trace event.
+Its deliveries come from the session's one latency sink
+(:class:`repro.net.trace.MetricsSink`): the client wraps each multicast in
+the sink's ``hold`` / ``claim``, and the sink then credits it with each
+latency sample of the returned message id -- the deliveries recorded
+inside the call included -- one :meth:`OpenLoopClient.on_delivery` call
+each.  From those the client keeps streaming latency statistics -- exact
+count/mean/min/max plus percentiles over a bounded deterministic
+reservoir -- without retaining any trace event.
 
 Determinism: all arrival gaps and selection draws come from one private
 ``random.Random(seed)``, independent of protocol state, so the same client
@@ -35,54 +35,10 @@ comparison wants to measure).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
-from repro.net.trace import DELIVER, TraceEvent, TraceSink
-from repro.stats import (  # noqa: F401  (historical import site, re-exported)
-    LATENCY_PERCENTILES,
-    LATENCY_RESERVOIR,
-    LatencyReservoir,
-    percentile,
-)
+from repro.stats import LATENCY_RESERVOIR, LatencyReservoir
 from repro.workloads.profiles import WorkloadProfile, get_profile
-
-
-class DeliveryRouter(TraceSink):
-    """A session's one ``DELIVER`` sink for its traffic clients: message id
-    -> the client that issued it.
-
-    A client that raises from ``on_event`` is treated as the recorder
-    treats a raising sink (:meth:`~repro.net.trace.TraceRecorder.sink_failed`):
-    logged in ``sink_errors`` and cut off alone, while the other clients
-    keep every delivery.
-    """
-
-    KINDS = frozenset({DELIVER})
-
-    def __init__(self, recorder) -> None:
-        self._recorder = recorder
-        self._owners: Dict[str, "OpenLoopClient"] = {}
-        self._cut_off: List["OpenLoopClient"] = []
-
-    def claim(self, message_id: str, client: "OpenLoopClient") -> None:
-        """Route ``message_id``'s deliveries to ``client`` from now on."""
-        if client not in self._cut_off:
-            self._owners[message_id] = client
-
-    def on_event(self, event: TraceEvent) -> None:
-        client = self._owners.get(event.message_id)
-        if client is None:
-            return
-        try:
-            client.on_event(event)
-        except Exception as exc:
-            self._recorder.sink_failed(client, exc, event)
-            self._cut_off.append(client)
-            self._owners = {
-                message_id: owner
-                for message_id, owner in self._owners.items()
-                if owner is not client
-            }
 
 
 class OpenLoopClient:
@@ -98,7 +54,6 @@ class OpenLoopClient:
         start: float = 1.0,
         duration: float = 20.0,
         name: str = "client",
-        record_issues: bool = False,
     ) -> None:
         if not senders or not groups:
             raise ValueError("an open-loop client needs senders and groups")
@@ -114,44 +69,32 @@ class OpenLoopClient:
         self._rng = random.Random(seed)
         self._gaps = self.profile.arrivals.gaps(self._rng)
         self._session = None
-        self._router: Optional[DeliveryRouter] = None
         self._sequence = 0
         # Offered-load accounting.
         self.offered = 0
         self.admitted = 0
         self.blocked = 0
         self.skipped = 0
-        # Delivery accounting (fed by the session's delivery router).
+        # Delivery accounting (fed by the session's metrics sink).
         self.delivered_events = 0
-        self._send_times: Dict[str, float] = {}
         self._delivered_ids: set = set()
         # Streaming latency stats: exact moments + mergeable reservoir.
         self.latency = LatencyReservoir(capacity=LATENCY_RESERVOIR, seed=seed)
-        #: Optional issue log [(time, sender, group, payload_len)] for
-        #: determinism tests; off by default to keep memory bounded.
-        self.issued: Optional[List[Tuple[float, str, str, int]]] = (
-            [] if record_issues else None
-        )
 
     # ------------------------------------------------------------------
     # Session wiring
     # ------------------------------------------------------------------
-    def bind(self, session, router: DeliveryRouter) -> "OpenLoopClient":
-        """Bind to a session and to the router that will hand this client
-        the deliveries of the message ids it claims.
-
-        Called by :meth:`repro.api.Session.attach_client`.
-        """
+    def bind(self, session) -> "OpenLoopClient":
+        """Bind to a session; called by :meth:`repro.api.Session.attach_client`."""
         if self._session is not None:
             raise RuntimeError(f"client {self.name!r} is already bound to a session")
         self._session = session
-        self._router = router
         return self
 
     def release(self) -> None:
-        """The session ended: let go of it and its router (both reach back
-        here).  Counters and latency stay readable."""
-        self._session = self._router = None
+        """The session ended: let go of it (it reaches back here through
+        its metrics sink).  Counters and latency stay readable."""
+        self._session = None
 
     def start(self) -> None:
         """Schedule the first arrival (call after :meth:`bind`)."""
@@ -171,20 +114,19 @@ class OpenLoopClient:
         # Draw the next gap *before* any stack interaction so the arrival
         # sequence is identical on every stack.
         next_time = now + next(self._gaps)
-        if self.issued is not None:
-            self.issued.append((now, sender, group, len(payload)))
         stack = session.stack
         if stack.is_crashed(sender) or not stack.is_member(sender, group):
             self.skipped += 1
         else:
             self.offered += 1
+            sink = session.metrics_sink
+            sink.hold()
             message_id = session.multicast(sender, group, payload)
             if message_id is not None:
                 self.admitted += 1
-                self._send_times[message_id] = now
-                self._router.claim(message_id, self)
             else:
                 self.blocked += 1
+            sink.claim(message_id, self)
         if next_time <= self.start_time + self.duration:
             session.sim.schedule_at(next_time, self._arrival, label=f"workload:{self.name}")
 
@@ -196,15 +138,14 @@ class OpenLoopClient:
         return header + "." * (self.profile.payload_bytes - len(header))
 
     # ------------------------------------------------------------------
-    # Our own deliveries, one call each (from the delivery router)
+    # Our own deliveries, one call each (from the session's metrics sink)
     # ------------------------------------------------------------------
-    def on_event(self, event: TraceEvent) -> None:
-        sent_at = self._send_times.get(event.message_id)
-        if sent_at is None:
-            return
+    def on_delivery(self, message_id: str, latency: float) -> None:
+        """One delivery of a message this client issued, ``latency``
+        simulated seconds after its send."""
         self.delivered_events += 1
-        self._delivered_ids.add(event.message_id)
-        self.latency.add(event.time - sent_at)
+        self._delivered_ids.add(message_id)
+        self.latency.add(latency)
 
     # ------------------------------------------------------------------
     # Results

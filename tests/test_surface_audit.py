@@ -32,7 +32,8 @@ Every run has one verdict path, the stack's streaming check suite: nothing
 under ``src/repro`` names the post-hoc checkers, which live in the tests as
 their oracle.  And one latency path, the session's ``MetricsSink``: the
 span sink and the post-hoc metrics report are gone from the code, the
-tests and the README.
+tests and the README, and a traffic client takes its deliveries from the
+same sink, with no router or send-time table of its own.
 
 A run imports only what it runs: the packages the performance ledger's
 workloads import load no pool executor, no §6 baseline, no report renderer
@@ -64,6 +65,7 @@ from repro.net import trace as trace_module
 from repro.net.network import NetworkConfig
 from repro.net.transport import Endpoint, TransportStats
 from repro.obs import Histogram, Observation
+from repro.workloads import OpenLoopClient
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = {
@@ -422,6 +424,39 @@ def test_every_run_has_one_latency_path():
     assert naming == []
     assert not (ROOT / "src" / "repro" / "obs" / "spans.py").exists()
     assert not (ROOT / "src" / "repro" / "analysis" / "metrics.py").exists()
+
+
+def test_a_delivery_meets_its_send_in_one_place():
+    """A traffic client's deliveries come from the session's
+    ``MetricsSink``: no delivery router, no client send-time table and no
+    issue log is named in the code, the tests or the README, the client is
+    no trace sink, and a session with a client records into the same
+    sinks as one without."""
+    retired = ("DeliveryRouter", "_client_router", "_send_times", "record_issues")
+    texts = {
+        path.relative_to(ROOT).as_posix(): text
+        for path, text in SOURCES.items()
+        if path != pathlib.Path(__file__).resolve()
+    }
+    texts["README.md"] = (ROOT / "README.md").read_text(encoding="utf-8")
+    naming = [
+        f"{where}: {name}"
+        for where, text in texts.items()
+        for name in retired
+        if re.search(rf"\b{name}\b", text)
+    ]
+    assert naming == []
+    assert not hasattr(OpenLoopClient, "on_event")
+    assert list(inspect.signature(OpenLoopClient.bind).parameters) == ["self", "session"]
+    sinks = []
+    for attach in (False, True):
+        session = Session("newtop", analysis="online")
+        session.spawn(["P1", "P2"])
+        session.group("g")
+        if attach:
+            session.attach_client(OpenLoopClient("poisson", ["P1"], ["g"]))
+        sinks.append([type(sink) for sink in session.recorder._sinks])
+    assert sinks[0] == sinks[1]
 
 
 #: The packages the performance ledger's workloads import.

@@ -13,8 +13,9 @@ import random
 
 import pytest
 
-from repro.api import Session
+from repro.api import COMPARISON_STACKS, Session
 from repro.core.messages import reset_message_counter
+from repro.net.trace import DELIVER, SEND, MetricsSink, TraceEvent
 from repro.scenarios import InvalidScenarioSpec, from_config, run_scenario
 from repro.workloads import (
     ARRIVAL_KINDS,
@@ -141,18 +142,30 @@ def test_profile_registry_resolves_and_rejects():
 # ----------------------------------------------------------------------
 # The open-loop client across stacks
 # ----------------------------------------------------------------------
+class _IssueLog(OpenLoopClient):
+    """Logs every arrival's ``(time, sender, group, payload length)``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.issued = []
+
+    def _payload(self, sender, group):
+        payload = super()._payload(sender, group)
+        self.issued.append((self._session.sim.now, sender, group, len(payload)))
+        return payload
+
+
 def _run_client(stack, profile_name, seed=21):
     session = Session(stack, config=FAST, analysis="online", seed=3)
     session.spawn(["P1", "P2", "P3", "P4"])
     session.group("g")
     client = session.attach_client(
-        OpenLoopClient(
+        _IssueLog(
             get_profile(profile_name, rate=2.0),
             ["P1", "P2", "P3"],
             ["g"],
             seed=seed,
             duration=15.0,
-            record_issues=True,
         )
     )
     client.start()
@@ -241,9 +254,9 @@ def test_each_client_sees_only_its_own_deliveries(analysis):
     calls = []
 
     class Counting(OpenLoopClient):
-        def on_event(self, event):
+        def on_delivery(self, message_id, latency):
             calls.append(self.name)
-            super().on_event(event)
+            super().on_delivery(message_id, latency)
 
     result, first, second = _two_clients(second_cls=Counting, analysis=analysis)
     assert result.passed
@@ -271,22 +284,146 @@ def test_client_attached_after_traffic_started():
     assert second.latency.mean == pytest.approx(2.477064, abs=1e-6)
 
 
-def test_raising_client_is_cut_off_alone():
+def test_raising_client_fails_the_run_loudly():
+    """A client's delivery accounting runs inside the metrics sink, so an
+    exception from it detaches the sink as any raising sink is detached:
+    the protocol checks still hold, but the run does not pass."""
+
     class Exploding(OpenLoopClient):
-        def on_event(self, event):
+        def on_delivery(self, message_id, latency):
             if self.delivered_events == 5:
                 raise RuntimeError("client exploded")
-            super().on_event(event)
+            super().on_delivery(message_id, latency)
 
     result, first, second = _two_clients(second_cls=Exploding)
-    # The other client lost nothing; the protocol checks still hold, but a
-    # cut-off observer fails the run, as a detached sink does.
-    assert (first.delivered_events, first.latency.count) == (84, 84)
-    assert first.latency.mean == pytest.approx(1.687887, abs=1e-6)
     assert second.delivered_events == 5 and second.admitted == 21
     assert result.checks.passed and not result.passed
-    assert [error["sink"] for error in result.sink_errors] == ["Exploding"]
-    assert "client exploded" in result.sink_errors[0]["error"]
+    assert [error["sink"] for error in result.sink_errors] == ["MetricsSink"]
+    assert result.sink_errors[0]["error"] == "RuntimeError: client exploded"
+
+
+def test_raising_over_a_held_call_raises_out_of_the_run():
+    """The sequencer's own copy is credited when the call returns, outside
+    the recorder, so a client raising on it stops the run."""
+
+    class Exploding(OpenLoopClient):
+        def on_delivery(self, message_id, latency):
+            raise RuntimeError("client exploded")
+
+    with pytest.raises(RuntimeError, match="client exploded"):
+        _client_only_run("fixed_sequencer", Exploding, senders=("P1",))
+
+
+# ----------------------------------------------------------------------
+# One pairing of deliveries with sends: the session's metrics sink
+# ----------------------------------------------------------------------
+def _client_only_run(stack, client_cls=OpenLoopClient, config=FAST, rate=5.0,
+                     senders=("P1", "P2", "P3", "P4"), analysis="online"):
+    """Four processes in one group, every multicast the client's; returns
+    the session, the client and the ids its multicasts returned."""
+    reset_message_counter()
+    session = Session(stack, config=config, analysis=analysis, seed=3)
+    session.spawn(["P1", "P2", "P3", "P4"])
+    session.group("g")
+    returned = []
+    send = session.multicast
+
+    def multicast(sender, group, payload):
+        message_id = send(sender, group, payload)
+        returned.append(message_id)
+        return message_id
+
+    session.multicast = multicast
+    client = session.attach_client(
+        client_cls(get_profile("poisson", rate=rate), list(senders), ["g"],
+                   seed=3, duration=8.0)
+    )
+    client.start()
+    session.run(40)
+    return session, client, returned
+
+
+@pytest.mark.parametrize("stack", COMPARISON_STACKS)
+def test_client_counts_every_delivery_the_sink_counts(stack):
+    """A delivery recorded inside the multicast call that sent it -- an
+    asymmetric sequencer's own copy, a baseline's synchronous
+    self-delivery -- is the client's too: the client and the sink pair
+    the same deliveries with the same sends."""
+    session, client, _ = _client_only_run(stack)
+    result = session.result()
+    assert result.passed
+    sink_count = result.metrics["latency"]["count"]
+    assert client.delivered_events == client.latency.count == sink_count
+    assert sink_count == client.admitted * 4 > 0
+    assert client.latency.mean == pytest.approx(result.metrics["latency"]["mean"], abs=1e-9)
+    assert client.delivered_unique == client.admitted
+
+
+class _Crediting(OpenLoopClient):
+    """Keeps the ids of the deliveries it is credited with."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.credited = set()
+
+    def on_delivery(self, message_id, latency):
+        self.credited.add(message_id)
+        super().on_delivery(message_id, latency)
+
+
+def test_deferred_sends_are_credited_to_no_client():
+    """With a window of one, most sends are deferred (the call returns no
+    id) and go out later under ids no call returned: the sink times their
+    deliveries, no client is credited with them."""
+    session, client, returned = _client_only_run(
+        "newtop", _Crediting, config=dict(FAST, flow_control_window=1), rate=20.0,
+        senders=("P1", "P2"), analysis="offline",
+    )
+    result = session.result()
+    assert result.passed
+    assert client.offered == client.admitted + client.blocked
+    assert client.blocked > 0
+    assert client.delivered_unique <= client.admitted
+    admitted = {message_id for message_id in returned if message_id is not None}
+    sent = {event.message_id for event in session.trace().events(kind="send")}
+    deferred = sent - admitted
+    assert deferred and client.credited == admitted
+    assert result.metrics["latency"]["count"] > client.delivered_events
+
+
+def test_a_call_is_credited_only_with_the_id_it_returned():
+    """Inside a client's call the sink holds every sample; once the call
+    returns, the returned id's go to the caller, an owned id's to its
+    owner, in record order, and a deferred send's flushed inside the call
+    to nobody."""
+    sink = MetricsSink()
+    caller = _Crediting(get_profile("poisson"), ["P1"], ["g"], name="caller")
+    owner = _Crediting(get_profile("poisson"), ["P2"], ["g"], name="owner")
+
+    def event(time, kind, process, message_id):
+        return TraceEvent(time, kind, process, "g", message_id, message_id[:2])
+
+    sink.hold()
+    sink.on_event(event(1.0, SEND, "P2", "P2#1"))
+    sink.claim("P2#1", owner)
+    sink.on_event(event(2.0, DELIVER, "P3", "P2#1"))
+    sink.hold()
+    sink.on_event(event(3.0, DELIVER, "P1", "P2#1"))  # an owned id, inside the call
+    sink.on_event(event(3.0, SEND, "P1", "P1#7"))  # a deferred send flushed here
+    sink.on_event(event(3.0, DELIVER, "P1", "P1#7"))
+    sink.on_event(event(3.0, DELIVER, "P1", "P1#8"))  # the caller's own copy, before its send
+    sink.on_event(event(3.0, SEND, "P1", "P1#8"))
+    assert owner.delivered_events == 1 and caller.delivered_events == 0
+    sink.claim("P1#8", caller)
+    sink.on_event(event(4.5, DELIVER, "P4", "P1#8"))
+    assert (owner.credited, owner.delivered_events) == ({"P2#1"}, 2)
+    assert owner.latency.samples == [1.0, 2.0]
+    assert (caller.credited, caller.delivered_events) == ({"P1#8"}, 2)
+    assert caller.latency.samples == [0.0, 1.5]
+    assert sink.latency.count == 5
+    sink.hold()
+    sink.claim(None, caller)  # a refused send is credited with nothing
+    assert caller.delivered_events == 2
 
 
 # ----------------------------------------------------------------------
