@@ -2,33 +2,41 @@
 microbenchmark).
 
 What happens to a delivery *after* the protocol has decided to make it:
-``TraceRecorder.record`` builds (or only counts) an event, the
-:class:`~repro.net.trace.MetricsSink` and the online checkers consume it,
-and the metrics sink credits its latency sample to the client that issued
-the message.  On the ledger's ``stream_busy`` workload those layers are 40 % of
+``TraceRecorder.record_deliveries`` numbers it with the rest of its
+process's run of deliveries at that instant, the
+:class:`~repro.net.trace.MetricsSink` and the online checkers take the run
+in one call, and the metrics sink credits each latency sample to the
+client that issued the message.  On the ledger's ``stream_busy`` workload those layers are 40 % of
 host time; this benchmark measures each of them alone.
 
 One seeded session of ``stream_busy``'s shape (48 processes in 8
 overlapping groups of 12, every member multicasting open loop) runs once,
 verified online, with an all-kinds sink capturing its event stream.  The
-captured stream is then replayed
+captured stream is then replayed the way a session records it: each
+stretch of consecutive ``deliver`` events of one (time, process) goes in
+as one run (``record_deliveries`` / ``on_deliveries``), every other event
+on its own (``record`` / ``on_event``).  It is replayed
 
-* through ``TraceRecorder.record`` twice -- every kind materialized (an
-  all-kinds sink registered) and every kind count-only (no sink) -- and
-  once more with the session's own sink set, to count which events a real
-  run builds;
+* through the recorder twice -- every kind materialized (an all-kinds
+  sink without ``on_deliveries`` registered) and every kind count-only
+  (no sink) -- and once more with the session's own sink set, to count
+  which events a real run builds;
 * through a ``MetricsSink``, each of the five online checkers constructed
   on its own, and the whole ``OnlineCheckSuite``, each fed exactly the
   kinds it subscribes to.
 
 Timings are the minimum of ``--rounds`` replays, printed as microseconds
-per event fed and **reported only** -- they move with the box.  What CI
-gates are the counts, which repeat exactly per seed:
+per event and per call (a run or an event) fed, and **reported only** --
+they move with the box; so are the deliveries per run.  What CI gates are
+the counts, which repeat exactly per seed:
 
 * causal-vector entries ``OnlineCausalOrder`` scans per delivery
   (``<= 12``; a full-vector scan is 30 on this shape),
-* trace events materialized per delivery (``<= 1.2``; the stream holds
-  2.0 per delivery, half of them ``receive`` events nobody reads),
+* trace events materialized per delivery (``<= 0.2``; the stream holds
+  2.0 per delivery, half of them ``receive`` events nobody reads, and a
+  run of deliveries builds no ``deliver`` event for the session's sinks:
+  what is left is the sends and view installs, about 0.09; a return to
+  one event per delivery makes it 1.09),
 * client ``on_delivery`` calls per delivery (``== 1``; every client seeing
   every delivery would be 8),
 * delivered ids the replayed ``OnlineCausalOrder`` still holds at the end
@@ -72,7 +80,9 @@ from repro.analysis.online import (
 )
 from repro.api import Session
 from repro.core.messages import reset_message_counter
-from repro.net.trace import MemorySink, MetricsSink, NullSink, TraceRecorder
+from repro.net.trace import (
+    DELIVER, MemorySink, MetricsSink, NullSink, TraceEvent, TraceRecorder, delivery_entry,
+)
 from repro.scenarios import ring_overlap_groups
 from repro.workloads import OpenLoopClient, get_profile
 
@@ -89,7 +99,7 @@ DEFAULT_ROUNDS = 5
 
 #: The gates: exact counts per delivery (see the module docstring).
 MAX_CAUSAL_ENTRIES_PER_DELIVERY = 12.0
-MAX_EVENTS_MATERIALIZED_PER_DELIVERY = 1.2
+MAX_EVENTS_MATERIALIZED_PER_DELIVERY = 0.2
 CLIENT_CALLS_PER_DELIVERY = 1.0
 #: Delivery history a streaming run may hold at its end (all three counts).
 MAX_HISTORY_HELD = 0
@@ -198,35 +208,62 @@ def memory_profile(scale):
     }
 
 
-def _replay_record(events, sinks):
-    """Re-record ``events`` on a fresh streaming recorder; returns
+def as_recorded(events):
+    """The stream as a session records it: each stretch of consecutive
+    ``deliver`` events of one (time, process) becomes one run
+    ``(time, process, entries, first seq)``; every other event stays."""
+    items, run_at = [], None
+    for event in events:
+        if event.kind != DELIVER:
+            items.append(event)
+            run_at = None
+        elif (event.time, event.process) == run_at:
+            items[-1][2].append(delivery_entry(event))
+        else:
+            items.append((event.time, event.process, [delivery_entry(event)], event.seq))
+            run_at = (event.time, event.process)
+    return items
+
+
+def _replay_record(items, sinks):
+    """Re-record the stream on a fresh streaming recorder; returns
     ``(seconds, events materialized)``."""
     recorder = TraceRecorder(sinks=sinks, keep_events=False)
-    record = recorder.record
+    record, record_deliveries = recorder.record, recorder.record_deliveries
     materialized = 0
     start = time.perf_counter()
-    for event in events:
-        built = record(
-            event.time, event.kind, event.process, event.group,
-            event.message_id, event.sender, event.clock, **dict(event.details)
-        )
-        if built is not None:
-            materialized += 1
+    for item in items:
+        if isinstance(item, TraceEvent):
+            built = record(
+                item.time, item.kind, item.process, item.group,
+                item.message_id, item.sender, item.clock, **dict(item.details)
+            )
+            if built is not None:
+                materialized += 1
+        else:
+            materialized += len(record_deliveries(*item[:3]))
     seconds = time.perf_counter() - start
-    assert recorder.events_recorded == len(events)
-    return seconds, materialized
+    return seconds, materialized, recorder.events_recorded
 
 
-def _replay_sink(events, make_sink):
-    """Feed a fresh sink the events of the kinds it subscribes to; returns
-    ``(seconds, events fed, sink)``."""
+def _replay_sink(items, make_sink):
+    """Feed a fresh sink the events of the kinds it subscribes to, runs
+    of deliveries whole; returns ``(seconds, events fed, calls, sink)``."""
     sink = make_sink()
-    fed = [event for event in events if sink.KINDS is None or event.kind in sink.KINDS]
-    on_event = sink.on_event
+    kinds = sink.KINDS
+    calls, fed = [], 0
+    for item in items:
+        if isinstance(item, TraceEvent):
+            if kinds is None or item.kind in kinds:
+                calls.append((sink.on_event, (item,)))
+                fed += 1
+        elif kinds is None or DELIVER in kinds:
+            calls.append((sink.on_deliveries, item))
+            fed += len(item[2])
     start = time.perf_counter()
-    for event in fed:
-        on_event(event)
-    return time.perf_counter() - start, len(fed), sink
+    for call, arguments in calls:
+        call(*arguments)
+    return time.perf_counter() - start, fed, len(calls), sink
 
 
 #: name -> factory of the sink replayed in isolation.
@@ -247,24 +284,28 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
     recorded = record_session(scale)
     events = recorded.pop("events")
     deliveries = recorded["deliveries"]
+    items = as_recorded(events)
+    runs = sum(1 for item in items if not isinstance(item, TraceEvent))
 
-    def row(seconds, fed):
+    def row(seconds, fed, calls):
         return {
             "events_fed": fed,
+            "calls": calls,
             "seconds": round(seconds, 5),
             "us_per_event": round(1e6 * seconds / fed, 3) if fed else None,
+            "us_per_call": round(1e6 * seconds / calls, 3) if calls else None,
         }
 
     timings = {}
-    best = min(_replay_record(events, [NullSink()]) for _ in range(rounds))
-    assert best[1] == len(events)
-    timings["record_materialized"] = row(best[0], len(events))
-    best = min(_replay_record(events, []) for _ in range(rounds))
-    assert best[1] == 0
-    timings["record_count_only"] = row(best[0], len(events))
+    best = min(_replay_record(items, [NullSink()]) for _ in range(rounds))
+    assert best[1:] == (len(events), len(events))
+    timings["record_materialized"] = row(best[0], len(events), len(items))
+    best = min(_replay_record(items, []) for _ in range(rounds))
+    assert best[1:] == (0, len(events))
+    timings["record_count_only"] = row(best[0], len(events), len(items))
     for name, make_sink in SINKS.items():
-        seconds, fed, sink = min(
-            (_replay_sink(events, make_sink) for _ in range(rounds)),
+        seconds, fed, calls, sink = min(
+            (_replay_sink(items, make_sink) for _ in range(rounds)),
             key=lambda outcome: outcome[0],
         )
         if hasattr(sink, "result"):
@@ -275,10 +316,12 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
             causal_ids_held = sink.delivered_ids_held()
         if name == "total_order":
             maps_held, closed_held = sink.maps_held(), sink.closed_held()
-        timings[name] = row(seconds, fed)
+        timings[name] = row(seconds, fed, calls)
     # The session's own sink set: which events does a real run build?
-    _, materialized = _replay_record(events, [OnlineCheckSuite(), MetricsSink()])
+    _, materialized, _ = _replay_record(items, [OnlineCheckSuite(), MetricsSink()])
     counts = {
+        "delivery_runs": runs,
+        "deliveries_per_run": round(deliveries / runs, 2),
         # Delta entries folded, plus each delivery's own sender entry.
         "causal_entries_per_delivery": round(
             recorded["causal_entries_folded"] / deliveries + 1.0, 4
@@ -317,7 +360,8 @@ def check_gates(payload):
     ), (
         f"{counts['events_materialized_per_delivery']} trace events built per delivery "
         f"(gate {MAX_EVENTS_MATERIALIZED_PER_DELIVERY}): a sink of the online session "
-        "subscribes to a kind it only counts (see the count-only rule in net/trace.py)"
+        "subscribes to a kind it only counts, or takes deliveries one event at a time "
+        "instead of as runs (see the count-only rule and delivery runs in net/trace.py)"
     )
     assert counts["client_on_delivery_calls_per_delivery"] == CLIENT_CALLS_PER_DELIVERY, (
         f"{counts['client_on_delivery_calls_per_delivery']} client on_delivery calls per "
@@ -354,7 +398,8 @@ def _table(payload):
     counts = payload["counts"]
     rows = [
         f"{payload['trace_events']} events, {payload['deliveries']} deliveries of "
-        f"{payload['multicasts']} multicasts; per delivery: "
+        f"{payload['multicasts']} multicasts in {counts['delivery_runs']} delivery runs "
+        f"({counts['deliveries_per_run']} per run); per delivery: "
         f"{counts['causal_entries_per_delivery']} causal entries scanned, "
         f"{counts['events_materialized_per_delivery']} events materialized, "
         f"{counts['client_on_delivery_calls_per_delivery']} client on_delivery call(s)",
@@ -365,9 +410,9 @@ def _table(payload):
     ]
     for name, timing in payload["timings"].items():
         rows.append(
-            f"{name:24s} {timing['us_per_event']:8.3f} us/event over "
-            f"{timing['events_fed']} events ({timing['seconds']:.4f} s, "
-            f"min of {payload['rounds']})"
+            f"{name:24s} {timing['us_per_event']:8.3f} us/event, "
+            f"{timing['us_per_call']:8.3f} us/call over {timing['events_fed']} events in "
+            f"{timing['calls']} calls ({timing['seconds']:.4f} s, min of {payload['rounds']})"
         )
     memory = payload["memory"]
     rows.append(

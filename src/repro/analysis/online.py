@@ -71,9 +71,11 @@ from repro.net.trace import (
     DELIVER,
     DEPART,
     SEND,
+    DeliveryRun,
     TraceEvent,
     TraceSink,
     VIEW_INSTALL,
+    delivery_entry,
 )
 
 
@@ -144,8 +146,9 @@ class OnlineChecker(TraceSink):
 
     Subclasses set :attr:`name`, declare the event kinds they consume in
     :attr:`KINDS` (the suite uses it to skip dispatch), implement
-    :meth:`on_event`, and either append to :attr:`violations` as violations
-    are detected or override :meth:`result` for end-of-run evaluation.
+    :meth:`on_event` (a delivery checker's one delivery body is its
+    ``on_deliveries``), and either append to :attr:`violations` as they are
+    detected or override :meth:`result` for end-of-run evaluation.
     """
 
     name = "online"
@@ -154,7 +157,6 @@ class OnlineChecker(TraceSink):
 
     def __init__(self) -> None:
         self.violations: List[str] = []
-        self.events_seen = 0
 
     def _adopt(self, timeline: Optional[_ViewTimeline]) -> _ViewTimeline:
         """The view timeline a view-scoped checker reads: the given one,
@@ -248,6 +250,7 @@ class OnlineTotalOrder(OnlineChecker):
     def __init__(self, timeline: Optional[_ViewTimeline] = None) -> None:
         super().__init__()
         self._timeline = self._adopt(timeline)
+        self.events_seen = 0
         #: The arbiter's output: message id -> global position in the
         #: reference delivery order (first-delivery rank).  Every process's
         #: delivery sequence must embed into this order on its common
@@ -268,77 +271,83 @@ class OnlineTotalOrder(OnlineChecker):
     def on_event(self, event: TraceEvent) -> None:
         if event.kind == VIEW_INSTALL:
             self._timeline.on_event(event)
-            return
-        if event.kind != DELIVER or event.message_id is None:
-            return
-        self.events_seen += 1
-        process, message = event.process, event.message_id
+        elif event.kind == DELIVER:
+            self.on_deliveries(event.time, event.process, (delivery_entry(event),), event.seq)
+
+    def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
+        self.events_seen += len(run)
         local_pos = self._local_count.get(process, 0)
-        self._local_count[process] = local_pos + 1
-        marks = self._watermark.get(process)
+        watermark = self._watermark
+        marks = watermark.get(process)
         if marks is None:
-            marks = self._watermark[process] = {}
-        view: Optional[FrozenSet[str]] = None
+            marks = watermark[process] = {}
         views = self._timeline.views.get(process)
-        if views is not None and event.group is not None:
-            view = views.get(event.group)
-        entry = self._open.get(message)
-        if entry is None:
-            closed = self._closed.get(message)
-            if closed is None:
-                # First delivery anywhere: the arbiter assigns the global slot.
-                self.arbiter_position[message] = self._next_position
-                self._next_position += 1
-            elif process in closed:
-                self._duplicate(process, message)
-                return
-            entry = self._open[message] = _OpenMessage(process, local_pos, view, closed)
-        else:
-            deliverers = entry.deliverers
-            again = process in deliverers
-            if again or (entry.closed is not None and process in entry.closed):
-                self._duplicate(process, message)
-            watermark, here = self._watermark, (local_pos, message)
-            for other, (other_pos, other_view) in deliverers.items():
-                # Mutual-view scoping: this common message binds the pair only
-                # if each side still saw the other in its view at delivery.
-                if view is not None and other not in view:
+        opened, closed = self._open, self._closed
+        for group, message, _sender, _clock, _view_index in run:
+            if message is None:
+                continue
+            position = local_pos
+            local_pos += 1
+            view = views.get(group) if views is not None else None
+            entry = opened.get(message)
+            if entry is None:
+                tombstone = closed.get(message)
+                if tombstone is None:
+                    # First delivery anywhere: the arbiter assigns the global slot.
+                    self.arbiter_position[message] = self._next_position
+                    self._next_position += 1
+                elif process in tombstone:
+                    self._duplicate(process, message)
                     continue
-                if other_view is not None and process not in other_view:
+                entry = opened[message] = _OpenMessage(process, position, view, tombstone)
+            else:
+                deliverers = entry.deliverers
+                again = process in deliverers
+                if again or (entry.closed is not None and process in entry.closed):
+                    self._duplicate(process, message)
+                here = (position, message)
+                for other, (other_pos, other_view) in deliverers.items():
+                    # Mutual-view scoping: this common message binds the pair
+                    # only if each side still saw the other in its view at
+                    # delivery.
+                    if view is not None and other not in view:
+                        continue
+                    if other_view is not None and process not in other_view:
+                        continue
+                    mark = marks.get(other)
+                    if mark is not None and mark[0] > other_pos:
+                        self.violations.append(
+                            f"total order violated between {process} and {other}: "
+                            f"{process} delivered {mark[1]} before {message}, "
+                            f"{other} delivered {message} before {mark[1]} "
+                            f"(arbiter order: {message}="
+                            f"{self.arbiter_position.get(message)}, {mark[1]}="
+                            f"{self.arbiter_position.get(mark[1])})"
+                        )
+                    # Update both directions' watermarks with this common
+                    # message.  The reverse one always moves: position is the
+                    # highest this process has handed out.
+                    if mark is None or other_pos > mark[0]:
+                        marks[other] = (other_pos, message)
+                    watermark[other][process] = here
+                deliverers[process] = (position, view)
+                members = entry.members
+                if members is None:
                     continue
-                mark = marks.get(other)
-                if mark is not None and mark[0] > other_pos:
-                    self.violations.append(
-                        f"total order violated between {process} and {other}: "
-                        f"{process} delivered {mark[1]} before {message}, "
-                        f"{other} delivered {message} before {mark[1]} "
-                        f"(arbiter order: {message}="
-                        f"{self.arbiter_position.get(message)}, {mark[1]}="
-                        f"{self.arbiter_position.get(mark[1])})"
-                    )
-                # Update both directions' watermarks with this common message.
-                # The reverse one always moves: local_pos is the highest
-                # position this process has handed out.
-                if mark is None or other_pos > mark[0]:
-                    marks[other] = (other_pos, message)
-                watermark[other][process] = here
-            deliverers[process] = (local_pos, view)
+                if view is None:
+                    entry.members = None
+                    continue
+                if view is not members and not view <= members:
+                    # A view other than the one the deliverers share so far
+                    # (a message delivered across a view change): recount.
+                    members = entry.members = members | view
+                    entry.inside = sum(1 for other in deliverers if other in members)
+                elif not again and process in members:
+                    entry.inside += 1
             members = entry.members
-            if members is None:
-                return
-            if view is None:
-                entry.members = None
-                return
-            if view is not members and not view <= members:
-                # A view other than the one the deliverers share so far
-                # (a message delivered across a view change): recount.
-                members = entry.members = members | view
-                entry.inside = sum(1 for other in deliverers if other in members)
-            elif not again and process in members:
-                entry.inside += 1
-        members = entry.members
-        if members is not None and entry.inside == len(members):
-            self._close(message, entry)
+            if members is not None and entry.inside == len(members):
+                self._close(message, entry)
+        self._local_count[process] = local_pos
 
     def _close(self, message: str, entry: _OpenMessage) -> None:
         """Every member of every view recorded for ``message`` has
@@ -381,22 +390,24 @@ class OnlineSenderInView(OnlineChecker):
         self._timeline = self._adopt(timeline)
 
     def on_event(self, event: TraceEvent) -> None:
-        self.events_seen += 1
         if event.kind == VIEW_INSTALL:
             self._timeline.on_event(event)
+        elif event.kind == DELIVER:
+            self.on_deliveries(event.time, event.process, (delivery_entry(event),), event.seq)
+
+    def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
+        views = self._timeline.views.get(process)
+        if views is None:
             return
-        views = self._timeline.views.get(event.process)
-        if views is None or event.group is None:
-            return
-        members = views.get(event.group)
-        # No view installed yet: deliveries before the first install are
-        # not constrained.
-        if members is not None and event.sender not in members:
-            self.violations.append(
-                f"{event.process} delivered {event.message_id} from "
-                f"{event.sender} outside its view {sorted(members)} of "
-                f"{event.group}"
-            )
+        for group, message_id, sender, _clock, _view_index in run:
+            members = views.get(group)
+            # No view installed yet: deliveries before the first install are
+            # not constrained.
+            if members is not None and sender not in members:
+                self.violations.append(
+                    f"{process} delivered {message_id} from {sender} outside "
+                    f"its view {sorted(members)} of {group}"
+                )
 
 
 class _CausalRow:
@@ -464,12 +475,13 @@ class OnlineCausalOrder(OnlineChecker):
 
     Cost per delivery: O(entries moved since the sender's last message
     folded here) to find the frontiers that move, plus one visit per
-    (process, causal predecessor) pair over the run.  That is not bounded
-    by group size -- it is whatever the sender learned in between, and a
-    chain is walked once per receiving process, so a member that hears
-    from a sender rarely pays for everything in between when it does.  On
-    the ledger's ``stream_busy`` (seed 0) it is 10.4 delta entries per
-    delivery, and the sender's own, where the full vector holds 30.2
+    (process, causal predecessor) pair over the run -- not bounded by group
+    size: a member that hears from a sender rarely pays, when it does, for
+    what the sender learned in between.  A run of deliveries
+    (:meth:`on_deliveries`) reads the process's row, views and departed
+    groups once: nothing a run holds moves them.  On the ledger's
+    ``stream_busy`` (seed 0) it is 10.4 delta entries per delivery, and the
+    sender's own, where the full vector holds 30.2
     (:meth:`delta_entries_folded`; ``benchmarks/bench_observation_path.py``
     gates it).  Memory is O(delta entries), not O(sends x senders), plus
     the ids delivered at a process ahead of the frontier check that looks
@@ -500,67 +512,67 @@ class OnlineCausalOrder(OnlineChecker):
         self._rows: Dict[str, _CausalRow] = {}
 
     def on_event(self, event: TraceEvent) -> None:
-        self.events_seen += 1
-        if event.kind != DELIVER:
-            # Twelve deliveries to a send on a busy group: the delivery
-            # path is this method itself, the rest is handed on.
-            if event.kind == SEND:
-                self._on_send(event)
-            else:
-                self._timeline.on_event(event)
-            return
-        process, message = event.process, event.message_id
-        if message is None:
-            return
+        if event.kind == DELIVER:
+            self.on_deliveries(event.time, event.process, (delivery_entry(event),), event.seq)
+        elif event.kind == SEND:
+            self._on_send(event)
+        else:
+            self._timeline.on_event(event)
+
+    def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
         rows = self._rows
         row = rows.get(process)
         if row is None:
             row = rows[process] = _CausalRow()
-        delivered = row.delivered
-        sent = self._sent.get(message)
-        if sent is None:
-            # Delivery without a recorded send: nothing to infer (yet).
-            delivered.add(message)
-            return
-        sender, position = sent
-        frontier = row.frontier
-        if frontier.get(sender, 0) < position:
-            # Its check is still to come (past the frontier, it was made).
-            delivered.add(message)
-        folded = row.folded.get(sender, 0)
-        if folded >= position:
-            return  # Folded with a later message of the sender's already.
-        row.folded[sender] = position
-        moved = row.moved
+        delivered, frontier, folded_at, moved = (
+            row.delivered, row.frontier, row.folded, row.moved
+        )
         views = self._timeline.views.get(process)
         departed = self._timeline.departed.get(process, ())
-        deltas = rows[sender].deltas[folded:position]
-        deltas.append({sender: position})
-        for delta in deltas:
-            for origin, count in delta.items():
-                verified = frontier.get(origin, 0)
-                if verified >= count:
-                    continue
-                frontier[origin] = moved[origin] = count
-                sends = rows[origin].sends
-                for index in range(verified, count):
-                    predecessor, predecessor_group = sends[index]
-                    if predecessor in delivered:
-                        delivered.remove(predecessor)
+        sent_as = self._sent
+        for _group, message, _sender, _clock, _view_index in run:
+            if message is None:
+                continue
+            sent = sent_as.get(message)
+            if sent is None:
+                # Delivery without a recorded send: nothing to infer (yet).
+                delivered.add(message)
+                continue
+            sender, position = sent
+            if frontier.get(sender, 0) < position:
+                # Its check is still to come (past the frontier, it was made).
+                delivered.add(message)
+            folded = folded_at.get(sender, 0)
+            if folded >= position:
+                continue  # Folded with a later message of the sender's already.
+            folded_at[sender] = position
+            deltas = rows[sender].deltas[folded:position]
+            deltas.append({sender: position})
+            for delta in deltas:
+                for origin, count in delta.items():
+                    verified = frontier.get(origin, 0)
+                    if verified >= count:
                         continue
-                    if predecessor_group is not None:
-                        # Exempt: no view of the group, departed from it,
-                        # or the predecessor's sender excluded from it.
-                        if views is None or predecessor_group in departed:
+                    frontier[origin] = moved[origin] = count
+                    sends = rows[origin].sends
+                    for index in range(verified, count):
+                        predecessor, predecessor_group = sends[index]
+                        if predecessor in delivered:
+                            delivered.remove(predecessor)
                             continue
-                        members = views.get(predecessor_group)
-                        if members is None or origin not in members:
-                            continue
-                    self.violations.append(
-                        f"{process} delivered {message} without causally "
-                        f"preceding {predecessor} whose sender {origin} is "
-                        f"still in its view of {predecessor_group}"
-                    )
+                        if predecessor_group is not None:
+                            # Exempt: no view of the group, departed from
+                            # it, or the predecessor's sender excluded from it.
+                            if views is None or predecessor_group in departed:
+                                continue
+                            members = views.get(predecessor_group)
+                            if members is None or origin not in members:
+                                continue
+                        self.violations.append(
+                            f"{process} delivered {message} without causally "
+                            f"preceding {predecessor} whose sender {origin} is "
+                            f"still in its view of {predecessor_group}"
+                        )
 
     def _on_send(self, event: TraceEvent) -> None:
         if event.message_id is None or event.message_id in self._sent:
@@ -640,28 +652,25 @@ class OnlineVirtualSynchrony(OnlineChecker):
         self._crashed: Set[str] = set()
 
     def on_event(self, event: TraceEvent) -> None:
-        self.events_seen += 1
-        if event.kind == CRASH:
+        if event.kind == DELIVER:
+            self.on_deliveries(event.time, event.process, (delivery_entry(event),), event.seq)
+        elif event.kind == CRASH:
             self._crashed.add(event.process)
-            return
-        if event.group is None:
-            return
-        key = (event.process, event.group)
-        if event.kind == VIEW_INSTALL:
-            self._installs.setdefault(key, []).append(
+        elif event.kind == VIEW_INSTALL and event.group is not None:
+            self._installs.setdefault((event.process, event.group), []).append(
                 self._intern(event.detail("members", ()))
             )
-            return
-        view_index = event.detail("view_index")
-        if view_index is None or event.message_id is None:
-            return
-        view_index = int(view_index)
-        digest = hash(event.message_id)
-        buckets = self._fingerprints.get(key)
-        if buckets is None:
-            buckets = self._fingerprints[key] = {}
-        xor, total, count = buckets.get(view_index, (0, 0, 0))
-        buckets[view_index] = (xor ^ digest, total + digest, count + 1)
+
+    def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
+        fingerprints = self._fingerprints
+        for group, message_id, _sender, _clock, view_index in run:
+            if group is None or view_index is None or message_id is None:
+                continue
+            view_index = int(view_index)
+            digest = hash(message_id)
+            buckets = fingerprints.setdefault((process, group), {})
+            xor, total, count = buckets.get(view_index, (0, 0, 0))
+            buckets[view_index] = (xor ^ digest, total + digest, count + 1)
 
     def _in_scope(self, process: str, group: str) -> bool:
         """Listed groups compare only their agreement set; unlisted groups
@@ -730,7 +739,6 @@ class OnlineViewAgreement(OnlineChecker):
         self._crashed: Set[str] = set()
 
     def on_event(self, event: TraceEvent) -> None:
-        self.events_seen += 1
         if event.kind == CRASH:
             self._crashed.add(event.process)
             return
@@ -812,7 +820,9 @@ class OnlineCheckSuite(TraceSink):
     :meth:`result` once the run settles.  Events are dispatched only to the
     checkers whose :attr:`~OnlineChecker.KINDS` include their kind, and the
     suite subscribes to the union, so the dominant null-message traffic
-    never reaches it.
+    never reaches it.  A process's run of deliveries (:meth:`on_deliveries`)
+    goes whole to each delivery checker, which reads that process's state
+    once per run (20.8 deliveries on the ledger's ``stream_busy``).
 
     ``checks`` selects a subset of checkers by name (see
     :data:`CHECKER_FACTORIES`): protocol stacks whose guarantees are weaker
@@ -854,6 +864,10 @@ class OnlineCheckSuite(TraceSink):
         for checker in self.checkers:
             for kind in checker.KINDS:
                 self._dispatch.setdefault(kind, []).append(checker.on_event)
+        #: The delivery checkers' run bodies, in checker order.
+        self._run_dispatch = tuple(
+            checker.on_deliveries for checker in self.checkers if DELIVER in checker.KINDS
+        )
         #: What a recorder need send us: the union of the checkers' kinds.
         self.KINDS = frozenset(self._dispatch)
         self.events_seen = 0
@@ -862,6 +876,12 @@ class OnlineCheckSuite(TraceSink):
         self.events_seen += 1
         for on_event in self._dispatch.get(event.kind, ()):
             on_event(event)
+
+    def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
+        """A run of deliveries at ``process``, whole to each delivery checker."""
+        self.events_seen += len(run)
+        for on_deliveries in self._run_dispatch:
+            on_deliveries(time, process, run, first_seq)
 
     def result(self) -> CheckResult:
         """Merge every checker's verdict (AND of passes)."""
@@ -901,7 +921,6 @@ class GroupScopedCheckSuite(TraceSink):
         self.view_agreement_sets = view_agreement_sets
         self._suites: Dict[str, OnlineCheckSuite] = {}
         self._crash_events: List[TraceEvent] = []
-        self.events_seen = 0
 
     def _suite_for(self, group: str) -> OnlineCheckSuite:
         suite = self._suites.get(group)
@@ -918,7 +937,6 @@ class GroupScopedCheckSuite(TraceSink):
         return suite
 
     def on_event(self, event: TraceEvent) -> None:
-        self.events_seen += 1
         if event.group is None:
             if event.kind == CRASH:
                 self._crash_events.append(event)

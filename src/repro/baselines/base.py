@@ -136,7 +136,7 @@ class BaselineProcess:
             )
 
     def _deliver(self, msg_id: str, sender: str, payload: object) -> None:
-        self.delivered.add(BaselineDelivery, msg_id, sender, payload, self.sim.now)
+        self.delivered.add(1, lambda: (BaselineDelivery(msg_id, sender, payload, self.sim.now),))
         if self.recorder is not None:
             self.recorder.record(
                 self.sim.now,

@@ -253,7 +253,7 @@ class AsymmetricOrdering(OrderingEngine):
             # discarded by a failure agreement (its clocks die with the
             # removed sequencer) and re-sequenced later, so receipt is not
             # final.  The blocking rule releases on *delivery* (see
-            # ``NewtopProcess._handle_delivery``), the point past which the
+            # ``NewtopProcess._record_deliveries``), the point past which the
             # message can no longer lose its place in the total order.
             self._unsequenced.pop(message.origin_request, None)
         return True

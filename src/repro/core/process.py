@@ -398,7 +398,7 @@ class NewtopProcess:
 
     def note_unicast_sequenced(self, group_id: str, request_id: str) -> None:
         """A previously unicast message came back sequenced *and was
-        delivered* (called from :meth:`_handle_delivery`).
+        delivered* (called from :meth:`_record_deliveries`).
 
         Deliberately does NOT flush deferred sends: this runs inside the
         delivery loop, and a flush here can re-enter it -- if the flushed
@@ -683,9 +683,10 @@ class NewtopProcess:
                         effective = threshold
                 self.last_pass_bound = effective
                 if effective > 0:
-                    for message in self.delivery_queue.pop_deliverable(effective):
-                        self._handle_delivery(message)
-                        delivered += 1
+                    run = self.delivery_queue.pop_deliverable(effective)
+                    if run:
+                        self._handle_deliveries(run)
+                        delivered += len(run)
                         progress = True
                 for endpoint in self._endpoints.values():
                     if endpoint.maybe_install_views():
@@ -697,41 +698,45 @@ class NewtopProcess:
     def deliver_immediately(self, endpoint: GroupEndpoint, message: DataMessage) -> None:
         """Atomic-only groups: hand the message to the application without
         total-order gating (Fig. 3's atomic-delivery path)."""
-        self._handle_delivery(message)
+        self._handle_deliveries((message,))
 
-    def _handle_delivery(self, message: DataMessage) -> None:
-        if message.origin_request is not None and message.sender == self.process_id:
-            # Our unicast came back sequenced and is now *delivered*: only
-            # here may the Send Blocking Rule release.  Releasing on mere
-            # receipt is unsound -- a received-but-undelivered sequenced
-            # copy can still be discarded by a failure agreement and
-            # re-sequenced with a later clock, after causally-later sends
-            # in other groups already went out and delivered.
-            self.note_unicast_sequenced(message.group, message.origin_request)
-        endpoint = self._endpoints.get(message.group)
-        view_index = endpoint.view.index if endpoint is not None else -1
-        self.delivered.add(
-            DeliveredMessage,
-            message.group,
-            message.sender,
-            message.payload,
-            message.msg_id,
-            message.clock,
-            view_index,
-            self.sim.now,
-        )
-        self.recorder.record(
-            self.sim.now,
-            trace_events.DELIVER,
-            self.process_id,
-            group=message.group,
-            message_id=message.msg_id,
-            sender=message.sender,
-            clock=message.clock,
-            view_index=view_index,
-        )
-        for callback in self._delivery_callbacks:
-            callback(message.group, message.sender, message.payload, message.msg_id)
+    def _handle_deliveries(self, messages: Sequence[DataMessage]) -> None:
+        """Deliver a run of messages at this instant.  A process with
+        delivery callbacks cuts the run at each delivery: each callback runs
+        after its own ``deliver`` is recorded, before the next one is."""
+        if not self._delivery_callbacks:
+            self._record_deliveries(messages)
+            return
+        for message in messages:
+            self._record_deliveries((message,))
+            for callback in self._delivery_callbacks:
+                callback(message.group, message.sender, message.payload, message.msg_id)
+
+    def _record_deliveries(self, messages: Sequence[DataMessage]) -> None:
+        """Log a run of deliveries and record it as one
+        :meth:`~repro.net.trace.TraceRecorder.record_deliveries` call.  The
+        view indexes cannot change inside a run: a pass delivers nothing
+        past a group's next view-change threshold."""
+        now, process_id, endpoints = self.sim.now, self.process_id, self._endpoints
+        run = []
+        for message in messages:
+            if message.origin_request is not None and message.sender == process_id:
+                # Our unicast came back sequenced and is now *delivered*:
+                # only here may the Send Blocking Rule release.  Releasing
+                # on mere receipt is unsound -- a received-but-undelivered
+                # sequenced copy can still be discarded by a failure
+                # agreement and re-sequenced with a later clock, after
+                # causally-later sends in other groups already went out and
+                # delivered.
+                self.note_unicast_sequenced(message.group, message.origin_request)
+            endpoint = endpoints.get(message.group)
+            view_index = endpoint.view.index if endpoint is not None else -1
+            run.append((message.group, message.msg_id, message.sender, message.clock, view_index))
+        self.delivered.add(len(run), lambda: [
+            DeliveredMessage(m.group, m.sender, m.payload, m.msg_id, m.clock, entry[4], now)
+            for m, entry in zip(messages, run)
+        ])
+        self.recorder.record_deliveries(now, process_id, run)
 
     # ------------------------------------------------------------------
     # Internal helpers

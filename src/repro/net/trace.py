@@ -18,12 +18,22 @@ Sink API
 --------
 The recorder is an observer hub: every recorded event is pushed, in record
 order, to the :class:`TraceSink` objects subscribed to its kind.  A sink
-implements two methods and may name the kinds it consumes::
+implements two methods, may name the kinds it consumes and may take runs::
 
     class TraceSink:
         KINDS = None                                        # None: every kind
         def on_event(self, event: TraceEvent) -> None: ...  # one event
+        def on_deliveries(self, time, process, run, first_seq): ...  # optional
         def close(self) -> None: ...                        # end of run
+
+Delivery runs: a Newtop process hands what it delivers at one instant to
+:meth:`TraceRecorder.record_deliveries` as one run of :data:`DeliveryEntry`
+tuples, numbered ``first_seq`` on.  A ``deliver`` sink with
+``on_deliveries`` gets the run in one call; for one without it (this base
+class has none), and for the stored trace, the recorder builds each event
+as :meth:`TraceRecorder.record` would, so no trace or dump tells the paths
+apart.  A run sink's ``on_event`` hands a ``deliver`` event (a replayed
+trace's, a baseline's) to ``on_deliveries`` as a run of one.
 
 Count-only kinds: a streaming recorder (``keep_events=False``) keeps the
 exact per-kind tally itself (:meth:`TraceRecorder.kind_counts`), and
@@ -78,8 +88,8 @@ from __future__ import annotations
 
 import json
 from typing import (
-    Any, Dict, FrozenSet, IO, Iterable, Iterator, List, NamedTuple, Optional, Set,
-    Tuple, Union,
+    Any, Callable, Dict, FrozenSet, IO, Iterable, Iterator, List, NamedTuple,
+    Optional, Sequence, Set, Tuple, Union,
 )
 
 from repro.stats import LatencyReservoir
@@ -185,6 +195,16 @@ class TraceEvent(NamedTuple):
             if item_key == key:
                 return value
         return default
+
+
+#: One delivery of a run: ``(group, message_id, sender, clock, view_index)``.
+DeliveryEntry = Tuple[Optional[str], Optional[str], Optional[str], Optional[int], Any]
+DeliveryRun = Sequence[DeliveryEntry]
+
+
+def delivery_entry(event: TraceEvent) -> DeliveryEntry:
+    """A ``deliver`` event's run entry (``view_index`` ``None`` if it has none)."""
+    return (event.group, event.message_id, event.sender, event.clock, event.detail("view_index"))
 
 
 class TraceSink:
@@ -317,9 +337,9 @@ class MetricsSink(TraceSink):
     pays one ``is None`` test per sample for this.
 
     It subscribes to the two kinds whose fields it reads, so on a streaming
-    recorder every other kind stays count-only.  It counts no kinds of its
-    own: a run's totals over every kind are the recorder's, and
-    :meth:`snapshot` takes them as ``kind_counts``.
+    recorder every other kind stays count-only, and takes deliveries as
+    runs.  It counts no kinds of its own: a run's totals over every kind are
+    the recorder's, and :meth:`snapshot` takes them as ``kind_counts``.
 
     :class:`SpanMetricsSink` is this sink with the span stages added, built
     when the run's observation asks for them.
@@ -347,20 +367,24 @@ class MetricsSink(TraceSink):
             if self._unsent_deliveries:
                 self._pair_unsent(event.message_id)
         elif event.kind == DELIVER:
-            if event.group is not None:
-                self.deliveries_by_group[event.group] = (
-                    self.deliveries_by_group.get(event.group, 0) + 1
-                )
-            send_time = self._first_send_time.get(event.message_id)
+            self.on_deliveries(event.time, event.process, (delivery_entry(event),), event.seq)
+
+    def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
+        by_group, latency = self.deliveries_by_group, self.latency
+        send_times = self._first_send_time
+        for group, message_id, _sender, _clock, _view_index in run:
+            if group is not None:
+                by_group[group] = by_group.get(group, 0) + 1
+            send_time = send_times.get(message_id)
             if send_time is not None:
-                sample = event.time - send_time
-                delta = sample - self.latency.mean
-                self.latency.add(sample)
-                self._latency_m2 += delta * (sample - self.latency.mean)
+                sample = time - send_time
+                delta = sample - latency.mean
+                latency.add(sample)
+                self._latency_m2 += delta * (sample - latency.mean)
                 if self._owners is not None:
-                    self._credit(event.message_id, sample)
-            elif event.message_id is not None:
-                self._unsent_deliveries.setdefault(event.message_id, []).append(event.time)
+                    self._credit(message_id, sample)
+            elif message_id is not None:
+                self._unsent_deliveries.setdefault(message_id, []).append(time)
 
     def _pair_unsent(self, message_id: str) -> None:
         """Sample the deliveries of ``message_id`` that came before its send."""
@@ -455,7 +479,7 @@ class SpanMetricsSink(MetricsSink):
     """:class:`MetricsSink` plus the span stages, for a run whose
     observation asks for spans (``Observation(spans=True)``, on in
     ``observe="full"``); a subclass, so the unobserved sink's per-event
-    path stays as it is.
+    path stays as it is; its own :meth:`on_deliveries` keeps the stages.
 
     It adds ``receive`` to the kinds and maps a multicast's send ->
     sequenced -> delivered -> stable lifecycle onto the events that already
@@ -494,14 +518,16 @@ class SpanMetricsSink(MetricsSink):
                 self._receive_time.setdefault((message_id, event.process), event.time)
             return
         super().on_event(event)
-        if event.kind != DELIVER:
-            return
-        receive_time = self._receive_time.pop((message_id, event.process), None)
-        if receive_time is not None:
-            self.ordering_wait.add(event.time - receive_time)
-        if message_id is not None:
-            window = self._deliver_window.setdefault(message_id, [event.time, event.time])
-            window[1] = max(window[1], event.time)
+
+    def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
+        super().on_deliveries(time, process, run, first_seq)
+        for _group, message_id, _sender, _clock, _view_index in run:
+            received = self._receive_time.pop((message_id, process), None)
+            if received is not None:
+                self.ordering_wait.add(time - received)
+            if message_id is not None:
+                window = self._deliver_window.setdefault(message_id, [time, time])
+                window[1] = max(window[1], time)
 
     def span_snapshot(self) -> Dict[str, Any]:
         """The ``obs["spans"]`` block: the messages timed, and each stage
@@ -539,12 +565,12 @@ class TraceRecorder:
     input, for the steps that are not events (see the module docstring).
 
     Fan-out is *isolated* by default (``on_sink_error="detach"``): a sink
-    raising from :meth:`TraceSink.on_event` is detached from the recorder
-    and the failure recorded in :attr:`sink_errors` -- one broken observer
-    must not kill a multi-minute simulation, but it also must not silently
-    keep "verifying".  ``on_sink_error="raise"`` restores the strict
-    behaviour (the exception propagates to the simulator loop), for tests
-    and debugging where a sink bug should be loud.
+    raising from :meth:`TraceSink.on_event` or ``on_deliveries`` is detached
+    from the recorder and the failure recorded in :attr:`sink_errors` -- one
+    broken observer must not kill a multi-minute simulation, but it also
+    must not silently keep "verifying".  ``on_sink_error="raise"`` restores
+    the strict behaviour (the exception propagates to the simulator loop),
+    for tests and debugging where a sink bug should be loud.
     """
 
     def __init__(
@@ -592,6 +618,13 @@ class TraceRecorder:
         }
         #: The lifecycle dispatch, or ``None`` while nobody subscribes.
         self.lifecycle = self._lifecycle if any(self._lifecycle_routes.values()) else None
+        #: ``deliver``'s sinks, each with its ``on_deliveries`` or ``None``.
+        self._run_route: Tuple[Tuple[TraceSink, Optional[Callable[..., None]]], ...] = tuple(
+            (sink, getattr(sink, "on_deliveries", None)) for sink in self._routes[DELIVER]
+        )
+        self._run_builds = self._memory is not None or any(
+            on_deliveries is None for _, on_deliveries in self._run_route
+        )
 
     def _lifecycle(self, kind, time, process, subject, detail=None, peer=None) -> None:
         """Hand one lifecycle step (:meth:`TraceSink.on_lifecycle`'s
@@ -601,8 +634,6 @@ class TraceRecorder:
                 sink.on_lifecycle(kind, time, process, subject, detail, peer)
             except Exception as exc:
                 self._sink_failed(sink, exc, TraceEvent(time, kind, process, seq=self._seq))
-                self._sinks.remove(sink)
-                self._reroute()
 
     def add_sink(self, sink: TraceSink) -> TraceSink:
         """Register a sink; returns it for chaining."""
@@ -647,26 +678,48 @@ class TraceRecorder:
         self._seq += 1
         if memory is not None:
             memory.on_event(event)
-        failed: Optional[List[TraceSink]] = None
         for sink in sinks:
             try:
                 sink.on_event(event)
             except Exception as exc:
                 self._sink_failed(sink, exc, event)
-                if failed is None:
-                    failed = []
-                failed.append(sink)
-        if failed is not None:
-            # Detach outside the loop; the remaining sinks saw the event.
-            for sink in failed:
-                self._sinks.remove(sink)
-            self._reroute()
         return event
+
+    def record_deliveries(self, time: float, process: str, run: DeliveryRun) -> List[TraceEvent]:
+        """Record what ``process`` delivered at ``time`` as one run, numbered,
+        tallied and stored as :meth:`record` would; returns the events built.
+        A run sink that raises is reported at the run's first ``seq``."""
+        first_seq, self._seq = self._seq, self._seq + len(run)
+        memory = self._memory
+        if memory is None:
+            self._tally[DELIVER] = self._tally.get(DELIVER, 0) + len(run)
+        events: List[TraceEvent] = []
+        if self._run_builds:
+            events = [
+                TraceEvent(time, DELIVER, process, group, message_id, sender, clock,
+                           (("view_index", view_index),), seq)
+                for seq, (group, message_id, sender, clock, view_index) in enumerate(run, first_seq)
+            ]
+            if memory is not None:
+                memory.events.extend(events)
+        for sink, on_deliveries in self._run_route:
+            try:
+                if on_deliveries is not None:
+                    on_deliveries(time, process, run, first_seq)
+                else:
+                    for event in events:
+                        sink.on_event(event)
+            except Exception as exc:
+                if on_deliveries is not None:
+                    event = TraceEvent(time, DELIVER, process, seq=first_seq)
+                self._sink_failed(sink, exc, event)
+        return events
 
     def _sink_failed(self, sink: TraceSink, exc: Exception, event: TraceEvent) -> None:
         """Apply the ``on_sink_error`` policy to a sink that raised on
         ``event``: re-raise, or log it in :attr:`sink_errors` and
-        :attr:`detached_sinks`; the caller then stops feeding it."""
+        :attr:`detached_sinks` and detach it; the calling fan-out goes on
+        over the routes it started with, so the later sinks see it all."""
         if self._on_sink_error == "raise":
             raise exc
         self.sink_errors.append(
@@ -678,6 +731,8 @@ class TraceRecorder:
             }
         )
         self.detached_sinks.append(sink)
+        self._sinks.remove(sink)
+        self._reroute()
 
     def kind_counts(self) -> Dict[str, int]:
         """Events recorded so far per kind, count-only ones included."""
@@ -755,12 +810,12 @@ class DeliveryLog:
         self.count = 0
         self._records: Optional[List[Any]] = [] if stored else None
 
-    def add(self, make: Any, *fields: Any) -> None:
-        """Count one delivery; a stored log also keeps ``make(*fields)``
-        (a counting log never builds the record)."""
-        self.count += 1
+    def add(self, count: int, records: Callable[[], Iterable[Any]]) -> None:
+        """Count a run of ``count`` deliveries; a stored log also keeps
+        what ``records()`` yields (a counting log never calls it)."""
+        self.count += count
         if self._records is not None:
-            self._records.append(make(*fields))
+            self._records.extend(records())
 
     def _read(self) -> List[Any]:
         if self._records is None:

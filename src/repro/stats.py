@@ -84,8 +84,10 @@ class LatencyReservoir:
         """Fold one sample into the exact moments and the reservoir."""
         self.count += 1
         self.mean += (sample - self.mean) / self.count
-        self.min = min(self.min, sample)
-        self.max = max(self.max, sample)
+        if sample < self.min:
+            self.min = sample
+        if sample > self.max:
+            self.max = sample
         if len(self._samples) < self.capacity:
             self._samples.append(sample)
         else:

@@ -1,9 +1,15 @@
 """Unit tests for session faults, drop windows and event tracing."""
 
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
 from oracle_checkers import happened_before_pairs, trace_groups
 from repro.api import Session
+from repro.apps.kv import ShardedKV
+from repro.core.messages import reset_message_counter
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network, NetworkConfig
 from repro.net.partitions import partition_hold_time
@@ -16,9 +22,11 @@ from repro.net.trace import (
     EventTrace,
     HELD,
     JsonlSink,
+    KV_APPLY,
     MemorySink,
     RECEIVE,
     SEND,
+    TraceEvent,
     TraceRecorder,
     TraceSink,
     UNBLOCKED_SEND,
@@ -212,6 +220,166 @@ def test_detach_policy_isolates_raising_sink_and_records_error():
     assert boom.seen == 1
     assert after.seen == 3
     assert len(recorder.sink_errors) == 1
+
+
+class _BoomRunSink:
+    """Takes deliveries as runs; raises at its Nth delivery."""
+
+    KINDS = frozenset({DELIVER})
+
+    def __init__(self, explode_at=None):
+        self.explode_at = explode_at
+        self.seen = []
+
+    def on_event(self, event):
+        raise AssertionError("a run sink's deliveries come as runs")
+
+    def on_deliveries(self, time, process, run, first_seq):
+        for seq, entry in enumerate(run, first_seq):
+            if len(self.seen) == self.explode_at:
+                raise RuntimeError("run sink exploded")
+            self.seen.append((seq, entry[1]))
+
+    def close(self):
+        pass
+
+
+def _run(*message_ids, view_index=0):
+    return [("g", message_id, "p2", 1, view_index) for message_id in message_ids]
+
+
+def test_detach_policy_isolates_a_sink_raising_mid_run():
+    """A sink raising inside ``on_deliveries`` is detached once and named
+    in ``sink_errors`` at the run's first ``seq`` (the recorder does not
+    see which entry it was on); the sinks after it still see the whole run,
+    and later runs no longer reach it.  A sink fed built events is named
+    at the event it raised on."""
+    boom, after = _BoomRunSink(explode_at=1), _BoomRunSink()
+    events_boom, events_after = _BoomSink(explode_at=2), _CountingSink()
+    recorder = TraceRecorder(
+        sinks=[boom, after, events_boom, events_after], keep_events=False
+    )
+    recorder.record(1.0, SEND, "p2", group="g", message_id="m1", sender="p2")
+    built = recorder.record_deliveries(2.0, "p1", _run("m1", "m2", "m3"))
+    assert [event.seq for event in built] == [1, 2, 3]
+    assert built[0] == TraceEvent(
+        2.0, DELIVER, "p1", "g", "m1", "p2", 1, (("view_index", 0),), 1
+    )
+    assert after.seen == [(1, "m1"), (2, "m2"), (3, "m3")]
+    assert boom.seen == [(1, "m1")]
+    assert recorder.detached_sinks == [boom, events_boom]
+    assert [(e["sink"], e["at_seq"], e["at_time"]) for e in recorder.sink_errors] == [
+        ("_BoomRunSink", 1, 2.0),
+        ("_BoomSink", 2, 2.0),
+    ]
+    assert "run sink exploded" in recorder.sink_errors[0]["error"]
+    # The next run reaches neither raising sink; numbering and tally go on.
+    recorder.record_deliveries(3.0, "p3", _run("m1", "m2"))
+    assert boom.seen == [(1, "m1")] and events_boom.seen == 2
+    assert after.seen[-2:] == [(4, "m1"), (5, "m2")]
+    assert events_after.seen == 1 + 3 + 2
+    assert len(recorder.sink_errors) == 2
+    assert recorder.events_recorded == 6
+    assert recorder.kind_counts() == {SEND: 1, DELIVER: 5}
+
+
+def test_a_run_reaching_no_event_sink_builds_no_event():
+    run_sink = _BoomRunSink()
+    recorder = TraceRecorder(sinks=[run_sink], keep_events=False)
+    assert recorder.record_deliveries(1.0, "p1", _run("m1", "m2")) == []
+    assert run_sink.seen == [(0, "m1"), (1, "m2")]
+    stored = TraceRecorder(sinks=[_BoomRunSink()])
+    built = stored.record_deliveries(1.0, "p1", _run("m1", "m2", view_index=3))
+    assert list(stored.trace()) == built
+    assert [event.detail("view_index") for event in built] == [3, 3]
+
+
+#: ``(seq, kind, process, message_id)`` rows of the two sessions below,
+#: pinned as they were recorded while every delivery was its own record
+#: call: cutting a run at each callback keeps every sequence number.
+CALLBACK_TRACE_DIGESTS = {"kv": "266d81c3dab3b3a0", "multicast": "312bb37b04433ca0"}
+
+
+def _trace_digest(events):
+    rows = [(event.seq, event.kind, event.process, event.message_id) for event in events]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+def _most_deliveries_at_one_instant(events):
+    instants = Counter((event.time, event.process) for event in events if event.kind == DELIVER)
+    return max(instants.values())
+
+
+def _after_each_delivery(events, process, predicate):
+    """The event ``process`` recorded right after each of its deliveries
+    that ``predicate`` selects, in order."""
+    mine = [event for event in events if event.process == process]
+    return [
+        mine[index + 1]
+        for index, event in enumerate(mine)
+        if event.kind == DELIVER and predicate(event)
+    ]
+
+
+def test_a_kv_apply_is_recorded_between_its_deliver_and_the_next():
+    """``apps.kv`` records ``kv_apply`` from its delivery callback: a replica
+    that delivers three writes at one instant records deliver, kv_apply,
+    deliver, kv_apply, ... with consecutive sequence numbers."""
+    reset_message_counter()
+    members = ["s0r0", "s0r1", "s0r2"]
+    session = Session("newtop", seed=3)
+    session.spawn(members)
+    store = ShardedKV(session)
+    store.bootstrap({"s0": members})
+    session.run(1.0)
+    acks = []
+    for index in range(6):
+        outcome = store.submit(
+            client="c1", client_op=f"op{index}", op="set", key=f"key{index}",
+            value=index, via=members[index % 3], ring=store.ring, callback=acks.append,
+        )
+        assert outcome["status"] == "submitted"
+    assert session.run_until(lambda: len(acks) == 6, timeout=60)
+    session.run(5.0)
+    assert session.result().passed
+    events = sorted(session.trace(), key=lambda event: event.seq)
+    assert _most_deliveries_at_one_instant(events) == 3
+    for member in members:
+        delivers = [e for e in events if e.process == member and e.kind == DELIVER]
+        applies = _after_each_delivery(events, member, lambda event: True)
+        assert len(applies) == len(delivers) > 0
+        for deliver, apply in zip(delivers, applies):
+            assert (apply.kind, apply.message_id) == (KV_APPLY, deliver.message_id)
+            assert apply.seq == deliver.seq + 1
+    assert _trace_digest(events) == CALLBACK_TRACE_DIGESTS["kv"]
+
+
+def test_a_multicast_from_a_delivery_callback_is_recorded_before_the_next_deliver():
+    """P2 answers each of P1's messages from its delivery callback; it
+    delivers all five at one instant, and each answer's ``send`` sits
+    between the ``deliver`` that caused it and the next one."""
+    reset_message_counter()
+    session = Session("newtop", seed=7)
+    session.spawn(["P1", "P2", "P3"])
+    session.group("g")
+    replies = []
+
+    def reply(group, sender, payload, msg_id):
+        if sender == "P1":
+            replies.append(session["P2"].multicast("g", ("re", payload)))
+
+    session["P2"].add_delivery_callback(reply)
+    for index in range(5):
+        session.multicast("P1", "g", index)
+    session.run(20.0)
+    assert session.result().passed and len(replies) == 5
+    events = sorted(session.trace(), key=lambda event: event.seq)
+    assert _most_deliveries_at_one_instant(events) == 5
+    sends = _after_each_delivery(events, "P2", lambda event: event.sender == "P1")
+    assert [(event.kind, event.message_id) for event in sends] == [
+        (SEND, message_id) for message_id in replies
+    ]
+    assert _trace_digest(events) == CALLBACK_TRACE_DIGESTS["multicast"]
 
 
 def test_sinks_receive_only_the_kinds_they_declare():

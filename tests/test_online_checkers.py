@@ -974,6 +974,189 @@ def test_views_recorded_across_a_view_change_are_unioned():
 
 
 # ---------------------------------------------------------------------------
+# Runs and events: every delivery consumer has one body
+# ---------------------------------------------------------------------------
+
+from repro.net.trace import SpanMetricsSink, delivery_entry  # noqa: E402
+
+
+def _recorded_as_runs(events):
+    """The stream as a session records it: each stretch of consecutive
+    ``deliver`` events of one (time, process) is one run
+    ``(time, process, entries, first seq)``; every other event stays."""
+    items, run_at = [], None
+    for event in sorted(events, key=lambda e: (e.time, e.seq)):
+        if event.kind != DELIVER:
+            items.append(event)
+            run_at = None
+        elif (event.time, event.process) == run_at:
+            items[-1][2].append(delivery_entry(event))
+        else:
+            items.append((event.time, event.process, [delivery_entry(event)], event.seq))
+            run_at = (event.time, event.process)
+    return items
+
+
+def _fed(sink, events, as_runs):
+    """``sink`` fed the kinds it subscribes to, in (time, seq) order, with
+    the deliveries one event at a time or as runs."""
+    if as_runs:
+        items = _recorded_as_runs(events)
+    else:
+        items = sorted(events, key=lambda e: (e.time, e.seq))
+    for item in items:
+        if not isinstance(item, TraceEvent):
+            sink.on_deliveries(*item)
+        elif item.kind in sink.KINDS:
+            sink.on_event(item)
+    return sink
+
+
+class _Credits(list):
+    """A traffic client's side of ``MetricsSink``: the samples it is handed."""
+
+    def on_delivery(self, message_id, sample):
+        self.append((message_id, sample))
+
+
+def _observed(events, agreement, as_runs):
+    suite = _fed(OnlineCheckSuite(agreement), events, as_runs)
+    result = suite.result()
+    # One client owns every message, as if it had issued them all.
+    credits, metrics = _Credits(), MetricsSink()
+    for event in events:
+        if event.kind == SEND:
+            metrics.hold()
+            metrics.claim(event.message_id, credits)
+    return {
+        "passed": result.passed,
+        "violations": result.violations,
+        "delta_entries_folded": suite.causal_order.delta_entries_folded(),
+        "delivered_ids_held": suite.causal_order.delivered_ids_held(),
+        "maps_held": suite.total_order.maps_held(),
+        "closed_held": suite.total_order.closed_held(),
+        "metrics": _fed(metrics, events, as_runs).snapshot({}),
+        "credits": credits,
+        "spans": _fed(SpanMetricsSink(), events, as_runs).span_snapshot(),
+    }
+
+
+def assert_runs_check_as_events(events, agreement=None):
+    """Fed as runs, the suite and both latency sinks end exactly where
+    they end fed one event at a time (``check_events``' order): the same
+    verdict, the same violation strings in the same order, the same
+    counters and snapshots.  Returns what the events gave."""
+    runs = [item for item in _recorded_as_runs(events) if not isinstance(item, TraceEvent)]
+    assert max(len(run[2]) for run in runs) > 1, "no run holds two deliveries"
+    by_event = _observed(events, agreement, as_runs=False)
+    assert _observed(events, agreement, as_runs=True) == by_event
+    replayed = check_events(events, view_agreement_sets=agreement)
+    assert (replayed.passed, replayed.violations) == (by_event["passed"], by_event["violations"])
+    return by_event
+
+
+def _stream_busy_trace():
+    """A small ``stream_busy``: 16 processes in 4 overlapping groups of 6,
+    every member multicasting open loop; the trace is stored."""
+    session = Session("newtop", seed=5)
+    names = [f"P{index:02d}" for index in range(16)]
+    session.spawn(names)
+    for index, group in enumerate(ring_overlap_groups(names, 4, 6)):
+        session.group(group["id"], group["members"])
+        session.attach_client(
+            OpenLoopClient(
+                get_profile("poisson", rate=10.0), group["members"], [group["id"]],
+                seed=index, start=1.0, duration=2.0,
+            )
+        ).start()
+    session.run(8.0)
+    assert session.result().passed
+    return list(session.trace())
+
+
+def _mutated(events):
+    """Two deliveries of one process swapped, the last view install
+    dropped, and a delivery from a sender outside the receiver's view."""
+    deliveries = [e for e in events if e.kind == DELIVER]
+    first = deliveries[len(deliveries) // 3]
+    second = next(
+        e for e in deliveries
+        if e.process == first.process and e.seq > first.seq
+        and e.message_id != first.message_id
+    )
+    install = [e for e in events if e.kind == VIEW_INSTALL][-1]
+    last = max(events, key=lambda e: (e.time, e.seq))
+    outsider = install._replace(
+        kind=DELIVER, time=last.time + 1.0, seq=last.seq + 1, message_id="forged",
+        sender="outsider", clock=1, details=(("view_index", 0),),
+    )
+    return {
+        "swapped": _swap_events(events, first, second),
+        "dropped_install": [e for e in events if e.seq != install.seq],
+        "outsider": events + [outsider],
+    }
+
+
+def test_runs_and_events_check_clean_streams_alike(seeded_executions, churn_run):
+    engine, churn_events = churn_run
+    formation, asymmetric_failover = seeded_executions
+    for events, agreement in (
+        (_stream_busy_trace(), None),
+        (churn_events, engine.expected_agreement_sets()),
+        (formation, None),
+        (asymmetric_failover, None),
+    ):
+        observed = assert_runs_check_as_events(events, agreement)
+        assert observed["passed"]
+        assert len(observed["credits"]) == observed["metrics"]["latency"]["count"] > 0
+        # Every span stage is fed: a run keeps receive -> deliver and spread.
+        assert None not in observed["spans"]["stages"].values()
+
+
+def test_runs_and_events_check_mutated_streams_alike(seeded_executions, churn_run):
+    engine, churn_events = churn_run
+    for events, agreement in (
+        (churn_events, engine.expected_agreement_sets()),
+        (seeded_executions[1], None),
+    ):
+        for name, mutated in _mutated(events).items():
+            observed = assert_runs_check_as_events(mutated, agreement)
+            if name != "dropped_install":
+                assert not observed["passed"], name
+
+
+def test_a_duplicate_and_an_inversion_inside_one_run():
+    """Q delivers m1 then m2; P then delivers m2, R's m3, m1 and m1 again
+    at one instant: one run holding a total-order inversion, a delivery
+    from outside P's view and a duplicate, none of them at its start."""
+    def deliver(time, process, message, sender, seq):
+        return TraceEvent(time, DELIVER, process, "g", message, sender, 1,
+                          (("view_index", 0),), seq)
+
+    events = [
+        TraceEvent(0.0, VIEW_INSTALL, "P", "g", details=(("members", ("P", "Q")),), seq=0),
+        TraceEvent(0.0, VIEW_INSTALL, "Q", "g", details=(("members", ("P", "Q")),), seq=1),
+        TraceEvent(1.0, SEND, "P", "g", "m1", "P", 1, seq=2),
+        TraceEvent(1.0, SEND, "Q", "g", "m2", "Q", 1, seq=3),
+        deliver(2.0, "Q", "m1", "P", 4),
+        deliver(2.0, "Q", "m2", "Q", 5),
+        deliver(3.0, "P", "m2", "Q", 6),
+        deliver(3.0, "P", "m3", "R", 7),
+        deliver(3.0, "P", "m1", "P", 8),
+        deliver(3.0, "P", "m1", "P", 9),
+    ]
+    runs = [item[2] for item in _recorded_as_runs(events) if not isinstance(item, TraceEvent)]
+    assert [len(run) for run in runs] == [2, 4]
+    observed = assert_runs_check_as_events(events)
+    assert observed["violations"] == [
+        "total order violated between P and Q: P delivered m2 before m1, "
+        "Q delivered m1 before m2 (arbiter order: m1=0, m2=1)",
+        "duplicate delivery: P delivered m1 again (arbiter position 0)",
+        "P delivered m3 from R outside its view ['P', 'Q'] of g",
+    ]
+
+
+# ---------------------------------------------------------------------------
 # The oracle guards the suite on fuzz specs
 # ---------------------------------------------------------------------------
 
