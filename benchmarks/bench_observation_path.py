@@ -6,8 +6,9 @@ What happens to a delivery *after* the protocol has decided to make it:
 process's run of deliveries at that instant, the
 :class:`~repro.net.trace.MetricsSink` and the online checkers take the run
 in one call, and the metrics sink credits each latency sample to the
-client that issued the message.  On the ledger's ``stream_busy`` workload those layers are 40 % of
-host time; this benchmark measures each of them alone.
+client that issued the message.  On the ledger's ``stream_busy`` workload
+those layers are 40 % of host time; this benchmark measures each of them
+alone.
 
 One seeded session of ``stream_busy``'s shape (48 processes in 8
 overlapping groups of 12, every member multicasting open loop) runs once,
