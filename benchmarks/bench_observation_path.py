@@ -4,7 +4,7 @@ microbenchmark).
 What happens to a delivery *after* the protocol has decided to make it:
 ``TraceRecorder.record_deliveries`` numbers it with the rest of its
 process's run of deliveries at that instant, the
-:class:`~repro.net.trace.MetricsSink` and the online checkers take the run
+:class:`~repro.net.trace.MetricsSink` and the check suite take the run
 in one call, and the metrics sink credits each latency sample to the
 client that issued the message.  On the ledger's ``stream_busy`` workload
 those layers are 40 % of host time; this benchmark measures each of them
@@ -13,18 +13,19 @@ alone.
 One seeded session of ``stream_busy``'s shape (48 processes in 8
 overlapping groups of 12, every member multicasting open loop) runs once,
 verified online, with an all-kinds sink capturing its event stream.  The
-captured stream is then replayed the way a session records it: each
-stretch of consecutive ``deliver`` events of one (time, process) goes in
-as one run (``record_deliveries`` / ``on_deliveries``), every other event
-on its own (``record`` / ``on_event``).  It is replayed
+captured stream is then replayed the way a session records it
+(``repro.net.trace.delivery_runs``): each stretch of consecutive
+``deliver`` events of one (time, process) goes in as one run
+(``record_deliveries`` / ``on_deliveries``), every other event on its own
+(``record`` / ``on_event``).  It is replayed
 
 * through the recorder twice -- every kind materialized (an all-kinds
   sink without ``on_deliveries`` registered) and every kind count-only
   (no sink) -- and once more with the session's own sink set, to count
   which events a real run builds;
-* through a ``MetricsSink``, each of the five online checkers constructed
-  on its own, and the whole ``OnlineCheckSuite``, each fed exactly the
-  kinds it subscribes to.
+* through a ``MetricsSink``, each of the five online checkers alone in a
+  one-check ``OnlineCheckSuite``, and the whole suite, each fed exactly
+  the kinds it subscribes to.
 
 Timings are the minimum of ``--rounds`` replays, printed as microseconds
 per event and per call (a run or an event) fed, and **reported only** --
@@ -63,6 +64,7 @@ Run as a script for the CI gate::
         --json BENCH_observation_path.json
 """
 
+import functools
 import math
 import os
 import time
@@ -71,18 +73,11 @@ import tracemalloc
 from common import RESULTS, benchmark_arg_parser, write_bench_json
 
 import repro
-from repro.analysis.online import (
-    OnlineCausalOrder,
-    OnlineCheckSuite,
-    OnlineSenderInView,
-    OnlineTotalOrder,
-    OnlineViewAgreement,
-    OnlineVirtualSynchrony,
-)
+from repro.analysis.online import ALL_CHECKS, OnlineCheckSuite
 from repro.api import Session
 from repro.core.messages import reset_message_counter
 from repro.net.trace import (
-    DELIVER, MemorySink, MetricsSink, NullSink, TraceEvent, TraceRecorder, delivery_entry,
+    DELIVER, MemorySink, MetricsSink, NullSink, TraceEvent, TraceRecorder, delivery_runs,
 )
 from repro.scenarios import ring_overlap_groups
 from repro.workloads import OpenLoopClient, get_profile
@@ -209,23 +204,6 @@ def memory_profile(scale):
     }
 
 
-def as_recorded(events):
-    """The stream as a session records it: each stretch of consecutive
-    ``deliver`` events of one (time, process) becomes one run
-    ``(time, process, entries, first seq)``; every other event stays."""
-    items, run_at = [], None
-    for event in events:
-        if event.kind != DELIVER:
-            items.append(event)
-            run_at = None
-        elif (event.time, event.process) == run_at:
-            items[-1][2].append(delivery_entry(event))
-        else:
-            items.append((event.time, event.process, [delivery_entry(event)], event.seq))
-            run_at = (event.time, event.process)
-    return items
-
-
 def _replay_record(items, sinks):
     """Re-record the stream on a fresh streaming recorder; returns
     ``(seconds, events materialized)``."""
@@ -267,14 +245,11 @@ def _replay_sink(items, make_sink):
     return time.perf_counter() - start, fed, len(calls), sink
 
 
-#: name -> factory of the sink replayed in isolation.
+#: name -> factory of the sink replayed in isolation: each checker alone
+#: is a one-check suite.
 SINKS = {
     "metrics_sink": MetricsSink,
-    "total_order": OnlineTotalOrder,
-    "sender_in_view": OnlineSenderInView,
-    "causal_prefix": OnlineCausalOrder,
-    "view_sequences": OnlineViewAgreement,
-    "same_view_delivery_sets": OnlineVirtualSynchrony,
+    **{name: functools.partial(OnlineCheckSuite, checks=(name,)) for name in ALL_CHECKS},
     "suite": OnlineCheckSuite,
 }
 
@@ -285,7 +260,7 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
     recorded = record_session(scale)
     events = recorded.pop("events")
     deliveries = recorded["deliveries"]
-    items = as_recorded(events)
+    items = delivery_runs(events)
     runs = sum(1 for item in items if not isinstance(item, TraceEvent))
 
     def row(seconds, fed, calls):
@@ -313,10 +288,11 @@ def measure(scale=None, rounds=DEFAULT_ROUNDS):
             assert sink.result().passed, (name, sink.result().violations[:3])
         if name == "causal_prefix":
             # The replayed checker does the live one's work, entry for entry.
-            assert sink.delta_entries_folded() == recorded["causal_entries_folded"]
-            causal_ids_held = sink.delivered_ids_held()
+            causal = sink.causal_order
+            assert causal.delta_entries_folded() == recorded["causal_entries_folded"]
+            causal_ids_held = causal.delivered_ids_held()
         if name == "total_order":
-            maps_held, closed_held = sink.maps_held(), sink.closed_held()
+            maps_held, closed_held = sink.total_order.maps_held(), sink.total_order.closed_held()
         timings[name] = row(seconds, fed, calls)
     # The session's own sink set: which events does a real run build?
     _, materialized, _ = _replay_record(items, [OnlineCheckSuite(), MetricsSink()])

@@ -1,12 +1,12 @@
 """The checkers for the paper's guarantees: one streaming suite.
 
 The paper states its guarantees as predicates over executions.  This
-module checks each of them *incrementally*, consuming
-:class:`~repro.net.trace.TraceEvent` objects as they are recorded (each
-checker is a :class:`~repro.net.trace.TraceSink`), so every run -- stored
-trace or not -- gets its verdict from the same code.  Work per event never
-depends on the process count or the run length; what it does depend on is
-stated per checker:
+module checks each of them *incrementally*, as the events are recorded:
+:class:`OnlineCheckSuite` is the one :class:`~repro.net.trace.TraceSink`,
+and each checker is one of its parts, so every run -- stored trace or not
+-- gets its verdict from the same code.  Work per event never depends on
+the process count or the run length; what it does depend on is stated per
+checker:
 
 * :class:`OnlineTotalOrder` (MD4/MD4') -- a shared global-position arbiter
   assigns each message a position at its first delivery anywhere; every
@@ -24,26 +24,27 @@ stated per checker:
   last message folded here) per delivery -- the whole chain, i.e. the
   full vector, on the first delivery from a sender -- plus amortized O(1)
   per predecessor, instead of a transitive closure over all message pairs.
-* :class:`OnlineSenderInView` (MD1) -- the live view timeline: the current
-  view per process and group is updated on each install and each delivery
-  is an O(1) membership test.
+* :class:`OnlineSenderInView` (MD1) -- each delivery is an O(1)
+  membership test against the current view of its group.
 * :class:`OnlineVirtualSynchrony` (MD3/VC3) -- per-(process, group,
   view_index) delivery-set fingerprints (order-independent hash + count);
   processes that installed the same consecutive views must have equal
   fingerprints for the enclosed interval.
 * :class:`OnlineViewAgreement` (VC1) -- per-(process, group) view
-  sequences; installs are rare, so they are stored and compared at
-  :meth:`result` time within the expected agreement sets.
+  sequences, compared at :meth:`result` time within the expected
+  agreement sets.
 
-:class:`OnlineCheckSuite` bundles all five behind one sink, dispatching
-each event kind only to the checkers that consume it and keeping the one
-view timeline the first three share (the other two intern the view
-compositions they store in its table).  A session attaches the stack's
-suite to its :class:`~repro.net.trace.TraceRecorder` in either analysis
-mode (``keep_events=False`` when nothing is stored) and reads
+The suite dispatches once: ``view_install``, ``depart`` and ``crash`` go
+to its view timeline, each ``send`` to the checkers that take sends, and
+each run of deliveries whole to the checkers that take deliveries.  The
+timeline is the suite's one record of view facts -- current views,
+departures, every install history and the crashed processes -- and the
+checkers read it instead of keeping copies.  A session attaches the
+stack's suite to its :class:`~repro.net.trace.TraceRecorder` in either
+analysis mode (``keep_events=False`` when nothing is stored) and reads
 :meth:`~OnlineCheckSuite.result` at the end of the run; a stored or parsed
-trace is checked by replaying it through a fresh suite
-(:func:`check_events`).
+trace is checked by replaying it, its deliveries regrouped into the runs
+they were recorded as, through a fresh suite (:func:`check_events`).
 
 The reports are worded once, here.  A causality violation reads "<p>
 delivered <m'> without causally preceding <m> whose sender <s> is still in
@@ -64,7 +65,7 @@ violation, on seeded executions, on mutated ones and on fuzz specs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.net.trace import (
     CRASH,
@@ -75,7 +76,7 @@ from repro.net.trace import (
     TraceEvent,
     TraceSink,
     VIEW_INSTALL,
-    delivery_entry,
+    delivery_runs,
 )
 
 
@@ -100,73 +101,59 @@ class CheckResult:
 
 
 class _ViewTimeline:
-    """Live-view bookkeeping, one row per process: the current members of
-    each of its groups and the groups it has departed.
-
-    An :class:`OnlineCheckSuite` keeps one and feeds it once per install or
-    departure for the checkers that scope their checks by view; a checker
-    constructed on its own owns (and feeds) one.  Its composition table
-    (:meth:`intern`) is also where the checkers that store installed views
-    keep them, so each composition is held once per suite.
+    """The suite's one record of view facts, fed once per ``view_install``,
+    ``depart`` and ``crash``: the current members of each process's groups,
+    the groups each process has departed, each (process, group)'s install
+    history and the crashed processes.  The checkers read it and keep no
+    copy; every installed composition is held once, the frozenset that
+    processes installing it share.
     """
 
-    KINDS = frozenset({VIEW_INSTALL, DEPART})
-
     def __init__(self) -> None:
-        #: process -> group -> current members; processes that installed
-        #: the same composition share one frozenset
+        #: process -> group -> current members
         self.views: Dict[str, Dict[str, FrozenSet[str]]] = {}
         #: process -> groups it has departed
         self.departed: Dict[str, Set[str]] = {}
-        #: The kinds the checkers that adopted this timeline read it for;
-        #: whoever shares it out subscribes to them and feeds it.
-        self.wanted: Set[str] = set()
+        #: (process, group) -> the compositions it installed, in order; the
+        #: pairs in the order of their first install
+        self.installs: Dict[Tuple[str, str], List[FrozenSet[str]]] = {}
+        self.crashed: Set[str] = set()
         #: every composition installed so far, each the one shared copy
         self._shared: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
     def on_event(self, event: TraceEvent) -> None:
-        if event.group is None:
+        """Record a view fact; an event of any other kind is ignored."""
+        kind, process, group = event.kind, event.process, event.group
+        if kind == CRASH:
+            self.crashed.add(process)
+        elif group is None:
             return
-        if event.kind == VIEW_INSTALL:
-            row = self.views.get(event.process)
-            if row is None:
-                row = self.views[event.process] = {}
-            row[event.group] = self.intern(event.detail("members", ()))
-        elif event.kind == DEPART:
-            self.departed.setdefault(event.process, set()).add(event.group)
-
-    def intern(self, members: Iterable[str]) -> FrozenSet[str]:
-        """The one shared copy of this view composition."""
-        composition = frozenset(members)
-        return self._shared.setdefault(composition, composition)
+        elif kind == VIEW_INSTALL:
+            composition = frozenset(event.detail("members", ()))
+            members = self._shared.setdefault(composition, composition)
+            self.views.setdefault(process, {})[group] = members
+            self.installs.setdefault((process, group), []).append(members)
+        elif kind == DEPART:
+            self.departed.setdefault(process, set()).add(group)
 
 
-class OnlineChecker(TraceSink):
-    """Base class: a trace sink that accumulates a :class:`CheckResult`.
+class OnlineChecker:
+    """Base class: one property of an :class:`OnlineCheckSuite`,
+    accumulating a :class:`CheckResult`.
 
-    Subclasses set :attr:`name`, declare the event kinds they consume in
-    :attr:`KINDS` (the suite uses it to skip dispatch), implement
-    :meth:`on_event` (a delivery checker's one delivery body is its
-    ``on_deliveries``), and either append to :attr:`violations` as they are
-    detected or override :meth:`result` for end-of-run evaluation.
+    A checker reads the suite's view timeline and is fed by the suite
+    through the hooks it defines: ``on_deliveries(time, process, run,
+    first_seq)`` for each run of deliveries, ``on_send(event)`` for each
+    ``send``.  Subclasses set :attr:`name`, and either append to
+    :attr:`violations` as they are detected or override :meth:`result` for
+    end-of-run evaluation.
     """
 
     name = "online"
-    #: Event kinds this checker consumes; the suite dispatches only these.
-    KINDS: FrozenSet[str] = frozenset()
 
-    def __init__(self) -> None:
+    def __init__(self, timeline: _ViewTimeline) -> None:
+        self._timeline = timeline
         self.violations: List[str] = []
-
-    def _adopt(self, timeline: Optional[_ViewTimeline]) -> _ViewTimeline:
-        """The view timeline a view-scoped checker reads: the given one,
-        which its owner feeds -- so the checker stops consuming the
-        timeline's kinds -- or, given none, one of its own."""
-        if timeline is None:
-            return _ViewTimeline()
-        timeline.wanted |= self.KINDS & _ViewTimeline.KINDS
-        self.KINDS = self.KINDS - _ViewTimeline.KINDS
-        return timeline
 
     def result(self) -> CheckResult:
         """The verdict over everything seen so far."""
@@ -245,11 +232,9 @@ class OnlineTotalOrder(OnlineChecker):
     """
 
     name = "total_order"
-    KINDS = frozenset({DELIVER, VIEW_INSTALL})
 
-    def __init__(self, timeline: Optional[_ViewTimeline] = None) -> None:
-        super().__init__()
-        self._timeline = self._adopt(timeline)
+    def __init__(self, timeline: _ViewTimeline) -> None:
+        super().__init__(timeline)
         self.events_seen = 0
         #: The arbiter's output: message id -> global position in the
         #: reference delivery order (first-delivery rank).  Every process's
@@ -267,12 +252,6 @@ class OnlineTotalOrder(OnlineChecker):
         #: p -> q -> (max local position in q of a message delivered by
         #: both, witness message id); p's row exists from its first delivery
         self._watermark: Dict[str, Dict[str, Tuple[int, str]]] = {}
-
-    def on_event(self, event: TraceEvent) -> None:
-        if event.kind == VIEW_INSTALL:
-            self._timeline.on_event(event)
-        elif event.kind == DELIVER:
-            self.on_deliveries(event.time, event.process, (delivery_entry(event),), event.seq)
 
     def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
         self.events_seen += len(run)
@@ -380,20 +359,9 @@ class OnlineTotalOrder(OnlineChecker):
 class OnlineSenderInView(OnlineChecker):
     """MD1: each delivery's sender is in the live view of the message's
     group at the delivering process -- an O(1) membership test against the
-    view timeline maintained from install events."""
+    suite's view timeline."""
 
     name = "sender_in_view"
-    KINDS = frozenset({DELIVER, VIEW_INSTALL})
-
-    def __init__(self, timeline: Optional[_ViewTimeline] = None) -> None:
-        super().__init__()
-        self._timeline = self._adopt(timeline)
-
-    def on_event(self, event: TraceEvent) -> None:
-        if event.kind == VIEW_INSTALL:
-            self._timeline.on_event(event)
-        elif event.kind == DELIVER:
-            self.on_deliveries(event.time, event.process, (delivery_entry(event),), event.seq)
 
     def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
         views = self._timeline.views.get(process)
@@ -502,22 +470,12 @@ class OnlineCausalOrder(OnlineChecker):
     """
 
     name = "causal_prefix"
-    KINDS = frozenset({SEND, DELIVER, VIEW_INSTALL, DEPART})
 
-    def __init__(self, timeline: Optional[_ViewTimeline] = None) -> None:
-        super().__init__()
-        self._timeline = self._adopt(timeline)
+    def __init__(self, timeline: _ViewTimeline) -> None:
+        super().__init__(timeline)
         #: message id -> (sender, n): it is that sender's n-th send
         self._sent: Dict[str, Tuple[str, int]] = {}
         self._rows: Dict[str, _CausalRow] = {}
-
-    def on_event(self, event: TraceEvent) -> None:
-        if event.kind == DELIVER:
-            self.on_deliveries(event.time, event.process, (delivery_entry(event),), event.seq)
-        elif event.kind == SEND:
-            self._on_send(event)
-        else:
-            self._timeline.on_event(event)
 
     def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
         rows = self._rows
@@ -574,7 +532,7 @@ class OnlineCausalOrder(OnlineChecker):
                             f"still in its view of {predecessor_group}"
                         )
 
-    def _on_send(self, event: TraceEvent) -> None:
+    def on_send(self, event: TraceEvent) -> None:
         if event.message_id is None or event.message_id in self._sent:
             # Nothing to register; in particular not a re-send under the
             # original id (asymmetric failover): the message's causal past
@@ -616,12 +574,12 @@ class OnlineVirtualSynchrony(OnlineChecker):
 
     Deliveries accumulate into an order-independent fingerprint (XOR and
     sum of message-id hashes, plus a count) keyed by the ``view_index``
-    the protocol stamped on the delivery; view installs append to the
-    process's per-group view sequence.  At :meth:`result` time, processes
-    (crashed ones exempt, as in the paper) that installed the same view at
-    the same position *and* the same successor view must have identical
-    fingerprints for the enclosed interval.  Per event this is O(1); memory
-    is O(views), not O(deliveries).
+    the protocol stamped on the delivery.  At :meth:`result` time,
+    processes (crashed ones exempt, as in the paper) that installed the
+    same view at the same position of their install history *and* the same
+    successor view must have identical fingerprints for the enclosed
+    interval.  Per delivery this is O(1); memory is O(views), not
+    O(deliveries).
 
     ``view_agreement_sets`` scopes the comparison per group: groups
     named in the mapping compare only the listed processes (the scenario's
@@ -631,35 +589,18 @@ class OnlineVirtualSynchrony(OnlineChecker):
     """
 
     name = "same_view_delivery_sets"
-    KINDS = frozenset({DELIVER, VIEW_INSTALL, CRASH})
 
     def __init__(
         self,
+        timeline: _ViewTimeline,
         view_agreement_sets: Optional[Dict[str, Iterable[str]]] = None,
-        timeline: Optional[_ViewTimeline] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(timeline)
         self.view_agreement_sets = view_agreement_sets
-        #: Interns stored compositions: the shared timeline's table, or one
-        #: of its own (the timeline need not be fed to intern through it).
-        self._intern = (timeline if timeline is not None else _ViewTimeline()).intern
-        #: (process, group) -> installed view compositions, in order
-        self._installs: Dict[Tuple[str, str], List[FrozenSet[str]]] = {}
         #: (process, group) -> view_index -> (xor, sum, count)
         self._fingerprints: Dict[
             Tuple[str, str], Dict[int, Tuple[int, int, int]]
         ] = {}
-        self._crashed: Set[str] = set()
-
-    def on_event(self, event: TraceEvent) -> None:
-        if event.kind == DELIVER:
-            self.on_deliveries(event.time, event.process, (delivery_entry(event),), event.seq)
-        elif event.kind == CRASH:
-            self._crashed.add(event.process)
-        elif event.kind == VIEW_INSTALL and event.group is not None:
-            self._installs.setdefault((event.process, event.group), []).append(
-                self._intern(event.detail("members", ()))
-            )
 
     def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
         fingerprints = self._fingerprints
@@ -682,6 +623,7 @@ class OnlineVirtualSynchrony(OnlineChecker):
 
     def result(self) -> CheckResult:
         violations = list(self.violations)
+        crashed = self._timeline.crashed
         # Group closed intervals by (group, position, view, successor view):
         # everyone in a bucket agreed on both installs, so their interval
         # fingerprints must match (the premise of MD3).
@@ -689,8 +631,8 @@ class OnlineVirtualSynchrony(OnlineChecker):
             Tuple[str, int, FrozenSet[str], FrozenSet[str]],
             List[Tuple[str, Tuple[int, int, int]]],
         ] = {}
-        for (process, group), views in self._installs.items():
-            if process in self._crashed or not self._in_scope(process, group):
+        for (process, group), views in self._timeline.installs.items():
+            if process in crashed or not self._in_scope(process, group):
                 continue
             fingerprints = self._fingerprints.get((process, group), {})
             for position in range(len(views) - 1):
@@ -714,70 +656,50 @@ class OnlineVirtualSynchrony(OnlineChecker):
 class OnlineViewAgreement(OnlineChecker):
     """VC1: processes expected to agree install identical view sequences.
 
-    View installs are rare (O(membership changes), never O(messages)), so
-    the sequences are simply stored per (process, group) and compared at
-    :meth:`result` time within the expected agreement sets (only the
-    scenario's stable core must agree after partitions; crashed processes
-    are exempt).
+    View installs are rare (O(membership changes), never O(messages)); the
+    suite's view timeline keeps every (process, group)'s install history,
+    and this checker compares them at :meth:`result` time within the
+    expected agreement sets (only the scenario's stable core must agree
+    after partitions; crashed processes are exempt).
     """
 
     name = "view_sequences"
-    KINDS = frozenset({VIEW_INSTALL, CRASH})
 
     def __init__(
         self,
+        timeline: _ViewTimeline,
         view_agreement_sets: Optional[Dict[str, Iterable[str]]] = None,
-        timeline: Optional[_ViewTimeline] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(timeline)
         self.view_agreement_sets = view_agreement_sets
-        #: Interns stored compositions: the shared timeline's table, or one
-        #: of its own (the timeline need not be fed to intern through it).
-        self._intern = (timeline if timeline is not None else _ViewTimeline()).intern
-        self._sequences: Dict[Tuple[str, str], List[FrozenSet[str]]] = {}
-        self._groups: Set[str] = set()
-        self._crashed: Set[str] = set()
-
-    def on_event(self, event: TraceEvent) -> None:
-        if event.kind == CRASH:
-            self._crashed.add(event.process)
-            return
-        if event.group is None:
-            return
-        self._groups.add(event.group)
-        self._sequences.setdefault((event.process, event.group), []).append(
-            self._intern(event.detail("members", ()))
-        )
 
     def result(self) -> CheckResult:
         violations = list(self.violations)
-        for group in sorted(self._groups):
+        sequences = self._timeline.installs
+        crashed = self._timeline.crashed
+        for group in sorted({group for _process, group in sequences}):
             expected = (
                 self.view_agreement_sets.get(group)
                 if self.view_agreement_sets is not None
                 else None
             )
             if expected is not None:
-                candidates = [
-                    process
-                    for process in expected
-                    if process not in self._crashed
-                ]
+                candidates = [process for process in expected if process not in crashed]
             else:
                 # No agreement set for this group: fall back to every
                 # process that installed a view of it (appropriate for
                 # partition-free groups).
                 candidates = sorted(
                     process
-                    for (process, seq_group) in self._sequences
-                    if seq_group == group and process not in self._crashed
+                    for (process, seq_group) in sequences
+                    if seq_group == group and process not in crashed
                 )
             if len(candidates) < 2:
                 continue
             reference_process = candidates[0]
-            reference = self._sequences.get((reference_process, group), [])
+            reference = sequences.get((reference_process, group), [])
             for process in candidates[1:]:
-                sequence = self._sequences.get((process, group), [])
+                sequence = sequences.get((process, group), [])
                 if sequence != reference:
                     violations.append(
                         f"view sequences differ for {group}: "
@@ -787,17 +709,15 @@ class OnlineViewAgreement(OnlineChecker):
         return CheckResult(self.name, not violations, violations)
 
 
-#: Checker-name -> factory over (view agreement sets, shared view
-#: timeline); the names are what protocol stacks declare as the checks
-#: their guarantees claim (``ProtocolStack.checks``).
+#: Checker-name -> factory over (the suite's view timeline, view agreement
+#: sets); the names are what protocol stacks declare as the checks their
+#: guarantees claim (``ProtocolStack.checks``).
 CHECKER_FACTORIES = {
-    "total_order": lambda sets, timeline: OnlineTotalOrder(timeline),
-    "sender_in_view": lambda sets, timeline: OnlineSenderInView(timeline),
-    "causal_prefix": lambda sets, timeline: OnlineCausalOrder(timeline),
-    "view_sequences": lambda sets, timeline: OnlineViewAgreement(sets, timeline),
-    "same_view_delivery_sets": lambda sets, timeline: OnlineVirtualSynchrony(
-        sets, timeline
-    ),
+    "total_order": lambda timeline, sets: OnlineTotalOrder(timeline),
+    "sender_in_view": lambda timeline, sets: OnlineSenderInView(timeline),
+    "causal_prefix": lambda timeline, sets: OnlineCausalOrder(timeline),
+    "view_sequences": OnlineViewAgreement,
+    "same_view_delivery_sets": OnlineVirtualSynchrony,
 }
 
 #: Every checker, in dispatch order -- the default (Newtop) selection.
@@ -811,24 +731,29 @@ ALL_CHECKS: Tuple[str, ...] = (
 
 
 class OnlineCheckSuite(TraceSink):
-    """All streaming checkers behind a single trace sink.
+    """All streaming checkers behind the one trace sink.
 
     Construct (optionally with the per-group view agreement sets: group id
     -> the processes expected to agree), register on a
     :class:`~repro.net.trace.TraceRecorder` -- with ``keep_events=False``
-    when nothing need be materialized -- and read
-    :meth:`result` once the run settles.  Events are dispatched only to the
-    checkers whose :attr:`~OnlineChecker.KINDS` include their kind, and the
-    suite subscribes to the union, so the dominant null-message traffic
-    never reaches it.  A process's run of deliveries (:meth:`on_deliveries`)
-    goes whole to each delivery checker, which reads that process's state
-    once per run (20.8 deliveries on the ledger's ``stream_busy``).
+    when nothing need be materialized -- and read :meth:`result` once the
+    run settles.  The suite subscribes to the five kinds it reads, so the
+    dominant null-message traffic never reaches it, and dispatches each
+    once: ``view_install``, ``depart`` and ``crash`` to :attr:`timeline`,
+    the one record of view facts its checkers read; ``send`` to the
+    checkers with an ``on_send``; and a process's run of deliveries
+    (:meth:`on_deliveries`) whole to the checkers with an ``on_deliveries``,
+    which read that process's state once per run (20.8 deliveries on the
+    ledger's ``stream_busy``).  A delivery reaches it only as a run: a
+    ``deliver`` event handed to :meth:`on_event` raises.
 
     ``checks`` selects a subset of checkers by name (see
     :data:`CHECKER_FACTORIES`): protocol stacks whose guarantees are weaker
     than Newtop's (e.g. a fixed sequencer claims total order but not causal
     prefixes across groups) verify exactly the properties they claim.
     """
+
+    KINDS = frozenset({SEND, DELIVER, VIEW_INSTALL, DEPART, CRASH})
 
     def __init__(
         self,
@@ -843,11 +768,9 @@ class OnlineCheckSuite(TraceSink):
             raise ValueError(
                 f"unknown check names {unknown}; expected a subset of {ALL_CHECKS}"
             )
-        # One view timeline for the whole suite, fed here once per install
-        # or departure, ahead of the checkers that read it.
-        timeline = _ViewTimeline()
+        self.timeline = _ViewTimeline()
         built = {
-            name: CHECKER_FACTORIES[name](view_agreement_sets, timeline)
+            name: CHECKER_FACTORIES[name](self.timeline, view_agreement_sets)
             for name in self.check_names
         }
         # The two checkers callers read counters from, by name.
@@ -858,29 +781,36 @@ class OnlineCheckSuite(TraceSink):
         )
         if not self.checkers:
             raise ValueError("an OnlineCheckSuite needs at least one check")
-        self._dispatch: Dict[str, List[Callable[[TraceEvent], None]]] = {
-            kind: [timeline.on_event] for kind in sorted(timeline.wanted)
-        }
-        for checker in self.checkers:
-            for kind in checker.KINDS:
-                self._dispatch.setdefault(kind, []).append(checker.on_event)
-        #: The delivery checkers' run bodies, in checker order.
-        self._run_dispatch = tuple(
-            checker.on_deliveries for checker in self.checkers if DELIVER in checker.KINDS
+        #: The checkers' hooks, in checker order.
+        self._on_send = tuple(
+            checker.on_send for checker in self.checkers if hasattr(checker, "on_send")
         )
-        #: What a recorder need send us: the union of the checkers' kinds.
-        self.KINDS = frozenset(self._dispatch)
+        self._on_deliveries = tuple(
+            checker.on_deliveries
+            for checker in self.checkers
+            if hasattr(checker, "on_deliveries")
+        )
         self.events_seen = 0
 
     def on_event(self, event: TraceEvent) -> None:
+        """One event other than a delivery: a ``send`` to the checkers
+        that take sends, any other kind to the view timeline."""
+        if event.kind == DELIVER:
+            raise ValueError(
+                "a delivery reaches the check suite as a run (on_deliveries); "
+                "replay a stored trace with check_events"
+            )
         self.events_seen += 1
-        for on_event in self._dispatch.get(event.kind, ()):
-            on_event(event)
+        if event.kind == SEND:
+            for on_send in self._on_send:
+                on_send(event)
+        else:
+            self.timeline.on_event(event)
 
     def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
         """A run of deliveries at ``process``, whole to each delivery checker."""
         self.events_seen += len(run)
-        for on_deliveries in self._run_dispatch:
+        for on_deliveries in self._on_deliveries:
             on_deliveries(time, process, run, first_seq)
 
     def result(self) -> CheckResult:
@@ -900,10 +830,11 @@ class GroupScopedCheckSuite(TraceSink):
     overlapping groups run one independent protocol instance per group, so
     their guarantees -- total order, causal order -- hold *within* each
     group but say nothing across groups (exactly the weakness §6 of the
-    paper attributes to them).  This sink dispatches each event to an
-    :class:`OnlineCheckSuite` dedicated to the event's group, scoping every
-    selected check to one group's event stream; group-less events (crashes)
-    fan out to every group's suite, including ones created later.
+    paper attributes to them).  This sink hands each event, and each
+    delivery of a run, to an :class:`OnlineCheckSuite` dedicated to its
+    group, scoping every selected check to one group's event stream;
+    group-less events (crashes) fan out to every group's suite, including
+    ones created later.
 
     Only crash events are buffered for that late replay: crashes are
     bounded by the process count, so the suite keeps the online mode's
@@ -945,6 +876,11 @@ class GroupScopedCheckSuite(TraceSink):
             return
         self._suite_for(event.group).on_event(event)
 
+    def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
+        """Each delivery of the run, as a run of one, to its group's suite."""
+        for seq, entry in enumerate(run, first_seq):
+            self._suite_for(entry[0]).on_deliveries(time, process, (entry,), seq)
+
     def result(self) -> CheckResult:
         """AND of every group's verdict (PASS when no group was exercised)."""
         merged: Optional[CheckResult] = None
@@ -965,14 +901,19 @@ def check_events(
     """Replay an event stream through a fresh suite and return the verdict.
 
     Events are fed in ``(time, seq)`` order -- the order the recorder
-    produced them -- so a stored/parsed trace checks identically to a live
-    run.  ``checks`` and ``scope`` mirror the per-stack selection of
-    :class:`OnlineCheckSuite` / :class:`GroupScopedCheckSuite`.
+    produced them -- with the deliveries regrouped into the runs they were
+    recorded as (:func:`~repro.net.trace.delivery_runs`), so a
+    stored/parsed trace checks identically to a live run.  ``checks`` and
+    ``scope`` mirror the per-stack selection of :class:`OnlineCheckSuite` /
+    :class:`GroupScopedCheckSuite`.
     """
     if scope == "group":
         suite: TraceSink = GroupScopedCheckSuite(view_agreement_sets, checks=checks)
     else:
         suite = OnlineCheckSuite(view_agreement_sets, checks=checks)
-    for event in sorted(events, key=lambda event: (event.time, event.seq)):
-        suite.on_event(event)
+    for item in delivery_runs(sorted(events, key=lambda event: (event.time, event.seq))):
+        if isinstance(item, TraceEvent):
+            suite.on_event(item)
+        else:
+            suite.on_deliveries(*item)
     return suite.result()

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.messages import next_message_number
 from repro.net.simulator import Simulator
-from repro.net.trace import DELIVER, SEND, DeliveryLog, TraceRecorder
+from repro.net.trace import SEND, DeliveryLog, TraceRecorder
 from repro.net.transport import Endpoint, Transport, TransportMessage
 
 
@@ -138,13 +138,8 @@ class BaselineProcess:
     def _deliver(self, msg_id: str, sender: str, payload: object) -> None:
         self.delivered.add(1, lambda: (BaselineDelivery(msg_id, sender, payload, self.sim.now),))
         if self.recorder is not None:
-            self.recorder.record(
-                self.sim.now,
-                DELIVER,
-                self.process_id,
-                group=self.group_id,
-                message_id=msg_id,
-                sender=sender,
+            self.recorder.record_deliveries(
+                self.sim.now, self.process_id, ((self.group_id, msg_id, sender, None, None),)
             )
 
     # ------------------------------------------------------------------

@@ -26,14 +26,15 @@ implements two methods, may name the kinds it consumes and may take runs::
         def on_deliveries(self, time, process, run, first_seq): ...  # optional
         def close(self) -> None: ...                        # end of run
 
-Delivery runs: a Newtop process hands what it delivers at one instant to
-:meth:`TraceRecorder.record_deliveries` as one run of :data:`DeliveryEntry`
-tuples, numbered ``first_seq`` on.  A ``deliver`` sink with
-``on_deliveries`` gets the run in one call; for one without it (this base
-class has none), and for the stored trace, the recorder builds each event
-as :meth:`TraceRecorder.record` would, so no trace or dump tells the paths
-apart.  A run sink's ``on_event`` hands a ``deliver`` event (a replayed
-trace's, a baseline's) to ``on_deliveries`` as a run of one.
+Delivery runs: a delivery is recorded one way only.  A process hands what
+it delivers at one instant to :meth:`TraceRecorder.record_deliveries` as
+one run of :data:`DeliveryEntry` tuples, numbered ``first_seq`` on (a
+baseline's runs hold one delivery each); :meth:`TraceRecorder.record`
+refuses ``deliver``.  A ``deliver`` sink with ``on_deliveries`` gets the
+run in one call; for one without it (this base class has none), and for
+the stored trace, the recorder builds each event, so no trace or dump
+tells the paths apart.  A stored stream goes back into runs through
+:func:`delivery_runs`, which is how it is replayed.
 
 Count-only kinds: a streaming recorder (``keep_events=False``) keeps the
 exact per-kind tally itself (:meth:`TraceRecorder.kind_counts`), and
@@ -207,6 +208,27 @@ def delivery_entry(event: TraceEvent) -> DeliveryEntry:
     return (event.group, event.message_id, event.sender, event.clock, event.detail("view_index"))
 
 
+def delivery_runs(
+    events: Iterable[TraceEvent],
+) -> List[Union[TraceEvent, Tuple[float, str, List[DeliveryEntry], int]]]:
+    """A ``(time, seq)``-ordered stream as it was recorded: each stretch of
+    consecutive ``deliver`` events of one (time, process) becomes one run
+    ``(time, process, entries, first_seq)``; every other event stays as it
+    is (a :class:`TraceEvent`, where a run is a plain tuple)."""
+    items: List[Any] = []
+    run_at: Optional[Tuple[float, str]] = None
+    for event in events:
+        if event.kind != DELIVER:
+            items.append(event)
+            run_at = None
+        elif (event.time, event.process) == run_at:
+            items[-1][2].append(delivery_entry(event))
+        else:
+            items.append((event.time, event.process, [delivery_entry(event)], event.seq))
+            run_at = (event.time, event.process)
+    return items
+
+
 class TraceSink:
     """Observer interface for streaming trace consumption.
 
@@ -366,8 +388,6 @@ class MetricsSink(TraceSink):
             self._first_send_time.setdefault(event.message_id, event.time)
             if self._unsent_deliveries:
                 self._pair_unsent(event.message_id)
-        elif event.kind == DELIVER:
-            self.on_deliveries(event.time, event.process, (delivery_entry(event),), event.seq)
 
     def on_deliveries(self, time: float, process: str, run: DeliveryRun, first_seq: int) -> None:
         by_group, latency = self.deliveries_by_group, self.latency
@@ -602,7 +622,7 @@ class TraceRecorder:
         """Rebuild the per-kind fan-out from the registered sinks: kind ->
         the sinks subscribed to it, in registration order.  A lifecycle
         kind goes only to the sinks that name it."""
-        self._routes: Dict[str, Tuple[TraceSink, ...]] = {
+        routes: Dict[str, Tuple[TraceSink, ...]] = {
             kind: tuple(
                 sink
                 for sink in self._sinks
@@ -618,10 +638,12 @@ class TraceRecorder:
         }
         #: The lifecycle dispatch, or ``None`` while nobody subscribes.
         self.lifecycle = self._lifecycle if any(self._lifecycle_routes.values()) else None
-        #: ``deliver``'s sinks, each with its ``on_deliveries`` or ``None``.
+        #: ``deliver``'s sinks, each with its ``on_deliveries`` or ``None``;
+        #: ``deliver`` has no route of :meth:`record`'s.
         self._run_route: Tuple[Tuple[TraceSink, Optional[Callable[..., None]]], ...] = tuple(
-            (sink, getattr(sink, "on_deliveries", None)) for sink in self._routes[DELIVER]
+            (sink, getattr(sink, "on_deliveries", None)) for sink in routes.pop(DELIVER)
         )
+        self._routes = routes
         self._run_builds = self._memory is not None or any(
             on_deliveries is None for _, on_deliveries in self._run_route
         )
@@ -659,9 +681,16 @@ class TraceRecorder:
     ) -> Optional[TraceEvent]:
         """Record one event, fan it out to the sinks subscribed to its
         kind, and return it -- or, on a streaming recorder with no sink
-        subscribed to the kind, count it and return ``None``."""
+        subscribed to the kind, count it and return ``None``.  A delivery
+        is not an event of this method's: :meth:`record_deliveries` takes
+        it, as a run."""
         sinks = self._routes.get(kind)
         if sinks is None:
+            if kind == DELIVER:
+                raise ValueError(
+                    "record() takes no deliver event: record a delivery as a run "
+                    "with record_deliveries(time, process, run)"
+                )
             raise ValueError(f"unknown trace event kind {kind!r}")
         memory = self._memory
         if memory is None:
@@ -687,8 +716,10 @@ class TraceRecorder:
 
     def record_deliveries(self, time: float, process: str, run: DeliveryRun) -> List[TraceEvent]:
         """Record what ``process`` delivered at ``time`` as one run, numbered,
-        tallied and stored as :meth:`record` would; returns the events built.
-        A run sink that raises is reported at the run's first ``seq``."""
+        tallied and stored as :meth:`record` numbers, tallies and stores
+        other kinds; returns the events built (an entry's ``view_index`` is
+        their one detail, and one of ``None`` gives no details).  A run sink
+        that raises is reported at the run's first ``seq``."""
         first_seq, self._seq = self._seq, self._seq + len(run)
         memory = self._memory
         if memory is None:
@@ -697,7 +728,7 @@ class TraceRecorder:
         if self._run_builds:
             events = [
                 TraceEvent(time, DELIVER, process, group, message_id, sender, clock,
-                           (("view_index", view_index),), seq)
+                           (("view_index", view_index),) if view_index is not None else (), seq)
                 for seq, (group, message_id, sender, clock, view_index) in enumerate(run, first_seq)
             ]
             if memory is not None:

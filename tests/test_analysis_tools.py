@@ -17,7 +17,7 @@ from repro.analysis.overhead import (
 )
 from repro.api import Session
 from repro.core import NewtopConfig
-from repro.net.trace import DELIVER, SEND, SUSPECT, TraceRecorder, VIEW_INSTALL
+from repro.net.trace import SEND, SUSPECT, TraceRecorder, VIEW_INSTALL
 from repro.stats import LatencyReservoir, percentile
 
 
@@ -32,10 +32,7 @@ def _delivery_trace(orders):
                         group="g", message_id=msg_id, sender="p0", clock=1)
     for process, order in orders.items():
         for index, msg_id in enumerate(order):
-            recorder.record(
-                1.0 + index, DELIVER, process, group="g", message_id=msg_id,
-                sender="p0", clock=index + 1, view_index=0,
-            )
+            recorder.record_deliveries(1.0 + index, process, [("g", msg_id, "p0", index + 1, 0)])
     return recorder.trace()
 
 
@@ -60,10 +57,10 @@ def test_causal_order_violation_detected():
     recorder = TraceRecorder()
     recorder.record(0.0, VIEW_INSTALL, "p2", group="g", members=("p1", "p2"), index=0)
     recorder.record(1.0, SEND, "p1", group="g", message_id="m1", sender="p1", clock=1)
-    recorder.record(2.0, DELIVER, "p1", group="g", message_id="m1", sender="p1", clock=1, view_index=0)
+    recorder.record_deliveries(2.0, "p1", [("g", "m1", "p1", 1, 0)])
     recorder.record(3.0, SEND, "p1", group="g", message_id="m2", sender="p1", clock=2)
     # p2 delivers m2 without ever delivering m1 although p1 stays in view.
-    recorder.record(4.0, DELIVER, "p2", group="g", message_id="m2", sender="p1", clock=2, view_index=0)
+    recorder.record_deliveries(4.0, "p2", [("g", "m2", "p1", 2, 0)])
     trace = recorder.trace()
     assert not check_causal_prefix(trace).passed
 
@@ -72,7 +69,7 @@ def test_sender_in_view_checker():
     recorder = TraceRecorder()
     recorder.record(0.0, VIEW_INSTALL, "p1", group="g", members=("p1", "p2"), index=0)
     recorder.record(1.0, VIEW_INSTALL, "p1", group="g", members=("p1",), index=1)
-    recorder.record(2.0, DELIVER, "p1", group="g", message_id="m", sender="p2", clock=1, view_index=1)
+    recorder.record_deliveries(2.0, "p1", [("g", "m", "p2", 1, 1)])
     assert not check_sender_in_view(recorder.trace()).passed
 
 
@@ -90,7 +87,7 @@ def test_virtual_synchrony_checker_detects_mismatch():
     for process in ("p1", "p2"):
         recorder.record(0.0, VIEW_INSTALL, process, group="g", members=("p1", "p2", "p3"), index=0)
         recorder.record(5.0, VIEW_INSTALL, process, group="g", members=("p1", "p2"), index=1)
-    recorder.record(1.0, DELIVER, "p1", group="g", message_id="m1", sender="p3", clock=1, view_index=0)
+    recorder.record_deliveries(1.0, "p1", [("g", "m1", "p3", 1, 0)])
     # p2 never delivers m1 in view 0 although both install the same views.
     result = check_same_view_delivery_sets(recorder.trace(), "g", ["p1", "p2"])
     assert not result.passed

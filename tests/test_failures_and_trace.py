@@ -125,8 +125,8 @@ def test_trace_filters_and_sequences():
     recorder = TraceRecorder()
     recorder.record(1.0, SEND, "p1", group="g", message_id="m1", sender="p1", clock=1)
     recorder.record(2.0, RECEIVE, "p2", group="g", message_id="m1", sender="p1", clock=1)
-    recorder.record(3.0, DELIVER, "p2", group="g", message_id="m1", sender="p1", clock=1)
-    recorder.record(2.5, DELIVER, "p1", group="g", message_id="m1", sender="p1", clock=1)
+    recorder.record_deliveries(3.0, "p2", [("g", "m1", "p1", 1, None)])
+    recorder.record_deliveries(2.5, "p1", [("g", "m1", "p1", 1, None)])
     trace = recorder.trace()
     assert trace.processes() == ["p1", "p2"]
     assert trace_groups(trace) == ["g"]
@@ -151,9 +151,9 @@ def test_trace_happened_before_transitive():
     recorder = TraceRecorder()
     # p1 sends m1; p2 delivers m1 then sends m2; p3 delivers m2 then sends m3.
     recorder.record(1.0, SEND, "p1", group="g", message_id="m1", sender="p1")
-    recorder.record(2.0, DELIVER, "p2", group="g", message_id="m1", sender="p1")
+    recorder.record_deliveries(2.0, "p2", [("g", "m1", "p1", None, None)])
     recorder.record(3.0, SEND, "p2", group="g", message_id="m2", sender="p2")
-    recorder.record(4.0, DELIVER, "p3", group="g", message_id="m2", sender="p2")
+    recorder.record_deliveries(4.0, "p3", [("g", "m2", "p2", None, None)])
     recorder.record(5.0, SEND, "p3", group="g", message_id="m3", sender="p3")
     trace = recorder.trace()
     pairs = set(happened_before_pairs(trace))
@@ -389,18 +389,18 @@ def test_sinks_receive_only_the_kinds_they_declare():
     everything, deliveries, late = _CountingSink(), _Deliveries(), _Deliveries()
     recorder = TraceRecorder(sinks=[everything, deliveries])
     recorder.record(1.0, SEND, "p1", group="g", message_id="m1", sender="p1")
-    recorder.record(2.0, DELIVER, "p2", group="g", message_id="m1", sender="p1")
+    recorder.record_deliveries(2.0, "p2", [("g", "m1", "p1", None, None)])
     # No declaration (duck-typed sinks included) means every kind.
     assert (everything.seen, deliveries.seen) == (2, 1)
     # The routes follow the sink list: add, remove, detach.
     recorder.add_sink(late)
     recorder.remove_sink(deliveries)
-    recorder.record(3.0, DELIVER, "p3", group="g", message_id="m1", sender="p1")
+    recorder.record_deliveries(3.0, "p3", [("g", "m1", "p1", None, None)])
     assert (everything.seen, deliveries.seen, late.seen) == (3, 1, 1)
     boom = _BoomSink(explode_at=0)
     recorder.add_sink(boom)
-    recorder.record(4.0, DELIVER, "p1", group="g", message_id="m1", sender="p1")
-    recorder.record(5.0, DELIVER, "p1", group="g", message_id="m1", sender="p1")
+    recorder.record_deliveries(4.0, "p1", [("g", "m1", "p1", None, None)])
+    recorder.record_deliveries(5.0, "p1", [("g", "m1", "p1", None, None)])
     assert recorder.detached_sinks == [boom] and len(recorder.sink_errors) == 1
     assert (everything.seen, late.seen) == (5, 3)
     with pytest.raises(ValueError, match="unknown trace event kind"):
@@ -495,8 +495,8 @@ def test_count_only_kinds_follow_the_sink_list():
     deliveries = _Captured()
     recorder = TraceRecorder(sinks=[deliveries], keep_events=False)
     assert recorder.record(1.0, RECEIVE, "p1", group="g", message_id="m1") is None
-    built = recorder.record(2.0, DELIVER, "p1", group="g", message_id="m1")
-    assert built is not None and built.seq == 1
+    (built,) = recorder.record_deliveries(2.0, "p1", [("g", "m1", None, None, None)])
+    assert built.seq == 1
     # An all-kinds sink makes every kind materialize from the next event...
     boom = recorder.add_sink(_BoomSink(explode_at=1))
     built = recorder.record(3.0, RECEIVE, "p2", group="g", message_id="m1")
@@ -506,7 +506,7 @@ def test_count_only_kinds_follow_the_sink_list():
     assert recorder.record(4.0, RECEIVE, "p3", group="g", message_id="m1").seq == 3
     assert recorder.detached_sinks == [boom]
     assert recorder.record(5.0, RECEIVE, "p4", group="g", message_id="m1") is None
-    assert recorder.record(6.0, DELIVER, "p2", group="g", message_id="m1").seq == 5
+    assert recorder.record_deliveries(6.0, "p2", [("g", "m1", None, None, None)])[0].seq == 5
     assert recorder.kind_counts() == {RECEIVE: 4, DELIVER: 2}
     assert recorder.events_recorded == 6 and recorder.stored_events == 0
     assert [event.seq for event in deliveries.events] == [1, 5]
@@ -517,8 +517,9 @@ def test_count_only_kinds_follow_the_sink_list():
     # journeys are followed: null_send, suspect and the rest stay count-only.
 
     def built_kinds(observe):
-        routes = Session("newtop", analysis="online", observe=observe).recorder._routes
-        return {kind for kind, sinks in routes.items() if sinks}
+        recorder = Session("newtop", analysis="online", observe=observe).recorder
+        runs = {DELIVER} if recorder._run_route else set()
+        return runs | {kind for kind, sinks in recorder._routes.items() if sinks}
 
     checked = {SEND, DELIVER, VIEW_INSTALL, "crash", "depart"}
     blocking = {BLOCKED_SEND, UNBLOCKED_SEND}
@@ -551,7 +552,7 @@ def test_lifecycle_kinds_reach_only_the_sinks_that_name_them():
     assert lifecycle is not None
     lifecycle(HELD, 1.0, "p1", "m1", "suspected:p2")
     lifecycle(DISCARDED, 1.5, "p1", "m1", "step_viii")  # nobody names it
-    recorder.record(2.0, DELIVER, "p1", message_id="m1")
+    recorder.record_deliveries(2.0, "p1", [(None, "m1", None, None, None)])
     assert follower.heard == [(HELD, 1.0, "p1", "m1", "suspected:p2", None), DELIVER]
     # Never numbered, tallied, stored or shown to an all-kinds sink ...
     assert recorder.events_recorded == 1 and recorder.kind_counts() == {DELIVER: 1}
@@ -566,7 +567,7 @@ def test_lifecycle_kinds_reach_only_the_sinks_that_name_them():
     assert recorder.sink_errors[0]["sink"] == "_Follower"
     assert recorder.sink_errors[0]["at_time"] == 4.0
     lifecycle(HELD, 5.0, "p1", "m2")
-    recorder.record(6.0, DELIVER, "p1", message_id="m2")
+    recorder.record_deliveries(6.0, "p1", [(None, "m2", None, None, None)])
     assert len(follower.heard) == 2 and recorder.lifecycle is None
     strict = TraceRecorder(sinks=[_Follower()], on_sink_error="raise")
     with pytest.raises(RuntimeError, match="follower bug"):
@@ -578,7 +579,7 @@ def test_storing_recorder_builds_every_event_and_tallies_on_demand():
     assert recorder.record(1.0, RECEIVE, "p1", message_id="m1").seq == 0
     assert recorder.kind_counts() == {RECEIVE: 1}
     recorder.record(2.0, RECEIVE, "p2", message_id="m1")
-    recorder.record(3.0, DELIVER, "p2", message_id="m1")
+    recorder.record_deliveries(3.0, "p2", [(None, "m1", None, None, None)])
     assert recorder.kind_counts() == {RECEIVE: 2, DELIVER: 1}
     assert recorder.kind_counts() == {RECEIVE: 2, DELIVER: 1}
     assert recorder.stored_events == 3
@@ -593,7 +594,7 @@ def test_metrics_sink_reports_the_recorders_tally():
     recorder = TraceRecorder(sinks=[sink], keep_events=False)
     recorder.record(1.0, SEND, "p1", group="g", message_id="m1", sender="p1")
     assert recorder.record(1.5, RECEIVE, "p2", group="g", message_id="m1") is None
-    recorder.record(2.0, DELIVER, "p2", group="g", message_id="m1", sender="p1")
+    recorder.record_deliveries(2.0, "p2", [("g", "m1", "p1", None, None)])
     snapshot = sink.snapshot(recorder.kind_counts())
     assert snapshot["by_kind"] == {SEND: 1, RECEIVE: 1, DELIVER: 1}
     assert snapshot["events_total"] == 3 and snapshot["latency"]["count"] == 1

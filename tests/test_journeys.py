@@ -25,7 +25,6 @@ from repro.core.messages import (
 from repro.net.latency import ConstantLatency
 from repro.net.trace import (
     BLOCKED_SEND,
-    DELIVER,
     DISCARDED,
     HELD,
     RELEASED,
@@ -160,7 +159,7 @@ def test_tracker_records_full_lifecycle_and_wait_states():
     lifecycle(HELD, 1.25, "P2", sequenced, "suspected:P0")
     lifecycle(RELEASED, 1.75, "P2", sequenced)
     lifecycle(RELEASED, 1.8, "P2", sequenced)  # nothing held: ignored
-    recorder.record(2.25, DELIVER, "P2", group="g", message_id="P1#0", sender="P1")
+    recorder.record_deliveries(2.25, "P2", [("g", "P1#0", "P1", None, None)])
     lifecycle(DISCARDED, 2.5, "P3", sequenced, "excluded_sender")
     lifecycle(WIRE_DROPPED, 2.5, None, _envelope(sequenced, "P0", "P4", 0.75), "partition")
     # Other messages' steps, and steps of things without an id, are ignored.

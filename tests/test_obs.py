@@ -148,10 +148,14 @@ def test_trace_counter_sink_and_messages_per_delivery():
         )
         assert built is None
 
+    def deliver(*mids):
+        run = [("g", mid, "p1", 1, None) for mid in mids]
+        assert recorder.record_deliveries(sim.now, "p1", run) == []
+
     # Interval 1: 6 sends (2 app + 4 null) and 2 deliveries -> 3.0.
     sim.schedule_at(1.0, lambda: [emit(SEND, "m1"), emit(SEND, "m2")])
     sim.schedule_at(2.0, lambda: [emit("null_send", f"n{i}") for i in range(4)])
-    sim.schedule_at(3.0, lambda: [emit(DELIVER, "m1"), emit(DELIVER, "m2")])
+    sim.schedule_at(3.0, lambda: deliver("m1", "m2"))
     # Interval 2: 2 null sends, no deliveries -> None.
     sim.schedule_at(12.0, lambda: [emit("null_send", "n9"), emit("null_send", "n10")])
     sim.schedule_at(13.0, lambda: None)
@@ -215,6 +219,11 @@ def _span_event(time, kind, process, mid):
                       message_id=mid, sender="p1", clock=1, details=(), seq=0)
 
 
+def _span_delivery(sink, time, process, mid):
+    """``process`` delivers ``mid`` at ``time``, as a run of one."""
+    sink.on_deliveries(time, process, [("g", mid, "p1", 1, None)], 0)
+
+
 def test_span_sink_computes_lifecycle_stages():
     sink = SpanMetricsSink()
     assert sink.KINDS == {SEND, RECEIVE, DELIVER}
@@ -222,8 +231,8 @@ def test_span_sink_computes_lifecycle_stages():
     sink.on_event(_span_event(0.0, SEND, "p1", "m1"))
     sink.on_event(_span_event(1.0, RECEIVE, "p2", "m1"))
     sink.on_event(_span_event(2.0, RECEIVE, "p3", "m1"))
-    sink.on_event(_span_event(3.0, DELIVER, "p2", "m1"))
-    sink.on_event(_span_event(5.0, DELIVER, "p3", "m1"))
+    _span_delivery(sink, 3.0, "p2", "m1")
+    _span_delivery(sink, 5.0, "p3", "m1")
     snap = sink.span_snapshot()
     assert set(snap) == {"tracked_messages", "stages"}
     assert snap["tracked_messages"] == 1
@@ -244,13 +253,13 @@ def test_span_sink_computes_lifecycle_stages():
 def test_span_snapshot_is_repeatable_mid_run():
     sink = SpanMetricsSink()
     sink.on_event(_span_event(0.0, SEND, "p1", "m1"))
-    sink.on_event(_span_event(1.0, DELIVER, "p2", "m1"))
+    _span_delivery(sink, 1.0, "p2", "m1")
     first = sink.span_snapshot()
     assert first == sink.span_snapshot()
     assert first["stages"]["spread"]["count"] == 1
     assert first["stages"]["transit"] is None  # no receive yet
     # ``spread`` is folded when read, so a later delivery still widens it.
-    sink.on_event(_span_event(4.0, DELIVER, "p3", "m1"))
+    _span_delivery(sink, 4.0, "p3", "m1")
     assert sink.span_snapshot()["stages"]["spread"]["max"] == pytest.approx(3.0)
 
 

@@ -15,13 +15,10 @@ import json
 import pytest
 
 from oracle_checkers import check_all, happened_before_pairs
-from repro.analysis import check_events
-from repro.analysis.online import (
-    OnlineCheckSuite,
-    OnlineViewAgreement,
-    OnlineVirtualSynchrony,
-)
+from repro.analysis import check_events, online
+from repro.analysis.online import OnlineCheckSuite
 from repro.net.trace import (
+    CRASH,
     DELIVER,
     JsonlSink,
     MemorySink,
@@ -31,6 +28,8 @@ from repro.net.trace import (
     TraceEvent,
     TraceRecorder,
     VIEW_INSTALL,
+    delivery_entry,
+    delivery_runs,
 )
 from repro.scenarios import (
     ScenarioEngine,
@@ -59,6 +58,24 @@ def run_offline(config):
 def replay_online(events, agreement_sets=None):
     """Feed a (possibly mutated) event list through a fresh online suite."""
     return check_events(events, view_agreement_sets=agreement_sets)
+
+
+def fed(suite, items):
+    """``suite`` fed a stream of :func:`delivery_runs` items: each event
+    to ``on_event``, each run whole to ``on_deliveries``."""
+    for item in items:
+        if isinstance(item, TraceEvent):
+            suite.on_event(item)
+        else:
+            suite.on_deliveries(*item)
+    return suite
+
+
+def replayed(events, check):
+    """A one-check suite fed ``events`` in (time, seq) order, each stretch
+    of one process's deliveries at one instant as one run."""
+    ordered = sorted(events, key=lambda e: (e.time, e.seq))
+    return fed(OnlineCheckSuite(checks=(check,)), delivery_runs(ordered))
 
 
 SMALL_CHURN = dict(
@@ -92,7 +109,7 @@ def test_memory_sink_matches_recorder_trace():
     extra = MemorySink()
     recorder = TraceRecorder(sinks=[extra])
     recorder.record(1.0, SEND, "P1", group="g", message_id="m1", sender="P1")
-    recorder.record(2.0, DELIVER, "P2", group="g", message_id="m1", sender="P1")
+    recorder.record_deliveries(2.0, "P2", [("g", "m1", "P1", None, None)])
     assert [event.seq for event in extra.trace()] == [
         event.seq for event in recorder.trace()
     ]
@@ -133,7 +150,7 @@ def test_metrics_sink_uses_first_send_time():
     # Re-send under the original id (asymmetric failover) must not reset
     # the latency clock.
     recorder.record(5.0, SEND, "P1", group="g", message_id="m1", sender="P1")
-    recorder.record(6.0, DELIVER, "P2", group="g", message_id="m1", sender="P1")
+    recorder.record_deliveries(6.0, "P2", [("g", "m1", "P1", None, None)])
     assert metrics.latency.count == 1
     assert metrics.latency.mean == pytest.approx(5.0)
     assert metrics.snapshot(recorder.kind_counts())["by_kind"] == {"send": 2, "deliver": 1}
@@ -144,7 +161,7 @@ def test_event_trace_delivery_latencies_keep_first_send_time():
     recorder = TraceRecorder()
     recorder.record(1.0, SEND, "P1", group="g", message_id="m1", sender="P1")
     recorder.record(5.0, SEND, "P1", group="g", message_id="m1", sender="P1")
-    recorder.record(6.0, DELIVER, "P2", group="g", message_id="m1", sender="P1")
+    recorder.record_deliveries(6.0, "P2", [("g", "m1", "P1", None, None)])
     assert recorder.trace().delivery_latencies() == [pytest.approx(5.0)]
 
 
@@ -397,9 +414,7 @@ def test_engine_extra_jsonl_sink_in_online_mode(tmp_path):
 
 def test_suite_dispatches_only_relevant_kinds(churn_run):
     _, events = churn_run
-    suite = OnlineCheckSuite()
-    for event in events:
-        suite.on_event(event)
+    suite = fed(OnlineCheckSuite(), delivery_runs(events))
     assert suite.events_seen == len(events)
     # Null sends dominate the trace but no checker consumes them.
     null_sends = sum(1 for event in events if event.kind == "null_send")
@@ -416,31 +431,51 @@ def test_suite_dispatches_only_relevant_kinds(churn_run):
     assert sorted(positions.values()) == list(range(len(delivered_ids)))
 
 
-def test_checkers_hold_each_view_composition_once():
-    """The two checkers that store installed views intern them in the
-    suite's view timeline: every composition they hold is the timeline's
-    object.  A checker built on its own keeps a table of its own."""
-    engine = ScenarioEngine(from_config(churn_scenario(**SMALL_CHURN)), analysis="online")
+def test_each_install_is_held_once_per_suite():
+    """The suite's view timeline is its one record of installs and crashes:
+    on a seeded churn run its history for every (process, group) is the
+    stored trace's view sequence, each composition one shared object, and
+    no checker holds a view list or a crash set of its own."""
+    engine = ScenarioEngine(from_config(churn_scenario(**SMALL_CHURN)))
     assert engine.run().passed
-    suite = engine.session.suite
-    table = suite.total_order._timeline._shared
-    by_type = {type(checker): checker for checker in suite.checkers}
-    held = [
-        view
-        for views in list(by_type[OnlineVirtualSynchrony]._installs.values())
-        + list(by_type[OnlineViewAgreement]._sequences.values())
-        for view in views
-    ]
+    suite, trace = engine.session.suite, engine.session.trace()
+    timeline = suite.timeline
+    installed = {(e.process, e.group) for e in trace.events(kind=VIEW_INSTALL)}
+    assert set(timeline.installs) == installed
+    for (process, group), history in timeline.installs.items():
+        assert history == trace.view_sequence(process, group)
+    assert timeline.crashed == {e.process for e in trace.events(kind=CRASH)} != set()
+    table = timeline._shared
+    held = [view for history in timeline.installs.values() for view in history]
     assert len(held) > len(table) > 1
     assert all(table[view] is view for view in held)
-
-    alone = OnlineViewAgreement()
-    for process in ("P1", "P2"):
-        alone.on_event(
-            TraceEvent(1.0, VIEW_INSTALL, process, "g", details=(("members", ("P1", "P2")),))
+    # No checker keeps a set (of crashed processes) or a map to lists of
+    # compositions (install histories).
+    assert [
+        (checker.name, name)
+        for checker in suite.checkers
+        for name, value in vars(checker).items()
+        if isinstance(value, set) or isinstance(value, dict) and any(
+            isinstance(held, list) and any(isinstance(v, frozenset) for v in held)
+            for held in value.values()
         )
-    first, second = (views[0] for views in alone._sequences.values())
-    assert first is second and first not in table
+    ] == []
+
+
+def test_a_delivery_is_recorded_and_checked_only_as_a_run():
+    """``record`` refuses a ``deliver`` event, naming the run method, and
+    the suite refuses one handed to ``on_event``: ignoring it would pass a
+    stream whose deliveries no checker saw."""
+    recorder = TraceRecorder()
+    with pytest.raises(ValueError, match="record_deliveries"):
+        recorder.record(1.0, DELIVER, "P1", group="g", message_id="m1", sender="P1")
+    assert recorder.events_recorded == 0
+    (event,) = recorder.record_deliveries(1.0, "P1", [("g", "m1", "P1", None, None)])
+    suite = OnlineCheckSuite()
+    with pytest.raises(ValueError, match="check_events"):
+        suite.on_event(event)
+    assert suite.events_seen == 0
+    assert check_events([event]).passed
 
 
 def test_view_agreement_falls_back_when_group_unlisted(churn_run):
@@ -475,7 +510,7 @@ def test_view_agreement_falls_back_when_group_unlisted(churn_run):
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.analysis.online import OnlineCausalOrder, OnlineTotalOrder  # noqa: E402
+from repro.analysis.online import OnlineTotalOrder  # noqa: E402
 from repro.api import Session  # noqa: E402
 from repro.core.config import OrderingMode  # noqa: E402
 from repro.net.trace import DEPART, EventTrace, TraceEvent  # noqa: E402
@@ -526,31 +561,23 @@ def full_vector_causal_violations(events):
 
 
 def delta_causal_violations(events):
-    return _replay_checker(OnlineCausalOrder(), events).violations
+    return replayed(events, "causal_prefix").causal_order.violations
 
 
-def _replay_checker(checker, events):
-    """Feed one checker, built on its own, the kinds it consumes."""
-    for event in sorted(events, key=lambda e: (e.time, e.seq)):
-        if event.kind in checker.KINDS:
-            checker.on_event(event)
-    return checker
-
-
-class NeverClosingTotalOrder(OnlineTotalOrder):
-    """The reference the closing rule must match: every deliverer map
-    stays open for the whole run."""
-
-    def _close(self, message, entry):
-        pass
+def never_close(self, message, entry):
+    """``OnlineTotalOrder._close`` of the reference the closing rule must
+    match: every deliverer map stays open for the whole run."""
 
 
 def assert_closing_matches_never_closing(events):
     """The closing checker reports exactly what the never-closing
-    reference does; returns the closing checker."""
-    closing = _replay_checker(OnlineTotalOrder(), events)
-    reference = _replay_checker(NeverClosingTotalOrder(), events)
+    reference (installed by monkeypatch) does; returns the closing one."""
+    closing = replayed(events, "total_order").total_order
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OnlineTotalOrder, "_close", never_close)
+        reference = replayed(events, "total_order").total_order
     assert closing.violations == reference.violations
+    # The patch ran: the reference closed nothing.
     assert reference.closed_held() == 0
     return closing
 
@@ -777,9 +804,8 @@ def test_first_delivery_after_joining_by_formation_checks_the_whole_vector():
         ("deliver", "P", "f", "t1", "S"),
     ]
     events = _stream(*steps)
-    checker = OnlineCausalOrder()
-    for event in events:
-        checker.on_event(event)
+    suite = replayed(events, "causal_prefix")
+    checker = suite.causal_order
     assert set(checker.violations) == full_vector_causal_violations(events)
     assert len(checker.violations) == 1 and "preceding u1 " in checker.violations[0]
     # P's verified prefixes are t1's full vector: all of g's history too.
@@ -788,8 +814,10 @@ def test_first_delivery_after_joining_by_formation_checks_the_whole_vector():
     # (S's own entry is implied by the send's position).
     folded = checker.delta_entries_folded()
     assert folded >= 3
-    for event in _stream(("send", "S", "f", "t2"), ("deliver", "P", "f", "t2", "S")):
-        checker.on_event(event._replace(time=event.time + 100, seq=event.seq + 100))
+    later = _stream(("send", "S", "f", "t2"), ("deliver", "P", "f", "t2", "S"))
+    fed(suite, delivery_runs(
+        event._replace(time=event.time + 100, seq=event.seq + 100) for event in later
+    ))
     assert checker._rows["P"].frontier["S"] == 6
     assert checker.delta_entries_folded() == folded
 
@@ -850,10 +878,11 @@ def test_causal_checker_drops_a_delivered_id_at_its_check():
         ("send", "Y", "g", "y3"),
         ("deliver", "P", "g", "y3", "Y"),
     )
-    checker = OnlineCausalOrder()
+    suite = OnlineCheckSuite(checks=("causal_prefix",))
+    checker = suite.causal_order
     held = []
     for event in events:
-        checker.on_event(event)
+        fed(suite, delivery_runs([event]))
         held.append(checker.delivered_ids_held())
     assert held == [0, 0, 1, 1, 1, 0, 0, 0, 0]
     assert checker.violations == []
@@ -882,7 +911,7 @@ def test_a_late_duplicate_delivery_still_fails_the_suite():
         "duplicate delivery: P0 delivered m1 again" in v for v in online.violations
     )
     assert not check_all(EventTrace(events)).passed
-    checker = _replay_checker(OnlineTotalOrder(), events[:-1])
+    checker = replayed(events[:-1], "total_order").total_order
     assert (checker.maps_held(), checker.closed_held()) == (0, 2)
 
 
@@ -946,7 +975,7 @@ def test_a_duplicate_after_the_map_reopened_is_still_caught():
     re-delivery is then checked against the tombstone the fresh map
     carries."""
     events = _partitioned({"C": ["m1"], "A": ["m1"]})
-    checker = _replay_checker(OnlineTotalOrder(), events)
+    checker = replayed(events, "total_order").total_order
     assert checker.violations == [
         "duplicate delivery: A delivered m1 again (arbiter position 0)"
     ]
@@ -974,42 +1003,27 @@ def test_views_recorded_across_a_view_change_are_unioned():
 
 
 # ---------------------------------------------------------------------------
-# Runs and events: every delivery consumer has one body
+# Runs: one run of n deliveries checks as n runs of one
 # ---------------------------------------------------------------------------
 
-from repro.net.trace import SpanMetricsSink, delivery_entry  # noqa: E402
-
-
-def _recorded_as_runs(events):
-    """The stream as a session records it: each stretch of consecutive
-    ``deliver`` events of one (time, process) is one run
-    ``(time, process, entries, first seq)``; every other event stays."""
-    items, run_at = [], None
-    for event in sorted(events, key=lambda e: (e.time, e.seq)):
-        if event.kind != DELIVER:
-            items.append(event)
-            run_at = None
-        elif (event.time, event.process) == run_at:
-            items[-1][2].append(delivery_entry(event))
-        else:
-            items.append((event.time, event.process, [delivery_entry(event)], event.seq))
-            run_at = (event.time, event.process)
-    return items
+from repro.net.trace import SpanMetricsSink  # noqa: E402
 
 
 def _fed(sink, events, as_runs):
     """``sink`` fed the kinds it subscribes to, in (time, seq) order, with
-    the deliveries one event at a time or as runs."""
+    each stretch of one process's deliveries at one instant as one run, or
+    each delivery as a run of one."""
+    ordered = sorted(events, key=lambda e: (e.time, e.seq))
     if as_runs:
-        items = _recorded_as_runs(events)
+        items = delivery_runs(ordered)
     else:
-        items = sorted(events, key=lambda e: (e.time, e.seq))
-    for item in items:
-        if not isinstance(item, TraceEvent):
-            sink.on_deliveries(*item)
-        elif item.kind in sink.KINDS:
-            sink.on_event(item)
-    return sink
+        items = [
+            (e.time, e.process, [delivery_entry(e)], e.seq) if e.kind == DELIVER else e
+            for e in ordered
+        ]
+    return fed(sink, (
+        item for item in items if not isinstance(item, TraceEvent) or item.kind in sink.KINDS
+    ))
 
 
 class _Credits(list):
@@ -1042,11 +1056,13 @@ def _observed(events, agreement, as_runs):
 
 
 def assert_runs_check_as_events(events, agreement=None):
-    """Fed as runs, the suite and both latency sinks end exactly where
-    they end fed one event at a time (``check_events``' order): the same
-    verdict, the same violation strings in the same order, the same
-    counters and snapshots.  Returns what the events gave."""
-    runs = [item for item in _recorded_as_runs(events) if not isinstance(item, TraceEvent)]
+    """Fed one run of n deliveries, the suite and both latency sinks end
+    exactly where they end fed n runs of one: the same verdict, the same
+    violation strings in the same order, the same counters and snapshots;
+    and ``check_events`` gives that verdict.  Returns what the runs of one
+    gave."""
+    ordered = sorted(events, key=lambda e: (e.time, e.seq))
+    runs = [item for item in delivery_runs(ordered) if not isinstance(item, TraceEvent)]
     assert max(len(run[2]) for run in runs) > 1, "no run holds two deliveries"
     by_event = _observed(events, agreement, as_runs=False)
     assert _observed(events, agreement, as_runs=True) == by_event
@@ -1145,7 +1161,7 @@ def test_a_duplicate_and_an_inversion_inside_one_run():
         deliver(3.0, "P", "m1", "P", 8),
         deliver(3.0, "P", "m1", "P", 9),
     ]
-    runs = [item[2] for item in _recorded_as_runs(events) if not isinstance(item, TraceEvent)]
+    runs = [item[2] for item in delivery_runs(events) if not isinstance(item, TraceEvent)]
     assert [len(run) for run in runs] == [2, 4]
     observed = assert_runs_check_as_events(events)
     assert observed["violations"] == [
@@ -1154,6 +1170,47 @@ def test_a_duplicate_and_an_inversion_inside_one_run():
         "duplicate delivery: P delivered m1 again (arbiter position 0)",
         "P delivered m3 from R outside its view ['P', 'Q'] of g",
     ]
+
+
+@pytest.mark.parametrize(
+    "spec,passes",
+    [
+        (from_config(churn_scenario(**SMALL_CHURN)), True),
+        (generate_spec(2, 3, GeneratorTuning()), False),
+    ],
+    ids=["churn", "fuzz-2:3"],
+)
+def test_a_stored_trace_replays_as_the_live_suite_checked_it(spec, passes, monkeypatch):
+    """``check_events`` over a run's stored trace ends where the run's own
+    suite did: the same verdict, violation strings and causal work, with
+    the deliveries fed as the runs they were recorded as (fewer calls than
+    deliveries), not one at a time.  2:3 is a known causality failure."""
+    engine = ScenarioEngine(spec)
+    engine.run()
+    live = engine.session.suite
+    events = list(engine.session.trace())
+    replays = []
+
+    class Replay(OnlineCheckSuite):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.runs = 0
+            replays.append(self)
+
+        def on_deliveries(self, *run):
+            self.runs += 1
+            super().on_deliveries(*run)
+
+    monkeypatch.setattr(online, "OnlineCheckSuite", Replay)
+    verdict = check_events(events, view_agreement_sets=engine.expected_agreement_sets())
+    expected = live.result()
+    assert (verdict.passed, verdict.violations) == (expected.passed, expected.violations)
+    assert verdict.passed == passes
+    (replay,) = replays
+    folded = replay.causal_order.delta_entries_folded()
+    assert folded == live.causal_order.delta_entries_folded() > 0
+    runs = sum(1 for item in delivery_runs(events) if not isinstance(item, TraceEvent))
+    assert replay.runs == runs < sum(1 for e in events if e.kind == DELIVER)
 
 
 # ---------------------------------------------------------------------------

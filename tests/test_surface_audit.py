@@ -33,7 +33,9 @@ under ``src/repro`` names the post-hoc checkers, which live in the tests as
 their oracle.  And one latency path, the session's ``MetricsSink``: the
 span sink and the post-hoc metrics report are gone from the code, the
 tests and the README, and a traffic client takes its deliveries from the
-same sink, with no router or send-time table of its own.
+same sink, with no router or send-time table of its own.  The check suite
+is the only trace sink of the analysis package: its checkers are parts
+that it feeds, and a stream is grouped into delivery runs in one place.
 
 A run imports only what it runs: the packages the performance ledger's
 workloads import load no pool executor, no §6 baseline, no report renderer
@@ -48,6 +50,7 @@ import inspect
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -457,6 +460,30 @@ def test_a_delivery_meets_its_send_in_one_place():
             session.attach_client(OpenLoopClient("poisson", ["P1"], ["g"]))
         sinks.append([type(sink) for sink in session.recorder._sinks])
     assert sinks[0] == sinks[1]
+
+
+def test_the_check_suite_is_the_only_sink():
+    """No class under ``repro.analysis`` is a trace sink but the two
+    suites, and neither a checker's timeline adoption nor a second copy of
+    the run grouping (``repro.net.trace.delivery_runs``) is named anywhere
+    in the code or the tests."""
+    import repro.analysis
+
+    for module in pkgutil.walk_packages(repro.analysis.__path__, "repro.analysis."):
+        importlib.import_module(module.name)
+    sinks = sorted(
+        cls.__name__ for cls in _sink_classes() if cls.__module__.startswith("repro.analysis")
+    )
+    assert sinks == ["GroupScopedCheckSuite", "OnlineCheckSuite"]
+    retired = ("_adopt", "as_recorded", "_recorded_as_runs")
+    naming = [
+        f"{path.relative_to(ROOT).as_posix()}: {name}"
+        for path, text in SOURCES.items()
+        if path != pathlib.Path(__file__).resolve()
+        for name in retired
+        if re.search(rf"\b{name}\b", text)
+    ]
+    assert naming == []
 
 
 #: The packages the performance ledger's workloads import.

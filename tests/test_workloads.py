@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import COMPARISON_STACKS, Session
 from repro.core.messages import reset_message_counter
-from repro.net.trace import DELIVER, SEND, MetricsSink, TraceEvent
+from repro.net.trace import SEND, MetricsSink, TraceEvent
 from repro.scenarios import InvalidScenarioSpec, from_config, run_scenario
 from repro.workloads import (
     ARRIVAL_KINDS,
@@ -403,19 +403,22 @@ def test_a_call_is_credited_only_with_the_id_it_returned():
     def event(time, kind, process, message_id):
         return TraceEvent(time, kind, process, "g", message_id, message_id[:2])
 
+    def deliver(time, process, message_id):
+        sink.on_deliveries(time, process, [("g", message_id, message_id[:2], None, None)], 0)
+
     sink.hold()
     sink.on_event(event(1.0, SEND, "P2", "P2#1"))
     sink.claim("P2#1", owner)
-    sink.on_event(event(2.0, DELIVER, "P3", "P2#1"))
+    deliver(2.0, "P3", "P2#1")
     sink.hold()
-    sink.on_event(event(3.0, DELIVER, "P1", "P2#1"))  # an owned id, inside the call
+    deliver(3.0, "P1", "P2#1")  # an owned id, inside the call
     sink.on_event(event(3.0, SEND, "P1", "P1#7"))  # a deferred send flushed here
-    sink.on_event(event(3.0, DELIVER, "P1", "P1#7"))
-    sink.on_event(event(3.0, DELIVER, "P1", "P1#8"))  # the caller's own copy, before its send
+    deliver(3.0, "P1", "P1#7")
+    deliver(3.0, "P1", "P1#8")  # the caller's own copy, before its send
     sink.on_event(event(3.0, SEND, "P1", "P1#8"))
     assert owner.delivered_events == 1 and caller.delivered_events == 0
     sink.claim("P1#8", caller)
-    sink.on_event(event(4.5, DELIVER, "P4", "P1#8"))
+    deliver(4.5, "P4", "P1#8")
     assert (owner.credited, owner.delivered_events) == ({"P2#1"}, 2)
     assert owner.latency.samples == [1.0, 2.0]
     assert (caller.credited, caller.delivered_events) == ({"P1#8"}, 2)
